@@ -168,9 +168,19 @@ func BenchmarkDecodeRSE(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(ids, payloads); err != nil {
+		dec, err := c.NewDecoder(speedSymLen)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for j, id := range ids {
+			if dec.ReceivePayload(id, payloads[j]) {
+				break
+			}
+		}
+		if !dec.Done() {
+			b.Fatal("RSE decode incomplete")
+		}
+		dec.Close()
 	}
 }
 

@@ -113,9 +113,9 @@
 // multiply-accumulate (four parity rows per pass over each source
 // symbol) in GF(2^8), low/high-byte split product tables in GF(2^16),
 // with the byte-at-a-time reference kernels retained for equivalence
-// tests and the old-vs-new comparison in scripts/bench_codec.sh.
-// Segmented Reed-Solomon objects encode blocks in parallel across
-// GOMAXPROCS goroutines.
+// tests. Segmented Reed-Solomon objects encode blocks in parallel across
+// GOMAXPROCS goroutines; a Reed-Solomon block missing e sources decodes
+// by solving only the e×e erased subsystem.
 //
 // # Scheduling
 //
@@ -351,9 +351,9 @@
 // ingest allocates nothing in steady state. Transmission schedules are
 // never materialised: sequential senders walk them through a batched
 // cursor whose draws beat iterating a pre-shuffled slice, at zero
-// allocations. BENCH_codec.json and BENCH_sched.json in the repository
-// root record the measured numbers, and the README's Performance
-// section explains the techniques.
+// allocations. `go run ./bench` measures the whole path end to end and
+// attributes the time to layers (bench/README.md), and the README's
+// Performance section explains the techniques.
 //
 // # Quick start
 //

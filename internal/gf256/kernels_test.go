@@ -2,7 +2,11 @@ package gf256
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -133,30 +137,89 @@ func TestRowBlockedLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// TestKernelTier logs the tier the dispatch selected; scripts/
-// bench_codec.sh scrapes the line into BENCH_codec.json.
+// TestKernelTier logs the tier the dispatch selected.
 func TestKernelTier(t *testing.T) {
 	t.Logf("kernel tier: %s", Tier())
 }
 
-// Per-tier kernel benchmarks, consumed by scripts/bench_codec.sh: the
-// unsuffixed benchmarks measure the dispatch entry points (the SIMD
-// tier where the CPU has one), *Unrolled the tuned pure-Go table
-// kernels the dispatch falls back to, *Table the previous byte-at-a-
-// time defaults, and *Scalar the log/exp references.
+// TestVectorKernelsAreVEXOnly guards against the SSE/AVX transition
+// stall: inside a routine that writes YMM registers, one legacy-SSE
+// instruction (say MOVQ AX, X2 where VMOVQ was meant) makes the CPU save
+// and restore the upper register halves, ~130 ns on every call — more
+// than a 1 KiB AddMul takes. No test of results can see that, so the
+// source is checked instead: in every TEXT block of kernels_amd64.s that
+// names a Y register, each instruction with an X or Y operand must be
+// VEX-encoded, i.e. carry the V prefix.
+func TestVectorKernelsAreVEXOnly(t *testing.T) {
+	asm, err := os.ReadFile("kernels_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
+	ymmReg := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+	var (
+		name    string   // current TEXT block
+		usesYMM bool     // ... names a Y register
+		legacy  []string // ... and these are its non-VEX vector instructions
+		kernels int
+	)
+	flush := func() {
+		if usesYMM {
+			kernels++
+			for _, msg := range legacy {
+				t.Error(msg)
+			}
+		}
+		usesYMM, legacy = false, nil
+	}
+	for i, line := range strings.Split(string(asm), "\n") {
+		code, _, _ := strings.Cut(line, "//")
+		fields := strings.Fields(code)
+		if len(fields) == 0 || strings.HasSuffix(fields[0], ":") || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		if fields[0] == "TEXT" {
+			flush()
+			name = strings.TrimSuffix(fields[1], ",")
+			continue
+		}
+		operands := strings.Join(fields[1:], " ")
+		if ymmReg.MatchString(operands) {
+			usesYMM = true
+		}
+		if vecReg.MatchString(operands) && !strings.HasPrefix(fields[0], "V") {
+			legacy = append(legacy, fmt.Sprintf("kernels_amd64.s:%d: %s mixes legacy-SSE %q into AVX code (use the V-prefixed form)",
+				i+1, name, strings.TrimSpace(code)))
+		}
+	}
+	flush()
+	if kernels != 3 {
+		t.Fatalf("found %d YMM kernels in kernels_amd64.s, want 3 (addMul, addMul4, xor): the parser lost track of the file", kernels)
+	}
+}
+
+// Per-tier kernel benchmarks: the unsuffixed benchmarks measure the
+// dispatch entry points (the SIMD tier where the CPU has one), *Unrolled
+// the tuned pure-Go table kernels the dispatch falls back to, *Table the
+// previous byte-at-a-time defaults, and *Scalar the log/exp references.
+// The *64 rows run 64-byte slices, where the fixed per-call cost (table
+// broadcasts, VZEROUPPER, dispatch) shows next to the 1 KiB rows.
 
 func benchPair(n int) (dst, src []byte) {
 	rng := rand.New(rand.NewSource(9))
 	return randSlice(rng, n), randSlice(rng, n)
 }
 
-func BenchmarkAddMulKernel(b *testing.B) {
-	dst, src := benchPair(1024)
-	b.SetBytes(1024)
+func benchAddMul(b *testing.B, n int) {
+	dst, src := benchPair(n)
+	b.SetBytes(int64(n))
 	for i := 0; i < b.N; i++ {
 		AddMul(dst, src, 0x53)
 	}
 }
+
+func BenchmarkAddMulKernel(b *testing.B)   { benchAddMul(b, 1024) }
+func BenchmarkAddMulKernel64(b *testing.B) { benchAddMul(b, 64) }
 
 func BenchmarkAddMulKernelScalar(b *testing.B) {
 	dst, src := benchPair(1024)
@@ -190,16 +253,19 @@ func BenchmarkAddMulKernelUnrolled(b *testing.B) {
 	}
 }
 
-func BenchmarkAddMul4Kernel(b *testing.B) {
-	d0, src := benchPair(1024)
-	d1, _ := benchPair(1024)
-	d2, _ := benchPair(1024)
-	d3, _ := benchPair(1024)
-	b.SetBytes(4 * 1024)
+func benchAddMul4(b *testing.B, n int) {
+	d0, src := benchPair(n)
+	d1, _ := benchPair(n)
+	d2, _ := benchPair(n)
+	d3, _ := benchPair(n)
+	b.SetBytes(int64(4 * n))
 	for i := 0; i < b.N; i++ {
 		AddMul4(d0, d1, d2, d3, src, 0x53, 0x7e, 0x11, 0xc8)
 	}
 }
+
+func BenchmarkAddMul4Kernel(b *testing.B)   { benchAddMul4(b, 1024) }
+func BenchmarkAddMul4Kernel64(b *testing.B) { benchAddMul4(b, 64) }
 
 func BenchmarkAddMul4KernelUnrolled(b *testing.B) {
 	d0, src := benchPair(1024)

@@ -3,7 +3,7 @@ package gf65536
 import "testing"
 
 // TestXorDispatchNotSlowerThanScalar is the regression guard for the
-// BENCH_codec.json finding that the old 4-lane unrolled Xor benchmarked
+// earlier finding that the old 4-lane unrolled Xor benchmarked
 // slower than the plain range loop: the dispatched kernel must never
 // lose to XorScalar again. Measured with testing.Benchmark so the guard
 // is robust to the noise of single-iteration CI bench smokes; skipped

@@ -104,7 +104,7 @@ func TestKernelLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// Old-vs-new kernel benchmarks, consumed by scripts/bench_codec.sh.
+// Old-vs-new kernel benchmarks.
 // 4096 symbols (8 KiB) is deep enough for the split-table build to
 // amortise; the scalar path keeps serving shorter slices.
 

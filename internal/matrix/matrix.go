@@ -130,9 +130,12 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return out
 }
 
-// MulVec computes dst = m × src where src is a vector of symbol slices
-// (one per matrix column) and dst one per matrix row. Every slice must
-// have the same length. dst slices are overwritten. The hot loop is
+// MulVec accumulates dst[i] ^= Σ_j m[i][j]·src[j], where src is a vector
+// of symbol slices (one per matrix column) and dst one per matrix row.
+// Every non-nil slice must have the same length. A nil src[j] drops
+// column j from the sum: that is how the Reed-Solomon decoder multiplies
+// by the received-source columns only. Callers that want the plain
+// product pass zeroed dst (symbol.Get buffers are). The hot loop is
 // row-blocked (gf256.AddMul4): each source symbol is read once per group
 // of four output rows, which is what makes the Reed-Solomon payload
 // paths fast.
@@ -140,32 +143,31 @@ func (m *Matrix) MulVec(dst, src [][]byte) {
 	if len(src) != m.cols || len(dst) != m.rows {
 		panic("matrix: MulVec dimension mismatch")
 	}
-	for _, d := range dst {
-		for t := range d {
-			d[t] = 0
-		}
-	}
 	i := 0
 	for ; i+4 <= m.rows; i += 4 {
 		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
 		d0, d1, d2, d3 := dst[i], dst[i+1], dst[i+2], dst[i+3]
 		for j, s := range src {
-			gf256.AddMul4(d0, d1, d2, d3, s, r0[j], r1[j], r2[j], r3[j])
+			if s != nil {
+				gf256.AddMul4(d0, d1, d2, d3, s, r0[j], r1[j], r2[j], r3[j])
+			}
 		}
 	}
 	if i+2 <= m.rows {
 		r0, r1 := m.Row(i), m.Row(i+1)
 		d0, d1 := dst[i], dst[i+1]
 		for j, s := range src {
-			gf256.AddMul2(d0, d1, s, r0[j], r1[j])
+			if s != nil {
+				gf256.AddMul2(d0, d1, s, r0[j], r1[j])
+			}
 		}
 		i += 2
 	}
 	if i < m.rows {
 		row, d := m.Row(i), dst[i]
-		for j, c := range row {
-			if c != 0 {
-				gf256.AddMul(d, src[j], c)
+		for j, s := range src {
+			if s != nil {
+				gf256.AddMul(d, s, row[j])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -152,36 +153,46 @@ func TestAnySquareVandermondeSubmatrixInvertible(t *testing.T) {
 	}
 }
 
+// TestMulVecMatchesMul checks MulVec against Mul over 7 rows (one group
+// of four, one of two, one single) in both of its uses: the plain product
+// into zeroed dst, and accumulation on top of existing dst contents with
+// a nil src entry, which must act as a zero column.
 func TestMulVecMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := New(4, 6)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 6; j++ {
-			m.Set(i, j, byte(rng.Intn(256)))
-		}
-	}
-	const symLen = 9
-	src := make([][]byte, 6)
-	col := New(6, symLen)
+	const rows, cols, symLen = 7, 6, 9
+	m := New(rows, cols)
+	rng.Read(m.data)
+	col := New(cols, symLen)
+	rng.Read(col.data)
+	src := make([][]byte, cols)
 	for j := range src {
 		src[j] = col.Row(j)
-		for s := 0; s < symLen; s++ {
-			src[j][s] = byte(rng.Intn(256))
-		}
 	}
-	dst := make([][]byte, 4)
+	dst := make([][]byte, rows)
 	for i := range dst {
 		dst[i] = make([]byte, symLen)
 	}
-	m.MulVec(dst, src)
-	want := m.Mul(col)
-	for i := 0; i < 4; i++ {
-		for s := 0; s < symLen; s++ {
-			if dst[i][s] != want.At(i, s) {
-				t.Fatalf("MulVec mismatch at [%d][%d]", i, s)
+	check := func(what string, want *Matrix) {
+		t.Helper()
+		for i := 0; i < rows; i++ {
+			if !bytes.Equal(dst[i], want.Row(i)) {
+				t.Fatalf("%s: MulVec row %d = %v, want %v", what, i, dst[i], want.Row(i))
 			}
 		}
 	}
+	m.MulVec(dst, src)
+	product := m.Mul(col)
+	check("product", product)
+
+	// Second pass with column 2 dropped: dst ends as product ^ partial.
+	src[2] = nil
+	clear(col.Row(2))
+	partial := m.Mul(col)
+	for i := range partial.data {
+		partial.data[i] ^= product.data[i]
+	}
+	m.MulVec(dst, src)
+	check("accumulate with a nil column", partial)
 }
 
 func TestMulDimensionMismatchPanics(t *testing.T) {

@@ -45,7 +45,8 @@ func BenchmarkEncodeBlock(b *testing.B) {
 }
 
 func BenchmarkDecodeBlockWorstCase(b *testing.B) {
-	// All source symbols lost: decode from parity alone (full inversion).
+	// All source symbols lost: decode from parity alone (e = k_b, a dense
+	// k_b×k_b inversion).
 	c, err := New(Params{K: 100, Ratio: 2.5})
 	if err != nil {
 		b.Fatal(err)
@@ -60,18 +61,20 @@ func BenchmarkDecodeBlockWorstCase(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	esis := make([]int, 100)
-	payloads := make([][]byte, 100)
-	for i := range esis {
-		esis[i] = 100 + i
-		payloads[i] = parity[i]
-	}
 	b.SetBytes(100 * 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeBlock(0, esis, payloads); err != nil {
+		dec, err := c.NewDecoder(1024)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for j := 0; j < 100; j++ {
+			dec.ReceivePayload(100+j, parity[j])
+		}
+		if !dec.Done() {
+			b.Fatal("decode incomplete")
+		}
+		dec.Close()
 	}
 }

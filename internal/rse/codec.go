@@ -1,17 +1,24 @@
 package rse
 
-// The incremental payload decoder behind core.PayloadDecoder. Unlike the
-// one-shot Decode (which wants all received pairs up front), it consumes
-// packets as they arrive and decodes each block the moment the block
-// reaches k_b distinct symbols — so a long-lived receiver holds pooled
-// buffers only for blocks still in flight, and a decoded block's parity
-// goes straight back to the pool.
+// The incremental payload decoder behind core.PayloadDecoder, and the
+// package's only decoder. It consumes packets as they arrive and decodes
+// each block the moment the block reaches k_b distinct symbols — so a
+// long-lived receiver holds pooled buffers only for blocks still in
+// flight, and a decoded block's parity goes straight back to the pool.
+//
+// Sources are copied once, into their final slot; only parity is
+// buffered. Because a block is solved on its k_b-th distinct symbol, a
+// block short of e sources holds exactly e parity symbols at that moment:
+// as many equations as unknowns, so decodeBlock never selects rows. It
+// turns those e parity buffers into syndromes in place (they are the
+// decoder's own clones and are released right after, so nothing is
+// copied and the caller's payloads are never written), inverts the e×e
+// system and multiplies; see decodeBlock.
 
 import (
 	"fmt"
 
 	"fecperf/internal/core"
-	"fecperf/internal/gf256"
 	"fecperf/internal/matrix"
 	"fecperf/internal/symbol"
 )
@@ -50,7 +57,6 @@ type payloadDecoder struct {
 	blocks  []pdBlock
 	pending int // blocks not yet decoded
 	srcRec  int
-	rhs     [][]byte // decodeBlock scratch, reused across blocks
 }
 
 // pdBlock buffers one in-flight block. Received source payloads go
@@ -95,64 +101,75 @@ func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
 	return d.Done()
 }
 
-// decodeBlock rebuilds the block's missing source symbols from the k_b
-// received ones (MDS: any k_b distinct symbols suffice) and releases the
-// buffered parity.
+// decodeBlock rebuilds the block's e missing source symbols and releases
+// the buffered parity. It runs when the block reaches exactly k_b distinct
+// symbols, so exactly e parity symbols are buffered — one equation per
+// unknown. With G the parity generator, parity row j reads
+//
+//	p_j = Σ_{received i} G[j][i]·src_i + Σ_{missing m} G[j][m]·src_m
+//
+// so (a) folding the received sources into the parity buffers leaves the
+// syndromes S_j = Σ_m G[j][m]·src_m, (b) only the e×e matrix G[received
+// parity rows][missing columns] needs inverting (non-singular for any
+// choice: the code is MDS), and (c) its inverse times the syndromes is
+// the missing sources: O(e³ + e·k_b) where selecting and inverting k_b
+// rows of the systematic matrix was O(k_b³). Matrices borrow pool buffers
+// and the vectors reuse the block's own parity table, so a block decode
+// allocates nothing.
 func (d *payloadDecoder) decodeBlock(bi int) {
 	b := &d.blocks[bi]
 	bd := d.code.blocks[bi]
-	missing := 0
-	for esi := 0; esi < bd.kb; esi++ {
-		if !b.got[esi] {
-			missing++
+	src := d.src[bd.srcOff : bd.srcOff+bd.kb]
+	e := 0
+	for _, s := range src {
+		if s == nil {
+			e++
 		}
 	}
-	if missing > 0 {
-		// Select the k_b received rows of the systematic matrix (identity
-		// for sources, generator rows for parity), invert, and multiply
-		// only the rows of missing sources. All scratch is pooled or
-		// reused: matrices borrow pool buffers, rhs persists on the
-		// decoder, so a block decode costs zero heap allocations.
+	if e > 0 {
+		// The vectors the solve needs live in b.parity itself: slots
+		// [0,k_b) belong to source indices and are never filled, and
+		// e <= min(k_b, n_b-k_b), so the e buffered parity payloads
+		// compact to the front (syn) and leave room for the e outputs.
+		syn, out := b.parity[:0], b.parity[e:2*e]
 		g := d.code.generator(bd.kb, bd.nb)
-		rows := matrix.NewPooled(bd.kb, bd.kb)
-		inv := matrix.NewPooled(bd.kb, bd.kb)
-		if cap(d.rhs) < bd.kb {
-			d.rhs = make([][]byte, 0, bd.kb)
-		}
-		rhs := d.rhs[:0]
-		for esi, used := 0, 0; esi < bd.nb && used < bd.kb; esi++ {
-			if !b.got[esi] {
-				continue
+		rows := matrix.NewPooled(e, bd.kb) // the received parity rows of G
+		for esi := bd.kb; esi < bd.nb; esi++ {
+			if p := b.parity[esi]; p != nil {
+				b.parity[esi] = nil
+				copy(rows.Row(len(syn)), g.Row(esi-bd.kb))
+				syn = append(syn, p)
 			}
-			if esi < bd.kb {
-				rows.Set(used, esi, 1)
-				rhs = append(rhs, d.src[bd.srcOff+esi])
-			} else {
-				copy(rows.Row(used), g.Row(esi-bd.kb))
-				rhs = append(rhs, b.parity[esi])
-			}
-			used++
 		}
-		if err := rows.InvertTo(&inv); err != nil {
-			// Any kb distinct rows of a systematic MDS matrix are
-			// independent; reaching this is a construction bug.
+		rows.MulVec(syn, src) // missing sources are nil: their columns drop out
+
+		sub, inv := matrix.NewPooled(e, e), matrix.NewPooled(e, e)
+		col := 0
+		for esi, s := range src {
+			if s == nil {
+				for r := 0; r < e; r++ {
+					sub.Set(r, col, rows.At(r, esi))
+				}
+				out[col] = symbol.Get(d.symLen)
+				col++
+			}
+		}
+		if err := sub.InvertTo(&inv); err != nil {
+			// Any square submatrix of an MDS generator is non-singular;
+			// reaching this is a construction bug.
 			panic(fmt.Sprintf("rse: decode matrix singular (should be impossible for MDS): %v", err))
 		}
-		for esi := 0; esi < bd.kb; esi++ {
-			if b.got[esi] {
-				continue
+		inv.MulVec(out, syn)
+		col = 0
+		for esi, s := range src {
+			if s == nil {
+				src[esi], out[col] = out[col], nil // ownership moves to d.src
+				col++
 			}
-			out := symbol.Get(d.symLen)
-			row := inv.Row(esi)
-			for t, c := range row {
-				if c != 0 {
-					gf256.AddMul(out, rhs[t], c)
-				}
-			}
-			d.src[bd.srcOff+esi] = out
-			d.srcRec++
 		}
+		d.srcRec += e
 		rows.Release()
+		sub.Release()
 		inv.Release()
 	}
 	symbol.PutAll(b.parity)

@@ -2,8 +2,8 @@ package rse
 
 // Old-vs-new encode tiers for the acceptance benchmark (k=32, 1 KiB
 // symbols): the new row-blocked pooled path against the byte-at-a-time
-// kernels it replaced. scripts/bench_codec.sh consumes the three
-// BenchmarkCodecEncodeK32* results to report the speedup.
+// kernels it replaced. The end-to-end figures live in `go run ./bench`
+// (codes.encode_mb_s, codes.decode_mb_s); these rows isolate the tiers.
 
 import (
 	"math/rand"
@@ -19,14 +19,18 @@ const (
 	benchRatio  = 1.5
 )
 
-func benchSource(b testing.TB) (*Code, [][]byte) {
+func benchSource(b testing.TB) (*Code, [][]byte) { return codecFixture(b, benchK) }
+
+// codecFixture returns the ratio-1.5 code over k sources and k seeded
+// random 1 KiB source symbols.
+func codecFixture(b testing.TB, k int) (*Code, [][]byte) {
 	b.Helper()
-	c, err := New(Params{K: benchK, Ratio: benchRatio})
+	c, err := New(Params{K: k, Ratio: benchRatio})
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	src := make([][]byte, benchK)
+	src := make([][]byte, k)
 	for i := range src {
 		src[i] = make([]byte, benchSymLen)
 		rng.Read(src[i])

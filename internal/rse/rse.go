@@ -11,8 +11,15 @@
 //
 // The code is MDS: a block with k_b source symbols decodes from any k_b of
 // its n_b symbols. The structural receiver used by the simulations exploits
-// exactly that property; the payload codec performs real encode/decode with
-// matrix inversion for applications that carry data.
+// exactly that property; the payload codec carries real data. Encoding
+// multiplies the sources by the (n_b-k_b)×k_b parity generator G. Decoding
+// (codec.go, the package's one decode path) is systematic erasure decoding:
+// received sources are final as they arrive, and a block missing e sources
+// folds the received ones into its e buffered parity symbols to form
+// syndromes, inverts the e×e submatrix of G that couples those parity rows
+// to the missing columns, and multiplies: an O(e³) inversion plus e·k_b
+// symbol-length multiply-accumulates, four rows per pass, where inverting
+// the full k_b×k_b system cost O(k_b³) before any data moved.
 package rse
 
 import (
@@ -22,7 +29,6 @@ import (
 	"sync"
 
 	"fecperf/internal/core"
-	"fecperf/internal/gf256"
 	"fecperf/internal/matrix"
 	"fecperf/internal/symbol"
 )
@@ -353,113 +359,6 @@ func (c *Code) Encode(src [][]byte) ([][]byte, error) {
 	return parity, nil
 }
 
-// DecodeBlock rebuilds the k_b source payloads of block bi from any k_b (or
-// more) received symbols. esis are in-block symbol indices (source symbols
-// are 0..kb-1, parity kb..nb-1) aligned with payloads.
-func (c *Code) DecodeBlock(bi int, esis []int, payloads [][]byte) ([][]byte, error) {
-	if bi < 0 || bi >= len(c.blocks) {
-		return nil, fmt.Errorf("rse: block %d outside [0,%d)", bi, len(c.blocks))
-	}
-	bd := c.blocks[bi]
-	if len(esis) != len(payloads) {
-		return nil, fmt.Errorf("rse: %d indices but %d payloads", len(esis), len(payloads))
-	}
-	symLen, err := uniformLen(payloads)
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([][]byte, bd.kb)
-	// Fast path: take received source symbols as-is; note missing ones.
-	received := make(map[int]int, len(esis)) // esi -> payload index
-	for i, esi := range esis {
-		if esi < 0 || esi >= bd.nb {
-			return nil, fmt.Errorf("rse: symbol index %d outside [0,%d)", esi, bd.nb)
-		}
-		if _, dup := received[esi]; dup {
-			continue
-		}
-		received[esi] = i
-		if esi < bd.kb {
-			out[esi] = append([]byte(nil), payloads[i]...)
-		}
-	}
-	missing := 0
-	for i := 0; i < bd.kb; i++ {
-		if out[i] == nil {
-			missing++
-		}
-	}
-	if missing == 0 {
-		return out, nil
-	}
-	if len(received) < bd.kb {
-		return nil, fmt.Errorf("rse: block %d undecodable: %d distinct symbols < k_b=%d", bi, len(received), bd.kb)
-	}
-
-	// General path: pick kb received rows of the systematic matrix (identity
-	// rows for source symbols, generator rows for parity), invert, multiply.
-	g := c.generator(bd.kb, bd.nb)
-	rows := matrix.New(bd.kb, bd.kb)
-	rhs := make([][]byte, 0, bd.kb)
-	used := 0
-	for esi := 0; esi < bd.nb && used < bd.kb; esi++ {
-		pi, ok := received[esi]
-		if !ok {
-			continue
-		}
-		if esi < bd.kb {
-			rows.Set(used, esi, 1)
-		} else {
-			copy(rows.Row(used), g.Row(esi-bd.kb))
-		}
-		rhs = append(rhs, payloads[pi])
-		used++
-	}
-	inv, err := rows.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("rse: decode matrix singular (should be impossible for MDS): %w", err)
-	}
-	dec := make([][]byte, bd.kb)
-	for i := range dec {
-		dec[i] = make([]byte, symLen)
-	}
-	inv.MulVec(dec, rhs)
-	for i := 0; i < bd.kb; i++ {
-		if out[i] == nil {
-			out[i] = dec[i]
-		}
-	}
-	return out, nil
-}
-
-// Decode rebuilds the whole object from received (global ID, payload) pairs.
-// It returns an error naming the first undecodable block.
-func (c *Code) Decode(ids []int, payloads [][]byte) ([][]byte, error) {
-	if len(ids) != len(payloads) {
-		return nil, fmt.Errorf("rse: %d ids but %d payloads", len(ids), len(payloads))
-	}
-	perBlockESI := make([][]int, len(c.blocks))
-	perBlockPay := make([][][]byte, len(c.blocks))
-	for i, id := range ids {
-		if id < 0 || id >= c.layout.N {
-			return nil, fmt.Errorf("rse: packet id %d outside [0,%d)", id, c.layout.N)
-		}
-		bi, esi := c.blockOf(id)
-		perBlockESI[bi] = append(perBlockESI[bi], esi)
-		perBlockPay[bi] = append(perBlockPay[bi], payloads[i])
-	}
-	out := make([][]byte, c.layout.K)
-	for bi, bd := range c.blocks {
-		dec, err := c.DecodeBlock(bi, perBlockESI[bi], perBlockPay[bi])
-		if err != nil {
-			return nil, fmt.Errorf("rse: block %d: %w", bi, err)
-		}
-		copy(out[bd.srcOff:bd.srcOff+bd.kb], dec)
-	}
-	return out, nil
-}
-
 func uniformLen(symbols [][]byte) (int, error) {
 	if len(symbols) == 0 {
 		return 0, fmt.Errorf("rse: no symbols")
@@ -472,6 +371,3 @@ func uniformLen(symbols [][]byte) (int, error) {
 	}
 	return l, nil
 }
-
-// xorPayload is kept for symmetry with the LDGM package and used in tests.
-func xorPayload(dst, src []byte) { gf256.Xor(dst, src) }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fecperf/internal/core"
 )
 
 func mustNew(t *testing.T, p Params) *Code {
@@ -168,6 +170,28 @@ func randPayloads(rng *rand.Rand, n, symLen int) [][]byte {
 	return out
 }
 
+// decodeFrom feeds the (id, payload) pairs to a fresh payload decoder and
+// returns copies of the sources it ends up holding (nil where it holds
+// none) and whether it finished.
+func decodeFrom(t *testing.T, c *Code, ids []int, payloads [][]byte) ([][]byte, bool) {
+	t.Helper()
+	dec, err := c.NewDecoder(len(payloads[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dec.Close()
+	for i, id := range ids {
+		dec.ReceivePayload(id, payloads[i])
+	}
+	out := make([][]byte, c.Layout().K)
+	for i := range out {
+		if s := dec.Source(i); s != nil {
+			out[i] = append([]byte(nil), s...)
+		}
+	}
+	return out, dec.Done()
+}
+
 func TestEncodeDecodeRoundTripNoLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := mustNew(t, Params{K: 20, Ratio: 2.0, MaxBlock: 20})
@@ -183,9 +207,9 @@ func TestEncodeDecodeRoundTripNoLoss(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	dec, err := c.Decode(ids, src)
-	if err != nil {
-		t.Fatal(err)
+	dec, done := decodeFrom(t, c, ids, src)
+	if !done {
+		t.Fatal("not done with every source delivered")
 	}
 	assertPayloadsEqual(t, src, dec)
 }
@@ -202,9 +226,9 @@ func TestDecodeFromParityOnly(t *testing.T) {
 	for i := range ids {
 		ids[i] = 10 + i // all parity
 	}
-	dec, err := c.Decode(ids, parity)
-	if err != nil {
-		t.Fatal(err)
+	dec, done := decodeFrom(t, c, ids, parity)
+	if !done {
+		t.Fatal("not done with k parity symbols delivered")
 	}
 	assertPayloadsEqual(t, src, dec)
 }
@@ -226,9 +250,9 @@ func TestDecodeAnyKOfN(t *testing.T) {
 		for i, id := range ids {
 			payloads[i] = all[id]
 		}
-		dec, err := c.Decode(ids, payloads)
-		if err != nil {
-			t.Fatalf("trial %d ids %v: %v", trial, ids, err)
+		dec, done := decodeFrom(t, c, ids, payloads)
+		if !done {
+			t.Fatalf("trial %d ids %v: not done", trial, ids)
 		}
 		assertPayloadsEqual(t, src, dec)
 	}
@@ -270,9 +294,9 @@ func TestDecodeMultiBlockWithLoss(t *testing.T) {
 		if !ok {
 			continue
 		}
-		dec, err := c.Decode(ids, payloads)
-		if err != nil {
-			t.Fatal(err)
+		dec, done := decodeFrom(t, c, ids, payloads)
+		if !done {
+			t.Fatalf("trial %d: not done with >= k_b symbols in every block", trial)
 		}
 		assertPayloadsEqual(t, src, dec)
 	}
@@ -284,8 +308,9 @@ func TestDecodeUndecodableBlockErrors(t *testing.T) {
 	src := randPayloads(rng, 10, 8)
 	// Only 9 distinct symbols for a k_b=10 block.
 	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
-	if _, err := c.Decode(ids, src[:9]); err == nil {
-		t.Fatal("Decode succeeded with too few symbols")
+	dec, done := decodeFrom(t, c, ids, src[:9])
+	if done || dec[9] != nil {
+		t.Fatal("decoder finished with too few symbols")
 	}
 }
 
@@ -295,8 +320,8 @@ func TestDecodeDuplicateSymbolsDoNotHelp(t *testing.T) {
 	src := randPayloads(rng, 5, 8)
 	ids := []int{0, 0, 0, 1, 2}
 	payloads := [][]byte{src[0], src[0], src[0], src[1], src[2]}
-	if _, err := c.Decode(ids, payloads); err == nil {
-		t.Fatal("Decode succeeded with duplicates standing in for distinct symbols")
+	if _, done := decodeFrom(t, c, ids, payloads); done {
+		t.Fatal("decoder finished with duplicates standing in for distinct symbols")
 	}
 }
 
@@ -313,11 +338,27 @@ func TestEncodeLengthMismatch(t *testing.T) {
 
 func TestDecodeIDPayloadMismatch(t *testing.T) {
 	c := mustNew(t, Params{K: 4, Ratio: 2.0})
-	if _, err := c.Decode([]int{0, 1}, [][]byte{{1}}); err == nil {
-		t.Fatal("Decode accepted mismatched ids/payloads")
+	if _, err := c.NewDecoder(0); err == nil {
+		t.Fatal("NewDecoder accepted a zero symbol length")
 	}
-	if _, err := c.Decode([]int{-1}, [][]byte{{1}}); err == nil {
-		t.Fatal("Decode accepted negative id")
+	for name, feed := range map[string]func(dec core.PayloadDecoder){
+		"negative id":    func(dec core.PayloadDecoder) { dec.ReceivePayload(-1, []byte{1}) },
+		"id beyond n":    func(dec core.PayloadDecoder) { dec.ReceivePayload(c.Layout().N, []byte{1}) },
+		"payload length": func(dec core.PayloadDecoder) { dec.ReceivePayload(0, []byte{1, 2}) },
+	} {
+		func() {
+			dec, err := c.NewDecoder(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dec.Close()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ReceivePayload did not panic", name)
+				}
+			}()
+			feed(dec)
+		}()
 	}
 }
 
@@ -345,8 +386,8 @@ func TestPropertyAnyKSubsetDecodes(t *testing.T) {
 		for i, id := range ids {
 			payloads[i] = all[id]
 		}
-		dec, err := c.Decode(ids, payloads)
-		if err != nil {
+		dec, done := decodeFrom(t, c, ids, payloads)
+		if !done {
 			return false
 		}
 		for i := range src {
@@ -360,14 +401,6 @@ func TestPropertyAnyKSubsetDecodes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestXorPayloadHelper(t *testing.T) {
-	a := []byte{1, 2, 3}
-	xorPayload(a, []byte{1, 2, 3})
-	if a[0] != 0 || a[1] != 0 || a[2] != 0 {
-		t.Fatal("xorPayload broken")
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // scratch routes through internal/symbol's pooled []uint16 slices, so
 // the steady state is a handful of slice headers — the ceilings here
 // are deliberately loose versions of that, and orders of magnitude
-// below the pre-pooling baseline (BENCH_codec: 50 encode / 131 decode
-// allocs/op).
+// below the pre-pooling baseline (50 encode / 131 decode allocs/op).
 
 func encodeDecodeFixture(tb testing.TB, k, n, payLen int) (*Code, [][]byte) {
 	tb.Helper()

@@ -1,8 +1,8 @@
 package session
 
 // Session-path benchmarks: what the transport actually pays per object
-// and per datagram. scripts/bench_codec.sh tracks the allocs/op columns
-// — the pooled symbol buffers are what keeps them flat.
+// and per datagram. Watch the allocs/op columns — the pooled symbol
+// buffers are what keeps them flat.
 
 import (
 	"math/rand"
@@ -38,7 +38,7 @@ func BenchmarkSessionEncode(b *testing.B) {
 // geometry BenchmarkSessionEncode produces (same k, symbol size and
 // ratio — per-source-byte parity work scales with n-k, so MB/s is only
 // comparable at matched geometry). The session/raw ratio is the session
-// layer's true overhead; scripts/bench_codec.sh tracks it.
+// layer's true overhead.
 func BenchmarkSessionEncodeRawCodec(b *testing.B) {
 	data := benchData(64 << 10)
 	const payload = 1024
