@@ -199,12 +199,12 @@ type (
 )
 
 // NewBroadcaster returns a carousel sender writing to conn; Add encoded
-// objects (NewObject) before Run. The carousel encodes datagrams
-// lazily from the objects' pooled symbol buffers — nothing is held
-// pre-encoded — so added objects must stay open while the carousel
-// runs. Call the sender's Close when done: it blocks until an
-// in-flight Run returns (cancel its context first), then releases the
-// objects' buffers.
+// objects (NewObject) before Run. An object holds its datagrams framed
+// and checksummed in one pooled slab, and the carousel hands the conn
+// views of those frames — nothing is re-encoded or copied per send — so
+// added objects must stay open while the carousel runs. Call the
+// sender's Close when done: it blocks until an in-flight Run returns
+// (cancel its context first), then releases the objects' slabs.
 // BroadcasterConfig.StartRound/StartPos resume an interrupted carousel
 // mid-round, reproducing the original datagram sequence exactly.
 func NewBroadcaster(conn TransportConn, cfg BroadcasterConfig) *Broadcaster {

@@ -218,9 +218,8 @@ func runSend(args []string) error {
 	if err := s.Add(obj); err != nil {
 		return err
 	}
-	// The carousel encodes datagrams lazily from the object's pooled
-	// symbol buffers every round — no resident pre-encoded copies — so
-	// the object stays open until the carousel stops.
+	// The carousel sends views of the object's own frame slab every
+	// round, so the object stays open until the carousel stops.
 	defer s.Close()
 
 	fmt.Fprintf(os.Stderr, "broadcasting %s (%d bytes) as object %d to %s: k=%d n=%d codec=%s @ %.0f pkt/s\n",

@@ -169,16 +169,39 @@
 // time, latched off on the first kernel refusal), while other
 // platforms keep the portable loop behind build tags. Configured with
 // a batch size (Config.BatchSize, spec key "batch", feccast -batch),
-// the carousel packs each round into a scratch region flushed as
+// the carousel gathers views of its objects' frames and flushes them as
 // full batches — one pacer debit and one kernel crossing per batch,
-// amortized zero allocations — and the receiver daemon drains its
+// zero allocations, zero copies — and the receiver daemon drains its
 // socket a batch per crossing. Batching never changes the carousel:
 // the datagram sequence, loopback loss pattern (the channel chain
 // steps in 64-wide masks over the same splitmix64 stream) and decoded
 // bytes are identical to the scalar path, only syscall count and
-// pacing granularity change. scripts/bench_net.sh records the measured
-// speedup in BENCH_net.json (gated at 4x packets/s over the
-// per-datagram baseline on the mmsg datapath).
+// pacing granularity change. go run ./bench -trace reports the batched
+// socket cost per datagram inside a real cast
+// (transport.udp.write_ns_per_pkt, read_ns_per_pkt).
+//
+// A payload byte is copied four times between the source reader and
+// the destination writer, and nowhere else (figures from go run ./bench
+// -trace, seed 1, cast-ldgm-smallpkt at 128 B / cast-rse-clean at 1 KiB
+// symbols):
+//
+//	sender    source -> slab        EncodeObject scatters into the frame slab;
+//	                                parity is computed in place
+//	                                (48 / 81 us per 256 KiB chunk beyond the codec)
+//	sender    slab -> conn          the conn gathers from views of the frames
+//	                                (the sender copies nothing; a copied-out
+//	                                frame costs 9.6 / 35 ns)
+//	receiver  conn -> read buffer   ReadBatch into the daemon's slots
+//	                                (34 / 155 ns per datagram, write + read)
+//	receiver  read buffer -> slab   the payload decoder, to the final offset
+//	                                (session overhead 16 / 28 ns per datagram)
+//
+// The decoded object is the decoder's source slab: a Collector writes
+// and checksums it in place and hands the slab back to the pool, so a
+// cast of any length runs on the slabs of one window, and the symbol
+// pool is visited once per 64 KiB rather than once per symbol.
+// ReceiverDaemon.Object, WaitObject and OnComplete hand out a copy in
+// memory of its own instead, which is never recycled under its holder.
 //
 // # Broadcast daemon
 //
@@ -346,9 +369,12 @@
 // runs on SIMD nibble-shuffle kernels (AVX2 on amd64, NEON on arm64)
 // with runtime dispatch down to portable fallbacks — build with -tags
 // purego to force the portable tier. Session encode resolves codecs
-// from a process-wide cache and encodes straight into pooled symbol
-// buffers (3 allocs per object, ~the raw codec's throughput); receiver
-// ingest allocates nothing in steady state. Transmission schedules are
+// from a process-wide cache and lays each object out once, as
+// ready-to-send frames in one pooled slab (3 allocs per object); the
+// carousel sends views of those frames, the decoders place every payload
+// at its final offset in the object's slab, and receiver ingest
+// allocates nothing in steady state — see "Transport" for the copies a
+// payload byte still makes. Transmission schedules are
 // never materialised: sequential senders walk them through a batched
 // cursor whose draws beat iterating a pre-shuffled slice, at zero
 // allocations. `go run ./bench` measures the whole path end to end and

@@ -48,8 +48,9 @@ type (
 	Codec = core.Codec
 	// PayloadDecoder consumes payload packets one at a time and exposes
 	// the recovered source symbols. See the buffer-ownership contract on
-	// the interface: payloads passed in are borrowed, slices returned by
-	// Source live until Close.
+	// the interface: payloads passed in are borrowed and copied once, to
+	// their final slot in the decoder's source slab; slices returned by
+	// Source are views into it, live until TakeSources or Close.
 	PayloadDecoder = core.PayloadDecoder
 	// CodecSpec is the serializable configuration of one codec:
 	// family, k, expansion ratio and construction seed. Its Name

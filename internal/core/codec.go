@@ -7,6 +7,12 @@
 
 package core
 
+import (
+	"fmt"
+
+	"fecperf/internal/symbol"
+)
+
 // Codec is a Code that can also carry payloads: it encodes k source
 // symbols into n-k parity symbols and mints incremental payload decoders.
 // All four families implement it (Reed-Solomon over GF(2^8) and GF(2^16),
@@ -14,11 +20,18 @@ package core
 // immutable after construction and safe for concurrent use.
 type Codec interface {
 	Code
-	// Encode computes the n-k parity payloads from the k source payloads
-	// (equal-length slices in global-ID order; parity ID K+i is result
-	// i). The returned buffers are drawn from the symbol pool and owned
-	// by the caller: release them with symbol.Put when done, or let the
-	// garbage collector take them. Encode never retains src.
+	// EncodeInto computes the n-k parity payloads from the k source
+	// payloads into memory the caller supplies: src holds the k sources
+	// in global-ID order, parity n-k slices of the same length (parity ID
+	// K+i is parity[i]), every byte of which is overwritten. This is the
+	// datapath entry: the session layer passes views into an object's
+	// frame slab, so parity is computed where it will be sent from.
+	// EncodeInto retains neither argument.
+	EncodeInto(src, parity [][]byte) error
+	// Encode is EncodeInto with the parity buffers drawn one per symbol
+	// from the symbol pool and owned by the caller (release them with
+	// symbol.PutAll, or let the garbage collector take them) — the
+	// convenience form for tools and tests that hold no slab.
 	Encode(src [][]byte) ([][]byte, error)
 	// NewDecoder mints a fresh incremental decoder for payloads of
 	// symLen bytes. It returns an error when the length is unusable by
@@ -29,14 +42,17 @@ type Codec interface {
 // PayloadDecoder is an incremental payload decoder: packets are delivered
 // one at a time in arrival order, exactly as a receiver experiences them.
 //
-// Buffer ownership is the load-bearing part of this contract. The
-// payload passed to ReceivePayload is only borrowed for the duration of
-// the call: the decoder copies what it retains into buffers it draws
-// from the symbol pool, so callers may reuse their read buffer
-// immediately — this is the single copy on the receive path. Slices
-// returned by Source are owned by the decoder and remain valid only
-// until Close; Close releases every pooled buffer the decoder holds, so
-// callers must copy out (or be done with) recovered symbols first.
+// Buffer ownership is the load-bearing part of this contract. The decoder
+// owns one slab of k source slots (symbol.Slab, stride symLen) plus
+// whatever slab it needs for parity and scratch; their buffers are drawn
+// from the pool as symbols land, so memory follows what arrived, not what
+// the header announced. The payload passed to ReceivePayload is only
+// borrowed for the duration of the call: a source payload is copied once,
+// straight to its final slot — the one copy between the caller's read
+// buffer and the decoded object — and missing sources are rebuilt into
+// their slots, so when the decoder is Done the source slab *is* the
+// object. Slices returned by Source are views into that slab: valid until
+// TakeSources or Close, and not to be modified.
 type PayloadDecoder interface {
 	// ReceivePayload delivers packet id with its payload and returns
 	// true once all k source payloads are recovered. Duplicates and
@@ -51,11 +67,33 @@ type PayloadDecoder interface {
 	// currently known (received or rebuilt).
 	SourceRecovered() int
 	// Source returns the payload of source symbol i, or nil if it is
-	// not yet recovered. The slice is owned by the decoder: valid until
-	// Close, and not to be modified.
+	// not yet recovered (or the sources were taken).
 	Source(i int) []byte
-	// Close returns the decoder's pooled buffers to the symbol pool.
+	// TakeSources hands over the source slab once the decoder is Done:
+	// slot i is source symbol i. Ownership moves to the caller, who
+	// Releases it when the bytes have been consumed; Close no longer
+	// does, and Source returns nil from here on. It panics before Done.
+	TakeSources() symbol.Slab
+	// Close returns the slabs the decoder still owns to the symbol pool.
 	// The decoder must not be used afterwards (Source slices die with
 	// it). Close is idempotent.
 	Close()
+}
+
+// EncodePooled implements Codec.Encode for any family on top of its
+// EncodeInto: one pooled buffer per parity symbol, owned by the caller.
+func EncodePooled(c Codec, src [][]byte) ([][]byte, error) {
+	if len(src) == 0 {
+		return nil, fmt.Errorf("%s: no source payloads", c.Name())
+	}
+	l := c.Layout()
+	parity := make([][]byte, l.N-l.K)
+	for i := range parity {
+		parity[i] = symbol.GetDirty(len(src[0]))
+	}
+	if err := c.EncodeInto(src, parity); err != nil {
+		symbol.PutAll(parity)
+		return nil, err
+	}
+	return parity, nil
 }

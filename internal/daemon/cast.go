@@ -260,11 +260,18 @@ func (c *Cast) runCarousel(ctx context.Context) error {
 // reads sequentially, so at most one inner read is in flight; a read
 // abandoned by cancellation parks until the source finally returns (or
 // process exit) — bounded at one goroutine per killed stream cast.
+//
+// The inner read never touches the caller's p (the caller may reuse p the
+// moment Read returns on cancellation); it fills the reader's one private
+// buffer, which is free again as soon as its result has been copied out —
+// so a whole cast reads through a single allocation. An abandoned read
+// still owns the buffer, and the reader is dead from then on: every later
+// Read fails on the cancelled context before reaching it.
 type cancelReader struct {
 	ctx context.Context
 	r   io.Reader
 	res chan cancelReadResult
-	cur []byte // the in-flight inner read's private buffer
+	buf []byte // the inner reads' buffer, grown to the largest p seen
 }
 
 type cancelReadResult struct {
@@ -280,24 +287,17 @@ func (c *cancelReader) Read(p []byte) (int, error) {
 	if err := c.ctx.Err(); err != nil {
 		return 0, err
 	}
-	if c.cur == nil {
-		// The inner read owns its private buffer: the caller may reuse p
-		// the moment we return on cancellation, so the goroutine must
-		// never touch p directly.
-		buf := make([]byte, len(p))
-		c.cur = buf
-		r := c.r
-		res := c.res
-		go func() {
-			n, err := r.Read(buf)
-			res <- cancelReadResult{n, err}
-		}()
+	if cap(c.buf) < len(p) {
+		c.buf = make([]byte, len(p))
 	}
+	buf := c.buf[:len(p)]
+	go func() {
+		n, err := c.r.Read(buf)
+		c.res <- cancelReadResult{n, err}
+	}()
 	select {
 	case r := <-c.res:
-		n := copy(p, c.cur[:r.n])
-		c.cur = nil
-		return n, r.err
+		return copy(p, buf[:r.n]), r.err
 	case <-c.ctx.Done():
 		return 0, c.ctx.Err()
 	}

@@ -68,8 +68,8 @@ func (d *Decoder) SolveGauss() bool {
 		rows[i] = row
 		if d.symLen > 0 {
 			r := symbol.Get(d.symLen)
-			if d.acc[eq] != nil {
-				copy(r, d.acc[eq])
+			if a := d.pay.acc[eq]; a != nil {
+				copy(r, a)
 			}
 			rhs[i] = r
 		}
@@ -131,18 +131,13 @@ func (d *Decoder) SolveGauss() bool {
 		if d.known[v] {
 			continue
 		}
-		var payload []byte
-		if d.symLen > 0 {
-			// The decoder adopts the RHS buffer (ownership transfer).
-			payload = rhs[r]
-			rhs[r] = nil
-		}
-		d.markKnown(v, payload)
+		// The solved value moves to the variable's own slot; the RHS
+		// scratch all goes back to the pool below.
+		d.markKnown(v, d.store(v, rhs[r]))
 	}
 	// Feed the newly solved variables back through peeling: they may
 	// unlock equations the elimination left alone (rows dropped by rank).
 	d.propagate()
-	// Release the RHS buffers no variable adopted.
 	symbol.PutAll(rhs)
 	return d.Done()
 }

@@ -278,42 +278,60 @@ func (c *Code) EquationVars(i int) []int32 { return c.rows[i] }
 // RowWeight returns the number of variables in equation i.
 func (c *Code) RowWeight(i int) int { return len(c.rows[i]) }
 
-// Encode computes the n-k parity payloads from the k source payloads.
-// Equations are processed in order; with Staircase and Triangle each
-// diagonal parity depends only on source symbols and earlier parities, so a
-// single pass suffices. All payloads must share one length.
-func (c *Code) Encode(src [][]byte) ([][]byte, error) {
+// EncodeInto computes the n-k parity payloads from the k source payloads
+// into caller-supplied buffers, overwriting every byte of them. Equations
+// are processed in order; with Staircase and Triangle each diagonal parity
+// depends only on source symbols and earlier parities, so a single pass
+// suffices. All payloads must share one length.
+func (c *Code) EncodeInto(src, parity [][]byte) error {
 	if len(src) != c.k {
-		return nil, fmt.Errorf("ldpc: expected %d source payloads, got %d", c.k, len(src))
+		return fmt.Errorf("ldpc: expected %d source payloads, got %d", c.k, len(src))
 	}
-	if len(src) == 0 {
-		return nil, fmt.Errorf("ldpc: no payloads")
+	if len(parity) != c.m {
+		return fmt.Errorf("ldpc: expected %d parity buffers, got %d", c.m, len(parity))
 	}
 	symLen := len(src[0])
 	for i, s := range src {
 		if len(s) != symLen {
-			return nil, fmt.Errorf("ldpc: payload %d has length %d, want %d", i, len(s), symLen)
+			return fmt.Errorf("ldpc: payload %d has length %d, want %d", i, len(s), symLen)
 		}
 	}
-	parity := make([][]byte, c.m)
-	for i := 0; i < c.m; i++ {
-		parity[i] = symbol.Get(symLen)
+	for i, p := range parity {
+		if len(p) != symLen {
+			return fmt.Errorf("ldpc: parity buffer %d has length %d, want %d", i, len(p), symLen)
+		}
 	}
-	for i := 0; i < c.m; i++ {
-		p := parity[i]
+	for i, p := range parity {
+		// The first term is copied rather than XORed into zeros: one pass
+		// over p saved per equation.
+		first := true
 		for _, v := range c.rows[i] {
+			var term []byte
 			switch {
 			case int(v) < c.k:
-				gf256.Xor(p, src[v])
+				term = src[v]
 			case int(v) == c.k+i:
-				// The symbol being defined; skip.
+				continue // the symbol being defined
 			default:
-				gf256.Xor(p, parity[int(v)-c.k])
+				term = parity[int(v)-c.k]
+			}
+			if first {
+				copy(p, term)
+				first = false
+			} else {
+				gf256.Xor(p, term)
 			}
 		}
+		if first {
+			clear(p)
+		}
 	}
-	return parity, nil
+	return nil
 }
+
+// Encode implements core.Codec: EncodeInto with one pooled buffer per
+// parity symbol, owned by the caller.
+func (c *Code) Encode(src [][]byte) ([][]byte, error) { return core.EncodePooled(c, src) }
 
 // NewReceiver implements core.Code: a structural peeling decoder (no
 // payloads), the state the grid simulations use.
@@ -345,13 +363,26 @@ type Decoder struct {
 	code       *Code
 	symLen     int // 0 = structural mode
 	known      []bool
-	value      [][]byte // payload per variable (payload mode only)
-	unknown    []int32  // per-equation count of unknown variables
-	xorID      []int32  // per-equation XOR of unknown variable IDs
-	acc        [][]byte // per-equation XOR of known payloads (payload mode)
+	unknown    []int32 // per-equation count of unknown variables
+	xorID      []int32 // per-equation XOR of unknown variable IDs
 	srcKnown   int
 	knownCount int
 	stack      []int32
+	pay        *payloads // nil in structural mode
+}
+
+// payloads is the byte-carrying half of a Decoder, absent from the
+// structural decoders the simulations mint by the million. Every payload
+// lives in one of two slabs: src holds the k source symbols at their
+// final positions; aux holds received parity k+i in slot i and equation
+// i's running XOR of known terms in slot m+i. A parity symbol solved by
+// peeling simply aliases its equation's accumulator slot; a solved source
+// is copied from the accumulator to its slot in src, so that slab alone
+// is the decoded object.
+type payloads struct {
+	src, aux symbol.Slab
+	value    [][]byte // per variable: view of its payload once known
+	acc      [][]byte // per equation: view of its accumulator once touched
 }
 
 func (c *Code) newDecoder(symLen int) *Decoder {
@@ -371,23 +402,29 @@ func (c *Code) newDecoder(symLen int) *Decoder {
 		d.xorID[i] = x
 	}
 	if symLen > 0 {
-		d.value = make([][]byte, c.n)
-		d.acc = make([][]byte, c.m)
+		d.pay = &payloads{
+			src:   symbol.NewSlab(c.k, symLen),
+			aux:   symbol.NewSlab(2*c.m, symLen),
+			value: make([][]byte, c.n),
+			acc:   make([][]byte, c.m),
+		}
 	}
 	return d
 }
 
-// Receive implements core.Receiver (structural mode). In payload mode it
-// marks the variable known with a zero payload, which corrupts data; use
-// ReceivePayload instead.
+// Receive implements core.Receiver (structural mode). It panics on a
+// payload decoder, whose variables need their bytes: use ReceivePayload.
 func (d *Decoder) Receive(id int) bool {
+	if d.pay != nil {
+		panic("ldpc: Receive on a payload decoder")
+	}
 	return d.receive(id, nil)
 }
 
 // ReceivePayload delivers a packet with its payload. It returns true once
 // all k source payloads are recovered.
 func (d *Decoder) ReceivePayload(id int, payload []byte) bool {
-	if d.symLen == 0 {
+	if d.pay == nil {
 		panic("ldpc: ReceivePayload on a structural decoder")
 	}
 	if len(payload) != d.symLen {
@@ -403,29 +440,39 @@ func (d *Decoder) receive(id int, payload []byte) bool {
 	if d.Done() || d.known[id] {
 		return d.Done()
 	}
-	var owned []byte
-	if d.symLen > 0 {
-		// The single copy on the receive path: the caller's payload is
-		// borrowed, the decoder's pooled copy is what propagation and
-		// Source work on.
-		owned = symbol.Clone(payload)
-	}
-	d.markKnown(int32(id), owned)
+	d.markKnown(int32(id), d.store(int32(id), payload))
 	d.propagate()
 	return d.Done()
 }
 
-// markKnown records variable id as known. In payload mode the decoder
-// takes ownership of owned (a pooled buffer of symLen bytes); it is
-// released by Close.
-func (d *Decoder) markKnown(id int32, owned []byte) {
+// store copies payload into variable id's home slot — a source's final
+// position, a parity symbol's slot in aux — and returns the slot: the one
+// copy between the caller's buffer and the decoded object. Structural
+// decoders store nothing.
+func (d *Decoder) store(id int32, payload []byte) []byte {
+	if d.pay == nil {
+		return nil
+	}
+	var slot []byte
+	if int(id) < d.code.k {
+		slot = d.pay.src.Slot(int(id))
+	} else {
+		slot = d.pay.aux.Slot(int(id) - d.code.k)
+	}
+	copy(slot, payload)
+	return slot
+}
+
+// markKnown records variable id as known; in payload mode value is the
+// slab view holding its payload.
+func (d *Decoder) markKnown(id int32, value []byte) {
 	d.known[id] = true
 	if int(id) < d.code.k {
 		d.srcKnown++
 	}
 	d.knownCount++
-	if d.symLen > 0 {
-		d.value[id] = owned
+	if d.pay != nil {
+		d.pay.value[id] = value
 	}
 	d.stack = append(d.stack, id)
 }
@@ -433,6 +480,7 @@ func (d *Decoder) markKnown(id int32, owned []byte) {
 // propagate drains the stack of newly-known variables, updating equations
 // and solving any that drop to a single unknown.
 func (d *Decoder) propagate() {
+	p := d.pay
 	for len(d.stack) > 0 {
 		id := d.stack[len(d.stack)-1]
 		d.stack = d.stack[:len(d.stack)-1]
@@ -442,26 +490,28 @@ func (d *Decoder) propagate() {
 			}
 			d.unknown[eq]--
 			d.xorID[eq] ^= id
-			if d.symLen > 0 {
-				if d.acc[eq] == nil {
-					d.acc[eq] = symbol.Get(d.symLen)
+			if p != nil {
+				if a := p.acc[eq]; a != nil {
+					gf256.Xor(a, p.value[id])
+				} else {
+					// First known term: copy it rather than XOR into zeros.
+					a = p.aux.Slot(d.code.m + int(eq))
+					copy(a, p.value[id])
+					p.acc[eq] = a
 				}
-				gf256.Xor(d.acc[eq], d.value[id])
 			}
 			if d.unknown[eq] == 1 {
 				solved := d.xorID[eq]
 				if !d.known[solved] {
 					var pv []byte
-					if d.symLen > 0 {
-						// Remaining unknown equals the XOR of all known
-						// terms in the equation (sum of the row is zero).
-						// The retired equation's accumulator becomes the
-						// solved symbol's value — an ownership transfer,
-						// not a copy.
-						pv = d.acc[eq]
-						d.acc[eq] = nil
-						if pv == nil {
-							pv = symbol.Get(d.symLen)
+					if p != nil {
+						// The remaining unknown equals the XOR of all
+						// known terms in the equation (the row sums to
+						// zero), which is what the accumulator holds.
+						pv = p.acc[eq]
+						p.acc[eq] = nil
+						if int(solved) < d.code.k {
+							pv = d.store(solved, pv)
 						}
 					}
 					d.markKnown(solved, pv)
@@ -492,28 +542,40 @@ func (d *Decoder) BufferedSymbols() int {
 func (d *Decoder) SourceRecovered() int { return d.srcKnown }
 
 // Source returns the recovered payload of source symbol i, or nil if it is
-// not yet known. Payload mode only.
+// not yet known (or the sources were taken). Payload mode only.
 func (d *Decoder) Source(i int) []byte {
-	if d.symLen == 0 {
+	if d.pay == nil {
 		panic("ldpc: Source on a structural decoder")
 	}
 	if i < 0 || i >= d.code.k {
 		panic(fmt.Sprintf("ldpc: source index %d outside [0,%d)", i, d.code.k))
 	}
-	return d.value[i]
+	if d.pay.src.Slots() == 0 {
+		return nil // the slab is gone (taken, closed)
+	}
+	return d.pay.value[i]
+}
+
+// TakeSources implements core.PayloadDecoder: once Done, the slab of the
+// k source symbols moves to the caller.
+func (d *Decoder) TakeSources() symbol.Slab {
+	if d.pay == nil || !d.Done() {
+		panic("ldpc: TakeSources needs a payload decoder that is done")
+	}
+	return d.pay.src.Take()
 }
 
 // Known reports whether variable id has been received or rebuilt.
 func (d *Decoder) Known(id int) bool { return d.known[id] }
 
-// Close implements core.PayloadDecoder: it returns every pooled buffer
-// (symbol values and live equation accumulators) to the symbol pool.
-// The decoder, and any slice Source returned, must not be used after
-// Close. Close is idempotent and a no-op for structural decoders.
+// Close implements core.PayloadDecoder: it returns the slabs the decoder
+// still owns to the symbol pool. The decoder, and any slice Source
+// returned, must not be used after Close. Close is idempotent and a no-op
+// for structural decoders.
 func (d *Decoder) Close() {
-	if d.symLen == 0 {
+	if d.pay == nil {
 		return
 	}
-	symbol.PutAll(d.value)
-	symbol.PutAll(d.acc)
+	d.pay.src.Release()
+	d.pay.aux.Release()
 }

@@ -70,25 +70,28 @@ func (r *receiver) Done() bool { return r.seen == len(r.got) }
 
 func (r *receiver) SourceRecovered() int { return r.seen }
 
-// Encode implements core.Codec. A repetition "code" has no parity at all
-// (n == k); redundancy comes from the scheduler sending packets several
-// times. It still validates its input so the codec surface behaves
-// uniformly across families.
-func (c *Code) Encode(src [][]byte) ([][]byte, error) {
+// EncodeInto implements core.Codec. A repetition "code" has no parity at
+// all (n == k); redundancy comes from the scheduler sending packets
+// several times. It still validates its input so the codec surface
+// behaves uniformly across families.
+func (c *Code) EncodeInto(src, parity [][]byte) error {
 	if len(src) != c.layout.K {
-		return nil, fmt.Errorf("repetition: expected %d source payloads, got %d", c.layout.K, len(src))
+		return fmt.Errorf("repetition: expected %d source payloads, got %d", c.layout.K, len(src))
 	}
-	if len(src) == 0 {
-		return nil, fmt.Errorf("repetition: no payloads")
+	if len(parity) != 0 {
+		return fmt.Errorf("repetition: expected no parity buffers, got %d", len(parity))
 	}
 	symLen := len(src[0])
 	for i, s := range src {
 		if len(s) != symLen {
-			return nil, fmt.Errorf("repetition: payload %d has length %d, want %d", i, len(s), symLen)
+			return fmt.Errorf("repetition: payload %d has length %d, want %d", i, len(s), symLen)
 		}
 	}
-	return nil, nil
+	return nil
 }
+
+// Encode implements core.Codec; the result is always empty.
+func (c *Code) Encode(src [][]byte) ([][]byte, error) { return core.EncodePooled(c, src) }
 
 // NewDecoder implements core.Codec: done once every source packet has
 // arrived at least once.
@@ -96,38 +99,51 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 	if symLen <= 0 {
 		return nil, fmt.Errorf("repetition: symbol length must be positive, got %d", symLen)
 	}
-	return &payloadDecoder{symLen: symLen, vals: make([][]byte, c.layout.K)}, nil
+	k := c.layout.K
+	return &payloadDecoder{symLen: symLen, got: make([]bool, k), src: symbol.NewSlab(k, symLen)}, nil
 }
 
 type payloadDecoder struct {
 	symLen int
-	vals   [][]byte // pooled copies, one per source packet
+	got    []bool
+	src    symbol.Slab // one slot per source packet
 	seen   int
 }
 
 func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
-	if id < 0 || id >= len(d.vals) {
-		panic(fmt.Sprintf("repetition: packet id %d outside [0,%d)", id, len(d.vals)))
+	if id < 0 || id >= len(d.got) {
+		panic(fmt.Sprintf("repetition: packet id %d outside [0,%d)", id, len(d.got)))
 	}
 	if len(payload) != d.symLen {
 		panic(fmt.Sprintf("repetition: payload length %d, want %d", len(payload), d.symLen))
 	}
-	if d.vals[id] == nil {
-		d.vals[id] = symbol.Clone(payload)
+	if !d.got[id] {
+		d.got[id] = true
+		copy(d.src.Slot(id), payload)
 		d.seen++
 	}
 	return d.Done()
 }
 
-func (d *payloadDecoder) Done() bool { return d.seen == len(d.vals) }
+func (d *payloadDecoder) Done() bool { return d.seen == len(d.got) }
 
 func (d *payloadDecoder) SourceRecovered() int { return d.seen }
 
 func (d *payloadDecoder) Source(i int) []byte {
-	if i < 0 || i >= len(d.vals) {
-		panic(fmt.Sprintf("repetition: source index %d outside [0,%d)", i, len(d.vals)))
+	if i < 0 || i >= len(d.got) {
+		panic(fmt.Sprintf("repetition: source index %d outside [0,%d)", i, len(d.got)))
 	}
-	return d.vals[i]
+	if d.src.Slots() == 0 || !d.got[i] {
+		return nil // not received yet, or the slab is gone (taken, closed)
+	}
+	return d.src.Slot(i)
 }
 
-func (d *payloadDecoder) Close() { symbol.PutAll(d.vals) }
+func (d *payloadDecoder) TakeSources() symbol.Slab {
+	if !d.Done() {
+		panic("repetition: TakeSources before the decoder is done")
+	}
+	return d.src.Take()
+}
+
+func (d *payloadDecoder) Close() { d.src.Release() }

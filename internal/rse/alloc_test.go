@@ -7,12 +7,46 @@ import (
 	"fecperf/internal/symbol"
 )
 
-// Alloc ceilings for the payload codec hot paths. Encode's only steady-
-// state allocation is the parity slice header; decode's scratch (the
-// received generator rows, the e×e system and its inverse) is pooled and
-// its vectors reuse the block's parity table, so what remains is the
-// decoder's own fixed setup plus one parity table per block that buffers
-// any.
+// Alloc ceilings for the payload codec hot paths. EncodeInto allocates
+// nothing at all (Encode adds the parity slice header); decode's scratch
+// (the received generator rows, the e×e system and its inverse) is pooled
+// and its vectors live in the block's view table, so what remains is the
+// decoder's own fixed setup — the struct, the received-bitmap, the block
+// table and two slab buffer tables — plus one view table per block that
+// buffers any parity. Payload memory is slabs: a few pool round-trips per
+// object, none per symbol.
+
+func TestCodecEncodeIntoAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; ceilings gate the plain tier")
+	}
+	c, src := benchSource(t)
+	parity, err := c.Encode(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer symbol.PutAll(parity)
+	want := make([][]byte, len(parity))
+	for i, p := range parity {
+		want[i] = append([]byte(nil), p...)
+		for j := range p {
+			p[j] = 0xa5 // EncodeInto must overwrite, not accumulate into, its output
+		}
+	}
+	run := func() {
+		if err := c.EncodeInto(src, parity); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(50, run); avg > 0 {
+		t.Errorf("EncodeInto allocs/op = %.1f, want 0", avg)
+	}
+	for i := range parity {
+		if string(parity[i]) != string(want[i]) {
+			t.Fatalf("EncodeInto over dirty buffers: parity %d differs from Encode", i)
+		}
+	}
+}
 
 func TestCodecEncodeAllocCeiling(t *testing.T) {
 	if raceEnabled {
@@ -78,17 +112,28 @@ func TestCodecDecodeAllocCeiling(t *testing.T) {
 		if avg := testing.AllocsPerRun(50, run); avg > 8 {
 			t.Errorf("k=%d: decode allocs/op = %.1f, want <= 8", k, avg)
 		}
+		// Pool traffic is per slab buffer, not per symbol: k source slots
+		// and at most n-k parity slots of 1 KiB, 64 to a buffer, plus the
+		// three scratch matrices of each block that solves.
+		before := symbol.PoolStats().Gets
+		run()
+		slabs := (k+63)/64 + (len(parity)+63)/64
+		if gets := int(symbol.PoolStats().Gets - before); gets > slabs+3*c.NumBlocks() {
+			t.Errorf("k=%d: one decode drew %d pool buffers, want <= %d", k, gets, slabs+3*c.NumBlocks())
+		}
 		symbol.PutAll(parity)
 	}
 }
 
-// TestDecoderCloseBalancesPool checks the ownership side of the in-place
-// solve: the pool's live-buffer count must return to where it started
+// TestDecoderCloseBalancesPool checks the ownership side of the slab
+// design. The pool's live-buffer count must return to where it started
 // whether a decoder is closed mid-block (parity buffered, nothing solved)
-// or after a solve, and right after a solve it must be exactly the
-// recovered sources plus the parity still buffered elsewhere — syndrome
-// buffers, scratch matrices and outputs each change hands exactly once
-// (a double Put would undershoot, a dropped buffer overshoot).
+// or after a solve; while a decoder is open it must be exactly the slab
+// buffers its symbols have touched — 64 one-KiB slots each: a solve's
+// scratch matrices change hands exactly once and its outputs land in the
+// source slab, not in buffers of their own (a double Put would
+// undershoot, a dropped buffer overshoot); and TakeSources moves the
+// source slab, and nothing else, out of Close's reach.
 func TestDecoderCloseBalancesPool(t *testing.T) {
 	c, src := codecFixture(t, 256)
 	parity, err := c.Encode(src)
@@ -106,18 +151,24 @@ func TestDecoderCloseBalancesPool(t *testing.T) {
 			}
 		}
 	}
+	live := func() int64 { return symbol.PoolStats().Live - start }
 
 	dec, err := c.NewDecoder(benchSymLen)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if live() != 0 {
+		t.Fatalf("a fresh decoder holds %d buffers, want 0", live())
+	}
+	// 10 sources share the first source buffer, 15 parity symbols the
+	// first parity buffer.
 	feed(dec, b0.Source[:10], b0.Parity[:10], b1.Parity[:5])
-	if live := symbol.PoolStats().Live; live != start+25 {
-		t.Fatalf("mid-block: %d live buffers, want %d", live-start, 25)
+	if live() != 2 {
+		t.Fatalf("mid-block: %d live buffers, want 2", live())
 	}
 	dec.Close()
-	if live := symbol.PoolStats().Live; live != start {
-		t.Fatalf("closed mid-block: %d buffers still live", live-start)
+	if live() != 0 {
+		t.Fatalf("closed mid-block: %d buffers still live", live())
 	}
 
 	const e = 40
@@ -129,11 +180,70 @@ func TestDecoderCloseBalancesPool(t *testing.T) {
 	if got := dec.SourceRecovered(); got != len(b0.Source) {
 		t.Fatalf("block 0 not solved: %d sources recovered, want %d", got, len(b0.Source))
 	}
-	if live, want := symbol.PoolStats().Live, start+int64(len(b0.Source))+7; live != want {
-		t.Fatalf("after the solve: %d live buffers, want %d", live-start, want-start)
+	// Block 0's 128 sources span two source buffers — the 40 rebuilt
+	// ones included — and the 47 buffered parity symbols one more.
+	if live() != 3 {
+		t.Fatalf("after the solve: %d live buffers, want 3", live())
+	}
+	for i := 0; i < e; i++ {
+		if string(dec.Source(b0.Source[i])) != string(src[b0.Source[i]]) {
+			t.Fatalf("rebuilt source %d differs", b0.Source[i])
+		}
 	}
 	dec.Close()
-	if live := symbol.PoolStats().Live; live != start {
-		t.Fatalf("closed after the solve: %d buffers still live", live-start)
+	if live() != 0 {
+		t.Fatalf("closed after the solve: %d buffers still live", live())
+	}
+
+	// A finished decoder hands its source slab over: Close then releases
+	// the parity slab only, and the taker's Release the rest.
+	dec, err = c.NewDecoder(benchSymLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(dec, b0.Parity[:e], b0.Source[e:], b1.Parity[:e], b1.Source[e:])
+	if !dec.Done() {
+		t.Fatal("decoder not done")
+	}
+	slab := dec.TakeSources()
+	if dec.Source(0) != nil {
+		t.Fatal("Source still serves a slab the decoder no longer owns")
+	}
+	dec.Close()
+	if live() != 4 {
+		t.Fatalf("taken sources: %d live buffers, want the 4 of the source slab", live())
+	}
+	for i, want := range src {
+		if string(slab.Slot(i)) != string(want) {
+			t.Fatalf("taken slab: source %d differs", i)
+		}
+	}
+	slab.Release()
+	if live() != 0 {
+		t.Fatalf("released: %d buffers still live", live())
+	}
+}
+
+// TestStructuralReceiverTouchesNoPool guards the simulator's side of the
+// slab change: the ID-only receiver the grid and fleet engines run on
+// carries no payload state and never reaches the symbol pool.
+func TestStructuralReceiverTouchesNoPool(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; ceilings gate the plain tier")
+	}
+	c, _ := codecFixture(t, 256)
+	before := symbol.PoolStats()
+	// The receiver, its two per-block tables and one bitmap per block.
+	if avg, want := testing.AllocsPerRun(20, func() { c.NewReceiver() }), float64(3+c.NumBlocks()); avg > want {
+		t.Errorf("NewReceiver allocs = %.0f, want <= %.0f", avg, want)
+	}
+	r := c.NewReceiver()
+	for id := 0; id < c.Layout().N && !r.Receive(id); id++ {
+	}
+	if !r.Done() {
+		t.Fatal("structural receiver did not finish")
+	}
+	if after := symbol.PoolStats(); after.Gets != before.Gets || after.Jumbos != before.Jumbos {
+		t.Errorf("structural reception touched the symbol pool: %+v -> %+v", before, after)
 	}
 }

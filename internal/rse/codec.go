@@ -2,18 +2,19 @@ package rse
 
 // The incremental payload decoder behind core.PayloadDecoder, and the
 // package's only decoder. It consumes packets as they arrive and decodes
-// each block the moment the block reaches k_b distinct symbols — so a
-// long-lived receiver holds pooled buffers only for blocks still in
-// flight, and a decoded block's parity goes straight back to the pool.
+// each block the moment the block reaches k_b distinct symbols.
 //
-// Sources are copied once, into their final slot; only parity is
-// buffered. Because a block is solved on its k_b-th distinct symbol, a
-// block short of e sources holds exactly e parity symbols at that moment:
-// as many equations as unknowns, so decodeBlock never selects rows. It
-// turns those e parity buffers into syndromes in place (they are the
-// decoder's own clones and are released right after, so nothing is
-// copied and the caller's payloads are never written), inverts the e×e
-// system and multiplies; see decodeBlock.
+// The decoder owns two slabs: the object's k source slots, and a run of
+// parity slots handed out one per buffered parity arrival. A source
+// payload is copied once, into its final slot; only parity is buffered.
+// Because a block is solved on its k_b-th distinct symbol, a block short
+// of e sources holds exactly e parity symbols at that moment: as many
+// equations as unknowns, so decodeBlock never selects rows. It turns
+// those e parity slots into syndromes in place (they are the decoder's
+// own copies, so the caller's payloads are never written), inverts the
+// e×e system and multiplies straight into the missing sources' slots; see
+// decodeBlock. When the last block is solved the source slab is the
+// object, and TakeSources hands it over without touching a byte.
 
 import (
 	"fmt"
@@ -31,17 +32,13 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 	d := &payloadDecoder{
 		code:    c,
 		symLen:  symLen,
-		src:     make([][]byte, c.layout.K),
+		src:     symbol.NewSlab(c.layout.K, symLen),
 		blocks:  make([]pdBlock, len(c.blocks)),
 		pending: len(c.blocks),
 	}
 	// One backing array serves every block's received-bitmap: segmented
 	// objects otherwise pay one allocation per block here.
-	total := 0
-	for _, bd := range c.blocks {
-		total += bd.nb
-	}
-	gotAll := make([]bool, total)
+	gotAll := make([]bool, c.layout.N)
 	off := 0
 	for i, bd := range c.blocks {
 		d.blocks[i].got = gotAll[off : off+bd.nb : off+bd.nb]
@@ -53,20 +50,23 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 type payloadDecoder struct {
 	code    *Code
 	symLen  int
-	src     [][]byte // recovered source payloads by global ID (pooled)
+	src     symbol.Slab // the k source slots by global ID, received or rebuilt in place
+	par     symbol.Slab // buffered parity: one slot per arrival, made on the first
+	parUsed int
 	blocks  []pdBlock
 	pending int // blocks not yet decoded
 	srcRec  int
 }
 
-// pdBlock buffers one in-flight block. Received source payloads go
-// straight into payloadDecoder.src; only parity payloads are buffered
-// here (indexed by in-block symbol index), and they return to the pool
-// as soon as the block decodes.
+// pdBlock tracks one in-flight block. tab is the block's view table, made
+// when the block first buffers a parity symbol: [0,k_b) source views
+// (filled at solve time), [k_b,n_b) buffered parity by in-block index,
+// and n_b-k_b more entries for the solve's output vector.
 type pdBlock struct {
 	got     []bool
-	parity  [][]byte // lazily sized nb; nil for sources/unreceived
-	count   int      // distinct symbols received
+	tab     [][]byte
+	count   int // distinct symbols received
+	srcGot  int // of which sources
 	decoded bool
 }
 
@@ -86,14 +86,21 @@ func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
 	b.count++
 	bd := d.code.blocks[bi]
 	if esi < bd.kb {
-		// The single copy on the receive path, straight to its final slot.
-		d.src[bd.srcOff+esi] = symbol.Clone(payload)
+		// The one copy between the read buffer and the decoded object.
+		copy(d.src.Slot(bd.srcOff+esi), payload)
+		b.srcGot++
 		d.srcRec++
 	} else {
-		if b.parity == nil {
-			b.parity = make([][]byte, bd.nb)
+		if b.tab == nil {
+			b.tab = make([][]byte, 2*bd.nb-bd.kb)
 		}
-		b.parity[esi] = symbol.Clone(payload)
+		if d.par.Slots() == 0 {
+			d.par = symbol.NewSlab(d.code.layout.N-d.code.layout.K, d.symLen)
+		}
+		p := d.par.Slot(d.parUsed)
+		d.parUsed++
+		copy(p, payload)
+		b.tab[esi] = p
 	}
 	if b.count == bd.kb {
 		d.decodeBlock(bi)
@@ -101,56 +108,57 @@ func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
 	return d.Done()
 }
 
-// decodeBlock rebuilds the block's e missing source symbols and releases
-// the buffered parity. It runs when the block reaches exactly k_b distinct
-// symbols, so exactly e parity symbols are buffered — one equation per
-// unknown. With G the parity generator, parity row j reads
+// decodeBlock rebuilds the block's e missing source symbols in their
+// slots. It runs when the block reaches exactly k_b distinct symbols, so
+// exactly e parity symbols are buffered — one equation per unknown. With
+// G the parity generator, parity row j reads
 //
 //	p_j = Σ_{received i} G[j][i]·src_i + Σ_{missing m} G[j][m]·src_m
 //
-// so (a) folding the received sources into the parity buffers leaves the
+// so (a) folding the received sources into the parity slots leaves the
 // syndromes S_j = Σ_m G[j][m]·src_m, (b) only the e×e matrix G[received
 // parity rows][missing columns] needs inverting (non-singular for any
 // choice: the code is MDS), and (c) its inverse times the syndromes is
 // the missing sources: O(e³ + e·k_b) where selecting and inverting k_b
 // rows of the systematic matrix was O(k_b³). Matrices borrow pool buffers
-// and the vectors reuse the block's own parity table, so a block decode
+// and the vectors live in the block's view table, so a block decode
 // allocates nothing.
 func (d *payloadDecoder) decodeBlock(bi int) {
 	b := &d.blocks[bi]
 	bd := d.code.blocks[bi]
-	src := d.src[bd.srcOff : bd.srcOff+bd.kb]
-	e := 0
-	for _, s := range src {
-		if s == nil {
-			e++
+	if e := bd.kb - b.srcGot; e > 0 {
+		src, par, out := b.tab[:bd.kb], b.tab[bd.kb:bd.nb], b.tab[bd.nb:bd.nb+e]
+		col := 0
+		for esi := range src {
+			s := d.src.Slot(bd.srcOff + esi)
+			if b.got[esi] {
+				src[esi] = s
+			} else {
+				clear(s) // MulVec accumulates; src[esi] stays nil, dropping the column
+				out[col] = s
+				col++
+			}
 		}
-	}
-	if e > 0 {
-		// The vectors the solve needs live in b.parity itself: slots
-		// [0,k_b) belong to source indices and are never filled, and
-		// e <= min(k_b, n_b-k_b), so the e buffered parity payloads
-		// compact to the front (syn) and leave room for the e outputs.
-		syn, out := b.parity[:0], b.parity[e:2*e]
+		// Compact the e buffered parity views to the front of their region
+		// (syn) and gather their generator rows alongside.
+		syn := par[:0]
 		g := d.code.generator(bd.kb, bd.nb)
-		rows := matrix.NewPooled(e, bd.kb) // the received parity rows of G
-		for esi := bd.kb; esi < bd.nb; esi++ {
-			if p := b.parity[esi]; p != nil {
-				b.parity[esi] = nil
-				copy(rows.Row(len(syn)), g.Row(esi-bd.kb))
+		rows := matrix.NewPooled(e, bd.kb)
+		for i, p := range par {
+			if p != nil {
+				copy(rows.Row(len(syn)), g.Row(i))
 				syn = append(syn, p)
 			}
 		}
-		rows.MulVec(syn, src) // missing sources are nil: their columns drop out
+		rows.MulVec(syn, src)
 
 		sub, inv := matrix.NewPooled(e, e), matrix.NewPooled(e, e)
-		col := 0
+		col = 0
 		for esi, s := range src {
 			if s == nil {
 				for r := 0; r < e; r++ {
 					sub.Set(r, col, rows.At(r, esi))
 				}
-				out[col] = symbol.Get(d.symLen)
 				col++
 			}
 		}
@@ -160,20 +168,12 @@ func (d *payloadDecoder) decodeBlock(bi int) {
 			panic(fmt.Sprintf("rse: decode matrix singular (should be impossible for MDS): %v", err))
 		}
 		inv.MulVec(out, syn)
-		col = 0
-		for esi, s := range src {
-			if s == nil {
-				src[esi], out[col] = out[col], nil // ownership moves to d.src
-				col++
-			}
-		}
 		d.srcRec += e
 		rows.Release()
 		sub.Release()
 		inv.Release()
 	}
-	symbol.PutAll(b.parity)
-	b.parity = nil
+	b.tab = nil
 	b.decoded = true
 	d.pending--
 }
@@ -183,18 +183,26 @@ func (d *payloadDecoder) Done() bool { return d.pending == 0 }
 func (d *payloadDecoder) SourceRecovered() int { return d.srcRec }
 
 func (d *payloadDecoder) Source(i int) []byte {
-	if i < 0 || i >= len(d.src) {
-		panic(fmt.Sprintf("rse: source index %d outside [0,%d)", i, len(d.src)))
+	if i < 0 || i >= d.code.layout.K {
+		panic(fmt.Sprintf("rse: source index %d outside [0,%d)", i, d.code.layout.K))
 	}
-	return d.src[i]
+	bi, esi := d.code.blockOf(i)
+	if b := &d.blocks[bi]; d.src.Slots() == 0 || !(b.decoded || b.got[esi]) {
+		return nil // not recovered yet, or the slab is gone (taken, closed)
+	}
+	return d.src.Slot(i)
 }
 
-// Close returns every pooled buffer (recovered sources and any parity
-// still buffered for undecoded blocks) to the symbol pool.
-func (d *payloadDecoder) Close() {
-	symbol.PutAll(d.src)
-	for i := range d.blocks {
-		symbol.PutAll(d.blocks[i].parity)
-		d.blocks[i].parity = nil
+func (d *payloadDecoder) TakeSources() symbol.Slab {
+	if !d.Done() {
+		panic("rse: TakeSources before the decoder is done")
 	}
+	return d.src.Take()
+}
+
+// Close returns the slabs the decoder still owns — the sources unless
+// taken, and the buffered parity — to the symbol pool.
+func (d *payloadDecoder) Close() {
+	d.src.Release()
+	d.par.Release()
 }

@@ -286,13 +286,13 @@ func (c *Code) EncodeBlock(bi int, src [][]byte) ([][]byte, error) {
 	}
 	parity := make([][]byte, bd.nb-bd.kb)
 	for i := range parity {
-		parity[i] = symbol.Get(symLen)
+		parity[i] = symbol.GetDirty(symLen)
 	}
 	c.encodeBlockInto(bd, src, parity)
 	return parity, nil
 }
 
-// encodeBlockInto fills parity (nb-kb slices) with the block's parity
+// encodeBlockInto overwrites parity (nb-kb slices) with the block's parity
 // symbols via the row-blocked matrix.MulVec kernel: four parity rows
 // advance per pass over each source symbol, so every source byte is
 // loaded once and feeds four multiply-accumulates.
@@ -302,33 +302,47 @@ func (c *Code) encodeBlockInto(bd blockDef, src [][]byte, parity [][]byte) {
 		// to build (and Vandermonde-derived 0-row matrices don't exist).
 		return
 	}
+	for _, p := range parity {
+		clear(p) // MulVec accumulates
+	}
 	c.generator(bd.kb, bd.nb).MulVec(parity, src)
 }
 
-// parallelEncodeMinBytes is the total source size below which Encode
+// encodeBlockOf is encodeBlockInto on block bd's share of the object's
+// source and parity vectors.
+func (c *Code) encodeBlockOf(bd blockDef, src, parity [][]byte) {
+	par := bd.parOff - c.layout.K
+	c.encodeBlockInto(bd, src[bd.srcOff:bd.srcOff+bd.kb], parity[par:par+bd.nb-bd.kb])
+}
+
+// parallelEncodeMinBytes is the total source size below which EncodeInto
 // stays sequential: goroutine fan-out only pays once there are several
 // blocks' worth of kernel work to hide the scheduling cost behind.
 const parallelEncodeMinBytes = 1 << 18
 
-// Encode FEC-encodes the whole object. src holds the K source payloads in
-// global-ID order; the result holds the N-K parity payloads in global parity
-// ID order (parity ID K+i is result[i]), in pooled buffers owned by the
-// caller (release with symbol.Put, or drop them to the GC).
+// EncodeInto FEC-encodes the whole object into caller-supplied memory. src
+// holds the K source payloads in global-ID order; parity holds N-K slices
+// of the same length, overwritten with the parity payloads in global
+// parity ID order (parity ID K+i is parity[i]).
 //
 // Blocks are independent, so segmented objects encode in parallel across
 // GOMAXPROCS goroutines once the object is large enough for the fan-out
 // to pay; the output is identical either way.
-func (c *Code) Encode(src [][]byte) ([][]byte, error) {
+func (c *Code) EncodeInto(src, parity [][]byte) error {
 	if len(src) != c.layout.K {
-		return nil, fmt.Errorf("rse: expected %d source payloads, got %d", c.layout.K, len(src))
+		return fmt.Errorf("rse: expected %d source payloads, got %d", c.layout.K, len(src))
+	}
+	if len(parity) != c.layout.N-c.layout.K {
+		return fmt.Errorf("rse: expected %d parity buffers, got %d", c.layout.N-c.layout.K, len(parity))
 	}
 	symLen, err := uniformLen(src)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	parity := make([][]byte, c.layout.N-c.layout.K)
-	for i := range parity {
-		parity[i] = symbol.Get(symLen)
+	for i, p := range parity {
+		if len(p) != symLen {
+			return fmt.Errorf("rse: parity buffer %d has length %d, want %d", i, len(p), symLen)
+		}
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(c.blocks) {
@@ -336,9 +350,9 @@ func (c *Code) Encode(src [][]byte) ([][]byte, error) {
 	}
 	if workers <= 1 || c.layout.K*symLen < parallelEncodeMinBytes {
 		for _, bd := range c.blocks {
-			c.encodeBlockInto(bd, src[bd.srcOff:bd.srcOff+bd.kb], parity[bd.parOff-c.layout.K:bd.parOff-c.layout.K+bd.nb-bd.kb])
+			c.encodeBlockOf(bd, src, parity)
 		}
-		return parity, nil
+		return nil
 	}
 	var wg sync.WaitGroup
 	blockCh := make(chan blockDef)
@@ -347,7 +361,7 @@ func (c *Code) Encode(src [][]byte) ([][]byte, error) {
 		go func() {
 			defer wg.Done()
 			for bd := range blockCh {
-				c.encodeBlockInto(bd, src[bd.srcOff:bd.srcOff+bd.kb], parity[bd.parOff-c.layout.K:bd.parOff-c.layout.K+bd.nb-bd.kb])
+				c.encodeBlockOf(bd, src, parity)
 			}
 		}()
 	}
@@ -356,8 +370,12 @@ func (c *Code) Encode(src [][]byte) ([][]byte, error) {
 	}
 	close(blockCh)
 	wg.Wait()
-	return parity, nil
+	return nil
 }
+
+// Encode implements core.Codec: EncodeInto with one pooled buffer per
+// parity symbol, owned by the caller.
+func (c *Code) Encode(src [][]byte) ([][]byte, error) { return core.EncodePooled(c, src) }
 
 func uniformLen(symbols [][]byte) (int, error) {
 	if len(symbols) == 0 {

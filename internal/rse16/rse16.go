@@ -238,52 +238,59 @@ func fillSymbols(out []uint16, p []byte) {
 	}
 }
 
-func toBytes(s []uint16) []byte {
-	out := symbol.Get(2 * len(s))
+// putBytes writes the symbols into dst (2 bytes each, big endian).
+func putBytes(dst []byte, s []uint16) {
 	for i, v := range s {
-		out[2*i] = byte(v >> 8)
-		out[2*i+1] = byte(v)
+		dst[2*i] = byte(v >> 8)
+		dst[2*i+1] = byte(v)
 	}
-	return out
 }
 
-// Encode computes the n-k parity payloads from the k source payloads,
-// in pooled buffers owned by the caller (core.Codec semantics).
-// All payloads must share one even length.
-func (c *Code) Encode(src [][]byte) ([][]byte, error) {
+// EncodeInto computes the n-k parity payloads from the k source payloads
+// into caller-supplied buffers (core.Codec semantics). All payloads must
+// share one even length.
+func (c *Code) EncodeInto(src, parity [][]byte) error {
 	if len(src) != c.k {
-		return nil, fmt.Errorf("rse16: expected %d source payloads, got %d", c.k, len(src))
+		return fmt.Errorf("rse16: expected %d source payloads, got %d", c.k, len(src))
+	}
+	if len(parity) != c.n-c.k {
+		return fmt.Errorf("rse16: expected %d parity buffers, got %d", c.n-c.k, len(parity))
+	}
+	symLen := len(src[0])
+	for i, p := range parity {
+		if len(p) != symLen {
+			return fmt.Errorf("rse16: parity buffer %d has length %d, want %d", i, len(p), symLen)
+		}
 	}
 	symSrc := make([][]uint16, c.k)
 	defer symbol.PutAllU16(symSrc)
-	symLen := -1
 	for i, p := range src {
-		if symLen == -1 {
-			symLen = len(p)
-		} else if len(p) != symLen {
-			return nil, fmt.Errorf("rse16: payload %d has length %d, want %d", i, len(p), symLen)
+		if len(p) != symLen {
+			return fmt.Errorf("rse16: payload %d has length %d, want %d", i, len(p), symLen)
 		}
 		s, err := toSymbolsPooled(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		symSrc[i] = s
 	}
-	gen := c.generator()
-	parity := make([][]byte, c.n-c.k)
 	acc := symbol.GetU16(symLen / 2)
-	for i, row := range gen {
+	for i, row := range c.generator() {
 		clear(acc)
 		for j, coef := range row {
 			if coef != 0 {
 				gf65536.AddMul(acc, symSrc[j], coef)
 			}
 		}
-		parity[i] = toBytes(acc)
+		putBytes(parity[i], acc)
 	}
 	symbol.PutU16(acc)
-	return parity, nil
+	return nil
 }
+
+// Encode implements core.Codec: EncodeInto with one pooled buffer per
+// parity symbol, owned by the caller.
+func (c *Code) Encode(src [][]byte) ([][]byte, error) { return core.EncodePooled(c, src) }
 
 // NewDecoder implements core.Codec. The symbol length must be even
 // (payloads are sequences of 16-bit symbols).
@@ -298,20 +305,21 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 		code:   c,
 		symLen: symLen,
 		got:    make([]bool, c.n),
-		srcVal: make([][]byte, c.k),
+		src:    symbol.NewSlab(c.k, symLen),
 	}, nil
 }
 
-// payloadDecoder buffers pooled payload copies until any k distinct
-// symbols arrived (the code is MDS over the whole object), then solves
-// once and releases the parity buffers.
+// payloadDecoder copies each source payload to its slot of the source
+// slab and buffers parity in a second slab until any k distinct symbols
+// arrived (the code is MDS over the whole object), then solves once,
+// rebuilding the missing sources in their slots.
 type payloadDecoder struct {
 	code   *Code
 	symLen int
 	got    []bool
-	srcVal [][]byte // received/rebuilt source payloads by ID (pooled)
+	src    symbol.Slab // the k source slots, received or rebuilt in place
+	par    symbol.Slab // buffered parity, one slot per arrival, aligned with parIDs
 	parIDs []int
-	parPay [][]byte // pooled parity copies aligned with parIDs
 	seen   int
 	srcRec int
 	done   bool
@@ -330,11 +338,16 @@ func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
 	d.got[id] = true
 	d.seen++
 	if id < d.code.k {
-		d.srcVal[id] = symbol.Clone(payload)
+		copy(d.src.Slot(id), payload)
 		d.srcRec++
 	} else {
+		if d.par.Slots() == 0 {
+			// At most k symbols are ever buffered, and never more parity
+			// than the code has.
+			d.par = symbol.NewSlab(min(d.code.k, d.code.n-d.code.k), d.symLen)
+		}
+		copy(d.par.Slot(len(d.parIDs)), payload)
 		d.parIDs = append(d.parIDs, id)
-		d.parPay = append(d.parPay, symbol.Clone(payload))
 	}
 	if d.seen == d.code.k {
 		d.decode()
@@ -344,8 +357,8 @@ func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
 
 // decode solves the single MDS block from the k buffered symbols. All
 // matrix scratch — equation rows, right-hand sides, the inverse and the
-// accumulator — is pooled []uint16, so a steady-state decode allocates
-// only the recovered payload buffers it hands to the caller.
+// accumulator — is pooled []uint16, and the recovered payloads are
+// written straight into their source slots.
 func (d *payloadDecoder) decode() {
 	if d.srcRec < d.code.k {
 		k := d.code.k
@@ -360,10 +373,10 @@ func (d *payloadDecoder) decode() {
 			var pay []byte
 			if id < k {
 				row[id] = 1
-				pay = d.srcVal[id]
+				pay = d.src.Slot(id)
 			} else {
 				copy(row, gen[id-k])
-				pay = d.parPay[d.parityAt(id)]
+				pay = d.par.Slot(d.parityAt(id))
 			}
 			s, err := toSymbolsPooled(pay)
 			if err != nil {
@@ -380,7 +393,7 @@ func (d *payloadDecoder) decode() {
 		invertInto(rows, inv)
 		acc := symbol.GetU16(d.symLen / 2)
 		for i := 0; i < k; i++ {
-			if d.srcVal[i] != nil {
+			if d.got[i] {
 				continue
 			}
 			clear(acc)
@@ -389,7 +402,7 @@ func (d *payloadDecoder) decode() {
 					gf65536.AddMul(acc, rhs[t], coef)
 				}
 			}
-			d.srcVal[i] = toBytes(acc)
+			putBytes(d.src.Slot(i), acc)
 			d.srcRec++
 		}
 		symbol.PutU16(acc)
@@ -397,12 +410,12 @@ func (d *payloadDecoder) decode() {
 		symbol.PutAllU16(rhs)
 		symbol.PutAllU16(inv)
 	}
-	symbol.PutAll(d.parPay)
-	d.parPay, d.parIDs = nil, nil
+	d.par.Release()
+	d.parIDs = nil
 	d.done = true
 }
 
-// parityAt returns the parPay index holding parity id. Linear scan: at
+// parityAt returns the par slot holding parity id. Linear scan: at
 // most k entries, and the cubic inversion dominates decode anyway.
 func (d *payloadDecoder) parityAt(id int) int {
 	for i, pid := range d.parIDs {
@@ -421,12 +434,22 @@ func (d *payloadDecoder) Source(i int) []byte {
 	if i < 0 || i >= d.code.k {
 		panic(fmt.Sprintf("rse16: source index %d outside [0,%d)", i, d.code.k))
 	}
-	return d.srcVal[i]
+	if d.src.Slots() == 0 || !(d.done || d.got[i]) {
+		return nil // not recovered yet, or the slab is gone (taken, closed)
+	}
+	return d.src.Slot(i)
+}
+
+func (d *payloadDecoder) TakeSources() symbol.Slab {
+	if !d.done {
+		panic("rse16: TakeSources before the decoder is done")
+	}
+	return d.src.Take()
 }
 
 func (d *payloadDecoder) Close() {
-	symbol.PutAll(d.srcVal)
-	symbol.PutAll(d.parPay)
+	d.src.Release()
+	d.par.Release()
 }
 
 // Decode rebuilds the k source payloads from any k received (id, payload)
@@ -500,7 +523,8 @@ func (c *Code) Decode(ids []int, payloads [][]byte) ([][]byte, error) {
 				gf65536.AddMul(acc, rhs[t], coef)
 			}
 		}
-		out[i] = toBytes(acc)
+		out[i] = make([]byte, symLen)
+		putBytes(out[i], acc)
 	}
 	return out, nil
 }

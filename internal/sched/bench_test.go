@@ -11,8 +11,7 @@ import (
 // materialised implementations (kept below as the "old" baselines):
 // drawing a streaming schedule allocates nothing and costs O(1), where
 // the old path allocated and shuffled an O(n) slice per draw — per
-// trial, per carousel round, per sender object. scripts/bench_sched.sh
-// records both columns in BENCH_sched.json.
+// trial, per carousel round, per sender object.
 
 func benchLayout() core.Layout {
 	return ldgmLayout(20000, 50000)

@@ -3,32 +3,67 @@ package session
 import (
 	"testing"
 
+	"fecperf/internal/symbol"
 	"fecperf/internal/wire"
 )
 
-// Alloc ceilings for the session hot paths, asserting the flat pooled
-// design: encode scatters straight into pooled symbols through a cached
-// codec (baseline before the rewrite: 40 allocs/op), a full receive+
-// decode cycle reuses pooled decoder scratch (baseline: 115), and
-// steady-state datagram ingest — scratch header, pooled payload copy —
-// allocates nothing at all (baseline: 7).
+// Alloc ceilings for the session hot paths, asserting the slab design on
+// both of the benchmark's geometries: Reed-Solomon with 1 KiB symbols and
+// LDGM Staircase with k=2048 symbols of 128 B. Encode makes the Object,
+// its slab's buffer table and the payload view table and nothing else; a
+// receive+decode cycle pays the decoder's fixed tables; steady-state
+// datagram ingest — scratch header, one copy into a slab slot — allocates
+// nothing at all. Payload memory comes from the symbol pool a slab buffer
+// (up to 64 KiB) at a time, so the pool sees a few gets per object where
+// the per-symbol design made one per symbol.
+
+var allocGeometries = []struct {
+	name    string
+	cfg     SenderConfig
+	size    int // object bytes
+	packets int // n, for the pool ceilings
+}{
+	{"rse-1024", SenderConfig{ObjectID: 1, Family: wire.CodeRSE, Ratio: 1.5, PayloadSize: 1024}, 64 << 10, 98},
+	{"ldgm-staircase-2048x128", SenderConfig{ObjectID: 1, Family: wire.CodeLDGMStaircase, Ratio: 1.5, PayloadSize: 128, Seed: 9}, 2048*128 - lengthPrefix, 3072},
+}
+
+// poolGets returns how many buffers run draws from the symbol pool.
+func poolGets(run func()) int {
+	before := symbol.PoolStats().Gets
+	run()
+	return int(symbol.PoolStats().Gets - before)
+}
+
+// slabBuffers is how many pool buffers a fully used slab of slots slots of
+// stride bytes consists of.
+func slabBuffers(slots, stride int) int {
+	per := symbol.MaxPooled / stride
+	return (slots + per - 1) / per
+}
 
 func TestSessionEncodeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceilings gate the plain tier")
 	}
-	data := benchData(64 << 10)
-	cfg := SenderConfig{ObjectID: 1, Family: wire.CodeRSE, Ratio: 1.5, PayloadSize: 1024}
-	run := func() {
-		obj, err := EncodeObject(data, cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, g := range allocGeometries {
+		data := benchData(g.size)
+		run := func() {
+			obj, err := EncodeObject(data, g.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if obj.N() != g.packets {
+				t.Fatalf("%s: n = %d, want %d", g.name, obj.N(), g.packets)
+			}
+			obj.Close()
 		}
-		obj.Close()
-	}
-	run() // warm the pools and the codec cache
-	if avg := testing.AllocsPerRun(50, run); avg > 4 {
-		t.Errorf("EncodeObject allocs/op = %.1f, want <= 4", avg)
+		run() // warm the pools and the codec cache
+		if avg := testing.AllocsPerRun(50, run); avg > 3 {
+			t.Errorf("%s: EncodeObject allocs/op = %.1f, want <= 3", g.name, avg)
+		}
+		if gets, want := poolGets(run), slabBuffers(g.packets, wire.HeaderLen+g.cfg.PayloadSize); gets != want {
+			t.Errorf("%s: EncodeObject drew %d pool buffers, want the frame slab's %d", g.name, gets, want)
+		}
 	}
 }
 
@@ -36,80 +71,110 @@ func TestSessionDecodeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceilings gate the plain tier")
 	}
-	data := benchData(64 << 10)
-	cfg := SenderConfig{ObjectID: 1, Family: wire.CodeRSE, Ratio: 1.5, PayloadSize: 1024}
-	obj, err := EncodeObject(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer obj.Close()
-	// Parity-heavy delivery so the decoder must invert: skip the first
-	// quarter of the sources and backfill with parity.
-	k, n := obj.K(), obj.N()
-	var datagrams [][]byte
-	for id := k / 4; id < n; id++ {
-		d, err := obj.Datagram(id)
+	for _, g := range allocGeometries {
+		data := benchData(g.size)
+		obj, err := EncodeObject(data, g.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		datagrams = append(datagrams, d)
-	}
-	run := func() {
-		rx := NewReceiver()
-		for _, d := range datagrams {
-			_, done, out, err := rx.Ingest(d)
+		// Parity-heavy delivery so the decoder must solve: skip the first
+		// eighth of the sources and backfill with parity.
+		k, n := obj.K(), obj.N()
+		var datagrams [][]byte
+		for id := k / 8; id < n; id++ {
+			d, err := obj.Datagram(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if done {
-				if len(out) != len(data) {
-					t.Fatalf("decoded %d bytes, want %d", len(out), len(data))
-				}
-				return
-			}
+			datagrams = append(datagrams, d)
 		}
-		t.Fatal("object did not decode")
+		obj.Close()
+		used := 0 // datagrams up to and including the completing one
+		run := func() {
+			rx := NewReceiver()
+			for i, d := range datagrams {
+				res, err := rx.IngestPacketEx(mustDecode(t, d))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Complete {
+					out, _ := rx.Take(res.ObjectID)
+					if out.Len() != len(data) {
+						t.Fatalf("%s: decoded %d bytes, want %d", g.name, out.Len(), len(data))
+					}
+					out.Release()
+					used = i + 1
+					return
+				}
+			}
+			t.Fatalf("%s: object did not decode", g.name)
+		}
+		run() // warm the pools and the codec cache
+		// The decoder's tables, the object state and its bitmap and the
+		// Decoded — not counting the packet this test's own mustDecode
+		// allocates per datagram.
+		if avg := testing.AllocsPerRun(20, run) - float64(used); avg > 16 {
+			t.Errorf("%s: receive+decode allocs/op = %.1f, want <= 16", g.name, avg)
+		}
+		// Source slab + the decoder's parity/scratch slab (LDGM: received
+		// parity and one accumulator per equation, 2(n-k) slots) + the
+		// three scratch matrices of an RS solve.
+		ceiling := slabBuffers(k, g.cfg.PayloadSize) + slabBuffers(2*(n-k), g.cfg.PayloadSize) + 3
+		if gets := poolGets(run); gets > ceiling {
+			t.Errorf("%s: receive+decode drew %d pool buffers, want <= %d", g.name, gets, ceiling)
+		}
 	}
-	run() // warm the pools and the codec cache
-	if avg := testing.AllocsPerRun(50, run); avg > 16 {
-		t.Errorf("receive+decode allocs/op = %.1f, want <= 16", avg)
+}
+
+func mustDecode(t *testing.T, d []byte) *wire.Packet {
+	t.Helper()
+	p, err := wire.Decode(d)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
 }
 
 func TestSessionIngestAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; ceilings gate the plain tier")
 	}
-	data := benchData(256 << 10)
-	cfg := SenderConfig{ObjectID: 1, Family: wire.CodeLDGMStaircase, Ratio: 2.5, PayloadSize: 1024, Seed: 9}
-	obj, err := EncodeObject(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer obj.Close()
-	datagrams := make([][]byte, obj.N())
-	for id := range datagrams {
-		d, err := obj.Datagram(id)
+	for _, g := range allocGeometries {
+		data := benchData(g.size)
+		obj, err := EncodeObject(data, g.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		datagrams[id] = d
-	}
-	// Steady-state ingest: k=256, so the warm-up plus 100 measured
-	// datagrams never complete the object (completion would tear down
-	// the receiver's state and cloud the measurement).
-	rx := NewReceiver()
-	fed := 0
-	run := func() {
-		if _, done, _, err := rx.Ingest(datagrams[fed]); err != nil {
-			t.Fatal(err)
-		} else if done {
-			t.Fatal("object completed mid-measurement")
+		// Steady-state ingest: k is at least 65, so the warm-up plus 50
+		// measured datagrams never complete the object (completion would
+		// tear down the receiver's state and cloud the measurement).
+		// Sources and parity alternate so both slabs are exercised.
+		var datagrams [][]byte
+		for i := 0; i < 26; i++ {
+			for _, id := range []int{i, obj.K() + i} {
+				d, err := obj.Datagram(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				datagrams = append(datagrams, d)
+			}
 		}
-		fed++
-	}
-	run() // warm the pools and per-object state
-	if avg := testing.AllocsPerRun(100, run); avg > 4 {
-		t.Errorf("Ingest allocs/op = %.1f, want <= 4", avg)
+		obj.Close()
+		rx := NewReceiver()
+		fed := 0
+		run := func() {
+			if _, done, _, err := rx.Ingest(datagrams[fed]); err != nil {
+				t.Fatal(err)
+			} else if done {
+				t.Fatal("object completed mid-measurement")
+			}
+			fed++
+		}
+		run() // open the object's state, draw the first slab buffers
+		run()
+		if avg := testing.AllocsPerRun(49, run); avg > 0 {
+			t.Errorf("%s: Ingest allocs/op = %.2f, want 0", g.name, avg)
+		}
+		rx.Forget(g.cfg.ObjectID)
 	}
 }

@@ -51,7 +51,7 @@ func TestIngestPacketExDuplicates(t *testing.T) {
 				}
 			}
 			if res.Complete {
-				got = res.Data
+				got, _ = r.Object(res.ObjectID)
 				if res.DecodeNS <= 0 {
 					t.Errorf("DecodeNS = %d, want > 0", res.DecodeNS)
 				}

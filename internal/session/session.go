@@ -14,6 +14,7 @@ package session
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -74,17 +75,22 @@ type SenderConfig struct {
 	NSent int
 }
 
-// Object is an encoded object ready for transmission.
+// Object is an encoded object ready for transmission: one slab holding a
+// ready-to-send datagram (header ++ payload) per packet ID. The frames
+// are laid out, stamped and checksummed once, by EncodeObject; sending
+// packet id is handing Frame(id) to the conn.
 type Object struct {
-	cfg     SenderConfig
-	code    core.Codec
-	symbols [][]byte // k source + n-k parity payloads, indexed by packet ID
-	closed  bool
+	cfg    SenderConfig
+	code   core.Codec
+	frames symbol.Slab // slot id = the datagram for packet id
+	closed bool
 }
 
 // EncodeObject splits data into symbols, FEC-encodes it and returns the
 // transmissible object. The object length is embedded so the receiver can
-// strip end-of-object padding. The symbols live in pooled buffers; call
+// strip end-of-object padding. Each source byte is copied once, from data
+// into the payload half of its frame, and the codec writes parity straight
+// into the parity frames; the frames live in one pooled slab, so call
 // Close when the object will not be transmitted again.
 func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 	if cfg.PayloadSize <= 0 {
@@ -98,53 +104,69 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 	if in != nil {
 		start = time.Now()
 	}
-	// Resolve the codec before touching the pool: geometries repeat
-	// across objects, so this is a cache hit on every object but the
-	// first — previously the codec (and for RSE its inverted Vandermonde
-	// generator) was rebuilt per object, which dominated encode time.
+	// Geometries repeat across objects, so this is a cache hit on every
+	// object but the first.
 	k := (lengthPrefix + len(data) + cfg.PayloadSize - 1) / cfg.PayloadSize
 	code, err := codes.CachedForFamily(cfg.Family, k, cfg.Ratio, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
+	n := code.Layout().N
 
-	// Scatter the virtual stream (length prefix ++ data) straight into
-	// pooled symbols — no contiguous staging copy. Get zeroes its
-	// buffers, so the final symbol's padding is already in place.
-	var pre [lengthPrefix]byte
-	binary.BigEndian.PutUint64(pre[:], uint64(len(data)))
-	src := make([][]byte, k, code.Layout().N)
-	off := 0
-	for i := range src {
-		s := symbol.Get(cfg.PayloadSize)
-		src[i] = s
-		if off < lengthPrefix {
-			n := copy(s, pre[off:])
-			off += n
-			s = s[n:]
+	// Lay out the n frames and stamp their headers; payloads[id] is the
+	// payload half of frame id, which the scatter and the codec fill in.
+	o := &Object{cfg: cfg, code: code, frames: symbol.NewSlab(n, wire.HeaderLen+cfg.PayloadSize)}
+	payloads := make([][]byte, n)
+	hdr := wire.Packet{Family: cfg.Family, ObjectID: cfg.ObjectID, K: uint32(k), N: uint32(n), Seed: cfg.Seed}
+	for id := range payloads {
+		f := o.frames.Slot(id)
+		hdr.PacketID, hdr.Payload = uint32(id), f[wire.HeaderLen:]
+		if err := hdr.PutHeader(f); err != nil {
+			o.Close()
+			return nil, fmt.Errorf("session: %w", err)
 		}
-		off += copy(s, data[off-lengthPrefix:])
+		payloads[id] = hdr.Payload
 	}
 
-	parity, err := code.Encode(src)
-	if err != nil {
-		symbol.PutAll(src)
+	// Scatter the virtual stream (length prefix ++ data) into the source
+	// payloads — no contiguous staging copy. Slab memory is not zeroed,
+	// so the final symbol's padding is cleared here.
+	var pre [lengthPrefix]byte
+	binary.BigEndian.PutUint64(pre[:], uint64(len(data)))
+	off := 0
+	for _, s := range payloads[:k] {
+		if off < lengthPrefix {
+			c := copy(s, pre[off:])
+			off += c
+			s = s[c:]
+		}
+		if off >= lengthPrefix {
+			c := copy(s, data[off-lengthPrefix:])
+			off += c
+			s = s[c:]
+		}
+		clear(s)
+	}
+
+	if err := code.EncodeInto(payloads[:k], payloads[k:]); err != nil {
+		o.Close()
 		return nil, fmt.Errorf("session: %w", err)
 	}
 	if in != nil {
 		in.encodeNS.Observe(time.Since(start).Nanoseconds())
 	}
-	return &Object{cfg: cfg, code: code, symbols: append(src, parity...)}, nil
+	return o, nil
 }
 
-// Close releases the object's pooled symbol buffers. The object cannot
-// be transmitted afterwards; Close is idempotent.
+// Close returns the object's frame slab to the pool. The object cannot be
+// transmitted afterwards and every view Frame handed out is dead; Close
+// is idempotent.
 func (o *Object) Close() {
 	if o.closed {
 		return
 	}
 	o.closed = true
-	symbol.PutAll(o.symbols)
+	o.frames.Release()
 }
 
 // K returns the number of source symbols.
@@ -168,34 +190,32 @@ func (o *Object) Scheduler() core.Scheduler { return o.cfg.Scheduler }
 // (0 = send everything), the Section-6 n_sent optimisation.
 func (o *Object) NSent() int { return o.cfg.NSent }
 
-// Datagram serialises the datagram for packet id into a fresh buffer.
+// Frame returns the datagram for packet id as a view into the object's
+// slab — what the transport hands to the conn, with no copy in between.
+// The view is read-only and valid until Close.
+func (o *Object) Frame(id int) ([]byte, error) {
+	if o.closed {
+		return nil, fmt.Errorf("session: object %d is closed", o.cfg.ObjectID)
+	}
+	if id < 0 || id >= o.frames.Slots() {
+		return nil, fmt.Errorf("session: packet id %d outside [0,%d)", id, o.frames.Slots())
+	}
+	return o.frames.Slot(id), nil
+}
+
+// Datagram returns a fresh copy of the datagram for packet id.
 func (o *Object) Datagram(id int) ([]byte, error) {
 	return o.AppendDatagram(id, nil)
 }
 
-// AppendDatagram appends the encoded datagram for packet id to dst and
-// returns the result — the allocation-free path for carousels that
-// re-encode every round through one scratch buffer instead of keeping
-// every datagram resident. The payload is read at encode time, so the
-// object must not be Closed while senders still encode from it.
+// AppendDatagram appends a copy of the datagram for packet id to dst and
+// returns the result, for callers that need the bytes beyond Close.
 func (o *Object) AppendDatagram(id int, dst []byte) ([]byte, error) {
-	if o.closed {
-		return nil, fmt.Errorf("session: object %d is closed", o.cfg.ObjectID)
+	f, err := o.Frame(id)
+	if err != nil {
+		return nil, err
 	}
-	l := o.code.Layout()
-	if id < 0 || id >= l.N {
-		return nil, fmt.Errorf("session: packet id %d outside [0,%d)", id, l.N)
-	}
-	p := wire.Packet{
-		Family:   o.cfg.Family,
-		ObjectID: o.cfg.ObjectID,
-		PacketID: uint32(id),
-		K:        uint32(l.K),
-		N:        uint32(l.N),
-		Seed:     o.cfg.Seed,
-		Payload:  o.symbols[id],
-	}
-	return p.AppendEncode(dst)
+	return append(dst, f...), nil
 }
 
 // Schedule draws one transmission order for the object — the configured
@@ -236,7 +256,7 @@ func (o *Object) Send(rng *rand.Rand, emit func([]byte) error) error {
 // any number of interleaved objects (an ALC session may multiplex them).
 type Receiver struct {
 	objects map[uint32]*objectState
-	done    map[uint32][]byte
+	done    map[uint32]*Decoded
 	scratch wire.Packet // header scratch reused by Ingest
 }
 
@@ -251,13 +271,57 @@ type objectState struct {
 	start   time.Time // first datagram arrival, for decode latency
 }
 
+// Decoded is a reconstructed object whose bytes still sit where the
+// decoder put them: in the source slab, behind the length prefix. Nothing
+// was copied to produce it. A consumer that streams the object (the
+// transport Collector) ranges over Segments and then Releases the slab
+// for the next object; one that needs a plain slice calls Bytes.
+type Decoded struct {
+	slab   symbol.Slab
+	off, n int    // the object is bytes [off, off+n) of the slab's slot stream
+	flat   []byte // set by Bytes, after which the slab is gone
+}
+
+// Len returns the object's length in bytes.
+func (d *Decoded) Len() int { return d.n }
+
+// Segments yields the object's bytes in order as a few contiguous runs
+// (one per slab buffer). The runs are views: read-only, dead after
+// Release.
+func (d *Decoded) Segments() iter.Seq[[]byte] {
+	if d.flat != nil {
+		return func(yield func([]byte) bool) { yield(d.flat) }
+	}
+	return d.slab.Segments(d.off, d.n)
+}
+
+// Bytes returns the object as one slice the caller may keep forever: the
+// first call copies it out of the slab into fresh memory and releases the
+// slab; later calls return the same slice.
+func (d *Decoded) Bytes() []byte {
+	if d.flat == nil {
+		flat := make([]byte, 0, d.n)
+		for seg := range d.slab.Segments(d.off, d.n) {
+			flat = append(flat, seg...)
+		}
+		d.flat = flat
+		d.slab.Release()
+	}
+	return d.flat
+}
+
+// Release returns the slab to the pool. Segments views are dead
+// afterwards; a slice obtained from Bytes is not affected. Release is
+// idempotent.
+func (d *Decoded) Release() { d.slab.Release() }
+
 // NewReceiver returns an empty receiver. The reassembly maps are
 // pre-sized for a typical multiplexed session so steady-state ingest
 // never grows them.
 func NewReceiver() *Receiver {
 	return &Receiver{
 		objects: make(map[uint32]*objectState, 8),
-		done:    make(map[uint32][]byte, 8),
+		done:    make(map[uint32]*Decoded, 8),
 	}
 }
 
@@ -267,8 +331,7 @@ func NewReceiver() *Receiver {
 // otherwise harmless.
 func (r *Receiver) Ingest(datagram []byte) (objectID uint32, complete bool, data []byte, err error) {
 	// Decode into the receiver's scratch packet: the payload decoder
-	// copies what it retains, so nothing outlives this call and the
-	// per-datagram Packet allocation disappears.
+	// copies what it retains, so nothing outlives this call.
 	if err := wire.DecodeTo(&r.scratch, datagram); err != nil {
 		return 0, false, nil, err
 	}
@@ -276,29 +339,36 @@ func (r *Receiver) Ingest(datagram []byte) (objectID uint32, complete bool, data
 }
 
 // IngestResult describes what one datagram did to the receiver's state.
+// When Complete, the object is held by the receiver until the caller
+// claims it with Object (a plain slice) or Take (the slab-resident form),
+// or drops it with Forget.
 type IngestResult struct {
 	ObjectID  uint32
-	Complete  bool   // this datagram completed the object
-	Duplicate bool   // packet ID already held for this object
-	Data      []byte // decoded object when Complete
-	Packets   int    // distinct datagrams consumed so far
-	K         int    // source symbols the object needs
-	DecodeNS  int64  // first datagram to decode, when Complete
+	Complete  bool  // this datagram completed the object
+	Duplicate bool  // packet ID already held for this object
+	Packets   int   // distinct datagrams consumed so far
+	K         int   // source symbols the object needs
+	DecodeNS  int64 // first datagram to decode, when Complete
 }
 
-// IngestPacket processes an already-decoded packet. The packet's Payload
-// may alias a reused read buffer (wire.Decode aliases its input); the
-// payload decoder copies what it retains into pooled buffers — the single
-// copy on the receive path — so the caller's buffer is free for reuse as
-// soon as IngestPacket returns.
+// IngestPacket processes an already-decoded packet and returns the
+// object's bytes when it completes one. The packet's Payload may alias a
+// reused read buffer (wire.Decode aliases its input): the payload decoder
+// copies what it keeps into its slabs, so the caller's buffer is free for
+// reuse as soon as IngestPacket returns.
 func (r *Receiver) IngestPacket(p *wire.Packet) (objectID uint32, complete bool, data []byte, err error) {
 	res, err := r.IngestPacketEx(p)
-	return res.ObjectID, res.Complete, res.Data, err
+	if res.Complete {
+		data, _ = r.Object(res.ObjectID)
+	}
+	return res.ObjectID, res.Complete, data, err
 }
 
 // IngestPacketEx is IngestPacket with the full ingest outcome: duplicate
 // detection (a per-object bitmap, so repeats are dropped before the
-// decoder), reassembly progress, and decode latency on completion.
+// decoder), reassembly progress, and decode latency on completion. It
+// touches none of the object's bytes beyond the decoder's one copy of the
+// payload: a completed object waits in the receiver for Object or Take.
 func (r *Receiver) IngestPacketEx(p *wire.Packet) (IngestResult, error) {
 	res := IngestResult{ObjectID: p.ObjectID}
 	if _, ok := r.done[p.ObjectID]; ok {
@@ -330,15 +400,14 @@ func (r *Receiver) IngestPacketEx(p *wire.Packet) (IngestResult, error) {
 	if finished := st.dec.ReceivePayload(int(p.PacketID), p.Payload); !finished {
 		return res, nil
 	}
-	raw, err := st.assemble()
+	// Decoded or corrupt, the reassembly state is finished with.
+	obj, err := st.finish()
+	delete(r.objects, p.ObjectID)
 	if err != nil {
 		return res, err
 	}
-	st.dec.Close()
-	delete(r.objects, p.ObjectID)
-	r.done[p.ObjectID] = raw
+	r.done[p.ObjectID] = obj
 	res.Complete = true
-	res.Data = raw
 	res.DecodeNS = time.Since(st.start).Nanoseconds()
 	if in := instr.Load(); in != nil {
 		in.decodeNS.Observe(res.DecodeNS)
@@ -346,22 +415,39 @@ func (r *Receiver) IngestPacketEx(p *wire.Packet) (IngestResult, error) {
 	return res, nil
 }
 
-// Object returns a completed object's data.
+// Object returns a completed object's data as a plain slice (see
+// Decoded.Bytes: the first call copies it out of the decoder's slab).
 func (r *Receiver) Object(id uint32) ([]byte, bool) {
 	d, ok := r.done[id]
+	if !ok {
+		return nil, false
+	}
+	return d.Bytes(), true
+}
+
+// Take removes a completed object from the receiver and hands it to the
+// caller still slab-resident: no byte has been copied since the decoder
+// placed it. The caller owns it and must Release it (or call Bytes). The
+// receiver forgets the object, exactly as after Forget.
+func (r *Receiver) Take(id uint32) (*Decoded, bool) {
+	d, ok := r.done[id]
+	delete(r.done, id)
 	return d, ok
 }
 
 // Forget drops all state for an object — in-flight reassembly and
-// completed data alike, returning the reassembly buffers to the symbol
-// pool. Transport daemons use it to bound memory: evicted objects simply
-// start over if their datagrams keep arriving.
+// completed data alike, returning its slabs to the symbol pool. Transport
+// daemons use it to bound memory: evicted objects simply start over if
+// their datagrams keep arriving.
 func (r *Receiver) Forget(id uint32) {
 	if st, ok := r.objects[id]; ok {
 		st.dec.Close()
 		delete(r.objects, id)
 	}
-	delete(r.done, id)
+	if d, ok := r.done[id]; ok {
+		d.Release()
+		delete(r.done, id)
+	}
 }
 
 // InFlight returns the IDs of objects with partial reassembly state.
@@ -416,24 +502,27 @@ func (st *objectState) consistent(p *wire.Packet) error {
 	return nil
 }
 
-// assemble concatenates the recovered source symbols and strips the
-// length prefix. The decoder's buffers are only borrowed here; the
-// caller closes the decoder once the returned object is copied out.
-func (st *objectState) assemble() ([]byte, error) {
-	buf := make([]byte, 0, st.k*st.symLen)
-	for i := 0; i < st.k; i++ {
-		s := st.dec.Source(i)
-		if s == nil {
-			return nil, fmt.Errorf("session: decoder claims done but source %d missing", i)
-		}
-		buf = append(buf, s...)
-	}
-	if len(buf) < lengthPrefix {
+// finish turns a done decoder into the decoded object: it takes the
+// source slab — which already holds the symbols back to back in ID order
+// — reads and checks the length prefix, and closes the decoder. The
+// object is the slab's bytes behind the prefix; nothing is moved.
+func (st *objectState) finish() (*Decoded, error) {
+	slab := st.dec.TakeSources()
+	st.dec.Close()
+	total := st.k * st.symLen
+	if total < lengthPrefix {
+		slab.Release()
 		return nil, fmt.Errorf("session: object too short for length prefix")
 	}
-	objLen := binary.BigEndian.Uint64(buf)
-	if objLen > uint64(len(buf)-lengthPrefix) {
-		return nil, fmt.Errorf("session: corrupt length prefix %d > %d available", objLen, len(buf)-lengthPrefix)
+	var pre [lengthPrefix]byte
+	got := pre[:0]
+	for seg := range slab.Segments(0, lengthPrefix) { // a symbol may be shorter than the prefix
+		got = append(got, seg...)
 	}
-	return buf[lengthPrefix : lengthPrefix+int(objLen)], nil
+	objLen := binary.BigEndian.Uint64(got)
+	if objLen > uint64(total-lengthPrefix) {
+		slab.Release()
+		return nil, fmt.Errorf("session: corrupt length prefix %d > %d available", objLen, total-lengthPrefix)
+	}
+	return &Decoded{slab: slab, off: lengthPrefix, n: int(objLen)}, nil
 }

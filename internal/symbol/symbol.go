@@ -1,26 +1,49 @@
-// Package symbol provides the pooled symbol buffers the payload codec
-// layer allocates from. Every encode, decode and transport step in the
-// repository moves fixed-size symbol payloads around; allocating each one
-// with make() puts the garbage collector on the packet path. This package
-// replaces that with a size-classed free list built on sync.Pool.
+// Package symbol provides the pooled buffers the payload codec layer and
+// the cast datapath allocate from. Every encode, decode and transport
+// step in the repository moves fixed-size symbol payloads around;
+// allocating each one with make() puts the garbage collector on the
+// packet path. This package replaces that with a size-classed free list
+// built on sync.Pool, and with Slab, which carves one object's symbols
+// out of a few top-class buffers so the datapath pays the pool once per
+// 64 KiB rather than once per symbol.
 //
 // # Ownership contract
 //
-// A buffer obtained from Get (or Clone) is owned by exactly one holder at
-// a time. The owner may hand the buffer to another component only by
-// transferring ownership — after the handoff the previous holder must not
-// read, write or Put it. The final owner either calls Put, returning the
-// buffer for reuse, or simply drops it (an un-Put buffer is ordinary
-// garbage; nothing leaks). Put must never be called twice for the same
-// buffer and never on a buffer someone else still references: the next
-// Get may hand the same backing array to an unrelated caller.
+// A buffer obtained from Get (or GetDirty, Clone) — and a Slab as a whole
+// — is owned by exactly one holder at a time. The owner may hand it to
+// another component only by transferring ownership: after the handoff
+// the previous holder must not read, write or release it. The final owner
+// either calls Put / Release, returning the memory for reuse, or simply
+// drops it (un-Put memory is ordinary garbage; nothing leaks). Put and
+// Release must never run twice for the same memory and never while
+// someone else still holds a view into it: the next Get may hand the same
+// backing array to an unrelated caller.
 //
-// Concretely, in this repository:
+// The unit of ownership on the cast datapath is the object's slab, not
+// the symbol. Concretely, in this repository:
 //
-//   - core.PayloadDecoder implementations copy every payload they retain
-//     into pooled buffers they own, and release them all in Close;
-//   - Codec.Encode returns parity symbols in pooled buffers owned by the
-//     caller (session.Object releases them in Close);
+//   - session.EncodeObject owns one slab of n ready-to-send frames
+//     (header ++ payload) per object. Source bytes are copied into it
+//     once, Codec.EncodeInto writes parity into it in place, and
+//     transport.Sender hands views of its slots to the conn — conns never
+//     retain what they are handed. Object.Close releases the slab, which
+//     is why the sender's Close waits for its Run to return.
+//   - core.PayloadDecoder implementations own a slab of k source slots
+//     (plus one for parity and scratch). The payload passed to
+//     ReceivePayload is borrowed; the decoder copies it once, to its
+//     final slot, and rebuilds missing sources into theirs. When the
+//     decoder is done the source slab is the object: TakeSources moves
+//     it, untouched, to the session receiver, which wraps it as a
+//     session.Decoded; Close releases whatever the decoder still owns.
+//   - transport.Collector takes each session.Decoded from its daemon,
+//     writes and checksums the bytes in order straight out of the slab,
+//     and Releases it — the hand-back that lets a cast of any length run
+//     on the few slabs one window needs.
+//   - transport.ReceiverDaemon's Object, WaitObject and OnComplete hand
+//     out Decoded.Bytes: a copy in memory of its own, never pooled, so a
+//     holder's bytes cannot be recycled under it.
+//   - Codec.Encode (the convenience form of EncodeInto) returns parity in
+//     per-symbol pooled buffers owned by the caller;
 //   - transport read buffers are plain reused slices — packets decoded
 //     from them alias the buffer, which is why decoders copy exactly once
 //     at the ownership boundary.
@@ -84,6 +107,15 @@ func Get(n int) []byte {
 	b := getRaw(n)
 	clear(b)
 	return b
+}
+
+// GetDirty is Get without the zeroing, for callers that overwrite every
+// byte before reading any: the buffer holds whatever its last owner left.
+func GetDirty(n int) []byte {
+	if n < 0 {
+		panic("symbol: negative length")
+	}
+	return getRaw(n)
 }
 
 // Clone returns a pooled copy of p. The caller owns the copy.

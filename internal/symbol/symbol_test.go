@@ -107,3 +107,71 @@ func BenchmarkMakeBaseline(b *testing.B) {
 		_ = buf
 	}
 }
+
+// TestSlabLayout checks the slot geometry for strides that divide the top
+// class, that leave a gap at the end of each buffer, and that exceed it:
+// slots never overlap, are capped at their stride, and the slot stream
+// reads back through Segments exactly as written.
+func TestSlabLayout(t *testing.T) {
+	for _, tc := range []struct{ slots, stride int }{
+		{1, 48}, {2, 48}, {384, 1064}, {3072, 168}, {2048, 128}, {100, 1400}, {3, MaxPooled + 8}, {0, 16},
+	} {
+		start := PoolStats().Live
+		s := NewSlab(tc.slots, tc.stride)
+		if s.Slots() != tc.slots {
+			t.Fatalf("%+v: Slots = %d", tc, s.Slots())
+		}
+		var want []byte
+		for i := 0; i < tc.slots; i++ {
+			slot := s.Slot(i)
+			if len(slot) != tc.stride || cap(slot) != tc.stride {
+				t.Fatalf("%+v: slot %d len/cap = %d/%d", tc, i, len(slot), cap(slot))
+			}
+			for j := range slot {
+				slot[j] = byte(i*7 + j)
+			}
+			want = append(want, slot...)
+		}
+		for i := 0; i < tc.slots; i++ { // a later slot's write must not have reached an earlier one
+			if slot := s.Slot(i); slot[0] != byte(i*7) || slot[tc.stride-1] != byte(i*7+tc.stride-1) {
+				t.Fatalf("%+v: slot %d overwritten", tc, i)
+			}
+		}
+		for _, r := range [][2]int{{0, len(want)}, {8, len(want) - 8}, {len(want) / 3, len(want) / 2}} {
+			if r[1] <= 0 {
+				continue
+			}
+			var got []byte
+			for seg := range s.Segments(r[0], r[1]) {
+				got = append(got, seg...)
+			}
+			if string(got) != string(want[r[0]:r[0]+r[1]]) {
+				t.Fatalf("%+v: Segments(%d,%d) differs from the slot stream", tc, r[0], r[1])
+			}
+		}
+		s.Release()
+		s.Release() // idempotent
+		if live := PoolStats().Live; live != start {
+			t.Fatalf("%+v: %d buffers live after Release", tc, live-start)
+		}
+	}
+}
+
+// TestSlabLazy: a slab's memory follows the slots touched, not the slot
+// count — the property that keeps a forged "huge object" header cheap.
+func TestSlabLazy(t *testing.T) {
+	start := PoolStats()
+	s := NewSlab(262144, 2008)
+	if got := PoolStats().Gets - start.Gets; got != 0 {
+		t.Fatalf("NewSlab drew %d buffers, want 0", got)
+	}
+	s.Slot(100000)
+	s.Slot(100001)
+	if got := PoolStats().Gets - start.Gets; got != 1 {
+		t.Fatalf("two neighbouring slots drew %d buffers, want 1", got)
+	}
+	s.Release()
+	if live := PoolStats().Live; live != start.Live {
+		t.Fatalf("%d buffers live after Release", live-start.Live)
+	}
+}

@@ -256,7 +256,7 @@ func (c *Caster) Run(ctx context.Context) error {
 		c.packets.Add(st.PacketsSent)
 		c.bytes.Add(st.BytesSent)
 		c.pacerWait.Add(st.PacerWaitNS)
-		s.Close() // releases the window's pooled symbol buffers
+		s.Close() // releases the window's frame slabs
 		window = nil
 		c.window.Set(0)
 		if err != nil {

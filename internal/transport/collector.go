@@ -69,6 +69,13 @@ type CollectProgress struct {
 // returns success. Memory stays bounded by the reordering window and
 // the daemon's reassembly bounds, never by the stream size.
 //
+// The collector owns each decoded chunk from the moment it decodes, in
+// the form the decoder left it: a slab of source symbols. It writes and
+// checksums the chunk's bytes in order straight out of that slab — one
+// Write per slab buffer — and then returns the slab to the pool, so
+// between the read buffer and the destination writer a payload byte is
+// copied exactly once, and the slabs of one window keep being reused.
+//
 // Run drives the underlying ReceiverDaemon until the train completes,
 // the writer or stream fails, or ctx is cancelled.
 type Collector struct {
@@ -79,7 +86,7 @@ type Collector struct {
 
 	mu       sync.Mutex
 	manifest *session.Manifest
-	pending  map[int][]byte
+	pending  map[int]*session.Decoded // decoded out of order, slab-resident
 	next     int
 	written  int64
 	crc      uint32
@@ -99,20 +106,17 @@ func NewCollector(conn Conn, dst io.Writer, cfg CollectorConfig) *Collector {
 	c := &Collector{
 		dst:     dst,
 		cfg:     cfg,
-		pending: make(map[int][]byte),
+		pending: make(map[int]*session.Decoded),
 	}
 	c.daemon = NewReceiverDaemon(conn, ReceiverConfig{
 		MaxInFlight:      cfg.MaxInFlight,
 		MaxObjectPackets: cfg.MaxObjectPackets,
 		MTU:              cfg.MTU,
 		ReadBatch:        cfg.ReadBatch,
-		// The collector consumes every object as it decodes; the
-		// daemon's completed-bytes ring only needs to exist.
-		MaxCompleted: 1,
-		OnComplete:   c.onObject,
-		Metrics:      cfg.Metrics,
-		Tracer:       cfg.Tracer,
+		Metrics:          cfg.Metrics,
+		Tracer:           cfg.Tracer,
 	})
+	c.daemon.takeDecoded = c.onObject
 	if r := cfg.Metrics; r != nil {
 		r.CounterFunc("collector_chunks_written_total", "In-order chunks flushed to the destination.", nil, c.chunksWritten.Load)
 		r.CounterFunc("collector_bytes_written_total", "In-order bytes flushed to the destination.", nil, c.bytesWritten.Load)
@@ -140,6 +144,12 @@ func (c *Collector) Run(ctx context.Context) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Whatever the outcome, nothing will be written any more: return the
+	// slabs of chunks still waiting for a predecessor.
+	for i, chunk := range c.pending {
+		chunk.Release()
+		delete(c.pending, i)
+	}
 	switch {
 	case c.err != nil:
 		return c.err
@@ -151,12 +161,16 @@ func (c *Collector) Run(ctx context.Context) error {
 }
 
 // onObject routes one decoded object (manifest or chunk) on the daemon's
-// Run goroutine. Progress callbacks fire after the lock is released, so
-// they may call Progress/Manifest/Stats freely.
-func (c *Collector) onObject(id uint32, data []byte) {
+// Run goroutine. The object arrives owned by the collector: it is either
+// kept for an in-order write or released here. Progress callbacks fire
+// after the lock is released, so they may call Progress/Manifest/Stats
+// freely.
+func (c *Collector) onObject(id uint32, obj *session.Decoded) {
 	var events []CollectProgress
 	c.mu.Lock()
-	c.onObjectLocked(id, data, &events)
+	if !c.onObjectLocked(id, obj, &events) {
+		obj.Release()
+	}
 	c.mu.Unlock()
 	if c.cfg.OnProgress != nil {
 		for _, ev := range events {
@@ -165,77 +179,93 @@ func (c *Collector) onObject(id uint32, data []byte) {
 	}
 }
 
-func (c *Collector) onObjectLocked(id uint32, data []byte, events *[]CollectProgress) {
+// onObjectLocked reports whether it took charge of obj (queued it, or
+// wrote and released it); false leaves the release to the caller.
+func (c *Collector) onObjectLocked(id uint32, obj *session.Decoded, events *[]CollectProgress) bool {
 	if c.complete || c.err != nil {
-		return
+		return false
 	}
 	if id == c.cfg.BaseObjectID {
-		m, err := session.DecodeManifest(data)
+		m, err := session.DecodeManifest(obj.Bytes())
 		if err != nil {
 			c.failLocked(fmt.Errorf("transport: train manifest: %w", err))
-			return
+			return false
 		}
 		c.manifest = m
 		// Anything buffered past the now-known train end was a foreign
 		// object (another train or carousel sharing the conn) accepted
 		// before the manifest told us the length; release it.
-		for i := range c.pending {
+		for i, chunk := range c.pending {
 			if uint32(i) >= m.ChunkCount {
+				chunk.Release()
 				delete(c.pending, i)
 			}
 		}
 		c.noteProgressLocked(events)
 		c.checkCompleteLocked()
-		return
+		return false
 	}
 	idx := int(id - c.cfg.BaseObjectID - 1) // sequential train IDs (mod 2^32)
 	if idx >= maxTrainChunks {
 		// IDs below the base wrap mod 2^32 to indexes near 2^32; no
 		// real train is billions of chunks, so this is foreign traffic
 		// (e.g. a carousel on the same group), not a reorder.
-		return
+		return false
 	}
 	if c.manifest != nil && uint32(idx) >= c.manifest.ChunkCount {
-		return // not part of this train
+		return false // not part of this train
 	}
 	if idx < c.next {
-		return // duplicate of an already-written chunk
+		return false // duplicate of an already-written chunk
 	}
-	if idx > c.next {
-		if _, dup := c.pending[idx]; dup {
-			return
-		}
-		if len(c.pending) >= c.cfg.MaxPending {
-			c.failLocked(fmt.Errorf("transport: %d chunks completed out of order while chunk %d is missing (MaxPending %d)",
-				len(c.pending), c.next, c.cfg.MaxPending))
-			return
-		}
-		c.pending[idx] = data
-		return
+	if _, dup := c.pending[idx]; dup {
+		return false
 	}
-	// idx == next: flush the contiguous prefix.
-	for chunk, ok := data, true; ok; chunk, ok = c.pending[c.next] {
+	if idx > c.next && len(c.pending) >= c.cfg.MaxPending {
+		c.failLocked(fmt.Errorf("transport: %d chunks completed out of order while chunk %d is missing (MaxPending %d)",
+			len(c.pending), c.next, c.cfg.MaxPending))
+		return false
+	}
+	c.pending[idx] = obj
+	// Flush the contiguous prefix, returning each chunk's slab to the
+	// pool as soon as its bytes are with the writer.
+	for chunk, ok := c.pending[c.next]; ok; chunk, ok = c.pending[c.next] {
 		delete(c.pending, c.next)
-		if _, err := c.dst.Write(chunk); err != nil {
+		err := c.writeChunkLocked(chunk)
+		chunk.Release()
+		if err != nil {
 			c.failLocked(fmt.Errorf("transport: writing chunk %d: %w", c.next, err))
-			return
-		}
-		c.crc = crc32.Update(c.crc, crc32.IEEETable, chunk)
-		c.written += int64(len(chunk))
-		c.chunksWritten.Inc()
-		c.bytesWritten.Add(uint64(len(chunk)))
-		if tr := c.cfg.Tracer; tr != nil {
-			tr.Emit(obs.Event{
-				Event:  obs.TraceWrite,
-				Object: session.TrainChunkID(c.cfg.BaseObjectID, c.next),
-				Chunk:  c.next,
-				Bytes:  int64(len(chunk)),
-			})
+			return true
 		}
 		c.next++
 		c.noteProgressLocked(events)
 	}
 	c.checkCompleteLocked()
+	return true
+}
+
+// writeChunkLocked writes chunk c.next to the destination out of its
+// slab, folding it into the stream CRC and the counters.
+func (c *Collector) writeChunkLocked(chunk *session.Decoded) error {
+	for seg := range chunk.Segments() {
+		if _, err := c.dst.Write(seg); err != nil {
+			return err
+		}
+		c.crc = crc32.Update(c.crc, crc32.IEEETable, seg)
+	}
+	n := int64(chunk.Len())
+	c.written += n
+	c.chunksWritten.Inc()
+	c.bytesWritten.Add(uint64(n))
+	if tr := c.cfg.Tracer; tr != nil {
+		tr.Emit(obs.Event{
+			Event:  obs.TraceWrite,
+			Object: session.TrainChunkID(c.cfg.BaseObjectID, c.next),
+			Chunk:  c.next,
+			Bytes:  n,
+		})
+	}
+	return nil
 }
 
 // checkCompleteLocked seals the collect once the manifest and every

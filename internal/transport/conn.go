@@ -37,8 +37,9 @@ type Conn interface {
 	// Send transmits one datagram. Like UDP, delivery is best-effort:
 	// packets may be dropped (full receiver queues, lossy channels)
 	// without an error. Send must not retain datagram after returning
-	// (both backends copy), so callers may reuse the buffer — the
-	// carousel sender encodes every packet through one scratch buffer.
+	// (both backends copy), so callers may reuse or release the memory
+	// behind it — the carousel sender hands in views of its objects'
+	// frame slabs.
 	Send(datagram []byte) error
 	// Recv blocks for the next datagram and copies it into buf,
 	// returning its length. Datagrams longer than buf are truncated,

@@ -110,6 +110,14 @@ type ReceiverDaemon struct {
 	conn Conn
 	cfg  ReceiverConfig
 
+	// takeDecoded, when set (by the Collector that owns this daemon),
+	// receives every decoded object still slab-resident, on the Run
+	// goroutine and outside the daemon's locks, and owns it from then on.
+	// The daemon then keeps no bytes at all — only the completed IDs —
+	// and OnComplete, Object and WaitObject have nothing to serve.
+	takeDecoded func(id uint32, obj *session.Decoded)
+	scratch     wire.Packet // parsed header of the datagram in hand (Run goroutine only)
+
 	mu       sync.Mutex
 	rx       *session.Receiver
 	lru      *list.List               // of uint32 (object IDs), front = most recent
@@ -278,14 +286,14 @@ func (d *ReceiverDaemon) Run(ctx context.Context) error {
 }
 
 // handle ingests one datagram. The payload aliases the read buffer; the
-// session receiver's payload decoder copies what it retains into pooled
-// symbol buffers (the receive path's single copy), so the buffer is
-// reusable on return.
+// session receiver's payload decoder copies it once, to its final place
+// in the object's slab, so the buffer is reusable on return. Steady-state
+// ingest of an in-flight object allocates nothing.
 func (d *ReceiverDaemon) handle(datagram []byte) {
 	d.packetsSeen.Add(1)
 	d.bytesSeen.Add(uint64(len(datagram)))
-	p, err := wire.Decode(datagram)
-	if err != nil {
+	p := &d.scratch
+	if err := wire.DecodeTo(p, datagram); err != nil {
 		d.discards[discardBad].Add(1)
 		return
 	}
@@ -305,7 +313,7 @@ func (d *ReceiverDaemon) handle(datagram []byte) {
 	}
 	_, inFlight := d.lruIndex[p.ObjectID]
 	res, err := d.rx.IngestPacketEx(p)
-	id, complete, data := res.ObjectID, res.Complete, res.Data
+	id, complete := res.ObjectID, res.Complete
 	if err != nil {
 		if !inFlight {
 			// The packet may have opened session state before failing;
@@ -349,15 +357,23 @@ func (d *ReceiverDaemon) handle(datagram []byte) {
 		d.mu.Unlock()
 		return
 	}
-	// Object decoded: retire its in-flight entry, release the session
-	// receiver's copy and retain ours under the completed LRU bound.
+	// Object decoded: retire its in-flight entry and take the object off
+	// the session receiver. An owner that streams objects gets it as it
+	// is, in the decoder's slab; otherwise the bytes are copied out into
+	// memory of their own — holders of Object/WaitObject/OnComplete data
+	// keep it for as long as they like — and retained under the
+	// completed LRU bound.
 	if !inFlight {
 		d.objectsStarted.Add(1) // single-datagram object
 	} else {
 		d.lru.Remove(d.lruIndex[id])
 		delete(d.lruIndex, id)
 	}
-	d.rx.Forget(id)
+	obj, _ := d.rx.Take(id)
+	var data []byte
+	if d.takeDecoded == nil {
+		data = obj.Bytes()
+	}
 	d.rememberCompletedLocked(id, data)
 	waiters := d.waiters[id]
 	delete(d.waiters, id)
@@ -371,9 +387,13 @@ func (d *ReceiverDaemon) handle(datagram []byte) {
 			Object:  id,
 			K:       res.K,
 			Packets: res.Packets,
-			Bytes:   int64(len(data)),
+			Bytes:   int64(obj.Len()),
 			NS:      res.DecodeNS,
 		})
+	}
+	if d.takeDecoded != nil {
+		d.takeDecoded(id, obj)
+		return
 	}
 	for _, w := range waiters {
 		w <- data
@@ -384,13 +404,17 @@ func (d *ReceiverDaemon) handle(datagram []byte) {
 }
 
 // rememberCompletedLocked records a decoded object: bytes under the
-// MaxCompleted FIFO, the bare ID under the MaxCompletedIDs FIFO. Both
-// rings see completions in the same order and byteRing is never deeper,
-// so an ID's bytes are always released no later than the ID itself.
+// MaxCompleted FIFO (unless a takeDecoded owner consumes them, in which
+// case the daemon retains none), the bare ID under the MaxCompletedIDs
+// FIFO. Both rings see completions in the same order and byteRing is
+// never deeper, so an ID's bytes are always released no later than the
+// ID itself.
 func (d *ReceiverDaemon) rememberCompletedLocked(id uint32, data []byte) {
-	d.done[id] = data
-	if old, full := d.byteRing.push(id); full {
-		delete(d.done, old)
+	if d.takeDecoded == nil {
+		d.done[id] = data
+		if old, full := d.byteRing.push(id); full {
+			delete(d.done, old)
+		}
 	}
 	d.doneIDs[id] = struct{}{}
 	if old, full := d.idRing.push(id); full {

@@ -103,11 +103,25 @@ func TestReceiverDaemonMultiObjectAndStats(t *testing.T) {
 		if !bytes.Equal(data, f) {
 			t.Fatalf("object %d corrupted", id)
 		}
-		if got, ok := completions.Load(id); !ok || !bytes.Equal(got.([]byte), f) {
+		// Waiters are woken before OnComplete runs; give it a moment.
+		got, ok := completions.Load(id)
+		for deadline := time.Now().Add(5 * time.Second); !ok && time.Now().Before(deadline); got, ok = completions.Load(id) {
+			time.Sleep(time.Millisecond)
+		}
+		if !ok || !bytes.Equal(got.([]byte), f) {
 			t.Fatalf("OnComplete missing or wrong for object %d", id)
 		}
 	}
+	// The daemon is still draining round 2: the counters are independent
+	// atomics, so a snapshot taken mid-datagram has seen one more than it
+	// has classified. Wait for a quiescent one.
+	sum := func(st Stats) uint64 {
+		return st.PacketsIngested + st.PacketsBad + st.PacketsLate + st.PacketsInconsistent + st.PacketsTruncated
+	}
 	st := d.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.PacketsSeen != sum(st) && time.Now().Before(deadline); st = d.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.ObjectsDecoded != 3 {
 		t.Errorf("ObjectsDecoded = %d, want 3", st.ObjectsDecoded)
 	}
@@ -121,7 +135,7 @@ func TestReceiverDaemonMultiObjectAndStats(t *testing.T) {
 	if st.PacketsLate == 0 {
 		t.Error("PacketsLate = 0, want late carousel packets counted")
 	}
-	if st.PacketsSeen != st.PacketsIngested+st.PacketsBad+st.PacketsLate+st.PacketsInconsistent+st.PacketsTruncated {
+	if st.PacketsSeen != sum(st) {
 		t.Errorf("stats do not add up: %+v", st)
 	}
 }

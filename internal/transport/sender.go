@@ -26,11 +26,11 @@ type SenderConfig struct {
 	// the external pacer accrues on the same pacer-wait counter as the
 	// built-in bucket's sleeps.
 	Pacer Pacer
-	// BatchSize vectorizes the round loop: up to BatchSize datagrams are
-	// encoded back to back into one packed scratch region and flushed
-	// with a single batch write — one kernel crossing on batch-capable
-	// conns (sendmmsg/GSO on UDP, one lock per batch on loopback) — and
-	// the pacer is charged once per flush instead of once per packet.
+	// BatchSize vectorizes the round loop: up to BatchSize frame views
+	// are gathered and flushed with a single batch write — one kernel
+	// crossing on batch-capable conns (sendmmsg/GSO on UDP, one lock per
+	// batch on loopback) — and the pacer is charged once per flush
+	// instead of once per packet.
 	// Values above 64 are clamped; 0 or 1 keeps the scalar per-datagram
 	// path. Batching changes pacing granularity (tokens are taken
 	// BatchSize at a time) but not the datagram sequence: batched and
@@ -96,26 +96,26 @@ type SenderStats struct {
 // joining mid-stream sees a statistically uniform packet mix — the
 // regime the paper's Tx_model_4 analysis covers.
 //
-// The steady-state round loop allocates nothing: schedules are
-// streaming (O(1) rules, drawn by value into each object's slot) and
-// datagrams are encoded per send into one reused scratch buffer — a
-// many-object carousel holds its symbol payloads once, in the session
-// objects, not a second time as pre-encoded datagrams.
+// The steady-state round loop allocates nothing and copies nothing:
+// schedules are streaming (O(1) rules, drawn by value into each object's
+// slot) and every object already holds its datagrams framed — header,
+// checksum and payload — in its slab (session.EncodeObject), so sending
+// packet id is handing the conn a view of frame id. A payload byte is
+// written once when the object is encoded and read once by the conn.
 //
 // Configure and Add objects before Run; Run may be called once. Stats is
-// safe to call concurrently with Run. The sender reads object payloads
-// lazily at send time, so added objects must stay open while the
-// carousel runs; Close the sender when done — it waits for an in-flight
-// Run to return (cancel its context first) before releasing the
-// objects' buffers.
+// safe to call concurrently with Run. The conn reads straight out of the
+// objects' slabs, so added objects must stay open while the carousel
+// runs; Close the sender when done — it waits for an in-flight Run to
+// return (cancel its context first) before releasing the slabs.
 type Sender struct {
 	conn Conn
 	cfg  SenderConfig
 	objs []*senderObject
 
 	// runMu is held by Run for its whole duration; Close takes it, so
-	// releasing the objects' pooled buffers synchronizes with the round
-	// loop that encodes from them.
+	// releasing the objects' slabs synchronizes with the round loop that
+	// sends from them.
 	runMu sync.Mutex
 
 	packets   obs.Counter
@@ -161,17 +161,16 @@ func NewSender(conn Conn, cfg SenderConfig) *Sender {
 	return s
 }
 
-// Add registers an encoded object with the carousel. Datagrams are
-// encoded lazily, round by round, through a shared scratch buffer —
-// nothing is pre-encoded or cached — so the object must remain open
+// Add registers an encoded object with the carousel. The round loop
+// sends views of the object's own frames, so the object must remain open
 // (not Closed) until the carousel stops.
 func (s *Sender) Add(obj *session.Object) error {
 	if obj.N() <= 0 {
 		return fmt.Errorf("transport: object %d has no packets", obj.ObjectID())
 	}
-	// Surface encoding problems (e.g. an already-closed object) at Add
-	// time rather than mid-carousel.
-	if _, err := obj.AppendDatagram(0, nil); err != nil {
+	// Surface an unusable (e.g. already-closed) object at Add time
+	// rather than mid-carousel.
+	if _, err := obj.Frame(0); err != nil {
 		return fmt.Errorf("transport: adding object %d: %w", obj.ObjectID(), err)
 	}
 	s.objs = append(s.objs, &senderObject{
@@ -183,7 +182,7 @@ func (s *Sender) Add(obj *session.Object) error {
 	return nil
 }
 
-// Close releases every added object's pooled symbol buffers. It
+// Close releases every added object's frame slab. It
 // synchronizes with Run: if the carousel is still in flight, Close
 // blocks until Run returns, so cancel Run's context first (an infinite
 // carousel never returns on its own). The sender cannot transmit
@@ -224,7 +223,6 @@ func (s *Sender) Run(ctx context.Context) error {
 	} else {
 		p = newPacer(s.cfg.Rate, s.cfg.Burst, &s.pacerWait)
 	}
-	scratch := make([]byte, 0, 2048)
 	if startRound > 0 || s.cfg.StartPos > 0 {
 		s.resumes.Inc()
 	}
@@ -234,12 +232,7 @@ func (s *Sender) Run(ctx context.Context) error {
 	}
 	var batch *sendBatch
 	if batchSize > 1 {
-		batch = &sendBatch{
-			size:  batchSize,
-			buf:   make([]byte, 0, batchSize*2048),
-			ends:  make([]int, 0, batchSize),
-			views: make([]wire.Datagram, 0, batchSize),
-		}
+		batch = &sendBatch{size: batchSize, views: make([]wire.Datagram, 0, batchSize)}
 	}
 
 	for round := startRound; s.cfg.Rounds <= 0 || round < s.cfg.Rounds; round++ {
@@ -289,16 +282,15 @@ func (s *Sender) Run(ctx context.Context) error {
 				if err := p.Take(ctx, 1); err != nil {
 					return err
 				}
-				var err error
-				scratch, err = o.obj.AppendDatagram(id, scratch[:0])
+				frame, err := o.obj.Frame(id)
 				if err != nil {
-					return fmt.Errorf("transport: encoding object %d: %w", o.obj.ObjectID(), err)
+					return fmt.Errorf("transport: object %d: %w", o.obj.ObjectID(), err)
 				}
-				if err := s.conn.Send(scratch); err != nil {
+				if err := s.conn.Send(frame); err != nil {
 					return fmt.Errorf("transport: send: %w", err)
 				}
 				s.packets.Inc()
-				s.bytes.Add(uint64(len(scratch)))
+				s.bytes.Add(uint64(len(frame)))
 				if !o.txStarted {
 					o.txStarted = true
 					if tr := s.cfg.Tracer; tr != nil {
@@ -307,7 +299,7 @@ func (s *Sender) Run(ctx context.Context) error {
 							Object: o.obj.ObjectID(),
 							Packet: id,
 							Round:  round,
-							Bytes:  int64(len(scratch)),
+							Bytes:  int64(len(frame)),
 						})
 					}
 				}
@@ -326,22 +318,19 @@ func (s *Sender) Run(ctx context.Context) error {
 // header array (and the kernel's GSO segment limit) on UDP.
 const maxSendBatch = 64
 
-// sendBatch is the vectorized round loop's reusable flush state: every
-// datagram of a batch is encoded back to back into one packed buffer,
-// and the per-datagram views handed to WriteBatch are materialized only
-// at flush time (the packed buffer may move while the batch fills).
-// All slices are reused across flushes, so the steady-state batched
-// round allocates nothing.
+// sendBatch is the vectorized round loop's reusable flush state: the
+// pending frame views, gathered straight from the objects' slabs and
+// handed to WriteBatch as they are. The slices are reused across flushes,
+// so the steady-state batched round allocates nothing.
 type sendBatch struct {
 	size   int
-	buf    []byte // packed encodings of the pending datagrams
-	ends   []int  // end offset of datagram i in buf
-	views  []wire.Datagram
-	traces []obs.Event // first_tx events deferred until the flush lands
+	views  []wire.Datagram // frames pending in this batch
+	bytes  uint64          // their total length
+	traces []obs.Event     // first_tx events deferred until the flush lands
 }
 
 // roundBatched is the vectorized inner loop of Run: the same
-// round-robin walk as the scalar path, but datagrams accumulate in the
+// round-robin walk as the scalar path, but frame views accumulate in the
 // batch and hit the conn size datagrams per kernel crossing. The
 // carousel byte sequence is identical to the scalar loop's; only the
 // grouping (and the pacer's debit granularity) changes.
@@ -354,13 +343,12 @@ func (s *Sender) roundBatched(ctx context.Context, p Pacer, b *sendBatch, round 
 				continue
 			}
 			remaining++
-			start := len(b.buf)
-			var err error
-			b.buf, err = o.obj.AppendDatagram(id, b.buf)
+			frame, err := o.obj.Frame(id)
 			if err != nil {
-				return fmt.Errorf("transport: encoding object %d: %w", o.obj.ObjectID(), err)
+				return fmt.Errorf("transport: object %d: %w", o.obj.ObjectID(), err)
 			}
-			b.ends = append(b.ends, len(b.buf))
+			b.views = append(b.views, frame)
+			b.bytes += uint64(len(frame))
 			if !o.txStarted {
 				o.txStarted = true
 				if s.cfg.Tracer != nil {
@@ -371,11 +359,11 @@ func (s *Sender) roundBatched(ctx context.Context, p Pacer, b *sendBatch, round 
 						Object: o.obj.ObjectID(),
 						Packet: id,
 						Round:  round,
-						Bytes:  int64(len(b.buf) - start),
+						Bytes:  int64(len(frame)),
 					})
 				}
 			}
-			if len(b.ends) == b.size {
+			if len(b.views) == b.size {
 				if err := s.flushBatch(ctx, p, b); err != nil {
 					return err
 				}
@@ -391,24 +379,18 @@ func (s *Sender) roundBatched(ctx context.Context, p Pacer, b *sendBatch, round 
 // it to the conn in one batch write, and settles the deferred metrics
 // and first_tx traces.
 func (s *Sender) flushBatch(ctx context.Context, p Pacer, b *sendBatch) error {
-	n := len(b.ends)
+	n := len(b.views)
 	if n == 0 {
 		return nil
 	}
 	if err := p.Take(ctx, n); err != nil {
 		return err
 	}
-	b.views = b.views[:0]
-	start := 0
-	for _, end := range b.ends {
-		b.views = append(b.views, b.buf[start:end:end])
-		start = end
-	}
 	if _, err := WriteBatch(s.conn, b.views); err != nil {
 		return fmt.Errorf("transport: send batch: %w", err)
 	}
 	s.packets.Add(uint64(n))
-	s.bytes.Add(uint64(len(b.buf)))
+	s.bytes.Add(b.bytes)
 	s.batches.Inc()
 	s.syscallsSaved.Add(uint64(n - 1))
 	s.batchSizes.Observe(int64(n))
@@ -418,8 +400,7 @@ func (s *Sender) flushBatch(ctx context.Context, p Pacer, b *sendBatch) error {
 		}
 	}
 	b.traces = b.traces[:0]
-	b.buf = b.buf[:0]
-	b.ends = b.ends[:0]
+	b.views, b.bytes = b.views[:0], 0
 	return nil
 }
 

@@ -105,8 +105,8 @@ type Packet struct {
 // Clone returns a deep copy of the packet. Decode returns packets whose
 // Payload aliases the input buffer; any consumer that stashes the packet
 // beyond the buffer's reuse must Clone it first. (The session receiver
-// no longer needs this: its payload decoders copy what they retain into
-// pooled buffers, which is the receive path's single copy.)
+// does not need this: its payload decoders copy each payload once, to
+// its final slot in the object's slab.)
 func (p *Packet) Clone() *Packet {
 	if p == nil {
 		return nil
@@ -146,17 +146,19 @@ func (p *Packet) Validate() error {
 // IsSource reports whether the packet carries a source symbol.
 func (p *Packet) IsSource() bool { return p.PacketID < p.K }
 
-// AppendEncode appends the encoded datagram to dst and returns it.
-func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
+// PutHeader validates the packet and writes its HeaderLen-byte header,
+// checksum included, into h[:HeaderLen]; the length field is
+// len(p.Payload). A sender that keeps datagrams resident lays each frame
+// out as header ++ payload and stamps the header once, here.
+func (p *Packet) PutHeader(h []byte) error {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	off := len(dst)
-	dst = append(dst, make([]byte, HeaderLen)...)
-	h := dst[off:]
+	h = h[:HeaderLen]
 	copy(h[0:4], Magic[:])
 	h[4] = Version
 	h[5] = byte(p.Family)
+	h[6], h[7] = 0, 0
 	binary.BigEndian.PutUint32(h[8:], p.ObjectID)
 	binary.BigEndian.PutUint32(h[12:], p.PacketID)
 	binary.BigEndian.PutUint32(h[16:], p.K)
@@ -164,7 +166,16 @@ func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(h[24:], uint64(p.Seed))
 	binary.BigEndian.PutUint32(h[32:], uint32(len(p.Payload)))
 	binary.BigEndian.PutUint32(h[36:], crc32.ChecksumIEEE(h[:36]))
-	return append(dst, p.Payload...), nil
+	return nil
+}
+
+// AppendEncode appends the encoded datagram to dst and returns it.
+func (p *Packet) AppendEncode(dst []byte) ([]byte, error) {
+	var h [HeaderLen]byte
+	if err := p.PutHeader(h[:]); err != nil {
+		return nil, err
+	}
+	return append(append(dst, h[:]...), p.Payload...), nil
 }
 
 // Encode serialises the packet into a fresh buffer.
