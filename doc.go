@@ -109,11 +109,10 @@
 // collector. A pooled buffer must never be released twice or retained
 // past its release.
 //
-// The kernels under the codecs are tiered: word-wide XOR and row-blocked
-// multiply-accumulate (four parity rows per pass over each source
-// symbol) in GF(2^8), low/high-byte split product tables in GF(2^16),
-// with the byte-at-a-time reference kernels retained for equivalence
-// tests. Segmented Reed-Solomon objects encode blocks in parallel across
+// The kernels under the codecs: word-wide XOR and a fused matrix ×
+// symbol-vector multiply-accumulate in GF(2^8), low/high-byte split
+// product tables in GF(2^16), each tested against a scalar reference.
+// Segmented Reed-Solomon objects encode blocks in parallel across
 // GOMAXPROCS goroutines; a Reed-Solomon block missing e sources decodes
 // by solving only the e×e erased subsystem.
 //
@@ -365,21 +364,20 @@
 //
 // # Performance
 //
-// The hot paths are engineered end to end. GF(2^8) multiply-accumulate
-// runs on SIMD nibble-shuffle kernels (AVX2 on amd64, NEON on arm64)
-// with runtime dispatch down to portable fallbacks — build with -tags
-// purego to force the portable tier. Session encode resolves codecs
-// from a process-wide cache and lays each object out once, as
-// ready-to-send frames in one pooled slab (3 allocs per object); the
+// The hot paths are engineered end to end. The GF(2^8) kernels are
+// assembly chosen from CPUID at start-up (GFNI or AVX2 on amd64, NEON on
+// arm64) over a portable tier that -tags purego forces. Session encode
+// resolves codecs from a process-wide cache and lays each object out once,
+// as ready-to-send frames in one pooled slab (3 allocs per object); the
 // carousel sends views of those frames, the decoders place every payload
-// at its final offset in the object's slab, and receiver ingest
-// allocates nothing in steady state — see "Transport" for the copies a
-// payload byte still makes. Transmission schedules are
-// never materialised: sequential senders walk them through a batched
-// cursor whose draws beat iterating a pre-shuffled slice, at zero
-// allocations. `go run ./bench` measures the whole path end to end and
-// attributes the time to layers (bench/README.md), and the README's
-// Performance section explains the techniques.
+// at its final offset in the object's slab, and receiver ingest allocates
+// nothing in steady state — see "Transport" for the copies a payload byte
+// still makes. Transmission schedules are never materialised: sequential
+// senders walk them through a batched cursor whose draws beat iterating a
+// pre-shuffled slice, at zero allocations. `go run ./bench` measures the
+// whole path end to end and attributes the time to layers
+// (bench/README.md), and the README's Performance section explains the
+// techniques.
 //
 // # Quick start
 //

@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzGFKernels cross-checks the kernel tiers — the dispatch entry
-// points (SIMD on capable hardware, unrolled table otherwise), the
-// *Table byte-at-a-time kernels and the *Scalar log/exp references — on
-// fuzzer-chosen lengths, offsets and coefficients. The offsets slide the
-// slices inside a larger buffer so the vector kernels see every
-// load/store alignment, and lengths that are not multiples of the vector
-// width exercise the unaligned-tail split (SIMD body + table tail).
+// FuzzGFKernels cross-checks the dispatch entry points (assembly on
+// capable hardware, unrolled table otherwise) against the *Scalar
+// log/exp references on fuzzer-chosen lengths, offsets and coefficients.
+// The offsets slide the slices inside a larger buffer so the vector
+// kernels see every load/store alignment, and lengths that are not
+// multiples of the vector width exercise the unaligned-tail split (SIMD
+// body + table tail).
 func FuzzGFKernels(f *testing.F) {
 	f.Add(uint16(1024), uint8(0), uint8(0x53), []byte("seed material for the gf kernels"))
 	f.Add(uint16(33), uint8(7), uint8(2), []byte{1, 2, 3})
@@ -41,17 +41,12 @@ func FuzzGFKernels(f *testing.F) {
 			return buf[off:], append([]byte(nil), buf[off:]...)
 		}
 
-		// AddMul: dispatch vs table vs scalar.
+		// AddMul: dispatch vs scalar.
 		d, w := mkDst(0x22)
 		AddMul(d, src, c)
-		wTab := append([]byte(nil), w...)
-		AddMulTable(wTab, src, c)
 		AddMulScalar(w, src, c)
 		if !bytes.Equal(d, w) {
 			t.Fatalf("n=%d off=%d c=%#x: AddMul diverges from AddMulScalar", n, off, c)
-		}
-		if !bytes.Equal(wTab, w) {
-			t.Fatalf("n=%d off=%d c=%#x: AddMulTable diverges from AddMulScalar", n, off, c)
 		}
 
 		// AddMul4 with four related coefficients (covers degenerate rows
@@ -66,6 +61,35 @@ func FuzzGFKernels(f *testing.F) {
 		for r := 0; r < 4; r++ {
 			if !bytes.Equal(got4[r], want4[r]) {
 				t.Fatalf("n=%d off=%d cs=%v row=%d: AddMul4 diverges from AddMulScalar", n, off, cs, r)
+			}
+		}
+
+		// AddMulRows: 1..5 rows over three sources (src twice, so a
+		// shared source is covered), the middle one nil at odd offsets.
+		src2Buf := make([]byte, off+n)
+		fill(src2Buf, 0x55)
+		srcs := [][]byte{src, src2Buf[off:], src}
+		if off%2 == 1 {
+			srcs[1] = nil
+		}
+		rows := 1 + off%5
+		coef := make([]byte, rows*len(srcs))
+		for i := range coef {
+			coef[i] = Mul(c, byte(i+1)) ^ byte(i>>1)
+		}
+		gotR, wantR := make([][]byte, rows), make([][]byte, rows)
+		for r := range gotR {
+			gotR[r], wantR[r] = mkDst(0x66 + byte(r))
+			for j, s := range srcs {
+				if s != nil {
+					AddMulScalar(wantR[r], s, coef[r*len(srcs)+j])
+				}
+			}
+		}
+		AddMulRows(gotR, coef, srcs)
+		for r := range gotR {
+			if !bytes.Equal(gotR[r], wantR[r]) {
+				t.Fatalf("n=%d off=%d c=%#x rows=%d row=%d: AddMulRows diverges from AddMulScalar", n, off, c, rows, r)
 			}
 		}
 

@@ -6,24 +6,17 @@
 // Addition and subtraction are XOR; multiplication and division go through
 // logarithm/exponential tables built once at package initialisation.
 //
-// Beyond scalar arithmetic the package provides the fused slice operations
-// (AddMul, Mul, Xor) that dominate Reed-Solomon encode/decode time, so the
-// codec layers never loop over bytes themselves. The slice kernels come in
-// tiers (see Tier): the entry points (Xor, AddMul, MulSlice, and the
-// row-blocked AddMul2/AddMul4) dispatch to SIMD assembly — AVX2 on amd64,
-// NEON on arm64, both via the low/high nibble shuffle-table technique —
-// when the CPU supports it and the slice is long enough, falling back to
-// tuned pure-Go table kernels (word-wide XOR, bounds-check elimination,
-// unrolling, multiple destination rows per source pass). The *Table
-// variants are the previous byte-at-a-time full-table defaults, retained
-// for old-vs-new benchmarks; the *Scalar variants are the portable
-// log/exp reference implementations the other tiers are tested and
-// fuzzed against (FuzzGFKernels). AddMulNibble is the pure-Go
-// low/high-nibble split-table variant: it touches 32 bytes of table per
-// coefficient instead of 256, which pays off when coefficients churn too
-// fast for their table rows to stay cached; its split tables are also
-// exactly what the SIMD tier keeps in vector registers. Building with
-// `-tags purego` forces the pure-Go tiers everywhere.
+// Beyond scalar arithmetic the package provides the slice operations that
+// dominate codec time, so the codec layers never loop over bytes
+// themselves: Xor (every LDGM operation), AddMul/MulSlice (matrix
+// inversion) and AddMulRows, the fused coefficient-matrix × symbol-vector
+// product that is the whole of Reed-Solomon encode and decode. Each
+// dispatches, once at init from CPUID, to the best tier the process has
+// (see Tier and simd.go): GFNI or AVX2 assembly on amd64, NEON on arm64,
+// one tuned pure-Go table tier everywhere else and for short slices. The
+// *Scalar functions are the log/exp reference every tier is tested and
+// fuzzed against (FuzzGFKernels). Building with `-tags purego` forces the
+// pure-Go tier everywhere.
 package gf256
 
 import (
@@ -50,8 +43,8 @@ var (
 	// invTable[x] = x^-1 for x != 0.
 	invTable [Size]byte
 	// mulLow[c][x] = c*x and mulHigh[c][x] = c*(x<<4) for x in [0,16):
-	// the split tables behind AddMulNibble. Together they cover a
-	// coefficient in 32 bytes instead of mulTable's 256.
+	// the split tables the nibble-shuffle assembly keeps in vector
+	// registers (c*x = mulLow[c][x&0x0f] ^ mulHigh[c][x>>4]).
 	mulLow  [Size][16]byte
 	mulHigh [Size][16]byte
 )
@@ -234,26 +227,6 @@ func addMulUnrolled(dst, src []byte, c byte) {
 	}
 }
 
-// AddMulTable is the previous default kernel: byte-at-a-time through the
-// full 64 KiB product table. Kept for old-vs-new benchmarks (it is what
-// the codec layers ran before row blocking).
-func AddMulTable(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: AddMul length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		XorScalar(dst, src)
-	default:
-		mt := &mulTable[c]
-		for i, s := range src {
-			dst[i] ^= mt[s]
-		}
-	}
-}
-
 // AddMulScalar is the portable scalar reference: one log and one exp
 // lookup per byte and no product table — structurally the same kernel
 // GF(2^16) is stuck with. It is the ground truth the tuned kernels are
@@ -274,37 +247,12 @@ func AddMulScalar(dst, src []byte, c byte) {
 	}
 }
 
-// AddMulNibble is AddMul through the low/high-nibble split tables: two
-// 16-entry lookups per byte against mulTable's one, but only 32 bytes of
-// table per coefficient instead of 256 — the right trade when coefficients
-// change faster than their table rows can stay cached.
-func AddMulNibble(dst, src []byte, c byte) {
-	if len(dst) != len(src) {
-		panic("gf256: AddMul length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		Xor(dst, src)
-	default:
-		lo, hi := &mulLow[c], &mulHigh[c]
-		n := len(src)
-		dst = dst[:n]
-		for i, s := range src {
-			dst[i] ^= lo[s&0x0f] ^ hi[s>>4]
-		}
-	}
-}
-
-// AddMul2 performs two multiply-accumulates from one pass over src:
-// d0[i] ^= c0*src[i] and d1[i] ^= c1*src[i]. Sharing the source load and
-// loop overhead across rows is what the Reed-Solomon encoder leans on;
-// see AddMul4. All slices must have src's length; dst rows must not alias
-// src or each other.
-func AddMul2(d0, d1, src []byte, c0, c1 byte) {
+// addMul2 performs two multiply-accumulates from one pass over src:
+// d0[i] ^= c0*src[i] and d1[i] ^= c1*src[i]. All slices must have src's
+// length; dst rows must not alias src or each other.
+func addMul2(d0, d1, src []byte, c0, c1 byte) {
 	if len(d0) != len(src) || len(d1) != len(src) {
-		panic("gf256: AddMul2 length mismatch")
+		panic("gf256: addMul2 length mismatch")
 	}
 	if c0 == 0 || c0 == 1 || c1 == 0 || c1 == 1 {
 		// Degenerate coefficients are better served by the specialised
@@ -330,19 +278,19 @@ func AddMul2(d0, d1, src []byte, c0, c1 byte) {
 }
 
 // AddMul4 performs four multiply-accumulates from one pass over src: each
-// source byte is loaded once and feeds four products. It is the hot loop
-// of Reed-Solomon encode and decode alike (matrix.MulVec). Measured at
-// 1 KiB on a 2.1 GHz AVX2 host: ~45 GB/s of destination bytes on the SIMD
-// tier (~1.4x four AddMul passes, ~45x the scalar kernel) and ~3.3 GB/s
-// on the pure-Go tier (~1.4x the single-row table kernel). All slices
-// must have src's length; dst rows must not alias src or each other.
+// source byte is loaded once and feeds four products. It is the widest
+// step of AddMulRows on the tiers without a fused kernel (AVX2, NEON,
+// pure Go); every call still loads and stores its four destination rows,
+// which bounds it at ≈0.1 µs per 1 KiB source on AVX2 (gf256.addmul4_mb_s
+// in `go run ./bench -trace`: 8-12 GB/s of source). All slices must have
+// src's length; dst rows must not alias src or each other.
 func AddMul4(d0, d1, d2, d3, src []byte, c0, c1, c2, c3 byte) {
 	if len(d0) != len(src) || len(d1) != len(src) || len(d2) != len(src) || len(d3) != len(src) {
 		panic("gf256: AddMul4 length mismatch")
 	}
 	if c0 <= 1 || c1 <= 1 || c2 <= 1 || c3 <= 1 {
-		AddMul2(d0, d1, src, c0, c1)
-		AddMul2(d2, d3, src, c2, c3)
+		addMul2(d0, d1, src, c0, c1)
+		addMul2(d2, d3, src, c2, c3)
 		return
 	}
 	if simdEnabled && len(src) >= simdMinLen {
@@ -366,6 +314,81 @@ func addMul4Unrolled(d0, d1, d2, d3, src []byte, c0, c1, c2, c3 byte) {
 		d1[i] ^= m1[s]
 		d2[i] ^= m2[s]
 		d3[i] ^= m3[s]
+	}
+}
+
+// AddMulRows accumulates dst[r] ^= Σ_j coef[r·len(src)+j]·src[j]: a
+// row-major len(dst)×len(src) coefficient matrix times a vector of symbol
+// slices, which is all a Reed-Solomon encode or decode does to payload
+// bytes (matrix.MulVec). A nil src[j] drops column j from the sum. Every
+// dst row and every non-nil source must have the same length; dst rows
+// must not alias sources or each other, and sources are only read. With
+// GFNI the whole sum runs in one assembly pass per four rows that keeps
+// the rows' accumulators in registers across all sources; elsewhere it is
+// the AddMul4/addMul2/AddMul ladder, one call per source.
+func AddMulRows(dst [][]byte, coef []byte, src [][]byte) {
+	if len(coef) != len(dst)*len(src) {
+		panic("gf256: AddMulRows coefficient count mismatch")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	n := len(dst[0])
+	for _, d := range dst {
+		if len(d) != n {
+			panic("gf256: AddMulRows length mismatch")
+		}
+	}
+	for _, s := range src {
+		if s != nil && len(s) != n {
+			panic("gf256: AddMulRows length mismatch")
+		}
+	}
+	done := 0
+	if gfniEnabled && n >= gfniStrip && len(src) <= gfniMaxCols {
+		done = n &^ (gfniStrip - 1)
+		addMulRowsFused(dst, coef, src, done)
+	}
+	if done < n {
+		addMulRowsLadder(dst, coef, src, done)
+	}
+}
+
+// addMulRowsLadder is AddMulRows over bytes [from, n) of every slice, one
+// kernel call per (row group, source): four rows at a time, then two,
+// then one.
+func addMulRowsLadder(dst [][]byte, coef []byte, src [][]byte, from int) {
+	cols := len(src)
+	row := func(i int) ([]byte, []byte) { return dst[i][from:], coef[i*cols : (i+1)*cols] }
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		d0, r0 := row(i)
+		d1, r1 := row(i + 1)
+		d2, r2 := row(i + 2)
+		d3, r3 := row(i + 3)
+		for j, s := range src {
+			if s != nil {
+				AddMul4(d0, d1, d2, d3, s[from:], r0[j], r1[j], r2[j], r3[j])
+			}
+		}
+	}
+	if i+2 <= len(dst) {
+		d0, r0 := row(i)
+		d1, r1 := row(i + 1)
+		for j, s := range src {
+			if s != nil {
+				addMul2(d0, d1, s[from:], r0[j], r1[j])
+			}
+		}
+		i += 2
+	}
+	if i < len(dst) {
+		d, r := row(i)
+		for j, s := range src {
+			if s != nil {
+				AddMul(d, s[from:], r[j])
+			}
+		}
 	}
 }
 

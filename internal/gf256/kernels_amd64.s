@@ -1,14 +1,18 @@
 //go:build amd64 && !purego
 
-// AVX2 GF(2^8) slice kernels: low/high nibble shuffle tables (Plank et
-// al., FAST 2013). All loops require n to be a positive multiple of 32;
-// the Go wrappers split off the tail. Loads and stores are unaligned
-// (VMOVDQU), so the wrappers never need to align pooled buffers.
+// GF(2^8) slice kernels for amd64. The AVX2 routines use low/high nibble
+// shuffle tables (Plank et al., FAST 2013) and require n to be a positive
+// multiple of 32; the GFNI routine multiplies with VGF2P8AFFINEQB on ZMM
+// registers and requires a positive multiple of 128. The Go wrappers split
+// off the tail. Loads and stores are unaligned, so the wrappers never need
+// to align pooled buffers.
 
 #include "textflag.h"
 
-// func cpuHasAVX2() bool
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+// func cpuFeatures() (avx2, gfni bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, gfni+1(FP)
 	// CPUID.1: ECX bit 27 = OSXSAVE, bit 28 = AVX.
 	MOVL $1, AX
 	XORL CX, CX
@@ -16,23 +20,34 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL CX, BX
 	ANDL $(1<<27 | 1<<28), BX
 	CMPL BX, $(1<<27 | 1<<28)
-	JNE  no
+	JNE  done
 	// XCR0 bits 1,2: OS saves XMM and YMM state.
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R8
 	ANDL $6, AX
 	CMPL AX, $6
-	JNE  no
-	// CPUID.7.0: EBX bit 5 = AVX2.
+	JNE  done
+	// CPUID.7.0: EBX bit 5 = AVX2, bit 16 = AVX512F; ECX bit 8 = GFNI.
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-	RET
-no:
-	MOVB $0, ret+0(FP)
+	MOVL BX, AX
+	SHRL $5, AX
+	ANDL $1, AX
+	MOVB AX, avx2+0(FP)
+	// The GFNI kernel is EVEX-encoded ZMM code next to the AVX2 kernels:
+	// it needs all three flags and XCR0 bits 5-7 (OS saves opmask and ZMM
+	// state).
+	ANDL $0xe0, R8
+	CMPL R8, $0xe0
+	JNE  done
+	SHRL $16, BX
+	SHRL $8, CX
+	ANDL BX, CX
+	ANDL AX, CX
+	MOVB CX, gfni+1(FP)
+done:
 	RET
 
 // func addMulAVX2(dst, src *byte, n int, lo, hi *[16]byte)
@@ -186,5 +201,94 @@ tailloop:
 	SUBQ    $32, CX
 	JNZ     tailloop
 done:
+	VZEROUPPER
+	RET
+
+// func addMulRowsGFNI(dst *[4]*byte, rows int, src **byte, mats *[4]uint64, cols, n int)
+// dst[r][i] ^= Σ_j mats[j][r]·src[j][i] for r in [0,rows), j in [0,cols),
+// i in [0,n): rows in 1..4, cols > 0, n a positive multiple of 128. mats
+// holds, per source, the four rows' 8×8 bit matrices (gfniMat). All four
+// products are always computed; only the first `rows` are stored, so the
+// spare rows' dst pointers are never touched and their matrices may hold
+// anything. The walk is strip-major: the 128-byte strip of all four rows
+// lives in Z0-Z7 across the whole source loop, so each destination byte is
+// loaded and stored once per call instead of once per source.
+TEXT ·addMulRowsGFNI(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), AX
+	MOVQ (AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	MOVQ rows+8(FP), R12
+	MOVQ src+16(FP), SI
+	MOVQ mats+24(FP), DI
+	MOVQ cols+32(FP), CX
+	MOVQ n+40(FP), DX
+	XORQ BX, BX                    // strip offset
+strip:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	XORQ AX, AX                    // source index
+	MOVQ DI, R13                   // this source's four matrices
+source:
+	MOVQ      (SI)(AX*8), R14
+	VMOVDQU64 (R14)(BX*1), Z8
+	VMOVDQU64 64(R14)(BX*1), Z9
+	VPBROADCASTQ   (R13), Z10
+	VPBROADCASTQ   8(R13), Z11
+	VGF2P8AFFINEQB $0, Z10, Z8, Z12
+	VGF2P8AFFINEQB $0, Z10, Z9, Z13
+	VGF2P8AFFINEQB $0, Z11, Z8, Z14
+	VGF2P8AFFINEQB $0, Z11, Z9, Z15
+	VPXORQ    Z12, Z0, Z0
+	VPXORQ    Z13, Z1, Z1
+	VPXORQ    Z14, Z2, Z2
+	VPXORQ    Z15, Z3, Z3
+	VPBROADCASTQ   16(R13), Z10
+	VPBROADCASTQ   24(R13), Z11
+	VGF2P8AFFINEQB $0, Z10, Z8, Z12
+	VGF2P8AFFINEQB $0, Z10, Z9, Z13
+	VGF2P8AFFINEQB $0, Z11, Z8, Z14
+	VGF2P8AFFINEQB $0, Z11, Z9, Z15
+	VPXORQ    Z12, Z4, Z4
+	VPXORQ    Z13, Z5, Z5
+	VPXORQ    Z14, Z6, Z6
+	VPXORQ    Z15, Z7, Z7
+	ADDQ      $32, R13
+	INCQ      AX
+	CMPQ      AX, CX
+	JB        source
+	VPXORQ    (R8)(BX*1), Z0, Z0
+	VPXORQ    64(R8)(BX*1), Z1, Z1
+	VMOVDQU64 Z0, (R8)(BX*1)
+	VMOVDQU64 Z1, 64(R8)(BX*1)
+	CMPQ      R12, $2
+	JB        next
+	VPXORQ    (R9)(BX*1), Z2, Z2
+	VPXORQ    64(R9)(BX*1), Z3, Z3
+	VMOVDQU64 Z2, (R9)(BX*1)
+	VMOVDQU64 Z3, 64(R9)(BX*1)
+	CMPQ      R12, $3
+	JB        next
+	VPXORQ    (R10)(BX*1), Z4, Z4
+	VPXORQ    64(R10)(BX*1), Z5, Z5
+	VMOVDQU64 Z4, (R10)(BX*1)
+	VMOVDQU64 Z5, 64(R10)(BX*1)
+	CMPQ      R12, $4
+	JB        next
+	VPXORQ    (R11)(BX*1), Z6, Z6
+	VPXORQ    64(R11)(BX*1), Z7, Z7
+	VMOVDQU64 Z6, (R11)(BX*1)
+	VMOVDQU64 Z7, 64(R11)(BX*1)
+next:
+	ADDQ $128, BX
+	CMPQ BX, DX
+	JB   strip
 	VZEROUPPER
 	RET

@@ -42,20 +42,15 @@ func TestAddMulVariantsMatchScalar(t *testing.T) {
 			src := randSlice(rng, n)
 			want := randSlice(rng, n)
 			fast := append([]byte(nil), want...)
-			tab := append([]byte(nil), want...)
-			nib := append([]byte(nil), want...)
+			unrolled := append([]byte(nil), want...)
 			AddMulScalar(want, src, c)
 			AddMul(fast, src, c)
-			AddMulTable(tab, src, c)
-			AddMulNibble(nib, src, c)
+			addMulUnrolled(unrolled, src, c)
 			if !bytes.Equal(fast, want) {
 				t.Fatalf("len %d c %#x: AddMul diverges from AddMulScalar", n, c)
 			}
-			if !bytes.Equal(tab, want) {
-				t.Fatalf("len %d c %#x: AddMulTable diverges from AddMulScalar", n, c)
-			}
-			if !bytes.Equal(nib, want) {
-				t.Fatalf("len %d c %#x: AddMulNibble diverges from AddMulScalar", n, c)
+			if !bytes.Equal(unrolled, want) {
+				t.Fatalf("len %d c %#x: addMulUnrolled diverges from AddMulScalar", n, c)
 			}
 		}
 	}
@@ -89,9 +84,9 @@ func TestAddMulRowBlocked(t *testing.T) {
 				g1 := append([]byte(nil), w1...)
 				AddMulScalar(w0, src, c0)
 				AddMulScalar(w1, src, c1)
-				AddMul2(g0, g1, src, c0, c1)
+				addMul2(g0, g1, src, c0, c1)
 				if !bytes.Equal(g0, w0) || !bytes.Equal(g1, w1) {
-					t.Fatalf("len %d c0 %#x c1 %#x: AddMul2 diverges", n, c0, c1)
+					t.Fatalf("len %d c0 %#x c1 %#x: addMul2 diverges", n, c0, c1)
 				}
 			}
 		}
@@ -117,11 +112,19 @@ func TestAddMulRowBlocked(t *testing.T) {
 
 func TestRowBlockedLengthMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"AddMul2": func() { AddMul2(make([]byte, 3), make([]byte, 4), make([]byte, 4), 2, 3) },
+		"addMul2": func() { addMul2(make([]byte, 3), make([]byte, 4), make([]byte, 4), 2, 3) },
 		"AddMul4": func() {
 			AddMul4(make([]byte, 4), make([]byte, 4), make([]byte, 3), make([]byte, 4), make([]byte, 4), 2, 3, 4, 5)
 		},
-		"AddMulNibble":   func() { AddMulNibble(make([]byte, 3), make([]byte, 4), 2) },
+		"AddMulRows short dst row": func() {
+			AddMulRows([][]byte{make([]byte, 64), make([]byte, 63)}, []byte{2, 3}, [][]byte{make([]byte, 64)})
+		},
+		"AddMulRows short source": func() {
+			AddMulRows([][]byte{make([]byte, 64)}, []byte{2, 3}, [][]byte{make([]byte, 64), make([]byte, 32)})
+		},
+		"AddMulRows coefficient count": func() {
+			AddMulRows([][]byte{make([]byte, 64), make([]byte, 64)}, []byte{2, 3, 4}, [][]byte{make([]byte, 64), make([]byte, 64)})
+		},
 		"AddMulScalar":   func() { AddMulScalar(make([]byte, 3), make([]byte, 4), 2) },
 		"MulSliceScalar": func() { MulSliceScalar(make([]byte, 3), make([]byte, 4), 2) },
 		"XorScalar":      func() { XorScalar(make([]byte, 3), make([]byte, 4)) },
@@ -143,34 +146,34 @@ func TestKernelTier(t *testing.T) {
 }
 
 // TestVectorKernelsAreVEXOnly guards against the SSE/AVX transition
-// stall: inside a routine that writes YMM registers, one legacy-SSE
+// stall: inside a routine that writes YMM or ZMM registers, one legacy-SSE
 // instruction (say MOVQ AX, X2 where VMOVQ was meant) makes the CPU save
 // and restore the upper register halves, ~130 ns on every call — more
 // than a 1 KiB AddMul takes. No test of results can see that, so the
 // source is checked instead: in every TEXT block of kernels_amd64.s that
-// names a Y register, each instruction with an X or Y operand must be
-// VEX-encoded, i.e. carry the V prefix.
+// names a Y or Z register, each instruction with a vector operand must be
+// VEX- or EVEX-encoded, i.e. carry the V prefix.
 func TestVectorKernelsAreVEXOnly(t *testing.T) {
 	asm, err := os.ReadFile("kernels_amd64.s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecReg := regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
-	ymmReg := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+	vecReg := regexp.MustCompile(`\b[XYZ]([12]?[0-9]|3[01])\b`)
+	wideReg := regexp.MustCompile(`\b[YZ]([12]?[0-9]|3[01])\b`)
 	var (
-		name    string   // current TEXT block
-		usesYMM bool     // ... names a Y register
-		legacy  []string // ... and these are its non-VEX vector instructions
-		kernels int
+		name     string   // current TEXT block
+		usesWide bool     // ... names a Y or Z register
+		legacy   []string // ... and these are its non-VEX vector instructions
+		kernels  int
 	)
 	flush := func() {
-		if usesYMM {
+		if usesWide {
 			kernels++
 			for _, msg := range legacy {
 				t.Error(msg)
 			}
 		}
-		usesYMM, legacy = false, nil
+		usesWide, legacy = false, nil
 	}
 	for i, line := range strings.Split(string(asm), "\n") {
 		code, _, _ := strings.Cut(line, "//")
@@ -184,8 +187,8 @@ func TestVectorKernelsAreVEXOnly(t *testing.T) {
 			continue
 		}
 		operands := strings.Join(fields[1:], " ")
-		if ymmReg.MatchString(operands) {
-			usesYMM = true
+		if wideReg.MatchString(operands) {
+			usesWide = true
 		}
 		if vecReg.MatchString(operands) && !strings.HasPrefix(fields[0], "V") {
 			legacy = append(legacy, fmt.Sprintf("kernels_amd64.s:%d: %s mixes legacy-SSE %q into AVX code (use the V-prefixed form)",
@@ -193,15 +196,15 @@ func TestVectorKernelsAreVEXOnly(t *testing.T) {
 		}
 	}
 	flush()
-	if kernels != 3 {
-		t.Fatalf("found %d YMM kernels in kernels_amd64.s, want 3 (addMul, addMul4, xor): the parser lost track of the file", kernels)
+	if kernels != 4 {
+		t.Fatalf("found %d YMM/ZMM kernels in kernels_amd64.s, want 4 (addMul, addMul4, xor, addMulRowsGFNI): the parser lost track of the file", kernels)
 	}
 }
 
 // Per-tier kernel benchmarks: the unsuffixed benchmarks measure the
 // dispatch entry points (the SIMD tier where the CPU has one), *Unrolled
-// the tuned pure-Go table kernels the dispatch falls back to, *Table the
-// previous byte-at-a-time defaults, and *Scalar the log/exp references.
+// the tuned pure-Go table kernels the dispatch falls back to, and *Scalar
+// the log/exp references.
 // The *64 rows run 64-byte slices, where the fixed per-call cost (table
 // broadcasts, VZEROUPPER, dispatch) shows next to the 1 KiB rows.
 
@@ -226,22 +229,6 @@ func BenchmarkAddMulKernelScalar(b *testing.B) {
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {
 		AddMulScalar(dst, src, 0x53)
-	}
-}
-
-func BenchmarkAddMulKernelTable(b *testing.B) {
-	dst, src := benchPair(1024)
-	b.SetBytes(1024)
-	for i := 0; i < b.N; i++ {
-		AddMulTable(dst, src, 0x53)
-	}
-}
-
-func BenchmarkAddMulKernelNibble(b *testing.B) {
-	dst, src := benchPair(1024)
-	b.SetBytes(1024)
-	for i := 0; i < b.N; i++ {
-		AddMulNibble(dst, src, 0x53)
 	}
 }
 

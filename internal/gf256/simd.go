@@ -1,20 +1,26 @@
 package gf256
 
-// Kernel tier selection. The slice kernels (AddMul, AddMul2, AddMul4,
-// Xor) dispatch between three tiers:
+// Kernel tier selection. The slice kernels dispatch, once at init, to the
+// best of these tiers (Tier names the one in use):
 //
-//   - the SIMD tier: architecture-specific assembly using the low/high
-//     nibble shuffle-table technique (Plank et al., "Screaming Fast
-//     Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013)
-//     — AVX2 on amd64 (selected at init via CPUID), NEON on arm64;
-//   - the table tier: the tuned pure-Go full-table kernels, used for
-//     short slices, CPUs without the required vector extensions, other
-//     architectures, and `-tags purego` builds;
-//   - the scalar tier: the portable log/exp reference loops (*Scalar),
-//     the ground truth the other tiers are tested and fuzzed against.
+//   - gfni: amd64 with GFNI and AVX512F (CPUID, plus XGETBV for ZMM
+//     state). AddMulRows runs as one assembly pass per four rows that
+//     multiplies with VGF2P8AFFINEQB and holds the rows' 128-byte strips
+//     in registers across all sources; everything else uses the avx2
+//     kernels.
+//   - avx2 (amd64) / neon (arm64): assembly using the low/high nibble
+//     shuffle-table technique (Plank et al., "Screaming Fast Galois Field
+//     Arithmetic Using Intel SIMD Instructions", FAST 2013), one call per
+//     source symbol.
+//   - portable: the tuned pure-Go full-table kernels — short slices,
+//     sub-vector tails, CPUs without the extensions, other architectures,
+//     and `-tags purego` builds.
 //
-// Building with `-tags purego` removes the SIMD tier entirely, which is
-// how CI keeps the fallback path green and how a suspect vector kernel
+// The *Scalar log/exp loops are not a dispatch tier: they are the oracle
+// the tiers are tested and fuzzed against.
+//
+// Building with `-tags purego` removes the assembly entirely, which is
+// how CI keeps the portable path green and how a suspect vector kernel
 // can be ruled out in the field.
 
 // simdMinLen is the slice length below which dispatch skips the SIMD
@@ -26,11 +32,24 @@ package gf256
 // them).
 const simdMinLen = 32
 
-// Tier names the kernel tier the multiply-accumulate dispatch selects
-// for long slices on this process: "avx2", "neon", or "table".
+const (
+	// gfniStrip is the width of the fused kernel's step: 128 bytes of
+	// each of four rows fill eight ZMM accumulators.
+	gfniStrip = 128
+	// gfniMaxCols bounds the per-call pointer and matrix scratch (10 KiB
+	// of stack). GF(2^8) Reed-Solomon never has more columns; a wider
+	// product takes the ladder.
+	gfniMaxCols = 256
+)
+
+// Tier names the kernel tier the dispatch selected for this process:
+// "gfni", "avx2", "neon" or "portable".
 func Tier() string {
-	if simdEnabled {
+	switch {
+	case gfniEnabled:
+		return "gfni"
+	case simdEnabled:
 		return simdTierName
 	}
-	return "table"
+	return "portable"
 }

@@ -8,16 +8,19 @@ package gf256
 // lookups per instruction, so one loop iteration multiplies 32 source
 // bytes against a coefficient with two shuffles and three XORs — the
 // technique of Plank et al. (FAST 2013) used by klauspost/reedsolomon.
+// The GFNI kernel under AddMulRows is at the end of the file.
 
-// simdEnabled gates the SIMD tier: the nibble tables need AVX2, and the
-// OS must have enabled YMM state.
-var simdEnabled = cpuHasAVX2()
+// simdEnabled gates the nibble-shuffle kernels (AVX2, with the OS saving
+// YMM state); gfniEnabled gates the fused AddMulRows kernel (GFNI and
+// AVX512F on top, with the OS saving ZMM state).
+var simdEnabled, gfniEnabled = cpuFeatures()
 
 const simdTierName = "avx2"
 
-// cpuHasAVX2 reports AVX2 support: CPU flags (AVX, AVX2, OSXSAVE) plus
-// XGETBV confirming the OS saves XMM/YMM state.
-func cpuHasAVX2() bool
+// cpuFeatures reports what the two assembly tiers need: CPU flags (AVX,
+// OSXSAVE, AVX2; GFNI, AVX512F) plus XGETBV confirming the OS saves the
+// vector state they use. gfni implies avx2.
+func cpuFeatures() (avx2, gfni bool)
 
 //go:noescape
 func addMulAVX2(dst, src *byte, n int, lo, hi *[16]byte)
@@ -64,5 +67,75 @@ func xorSIMD(dst, src []byte) {
 	xorAVX2(&dst[0], &src[0], n)
 	if n < len(dst) {
 		xorWords(dst[n:], src[n:])
+	}
+}
+
+// gfniMat[c] is multiplication by c as the 8×8 bit matrix VGF2P8AFFINEQB
+// applies to every byte: output bit i is the parity of matrix byte 7-i
+// ANDed with the input byte, so bit k of that byte says whether c·x^k has
+// bit i set. Zero and one come out as the zero and identity matrices, so
+// the kernel has no special coefficients.
+var gfniMat [Size]uint64
+
+func init() {
+	for c := range gfniMat {
+		v := c // c·x^k
+		for k := 0; k < 8; k++ {
+			for i := 0; i < 8; i++ {
+				if v>>i&1 != 0 {
+					gfniMat[c] |= 1 << (8*(7-i) + k)
+				}
+			}
+			if v <<= 1; v&0x100 != 0 {
+				v ^= Poly
+			}
+		}
+	}
+}
+
+//go:noescape
+func addMulRowsGFNI(dst *[4]*byte, rows int, src **byte, mats *[4]uint64, cols, n int)
+
+// addMulRowsFused is AddMulRows over the first n bytes of every slice, n
+// a positive multiple of gfniStrip: it gathers the non-nil sources'
+// addresses once and each four-row group's bit matrices per group, on
+// the stack, and makes one assembly call per group. A last group of one
+// to three rows runs the same body with its last row repeated: the
+// kernel computes the spare products and never stores them. Callers have
+// checked every length and that len(src) <= gfniMaxCols.
+func addMulRowsFused(dst [][]byte, coef []byte, src [][]byte, n int) {
+	var (
+		ptrs [gfniMaxCols]*byte
+		mats [gfniMaxCols][4]uint64
+	)
+	cols := 0
+	for _, s := range src {
+		if s != nil {
+			ptrs[cols] = &s[0]
+			cols++
+		}
+	}
+	if cols == 0 {
+		return
+	}
+	for i := 0; i < len(dst); i += 4 {
+		var d [4]*byte
+		rows := min(4, len(dst)-i)
+		for r := 0; r < rows; r++ {
+			d[r] = &dst[i+r][0]
+		}
+		row := func(r int) []byte { return coef[(i+min(r, rows-1))*len(src):][:len(src)] }
+		r0, r1, r2, r3 := row(0), row(1), row(2), row(3)
+		// Source-major: one pass over src fills each source's four
+		// matrices. Row by row, four passes, cost twice as much (≈10 µs
+		// of a 60 µs 64×128 product over 1 KiB symbols).
+		m := 0
+		for j, s := range src {
+			if s != nil {
+				mats[m] = [4]uint64{gfniMat[r0[j]], gfniMat[r1[j]], gfniMat[r2[j]], gfniMat[r3[j]]}
+				m++
+			}
+		}
+		addMulRowsGFNI(&d, rows, &ptrs[0], &mats[0], cols, n)
 	}
 }

@@ -135,42 +135,13 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 // Every non-nil slice must have the same length. A nil src[j] drops
 // column j from the sum: that is how the Reed-Solomon decoder multiplies
 // by the received-source columns only. Callers that want the plain
-// product pass zeroed dst (symbol.Get buffers are). The hot loop is
-// row-blocked (gf256.AddMul4): each source symbol is read once per group
-// of four output rows, which is what makes the Reed-Solomon payload
-// paths fast.
+// product pass zeroed dst. The whole product is one gf256.AddMulRows
+// call, which is what makes the Reed-Solomon payload paths fast.
 func (m *Matrix) MulVec(dst, src [][]byte) {
 	if len(src) != m.cols || len(dst) != m.rows {
 		panic("matrix: MulVec dimension mismatch")
 	}
-	i := 0
-	for ; i+4 <= m.rows; i += 4 {
-		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
-		d0, d1, d2, d3 := dst[i], dst[i+1], dst[i+2], dst[i+3]
-		for j, s := range src {
-			if s != nil {
-				gf256.AddMul4(d0, d1, d2, d3, s, r0[j], r1[j], r2[j], r3[j])
-			}
-		}
-	}
-	if i+2 <= m.rows {
-		r0, r1 := m.Row(i), m.Row(i+1)
-		d0, d1 := dst[i], dst[i+1]
-		for j, s := range src {
-			if s != nil {
-				gf256.AddMul2(d0, d1, s, r0[j], r1[j])
-			}
-		}
-		i += 2
-	}
-	if i < m.rows {
-		row, d := m.Row(i), dst[i]
-		for j, s := range src {
-			if s != nil {
-				gf256.AddMul(d, s, row[j])
-			}
-		}
-	}
+	gf256.AddMulRows(dst, m.data, src)
 }
 
 // Inverse returns m^-1 computed by Gauss-Jordan elimination with partial

@@ -153,46 +153,52 @@ func TestAnySquareVandermondeSubmatrixInvertible(t *testing.T) {
 	}
 }
 
-// TestMulVecMatchesMul checks MulVec against Mul over 7 rows (one group
-// of four, one of two, one single) in both of its uses: the plain product
-// into zeroed dst, and accumulation on top of existing dst contents with
-// a nil src entry, which must act as a zero column.
+// TestMulVecMatchesMul checks MulVec against Mul in both of its uses: the
+// plain product into zeroed dst, and accumulation on top of existing dst
+// contents with a nil src entry, which must act as a zero column. The
+// shapes cover short symbols (the per-source kernels: one group of four
+// rows, one of two, one single) and, at 200 bytes, a whole strip of the
+// fused kernel plus a tail, with 1, 2, 3 and 4+3 rows so every
+// row-remainder of its four-row grouping is hit.
 func TestMulVecMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const rows, cols, symLen = 7, 6, 9
-	m := New(rows, cols)
-	rng.Read(m.data)
-	col := New(cols, symLen)
-	rng.Read(col.data)
-	src := make([][]byte, cols)
-	for j := range src {
-		src[j] = col.Row(j)
-	}
-	dst := make([][]byte, rows)
-	for i := range dst {
-		dst[i] = make([]byte, symLen)
-	}
-	check := func(what string, want *Matrix) {
-		t.Helper()
-		for i := 0; i < rows; i++ {
-			if !bytes.Equal(dst[i], want.Row(i)) {
-				t.Fatalf("%s: MulVec row %d = %v, want %v", what, i, dst[i], want.Row(i))
+	for _, shape := range []struct{ rows, symLen int }{{7, 9}, {1, 200}, {2, 200}, {3, 200}, {7, 200}} {
+		const cols = 6
+		rows, symLen := shape.rows, shape.symLen
+		m := New(rows, cols)
+		rng.Read(m.data)
+		col := New(cols, symLen)
+		rng.Read(col.data)
+		src := make([][]byte, cols)
+		for j := range src {
+			src[j] = col.Row(j)
+		}
+		dst := make([][]byte, rows)
+		for i := range dst {
+			dst[i] = make([]byte, symLen)
+		}
+		check := func(what string, want *Matrix) {
+			t.Helper()
+			for i := 0; i < rows; i++ {
+				if !bytes.Equal(dst[i], want.Row(i)) {
+					t.Fatalf("%dx%d over %d bytes, %s: MulVec row %d = %v, want %v", rows, cols, symLen, what, i, dst[i], want.Row(i))
+				}
 			}
 		}
-	}
-	m.MulVec(dst, src)
-	product := m.Mul(col)
-	check("product", product)
+		m.MulVec(dst, src)
+		product := m.Mul(col)
+		check("product", product)
 
-	// Second pass with column 2 dropped: dst ends as product ^ partial.
-	src[2] = nil
-	clear(col.Row(2))
-	partial := m.Mul(col)
-	for i := range partial.data {
-		partial.data[i] ^= product.data[i]
+		// Second pass with column 2 dropped: dst ends as product ^ partial.
+		src[2] = nil
+		clear(col.Row(2))
+		partial := m.Mul(col)
+		for i := range partial.data {
+			partial.data[i] ^= product.data[i]
+		}
+		m.MulVec(dst, src)
+		check("accumulate with a nil column", partial)
 	}
-	m.MulVec(dst, src)
-	check("accumulate with a nil column", partial)
 }
 
 func TestMulDimensionMismatchPanics(t *testing.T) {

@@ -1,9 +1,9 @@
 package rse
 
-// Old-vs-new encode tiers for the acceptance benchmark (k=32, 1 KiB
-// symbols): the new row-blocked pooled path against the byte-at-a-time
-// kernels it replaced. The end-to-end figures live in `go run ./bench`
-// (codes.encode_mb_s, codes.decode_mb_s); these rows isolate the tiers.
+// Encode and decode at k=32, 1 KiB symbols: the codec's path (pooled
+// parity, gf256.AddMulRows) against the scalar reference kernel. The
+// end-to-end figures live in `go run ./bench` (codes.encode_mb_s,
+// codes.decode_mb_s); these rows isolate the codec.
 
 import (
 	"math/rand"
@@ -38,8 +38,8 @@ func codecFixture(b testing.TB, k int) (*Code, [][]byte) {
 	return c, src
 }
 
-// BenchmarkCodecEncodeK32 is the new path: pooled parity buffers and the
-// four-row-blocked AddMul4 kernel.
+// BenchmarkCodecEncodeK32 is the codec's path: pooled parity buffers and
+// the dispatched AddMulRows kernel.
 func BenchmarkCodecEncodeK32(b *testing.B) {
 	c, src := benchSource(b)
 	b.SetBytes(benchK * benchSymLen)
@@ -54,46 +54,23 @@ func BenchmarkCodecEncodeK32(b *testing.B) {
 	}
 }
 
-// oldEncode replicates the pre-codec-layer encode: freshly allocated
-// parity and one kernel pass per (row, source) pair.
-func oldEncode(c *Code, src [][]byte, kern func(dst, s []byte, coef byte)) [][]byte {
-	parity := make([][]byte, 0, c.layout.N-c.layout.K)
-	for _, bd := range c.blocks {
-		g := c.generator(bd.kb, bd.nb)
-		bsrc := src[bd.srcOff : bd.srcOff+bd.kb]
-		for r := 0; r < bd.nb-bd.kb; r++ {
-			d := make([]byte, benchSymLen)
-			row := g.Row(r)
-			for j, s := range bsrc {
-				kern(d, s, row[j])
-			}
-			parity = append(parity, d)
-		}
-	}
-	return parity
-}
-
-// BenchmarkCodecEncodeK32Table is the previous default: the full-table
-// byte-at-a-time kernel.
-func BenchmarkCodecEncodeK32Table(b *testing.B) {
-	c, src := benchSource(b)
-	b.SetBytes(benchK * benchSymLen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		oldEncode(c, src, gf256.AddMulTable)
-	}
-}
-
-// BenchmarkCodecEncodeK32Scalar is the portable scalar reference:
-// log/exp per byte, no product table.
+// BenchmarkCodecEncodeK32Scalar is the portable scalar reference: one
+// log/exp kernel pass (no product table) per (row, source) pair.
 func BenchmarkCodecEncodeK32Scalar(b *testing.B) {
 	c, src := benchSource(b)
 	b.SetBytes(benchK * benchSymLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		oldEncode(c, src, gf256.AddMulScalar)
+		for _, bd := range c.blocks {
+			g := c.generator(bd.kb, bd.nb)
+			for r := 0; r < bd.nb-bd.kb; r++ {
+				d := make([]byte, benchSymLen)
+				for j, s := range src[bd.srcOff : bd.srcOff+bd.kb] {
+					gf256.AddMulScalar(d, s, g.At(r, j))
+				}
+			}
+		}
 	}
 }
 

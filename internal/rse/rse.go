@@ -293,9 +293,7 @@ func (c *Code) EncodeBlock(bi int, src [][]byte) ([][]byte, error) {
 }
 
 // encodeBlockInto overwrites parity (nb-kb slices) with the block's parity
-// symbols via the row-blocked matrix.MulVec kernel: four parity rows
-// advance per pass over each source symbol, so every source byte is
-// loaded once and feeds four multiply-accumulates.
+// symbols: the generator times the source vector, one matrix.MulVec.
 func (c *Code) encodeBlockInto(bd blockDef, src [][]byte, parity [][]byte) {
 	if bd.nb == bd.kb {
 		// Ratio 1 leaves a block with no parity; there is no generator

@@ -145,11 +145,13 @@ func (c *Collector) Run(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Whatever the outcome, nothing will be written any more: return the
-	// slabs of chunks still waiting for a predecessor.
+	// slabs of chunks still waiting for a predecessor, and of objects the
+	// daemon had only partly received.
 	for i, chunk := range c.pending {
 		chunk.Release()
 		delete(c.pending, i)
 	}
+	c.daemon.forgetInFlight()
 	switch {
 	case c.err != nil:
 		return c.err

@@ -435,6 +435,20 @@ func (d *ReceiverDaemon) evictOldestLocked() {
 	d.objectsEvicted.Add(1)
 }
 
+// forgetInFlight drops every partly reassembled object and returns its
+// slabs to the symbol pool: for an owner that is done with the daemon once
+// Run has returned (a standalone daemon keeps its partial objects, so a
+// second Run can finish them).
+func (d *ReceiverDaemon) forgetInFlight() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, id := range d.rx.InFlight() {
+		d.rx.Forget(id)
+	}
+	d.lru.Init()
+	clear(d.lruIndex)
+}
+
 // Object returns a decoded object's bytes, if still retained.
 func (d *ReceiverDaemon) Object(id uint32) ([]byte, bool) {
 	d.mu.Lock()

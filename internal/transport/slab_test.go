@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"hash"
+	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -90,6 +91,53 @@ func TestCastCollectSlowSinkReturnsEverySlab(t *testing.T) {
 	}
 	if live := symbol.PoolStats().Live - start; live != 0 {
 		t.Fatalf("%d pool buffers still checked out after the cast", live)
+	}
+}
+
+// TestCollectorCancelMidChunkReturnsEverySlab: a collector whose Run ends
+// while a chunk is half received — cancelled here; a writer error or a
+// completed train with a straggler in flight leave by the same path —
+// must hand back the slabs of the daemon's partial objects too.
+func TestCollectorCancelMidChunkReturnsEverySlab(t *testing.T) {
+	start := symbol.PoolStats().Live
+	hub := NewLoopback()
+	defer hub.Close()
+	col := NewCollector(hub.Receiver(nil, 1<<16), io.Discard, CollectorConfig{BaseObjectID: 40})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- col.Run(ctx) }()
+
+	// Every other datagram of chunk 0: half its sources and half its
+	// parity are buffered, and 3/4·k symbols decode nothing.
+	obj := encodeTestObject(t, testFile(t, 64<<10, 7), 41, wire.CodeRSE, 1.5, 1024)
+	tx := hub.Sender()
+	sent := uint64(0)
+	for id := 0; id < obj.N(); id += 2 {
+		frame, err := obj.Frame(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+	}
+	obj.Close()
+	for deadline := time.Now().Add(10 * time.Second); col.Stats().PacketsIngested < sent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("collector ingested %d of %d datagrams", col.Stats().PacketsIngested, sent)
+		}
+	}
+	if held := symbol.PoolStats().Live - start; held <= 0 {
+		t.Fatalf("%d pool buffers held mid-chunk: the test did not build partial state", held)
+	}
+	cancel()
+	if err := <-done; err != context.Canceled {
+		t.Fatalf("collector.Run = %v, want context.Canceled", err)
+	}
+	if live := symbol.PoolStats().Live - start; live != 0 {
+		t.Fatalf("%d pool buffers still checked out after a cancelled collect", live)
 	}
 }
 
