@@ -129,35 +129,31 @@ func TestRunFleetFacade(t *testing.T) {
 }
 
 func TestMeasureWorkersDeterministic(t *testing.T) {
-	c, _ := NewCode("ldgm-staircase", 150, 2.5, 1)
-	m := Measurement{Code: c, Scheduler: TxModel4(), P: 0.1, Q: 0.5, Trials: 24, Seed: 6}
-	seq, err := Measure(m)
+	point := WithSpec("codec=ldgm-staircase(k=150,ratio=2.5,seed=1),sched=tx4,channel=gilbert(p=0.1,q=0.5),trials=24,seed=6")
+	seq, err := Simulate(point)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Workers = 6
-	par, err := Measure(m)
+	par, err := Simulate(point, WithWorkers(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq != par {
-		t.Fatalf("parallel Measure differs: %+v vs %+v", par, seq)
+		t.Fatalf("parallel Simulate differs: %+v vs %+v", par, seq)
 	}
 }
 
 func TestMeasureValidation(t *testing.T) {
-	if _, err := Measure(Measurement{}); err == nil {
-		t.Fatal("Measure accepted empty measurement")
+	if _, err := Simulate(); err == nil {
+		t.Fatal("Simulate accepted an empty configuration")
 	}
-	c, _ := NewCode("ldgm-staircase", 100, 2.5, 1)
-	if _, err := Measure(Measurement{Code: c, Scheduler: TxModel2(), P: 2, Q: 0}); err == nil {
-		t.Fatal("Measure accepted p=2")
+	if _, err := Simulate(WithSpec("codec=ldgm-staircase(k=100,ratio=2.5,seed=1),sched=tx2,channel=gilbert(p=2,q=0)")); err == nil {
+		t.Fatal("Simulate accepted p=2")
 	}
 }
 
 func TestMeasurePerfectChannel(t *testing.T) {
-	c, _ := NewCode("ldgm-staircase", 200, 2.5, 1)
-	agg, err := Measure(Measurement{Code: c, Scheduler: TxModel2(), P: 0, Q: 1, Trials: 3, Seed: 9})
+	agg, err := Simulate(WithSpec("codec=ldgm-staircase(k=200,ratio=2.5,seed=1),sched=tx2,channel=gilbert(p=0,q=1),trials=3,seed=9"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,6 +106,19 @@ func resolveMetricsAddr(flagAddr, specLine string) string {
 	return cfg.MetricsAddr
 }
 
+// onListen, when tests set it, receives the address recv or collect
+// bound (-addr host:0 binds an ephemeral port).
+var onListen func(addr string)
+
+// listen binds a receiving endpoint and reports where to onListen.
+func listen(addr string) (fecperf.TransportConn, error) {
+	conn, err := fecperf.Listen(addr)
+	if err == nil && onListen != nil {
+		onListen(conn.LocalAddr())
+	}
+	return conn, err
+}
+
 func run(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: feccast <send|recv|cast|collect> [flags]\nRun 'feccast <subcommand> -h' for flags")
@@ -251,7 +264,7 @@ func runRecv(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	conn, err := fecperf.Listen(*addr)
+	conn, err := listen(*addr)
 	if err != nil {
 		return err
 	}
@@ -421,7 +434,7 @@ func runCollect(args []string) error {
 		defer f.Close()
 		dst = f
 	}
-	conn, err := fecperf.Listen(*addr)
+	conn, err := listen(*addr)
 	if err != nil {
 		return err
 	}

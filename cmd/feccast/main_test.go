@@ -2,43 +2,31 @@ package main
 
 import (
 	"bytes"
-	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
 
-// freeUDPAddr reserves an ephemeral localhost port and releases it for
-// the subcommand under test. The tiny reuse window beats hardcoded
-// ports colliding on shared CI runners.
-func freeUDPAddr(t *testing.T) string {
+// startListener runs a recv or collect subcommand on an ephemeral
+// localhost port and returns the address it bound — reported by the
+// command itself once the socket exists, so a sender started afterwards
+// cannot race the bind — plus a func that waits for the command to exit.
+func startListener(t *testing.T, args ...string) (addr string, wait func() error) {
 	t.Helper()
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	bound := make(chan string, 1)
+	onListen = func(a string) { bound <- a }
+	t.Cleanup(func() { onListen = nil })
+	done := make(chan error, 1)
+	go func() { done <- run(append(args, "-addr", "127.0.0.1:0")) }()
+	select {
+	case addr = <-bound:
+	case err := <-done:
+		t.Fatalf("%s exited before listening: %v", args[0], err)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s never bound its socket", args[0])
 	}
-	addr := pc.LocalAddr().String()
-	pc.Close()
-	return addr
-}
-
-// waitForListener polls until addr is bound: UDP has no handshake, so
-// readiness is probed by re-bind attempts — once the receiver holds the
-// port, our own bind fails and the sender may start.
-func waitForListener(t *testing.T, addr string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		pc, err := net.ListenPacket("udp", addr)
-		if err != nil {
-			return // port taken: the receiver is bound
-		}
-		pc.Close()
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("no listener appeared on %s", addr)
+	return addr, func() error { return <-done }
 }
 
 func TestRunRejectsBadUsage(t *testing.T) {
@@ -66,16 +54,8 @@ func TestSendRecvOverLocalhostUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr := freeUDPAddr(t)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var recvErr error
-	go func() {
-		defer wg.Done()
-		recvErr = run([]string{"recv", "-addr", addr, "-out", dir,
-			"-count", "1", "-timeout", "60s", "-stats", "0"})
-	}()
-	waitForListener(t, addr)
+	addr, wait := startListener(t, "recv", "-out", dir,
+		"-count", "1", "-timeout", "60s", "-stats", "0")
 
 	// Bounded carousel: lossless localhost decodes in round one; the
 	// spares cover any kernel-level drops under load.
@@ -84,9 +64,8 @@ func TestSendRecvOverLocalhostUDP(t *testing.T) {
 		"-rate", "4000", "-rounds", "5", "-tx", "tx4"}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	wg.Wait()
-	if recvErr != nil {
-		t.Fatalf("recv: %v", recvErr)
+	if err := wait(); err != nil {
+		t.Fatalf("recv: %v", err)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "object-3.bin"))
 	if err != nil {
@@ -109,28 +88,19 @@ func TestCastCollectOverLocalhostUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr := freeUDPAddr(t)
 	// Rounds=3 covers kernel-level UDP drops under CI load; the spec
 	// string is the whole configuration, shared by both ends.
 	castSpec := "codec=rse(k=64,ratio=2),sched=tx4,payload=1024,rate=8000,object=7,window=4,rounds=3,seed=5"
 	collectSpec := "object=7,payload=1024,pending=64"
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var collectErr error
-	go func() {
-		defer wg.Done()
-		collectErr = run([]string{"collect", "-addr", addr, "-out", dst,
-			"-timeout", "60s", "-spec", collectSpec})
-	}()
-	waitForListener(t, addr)
+	addr, wait := startListener(t, "collect", "-out", dst,
+		"-timeout", "60s", "-spec", collectSpec)
 
 	if err := run([]string{"cast", "-addr", addr, "-file", src, "-spec", castSpec}); err != nil {
 		t.Fatalf("cast: %v", err)
 	}
-	wg.Wait()
-	if collectErr != nil {
-		t.Fatalf("collect: %v", collectErr)
+	if err := wait(); err != nil {
+		t.Fatalf("collect: %v", err)
 	}
 	got, err := os.ReadFile(dst)
 	if err != nil {
@@ -167,22 +137,13 @@ func TestRecvFailedSaveIsAnError(t *testing.T) {
 	if err := os.WriteFile(file, bytes.Repeat([]byte("x"), 20000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	addr := freeUDPAddr(t)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var recvErr error
-	go func() {
-		defer wg.Done()
-		recvErr = run([]string{"recv", "-addr", addr, "-out", "/nonexistent-dir-for-sure",
-			"-count", "1", "-timeout", "30s", "-stats", "0"})
-	}()
-	waitForListener(t, addr)
+	addr, wait := startListener(t, "recv", "-out", "/nonexistent-dir-for-sure",
+		"-count", "1", "-timeout", "30s", "-stats", "0")
 	if err := run([]string{"send", "-addr", addr, "-file", file,
 		"-rate", "4000", "-rounds", "5"}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	wg.Wait()
-	if recvErr == nil {
+	if wait() == nil {
 		t.Fatal("recv exited success although the object was never saved")
 	}
 }

@@ -21,14 +21,14 @@ func TestSIGTERMStopsCarousel(t *testing.T) {
 	if err := os.WriteFile(file, bytes.Repeat([]byte("terminate the carousel "), 1000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	addr := freeUDPAddr(t)
 	// Hold the destination socket ourselves: one datagram read proves
 	// the carousel is live before the signal fires.
-	pc, err := net.ListenPacket("udp", addr)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pc.Close()
+	addr := pc.LocalAddr().String()
 
 	var wg sync.WaitGroup
 	wg.Add(1)

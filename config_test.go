@@ -3,6 +3,9 @@ package fecperf
 import (
 	"strings"
 	"testing"
+
+	"fecperf/internal/channel"
+	"fecperf/internal/sim"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -96,27 +99,25 @@ func TestOptionsComposeWithSpec(t *testing.T) {
 	}
 }
 
-func TestSimulateMatchesDeprecatedMeasure(t *testing.T) {
-	// The new spec-driven Simulate must reproduce the deprecated
-	// Measure exactly: same code, scheduler, channel, trials, seed.
+func TestSimulateSpecMatchesSimRun(t *testing.T) {
+	// One spec line must reproduce the engine run built by hand from the
+	// same code, scheduler, channel, trials and seed.
 	code, err := NewCode("ldgm-staircase", 500, 2.5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Measure(Measurement{
+	want := sim.Run(sim.Config{
 		Code: code, Scheduler: TxModel2(),
-		P: 0.01, Q: 0.79, Trials: 10, Seed: 7, Workers: 2,
+		Channel: channel.GilbertFactory{P: 0.01, Q: 0.79},
+		Trials:  10, Seed: 7, Workers: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := Simulate(WithSpec(
 		"codec=ldgm-staircase(k=500,ratio=2.5,seed=11),sched=tx2,channel=gilbert(p=0.01,q=0.79),trials=10,seed=7,workers=2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("Simulate = %+v, Measure = %+v", got, want)
+		t.Errorf("Simulate = %+v, sim.Run = %+v", got, want)
 	}
 }
 

@@ -7,13 +7,7 @@ import (
 
 func TestDeliveryFacadeRoundTrip(t *testing.T) {
 	obj := bytes.Repeat([]byte("fecperf!"), 1000)
-	enc, err := EncodeForDelivery(obj, DeliveryConfig{
-		ObjectID:    5,
-		Family:      WireLDGMStaircase,
-		Ratio:       2.0,
-		PayloadSize: 128,
-		Seed:        7,
-	})
+	enc, err := NewObject(obj, WithSpec("codec=ldgm-staircase(ratio=2),object=5,payload=128,seed=7"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,6 @@
 // forms — "tx6(frac=0.3)", "rx1(src=12)", "repeat(x=3)",
 // "carousel(inner=tx2,rounds=4)" — and every scheduler's Name() parses
 // back (plans and checkpoints persist schedulers by name).
-// MaterializeSchedule bridges a streaming schedule to []int;
 // ScheduleFromIDs wraps an explicit order.
 //
 // # Transport
@@ -160,24 +159,23 @@
 // Gilbert-loss broadcast is one process with no sockets: see
 // examples/filecast. cmd/feccast is the same pipeline over real UDP.
 //
-// The datapath is kernel-batched. Every Conn accepts WriteBatch /
-// ReadBatch (transport.BatchConn; package-level helpers fall back to
-// per-datagram loops for any other Conn): on Linux amd64/arm64 the UDP
-// backend moves up to 64 datagrams per sendmmsg/recvmmsg crossing and
-// coalesces equal-size runs into UDP GSO superpackets (probed at dial
-// time, latched off on the first kernel refusal), while other
-// platforms keep the portable loop behind build tags. Configured with
-// a batch size (Config.BatchSize, spec key "batch", feccast -batch),
-// the carousel gathers views of its objects' frames and flushes them as
-// full batches — one pacer debit and one kernel crossing per batch,
-// zero allocations, zero copies — and the receiver daemon drains its
-// socket a batch per crossing. Batching never changes the carousel:
-// the datagram sequence, loopback loss pattern (the channel chain
-// steps in 64-wide masks over the same splitmix64 stream) and decoded
-// bytes are identical to the scalar path, only syscall count and
-// pacing granularity change. go run ./bench -trace reports the batched
-// socket cost per datagram inside a real cast
-// (transport.udp.write_ns_per_pkt, read_ns_per_pkt).
+// The datapath is kernel-batched. A TransportConn moves datagrams
+// through WriteBatch / ReadBatch (Send / Recv are the one-datagram
+// convenience): on Linux amd64/arm64 the UDP backend moves up to 64
+// datagrams per sendmmsg/recvmmsg crossing and coalesces equal-size
+// runs into UDP GSO superpackets (probed at dial time, latched off on
+// the first kernel refusal), while other platforms keep the portable
+// loop behind build tags. The carousel gathers views of its objects'
+// frames and flushes them a batch at a time (Config.BatchSize, spec key
+// "batch", feccast -batch; default one datagram) — one pacer debit and
+// one kernel crossing per flush, zero allocations, zero copies — and
+// the receiver daemon drains its socket a batch per crossing. The batch
+// size never changes the carousel: the datagram sequence, loopback loss
+// pattern (the channel chain steps in 64-wide masks over the same
+// splitmix64 stream) and decoded bytes are identical at every size,
+// only syscall count and pacing granularity change. go run ./bench
+// -trace reports the batched socket cost per datagram inside a real
+// cast (transport.udp.write_ns_per_pkt, read_ns_per_pkt).
 //
 // A payload byte is copied four times between the source reader and
 // the destination writer, and nowhere else (figures from go run ./bench
@@ -316,8 +314,8 @@
 // The metric catalog, all under the fecperf_ namespace. Broadcast
 // carousel (WithMetrics via BroadcasterConfig.Metrics): sender_packets_total,
 // sender_bytes_total, sender_rounds_total, sender_pacer_wait_ns_total,
-// sender_resumes_total, sender_batches_total,
-// sender_syscalls_saved_total, the sender_batch_size histogram and the
+// sender_resumes_total, sender_batches_total (every flush), the
+// sender_batch_size histogram (when BatchSize > 1) and the
 // sender_gso_enabled gauge. Receiver daemon: receiver_packets_total,
 // receiver_bytes_total, receiver_packets_ingested_total,
 // receiver_packets_duplicate_total, receiver_packets_dropped_total
@@ -384,10 +382,6 @@
 //	agg, _ := fecperf.Simulate(fecperf.WithSpec(
 //	    "codec=ldgm-staircase(k=1000,ratio=2.5),sched=tx2,channel=gilbert(p=0.01,q=0.79),trials=100"))
 //	fmt.Printf("mean inefficiency: %.3f\n", agg.MeanIneff())
-//
-// The pre-spec facade names (EncodeForDelivery, DialBroadcast, Measure,
-// ...) remain as thin deprecated wrappers; see the README's migration
-// table.
 //
 // See the examples/ directory for complete programs: streaming a file
 // through lossy broadcast (filecast), encoding and decoding real

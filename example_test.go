@@ -59,28 +59,6 @@ func ExampleSimulate() {
 	// failures: 0, inefficiency: 1.000
 }
 
-// Measure one (code, schedule, channel) point: the paper's basic
-// experiment unit.
-func ExampleMeasure() {
-	code, err := fecperf.NewCode("ldgm-staircase", 1000, 2.5, 1)
-	if err != nil {
-		panic(err)
-	}
-	agg, err := fecperf.Measure(fecperf.Measurement{
-		Code:      code,
-		Scheduler: fecperf.TxModel2(),
-		P:         0, Q: 1, // perfect channel
-		Trials: 10,
-		Seed:   7,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("failures: %d, inefficiency: %.3f\n", agg.Failures, agg.MeanIneff())
-	// Output:
-	// failures: 0, inefficiency: 1.000
-}
-
 // The Section-6 n_sent sizing: how many packets to actually transmit.
 func ExampleOptimalNSent() {
 	// 1000-packet object, measured inefficiency 1.05, 10% global loss,

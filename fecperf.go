@@ -59,8 +59,7 @@ type (
 	// Scheduler produces a transmission order for one trial.
 	Scheduler = core.Scheduler
 	// Schedule is a streaming transmission order: O(1) memory, any
-	// position evaluable in O(1) via At, iterable via Cursor. See
-	// MaterializeSchedule for the []int bridge.
+	// position evaluable in O(1) via At, iterable via Cursor.
 	Schedule = core.Schedule
 	// ScheduleCursor iterates a Schedule; copying it forks the
 	// iteration state (mid-stream resume is free).
@@ -148,8 +147,8 @@ type Config struct {
 	// hot paths (key "batch"): casters and broadcasters flush
 	// BatchSize-datagram batches through one batch write (sendmmsg/GSO
 	// on Linux UDP, one lock per batch on the loopback) and collectors
-	// read up to BatchSize datagrams per crossing. 0 keeps the scalar
-	// per-datagram paths; values above 64 are clamped.
+	// read up to BatchSize datagrams per crossing. 0 sends one datagram
+	// per flush; values above 64 are clamped.
 	BatchSize int
 	// BaseObjectID tags delivery objects; a cast train's manifest rides
 	// at this ID, chunk i at BaseObjectID+1+i (key "object").
@@ -188,9 +187,9 @@ type Config struct {
 	Tracer      *obs.Tracer
 	MetricsAddr string
 	// Pacer substitutes an external admission source — typically a
-	// SharedPacer share (WithPacer) — for the private token bucket a
-	// caster or broadcaster would build from Rate/Burst, which are
-	// ignored when it is set. Go-only: it does not serialize into Spec.
+	// SharedPacer share (WithPacer) — for the one-share pacer a caster
+	// or broadcaster would build from Rate/Burst, which are ignored
+	// when it is set. Go-only: it does not serialize into Spec.
 	Pacer Pacer
 }
 
@@ -301,8 +300,8 @@ func WithBurst(n int) Option {
 }
 
 // WithPacer substitutes an external admission source — typically a
-// share of a NewSharedPacer — for the private token bucket Rate/Burst
-// would configure; both are ignored when a pacer is set. Several
+// share of a NewSharedPacer — for the one-share pacer Rate/Burst would
+// configure; both are ignored when a pacer is set. Several
 // casters or broadcasters handed shares of one SharedPacer split a
 // single global rate instead of pacing independently.
 func WithPacer(p Pacer) Option {
@@ -313,7 +312,7 @@ func WithPacer(p Pacer) Option {
 }
 
 // WithBatchSize groups datagrams per kernel crossing on the transport
-// hot paths (0 = scalar per-datagram I/O).
+// hot paths (0 = one datagram per flush).
 func WithBatchSize(n int) Option {
 	return func(c *Config) error {
 		c.BatchSize = n
@@ -744,12 +743,6 @@ func SchedulerByName(name string) (Scheduler, error) { return sched.ByName(name)
 func ChannelByName(channelSpec string) (ChannelFactory, error) {
 	return channel.ParseName(channelSpec)
 }
-
-// MaterializeSchedule expands a streaming schedule into the explicit
-// []int transmission order — the bridge for tooling that wants the
-// whole sequence at once. Hot paths never need it: RunTrial and the
-// broadcast carousel consume schedules lazily.
-func MaterializeSchedule(s Schedule) []int { return sched.Materialize(s) }
 
 // ScheduleFromIDs wraps an explicit packet-id order as a Schedule, for
 // custom or externally computed transmission orders.

@@ -45,9 +45,9 @@ func FuzzSchedulePermutation(f *testing.F) {
 		}
 		for _, m := range models {
 			sc := m.Schedule(l, r)
-			ids := Materialize(sc)
+			ids := materialize(sc)
 			if len(ids) != sc.Len() {
-				t.Fatalf("%s: Materialize length %d != Len %d", m.Name(), len(ids), sc.Len())
+				t.Fatalf("%s: materialized length %d != Len %d", m.Name(), len(ids), sc.Len())
 			}
 			checkMultiset(t, m, l, ids)
 			cur := sc.Cursor()

@@ -24,7 +24,7 @@
 // its randomness up front — at most two 64-bit seeds drawn from rng
 // (the Carousel draws its inner model's seeds once per round) — so a
 // schedule can be re-evaluated, truncated, or resumed mid-order without
-// replaying the generator. Use Materialize to bridge back to []int.
+// replaying the generator.
 package sched
 
 import (
@@ -33,14 +33,6 @@ import (
 
 	"fecperf/internal/core"
 )
-
-// Materialize expands a streaming schedule into the []int order the
-// paper's original harness worked with — the bridge for tests, goldens
-// and external tooling. Streaming schedules exist so the hot paths
-// never need this.
-func Materialize(s core.Schedule) []int {
-	return s.AppendTo(make([]int, 0, s.Len()))
-}
 
 // TxModel1 sends all source packets sequentially, then all parity packets
 // sequentially. The paper's verdict: "definitively bad".

@@ -57,10 +57,15 @@ func isPermutation(ids []int, n int) bool {
 
 func rng() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
+// materialize expands a streaming schedule into the []int order the
+// paper's original harness worked with.
+func materialize(s core.Schedule) []int {
+	return s.AppendTo(make([]int, 0, s.Len()))
+}
+
 // draw materialises one schedule for assertion-style tests.
 func draw(s core.Scheduler, l core.Layout, r *rand.Rand) []int {
-	sc := s.Schedule(l, r)
-	return Materialize(sc)
+	return materialize(s.Schedule(l, r))
 }
 
 func TestAllModelsProducePermutations(t *testing.T) {
@@ -339,7 +344,7 @@ func TestMaterializeMatchesCursor(t *testing.T) {
 	l := ldgmLayout(30, 75)
 	for _, s := range All() {
 		sc := s.Schedule(l, rng())
-		ids := Materialize(sc)
+		ids := materialize(sc)
 		cur := sc.Cursor()
 		for i, want := range ids {
 			got, ok := cur.Next()
@@ -360,7 +365,7 @@ func TestSchedulesAreRepeatable(t *testing.T) {
 	l := ldgmLayout(40, 100)
 	for _, s := range All() {
 		sc := s.Schedule(l, rng())
-		a, b := Materialize(sc), Materialize(sc)
+		a, b := materialize(sc), materialize(sc)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: schedule changed between evaluations at %d", s.Name(), i)

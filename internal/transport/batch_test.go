@@ -11,6 +11,7 @@ import (
 
 	"fecperf/internal/channel"
 	"fecperf/internal/core"
+	"fecperf/internal/session"
 	"fecperf/internal/wire"
 )
 
@@ -44,7 +45,7 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 		d[0] = byte(i >> 8)
 		batch = append(batch, d)
 	}
-	n, err := WriteBatch(tx, batch)
+	n, err := tx.WriteBatch(batch)
 	if n != len(batch) || err != nil {
 		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(batch))
 	}
@@ -55,7 +56,7 @@ func TestUDPBatchRoundTrip(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = make([]byte, 2048)
 		}
-		m, err := ReadBatch(rx, bufs)
+		m, err := rx.ReadBatch(bufs)
 		if err != nil {
 			t.Fatalf("ReadBatch after %d datagrams: %v", got, err)
 		}
@@ -86,7 +87,7 @@ func TestUDPBatchEqualSizeGSO(t *testing.T) {
 		d[0], d[1] = byte(i>>8), byte(i)
 		batch[i] = d
 	}
-	if n, err := WriteBatch(tx, batch); n != count || err != nil {
+	if n, err := tx.WriteBatch(batch); n != count || err != nil {
 		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, count)
 	}
 	rx.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
@@ -95,7 +96,7 @@ func TestUDPBatchEqualSizeGSO(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = make([]byte, 2048)
 		}
-		m, err := ReadBatch(rx, bufs)
+		m, err := rx.ReadBatch(bufs)
 		if err != nil {
 			t.Fatalf("ReadBatch after %d datagrams: %v", got, err)
 		}
@@ -120,7 +121,7 @@ func TestUDPReadBatchTruncation(t *testing.T) {
 	}
 	rx.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 	bufs := []wire.Datagram{make([]byte, 100)}
-	n, err := ReadBatch(rx, bufs)
+	n, err := rx.ReadBatch(bufs)
 	if n != 1 || err != nil {
 		t.Fatalf("ReadBatch = %d, %v", n, err)
 	}
@@ -135,7 +136,7 @@ func TestUDPBatchDeadline(t *testing.T) {
 	rx, _ := udpPair(t)
 	rx.SetReadDeadline(time.Now().Add(20 * time.Millisecond)) //nolint:errcheck
 	bufs := []wire.Datagram{make([]byte, 64)}
-	n, err := ReadBatch(rx, bufs)
+	n, err := rx.ReadBatch(bufs)
 	if n != 0 || !isTimeout(err) {
 		t.Fatalf("ReadBatch past deadline = %d, %v; want 0 and a timeout", n, err)
 	}
@@ -163,152 +164,115 @@ func TestUDPWriteBatchICMPSwallowed(t *testing.T) {
 	}
 	// The first write provokes the ICMP error; later ones surface it.
 	for round := 0; round < 5; round++ {
-		if n, err := WriteBatch(tx, batch); err != nil || n != len(batch) {
+		if n, err := tx.WriteBatch(batch); err != nil || n != len(batch) {
 			t.Fatalf("round %d: WriteBatch = %d, %v; want %d, nil", round, n, err, len(batch))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// --- portable helpers against a batch-less Conn ---
-
-// scalarOnlyConn is a Conn with no batch methods: the package helpers
-// must fall back to per-datagram Sends and single Recvs.
-type scalarOnlyConn struct {
-	sent [][]byte
-	rx   [][]byte
-}
-
-func (c *scalarOnlyConn) Send(d []byte) error {
-	c.sent = append(c.sent, append([]byte(nil), d...))
-	return nil
-}
-
-func (c *scalarOnlyConn) Recv(buf []byte) (int, error) {
-	if len(c.rx) == 0 {
-		return 0, ErrClosed
-	}
-	d := c.rx[0]
-	c.rx = c.rx[1:]
-	return copy(buf, d), nil
-}
-
-func (c *scalarOnlyConn) SetReadDeadline(time.Time) error { return nil }
-func (c *scalarOnlyConn) Close() error                    { return nil }
-func (c *scalarOnlyConn) LocalAddr() string               { return "scalar-only" }
-
-func TestBatchHelpersScalarFallback(t *testing.T) {
-	c := &scalarOnlyConn{rx: [][]byte{{1, 2, 3}, {4, 5}}}
-	batch := []wire.Datagram{{10}, {11, 11}, {12}}
-	if n, err := WriteBatch(c, batch); n != 3 || err != nil {
-		t.Fatalf("WriteBatch = %d, %v", n, err)
-	}
-	if len(c.sent) != 3 || !bytes.Equal(c.sent[1], []byte{11, 11}) {
-		t.Fatalf("scalar fallback sent %v", c.sent)
-	}
-	// ReadBatch on a scalar conn fills exactly one buffer per call.
-	bufs := []wire.Datagram{make([]byte, 8), make([]byte, 8)}
-	n, err := ReadBatch(c, bufs)
-	if n != 1 || err != nil {
-		t.Fatalf("ReadBatch = %d, %v; want 1, nil", n, err)
-	}
-	if !bytes.Equal(bufs[0], []byte{1, 2, 3}) {
-		t.Fatalf("ReadBatch filled %v", bufs[0])
-	}
-}
-
-// --- loopback: batched and scalar sends are behaviourally identical ---
+// --- loopback: delivery depends on the datagram order, not the grouping ---
 
 // TestLoopbackBatchScalarEquivalence drives the same datagram sequence
-// through a stepper-backed loopback receiver three ways — scalar Sends,
-// WriteBatch in ragged chunks, and scalar Sends through the equivalent
-// scalar Gilbert chain — and requires byte-identical delivery: the same
-// datagrams lost, the same order through the queue.
+// through a loopback receiver four ways — Send, one-element WriteBatch,
+// WriteBatch in ragged chunks (all behind the batched stepper), and Send
+// behind the equivalent scalar Gilbert chain — and requires identical
+// delivery: the same datagrams erased, the same ones dropped by the
+// (deliberately short) queue, the same order through it.
 func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 	const (
 		seed  = 421
 		p, q  = 0.2, 0.4
 		total = 500
+		queue = 300 // below the ~2/3 of total that survive: the tail overflows
 	)
 	payload := func(i int) []byte { return []byte{byte(i >> 8), byte(i), 0xEE} }
-
-	drain := func(rx Conn) []string {
-		rx.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-		var got []string
-		buf := make([]byte, 16)
-		for {
-			n, err := rx.Recv(buf)
-			if err != nil {
-				return got
-			}
-			got = append(got, fmt.Sprintf("%x", buf[:n]))
-		}
-	}
-
 	stepper, ok := channel.GilbertFactory{P: p, Q: q}.Batch()
 	if !ok {
 		t.Fatal("GilbertFactory should support batched stepping")
 	}
-
-	// Scalar sends through the stepper-backed receiver.
-	hubA := NewLoopback()
-	rxA := hubA.ReceiverStepper(stepper, seed, total)
-	txA := hubA.Sender()
-	for i := 0; i < total; i++ {
-		if err := txA.Send(payload(i)); err != nil {
+	stepperRx := func(hub *Loopback) Conn { return hub.ReceiverStepper(stepper, seed, queue) }
+	// The scalar Gilbert chain over the same splitmix64 stream — the
+	// golden reference the stepper is documented to reproduce bit for bit.
+	chainRx := func(hub *Loopback) Conn {
+		src := &core.SplitMixSource{}
+		src.Seed(seed)
+		return hub.Receiver(channel.NewGilbert(p, q, rand.New(src)), queue)
+	}
+	send := func(tx Conn, i int) int {
+		if err := tx.Send(payload(i)); err != nil {
 			t.Fatal(err)
 		}
+		return 1
 	}
-	gotScalar := drain(rxA)
-	hubA.Close()
+	// writeSizes returns a writer flushing batches of the cycling sizes.
+	writeSizes := func(sizes ...int) func(Conn, int) int {
+		return func(tx Conn, i int) int {
+			n := sizes[i%len(sizes)]
+			if i+n > total {
+				n = total - i
+			}
+			batch := make([]wire.Datagram, n)
+			for j := range batch {
+				batch[j] = payload(i + j)
+			}
+			if w, err := tx.WriteBatch(batch); w != n || err != nil {
+				t.Fatalf("WriteBatch = %d, %v", w, err)
+			}
+			return n
+		}
+	}
 
-	// Batched sends, ragged chunk sizes (never a multiple of 64, so
-	// StepMask widths vary across and within calls).
-	hubB := NewLoopback()
-	rxB := hubB.ReceiverStepper(stepper, seed, total)
-	txB := hubB.Sender()
-	for i, sizes := 0, []int{7, 64, 13, 1, 100}; i < total; {
-		n := sizes[i%len(sizes)]
-		if i+n > total {
-			n = total - i
-		}
-		batch := make([]wire.Datagram, n)
-		for j := range batch {
-			batch[j] = payload(i + j)
-		}
-		if w, err := WriteBatch(txB, batch); w != n || err != nil {
-			t.Fatalf("WriteBatch = %d, %v", w, err)
-		}
-		i += n
+	type delivery struct {
+		got             []string
+		erased, dropped uint64
 	}
-	gotBatch := drain(rxB)
-	hubB.Close()
+	run := func(attach func(*Loopback) Conn, write func(tx Conn, i int) int) delivery {
+		hub := NewLoopback()
+		defer hub.Close()
+		rx := attach(hub)
+		tx := hub.Sender()
+		for i := 0; i < total; {
+			i += write(tx, i)
+		}
+		rx.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
+		lc := rx.(*loopConn)
+		d := delivery{erased: lc.Erased(), dropped: lc.Dropped()}
+		buf := make([]byte, 16)
+		for {
+			n, err := rx.Recv(buf)
+			if err != nil {
+				return d
+			}
+			d.got = append(d.got, fmt.Sprintf("%x", buf[:n]))
+		}
+	}
 
-	// Scalar Gilbert chain over the same splitmix64 stream — the golden
-	// reference the stepper is documented to reproduce bit for bit.
-	src := &core.SplitMixSource{}
-	src.Seed(seed)
-	hubC := NewLoopback()
-	rxC := hubC.Receiver(channel.NewGilbert(p, q, rand.New(src)), total)
-	txC := hubC.Sender()
-	for i := 0; i < total; i++ {
-		if err := txC.Send(payload(i)); err != nil {
-			t.Fatal(err)
-		}
+	want := run(stepperRx, send)
+	if want.erased == 0 || want.dropped == 0 {
+		t.Fatalf("%d erasures, %d queue drops across %d sends — test is vacuous", want.erased, want.dropped, total)
 	}
-	gotChain := drain(rxC)
-	hubC.Close()
-
-	if len(gotScalar) == total {
-		t.Fatalf("loss model erased nothing across %d sends — test is vacuous", total)
-	}
-	for name, got := range map[string][]string{"batched": gotBatch, "scalar chain": gotChain} {
-		if len(got) != len(gotScalar) {
-			t.Fatalf("%s delivered %d datagrams, scalar stepper %d", name, len(got), len(gotScalar))
+	for _, tc := range []struct {
+		name   string
+		attach func(*Loopback) Conn
+		write  func(Conn, int) int
+	}{
+		{"one-element WriteBatch", stepperRx, writeSizes(1)},
+		// Never a multiple of 64, so StepMask widths vary across and
+		// within calls.
+		{"ragged WriteBatch", stepperRx, writeSizes(7, 64, 13, 1, 100)},
+		{"scalar chain", chainRx, send},
+	} {
+		got := run(tc.attach, tc.write)
+		if got.erased != want.erased || got.dropped != want.dropped {
+			t.Fatalf("%s: %d erased, %d dropped; Send %d, %d", tc.name, got.erased, got.dropped, want.erased, want.dropped)
 		}
-		for i := range got {
-			if got[i] != gotScalar[i] {
-				t.Fatalf("%s diverges at delivery %d: %s vs %s", name, i, got[i], gotScalar[i])
+		if len(got.got) != len(want.got) {
+			t.Fatalf("%s delivered %d datagrams, Send %d", tc.name, len(got.got), len(want.got))
+		}
+		for i := range got.got {
+			if got.got[i] != want.got[i] {
+				t.Fatalf("%s diverges at delivery %d: %s vs %s", tc.name, i, got.got[i], want.got[i])
 			}
 		}
 	}
@@ -325,14 +289,14 @@ func TestLoopbackReadBatchDrain(t *testing.T) {
 	for i := range batch {
 		batch[i] = []byte{byte(i)}
 	}
-	if _, err := WriteBatch(tx, batch); err != nil {
+	if _, err := tx.WriteBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	bufs := make([]wire.Datagram, 16)
 	for i := range bufs {
 		bufs[i] = make([]byte, 8)
 	}
-	n, err := ReadBatch(rx, bufs)
+	n, err := rx.ReadBatch(bufs)
 	if err != nil || n != 10 {
 		t.Fatalf("ReadBatch = %d, %v; want 10, nil", n, err)
 	}
@@ -343,7 +307,7 @@ func TestLoopbackReadBatchDrain(t *testing.T) {
 	}
 }
 
-// --- pacer: batch debit converges to the scalar long-run rate ---
+// --- pacer: every debit size converges to the same long-run rate ---
 
 func TestPacerBatchConvergence(t *testing.T) {
 	const (
@@ -353,7 +317,8 @@ func TestPacerBatchConvergence(t *testing.T) {
 	)
 	ctx := context.Background()
 	elapse := func(step int) time.Duration {
-		p := newPacer(rate, burst, nil)
+		p := NewSharedPacer(rate, burst).AddShare(1)
+		defer p.Close()
 		start := time.Now()
 		for taken := 0; taken < tokens; taken += step {
 			if err := p.Take(ctx, step); err != nil {
@@ -362,11 +327,10 @@ func TestPacerBatchConvergence(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	scalar := elapse(1)
-	batched := elapse(16)
-	// The burst is free; the rest must be admitted at ~rate either way.
+	// The start-up burst is free; the rest must be admitted at ~rate
+	// whatever the debit size.
 	ideal := time.Duration(float64(tokens-burst) / rate * float64(time.Second))
-	for name, d := range map[string]time.Duration{"scalar": scalar, "batched": batched} {
+	for name, d := range map[string]time.Duration{"single": elapse(1), "batched": elapse(16)} {
 		if d < ideal*7/10 {
 			t.Errorf("%s pacing admitted %d tokens in %v — faster than the configured rate (ideal %v)", name, tokens, d, ideal)
 		}
@@ -374,9 +338,10 @@ func TestPacerBatchConvergence(t *testing.T) {
 			t.Errorf("%s pacing took %v for %d tokens — far above the configured rate (ideal %v)", name, d, tokens, ideal)
 		}
 	}
-	// take(n) with n above the burst must not deadlock and must still
+	// Take(n) with n above the burst must not deadlock and must still
 	// average the configured rate via debt accounting.
-	p := newPacer(rate, burst, nil)
+	p := NewSharedPacer(rate, burst).AddShare(1)
+	defer p.Close()
 	start := time.Now()
 	const bigBatches = 20
 	for i := 0; i < bigBatches; i++ {
@@ -385,105 +350,97 @@ func TestPacerBatchConvergence(t *testing.T) {
 		}
 	}
 	d := time.Since(start)
-	idealBig := time.Duration(float64(bigBatches*100-burst) / rate * float64(time.Second))
+	// The first over-burst batch may ride the start-up pool whole.
+	idealBig := time.Duration(float64((bigBatches-1)*100-burst) / rate * float64(time.Second))
 	if d < idealBig*7/10 {
 		t.Errorf("over-burst batches admitted in %v, ideal %v — debt accounting broken", d, idealBig)
 	}
 }
 
-// --- sender: batched round loop emits the identical carousel ---
-
-// captureBatchConn is sender_test.go's captureConn with a batch path:
-// WriteBatch records datagram by datagram, so the sender's batched
-// flushes hit a real BatchConn and land in frames in wire order.
-type captureBatchConn struct {
-	captureConn
-	batches int
-}
-
-func (c *captureBatchConn) WriteBatch(batch []wire.Datagram) (int, error) {
-	c.batches++
-	for _, d := range batch {
-		c.frames = append(c.frames, append([]byte(nil), d...))
-	}
-	return len(batch), nil
-}
-
-func (c *captureBatchConn) ReadBatch(bufs []wire.Datagram) (int, error) {
-	return readBatchScalar(c, bufs)
-}
+// --- sender: the carousel is byte-identical at every batch size ---
 
 func TestSenderBatchedScalarIdenticalCarousel(t *testing.T) {
-	run := func(conn Conn, batchSize int) SenderStats {
+	objA := encodeTestObject(t, testFile(t, 32<<10, 1), 1, wire.CodeLDGMStaircase, 2.0, 512)
+	objB := encodeTestObject(t, testFile(t, 16<<10, 2), 2, wire.CodeRSE, 1.5, 512)
+	// Section-6 truncation: only 21 of this object's packets go out per round.
+	objC, err := session.EncodeObject(testFile(t, 8<<10, 3), session.SenderConfig{
+		ObjectID: 3, Family: wire.CodeLDGMStaircase, Ratio: 2.0, PayloadSize: 512, Seed: 3, NSent: 21,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer objA.Close()
+	defer objB.Close()
+	defer objC.Close()
+	run := func(cfg SenderConfig) (*captureConn, SenderStats) {
 		t.Helper()
-		objA := encodeTestObject(t, testFile(t, 32<<10, 1), 1, wire.CodeLDGMStaircase, 2.0, 512)
-		objB := encodeTestObject(t, testFile(t, 16<<10, 2), 2, wire.CodeRSE, 1.5, 512)
-		s := NewSender(conn, SenderConfig{Rounds: 3, Seed: 9, BatchSize: batchSize})
-		if err := s.Add(objA); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Add(objB); err != nil {
-			t.Fatal(err)
+		conn := &captureConn{}
+		s := NewSender(conn, cfg)
+		for _, o := range []*session.Object{objA, objB, objC} {
+			if err := s.Add(o); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := s.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		st := s.Stats()
-		s.Close()
-		return st
+		return conn, s.Stats()
 	}
-	scalar := &captureConn{}
-	scalarStats := run(scalar, 0)
-	batched := &captureBatchConn{}
-	batchedStats := run(batched, 7) // odd size forces ragged tail flushes
-
-	if len(scalar.frames) != len(batched.frames) {
-		t.Fatalf("scalar sent %d datagrams, batched %d", len(scalar.frames), len(batched.frames))
-	}
-	for i := range scalar.frames {
-		if !bytes.Equal(scalar.frames[i], batched.frames[i]) {
-			t.Fatalf("carousel diverges at datagram %d", i)
+	sameFrames := func(what string, got, want [][]byte) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d datagrams, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s: carousel diverges at datagram %d", what, i)
+			}
 		}
 	}
-	if scalarStats.PacketsSent != batchedStats.PacketsSent || scalarStats.BytesSent != batchedStats.BytesSent {
-		t.Fatalf("stats diverge: scalar %+v, batched %+v", scalarStats, batchedStats)
+
+	cfg := SenderConfig{Rounds: 3, Seed: 9}
+	ref, refStats := run(cfg)
+	if want := 3 * (objA.N() + objB.N() + 21); len(ref.frames) != want {
+		t.Fatalf("reference run sent %d datagrams, want %d (NSent honoured)", len(ref.frames), want)
 	}
-	if batchedStats.Batches == 0 || batched.batches == 0 {
-		t.Fatal("batched run recorded no batch flushes")
+	resumed := cfg
+	resumed.StartRound, resumed.StartPos = 1, 17
+	refTail, _ := run(resumed)
+	// Mid-round resume: 17 positions into round 1, past C's truncated
+	// schedule start but before any object runs dry.
+	skip := objA.N() + objB.N() + 21 + 3*17
+	sameFrames("resumed reference", refTail.frames, ref.frames[skip:])
+
+	for _, size := range []int{1, 7, 32, 64} { // 7: ragged tail flushes
+		cfg.BatchSize, resumed.BatchSize = size, size
+		conn, st := run(cfg)
+		sameFrames(fmt.Sprintf("batch=%d", size), conn.frames, ref.frames)
+		if st.PacketsSent != refStats.PacketsSent || st.BytesSent != refStats.BytesSent || st.Rounds != refStats.Rounds {
+			t.Fatalf("batch=%d stats diverge: %+v, reference %+v", size, st, refStats)
+		}
+		if st.Batches != uint64(conn.batches) {
+			t.Fatalf("batch=%d: Batches = %d, conn saw %d writes", size, st.Batches, conn.batches)
+		}
+		wantBatches := refStats.PacketsSent // one datagram per flush
+		if size > 1 {
+			perRound := uint64(objA.N() + objB.N() + 21)
+			wantBatches = 3 * ((perRound + uint64(size) - 1) / uint64(size))
+		}
+		if st.Batches != wantBatches {
+			t.Fatalf("batch=%d: %d flushes, want %d", size, st.Batches, wantBatches)
+		}
+		tail, _ := run(resumed)
+		sameFrames(fmt.Sprintf("batch=%d resumed", size), tail.frames, refTail.frames)
 	}
-	if want := batchedStats.PacketsSent - batchedStats.Batches; batchedStats.SyscallsSaved != want {
-		t.Fatalf("SyscallsSaved = %d, want packets-batches = %d", batchedStats.SyscallsSaved, want)
-	}
-	if scalarStats.Batches != 0 {
-		t.Fatalf("scalar run recorded %d batch flushes", scalarStats.Batches)
+	if refStats.Batches != refStats.PacketsSent {
+		t.Fatalf("batch=0: %d flushes for %d datagrams, want one each", refStats.Batches, refStats.PacketsSent)
 	}
 }
 
-// discardBatchConn is discardConn with a batch path, for the alloc
-// ceiling: WriteBatch must not make the conn the allocation.
-type discardBatchConn struct {
-	packets int
-	batches int
-}
-
-func (c *discardBatchConn) Send([]byte) error { c.packets++; return nil }
-func (c *discardBatchConn) WriteBatch(batch []wire.Datagram) (int, error) {
-	c.packets += len(batch)
-	c.batches++
-	return len(batch), nil
-}
-func (c *discardBatchConn) Recv([]byte) (int, error) { return 0, ErrClosed }
-func (c *discardBatchConn) ReadBatch(bufs []wire.Datagram) (int, error) {
-	return readBatchScalar(c, bufs)
-}
-func (c *discardBatchConn) SetReadDeadline(time.Time) error { return nil }
-func (c *discardBatchConn) Close() error                    { return nil }
-func (c *discardBatchConn) LocalAddr() string               { return "discard-batch" }
-
-// TestSenderBatchedRoundAllocCeiling asserts the steady-state batched
-// round loop allocates nothing: across many rounds the amortized
+// TestSenderBatchedRoundAllocCeiling asserts the steady-state round loop
+// allocates nothing at any batch size: across many rounds the amortized
 // allocations per round must stay below one (the handful of setup
-// allocations — sender, batch scratch, cursors — divided away).
+// allocations — sender, flush scratch, cursors — divided away).
 func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings are meaningless under the race detector")
@@ -492,26 +449,28 @@ func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 	objB := encodeTestObject(t, testFile(t, 64<<10, 2), 2, wire.CodeRSE, 1.5, 1024)
 	defer objA.Close()
 	defer objB.Close()
-	conn := &discardBatchConn{}
 	const rounds = 64
-	allocs := testing.AllocsPerRun(5, func() {
-		s := NewSender(conn, SenderConfig{Seed: 2, Rounds: rounds, BatchSize: 32})
-		if err := s.Add(objA); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{1, 32} {
+		conn := &discardConn{}
+		allocs := testing.AllocsPerRun(5, func() {
+			s := NewSender(conn, SenderConfig{Seed: 2, Rounds: rounds, BatchSize: size})
+			if err := s.Add(objA); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Add(objB); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perRound := allocs / rounds; perRound >= 1 {
+			t.Errorf("batch=%d round loop allocates %.2f/round (%.0f total over %d rounds); want amortized 0",
+				size, perRound, allocs, rounds)
 		}
-		if err := s.Add(objB); err != nil {
-			t.Fatal(err)
+		if conn.batches == 0 {
+			t.Fatalf("batch=%d never flushed", size)
 		}
-		if err := s.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if perRound := allocs / rounds; perRound >= 1 {
-		t.Errorf("batched round loop allocates %.2f/round (%.0f total over %d rounds); want amortized 0",
-			perRound, allocs, rounds)
-	}
-	if conn.batches == 0 {
-		t.Fatal("batched path never flushed")
 	}
 }
 
@@ -519,7 +478,7 @@ func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 
 // gilbertLossConn wraps a real Conn and erases datagrams with a Gilbert
 // chain before they reach the socket — live loss injection for the e2e
-// test, applied identically on the scalar and batched write paths.
+// test, applied identically to Send and WriteBatch.
 type gilbertLossConn struct {
 	Conn
 	ch core.Channel
@@ -539,14 +498,14 @@ func (c *gilbertLossConn) WriteBatch(batch []wire.Datagram) (int, error) {
 			kept = append(kept, d)
 		}
 	}
-	if _, err := WriteBatch(c.Conn, kept); err != nil {
+	if _, err := c.Conn.WriteBatch(kept); err != nil {
 		return 0, err
 	}
 	return len(batch), nil
 }
 
 func (c *gilbertLossConn) ReadBatch(bufs []wire.Datagram) (int, error) {
-	return ReadBatch(c.Conn, bufs)
+	return c.Conn.ReadBatch(bufs)
 }
 
 // TestCastBatchedUDPGilbertEndToEnd casts 500 KiB through Gilbert loss

@@ -88,13 +88,19 @@ func BenchmarkReceiverDecodeLatency(b *testing.B) {
 
 // discardConn swallows datagrams: the sender-round benchmark isolates
 // scheduling + lazy encoding from loopback fan-out.
-type discardConn struct{ packets int }
+type discardConn struct{ packets, batches int }
 
-func (c *discardConn) Send(d []byte) error             { c.packets++; return nil }
-func (c *discardConn) Recv([]byte) (int, error)        { return 0, ErrClosed }
-func (c *discardConn) SetReadDeadline(time.Time) error { return nil }
-func (c *discardConn) Close() error                    { return nil }
-func (c *discardConn) LocalAddr() string               { return "discard" }
+func (c *discardConn) WriteBatch(batch []wire.Datagram) (int, error) {
+	c.packets += len(batch)
+	c.batches++
+	return len(batch), nil
+}
+func (c *discardConn) Send([]byte) error                      { c.packets++; return nil }
+func (c *discardConn) ReadBatch([]wire.Datagram) (int, error) { return 0, ErrClosed }
+func (c *discardConn) Recv([]byte) (int, error)               { return 0, ErrClosed }
+func (c *discardConn) SetReadDeadline(time.Time) error        { return nil }
+func (c *discardConn) Close() error                           { return nil }
+func (c *discardConn) LocalAddr() string                      { return "discard" }
 
 // benchSenderRound measures one full carousel round per op — streaming
 // schedule draw, lazy per-packet encode through the shared scratch
@@ -135,14 +141,12 @@ func BenchmarkSenderRound(b *testing.B) {
 	benchSenderRound(b, SenderConfig{}, conn, func() int { return conn.packets })
 }
 
-// BenchmarkSenderRoundBatched is the same carousel round with the
-// vectorized send loop: datagrams packed into one scratch region and
-// flushed 32 at a time through WriteBatch. The pkts/round and allocs/op
-// columns must match the scalar round (identical carousel, amortized
-// zero allocation); the ns/op delta is the packing overhead the batch
-// syscall savings buy back many times over on a real socket.
+// BenchmarkSenderRoundBatched is the same carousel round flushed 32
+// frame views at a time. The pkts/round and allocs/op columns must match
+// the one-datagram round (identical carousel, amortized zero
+// allocation).
 func BenchmarkSenderRoundBatched(b *testing.B) {
-	conn := &discardBatchConn{}
+	conn := &discardConn{}
 	benchSenderRound(b, SenderConfig{BatchSize: 32}, conn, func() int { return conn.packets })
 }
 
@@ -182,8 +186,8 @@ func benchUDPPair(b *testing.B) (tx Conn, done func()) {
 
 const benchDgramSize = 1024
 
-// BenchmarkUDPWriteScalar is the per-datagram baseline: one sendto(2)
-// per 1 KiB datagram on a connected UDP socket.
+// BenchmarkUDPWriteScalar is the one-datagram row: one sendto(2) per
+// 1 KiB datagram on a connected UDP socket.
 func BenchmarkUDPWriteScalar(b *testing.B) {
 	tx, done := benchUDPPair(b)
 	defer done()
@@ -219,7 +223,7 @@ func BenchmarkUDPWriteBatch(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if n, err := WriteBatch(tx, batch); n != batchN || err != nil {
+		if n, err := tx.WriteBatch(batch); n != batchN || err != nil {
 			b.Fatalf("WriteBatch = %d, %v", n, err)
 		}
 	}
@@ -250,8 +254,9 @@ func benchLoopbackDrained(b *testing.B) (tx Conn, done func()) {
 	}
 }
 
-// BenchmarkLoopbackWriteScalar is the in-process baseline: one Send per
-// datagram through the loopback hub's per-receiver channel step + copy.
+// BenchmarkLoopbackWriteScalar is the in-process one-datagram row: one
+// Send per datagram through the loopback hub's per-receiver channel step
+// + copy.
 func BenchmarkLoopbackWriteScalar(b *testing.B) {
 	tx, done := benchLoopbackDrained(b)
 	defer done()
@@ -285,7 +290,7 @@ func BenchmarkLoopbackWriteBatch(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if n, err := WriteBatch(tx, batch); n != batchN || err != nil {
+		if n, err := tx.WriteBatch(batch); n != batchN || err != nil {
 			b.Fatalf("WriteBatch = %d, %v", n, err)
 		}
 	}

@@ -51,16 +51,16 @@ type CasterConfig struct {
 	// Scheduler orders each round's packets (default Tx_model_4).
 	Scheduler core.Scheduler
 	// Rate limits transmission in packets per second (0 = unpaced);
-	// Burst is the token-bucket depth.
+	// Burst is the token-bucket depth — see SenderConfig. One pacer share
+	// spans the whole cast, so the rate holds across window groups.
 	Rate  float64
 	Burst int
-	// Pacer, when set, replaces the per-group senders' built-in token
-	// buckets with an external admission source (Rate and Burst are then
-	// ignored) — see SenderConfig.Pacer. The daemon paces streaming
-	// casts through a SharedPacer share this way.
+	// Pacer, when set, is the cast's admission source instead (Rate and
+	// Burst are then ignored) — see SenderConfig.Pacer. The daemon paces
+	// streaming casts through a SharedPacer share this way.
 	Pacer Pacer
-	// BatchSize vectorizes the group senders' round loops — see
-	// SenderConfig.BatchSize. 0 or 1 keeps the scalar path.
+	// BatchSize is the datagrams per flush of the group senders' round
+	// loops — see SenderConfig.BatchSize.
 	BatchSize int
 	// Window bounds how many chunks are FEC-encoded and resident at
 	// once (default DefaultWindow) — the sender-side memory bound and
@@ -193,6 +193,12 @@ func (c *Caster) Run(ctx context.Context) error {
 	}
 	c.ran = true
 
+	// The cast's own pacer share outlives the per-group senders: a fresh
+	// bucket per group would leave small groups unpaced and let large
+	// ones overshoot by a burst each.
+	pacer, release := ownPacer(c.cfg.Pacer, c.cfg.Rate, c.cfg.Burst)
+	defer release()
+
 	chunkData := session.ChunkDataSize(c.cfg.K, c.cfg.PayloadSize)
 	buf := make([]byte, chunkData)
 	crc := crc32.NewIEEE()
@@ -230,9 +236,7 @@ func (c *Caster) Run(ctx context.Context) error {
 			chunksInGroup--
 		}
 		s := NewSender(c.conn, SenderConfig{
-			Rate:      c.cfg.Rate,
-			Burst:     c.cfg.Burst,
-			Pacer:     c.cfg.Pacer,
+			Pacer:     pacer,
 			BatchSize: c.cfg.BatchSize,
 			Rounds:    c.cfg.Rounds,
 			Scheduler: c.cfg.Scheduler,
@@ -275,9 +279,8 @@ func (c *Caster) Run(ctx context.Context) error {
 	}
 
 	for {
-		// Each group's sender gets a fresh token bucket, so a cast whose
-		// groups fit inside the burst would never block in the pacer;
-		// check cancellation explicitly between chunks.
+		// Reading and encoding a window never touches the conn, so check
+		// cancellation explicitly between chunks.
 		if err := ctx.Err(); err != nil {
 			for _, o := range window {
 				o.Close()

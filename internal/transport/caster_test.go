@@ -182,6 +182,42 @@ func TestCasterManifestAndStats(t *testing.T) {
 	}
 }
 
+// TestCasterRateSpansWindowGroups pins the cast-wide pacer: every
+// window group here (12 packets) fits inside the default 32-packet
+// burst, so a bucket refilled per group would never block. One share for
+// the whole cast admits the start-up burst and the rest at Rate.
+func TestCasterRateSpansWindowGroups(t *testing.T) {
+	const (
+		k, payload = 8, 64
+		chunks     = 10
+		rate       = 200.0
+		burst      = 32 // the default
+	)
+	data := make([]byte, chunks*session.ChunkDataSize(k, payload))
+	conn := &discardConn{}
+	c, err := NewCaster(conn, bytes.NewReader(data),
+		CasterConfig{K: k, PayloadSize: payload, Ratio: 1.5, Window: 1, Rounds: 1, Rate: rate, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	st := c.Stats()
+	if st.ChunksCast != chunks {
+		t.Fatalf("cast %d chunks, want %d", st.ChunksCast, chunks)
+	}
+	want := time.Duration(float64(st.PacketsSent-burst) / rate * float64(time.Second))
+	if elapsed < want {
+		t.Errorf("%d packets at %g pkts/s took %v, want ≥ %v — rate not held across groups", st.PacketsSent, rate, elapsed, want)
+	}
+	if st.PacerWaitNS == 0 {
+		t.Error("PacerWaitNS = 0 for a cast that outran its rate")
+	}
+}
+
 func TestCollectorOutOfOrderBound(t *testing.T) {
 	// Erase exactly the first datagram: chunk 0 then completes one
 	// interleave position after chunks 1..3, so the collector buffers 3

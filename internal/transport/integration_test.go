@@ -28,9 +28,8 @@ func TestBroadcastGilbertMidCarouselJoin(t *testing.T) {
 	// The receiver's conn is attached only mid-carousel: datagrams
 	// broadcast before that are lost to it, exactly like a late join.
 	joinAfter := obj.N() / 3
-	sent := 0
 	joined := make(chan struct{})
-	s := NewSender(&joinTap{hub: hub, sender: hub.Sender(), after: joinAfter, sent: &sent, joined: joined},
+	s := NewSender(&joinTap{Conn: hub.Sender(), after: joinAfter, joined: joined},
 		SenderConfig{Scheduler: sched.TxModel4{}, Seed: 12, Rate: 0})
 	if err := s.Add(obj); err != nil {
 		t.Fatal(err)
@@ -72,28 +71,24 @@ func TestBroadcastGilbertMidCarouselJoin(t *testing.T) {
 // joinTap wraps the loopback sender and signals once `after` datagrams
 // have been broadcast, so the test can attach a receiver mid-carousel.
 type joinTap struct {
-	hub    *Loopback
-	sender Conn
+	Conn
 	after  int
-	sent   *int
+	sent   int
 	joined chan struct{}
 }
 
-func (j *joinTap) Send(d []byte) error {
-	err := j.sender.Send(d)
-	*j.sent++
-	if *j.sent == j.after {
-		close(j.joined)
+func (j *joinTap) WriteBatch(batch []wire.Datagram) (int, error) {
+	n, err := j.Conn.WriteBatch(batch)
+	for range batch {
+		j.sent++
+		if j.sent == j.after {
+			close(j.joined)
+		}
+		if j.sent%256 == 0 {
+			// Yield so the (possibly single-CPU) receiver goroutine drains
+			// its queue; a real sender would be paced by Rate instead.
+			time.Sleep(time.Millisecond)
+		}
 	}
-	if *j.sent%256 == 0 {
-		// Yield so the (possibly single-CPU) receiver goroutine drains
-		// its queue; a real sender would be paced by Rate instead.
-		time.Sleep(time.Millisecond)
-	}
-	return err
+	return n, err
 }
-
-func (j *joinTap) Recv(buf []byte) (int, error)      { return j.sender.Recv(buf) }
-func (j *joinTap) SetReadDeadline(t time.Time) error { return j.sender.SetReadDeadline(t) }
-func (j *joinTap) Close() error                      { return j.sender.Close() }
-func (j *joinTap) LocalAddr() string                 { return j.sender.LocalAddr() }

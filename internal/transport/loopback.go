@@ -35,7 +35,7 @@ func NewLoopback() *Loopback {
 	return &Loopback{}
 }
 
-// Sender returns an endpoint whose Send fans out to every receiver
+// Sender returns an endpoint whose writes fan out to every receiver
 // attached at transmission time. Multiple senders may share one medium.
 func (l *Loopback) Sender() Conn {
 	return &loopSender{hub: l}
@@ -55,11 +55,10 @@ func (l *Loopback) Receiver(ch core.Channel, queue int) Conn {
 // the batched stepper st over a splitmix64 stream seeded with seed. It
 // is the batch-native sibling of Receiver: a WriteBatch fan-out steps
 // the chain in 64-wide StepMask calls — one lock acquisition and no
-// interface dispatch per batch — while scalar Sends step it one mask
-// bit at a time, so the loss sequence is bit-identical either way (and
-// identical to the scalar chain the stepper's factory builds over a
-// core.SplitMixSource with the same seed). queue <= 0 selects
-// DefaultLoopbackQueue.
+// interface dispatch per batch — and the loss sequence is bit-identical
+// at every batch size (and identical to the scalar chain the stepper's
+// factory builds over a core.SplitMixSource with the same seed). queue
+// <= 0 selects DefaultLoopbackQueue.
 func (l *Loopback) ReceiverStepper(st channel.Stepper, seed int64, queue int) Conn {
 	c := newLoopConn(l, queue)
 	c.useStepper = true
@@ -108,26 +107,6 @@ func (l *Loopback) Close() error {
 	return nil
 }
 
-// broadcast offers one datagram to every attached receiver.
-func (l *Loopback) broadcast(datagram []byte) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("transport: loopback: %w", ErrClosed)
-	}
-	rxs := make([]*loopConn, len(l.receivers))
-	copy(rxs, l.receivers)
-	l.mu.Unlock()
-	// One shared copy for all receivers: queued datagrams are read-only
-	// (Recv copies into the caller's buffer), so fan-out need not clone
-	// per receiver.
-	buf := append(make([]byte, 0, len(datagram)), datagram...)
-	for _, c := range rxs {
-		c.deliver(buf)
-	}
-	return nil
-}
-
 // broadcastBatch offers a batch to every attached receiver. The copies
 // all receivers share live in one backing allocation, and each receiver
 // applies its loss model to the whole batch under a single lock.
@@ -164,14 +143,12 @@ type loopSender struct {
 }
 
 func (s *loopSender) Send(datagram []byte) error {
-	if s.closed.Load() {
-		return fmt.Errorf("transport: loopback sender: %w", ErrClosed)
-	}
-	return s.hub.broadcast(datagram)
+	_, err := s.WriteBatch([]wire.Datagram{datagram})
+	return err
 }
 
-// WriteBatch implements BatchConn: the whole batch crosses the hub with
-// one lock round trip and one backing copy per receiver set, and each
+// WriteBatch implements Conn: the whole batch crosses the hub with one
+// lock round trip and one backing copy per receiver set, and each
 // receiver steps its loss model over the batch in 64-wide masks.
 func (s *loopSender) WriteBatch(batch []wire.Datagram) (int, error) {
 	if s.closed.Load() {
@@ -220,45 +197,14 @@ type loopConn struct {
 	erased  atomic.Uint64 // channel erasures
 }
 
-// deliver applies the loss model and enqueues the (shared, read-only)
-// datagram, dropping it when the queue is full (UDP socket-buffer
-// semantics). The caller guarantees the slice is never mutated after
-// broadcast.
-func (c *loopConn) deliver(datagram []byte) {
-	select {
-	case <-c.closed:
-		return
-	default:
-	}
-	if c.useStepper {
-		c.chMu.Lock()
-		lost := c.stepper.StepMask(&c.chState, &c.chLost, 1) != 0
-		c.chMu.Unlock()
-		if lost {
-			c.erased.Add(1)
-			return
-		}
-	} else if c.ch != nil {
-		c.chMu.Lock()
-		lost := c.ch.Lost()
-		c.chMu.Unlock()
-		if lost {
-			c.erased.Add(1)
-			return
-		}
-	}
-	select {
-	case c.queue <- datagram:
-	default:
-		c.dropped.Add(1)
-	}
-}
-
-// deliverBatch is deliver for a whole batch: one lock acquisition, the
-// loss model stepped in up to 64-wide masks. A stepper endpoint draws
-// exactly the same splitmix64 sequence as n scalar delivers would —
-// StepMask's chunking does not change the stream — so batched and
-// scalar sends produce byte-identical loss patterns.
+// deliverBatch applies the loss model to a batch under one lock
+// acquisition, stepped in up to 64-wide masks, and enqueues the
+// surviving (shared, read-only) datagrams, dropping those that find the
+// queue full (UDP socket-buffer semantics). The caller guarantees the
+// slices are never mutated after broadcast. A stepper endpoint draws the
+// same splitmix64 sequence however the datagrams are grouped into
+// batches — StepMask's chunking does not change the stream — so the
+// loss pattern depends on the datagram order alone.
 func (c *loopConn) deliverBatch(datagrams [][]byte) {
 	select {
 	case <-c.closed:
@@ -330,7 +276,7 @@ func (c *loopConn) Recv(buf []byte) (int, error) {
 	}
 }
 
-// ReadBatch implements BatchConn: it blocks for the first datagram with
+// ReadBatch implements Conn: it blocks for the first datagram with
 // Recv's exact deadline/close semantics, then drains whatever else is
 // already queued without blocking again.
 func (c *loopConn) ReadBatch(bufs []wire.Datagram) (int, error) {

@@ -5,7 +5,7 @@ package transport
 import "fecperf/internal/wire"
 
 // Portable batch datapath: platforms without sendmmsg/recvmmsg (or
-// where the mmsghdr ABI here isn't vetted) satisfy the BatchConn
+// where the mmsghdr ABI here isn't vetted) satisfy the Conn batch
 // contract with the per-datagram loops, so callers program against one
 // API and the build tags decide how many syscalls it costs.
 
@@ -18,12 +18,12 @@ func (u *udpConn) initBatch() {}
 // Linux-only socket feature.
 func (u *udpConn) GSOEnabled() bool { return false }
 
-// WriteBatch implements BatchConn with one Send per datagram.
+// WriteBatch implements Conn with one Send per datagram.
 func (u *udpConn) WriteBatch(batch []wire.Datagram) (int, error) {
-	return writeBatchScalar(u, batch)
+	return u.writeBatchScalar(batch)
 }
 
-// ReadBatch implements BatchConn with a single Recv.
+// ReadBatch implements Conn with a single Recv.
 func (u *udpConn) ReadBatch(bufs []wire.Datagram) (int, error) {
-	return readBatchScalar(u, bufs)
+	return u.readBatchScalar(bufs)
 }

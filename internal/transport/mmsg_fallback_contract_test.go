@@ -11,7 +11,7 @@ import (
 )
 
 // TestUDPFallbackBatchContract proves the portable (non-mmsg) UDP batch
-// path satisfies the BatchConn contract: WriteBatch delivers the whole
+// path satisfies the Conn batch contract: WriteBatch delivers the whole
 // batch in order, ReadBatch blocks for at least one datagram and
 // re-slices what it fills, and GSO is reported off. It runs only on
 // platforms without the Linux sendmmsg datapath — the cross-compile CI
@@ -31,15 +31,11 @@ func TestUDPFallbackBatchContract(t *testing.T) {
 	if tx.(interface{ GSOEnabled() bool }).GSOEnabled() {
 		t.Fatal("portable fallback must report GSO disabled")
 	}
-	bc, ok := tx.(BatchConn)
-	if !ok {
-		t.Fatal("fallback udpConn must still implement BatchConn")
-	}
 	batch := make([]wire.Datagram, 40)
 	for i := range batch {
 		batch[i] = bytes.Repeat([]byte{byte(i)}, 200)
 	}
-	if n, err := bc.WriteBatch(batch); n != len(batch) || err != nil {
+	if n, err := tx.WriteBatch(batch); n != len(batch) || err != nil {
 		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(batch))
 	}
 	rx.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
@@ -49,7 +45,7 @@ func TestUDPFallbackBatchContract(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = make([]byte, 1024)
 		}
-		m, err := ReadBatch(rx, bufs)
+		m, err := rx.ReadBatch(bufs)
 		if err != nil {
 			t.Fatalf("ReadBatch after %d: %v", got, err)
 		}

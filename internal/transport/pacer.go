@@ -6,119 +6,38 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"fecperf/internal/obs"
 )
 
 // Pacer admits packet transmissions. Take blocks until n tokens are
 // available (or ctx is done) and consumes them in one debit; n == 0 is a
-// cancellation check. The sender's built-in token bucket implements it,
-// and SenderConfig.Pacer accepts any external implementation — the
-// daemon's SharedPacer hands every cast's sender a PacerShare so many
-// carousels divide one line-rate budget.
+// cancellation check. It exists so a sender can hold a broadcast to the
+// session bitrate (ALC sessions are announced with a fixed rate) instead
+// of free-running and flooding kernel buffers. PacerShare is the
+// implementation: a sender or caster given Rate/Burst draws from the
+// sole share of its own SharedPacer, and the daemon hands every cast's
+// sender a share of one SharedPacer so many carousels divide one
+// line-rate budget.
 type Pacer interface {
 	Take(ctx context.Context, n int) error
 }
 
-// timedPacer adapts an external Pacer (SenderConfig.Pacer) to the
-// sender's pacer-wait accounting: time blocked in Take accrues on the
-// sender's counter, so per-cast pacer-wait metrics read the same whether
-// the sender paces itself or draws from a SharedPacer.
-type timedPacer struct {
-	p      Pacer
-	waitNS *obs.Counter
-}
+// defaultBurst is the bucket depth in packets of a sender's or caster's
+// own pacer when its Burst is unset.
+const defaultBurst = 32
 
-func (t timedPacer) Take(ctx context.Context, n int) error {
-	start := time.Now()
-	err := t.p.Take(ctx, n)
-	if d := time.Since(start); d > time.Microsecond {
-		t.waitNS.Add(uint64(d))
-	}
-	return err
-}
-
-// pacer is a token-bucket rate limiter counted in packets. It exists so
-// the sender can hold a broadcast to the session bitrate (ALC sessions
-// are announced with a fixed rate) instead of free-running and flooding
-// kernel buffers. A nil pacer means "as fast as the socket allows".
-type pacer struct {
-	rate   float64 // tokens (packets) added per second
-	burst  float64 // bucket depth
-	tokens float64
-	last   time.Time
-	waitNS *obs.Counter // accumulated sleep time (nil-safe)
-}
-
-// newPacer returns a pacer admitting rate packets/second with the given
-// burst, or nil when rate <= 0 (unpaced). Sleep time accrues on waitNS
-// from the already-computed delay — no extra clock reads on the send
-// path.
-func newPacer(rate float64, burst int, waitNS *obs.Counter) *pacer {
-	if rate <= 0 {
-		return nil
+// ownPacer resolves the admission source of a sender or caster run: the
+// external pacer when one is configured; otherwise, for rate > 0, the
+// sole share of a fresh SharedPacer (burst < 1 selects defaultBurst);
+// otherwise nil — unpaced. release closes the share ownPacer created.
+func ownPacer(external Pacer, rate float64, burst int) (p Pacer, release func()) {
+	if external != nil || rate <= 0 {
+		return external, func() {}
 	}
 	if burst < 1 {
-		burst = 32
+		burst = defaultBurst
 	}
-	return &pacer{rate: rate, burst: float64(burst), tokens: float64(burst), last: time.Now(), waitNS: waitNS}
-}
-
-// Take blocks until n tokens are available (or ctx is done) and consumes
-// them in one debit — the batched sender charges a whole flush with one
-// call instead of n. Refill accounting is exact: tokens accrue
-// continuously at rate and cap at burst. n may exceed the burst: the
-// bucket then goes into debt (tokens become negative after the debit),
-// so a steady stream of over-burst batches still averages exactly rate
-// packets per second — the same long-run admission the scalar path
-// gives, delivered in batch-sized bursts.
-func (p *pacer) Take(ctx context.Context, n int) error {
-	// Honour cancellation on every admission, including the token-rich
-	// fast path: the sender's round loop relies on Take to notice a
-	// cancelled context, and a sender running below its rate would
-	// otherwise never block and never see it.
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	default:
-	}
-	if p == nil || n <= 0 {
-		return nil
-	}
-	need := float64(n)
-	// Over-burst batches cannot wait for the bucket to hold n at once —
-	// it never will. Wait only until the bucket is full (or holds n),
-	// then debit and run negative; the debt throttles later takes.
-	target := need
-	if target > p.burst {
-		target = p.burst
-	}
-	now := time.Now()
-	p.tokens += now.Sub(p.last).Seconds() * p.rate
-	p.last = now
-	if p.tokens > p.burst {
-		p.tokens = p.burst
-	}
-	if p.tokens >= target {
-		p.tokens -= need
-		return nil
-	}
-	delay := time.Duration((target - p.tokens) / p.rate * float64(time.Second))
-	p.waitNS.Add(uint64(delay))
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case now = <-t.C:
-		p.tokens += now.Sub(p.last).Seconds() * p.rate
-		p.last = now
-		if p.tokens > p.burst {
-			p.tokens = p.burst
-		}
-		p.tokens -= need
-		return nil
-	}
+	share := NewSharedPacer(rate, burst).AddShare(1)
+	return share, share.Close
 }
 
 // SharedPacer is a hierarchical token-bucket pacer: the line-rate
@@ -144,9 +63,10 @@ func (p *pacer) Take(ctx context.Context, n int) error {
 //     the moment the others wake the spill dries up and everyone
 //     converges back to their weighted slices.
 //
-// Shares use the same batch-debit debt accounting as the sender's own
-// pacer: Take(n) with n above the share's burst waits only until the
-// bucket is full, debits the whole batch and runs the bucket negative,
+// Shares debit whole batches and carry debt: Take(n) with n above the
+// share's burst cannot wait for the bucket to hold n at once — it never
+// will — so it waits only until the bucket is full, debits the whole
+// batch and runs the bucket negative; the debt throttles later takes,
 // so over-burst batches still average the assured rate. The debt is
 // bounded by maxSendBatch - 1 tokens and drains within
 // Debt()/assured-rate seconds — and it never survives a reconfiguration:
@@ -173,7 +93,7 @@ const DefaultSharedBurst = 4 * maxSendBatch
 // NewSharedPacer returns a hierarchical pacer admitting rate packets per
 // second in aggregate. burst <= 0 selects DefaultSharedBurst. A rate
 // <= 0 returns nil: the nil *SharedPacer is valid and unpaced (its
-// shares admit everything), mirroring newPacer. The pool starts full —
+// shares admit everything). The pool starts full —
 // the start-up burst — so a fresh fleet's first batches clear without
 // synthetic stalls.
 func NewSharedPacer(rate float64, burst int) *SharedPacer {
@@ -294,8 +214,10 @@ type PacerShare struct {
 // debits the bucket it admitted from. See SharedPacer for the admission
 // and debt semantics.
 func (ps *PacerShare) Take(ctx context.Context, n int) error {
-	// As with pacer.Take: cancellation must surface even when tokens
-	// are plentiful and no admission ever blocks.
+	// Honour cancellation on every admission, including the token-rich
+	// fast path: the sender's round loop relies on Take to notice a
+	// cancelled context, and a sender running below its rate would
+	// otherwise never block and never see it.
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
@@ -315,7 +237,7 @@ func (ps *PacerShare) Take(ctx context.Context, n int) error {
 		sp.refillAllLocked(time.Now())
 		// Assured admission: the share's own bucket covers the batch
 		// (over-burst batches wait for a full bucket and run it into
-		// debt, exactly like pacer.Take). Only this bucket is debited,
+		// debt). Only this bucket is debited,
 		// so under contention every share is paced by precisely its
 		// weighted slice — fairness needs no coordination.
 		target := need

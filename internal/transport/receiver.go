@@ -39,10 +39,9 @@ type ReceiverConfig struct {
 	// symbol size or datagrams are truncated and discarded).
 	MTU int
 	// ReadBatch is how many datagrams the ingest loop asks the conn for
-	// per read crossing (default 16, clamped to 64). On batch-capable
-	// conns a burst drains recvmmsg-style — one kernel crossing for the
-	// whole batch; on others each crossing yields one datagram, the
-	// scalar behaviour. 1 forces scalar reads.
+	// per read crossing (default 16, clamped to 64): a burst drains
+	// recvmmsg-style — one kernel crossing for the whole batch. 1 reads
+	// one datagram per crossing.
 	ReadBatch int
 	// OnComplete, when set, is called — outside the daemon's locks, on
 	// the Run goroutine — each time an object decodes.
@@ -257,7 +256,7 @@ func (d *ReceiverDaemon) Run(ctx context.Context) error {
 		for i := range bufs {
 			bufs[i] = backing[i*slot : (i+1)*slot : (i+1)*slot]
 		}
-		filled, err := ReadBatch(d.conn, bufs)
+		filled, err := d.conn.ReadBatch(bufs)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"time"
 
 	"fecperf/internal/core"
 	"fecperf/internal/obs"
@@ -15,26 +16,27 @@ import (
 
 // SenderConfig tunes the carousel.
 type SenderConfig struct {
-	// Rate limits transmission in packets per second (0 = unpaced).
+	// Rate limits transmission in packets per second (0 = unpaced). The
+	// sender paces through the sole share of its own SharedPacer.
 	Rate float64
-	// Burst is the token-bucket depth in packets (default 32).
+	// Burst is the token-bucket depth in packets (default 32). After an
+	// idle period the share may admit up to its bucket plus the pacer's
+	// surplus pool — twice Burst — back to back; the long-run rate is
+	// Rate regardless.
 	Burst int
-	// Pacer, when set, replaces the sender's built-in token bucket with
-	// an external admission source (Rate and Burst are then ignored).
-	// The daemon hands every cast's sender a PacerShare here so many
-	// carousels divide one SharedPacer line-rate budget. Time blocked in
-	// the external pacer accrues on the same pacer-wait counter as the
-	// built-in bucket's sleeps.
+	// Pacer, when set, is the admission source instead (Rate and Burst
+	// are then ignored). The daemon hands every cast's sender a
+	// PacerShare here so many carousels divide one SharedPacer line-rate
+	// budget. Time blocked in Take accrues on the same pacer-wait
+	// counter either way.
 	Pacer Pacer
-	// BatchSize vectorizes the round loop: up to BatchSize frame views
-	// are gathered and flushed with a single batch write — one kernel
-	// crossing on batch-capable conns (sendmmsg/GSO on UDP, one lock per
-	// batch on loopback) — and the pacer is charged once per flush
-	// instead of once per packet.
-	// Values above 64 are clamped; 0 or 1 keeps the scalar per-datagram
-	// path. Batching changes pacing granularity (tokens are taken
-	// BatchSize at a time) but not the datagram sequence: batched and
-	// scalar runs emit byte-identical carousels.
+	// BatchSize is how many frame views the round loop gathers per
+	// flush: each flush is one pacer debit and one batch write — one
+	// kernel crossing (sendmmsg/GSO) on UDP, one lock on loopback. 0
+	// means 1; values above 64 are clamped. It sets the pacing
+	// granularity (tokens are taken BatchSize at a time), never the
+	// datagram sequence: the carousel is byte-identical at every batch
+	// size.
 	BatchSize int
 	// Rounds bounds the carousel; 0 streams until the context is
 	// cancelled — the ALC "infinite carousel" serving late joiners.
@@ -82,12 +84,8 @@ type SenderStats struct {
 	// Resumes counts Runs that started mid-carousel (StartRound or
 	// StartPos set).
 	Resumes uint64
-	// Batches counts batch flushes (0 when the sender runs scalar).
+	// Batches counts flushes: batch writes handed to the Conn.
 	Batches uint64
-	// SyscallsSaved counts kernel crossings avoided by batching: each
-	// n-datagram flush counts n-1 (what the scalar path would have paid
-	// on top of the one write the flush actually issued).
-	SyscallsSaved uint64
 }
 
 // Sender streams one or more encoded objects over a Conn as a
@@ -124,9 +122,15 @@ type Sender struct {
 	pacerWait obs.Counter // ns blocked in the pacer
 	resumes   obs.Counter
 
-	batches       obs.Counter
-	syscallsSaved obs.Counter
-	batchSizes    *obs.Histogram // datagrams per flush (nil without Metrics)
+	batches    obs.Counter
+	batchSizes *obs.Histogram // datagrams per flush (nil without Metrics or batching)
+
+	// The round loop's reusable flush state: the pending frame views,
+	// gathered straight from the objects' slabs and handed to WriteBatch
+	// as they are, so the steady-state round allocates nothing.
+	views   []wire.Datagram
+	pending uint64      // total length of views
+	traces  []obs.Event // first_tx events deferred until the flush lands
 }
 
 type senderObject struct {
@@ -135,7 +139,7 @@ type senderObject struct {
 	scheduler core.Scheduler
 	nsent     int           // per-round schedule truncation (0 = all)
 	sched     core.Schedule // current round's order, redrawn each round
-	cur       core.Cursor   // batched walk over sched, rebuilt with it
+	cur       core.Cursor   // walk over sched, rebuilt with it
 	txStarted bool          // first datagram already traced
 }
 
@@ -149,8 +153,11 @@ func NewSender(conn Conn, cfg SenderConfig) *Sender {
 		r.CounterFunc("sender_pacer_wait_ns_total", "Nanoseconds blocked in the rate limiter.", nil, s.pacerWait.Load)
 		r.CounterFunc("sender_resumes_total", "Runs resumed mid-carousel from a stored position.", nil, s.resumes.Load)
 		r.CounterFunc("sender_batches_total", "Batch flushes handed to the conn.", nil, s.batches.Load)
-		r.CounterFunc("sender_syscalls_saved_total", "Kernel crossings avoided by batching (n-1 per n-datagram flush).", nil, s.syscallsSaved.Load)
-		s.batchSizes = r.Histogram("sender_batch_size", "Datagrams per batch flush.", obs.ExpBuckets(1, 2, 7), 0, nil)
+		if cfg.BatchSize > 1 {
+			// A one-datagram sender has no size distribution to report,
+			// and spares the per-packet histogram update.
+			s.batchSizes = r.Histogram("sender_batch_size", "Datagrams per flush.", obs.ExpBuckets(1, 2, 7), 0, nil)
+		}
 		r.GaugeFunc("sender_gso_enabled", "1 when the conn's batched writes use UDP generic segmentation offload.", nil, func() int64 {
 			if g, ok := conn.(interface{ GSOEnabled() bool }); ok && g.GSOEnabled() {
 				return 1
@@ -217,23 +224,19 @@ func (s *Sender) Run(ctx context.Context) error {
 	// never on how much of the carousel ran before — the resume
 	// contract.
 	rng := rand.New(&core.SplitMixSource{})
-	var p Pacer
-	if s.cfg.Pacer != nil {
-		p = timedPacer{p: s.cfg.Pacer, waitNS: &s.pacerWait}
-	} else {
-		p = newPacer(s.cfg.Rate, s.cfg.Burst, &s.pacerWait)
-	}
+	p, release := ownPacer(s.cfg.Pacer, s.cfg.Rate, s.cfg.Burst)
+	defer release()
 	if startRound > 0 || s.cfg.StartPos > 0 {
 		s.resumes.Inc()
 	}
 	batchSize := s.cfg.BatchSize
+	if batchSize < 1 {
+		batchSize = 1
+	}
 	if batchSize > maxSendBatch {
 		batchSize = maxSendBatch
 	}
-	var batch *sendBatch
-	if batchSize > 1 {
-		batch = &sendBatch{size: batchSize, views: make([]wire.Datagram, 0, batchSize)}
-	}
+	s.views = make([]wire.Datagram, 0, batchSize)
 
 	for round := startRound; s.cfg.Rounds <= 0 || round < s.cfg.Rounds; round++ {
 		for i, o := range s.objs {
@@ -258,16 +261,6 @@ func (s *Sender) Run(ctx context.Context) error {
 				o.cur.Seek(pos)
 			}
 		}
-		if batch != nil {
-			if err := s.roundBatched(ctx, p, batch, round); err != nil {
-				return err
-			}
-			s.rounds.Add(1)
-			if s.cfg.OnRound != nil {
-				s.cfg.OnRound(round)
-			}
-			continue
-		}
 		// Round-robin interleave across objects: one packet from each
 		// in turn, objects with longer schedules trailing off last. Each
 		// object's cursor walks its schedule in batched draws.
@@ -279,22 +272,18 @@ func (s *Sender) Run(ctx context.Context) error {
 					continue
 				}
 				remaining++
-				if err := p.Take(ctx, 1); err != nil {
-					return err
-				}
 				frame, err := o.obj.Frame(id)
 				if err != nil {
 					return fmt.Errorf("transport: object %d: %w", o.obj.ObjectID(), err)
 				}
-				if err := s.conn.Send(frame); err != nil {
-					return fmt.Errorf("transport: send: %w", err)
-				}
-				s.packets.Inc()
-				s.bytes.Add(uint64(len(frame)))
+				s.views = append(s.views, frame)
+				s.pending += uint64(len(frame))
 				if !o.txStarted {
 					o.txStarted = true
-					if tr := s.cfg.Tracer; tr != nil {
-						tr.Emit(obs.Event{
+					if s.cfg.Tracer != nil {
+						// Deferred: the event is emitted when the flush
+						// actually hands the datagram to the conn.
+						s.traces = append(s.traces, obs.Event{
 							Event:  obs.TraceFirstTx,
 							Object: o.obj.ObjectID(),
 							Packet: id,
@@ -303,7 +292,17 @@ func (s *Sender) Run(ctx context.Context) error {
 						})
 					}
 				}
+				if len(s.views) == batchSize {
+					if err := s.flush(ctx, p); err != nil {
+						return err
+					}
+				}
 			}
+		}
+		// A round boundary flushes the tail: rounds stay observable units
+		// (OnRound fires with every datagram of the round on the wire).
+		if err := s.flush(ctx, p); err != nil {
+			return err
 		}
 		s.rounds.Add(1)
 		if s.cfg.OnRound != nil {
@@ -318,101 +317,56 @@ func (s *Sender) Run(ctx context.Context) error {
 // header array (and the kernel's GSO segment limit) on UDP.
 const maxSendBatch = 64
 
-// sendBatch is the vectorized round loop's reusable flush state: the
-// pending frame views, gathered straight from the objects' slabs and
-// handed to WriteBatch as they are. The slices are reused across flushes,
-// so the steady-state batched round allocates nothing.
-type sendBatch struct {
-	size   int
-	views  []wire.Datagram // frames pending in this batch
-	bytes  uint64          // their total length
-	traces []obs.Event     // first_tx events deferred until the flush lands
-}
-
-// roundBatched is the vectorized inner loop of Run: the same
-// round-robin walk as the scalar path, but frame views accumulate in the
-// batch and hit the conn size datagrams per kernel crossing. The
-// carousel byte sequence is identical to the scalar loop's; only the
-// grouping (and the pacer's debit granularity) changes.
-func (s *Sender) roundBatched(ctx context.Context, p Pacer, b *sendBatch, round int) error {
-	for remaining := len(s.objs); remaining > 0; {
-		remaining = 0
-		for _, o := range s.objs {
-			id, ok := o.cur.Next()
-			if !ok {
-				continue
-			}
-			remaining++
-			frame, err := o.obj.Frame(id)
-			if err != nil {
-				return fmt.Errorf("transport: object %d: %w", o.obj.ObjectID(), err)
-			}
-			b.views = append(b.views, frame)
-			b.bytes += uint64(len(frame))
-			if !o.txStarted {
-				o.txStarted = true
-				if s.cfg.Tracer != nil {
-					// Deferred: the event is emitted when the flush
-					// actually hands the datagram to the conn.
-					b.traces = append(b.traces, obs.Event{
-						Event:  obs.TraceFirstTx,
-						Object: o.obj.ObjectID(),
-						Packet: id,
-						Round:  round,
-						Bytes:  int64(len(frame)),
-					})
-				}
-			}
-			if len(b.views) == b.size {
-				if err := s.flushBatch(ctx, p, b); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	// A round boundary flushes the tail: rounds stay observable units
-	// (OnRound fires with every datagram of the round on the wire).
-	return s.flushBatch(ctx, p, b)
-}
-
-// flushBatch debits the pacer once for the whole pending batch, hands
-// it to the conn in one batch write, and settles the deferred metrics
-// and first_tx traces.
-func (s *Sender) flushBatch(ctx context.Context, p Pacer, b *sendBatch) error {
-	n := len(b.views)
+// flush debits the pacer once for the pending views, hands them to the
+// conn in one batch write, and settles the deferred metrics and
+// first_tx traces. Cancellation is noticed here, once per flush. Only a
+// paced sender reads the clock.
+func (s *Sender) flush(ctx context.Context, p Pacer) error {
+	n := len(s.views)
 	if n == 0 {
 		return nil
 	}
-	if err := p.Take(ctx, n); err != nil {
-		return err
-	}
-	if _, err := WriteBatch(s.conn, b.views); err != nil {
-		return fmt.Errorf("transport: send batch: %w", err)
-	}
-	s.packets.Add(uint64(n))
-	s.bytes.Add(b.bytes)
-	s.batches.Inc()
-	s.syscallsSaved.Add(uint64(n - 1))
-	s.batchSizes.Observe(int64(n))
-	if tr := s.cfg.Tracer; tr != nil {
-		for i := range b.traces {
-			tr.Emit(b.traces[i])
+	if p != nil {
+		start := time.Now()
+		err := p.Take(ctx, n)
+		if d := time.Since(start); d > time.Microsecond {
+			s.pacerWait.Add(uint64(d))
+		}
+		if err != nil {
+			return err
+		}
+	} else {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		default:
 		}
 	}
-	b.traces = b.traces[:0]
-	b.views, b.bytes = b.views[:0], 0
+	if _, err := s.conn.WriteBatch(s.views); err != nil {
+		return fmt.Errorf("transport: send: %w", err)
+	}
+	s.packets.Add(uint64(n))
+	s.bytes.Add(s.pending)
+	s.batches.Inc()
+	s.batchSizes.Observe(int64(n))
+	if tr := s.cfg.Tracer; tr != nil {
+		for i := range s.traces {
+			tr.Emit(s.traces[i])
+		}
+	}
+	s.traces = s.traces[:0]
+	s.views, s.pending = s.views[:0], 0
 	return nil
 }
 
 // Stats returns a snapshot of the sender's counters.
 func (s *Sender) Stats() SenderStats {
 	return SenderStats{
-		PacketsSent:   s.packets.Load(),
-		BytesSent:     s.bytes.Load(),
-		Rounds:        s.rounds.Load(),
-		PacerWaitNS:   s.pacerWait.Load(),
-		Resumes:       s.resumes.Load(),
-		Batches:       s.batches.Load(),
-		SyscallsSaved: s.syscallsSaved.Load(),
+		PacketsSent: s.packets.Load(),
+		BytesSent:   s.bytes.Load(),
+		Rounds:      s.rounds.Load(),
+		PacerWaitNS: s.pacerWait.Load(),
+		Resumes:     s.resumes.Load(),
+		Batches:     s.batches.Load(),
 	}
 }

@@ -156,19 +156,28 @@ func TestSenderHonoursNSent(t *testing.T) {
 	}
 }
 
-// captureConn records every datagram handed to Send.
+// captureConn records every datagram written to it, in wire order.
 type captureConn struct {
-	frames [][]byte
+	frames  [][]byte
+	batches int
 }
 
-func (c *captureConn) Send(d []byte) error {
-	c.frames = append(c.frames, append([]byte(nil), d...))
-	return nil
+func (c *captureConn) WriteBatch(batch []wire.Datagram) (int, error) {
+	c.batches++
+	for _, d := range batch {
+		c.frames = append(c.frames, append([]byte(nil), d...))
+	}
+	return len(batch), nil
 }
-func (c *captureConn) Recv([]byte) (int, error)        { return 0, ErrClosed }
-func (c *captureConn) SetReadDeadline(time.Time) error { return nil }
-func (c *captureConn) Close() error                    { return nil }
-func (c *captureConn) LocalAddr() string               { return "capture" }
+func (c *captureConn) Send(d []byte) error {
+	_, err := c.WriteBatch([]wire.Datagram{d})
+	return err
+}
+func (c *captureConn) ReadBatch([]wire.Datagram) (int, error) { return 0, ErrClosed }
+func (c *captureConn) Recv([]byte) (int, error)               { return 0, ErrClosed }
+func (c *captureConn) SetReadDeadline(time.Time) error        { return nil }
+func (c *captureConn) Close() error                           { return nil }
+func (c *captureConn) LocalAddr() string                      { return "capture" }
 
 // TestSenderMidRoundResume verifies the carousel's resume contract:
 // a sender restarted at (StartRound, StartPos) emits exactly the byte

@@ -6,10 +6,12 @@ import (
 	"net"
 	"syscall"
 	"time"
+
+	"fecperf/internal/wire"
 )
 
-// udpConn adapts *net.UDPConn to the Conn interface — and, through the
-// udpBatch state (mmsg_linux.go / mmsg_fallback.go), to BatchConn. The
+// udpConn adapts *net.UDPConn to the Conn interface; the batch methods
+// live with the udpBatch state (mmsg_linux.go / mmsg_fallback.go). The
 // sender side is a connected socket (unicast, broadcast or multicast
 // destination); the receiver side is a bound — and, for multicast
 // groups, joined — socket.
@@ -79,6 +81,30 @@ func (u *udpConn) Send(datagram []byte) error {
 func (u *udpConn) Recv(buf []byte) (int, error) {
 	n, _, err := u.c.ReadFromUDP(buf)
 	return n, err
+}
+
+// writeBatchScalar is WriteBatch without sendmmsg: one Send per datagram.
+func (u *udpConn) writeBatchScalar(batch []wire.Datagram) (int, error) {
+	for i, d := range batch {
+		if err := u.Send(d); err != nil {
+			return i, err
+		}
+	}
+	return len(batch), nil
+}
+
+// readBatchScalar is ReadBatch without recvmmsg: it satisfies the batch
+// contract (block, fill a prefix, re-slice) with a single Recv.
+func (u *udpConn) readBatchScalar(bufs []wire.Datagram) (int, error) {
+	if len(bufs) == 0 {
+		return 0, nil
+	}
+	n, err := u.Recv(bufs[0])
+	if err != nil {
+		return 0, err
+	}
+	bufs[0] = bufs[0][:n]
+	return 1, nil
 }
 
 func (u *udpConn) SetReadDeadline(t time.Time) error {
