@@ -51,7 +51,11 @@ type Codec interface {
 // straight to its final slot — the one copy between the caller's read
 // buffer and the decoded object — and missing sources are rebuilt into
 // their slots, so when the decoder is Done the source slab *is* the
-// object. Slices returned by Source are views into that slab: valid until
+// object. A parity payload is copied if the decoder needs it later
+// (Reed-Solomon buffers it for the solve) and merely read if it does not
+// (the LDGM peeler folds it into its equations before returning); the
+// caller may overwrite its buffer as soon as the call returns. Slices
+// returned by Source are views into the source slab: valid until
 // TakeSources or Close, and not to be modified.
 type PayloadDecoder interface {
 	// ReceivePayload delivers packet id with its payload and returns

@@ -41,7 +41,7 @@ func (c *Code) GaussDecodable(received []bool) bool {
 	rows := make([][]uint64, 0, c.m)
 	for i := 0; i < c.m; i++ {
 		var row []uint64
-		for _, v := range c.rows[i] {
+		for _, v := range c.EquationVars(i) {
 			if j, ok := colOf[v]; ok {
 				if row == nil {
 					row = make([]uint64, words)

@@ -34,11 +34,11 @@ func (d *Decoder) SolveGauss() bool {
 	var cols []int32
 	liveEqs := make([]int32, 0, 64)
 	for eq := 0; eq < c.m; eq++ {
-		if d.unknown[eq] == 0 {
+		if d.eqs[eq].unknown == 0 {
 			continue
 		}
 		liveEqs = append(liveEqs, int32(eq))
-		for _, v := range c.rows[eq] {
+		for _, v := range c.EquationVars(eq) {
 			if !d.known[v] {
 				if _, ok := colOf[v]; !ok {
 					colOf[v] = len(cols)
@@ -60,7 +60,7 @@ func (d *Decoder) SolveGauss() bool {
 	rhs := make([][]byte, len(liveEqs))
 	for i, eq := range liveEqs {
 		row := make([]uint64, words)
-		for _, v := range c.rows[eq] {
+		for _, v := range c.EquationVars(int(eq)) {
 			if j, ok := colOf[v]; ok && !d.known[v] {
 				row[j/64] ^= 1 << (j % 64)
 			}
@@ -68,8 +68,8 @@ func (d *Decoder) SolveGauss() bool {
 		rows[i] = row
 		if d.symLen > 0 {
 			r := symbol.Get(d.symLen)
-			if a := d.pay.acc[eq]; a != nil {
-				copy(r, a)
+			if d.pay.touched[eq] {
+				copy(r, d.pay.acc.Slot(int(eq)))
 			}
 			rhs[i] = r
 		}
@@ -131,12 +131,12 @@ func (d *Decoder) SolveGauss() bool {
 		if d.known[v] {
 			continue
 		}
-		// The solved value moves to the variable's own slot; the RHS
-		// scratch all goes back to the pool below.
-		d.markKnown(v, d.store(v, rhs[r]))
+		d.markKnown(v, rhs[r])
 	}
 	// Feed the newly solved variables back through peeling: they may
 	// unlock equations the elimination left alone (rows dropped by rank).
+	// Peeling reads their values out of the RHS scratch, which goes back
+	// to the pool only once the stack has drained.
 	d.propagate()
 	symbol.PutAll(rhs)
 	return d.Done()

@@ -68,14 +68,19 @@ func TestSolveGaussRecoversPayloads(t *testing.T) {
 	all := append(append([][]byte{}, src...), parity...)
 
 	d := c.NewPayloadDecoder(8)
-	for _, id := range ids {
-		d.ReceivePayload(id, all[id])
-	}
+	defer d.Close()
+	feedBorrowed(d, all, ids, rng)
 	if d.Done() {
 		t.Fatal("pattern unexpectedly decoded by peeling")
 	}
+	parityBefore := knownParity(d)
 	if !d.SolveGauss() {
 		t.Fatal("SolveGauss failed")
+	}
+	// Elimination solves parity symbols along with the sources; their
+	// values exist only in its scratch while peeling consumes them.
+	if knownParity(d) == parityBefore {
+		t.Fatal("the pattern's residual system held no parity symbol")
 	}
 	for i := range src {
 		got := d.Source(i)

@@ -26,6 +26,13 @@
 // recursively. LDGM codes are not MDS, so the decoder may need
 // inef_ratio*k > k packets; measuring that overhead is the whole point of
 // the study.
+//
+// Code and Decoder keep all of this in flat index arrays: the graph in
+// compressed sparse row form, eight bytes of peeling state per equation,
+// one flag per variable. The same Decoder type runs the simulations
+// (structural: IDs only) and the cast datapath (payload mode); in payload
+// mode it adds a slab of k source slots and a slab of n-k accumulators and
+// nothing per symbol — see payloads.
 package ldpc
 
 import (
@@ -83,17 +90,21 @@ type Params struct {
 }
 
 // Code is an immutable LDGM code instance: the parity-check matrix in
-// sparse row/column form plus the derived layout. Safe for concurrent use.
+// compressed sparse row form, once by equation and once by variable, plus
+// the derived layout. Both indexes are two flat int32 arrays — no slice
+// header per row — so walking the graph touches index bytes only. Safe
+// for concurrent use.
 type Code struct {
 	params  Params
 	k, n, m int // m = n-k check equations
 	layout  core.Layout
 
-	// rows[i] lists the variable (packet) IDs participating in equation i,
-	// the diagonal parity k+i included.
-	rows [][]int32
-	// varEqs[v] lists the equations variable v participates in.
-	varEqs [][]int32
+	// Equation i's variable (packet) IDs, the diagonal parity k+i
+	// included, are rowIdx[rowOff[i]:rowOff[i+1]].
+	rowOff, rowIdx []int32
+	// The equations variable v participates in, in increasing order, are
+	// eqIdx[eqOff[v]:eqOff[v+1]].
+	eqOff, eqIdx []int32
 }
 
 // New builds the code. The construction is deterministic in Params.
@@ -122,9 +133,9 @@ func New(p Params) (*Code, error) {
 	}
 	c := &Code{params: p, k: p.K, n: p.N, m: m}
 	rng := rand.New(rand.NewSource(p.Seed))
-	c.buildLeft(rng)
-	c.buildRight(rng)
-	c.buildVarIndex()
+	rows := c.buildLeft(rng)
+	c.buildRight(rng, rows)
+	c.buildIndex(rows)
 	c.layout = singleBlockLayout(p.K, p.N)
 	return c, nil
 }
@@ -136,8 +147,8 @@ func New(p Params) (*Code, error) {
 // symbols, so no equation can be solved before at least one source packet
 // arrives — the paper's observation that LDGM-* codes are not usable as
 // purely non-systematic codes (Section 4.5) depends on it.
-func (c *Code) buildLeft(rng *rand.Rand) {
-	c.rows = make([][]int32, c.m)
+func (c *Code) buildLeft(rng *rand.Rand) [][]int32 {
+	rows := make([][]int32, c.m)
 	deg := c.params.LeftDegree
 
 	// Deal row slots: row r appears ceil or floor of deg*k/m times.
@@ -173,38 +184,39 @@ func (c *Code) buildLeft(rng *rand.Rand) {
 				}
 			}
 			inRow[key(row, col)] = true
-			c.rows[row] = append(c.rows[row], int32(col))
+			rows[row] = append(rows[row], int32(col))
 		}
 	}
 	// When m > deg*k some rows legitimately receive no source symbol; such
 	// an equation would relate parity symbols only and contribute nothing
 	// to recovery, so patch it with one extra entry.
-	for i := range c.rows {
-		if len(c.rows[i]) == 0 {
+	for i := range rows {
+		if len(rows[i]) == 0 {
 			col := rng.Intn(c.k)
 			for inRow[key(int32(i), col)] {
 				col = rng.Intn(c.k)
 			}
 			inRow[key(int32(i), col)] = true
-			c.rows[i] = append(c.rows[i], int32(col))
+			rows[i] = append(rows[i], int32(col))
 		}
 	}
+	return rows
 }
 
 // buildRight appends the parity-side entries for the selected variant.
-func (c *Code) buildRight(rng *rand.Rand) {
+func (c *Code) buildRight(rng *rand.Rand, rows [][]int32) {
 	for i := 0; i < c.m; i++ {
 		switch c.params.Variant {
 		case Plain:
-			c.rows[i] = append(c.rows[i], int32(c.k+i))
+			rows[i] = append(rows[i], int32(c.k+i))
 		case Staircase:
 			if i > 0 {
-				c.rows[i] = append(c.rows[i], int32(c.k+i-1))
+				rows[i] = append(rows[i], int32(c.k+i-1))
 			}
-			c.rows[i] = append(c.rows[i], int32(c.k+i))
+			rows[i] = append(rows[i], int32(c.k+i))
 		case Triangle:
 			if i > 0 {
-				c.rows[i] = append(c.rows[i], int32(c.k+i-1))
+				rows[i] = append(rows[i], int32(c.k+i-1))
 			}
 			// Fill the triangle below the staircase: each check row i>=2
 			// additionally references TriangleDensity (in expectation)
@@ -230,19 +242,37 @@ func (c *Code) buildRight(rng *rand.Rand) {
 						continue
 					}
 					seen[j] = true
-					c.rows[i] = append(c.rows[i], j)
+					rows[i] = append(rows[i], j)
 				}
 			}
-			c.rows[i] = append(c.rows[i], int32(c.k+i))
+			rows[i] = append(rows[i], int32(c.k+i))
 		}
 	}
 }
 
-func (c *Code) buildVarIndex() {
-	c.varEqs = make([][]int32, c.n)
-	for i, row := range c.rows {
+// buildIndex flattens the construction's per-equation lists into the two
+// CSR indexes.
+func (c *Code) buildIndex(rows [][]int32) {
+	c.rowOff = make([]int32, c.m+1)
+	c.eqOff = make([]int32, c.n+1)
+	for i, row := range rows {
+		c.rowOff[i+1] = c.rowOff[i] + int32(len(row))
 		for _, v := range row {
-			c.varEqs[v] = append(c.varEqs[v], int32(i))
+			c.eqOff[v+1]++
+		}
+	}
+	for v := 0; v < c.n; v++ {
+		c.eqOff[v+1] += c.eqOff[v]
+	}
+	edges := c.rowOff[c.m]
+	c.rowIdx = make([]int32, 0, edges)
+	c.eqIdx = make([]int32, edges)
+	next := append([]int32(nil), c.eqOff[:c.n]...)
+	for i, row := range rows {
+		c.rowIdx = append(c.rowIdx, row...)
+		for _, v := range row {
+			c.eqIdx[next[v]] = int32(i)
+			next[v]++
 		}
 	}
 }
@@ -273,10 +303,10 @@ func (c *Code) NumEquations() int { return c.m }
 
 // EquationVars returns the variable IDs of equation i (shared slice; do not
 // modify). Exposed for tests and for the Gaussian reference decoder.
-func (c *Code) EquationVars(i int) []int32 { return c.rows[i] }
+func (c *Code) EquationVars(i int) []int32 { return c.rowIdx[c.rowOff[i]:c.rowOff[i+1]] }
 
 // RowWeight returns the number of variables in equation i.
-func (c *Code) RowWeight(i int) int { return len(c.rows[i]) }
+func (c *Code) RowWeight(i int) int { return int(c.rowOff[i+1] - c.rowOff[i]) }
 
 // EncodeInto computes the n-k parity payloads from the k source payloads
 // into caller-supplied buffers, overwriting every byte of them. Equations
@@ -305,7 +335,7 @@ func (c *Code) EncodeInto(src, parity [][]byte) error {
 		// The first term is copied rather than XORed into zeros: one pass
 		// over p saved per equation.
 		first := true
-		for _, v := range c.rows[i] {
+		for _, v := range c.EquationVars(i) {
 			var term []byte
 			switch {
 			case int(v) < c.k:
@@ -358,55 +388,64 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 // Decoder is the incremental iterative decoder of Section 2.3.2: each
 // arriving packet substitutes its variable into the equations it appears
 // in; any equation left with a single unknown yields that variable, which
-// is substituted recursively.
+// is substituted recursively. Substitution is eager — a variable is folded
+// into every one of its equations the moment it becomes known and is never
+// read again — so the decoder keeps no per-variable state beyond a known
+// flag.
 type Decoder struct {
 	code       *Code
 	symLen     int // 0 = structural mode
 	known      []bool
-	unknown    []int32 // per-equation count of unknown variables
-	xorID      []int32 // per-equation XOR of unknown variable IDs
+	eqs        []equation
 	srcKnown   int
 	knownCount int
-	stack      []int32
+	stack      []int32   // newly known variables awaiting substitution
 	pay        *payloads // nil in structural mode
 }
 
+// equation is one check equation's peeling state. It stays at 8 bytes:
+// the grid simulations mint structural decoders by the million and this
+// table is most of what each one allocates.
+type equation struct {
+	unknown int32 // variables not yet substituted; 0 once solved
+	xorID   int32 // XOR of their IDs: the variable itself when unknown == 1
+}
+
 // payloads is the byte-carrying half of a Decoder, absent from the
-// structural decoders the simulations mint by the million. Every payload
-// lives in one of two slabs: src holds the k source symbols at their
-// final positions; aux holds received parity k+i in slot i and equation
-// i's running XOR of known terms in slot m+i. A parity symbol solved by
-// peeling simply aliases its equation's accumulator slot; a solved source
-// is copied from the accumulator to its slot in src, so that slab alone
-// is the decoded object.
+// structural decoders. It is two slabs and no per-symbol table: src holds
+// the k source symbols at their final positions, and slot i of acc is
+// equation i's accumulator, the running XOR of its substituted terms.
+// When an equation is down to one unknown its accumulator is that
+// variable's value; the slot is never written again, so the value is read
+// from there while it is substituted, a source being copied to its slot
+// in src first. Parity symbols are consumed, not stored: a received one
+// is XORed into its equations straight from the caller's buffer.
 type payloads struct {
-	src, aux symbol.Slab
-	value    [][]byte // per variable: view of its payload once known
-	acc      [][]byte // per equation: view of its accumulator once touched
+	src, acc symbol.Slab
+	touched  []bool   // per equation: its accumulator slot holds a term
+	vals     [][]byte // parallel to Decoder.stack: where each variable's bytes are
 }
 
 func (c *Code) newDecoder(symLen int) *Decoder {
 	d := &Decoder{
-		code:    c,
-		symLen:  symLen,
-		known:   make([]bool, c.n),
-		unknown: make([]int32, c.m),
-		xorID:   make([]int32, c.m),
+		code:   c,
+		symLen: symLen,
+		known:  make([]bool, c.n),
+		eqs:    make([]equation, c.m),
 	}
-	for i, row := range c.rows {
-		d.unknown[i] = int32(len(row))
+	for i := range d.eqs {
+		row := c.EquationVars(i)
 		x := int32(0)
 		for _, v := range row {
 			x ^= v
 		}
-		d.xorID[i] = x
+		d.eqs[i] = equation{unknown: int32(len(row)), xorID: x}
 	}
 	if symLen > 0 {
 		d.pay = &payloads{
-			src:   symbol.NewSlab(c.k, symLen),
-			aux:   symbol.NewSlab(2*c.m, symLen),
-			value: make([][]byte, c.n),
-			acc:   make([][]byte, c.m),
+			src:     symbol.NewSlab(c.k, symLen),
+			acc:     symbol.NewSlab(c.m, symLen),
+			touched: make([]bool, c.m),
 		}
 	}
 	return d
@@ -421,8 +460,10 @@ func (d *Decoder) Receive(id int) bool {
 	return d.receive(id, nil)
 }
 
-// ReceivePayload delivers a packet with its payload. It returns true once
-// all k source payloads are recovered.
+// ReceivePayload delivers a packet with its payload, which is only read
+// during the call: a source is copied to its slot, a parity symbol is
+// folded into its equations and dropped. It returns true once all k
+// source payloads are recovered.
 func (d *Decoder) ReceivePayload(id int, payload []byte) bool {
 	if d.pay == nil {
 		panic("ldpc: ReceivePayload on a structural decoder")
@@ -440,84 +481,69 @@ func (d *Decoder) receive(id int, payload []byte) bool {
 	if d.Done() || d.known[id] {
 		return d.Done()
 	}
-	d.markKnown(int32(id), d.store(int32(id), payload))
+	d.markKnown(int32(id), payload)
 	d.propagate()
 	return d.Done()
 }
 
-// store copies payload into variable id's home slot — a source's final
-// position, a parity symbol's slot in aux — and returns the slot: the one
-// copy between the caller's buffer and the decoded object. Structural
-// decoders store nothing.
-func (d *Decoder) store(id int32, payload []byte) []byte {
-	if d.pay == nil {
-		return nil
-	}
-	var slot []byte
-	if int(id) < d.code.k {
-		slot = d.pay.src.Slot(int(id))
-	} else {
-		slot = d.pay.aux.Slot(int(id) - d.code.k)
-	}
-	copy(slot, payload)
-	return slot
-}
-
-// markKnown records variable id as known; in payload mode value is the
-// slab view holding its payload.
-func (d *Decoder) markKnown(id int32, value []byte) {
+// markKnown records variable id as known and queues it for substitution.
+// In payload mode val holds its bytes and must stay valid until propagate
+// has drained the stack; a source is first copied to its final slot — the
+// one copy between the caller's buffer and the decoded object.
+func (d *Decoder) markKnown(id int32, val []byte) {
 	d.known[id] = true
 	if int(id) < d.code.k {
 		d.srcKnown++
 	}
 	d.knownCount++
-	if d.pay != nil {
-		d.pay.value[id] = value
-	}
 	d.stack = append(d.stack, id)
+	if p := d.pay; p != nil {
+		if int(id) < d.code.k {
+			copy(p.src.Slot(int(id)), val)
+		}
+		p.vals = append(p.vals, val)
+	}
 }
 
 // propagate drains the stack of newly-known variables, updating equations
 // and solving any that drop to a single unknown.
 func (d *Decoder) propagate() {
-	p := d.pay
+	c, p, eqs := d.code, d.pay, d.eqs
 	for len(d.stack) > 0 {
-		id := d.stack[len(d.stack)-1]
-		d.stack = d.stack[:len(d.stack)-1]
-		for _, eq := range d.code.varEqs[id] {
-			if d.unknown[eq] == 0 {
+		top := len(d.stack) - 1
+		id := d.stack[top]
+		d.stack = d.stack[:top]
+		var val []byte
+		if p != nil {
+			val, p.vals[top] = p.vals[top], nil
+			p.vals = p.vals[:top]
+		}
+		for _, eq := range c.eqIdx[c.eqOff[id]:c.eqOff[id+1]] {
+			e := &eqs[eq]
+			if e.unknown == 0 {
 				continue
 			}
-			d.unknown[eq]--
-			d.xorID[eq] ^= id
+			e.unknown--
+			e.xorID ^= id
+			var a []byte
 			if p != nil {
-				if a := p.acc[eq]; a != nil {
-					gf256.Xor(a, p.value[id])
+				a = p.acc.Slot(int(eq))
+				if p.touched[eq] {
+					gf256.Xor(a, val)
 				} else {
-					// First known term: copy it rather than XOR into zeros.
-					a = p.aux.Slot(d.code.m + int(eq))
-					copy(a, p.value[id])
-					p.acc[eq] = a
+					// First term: copy it rather than XOR into zeros.
+					copy(a, val)
+					p.touched[eq] = true
 				}
 			}
-			if d.unknown[eq] == 1 {
-				solved := d.xorID[eq]
-				if !d.known[solved] {
-					var pv []byte
-					if p != nil {
-						// The remaining unknown equals the XOR of all
-						// known terms in the equation (the row sums to
-						// zero), which is what the accumulator holds.
-						pv = p.acc[eq]
-						p.acc[eq] = nil
-						if int(solved) < d.code.k {
-							pv = d.store(solved, pv)
-						}
-					}
-					d.markKnown(solved, pv)
+			if e.unknown == 1 {
+				// The remaining unknown equals the XOR of all substituted
+				// terms (the row sums to zero), which is what the
+				// accumulator holds.
+				if solved := e.xorID; !d.known[solved] {
+					d.markKnown(solved, a)
 				}
-				d.unknown[eq] = 0
-				d.xorID[eq] = 0
+				*e = equation{}
 			}
 		}
 	}
@@ -530,7 +556,8 @@ func (d *Decoder) Done() bool { return d.srcKnown == d.code.k }
 // decoder must keep every known symbol until the object completes (any of
 // them may participate in a future substitution); afterwards only the k
 // source symbols remain and they stream out, so the requirement drops to
-// zero.
+// zero. This is the paper's storage model, which the goldens pin — eager
+// substitution lets this implementation hold less (see payloads).
 func (d *Decoder) BufferedSymbols() int {
 	if d.Done() {
 		return 0
@@ -550,10 +577,10 @@ func (d *Decoder) Source(i int) []byte {
 	if i < 0 || i >= d.code.k {
 		panic(fmt.Sprintf("ldpc: source index %d outside [0,%d)", i, d.code.k))
 	}
-	if d.pay.src.Slots() == 0 {
-		return nil // the slab is gone (taken, closed)
+	if !d.known[i] || d.pay.src.Slots() == 0 { // unknown, or the slab is gone (taken, closed)
+		return nil
 	}
-	return d.pay.value[i]
+	return d.pay.src.Slot(i)
 }
 
 // TakeSources implements core.PayloadDecoder: once Done, the slab of the
@@ -577,5 +604,5 @@ func (d *Decoder) Close() {
 		return
 	}
 	d.pay.src.Release()
-	d.pay.aux.Release()
+	d.pay.acc.Release()
 }

@@ -1,11 +1,28 @@
 package ldpc
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"fecperf/internal/symbol"
 )
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean growth of
+// runtime.MemStats.TotalAlloc over one call of f, after one warm-up call.
+// Allocation *counts* cannot tell a table of 24 bytes per symbol from a
+// 64-byte struct; bytes can.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
 
 // TestStructuralDecoderCarriesNoPayloadState guards the simulator's side
 // of the slab change: the decoders the grid and fleet engines mint by the
@@ -26,6 +43,12 @@ func TestStructuralDecoderCarriesNoPayloadState(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { c.NewReceiver() }); avg > 4 {
 		t.Errorf("NewReceiver allocs = %.0f, want <= 4", avg)
 	}
+	// 11 408 bytes with the peeling state in two parallel []int32: one
+	// byte per variable and eight per equation, in size classes. A ninth
+	// byte per equation costs the grid +37 % allocation.
+	if got := bytesPerRun(20, func() { c.NewReceiver() }); got > 11408*1.01 {
+		t.Errorf("NewReceiver allocates %.0f bytes, want <= 11408 + 1 %%", got)
+	}
 	r := c.NewReceiver()
 	for id := 0; id < c.Layout().N && !r.Receive(id); id++ {
 	}
@@ -37,5 +60,19 @@ func TestStructuralDecoderCarriesNoPayloadState(t *testing.T) {
 	}
 	if after := symbol.PoolStats(); after.Gets != before.Gets || after.Jumbos != before.Jumbos {
 		t.Errorf("structural decode touched the symbol pool: %+v -> %+v", before, after)
+	}
+}
+
+// TestPayloadDecoderStateIsFlat: a payload decoder's fixed state is the
+// structural tables plus one first-touch byte per equation and two slab
+// buffer tables — no slice header per symbol or per equation (24 bytes
+// each: 110 KiB at this geometry, ten times the real state).
+func TestPayloadDecoderStateIsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	c := mustNew(t, Params{K: 2048, N: 3072, Variant: Staircase, Seed: 1})
+	if got := bytesPerRun(20, func() { c.NewPayloadDecoder(128).Close() }); got > 16<<10 {
+		t.Errorf("NewPayloadDecoder allocates %.0f bytes, want <= 16 KiB", got)
 	}
 }

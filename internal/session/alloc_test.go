@@ -1,6 +1,7 @@
 package session
 
 import (
+	"runtime"
 	"testing"
 
 	"fecperf/internal/symbol"
@@ -8,14 +9,16 @@ import (
 )
 
 // Alloc ceilings for the session hot paths, asserting the slab design on
-// both of the benchmark's geometries: Reed-Solomon with 1 KiB symbols and
-// LDGM Staircase with k=2048 symbols of 128 B. Encode makes the Object,
-// its slab's buffer table and the payload view table and nothing else; a
-// receive+decode cycle pays the decoder's fixed tables; steady-state
-// datagram ingest — scratch header, one copy into a slab slot — allocates
-// nothing at all. Payload memory comes from the symbol pool a slab buffer
-// (up to 64 KiB) at a time, so the pool sees a few gets per object where
-// the per-symbol design made one per symbol.
+// the benchmark's geometries: Reed-Solomon with 1 KiB symbols and LDGM
+// Staircase with k=2048 symbols of 128 B. Encode makes the Object and its
+// slab's buffer table and nothing else (the payload view table is
+// recycled); a receive+decode cycle pays the decoder's fixed tables;
+// steady-state datagram ingest — scratch header, one copy into a slab
+// slot — allocates nothing at all. Payload memory comes from the symbol
+// pool a slab buffer (up to 64 KiB) at a time, so the pool sees a few
+// gets per object where the per-symbol design made one per symbol.
+// Encode is bounded in bytes as well as in count: a table of one slice
+// header per packet is a single allocation, and 24 bytes × n of garbage.
 
 var allocGeometries = []struct {
 	name    string
@@ -24,6 +27,7 @@ var allocGeometries = []struct {
 	packets int // n, for the pool ceilings
 }{
 	{"rse-1024", SenderConfig{ObjectID: 1, Family: wire.CodeRSE, Ratio: 1.5, PayloadSize: 1024}, 64 << 10, 98},
+	{"rse-256x1024", SenderConfig{ObjectID: 1, Family: wire.CodeRSE, Ratio: 1.5, PayloadSize: 1024}, 256<<10 - lengthPrefix, 384},
 	{"ldgm-staircase-2048x128", SenderConfig{ObjectID: 1, Family: wire.CodeLDGMStaircase, Ratio: 1.5, PayloadSize: 128, Seed: 9}, 2048*128 - lengthPrefix, 3072},
 }
 
@@ -32,6 +36,20 @@ func poolGets(run func()) int {
 	before := symbol.PoolStats().Gets
 	run()
 	return int(symbol.PoolStats().Gets - before)
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean growth of
+// runtime.MemStats.TotalAlloc over one call of f, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // slabBuffers is how many pool buffers a fully used slab of slots slots of
@@ -60,6 +78,9 @@ func TestSessionEncodeAllocCeiling(t *testing.T) {
 		run() // warm the pools and the codec cache
 		if avg := testing.AllocsPerRun(50, run); avg > 3 {
 			t.Errorf("%s: EncodeObject allocs/op = %.1f, want <= 3", g.name, avg)
+		}
+		if avg := bytesPerRun(50, run); avg > 1<<10 {
+			t.Errorf("%s: EncodeObject allocates %.0f bytes/op, want <= 1 KiB", g.name, avg)
 		}
 		if gets, want := poolGets(run), slabBuffers(g.packets, wire.HeaderLen+g.cfg.PayloadSize); gets != want {
 			t.Errorf("%s: EncodeObject drew %d pool buffers, want the frame slab's %d", g.name, gets, want)
@@ -116,10 +137,10 @@ func TestSessionDecodeAllocCeiling(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, run) - float64(used); avg > 16 {
 			t.Errorf("%s: receive+decode allocs/op = %.1f, want <= 16", g.name, avg)
 		}
-		// Source slab + the decoder's parity/scratch slab (LDGM: received
-		// parity and one accumulator per equation, 2(n-k) slots) + the
-		// three scratch matrices of an RS solve.
-		ceiling := slabBuffers(k, g.cfg.PayloadSize) + slabBuffers(2*(n-k), g.cfg.PayloadSize) + 3
+		// Source slab + the decoder's second slab (LDGM: one accumulator
+		// per equation; RS: at most as many parity symbols) + the three
+		// scratch matrices of an RS solve.
+		ceiling := slabBuffers(k, g.cfg.PayloadSize) + slabBuffers(n-k, g.cfg.PayloadSize) + 3
 		if gets := poolGets(run); gets > ceiling {
 			t.Errorf("%s: receive+decode drew %d pool buffers, want <= %d", g.name, gets, ceiling)
 		}

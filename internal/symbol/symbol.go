@@ -29,12 +29,18 @@
 //     retain what they are handed. Object.Close releases the slab, which
 //     is why the sender's Close waits for its Run to return.
 //   - core.PayloadDecoder implementations own a slab of k source slots
-//     (plus one for parity and scratch). The payload passed to
-//     ReceivePayload is borrowed; the decoder copies it once, to its
-//     final slot, and rebuilds missing sources into theirs. When the
-//     decoder is done the source slab is the object: TakeSources moves
-//     it, untouched, to the session receiver, which wraps it as a
-//     session.Decoded; Close releases whatever the decoder still owns.
+//     plus one of working symbols: Reed-Solomon's buffered parity and
+//     solve vectors, the LDGM codes' m accumulators (one per check
+//     equation). The payload passed to ReceivePayload is borrowed; a
+//     source is copied once, to its final slot, and missing sources are
+//     rebuilt into theirs. Parity a decoder must keep is copied into the
+//     second slab; the LDGM peeler keeps none — it XORs a parity payload
+//     into its equations' accumulators during the call and never reads
+//     it again. Either way nothing aliases the caller's buffer once
+//     ReceivePayload has returned. When the decoder is done the source
+//     slab is the object: TakeSources moves it, untouched, to the
+//     session receiver, which wraps it as a session.Decoded; Close
+//     releases whatever the decoder still owns.
 //   - transport.Collector takes each session.Decoded from its daemon,
 //     writes and checksums the bytes in order straight out of the slab,
 //     and Releases it — the hand-back that lets a cast of any length run

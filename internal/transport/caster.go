@@ -205,6 +205,18 @@ func (c *Caster) Run(ctx context.Context) error {
 	var total uint64
 	var window []*session.Object
 	idx, group := 0, 0
+	// One cleanup for every way out — complete, cancelled or failed at
+	// any step: whatever the window holds goes back to the pool.
+	// Object.Close is idempotent, so a group its sender already closed
+	// costs nothing here.
+	closeWindow := func() {
+		for _, o := range window {
+			o.Close()
+		}
+		window = window[:0]
+		c.window.Set(0)
+	}
+	defer closeWindow()
 
 	flush := func(final bool) error {
 		if final {
@@ -250,8 +262,6 @@ func (c *Caster) Run(ctx context.Context) error {
 		})
 		for _, o := range window {
 			if err := s.Add(o); err != nil {
-				s.Close()
-				window = nil
 				return err
 			}
 		}
@@ -260,9 +270,7 @@ func (c *Caster) Run(ctx context.Context) error {
 		c.packets.Add(st.PacketsSent)
 		c.bytes.Add(st.BytesSent)
 		c.pacerWait.Add(st.PacerWaitNS)
-		s.Close() // releases the window's frame slabs
-		window = nil
-		c.window.Set(0)
+		closeWindow() // the group is off the air: its frame slabs go back now
 		if err != nil {
 			return err
 		}
@@ -282,9 +290,6 @@ func (c *Caster) Run(ctx context.Context) error {
 		// Reading and encoding a window never touches the conn, so check
 		// cancellation explicitly between chunks.
 		if err := ctx.Err(); err != nil {
-			for _, o := range window {
-				o.Close()
-			}
 			return err
 		}
 		n, err := io.ReadFull(c.src, buf)
@@ -300,11 +305,7 @@ func (c *Caster) Run(ctx context.Context) error {
 				Seed:        c.cfg.Seed,
 			})
 			if encErr != nil {
-				flushErr := fmt.Errorf("transport: encoding chunk %d: %w", idx, encErr)
-				for _, o := range window {
-					o.Close()
-				}
-				return flushErr
+				return fmt.Errorf("transport: encoding chunk %d: %w", idx, encErr)
 			}
 			idx++
 			window = append(window, obj)
@@ -325,9 +326,6 @@ func (c *Caster) Run(ctx context.Context) error {
 		case io.EOF, io.ErrUnexpectedEOF:
 			return flush(true)
 		default:
-			for _, o := range window {
-				o.Close()
-			}
 			return fmt.Errorf("transport: reading source: %w", err)
 		}
 		if len(window) >= c.cfg.Window {

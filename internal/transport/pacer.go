@@ -226,70 +226,12 @@ func (ps *PacerShare) Take(ctx context.Context, n int) error {
 	if ps == nil || n <= 0 {
 		return nil
 	}
-	sp := ps.sp
-	need := float64(n)
 	for {
-		sp.mu.Lock()
-		if ps.closed {
-			sp.mu.Unlock()
-			return fmt.Errorf("transport: pacer share closed")
+		admitted, wait, err := ps.admit(time.Now(), float64(n))
+		if admitted || err != nil {
+			return err
 		}
-		sp.refillAllLocked(time.Now())
-		// Assured admission: the share's own bucket covers the batch
-		// (over-burst batches wait for a full bucket and run it into
-		// debt). Only this bucket is debited,
-		// so under contention every share is paced by precisely its
-		// weighted slice — fairness needs no coordination.
-		target := need
-		if target > ps.burst {
-			target = ps.burst
-		}
-		if ps.tokens >= target {
-			ps.tokens -= need
-			ps.taken += need
-			sp.mu.Unlock()
-			return nil
-		}
-		// Work-conserving borrow: the pool holds only what idle shares
-		// spilled, so borrowing takes capacity that was nobody's
-		// entitlement — it costs no future assured admission and cannot
-		// starve a contending share.
-		ptarget := need
-		if ptarget > sp.burst {
-			ptarget = sp.burst
-		}
-		if sp.pool >= ptarget {
-			sp.pool -= need
-			ps.taken += need
-			sp.mu.Unlock()
-			return nil
-		}
-		// Wait for the earlier of: own assured refill covering target,
-		// or spill refilling the pool to ptarget. Spill accrues at the
-		// capped (idle) shares' combined rate; the estimate is
-		// optimistic — a competitor may claim the spill first — so
-		// admission re-checks on wake, and the assured refill bounds the
-		// wait either way.
-		dChild := math.Inf(1)
-		if ps.rate > 0 {
-			dChild = (target - ps.tokens) / ps.rate
-		}
-		spillRate := 0.0
-		for _, s := range sp.shares {
-			if s.tokens >= s.burst {
-				spillRate += s.rate
-			}
-		}
-		dPool := math.Inf(1)
-		if spillRate > 0 {
-			dPool = (ptarget - sp.pool) / spillRate
-		}
-		d := dChild
-		if dPool < d {
-			d = dPool
-		}
-		sp.mu.Unlock()
-		t := time.NewTimer(time.Duration(d * float64(time.Second)))
+		t := time.NewTimer(wait)
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -297,6 +239,72 @@ func (ps *PacerShare) Take(ctx context.Context, n int) error {
 		case <-t.C:
 		}
 	}
+}
+
+// admit is Take's decision at one instant: it settles the hierarchy's
+// accrual up to now and either debits need tokens (admitted) or says how
+// long to wait before asking again. Time enters only through now, so the
+// policy can be driven by a synthetic clock.
+func (ps *PacerShare) admit(now time.Time, need float64) (admitted bool, wait time.Duration, err error) {
+	sp := ps.sp
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if ps.closed {
+		return false, 0, fmt.Errorf("transport: pacer share closed")
+	}
+	sp.refillAllLocked(now)
+	// Assured admission: the share's own bucket covers the batch
+	// (over-burst batches wait for a full bucket and run it into
+	// debt). Only this bucket is debited,
+	// so under contention every share is paced by precisely its
+	// weighted slice — fairness needs no coordination.
+	target := need
+	if target > ps.burst {
+		target = ps.burst
+	}
+	if ps.tokens >= target {
+		ps.tokens -= need
+		ps.taken += need
+		return true, 0, nil
+	}
+	// Work-conserving borrow: the pool holds only what idle shares
+	// spilled, so borrowing takes capacity that was nobody's
+	// entitlement — it costs no future assured admission and cannot
+	// starve a contending share.
+	ptarget := need
+	if ptarget > sp.burst {
+		ptarget = sp.burst
+	}
+	if sp.pool >= ptarget {
+		sp.pool -= need
+		ps.taken += need
+		return true, 0, nil
+	}
+	// Wait for the earlier of: own assured refill covering target,
+	// or spill refilling the pool to ptarget. Spill accrues at the
+	// capped (idle) shares' combined rate; the estimate is
+	// optimistic — a competitor may claim the spill first — so
+	// admission re-checks on wake, and the assured refill bounds the
+	// wait either way.
+	dChild := math.Inf(1)
+	if ps.rate > 0 {
+		dChild = (target - ps.tokens) / ps.rate
+	}
+	spillRate := 0.0
+	for _, s := range sp.shares {
+		if s.tokens >= s.burst {
+			spillRate += s.rate
+		}
+	}
+	dPool := math.Inf(1)
+	if spillRate > 0 {
+		dPool = (ptarget - sp.pool) / spillRate
+	}
+	d := dChild
+	if dPool < d {
+		d = dPool
+	}
+	return false, time.Duration(d * float64(time.Second)), nil
 }
 
 // Weight returns the share's current weight.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"hash"
 	"io"
 	"math/rand"
@@ -138,6 +139,107 @@ func TestCollectorCancelMidChunkReturnsEverySlab(t *testing.T) {
 	}
 	if live := symbol.PoolStats().Live - start; live != 0 {
 		t.Fatalf("%d pool buffers still checked out after a cancelled collect", live)
+	}
+}
+
+// tripSource serves r and calls trip before every Read once `after` bytes
+// are out; a non-nil result fails that Read.
+type tripSource struct {
+	r     io.Reader
+	after int
+	trip  func() error
+}
+
+func (s *tripSource) Read(p []byte) (int, error) {
+	if s.after <= 0 {
+		if err := s.trip(); err != nil {
+			return 0, err
+		}
+	} else if len(p) > s.after {
+		p = p[:s.after]
+	}
+	n, err := s.r.Read(p)
+	s.after -= n
+	return n, err
+}
+
+// tripConn discards datagrams and calls trip before every write once
+// `after` of them went out; a non-nil result fails that write.
+type tripConn struct {
+	discardConn
+	after int
+	trip  func() error
+}
+
+func (c *tripConn) WriteBatch(batch []wire.Datagram) (int, error) {
+	if c.packets >= c.after {
+		if err := c.trip(); err != nil {
+			return 0, err
+		}
+	}
+	return c.discardConn.WriteBatch(batch)
+}
+
+// TestCasterFailedOrCancelledRunReturnsEverySlab stops a cast with a
+// partly filled or partly sent window in each way Run can stop, and
+// requires every frame slab back in the pool when Run has returned.
+func TestCasterFailedOrCancelledRunReturnsEverySlab(t *testing.T) {
+	const (
+		k, payload, window = 16, 256, 4
+		chunk              = k*payload - 8
+		never              = 1 << 30
+	)
+	data := testFile(t, 12*chunk, 17)
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name       string
+		srcAfter   int  // source bytes before the trip
+		connAfter  int  // datagrams before the trip
+		cancel     bool // the trip cancels the context instead of failing
+		wantErr    error
+		wantChunks uint64
+	}{
+		{"cancelled while filling the window", 2*chunk + chunk/2, never, true, context.Canceled, 0},
+		{"source fails while filling the window", 2*chunk + chunk/2, never, false, boom, 0},
+		{"cancelled while a group is on the air", never, 30, true, context.Canceled, 0},
+		{"conn fails while a group is on the air", never, 30, false, boom, 0},
+		{"conn fails in the second group", never, window*k*3 + 30, false, boom, window},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := symbol.PoolStats().Live
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			held := int64(0) // pool buffers out when the trip first fired
+			trip := func() error {
+				if held == 0 {
+					held = symbol.PoolStats().Live - start
+				}
+				if tc.cancel {
+					cancel()
+					return nil
+				}
+				return boom
+			}
+			c, err := NewCaster(
+				&tripConn{after: tc.connAfter, trip: trip},
+				&tripSource{r: bytes.NewReader(data), after: tc.srcAfter, trip: trip},
+				CasterConfig{BaseObjectID: 60, K: k, PayloadSize: payload, Ratio: 1.5, Window: window, Rounds: 2, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(ctx); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Run = %v, want %v", err, tc.wantErr)
+			}
+			if held <= 0 {
+				t.Fatalf("%d pool buffers held when the cast was stopped: the window was empty", held)
+			}
+			if got := c.Stats().ChunksCast; got != tc.wantChunks {
+				t.Errorf("ChunksCast = %d, want %d", got, tc.wantChunks)
+			}
+			if live := symbol.PoolStats().Live - start; live != 0 {
+				t.Errorf("%d pool buffers still checked out after Run returned", live)
+			}
+		})
 	}
 }
 
