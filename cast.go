@@ -53,27 +53,14 @@ func NewCaster(conn TransportConn, src io.Reader, opts ...Option) (*Caster, erro
 	if err != nil {
 		return nil, err
 	}
-	family, err := castFamily(c.Codec)
-	if err != nil {
-		return nil, err
-	}
 	return transport.NewCaster(conn, src, transport.CasterConfig{
-		BaseObjectID: c.BaseObjectID,
-		Family:       family,
-		K:            c.Codec.K,
-		Ratio:        c.resolvedRatio(),
-		PayloadSize:  c.PayloadSize,
-		Seed:         c.codecSeed(),
-		Scheduler:    c.Scheduler,
-		Rate:         c.Rate,
-		Burst:        c.Burst,
-		Pacer:        c.Pacer,
-		BatchSize:    c.BatchSize,
-		Window:       c.Window,
-		Rounds:       c.Rounds,
-		OnProgress:   c.OnCastProgress,
-		Metrics:      c.Metrics,
-		Tracer:       c.Tracer,
+		Delivery:   c.Delivery,
+		Rate:       c.Rate,
+		Burst:      c.Burst,
+		Pacer:      c.Pacer,
+		OnProgress: c.OnCastProgress,
+		Metrics:    c.Metrics,
+		Tracer:     c.Tracer,
 	})
 }
 
@@ -100,15 +87,6 @@ func NewCollector(conn TransportConn, dst io.Writer, opts ...Option) (*Collector
 		Metrics:      c.Metrics,
 		Tracer:       c.Tracer,
 	}), nil
-}
-
-// castFamily maps a codec spec to its wire family, defaulting to
-// Reed-Solomon GF(2^8).
-func castFamily(s CodecSpec) (wire.CodeFamily, error) {
-	if s.Family == "" {
-		return wire.CodeRSE, nil
-	}
-	return s.WireFamily()
 }
 
 // --- Single-object delivery session ---
@@ -151,24 +129,11 @@ func NewObject(data []byte, opts ...Option) (*DeliveryObject, error) {
 	if err != nil {
 		return nil, err
 	}
-	family, err := castFamily(c.Codec)
+	oc, err := c.ObjectConfig(c.BaseObjectID)
 	if err != nil {
 		return nil, err
 	}
-	payload := c.PayloadSize
-	if payload == 0 {
-		payload = transport.DefaultPayloadSize
-	}
-	ratio := c.resolvedRatio()
-	return session.EncodeObject(data, session.SenderConfig{
-		ObjectID:    c.BaseObjectID,
-		Family:      family,
-		Ratio:       ratio,
-		PayloadSize: payload,
-		Seed:        c.codecSeed(),
-		Scheduler:   c.Scheduler,
-		NSent:       c.NSent,
-	})
+	return session.EncodeObject(data, oc)
 }
 
 // NewDeliveryReceiver returns a receiver that reconstructs objects from

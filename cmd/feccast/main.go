@@ -144,7 +144,7 @@ func runSend(args []string) error {
 	objID := fs.Uint("object", 1, "object ID stamped on every datagram")
 	code := fs.String("code", "ldgm-staircase", "FEC code: rse, ldgm, ldgm-staircase, ldgm-triangle")
 	ratio := fs.Float64("ratio", 2.5, "FEC expansion ratio n/k")
-	payload := fs.Int("payload", 1024, "symbol payload bytes per datagram")
+	payload := fs.Int("payload", transport.DefaultPayloadSize, "symbol payload bytes per datagram")
 	seed := fs.Int64("seed", 1, "seed for code construction and scheduling")
 	tx := fs.String("tx", "tx4", "transmission model tx1..tx6, parameterized forms tx6(frac=0.3), carousel(inner=tx4,rounds=3)")
 	rate := fs.Float64("rate", 5000, "packets per second (0 = unpaced)")
@@ -164,8 +164,9 @@ func runSend(args []string) error {
 		return fmt.Errorf("send: -object %d exceeds the wire format's 32-bit object ID", *objID)
 	}
 	// The individual flags form the base configuration; -spec overlays
-	// whatever keys it names.
-	cfg, err := fecperf.NewConfig(
+	// whatever keys it names. The object and the carousel below are built
+	// from this one option list.
+	opts := []fecperf.Option{
 		fecperf.WithCodec(fmt.Sprintf("%s(ratio=%g,seed=%d)", *code, *ratio, *seed)),
 		fecperf.WithScheduler(*tx),
 		fecperf.WithPayloadSize(*payload),
@@ -174,7 +175,8 @@ func runSend(args []string) error {
 		fecperf.WithRate(*rate),
 		fecperf.WithBatchSize(*batch),
 		fecperf.WithSpec(*specLine),
-	)
+	}
+	cfg, err := fecperf.NewConfig(opts...)
 	if err != nil {
 		return err
 	}
@@ -182,14 +184,7 @@ func runSend(args []string) error {
 	if err != nil {
 		return err
 	}
-	obj, err := fecperf.NewObject(data,
-		fecperf.WithCodecSpec(cfg.Codec),
-		fecperf.WithSchedulerInstance(cfg.Scheduler),
-		fecperf.WithPayloadSize(cfg.PayloadSize),
-		fecperf.WithBaseObjectID(cfg.BaseObjectID),
-		fecperf.WithSeed(cfg.Seed),
-		fecperf.WithNSent(cfg.NSent),
-	)
+	obj, err := fecperf.NewObject(data, opts...)
 	if err != nil {
 		return err
 	}

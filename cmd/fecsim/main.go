@@ -49,7 +49,6 @@ import (
 	"fecperf"
 	"fecperf/internal/channel"
 	"fecperf/internal/engine"
-	"fecperf/internal/sim"
 	"fecperf/internal/spec"
 )
 
@@ -176,7 +175,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		if grid == nil {
-			grid = sim.PaperGrid
+			grid = engine.PaperGrid
 		}
 		if _, err := channel.ByName(*chName); err != nil {
 			return err
@@ -232,13 +231,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	byKey := make(map[string]sim.Aggregate, len(res))
+	byKey := make(map[string]engine.Aggregate, len(res))
 	for _, r := range res {
 		byKey[r.Point.Channel.Key()] = r.Aggregate
 	}
-	g := &sim.Grid{P: grid, Q: grid, Cells: make([][]sim.Aggregate, len(grid))}
+	g := &engine.Grid{P: grid, Q: grid, Cells: make([][]engine.Aggregate, len(grid))}
 	for i := range g.Cells {
-		g.Cells[i] = make([]sim.Aggregate, len(grid))
+		g.Cells[i] = make([]engine.Aggregate, len(grid))
 		for j := range g.Cells[i] {
 			g.Cells[i][j] = byKey[cellKeys[i][j]]
 		}
@@ -434,7 +433,7 @@ func parseGrid(spec string) ([]float64, error) {
 	return out, nil
 }
 
-func printGrid(w io.Writer, g *sim.Grid) {
+func printGrid(w io.Writer, g *engine.Grid) {
 	fmt.Fprintf(w, "%8s", "p\\q")
 	for _, q := range g.Q {
 		fmt.Fprintf(w, "%8s", fmt.Sprintf("%g", q*100))

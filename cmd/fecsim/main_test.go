@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"fecperf/internal/sim"
+	"fecperf/internal/engine"
 )
 
 func TestParseGrid(t *testing.T) {
@@ -36,10 +36,10 @@ func TestParseGridErrors(t *testing.T) {
 }
 
 func TestPrintGridRenders(t *testing.T) {
-	g := &sim.Grid{
+	g := &engine.Grid{
 		P:     []float64{0},
 		Q:     []float64{0, 1},
-		Cells: [][]sim.Aggregate{{{}, {}}},
+		Cells: [][]engine.Aggregate{{{}, {}}},
 	}
 	var buf bytes.Buffer
 	printGrid(&buf, g)

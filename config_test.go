@@ -1,11 +1,13 @@
 package fecperf
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/sim"
+	"fecperf/internal/engine"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -32,6 +34,59 @@ func TestParseSpecRoundTrip(t *testing.T) {
 			t.Errorf("spec drift: %q -> %q -> %q", line, rendered, back.Spec())
 		}
 	}
+
+	// The delivery keys are feccastd's too: every line of the shared
+	// table means the same Delivery under ParseSpec and ParseCastSpec
+	// (the daemon pins the codec family and ratio defaults at admission,
+	// nothing else differs), and every shared bad line fails in both.
+	for _, line := range deliveryTable(t, "delivery_lines.txt") {
+		c, err := ParseSpec(line)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", line, err)
+			continue
+		}
+		if back, err := ParseSpec(c.Spec()); err != nil || !reflect.DeepEqual(back, c) {
+			t.Errorf("ParseSpec drift: %q -> %q (%v)", line, c.Spec(), err)
+		}
+		cs, err := ParseCastSpec("name=x,addr=1:2," + line)
+		if err != nil {
+			t.Errorf("ParseCastSpec(%q): %v", line, err)
+			continue
+		}
+		want := c.Delivery
+		resolved := want.ResolvedCodec()
+		want.Codec.Family, want.Codec.Ratio = resolved.Family, resolved.Ratio
+		if !reflect.DeepEqual(cs.Delivery, want) {
+			t.Errorf("%q: cast spec delivery %+v, config delivery %+v", line, cs.Delivery, want)
+		}
+	}
+	for _, entry := range deliveryTable(t, "delivery_bad_lines.txt") {
+		line, want, _ := strings.Cut(entry, "\t")
+		_, errC := ParseSpec(line)
+		_, errD := ParseCastSpec("name=x,addr=1:2," + line)
+		for _, err := range []error{errC, errD} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%q: err = %v, want one containing %q", line, err, want)
+			}
+		}
+	}
+}
+
+// deliveryTable reads one of the delivery-key tables the daemon's and
+// transport's spec tests share (internal/transport/testdata).
+func deliveryTable(t *testing.T, name string) []string {
+	t.Helper()
+	raw, err := os.ReadFile("internal/transport/testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, l := range strings.Split(string(raw), "\n") {
+		if l = strings.TrimSpace(l); l != "" && !strings.HasPrefix(l, "#") {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 func TestParseSpecFields(t *testing.T) {
@@ -106,10 +161,10 @@ func TestSimulateSpecMatchesSimRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Run(sim.Config{
+	want := runPoint(engine.PointSpec{
 		Code: code, Scheduler: TxModel2(),
 		Channel: channel.GilbertFactory{P: 0.01, Q: 0.79},
-		Trials:  10, Seed: 7, Workers: 2,
+		Trials:  10, Seed: 7,
 	})
 	got, err := Simulate(WithSpec(
 		"codec=ldgm-staircase(k=500,ratio=2.5,seed=11),sched=tx2,channel=gilbert(p=0.01,q=0.79),trials=10,seed=7,workers=2"))
@@ -117,7 +172,7 @@ func TestSimulateSpecMatchesSimRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("Simulate = %+v, sim.Run = %+v", got, want)
+		t.Errorf("Simulate = %+v, engine.RunPoint = %+v", got, want)
 	}
 }
 

@@ -50,13 +50,15 @@
 //	    "codec=ldgm-staircase(k=1000,ratio=2.5),sched=tx2,channel=gilbert(p=0.01,q=0.79),trials=100"))
 //
 // The grammar is uniform: a base name plus parenthesised key=value
-// parameters, nesting freely. The same registries resolve its parts
-// individually — CodecByName ("rse(k=64,ratio=1.5,seed=7)"),
-// SchedulerByName ("tx6(frac=0.3)", "carousel(inner=tx2,rounds=4)"),
-// ChannelByName ("gilbert(p=0.01,q=0.5)") — and each resolved value's
-// Name() renders back into a parseable spec, so whole configurations
-// round-trip through Config.Spec into CLI flags (cmd/feccast -spec,
-// cmd/fecsim -spec), engine plans and checkpoint files.
+// parameters, nesting freely; CodecByName, SchedulerByName and
+// ChannelByName resolve its parts individually, and every resolved
+// value's Name() renders back, so configurations round-trip through
+// Config.Spec into CLI flags, engine plans and checkpoint files. The
+// nine keys that say what goes on the air — codec, sched, payload,
+// batch, window, rounds, nsent, seed, object — are one type, Delivery,
+// embedded by Config and by feccastd's CastSpec: one parse, one set of
+// defaults (README, "Delivery keys"), so a line is the same code and
+// packet order simulated, cast by the library or served by the daemon.
 //
 // # Streaming delivery: Caster and Collector
 //
@@ -212,12 +214,12 @@
 // weight proportion. WithPacer hands a PacerShare to any standalone
 // sender or caster for custom topologies.
 //
-// Casts are one-line CastSpecs (ParseCastSpec — the unified grammar
-// plus name= and weight=) and fully live: AddCast/RemoveCast while
-// running, Reload applying mutable keys (weight, rate of change keys,
-// codec parameters) at a round boundary so receivers only ever see
-// whole decodable rounds — immutable keys (addr, object, source) are
-// rejected with a diff error. Drain stops every cast after its
+// Casts are one-line CastSpecs (ParseCastSpec — the Delivery keys plus
+// name=, addr=, mode=, file= and weight=) and fully live:
+// AddCast/RemoveCast while running, Reload applying mutable keys
+// (weight, ratio, sched, batch, rounds, nsent) at a round boundary so
+// receivers only ever see whole decodable rounds — immutable keys
+// (addr, object, source, code geometry) are rejected with a diff error. Drain stops every cast after its
 // in-flight round, bounded by DrainTimeout. ControlHandler serves the
 // JSON control plane (GET/POST /casts, POST /casts/{name}/reload,
 // DELETE /casts/{name}, POST /drain) and mounts on the metrics server
@@ -283,9 +285,9 @@
 // completion-position and inefficiency percentiles, overall and per mix
 // component (-1 marks fractions the fleet never reached), and is
 // byte-identical for every worker count. cmd/fecsim runs fleet points
-// from the command line (-fleet N -mix "spec:weight,..."), and
-// scripts/bench_fleet.sh records the measured throughput in
-// BENCH_fleet.json (>10⁸ receiver-symbol events/s single-core).
+// from the command line (-fleet N -mix "spec:weight,..."), and the
+// sim-paper-grid workload of `go run ./bench` measures the throughput
+// (>10⁸ receiver-symbol events/s single-core).
 //
 // # Observability
 //

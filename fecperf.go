@@ -16,6 +16,7 @@ package fecperf
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -29,7 +30,6 @@ import (
 	"fecperf/internal/recommend"
 	"fecperf/internal/rse"
 	"fecperf/internal/sched"
-	"fecperf/internal/sim"
 	"fecperf/internal/spec"
 	"fecperf/internal/symbol"
 	"fecperf/internal/transport"
@@ -56,6 +56,12 @@ type (
 	// family, k, expansion ratio and construction seed. Its Name
 	// round-trips through ParseCodecSpec.
 	CodecSpec = codes.Spec
+	// Delivery is what a cast puts on the air, and the part of a spec
+	// line Config and CastSpec share: codec, sched, payload, batch,
+	// window, rounds, nsent, seed, object. A zero field selects the
+	// default (README, "Delivery keys"). Both embed it, so literals name
+	// it: CastSpec{Name: "docs", Delivery: Delivery{BaseObjectID: 7}}.
+	Delivery = transport.Delivery
 	// Scheduler produces a transmission order for one trial.
 	Scheduler = core.Scheduler
 	// Schedule is a streaming transmission order: O(1) memory, any
@@ -80,9 +86,9 @@ type (
 	// TrialResult is the outcome of a single simulated reception.
 	TrialResult = core.TrialResult
 	// Aggregate summarises the repeated trials of one measurement point.
-	Aggregate = sim.Aggregate
+	Aggregate = engine.Aggregate
 	// Grid is a (p, q) sweep result.
-	Grid = sim.Grid
+	Grid = engine.Grid
 	// Report is a rendered experiment outcome.
 	Report = experiments.Report
 	// ExperimentOptions scales an experiment run.
@@ -127,48 +133,24 @@ type (
 // Spec; the two forms are equivalent and compose (later options
 // override earlier ones).
 type Config struct {
-	// Codec is the FEC codec configuration (spec key "codec", e.g.
-	// codec=rse(k=64,ratio=1.5,seed=7)).
-	Codec CodecSpec
-	// Scheduler orders transmissions (key "sched", e.g. sched=tx4 or
-	// sched=carousel(inner=tx2,rounds=3)).
-	Scheduler Scheduler
+	// Delivery holds the nine delivery keys — codec, sched, payload,
+	// batch, window, rounds, nsent, seed, object — promoted as Codec,
+	// Scheduler, PayloadSize, BatchSize, Window, Rounds, NSent, Seed and
+	// BaseObjectID. feccastd's CastSpec embeds the same type, so a line
+	// means the same delivery under both.
+	Delivery
 	// Channel is the loss process — the simulated channel in Simulate,
 	// the loopback impairment in live runs (key "channel", e.g.
 	// channel=gilbert(p=0.01,q=0.5)).
 	Channel ChannelFactory
-	// PayloadSize is the symbol size in bytes (key "payload").
-	PayloadSize int
 	// Rate limits transmission in packets per second (key "rate");
 	// Burst is the token-bucket depth (key "burst").
 	Rate  float64
 	Burst int
-	// BatchSize groups datagrams per kernel crossing on the transport
-	// hot paths (key "batch"): casters and broadcasters flush
-	// BatchSize-datagram batches through one batch write (sendmmsg/GSO
-	// on Linux UDP, one lock per batch on the loopback) and collectors
-	// read up to BatchSize datagrams per crossing. 0 sends one datagram
-	// per flush; values above 64 are clamped.
-	BatchSize int
-	// BaseObjectID tags delivery objects; a cast train's manifest rides
-	// at this ID, chunk i at BaseObjectID+1+i (key "object").
-	BaseObjectID uint32
-	// Window bounds how many chunks a Caster keeps encoded and on the
-	// air at once (key "window").
-	Window int
-	// Rounds is the carousel rounds per Caster window group, or the
-	// Broadcaster's total rounds (key "rounds").
-	Rounds int
-	// Seed fixes scheduling, channel and trial randomness; the codec's
-	// construction seed is Codec.Seed, defaulting to this one (key
-	// "seed").
-	Seed int64
-	// NSent truncates transmissions — the paper's Section-6 n_sent
-	// optimisation (key "nsent").
-	NSent int
 	// Trials is the reception count for Simulate (key "trials").
 	Trials int
-	// Workers bounds Simulate's parallelism (key "workers").
+	// Workers bounds Simulate's parallelism (key "workers", 0 =
+	// GOMAXPROCS).
 	Workers int
 	// MaxPending bounds a Collector's out-of-order chunk buffer (key
 	// "pending").
@@ -201,14 +183,7 @@ type Option func(*Config) error
 // is left as previously set, so WithSpec composes with the other
 // options in argument order.
 func WithSpec(line string) Option {
-	return func(c *Config) error {
-		parsed, err := ParseSpec(line)
-		if err != nil {
-			return err
-		}
-		parsed.overlay(c)
-		return nil
-	}
+	return func(c *Config) error { return c.parse(line) }
 }
 
 // WithCodec selects the FEC codec by spec, e.g. "rse(k=64,ratio=1.5)".
@@ -368,7 +343,8 @@ func WithTrials(n int) Option {
 	}
 }
 
-// WithWorkers bounds Simulate's worker pool (0 = sequential).
+// WithWorkers bounds Simulate's worker pool (0 = GOMAXPROCS); the
+// aggregate is identical for every worker count.
 func WithWorkers(n int) Option {
 	return func(c *Config) error {
 		c.Workers = n
@@ -411,13 +387,10 @@ func NewConfig(opts ...Option) (Config, error) {
 	return c, nil
 }
 
-// configKeys are the spec keys ParseSpec accepts, in the canonical
-// render order of Config.Spec.
-var configKeys = []string{
-	"codec", "sched", "channel", "payload", "rate", "burst", "batch",
-	"object", "window", "rounds", "seed", "nsent", "trials",
-	"workers", "pending", "metrics",
-}
+// configKeys are the spec keys ParseSpec accepts, in the canonical render
+// order of Config.Spec: the delivery keys, then Config's own.
+var configKeys = append(slices.Clone(transport.DeliveryKeys),
+	"channel", "rate", "burst", "trials", "workers", "pending", "metrics")
 
 // ParseSpec parses a one-line configuration spec — comma-separated
 // key=value pairs, values themselves specs — into a Config:
@@ -430,229 +403,92 @@ var configKeys = []string{
 // and markov channels, whose factories cannot render their state).
 func ParseSpec(line string) (Config, error) {
 	var c Config
-	trimmed := strings.TrimSpace(line)
-	if trimmed == "" {
-		return c, nil
+	if err := c.parse(line); err != nil {
+		return Config{}, err
 	}
-	_, params, err := spec.Split("cfg(" + trimmed + ")")
-	if err != nil {
-		return c, fmt.Errorf("fecperf: spec %q: %w", line, err)
-	}
-	if bad := params.Unknown(configKeys...); bad != nil {
-		return c, fmt.Errorf("fecperf: spec %q has unknown keys %v (have %v)", line, bad, configKeys)
-	}
-	if v, ok := params["codec"]; ok {
-		if c.Codec, err = codes.ParseSpec(v); err != nil {
-			return Config{}, err
-		}
-	}
-	if v, ok := params["sched"]; ok {
-		if c.Scheduler, err = sched.ByName(v); err != nil {
-			return Config{}, err
-		}
-	}
-	if v, ok := params["channel"]; ok {
-		if c.Channel, err = channel.ParseName(v); err != nil {
-			return Config{}, err
-		}
-	}
-	fail := func(err error) (Config, error) {
-		return Config{}, fmt.Errorf("fecperf: spec %q: %w", line, err)
-	}
-	var e error
-	if c.PayloadSize, _, e = params.Int("payload"); e != nil {
-		return fail(e)
-	}
-	if c.Rate, _, e = params.Float("rate"); e != nil {
-		return fail(e)
-	}
-	if c.Burst, _, e = params.Int("burst"); e != nil {
-		return fail(e)
-	}
-	if c.BatchSize, _, e = params.Int("batch"); e != nil {
-		return fail(e)
-	}
-	if c.BaseObjectID, _, e = params.Uint32("object"); e != nil {
-		return fail(e)
-	}
-	if c.Window, _, e = params.Int("window"); e != nil {
-		return fail(e)
-	}
-	if c.Rounds, _, e = params.Int("rounds"); e != nil {
-		return fail(e)
-	}
-	if c.Seed, _, e = params.Int64("seed"); e != nil {
-		return fail(e)
-	}
-	if c.NSent, _, e = params.Int("nsent"); e != nil {
-		return fail(e)
-	}
-	if c.Trials, _, e = params.Int("trials"); e != nil {
-		return fail(e)
-	}
-	if c.Workers, _, e = params.Int("workers"); e != nil {
-		return fail(e)
-	}
-	if c.MaxPending, _, e = params.Int("pending"); e != nil {
-		return fail(e)
-	}
-	c.MetricsAddr = params["metrics"]
 	return c, nil
 }
 
+// parse sets the keys present in line on c; the rest keep their value.
+func (c *Config) parse(line string) error {
+	trimmed := strings.TrimSpace(line)
+	if trimmed == "" {
+		return nil
+	}
+	_, params, err := spec.Split("cfg(" + trimmed + ")")
+	if err != nil {
+		return fmt.Errorf("fecperf: spec %q: %w", line, err)
+	}
+	if bad := params.Unknown(configKeys...); bad != nil {
+		return fmt.Errorf("fecperf: spec %q has unknown keys %v (have %v)", line, bad, configKeys)
+	}
+	fail := func(err error) error { return fmt.Errorf("fecperf: spec %q: %w", line, err) }
+	if err := c.Delivery.Parse(params); err != nil {
+		return fail(err)
+	}
+	if v, ok := params["channel"]; ok {
+		if c.Channel, err = channel.ParseName(v); err != nil {
+			return fail(err)
+		}
+	}
+	if v, ok, err := params.Float("rate"); err != nil {
+		return fail(err)
+	} else if ok {
+		c.Rate = v
+	}
+	for _, f := range c.intKeys() {
+		v, ok, err := params.Int(f.key)
+		if err != nil {
+			return fail(err)
+		}
+		if ok {
+			*f.v = v
+		}
+	}
+	if v, ok := params["metrics"]; ok {
+		c.MetricsAddr = v
+	}
+	return nil
+}
+
+// configInt is one of Config's own plain integer keys.
+type configInt struct {
+	key string
+	v   *int
+}
+
+// intKeys lists them in render order.
+func (c *Config) intKeys() []configInt {
+	return []configInt{
+		{"burst", &c.Burst}, {"trials", &c.Trials}, {"workers", &c.Workers}, {"pending", &c.MaxPending},
+	}
+}
+
 // Spec renders the Config as the canonical one-line spec: only non-zero
-// fields appear, in configKeys order. Callbacks do not serialize.
+// fields appear — the delivery keys first, then channel, rate, burst,
+// trials, workers, pending, metrics. Go-only handles do not serialize.
 func (c Config) Spec() string {
-	var parts []string
-	add := func(k, v string) { parts = append(parts, k+"="+v) }
-	if c.Codec.Family != "" {
-		add("codec", c.Codec.Name())
-	}
-	if c.Scheduler != nil {
-		add("sched", c.Scheduler.Name())
-	}
+	fields := c.Delivery.Fields()
+	add := func(k, v string) { fields = append(fields, spec.Field{Key: k, Value: v}) }
 	if c.Channel != nil {
 		add("channel", c.Channel.Name())
-	}
-	if c.PayloadSize != 0 {
-		add("payload", strconv.Itoa(c.PayloadSize))
 	}
 	if c.Rate != 0 {
 		add("rate", strconv.FormatFloat(c.Rate, 'g', -1, 64))
 	}
-	if c.Burst != 0 {
-		add("burst", strconv.Itoa(c.Burst))
-	}
-	if c.BatchSize != 0 {
-		add("batch", strconv.Itoa(c.BatchSize))
-	}
-	if c.BaseObjectID != 0 {
-		add("object", strconv.FormatUint(uint64(c.BaseObjectID), 10))
-	}
-	if c.Window != 0 {
-		add("window", strconv.Itoa(c.Window))
-	}
-	if c.Rounds != 0 {
-		add("rounds", strconv.Itoa(c.Rounds))
-	}
-	if c.Seed != 0 {
-		add("seed", strconv.FormatInt(c.Seed, 10))
-	}
-	if c.NSent != 0 {
-		add("nsent", strconv.Itoa(c.NSent))
-	}
-	if c.Trials != 0 {
-		add("trials", strconv.Itoa(c.Trials))
-	}
-	if c.Workers != 0 {
-		add("workers", strconv.Itoa(c.Workers))
-	}
-	if c.MaxPending != 0 {
-		add("pending", strconv.Itoa(c.MaxPending))
+	for _, f := range c.intKeys() {
+		if *f.v != 0 {
+			add(f.key, strconv.Itoa(*f.v))
+		}
 	}
 	if c.MetricsAddr != "" {
 		add("metrics", c.MetricsAddr)
 	}
+	parts := make([]string, len(fields))
+	for i, f := range fields {
+		parts[i] = f.Key + "=" + f.Value
+	}
 	return strings.Join(parts, ",")
-}
-
-// overlay copies src's non-zero fields onto dst.
-func (c Config) overlay(dst *Config) {
-	if c.Codec.Family != "" {
-		dst.Codec = c.Codec
-	}
-	if c.Scheduler != nil {
-		dst.Scheduler = c.Scheduler
-	}
-	if c.Channel != nil {
-		dst.Channel = c.Channel
-	}
-	if c.PayloadSize != 0 {
-		dst.PayloadSize = c.PayloadSize
-	}
-	if c.Rate != 0 {
-		dst.Rate = c.Rate
-	}
-	if c.Burst != 0 {
-		dst.Burst = c.Burst
-	}
-	if c.BatchSize != 0 {
-		dst.BatchSize = c.BatchSize
-	}
-	if c.BaseObjectID != 0 {
-		dst.BaseObjectID = c.BaseObjectID
-	}
-	if c.Window != 0 {
-		dst.Window = c.Window
-	}
-	if c.Rounds != 0 {
-		dst.Rounds = c.Rounds
-	}
-	if c.Seed != 0 {
-		dst.Seed = c.Seed
-	}
-	if c.NSent != 0 {
-		dst.NSent = c.NSent
-	}
-	if c.Trials != 0 {
-		dst.Trials = c.Trials
-	}
-	if c.Workers != 0 {
-		dst.Workers = c.Workers
-	}
-	if c.MaxPending != 0 {
-		dst.MaxPending = c.MaxPending
-	}
-	if c.OnCastProgress != nil {
-		dst.OnCastProgress = c.OnCastProgress
-	}
-	if c.OnCollectProgress != nil {
-		dst.OnCollectProgress = c.OnCollectProgress
-	}
-	if c.Metrics != nil {
-		dst.Metrics = c.Metrics
-	}
-	if c.Tracer != nil {
-		dst.Tracer = c.Tracer
-	}
-	if c.MetricsAddr != "" {
-		dst.MetricsAddr = c.MetricsAddr
-	}
-	if c.Pacer != nil {
-		dst.Pacer = c.Pacer
-	}
-}
-
-// codecSeed is the construction seed the codec uses: its own spec's
-// seed, defaulting to the config-level one.
-func (c Config) codecSeed() int64 {
-	if c.Codec.Seed != 0 {
-		return c.Codec.Seed
-	}
-	return c.Seed
-}
-
-// codecRatio resolves the effective expansion ratio for delivery: an
-// explicit ratio wins; no-fec defaults to 1 (it carries no parity);
-// everything else to the transport default.
-func (c Config) codecRatio() float64 {
-	if c.Codec.Ratio != 0 {
-		return c.Codec.Ratio
-	}
-	if c.Codec.Family == "no-fec" {
-		return 1
-	}
-	return 0 // let the constructor's default apply
-}
-
-// resolvedRatio is codecRatio with the constructor default applied —
-// the one value both the delivery path and Simulate use, so a spec
-// line describes the same code on the air and in simulation.
-func (c Config) resolvedRatio() float64 {
-	if r := c.codecRatio(); r != 0 {
-		return r
-	}
-	return transport.DefaultRatio
 }
 
 // --- Codecs and codes ---

@@ -5,12 +5,19 @@ package fecperf
 // paper at reduced scale, and end-to-end determinism.
 
 import (
+	"context"
 	"testing"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/engine"
 	"fecperf/internal/sched"
-	"fecperf/internal/sim"
 )
+
+// runPoint measures one point on the engine, as Simulate does.
+func runPoint(spec engine.PointSpec) Aggregate {
+	agg, _ := engine.RunPoint(context.Background(), spec, 0)
+	return agg
+}
 
 func TestEveryCodeUnderEveryTxModel(t *testing.T) {
 	// Every combination must (a) run, (b) decode reliably on a mild
@@ -23,7 +30,7 @@ func TestEveryCodeUnderEveryTxModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg := sim.Run(sim.Config{
+			agg := runPoint(engine.PointSpec{
 				Code:      code,
 				Scheduler: s,
 				Channel:   channel.GilbertFactory{P: 0.01, Q: 0.9},
@@ -51,8 +58,8 @@ func TestPaperClaimTx1IsWorstForLDGMUnderBursts(t *testing.T) {
 		t.Fatal(err)
 	}
 	bursty := channel.GilbertFactory{P: 0.03, Q: 0.3}
-	tx1 := sim.Run(sim.Config{Code: code, Scheduler: sched.TxModel1{}, Channel: bursty, Trials: 10, Seed: 2})
-	tx2 := sim.Run(sim.Config{Code: code, Scheduler: sched.TxModel2{}, Channel: bursty, Trials: 10, Seed: 2})
+	tx1 := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel1{}, Channel: bursty, Trials: 10, Seed: 2})
+	tx2 := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel2{}, Channel: bursty, Trials: 10, Seed: 2})
 	if tx2.Failed() {
 		t.Fatal("tx2 failed on a moderate channel")
 	}
@@ -70,8 +77,8 @@ func TestPaperClaimInterleavingRescuesRSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	bursty := channel.GilbertFactory{P: 0.02, Q: 0.15} // ~12% loss, ~7-packet bursts
-	tx1 := sim.Run(sim.Config{Code: code, Scheduler: sched.TxModel1{}, Channel: bursty, Trials: 10, Seed: 4})
-	tx5 := sim.Run(sim.Config{Code: code, Scheduler: sched.TxModel5{}, Channel: bursty, Trials: 10, Seed: 4})
+	tx1 := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel1{}, Channel: bursty, Trials: 10, Seed: 4})
+	tx5 := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel5{}, Channel: bursty, Trials: 10, Seed: 4})
 	if tx5.Failed() {
 		t.Fatalf("interleaved RSE failed (%d/%d)", tx5.Failures, tx5.Trials)
 	}
@@ -95,7 +102,7 @@ func TestPaperClaimTx4IsLossDistributionIndependent(t *testing.T) {
 	}
 	var vals []float64
 	for _, ch := range channels {
-		agg := sim.Run(sim.Config{Code: code, Scheduler: sched.TxModel4{}, Channel: ch, Trials: 10, Seed: 7})
+		agg := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel4{}, Channel: ch, Trials: 10, Seed: 7})
 		if agg.Failed() {
 			t.Fatalf("tx4 failed at %+v", ch)
 		}
@@ -123,7 +130,7 @@ func TestPaperClaimFig14SweetSpot(t *testing.T) {
 		t.Fatal(err)
 	}
 	measure := func(srcCount int) float64 {
-		agg := sim.Run(sim.Config{
+		agg := runPoint(engine.PointSpec{
 			Code:      code,
 			Scheduler: sched.RxModel1{SourceCount: srcCount},
 			Channel:   channel.NoLossFactory{},

@@ -57,9 +57,11 @@ func BenchmarkDaemonSharedThroughput(b *testing.B) {
 		drainHub(hubs.hub(addr))
 		names[i] = fmt.Sprintf("cast%d", i)
 		err := d.AddCast(CastSpec{
-			Name: names[i], Addr: addr, Object: uint32(i + 1),
-			Seed: int64(i + 1), Data: data,
-			Codec: codes.Spec{Family: "rse", Ratio: 1.5},
+			Name: names[i], Addr: addr, Data: data,
+			Delivery: transport.Delivery{
+				BaseObjectID: uint32(i + 1), Seed: int64(i + 1),
+				Codec: codes.Spec{Family: "rse", Ratio: 1.5},
+			},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -134,9 +136,9 @@ func BenchmarkIndependentSendersThroughput(b *testing.B) {
 	for i := 0; i < benchFleet; i++ {
 		addr := fmt.Sprintf("239.9.1.%d:9000", i)
 		drainHub(hubs.hub(addr))
-		obj, err := encodeObject(CastSpec{
+		obj, err := encodeObject(CastSpec{Delivery: transport.Delivery{
 			Seed: int64(i + 1), Codec: codes.Spec{Family: "rse", Ratio: 1.5},
-		}, uint32(i+1), data)
+		}}, uint32(i+1), data)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"fecperf/internal/core"
 	"fecperf/internal/obs"
-	"fecperf/internal/sched"
 	"fecperf/internal/session"
 	"fecperf/internal/transport"
 )
@@ -72,48 +71,33 @@ type Cast struct {
 	reloads   obs.Counter
 }
 
-// payloadSize returns the cast's symbol size with the default applied.
-func (cs CastSpec) payloadSize() int {
-	if cs.Payload > 0 {
-		return cs.Payload
-	}
-	return 1024
-}
-
-// scheduler resolves the cast's scheduler name (nil for the default,
-// which the sender maps to Tx_model_4). Specs are validated at parse
-// and reload time, so resolution here cannot fail for a live cast.
-func (cs CastSpec) scheduler() core.Scheduler {
-	if cs.Sched == "" {
-		return nil
-	}
-	s, err := sched.ByName(cs.Sched)
-	if err != nil {
-		return nil
-	}
-	return s
-}
-
 // encodeObject FEC-encodes one carousel object under the given spec.
-// The object seed derives from (cast seed, object id) so two objects of
-// one cast never share an LDGM construction.
+// The object's construction seed derives from (the cast's construction
+// seed, object id) so two objects of one cast never share an LDGM graph.
+// The object carries no scheduler of its own: the round's sender holds
+// the cast's, which a reload can change without re-encoding.
 func encodeObject(cs CastSpec, id uint32, data []byte) (*session.Object, error) {
-	fam, err := cs.Codec.WireFamily()
+	oc, err := cs.ObjectConfig(id)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
 	}
-	obj, err := session.EncodeObject(data, session.SenderConfig{
-		ObjectID:    id,
-		Family:      fam,
-		Ratio:       cs.Codec.EffectiveRatio(),
-		PayloadSize: cs.payloadSize(),
-		Seed:        core.DeriveSeed(cs.Seed, uint64(id)),
-		NSent:       cs.NSent,
-	})
+	oc.Seed = core.DeriveSeed(oc.Seed, uint64(id))
+	oc.Scheduler = nil
+	obj, err := session.EncodeObject(data, oc)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: cast %s: encoding object %d: %w", cs.Name, id, err)
 	}
 	return obj, nil
+}
+
+// delivery is the spec's delivery with the daemon's batch size where the
+// cast sets none.
+func (c *Cast) delivery(cs CastSpec) transport.Delivery {
+	d := cs.Delivery
+	if d.BatchSize == 0 {
+		d.BatchSize = c.d.cfg.BatchSize
+	}
+	return d
 }
 
 // run is the cast goroutine: it drives the carousel or stream until
@@ -184,10 +168,7 @@ func (c *Cast) runCarousel(ctx context.Context) error {
 		// boundary with the whole round (batches flushed) on the wire.
 		roundCtx, cancel := context.WithCancel(ctx)
 		var interrupted atomic.Bool
-		batch := cs.Batch
-		if batch == 0 {
-			batch = c.d.cfg.BatchSize
-		}
+		dl := c.delivery(cs)
 		// fold accumulates the sender's counter deltas into the cast's
 		// lifetime counters. Called from OnRound (sender goroutine, between
 		// rounds) and once after Run returns — never concurrently — so the
@@ -204,11 +185,11 @@ func (c *Cast) runCarousel(ctx context.Context) error {
 		}
 		s = transport.NewSender(c.gc.conn, transport.SenderConfig{
 			Pacer:      c.share,
-			BatchSize:  batch,
-			Rounds:     cs.Rounds,
+			BatchSize:  dl.BatchSize,
+			Rounds:     dl.Rounds,
 			StartRound: startRound,
-			Scheduler:  cs.scheduler(),
-			Seed:       cs.Seed,
+			Scheduler:  dl.Scheduler,
+			Seed:       dl.Seed,
 			Tracer:     c.d.cfg.Tracer,
 			OnRound: func(r int) {
 				c.rounds.Inc()
@@ -321,14 +302,6 @@ func (c *Cast) runStream(ctx context.Context) error {
 		src = f
 	}
 	src = newCancelReader(ctx, src)
-	fam, err := cs.Codec.WireFamily()
-	if err != nil {
-		return fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
-	}
-	batch := cs.Batch
-	if batch == 0 {
-		batch = c.d.cfg.BatchSize
-	}
 	// fold accumulates the caster's counter deltas into the cast's
 	// lifetime counters on every progress step — OnProgress fires on the
 	// caster goroutine, sequentially, and once more after Run returns —
@@ -343,19 +316,10 @@ func (c *Cast) runStream(ctx context.Context) error {
 		c.rounds.Add(st.ChunksCast - folded.ChunksCast)
 		folded = st
 	}
-	caster, err = transport.NewCaster(c.gc.conn, src, transport.CasterConfig{
-		BaseObjectID: cs.Object,
-		Family:       fam,
-		K:            cs.Codec.K,
-		Ratio:        cs.Codec.EffectiveRatio(),
-		PayloadSize:  cs.payloadSize(),
-		Seed:         cs.Seed,
-		Scheduler:    cs.scheduler(),
-		Pacer:        c.share,
-		BatchSize:    batch,
-		Window:       cs.Window,
-		Rounds:       cs.Rounds,
-		Tracer:       c.d.cfg.Tracer,
+	caster, err := transport.NewCaster(c.gc.conn, src, transport.CasterConfig{
+		Delivery: c.delivery(cs),
+		Pacer:    c.share,
+		Tracer:   c.d.cfg.Tracer,
 		OnProgress: func(p transport.CastProgress) {
 			c.mu.Lock()
 			c.progress = p

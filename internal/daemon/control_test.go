@@ -10,6 +10,7 @@ import (
 
 	"fecperf/internal/channel"
 	"fecperf/internal/obs"
+	"fecperf/internal/transport"
 )
 
 // TestControlPlane drives the whole HTTP face against a live daemon:
@@ -48,7 +49,7 @@ func TestControlPlane(t *testing.T) {
 	// In-process data stands in for a file; the spec line has no Data
 	// field, so seed the cast through the Go API and exercise the HTTP
 	// POST with its error paths.
-	if err := d.AddCast(CastSpec{Name: "docs", Addr: addr, Object: 5, Seed: 9, Data: testData(8<<10, 11)}); err != nil {
+	if err := d.AddCast(CastSpec{Name: "docs", Addr: addr, Delivery: transport.Delivery{BaseObjectID: 5, Seed: 9}, Data: testData(8<<10, 11)}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -202,14 +202,14 @@ func (d *Daemon) AddCast(cs CastSpec) error {
 		state: StateRunning,
 	}
 	if cs.Mode == ModeCarousel {
-		obj, err := encodeObject(cs, cs.Object, cs.Data)
+		obj, err := encodeObject(cs, cs.BaseObjectID, cs.Data)
 		if err != nil {
 			d.mu.Lock()
 			d.releaseConnLocked(gc)
 			d.mu.Unlock()
 			return err
 		}
-		c.objs = []*castObject{{id: cs.Object, data: cs.Data, obj: obj}}
+		c.objs = []*castObject{{id: cs.BaseObjectID, data: cs.Data, obj: obj}}
 	}
 	c.share = d.pacer.AddShare(cs.Weight)
 

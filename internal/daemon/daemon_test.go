@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/codes"
 	"fecperf/internal/obs"
 	"fecperf/internal/session"
 	"fecperf/internal/transport"
@@ -124,10 +125,10 @@ func TestDaemonE2E(t *testing.T) {
 	})
 	defer d.Close()
 
-	specA := CastSpec{Name: "alpha", Addr: addrA, Object: 1, Seed: 11, Data: dataA}
-	specB := CastSpec{Name: "beta", Addr: addrB, Object: 2, Seed: 22, Data: dataB}
+	specA := CastSpec{Name: "alpha", Addr: addrA, Delivery: transport.Delivery{BaseObjectID: 1, Seed: 11}, Data: dataA}
+	specB := CastSpec{Name: "beta", Addr: addrB, Delivery: transport.Delivery{BaseObjectID: 2, Seed: 22}, Data: dataB}
 	specC := CastSpec{
-		Name: "gamma", Addr: addrC, Mode: ModeStream, Object: 100, Seed: 33,
+		Name: "gamma", Addr: addrC, Mode: ModeStream, Delivery: transport.Delivery{BaseObjectID: 100, Seed: 33},
 		Weight: 2, Source: bytes.NewReader(streamData),
 	}
 	for _, cs := range []CastSpec{specA, specB, specC} {
@@ -145,7 +146,7 @@ func TestDaemonE2E(t *testing.T) {
 
 	// Hot reload: an immutable-key change is rejected with a diff error...
 	badSpec := specB
-	badSpec.Payload = 512
+	badSpec.PayloadSize = 512
 	if err := d.Reload("beta", badSpec); err == nil || !strings.Contains(err.Error(), "immutable keys changed") {
 		t.Fatalf("immutable reload = %v, want diff error", err)
 	}
@@ -270,7 +271,7 @@ func TestDaemonObjectLifecycle(t *testing.T) {
 
 	first := testData(16<<10, 4)
 	second := testData(24<<10, 5)
-	if err := d.AddCast(CastSpec{Name: "multi", Addr: addr, Object: 10, Seed: 44, Data: first}); err != nil {
+	if err := d.AddCast(CastSpec{Name: "multi", Addr: addr, Delivery: transport.Delivery{BaseObjectID: 10, Seed: 44}, Data: first}); err != nil {
 		t.Fatal(err)
 	}
 	waitStatus(t, d, "multi", "1 round", func(st CastStatus) bool { return st.Rounds >= 1 })
@@ -351,10 +352,10 @@ func TestDaemonSharedConnRefcount(t *testing.T) {
 	}})
 	defer d.Close()
 
-	if err := d.AddCast(CastSpec{Name: "one", Addr: addr, Object: 1, Data: testData(4<<10, 6)}); err != nil {
+	if err := d.AddCast(CastSpec{Name: "one", Addr: addr, Delivery: transport.Delivery{BaseObjectID: 1}, Data: testData(4<<10, 6)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddCast(CastSpec{Name: "two", Addr: addr, Object: 2, Data: testData(4<<10, 7)}); err != nil {
+	if err := d.AddCast(CastSpec{Name: "two", Addr: addr, Delivery: transport.Delivery{BaseObjectID: 2}, Data: testData(4<<10, 7)}); err != nil {
 		t.Fatal(err)
 	}
 	if dials != 1 {
@@ -363,7 +364,7 @@ func TestDaemonSharedConnRefcount(t *testing.T) {
 	if err := d.RemoveCast("one"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddCast(CastSpec{Name: "three", Addr: addr, Object: 3, Data: testData(4<<10, 8)}); err != nil {
+	if err := d.AddCast(CastSpec{Name: "three", Addr: addr, Delivery: transport.Delivery{BaseObjectID: 3}, Data: testData(4<<10, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	if dials != 1 {
@@ -376,7 +377,7 @@ func TestDaemonSharedConnRefcount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Last cast gone: the next add re-dials.
-	if err := d.AddCast(CastSpec{Name: "four", Addr: addr, Object: 4, Data: testData(4<<10, 9)}); err != nil {
+	if err := d.AddCast(CastSpec{Name: "four", Addr: addr, Delivery: transport.Delivery{BaseObjectID: 4}, Data: testData(4<<10, 9)}); err != nil {
 		t.Fatal(err)
 	}
 	if dials != 2 {
@@ -395,7 +396,7 @@ func TestDaemonDrainDeadline(t *testing.T) {
 	src := &blockingReader{data: testData(64<<10, 10), blocked: blocked}
 	d := New(Config{BatchSize: 8, DrainTimeout: 300 * time.Millisecond, Dial: hubs.dial})
 	defer d.Close()
-	if err := d.AddCast(CastSpec{Name: "stuck", Addr: "g:1", Mode: ModeStream, Object: 50, Source: src}); err != nil {
+	if err := d.AddCast(CastSpec{Name: "stuck", Addr: "g:1", Mode: ModeStream, Delivery: transport.Delivery{BaseObjectID: 50}, Source: src}); err != nil {
 		t.Fatal(err)
 	}
 	err := d.Drain(context.Background())
@@ -426,7 +427,7 @@ func TestDaemonDrainDeadlineMultipleStragglers(t *testing.T) {
 	defer d.Close()
 	for i, name := range []string{"stuck-a", "stuck-b", "stuck-c"} {
 		src := &blockingReader{data: testData(64<<10, int64(20+i)), blocked: blocked}
-		if err := d.AddCast(CastSpec{Name: name, Addr: "g:1", Mode: ModeStream, Object: uint32(60 + i), Source: src}); err != nil {
+		if err := d.AddCast(CastSpec{Name: name, Addr: "g:1", Mode: ModeStream, Delivery: transport.Delivery{BaseObjectID: uint32(60 + i)}, Source: src}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -461,4 +462,41 @@ func (b *blockingReader) Read(p []byte) (int, error) {
 	n := copy(p, b.data)
 	b.data = b.data[n:]
 	return n, nil
+}
+
+// TestLiteralSpecsAreValidated: AddCast and Reload hold a Go literal to
+// what ParseCastSpec holds a line — a bad value is an error, never a
+// silently different cast (a negative payload used to run at 1024).
+func TestLiteralSpecsAreValidated(t *testing.T) {
+	hubs := newTestHubs()
+	defer hubs.close()
+	d := New(Config{Dial: hubs.dial})
+	defer d.Close()
+
+	data := testData(4<<10, 1)
+	for _, bad := range []transport.Delivery{
+		{PayloadSize: -1}, {BatchSize: -2}, {Window: -1}, {Rounds: -1}, {NSent: -5},
+		{Codec: codes.Spec{Family: "rot13"}}, {Codec: codes.Spec{Family: "rse", Ratio: 0.5}},
+	} {
+		for _, mode := range []string{ModeCarousel, ModeStream} {
+			cs := CastSpec{Name: "bad", Addr: "g:1", Mode: mode, Data: data, Source: bytes.NewReader(data), Delivery: bad}
+			if err := d.AddCast(cs); err == nil {
+				t.Errorf("AddCast(%s, %+v) succeeded", mode, bad)
+				d.RemoveCast("bad") //nolint:errcheck
+			}
+		}
+	}
+	if n := len(d.Casts()); n != 0 {
+		t.Fatalf("%d casts registered by rejected specs", n)
+	}
+
+	good := CastSpec{Name: "ok", Addr: "g:1", Data: data, Delivery: transport.Delivery{BaseObjectID: 3}}
+	if err := d.AddCast(good); err != nil {
+		t.Fatal(err)
+	}
+	next := good
+	next.NSent = -1
+	if err := d.Reload("ok", next); err == nil || !strings.Contains(err.Error(), "nsent must not be negative") {
+		t.Errorf("Reload with nsent=-1: %v", err)
+	}
 }

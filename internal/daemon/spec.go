@@ -16,9 +16,8 @@ import (
 	"strconv"
 	"strings"
 
-	"fecperf/internal/codes"
-	"fecperf/internal/sched"
 	"fecperf/internal/spec"
+	"fecperf/internal/transport"
 )
 
 // Cast modes.
@@ -55,29 +54,16 @@ type CastSpec struct {
 	// Weight is the cast's share of the daemon's line rate (default 1).
 	// Mutable at runtime.
 	Weight float64
-	// Codec is the FEC configuration (family, ratio, and for streams
-	// the per-chunk k). Default rse(ratio=1.5). The ratio is mutable;
-	// family, k and seed are the code's geometry and are not.
-	Codec codes.Spec
-	// Sched names the transmission scheduler (default tx4). Mutable.
-	Sched string
-	// Payload is the symbol size in bytes (default 1024).
-	Payload int
-	// Batch is the sender batch size (default the daemon's). Mutable.
-	Batch int
-	// Window is the stream mode chunk window (default the caster's).
-	Window int
-	// Rounds bounds the carousel (0 = infinite) or sets the stream's
-	// per-group rounds (0 = caster default). Mutable.
-	Rounds int
-	// NSent truncates each carousel round per object (0 = everything —
-	// the paper's n_sent knob). Mutable.
-	NSent int
-	// Seed fixes code construction and scheduling randomness.
-	Seed int64
-	// Object is the object ID of a carousel's first object, or the
-	// stream's base (manifest) object ID.
-	Object uint32
+	// Delivery holds the nine delivery keys the facade's Config shares —
+	// codec, sched, payload, batch, window, rounds, nsent, seed, object —
+	// with the same defaults. Daemon specifics: batch defaults to the
+	// daemon's; rounds bounds a carousel (0 = infinite) or sets a stream's
+	// per-group rounds; a carousel derives each object's construction
+	// seed from (construction seed, object id), so two objects of one
+	// cast never share an LDGM graph. Ratio, sched, batch, rounds and
+	// nsent are mutable on a carousel; the rest is what receivers joined
+	// on and is not.
+	transport.Delivery
 
 	// Data, when set, is the in-process carousel source (File unused).
 	Data []byte
@@ -85,11 +71,10 @@ type CastSpec struct {
 	Source io.Reader
 }
 
-// castSpecKeys are the accepted spec-line parameters.
-var castSpecKeys = []string{
-	"name", "addr", "mode", "file", "weight", "codec", "sched",
-	"payload", "batch", "window", "rounds", "nsent", "seed", "object",
-}
+// castSpecKeys are the accepted spec-line parameters: the cast's own and
+// the delivery keys. Pacing keys (rate, burst) are not among them: the
+// daemon's shared pacer owns pacing.
+var castSpecKeys = append([]string{"name", "addr", "mode", "file", "weight"}, transport.DeliveryKeys...)
 
 // ParseCastSpec parses one cast spec line. Both the canonical
 // "cast(key=value,...)" form and a bare "key=value,..." list are
@@ -129,46 +114,8 @@ func ParseCastSpec(line string) (CastSpec, error) {
 		}
 		cs.Weight = w
 	}
-	if c, ok := params["codec"]; ok {
-		cspec, err := codes.ParseSpec(c)
-		if err != nil {
-			return CastSpec{}, fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
-		}
-		cs.Codec = cspec
-	}
-	if s, ok := params["sched"]; ok {
-		if _, err := sched.ByName(s); err != nil {
-			return CastSpec{}, fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
-		}
-		cs.Sched = s
-	}
-	for _, f := range []struct {
-		key string
-		dst *int
-	}{
-		{"payload", &cs.Payload}, {"batch", &cs.Batch}, {"window", &cs.Window},
-		{"rounds", &cs.Rounds}, {"nsent", &cs.NSent},
-	} {
-		v, ok, err := params.Int(f.key)
-		if err != nil {
-			return CastSpec{}, fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
-		}
-		if ok {
-			if v < 0 {
-				return CastSpec{}, fmt.Errorf("daemon: cast %s: %s must not be negative, got %d", cs.Name, f.key, v)
-			}
-			*f.dst = v
-		}
-	}
-	if v, _, err := params.Int64("seed"); err != nil {
+	if err := cs.Delivery.Parse(params); err != nil {
 		return CastSpec{}, fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
-	} else {
-		cs.Seed = v
-	}
-	if v, _, err := params.Uint32("object"); err != nil {
-		return CastSpec{}, fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
-	} else {
-		cs.Object = v
 	}
 	if err := cs.normalize(); err != nil {
 		return CastSpec{}, err
@@ -176,7 +123,11 @@ func ParseCastSpec(line string) (CastSpec, error) {
 	return cs, nil
 }
 
-// normalize applies defaults and validates cross-field constraints.
+// normalize validates the spec and applies the defaults a reload diffs
+// against (mode, weight, codec family and ratio) — the one gate
+// ParseCastSpec, AddCast and Reload all pass, so a literal CastSpec is
+// held to what a parsed line is. The other delivery keys keep their
+// zero-means-default form.
 func (cs *CastSpec) normalize() error {
 	switch cs.Mode {
 	case "":
@@ -188,15 +139,11 @@ func (cs *CastSpec) normalize() error {
 	if cs.Weight == 0 {
 		cs.Weight = 1
 	}
-	if cs.Codec.Family == "" {
-		cs.Codec.Family = "rse"
-		if cs.Codec.Ratio == 0 {
-			cs.Codec.Ratio = 1.5
-		}
+	if err := cs.Validate(); err != nil {
+		return fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
 	}
-	if cs.Codec.Ratio == 0 && cs.Codec.Family != "no-fec" {
-		return fmt.Errorf("daemon: cast %s: codec %s needs ratio", cs.Name, cs.Codec.Family)
-	}
+	resolved := cs.ResolvedCodec()
+	cs.Codec.Family, cs.Codec.Ratio = resolved.Family, resolved.Ratio
 	return nil
 }
 
@@ -221,29 +168,7 @@ func (cs CastSpec) Spec() string {
 	if cs.Weight != 0 && cs.Weight != 1 {
 		add("weight", strconv.FormatFloat(cs.Weight, 'g', -1, 64))
 	}
-	if cs.Codec.Family != "" {
-		add("codec", cs.Codec.Name())
-	}
-	if cs.Sched != "" {
-		add("sched", cs.Sched)
-	}
-	for _, f := range []struct {
-		key string
-		v   int
-	}{
-		{"payload", cs.Payload}, {"batch", cs.Batch}, {"window", cs.Window},
-		{"rounds", cs.Rounds}, {"nsent", cs.NSent},
-	} {
-		if f.v != 0 {
-			add(f.key, strconv.Itoa(f.v))
-		}
-	}
-	if cs.Seed != 0 {
-		add("seed", strconv.FormatInt(cs.Seed, 10))
-	}
-	if cs.Object != 0 {
-		add("object", strconv.FormatUint(uint64(cs.Object), 10))
-	}
+	fields = append(fields, cs.Fields()...)
 	return spec.Format("cast", fields...)
 }
 
@@ -266,16 +191,16 @@ func diffReload(old, next CastSpec) error {
 	imm("addr", old.Addr != next.Addr)
 	imm("mode", old.Mode != next.Mode)
 	imm("file", old.File != next.File)
-	imm("payload", old.Payload != next.Payload)
-	imm("object", old.Object != next.Object)
+	imm("payload", old.PayloadSize != next.PayloadSize)
+	imm("object", old.BaseObjectID != next.BaseObjectID)
 	imm("seed", old.Seed != next.Seed)
 	imm("codec family", old.Codec.Family != next.Codec.Family)
 	imm("codec k", old.Codec.K != next.Codec.K)
 	imm("codec seed", old.Codec.Seed != next.Codec.Seed)
 	if old.Mode == ModeStream {
 		imm("codec ratio", old.Codec.Ratio != next.Codec.Ratio)
-		imm("sched", old.Sched != next.Sched)
-		imm("batch", old.Batch != next.Batch)
+		imm("sched", old.SchedulerName() != next.SchedulerName())
+		imm("batch", old.BatchSize != next.BatchSize)
 		imm("window", old.Window != next.Window)
 		imm("rounds", old.Rounds != next.Rounds)
 		imm("nsent", old.NSent != next.NSent)

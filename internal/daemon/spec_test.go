@@ -1,9 +1,30 @@
 package daemon
 
 import (
+	"os"
 	"strings"
 	"testing"
+
+	"fecperf/internal/sched"
+	"fecperf/internal/transport"
 )
+
+// deliveryTable reads one of the delivery-key tables the facade's and
+// transport's spec tests share (internal/transport/testdata).
+func deliveryTable(t *testing.T, name string) []string {
+	t.Helper()
+	raw, err := os.ReadFile("../transport/testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, l := range strings.Split(string(raw), "\n") {
+		if l = strings.TrimSpace(l); l != "" && !strings.HasPrefix(l, "#") {
+			out = append(out, l)
+		}
+	}
+	return out
+}
 
 func TestParseCastSpecRoundTrip(t *testing.T) {
 	line := "cast(name=docs,addr=239.1.2.3:9900,file=/srv/docs.tar,weight=2,codec=rse(k=64,ratio=1.5),sched=tx4,payload=512,batch=32,window=8,rounds=4,nsent=90,seed=7,object=42)"
@@ -17,8 +38,8 @@ func TestParseCastSpecRoundTrip(t *testing.T) {
 	if cs.Weight != 2 || cs.Codec.Family != "rse" || cs.Codec.K != 64 || cs.Codec.Ratio != 1.5 {
 		t.Errorf("weight/codec: %+v", cs)
 	}
-	if cs.Sched != "tx4" || cs.Payload != 512 || cs.Batch != 32 || cs.Window != 8 ||
-		cs.Rounds != 4 || cs.NSent != 90 || cs.Seed != 7 || cs.Object != 42 {
+	if cs.SchedulerName() != "tx4" || cs.PayloadSize != 512 || cs.BatchSize != 32 || cs.Window != 8 ||
+		cs.Rounds != 4 || cs.NSent != 90 || cs.Seed != 7 || cs.BaseObjectID != 42 {
 		t.Errorf("tuning fields: %+v", cs)
 	}
 	if cs.Mode != ModeCarousel {
@@ -31,6 +52,51 @@ func TestParseCastSpecRoundTrip(t *testing.T) {
 	}
 	if again.Spec() != cs.Spec() {
 		t.Errorf("round trip drifted:\n  first  %s\n  second %s", cs.Spec(), again.Spec())
+	}
+
+	// The delivery keys are the facade's: every line of the shared table
+	// parses here, round-trips, and every shared bad line fails the same.
+	for _, line := range deliveryTable(t, "delivery_lines.txt") {
+		cs, err := ParseCastSpec("name=x,addr=1:2," + line)
+		if err != nil {
+			t.Errorf("%q: %v", line, err)
+			continue
+		}
+		again, err := ParseCastSpec(cs.Spec())
+		if err != nil || again.Spec() != cs.Spec() {
+			t.Errorf("%q drifted: %q -> %q (%v)", line, cs.Spec(), again.Spec(), err)
+		}
+	}
+	bad := append(deliveryTable(t, "delivery_bad_lines.txt"),
+		"rate=5000\trate", "burst=64\tburst") // the shared pacer owns pacing
+	for _, entry := range bad {
+		line, want, _ := strings.Cut(entry, "\t")
+		if _, err := ParseCastSpec("name=x,addr=1:2," + line); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: err = %v, want one containing %q", line, err, want)
+		}
+	}
+}
+
+// TestCastSpecOmittedRatioDefaults pins the one omitted-ratio rule: a
+// parity-bearing family without ratio= runs at transport.DefaultRatio,
+// as it does through the facade; no-fec carries no parity.
+func TestCastSpecOmittedRatioDefaults(t *testing.T) {
+	for line, want := range map[string]float64{
+		"codec=ldgm-staircase":      transport.DefaultRatio,
+		"codec=rse(k=64)":           transport.DefaultRatio,
+		"codec=no-fec":              1,
+		"codec=ldgm(ratio=2.5)":     2.5,
+		"sched=tx2":                 transport.DefaultRatio,
+		"codec=ldgm-triangle(k=10)": transport.DefaultRatio,
+	} {
+		cs, err := ParseCastSpec("name=x,addr=1:2," + line)
+		if err != nil {
+			t.Errorf("%q: %v", line, err)
+			continue
+		}
+		if cs.Codec.Ratio != want {
+			t.Errorf("%q: ratio %g, want %g", line, cs.Codec.Ratio, want)
+		}
 	}
 }
 
@@ -77,8 +143,8 @@ func TestDiffReloadImmutableKeys(t *testing.T) {
 	next := base
 	next.Weight = 4
 	next.Codec.Ratio = 2.0
-	next.Sched = "tx1"
-	next.Batch = 8
+	next.Scheduler = sched.TxModel1{}
+	next.BatchSize = 8
 	next.Rounds = 9
 	next.NSent = 50
 	if err := diffReload(base, next); err != nil {
@@ -88,7 +154,7 @@ func TestDiffReloadImmutableKeys(t *testing.T) {
 	// Immutable keys: rejected, all named in the error.
 	bad := base
 	bad.Addr = "other:9"
-	bad.Payload = 512
+	bad.PayloadSize = 512
 	bad.Codec.Family = "ldgm-staircase"
 	err = diffReload(base, bad)
 	if err == nil {

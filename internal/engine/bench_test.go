@@ -49,8 +49,8 @@ func benchmarkPoint(b *testing.B, workers int) {
 	b.ReportMetric(float64(100*b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
-// BenchmarkPointSequential is the sequential baseline for the speedup
-// record in BENCH_engine.json.
+// BenchmarkPointSequential is the sequential baseline of the
+// single-point speedup.
 func BenchmarkPointSequential(b *testing.B) { benchmarkPoint(b, 1) }
 
 // BenchmarkPointParallel4 is the same point on 4 workers; the ratio of
@@ -85,4 +85,18 @@ func BenchmarkPlanThroughput(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(points*b.N)/b.Elapsed().Seconds(), "points/s")
+}
+
+// BenchmarkSweep4x4 measures a small (p, q) grid sweep end to end.
+func BenchmarkSweep4x4(b *testing.B) {
+	code, err := codes.Make("ldgm-triangle", 500, 2.5, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	axis := []float64{0, 0.05, 0.2, 0.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Sweep(SweepConfig{Code: code, Scheduler: sched.TxModel4{}, P: axis, Q: axis, Trials: 5, Seed: 1})
+	}
 }

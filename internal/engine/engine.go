@@ -35,8 +35,9 @@ import (
 const shardSize = 8
 
 // PointSpec is a materialised work unit: live code, scheduler and
-// channel factory rather than declarative names. The sim package's
-// adapters build these directly; plans materialise Points into them.
+// channel factory rather than declarative names. One-point callers
+// (Simulate, the figure and recommender loops, Sweep) build these
+// directly; plans materialise Points into them.
 type PointSpec struct {
 	Code      core.Code
 	Scheduler core.Scheduler
@@ -168,8 +169,15 @@ func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool)
 // every worker. Results are deterministic in the specs' seeds whatever
 // the worker count: shard boundaries are fixed and partial aggregates
 // merge in shard order. On cancellation the returned error is ctx.Err()
-// and unfinished points hold zero-valued aggregates.
+// and unfinished points hold zero-valued aggregates. A spec without a
+// code, scheduler or channel is a caller bug and panics here, on the
+// caller's goroutine, rather than inside a worker.
 func RunPointSpecs(ctx context.Context, specs []PointSpec, workers int) ([]Aggregate, error) {
+	for _, s := range specs {
+		if s.Code == nil || s.Scheduler == nil || s.Channel == nil {
+			panic("engine: PointSpec requires Code, Scheduler and Channel")
+		}
+	}
 	out := make([]Aggregate, len(specs))
 	err := runSpecs(ctx, specs, workers, engineMetrics{}, func(i int, agg Aggregate) {
 		out[i] = agg

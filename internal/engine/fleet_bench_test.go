@@ -13,7 +13,8 @@ import (
 // rse k=256 ratio 1.5 under tx2 with a mixed Gilbert/Bernoulli fleet —
 // reporting aggregate receiver-symbol events/s (the ≥10⁷ target),
 // steady-state bytes per receiver and amortised allocations per
-// receiver. scripts/bench_fleet.sh parses these into BENCH_fleet.json.
+// receiver. `go run ./bench -workload sim-paper-grid` reports the same
+// quantities end to end (events_per_s, engine.fleet.state_bytes_per_receiver).
 func BenchmarkFleet(b *testing.B) {
 	const receivers = 100_000
 	code, err := codes.Make("rse", 256, 1.5, 7)

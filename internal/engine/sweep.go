@@ -1,0 +1,84 @@
+package engine
+
+import (
+	"context"
+
+	"fecperf/internal/channel"
+	"fecperf/internal/core"
+)
+
+// PaperGrid is the 14-value axis used by the paper's 14×14 (p, q) sweeps,
+// in probability units: {0, 1, 5, 10, 15, 20, 30, ..., 100}%.
+var PaperGrid = []float64{0, 0.01, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90, 1.00}
+
+// Grid is the result of a (p, q) sweep: Cells[i][j] corresponds to
+// P[i], Q[j].
+type Grid struct {
+	P, Q  []float64
+	Cells [][]Aggregate
+}
+
+// At returns the aggregate for (P[i], Q[j]).
+func (g *Grid) At(i, j int) Aggregate { return g.Cells[i][j] }
+
+// SweepConfig describes a full grid sweep (Section 4.1's methodology:
+// every cell runs Trials receptions, each redrawing the schedule and a
+// fresh channel realisation; a cell where any trial fails reports
+// Failed() — the paper plots no point there).
+type SweepConfig struct {
+	Code      core.Code
+	Scheduler core.Scheduler
+	// P and Q are the grid axes; nil means PaperGrid.
+	P, Q []float64
+	// Factory maps the grid coordinates of a cell to its loss channel;
+	// nil means the Gilbert model with transition probabilities (p, q).
+	// Use channel.ByName to resolve a family ("bernoulli", "markov", …)
+	// from the CLI.
+	Factory func(p, q float64) channel.Factory
+	// Trials per cell (0 = 100) and base Seed.
+	Trials int
+	Seed   int64
+	// NSent truncates schedules as in PointSpec.
+	NSent int
+	// Workers bounds parallelism; 0 means GOMAXPROCS.
+	Workers int
+}
+
+// Sweep measures every (p, q) cell of the grid through the shared worker
+// pool (cells and their trials interleave freely across workers) and
+// returns the filled grid. Results are deterministic in Seed regardless
+// of worker count.
+func Sweep(cfg SweepConfig) *Grid {
+	ps, qs := cfg.P, cfg.Q
+	if ps == nil {
+		ps = PaperGrid
+	}
+	if qs == nil {
+		qs = PaperGrid
+	}
+	factory := cfg.Factory
+	if factory == nil {
+		factory = func(p, q float64) channel.Factory { return channel.GilbertFactory{P: p, Q: q} }
+	}
+
+	specs := make([]PointSpec, 0, len(ps)*len(qs))
+	for i, p := range ps {
+		for j, q := range qs {
+			specs = append(specs, PointSpec{
+				Code:      cfg.Code,
+				Scheduler: cfg.Scheduler,
+				Channel:   factory(p, q),
+				Trials:    cfg.Trials,
+				Seed:      DeriveSeed(cfg.Seed, uint64(i), uint64(j)),
+				NSent:     cfg.NSent,
+			})
+		}
+	}
+	aggs, _ := RunPointSpecs(context.Background(), specs, cfg.Workers)
+
+	g := &Grid{P: ps, Q: qs, Cells: make([][]Aggregate, len(ps))}
+	for i := range g.Cells {
+		g.Cells[i] = aggs[i*len(qs) : (i+1)*len(qs)]
+	}
+	return g
+}

@@ -1,15 +1,21 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/engine"
 	"fecperf/internal/ldpc"
 	"fecperf/internal/sched"
-	"fecperf/internal/sim"
 )
+
+func runPoint(spec engine.PointSpec) engine.Aggregate {
+	agg, _ := engine.RunPoint(context.Background(), spec, 0)
+	return agg
+}
 
 // tinyOpts keeps experiment tests fast: small object, few trials, a 3-value
 // grid instead of the paper's 14.
@@ -332,12 +338,12 @@ func TestMLReceiverBeatsPeelingOnAverage(t *testing.T) {
 	}
 	rngSchedule := sched.TxModel4{}
 	_ = rngSchedule
-	agg := sim.Run(sim.Config{
+	agg := runPoint(engine.PointSpec{
 		Code: c, Scheduler: sched.TxModel4{},
 		Channel: channel.GilbertFactory{P: 0.1, Q: 0.5},
 		Trials:  5, Seed: 3,
 	})
-	ml := sim.Run(sim.Config{
+	ml := runPoint(engine.PointSpec{
 		Code: mlCode{c}, Scheduler: sched.TxModel4{},
 		Channel: channel.GilbertFactory{P: 0.1, Q: 0.5},
 		Trials:  5, Seed: 3,

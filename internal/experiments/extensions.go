@@ -6,13 +6,14 @@ package experiments
 // on channels lossier than the expansion ratio tolerates.
 
 import (
+	"context"
 	"fmt"
 
 	"fecperf/internal/channel"
 	"fecperf/internal/core"
+	"fecperf/internal/engine"
 	"fecperf/internal/ldpc"
 	"fecperf/internal/sched"
-	"fecperf/internal/sim"
 )
 
 // mlCode adapts an ldpc.Code so NewReceiver returns the ML receiver.
@@ -51,7 +52,7 @@ func init() {
 				{"peeling decoder", c},
 				{"peeling + Gaussian fallback (ML)", mlCode{c}},
 			} {
-				g := sim.Sweep(sim.SweepConfig{
+				g := engine.Sweep(engine.SweepConfig{
 					Code: spec.code, Scheduler: sched.TxModel4{},
 					P: grid, Q: grid,
 					Trials: o.Trials, Seed: o.Seed, Workers: o.Workers,
@@ -80,13 +81,13 @@ func init() {
 				ColLabels: []string{"decoded", "mean inefficiency"},
 			}
 			for _, rounds := range []int{1, 2, 3, 4} {
-				agg := sim.Run(sim.Config{
+				agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
 					Code:      c,
 					Scheduler: sched.Carousel{Rounds: rounds},
 					Channel:   channel.GilbertFactory{P: 0.5, Q: 0.5},
 					Trials:    o.Trials,
 					Seed:      o.Seed,
-				})
+				}, o.Workers)
 				t.RowLabels = append(t.RowLabels, fmt.Sprintf("%d", rounds))
 				ineff := "-"
 				if !agg.Failed() {

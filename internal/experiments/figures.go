@@ -14,11 +14,10 @@ import (
 	"fecperf/internal/engine"
 	"fecperf/internal/repetition"
 	"fecperf/internal/sched"
-	"fecperf/internal/sim"
 )
 
 // gridTable renders a sweep result as a paper-style table.
-func gridTable(name string, g *sim.Grid) Table {
+func gridTable(name string, g *engine.Grid) Table {
 	t := Table{
 		Name:      name,
 		RowHeader: "p\\q",
@@ -36,7 +35,7 @@ func gridTable(name string, g *sim.Grid) Table {
 }
 
 // receivedTable renders the n_received/k companion surface.
-func receivedTable(name string, g *sim.Grid) Table {
+func receivedTable(name string, g *engine.Grid) Table {
 	t := Table{
 		Name:      name + " (n_received/k)",
 		RowHeader: "p\\q",
@@ -55,10 +54,10 @@ func receivedTable(name string, g *sim.Grid) Table {
 
 // sweepCode runs one (code, scheduler) sweep with the experiment options
 // as a declarative engine plan whose channel axis is the (p, q) grid.
-func sweepCode(o Options, codeName string, ratio float64, s core.Scheduler) (*sim.Grid, error) {
+func sweepCode(o Options, codeName string, ratio float64, s core.Scheduler) (*engine.Grid, error) {
 	axis := o.Grid
 	if axis == nil {
-		axis = sim.PaperGrid
+		axis = engine.PaperGrid
 	}
 	channels := make([]engine.ChannelSpec, 0, len(axis)*len(axis))
 	for _, p := range axis {
@@ -79,9 +78,9 @@ func sweepCode(o Options, codeName string, ratio float64, s core.Scheduler) (*si
 	if err != nil {
 		return nil, err
 	}
-	g := &sim.Grid{P: axis, Q: axis, Cells: make([][]sim.Aggregate, len(axis))}
+	g := &engine.Grid{P: axis, Q: axis, Cells: make([][]engine.Aggregate, len(axis))}
 	for i := range g.Cells {
-		g.Cells[i] = make([]sim.Aggregate, len(axis))
+		g.Cells[i] = make([]engine.Aggregate, len(axis))
 		for j := range g.Cells[i] {
 			g.Cells[i][j] = res[i*len(axis)+j].Aggregate
 		}
@@ -130,7 +129,7 @@ func init() {
 			o = o.withDefaults()
 			axis := o.Grid
 			if axis == nil {
-				axis = sim.PaperGrid
+				axis = engine.PaperGrid
 			}
 			t := Table{Name: "p_global", RowHeader: "p\\q",
 				ColLabels: percentLabels(axis), RowLabels: percentLabels(axis)}
@@ -154,7 +153,7 @@ func init() {
 			o = o.withDefaults()
 			axis := o.Grid
 			if axis == nil {
-				axis = sim.PaperGrid
+				axis = engine.PaperGrid
 			}
 			t := Table{Name: "boundary q(p) with inef_ratio=1", RowHeader: "p",
 				ColLabels: []string{"q_limit(ratio=1.5)", "q_limit(ratio=2.5)"}}
@@ -196,9 +195,9 @@ func init() {
 			}
 			qs := o.Grid
 			if qs == nil {
-				qs = sim.PaperGrid
+				qs = engine.PaperGrid
 			}
-			g := sim.Sweep(sim.SweepConfig{
+			g := engine.Sweep(engine.SweepConfig{
 				Code: c, Scheduler: sched.Repeat{}, P: ps, Q: qs,
 				Trials: o.Trials, Seed: o.Seed, Workers: o.Workers,
 			})
@@ -302,14 +301,13 @@ func runFig14(o Options) (*Report, error) {
 		YLabel: "aver. inefficiency ratio",
 	}
 	for _, sc := range counts {
-		agg := sim.Run(sim.Config{
+		agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
 			Code:      c,
 			Scheduler: sched.RxModel1{SourceCount: sc},
 			Channel:   channel.NoLossFactory{},
 			Trials:    o.Trials,
 			Seed:      engine.DeriveSeed(o.Seed, uint64(sc)),
-			Workers:   o.Workers,
-		})
+		}, o.Workers)
 		s.X = append(s.X, float64(sc))
 		s.Y = append(s.Y, agg.MeanIneff())
 		s.Failed = append(s.Failed, agg.Failed())
@@ -343,11 +341,11 @@ func runFig15(o Options) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				agg := sim.Run(sim.Config{
+				agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
 					Code: c, Scheduler: m,
 					Channel: channel.GilbertFactory{P: p, Q: q},
 					Trials:  o.Trials, Seed: o.Seed,
-				})
+				}, o.Workers)
 				row[ci] = agg.String()
 			}
 			t.Cells = append(t.Cells, row)

@@ -15,7 +15,6 @@ import (
 	"fecperf/internal/codes"
 	"fecperf/internal/engine"
 	"fecperf/internal/sched"
-	"fecperf/internal/sim"
 )
 
 // Tuple is one candidate configuration.
@@ -97,13 +96,13 @@ func Evaluate(t Tuple, p, q float64, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	agg := sim.Run(sim.Config{
+	agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
 		Code:      code,
 		Scheduler: s,
 		Channel:   channel.GilbertFactory{P: p, Q: q},
 		Trials:    cfg.Trials,
 		Seed:      cfg.Seed,
-	})
+	}, cfg.Workers)
 	return Result{
 		Tuple:    t,
 		Failed:   agg.Failed(),

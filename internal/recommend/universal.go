@@ -7,6 +7,7 @@ package recommend
 // and find the corresponding n_sent value; then we select the largest").
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -15,7 +16,6 @@ import (
 	"fecperf/internal/codes"
 	"fecperf/internal/engine"
 	"fecperf/internal/sched"
-	"fecperf/internal/sim"
 	"fecperf/internal/stats"
 )
 
@@ -109,13 +109,13 @@ func NSentForPopulation(t Tuple, points []PQ, margin int, cfg Config) (int, erro
 	n := code.Layout().N
 	best := 0
 	for _, pt := range points {
-		agg := sim.Run(sim.Config{
+		agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
 			Code:      code,
 			Scheduler: s,
 			Channel:   channel.GilbertFactory{P: pt.P, Q: pt.Q},
 			Trials:    cfg.Trials,
 			Seed:      pointSeed(cfg.Seed, pt),
-		})
+		}, cfg.Workers)
 		if agg.Failed() {
 			return 0, fmt.Errorf("recommend: tuple %s fails at (p=%g, q=%g); cannot size n_sent", t, pt.P, pt.Q)
 		}

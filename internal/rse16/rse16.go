@@ -211,31 +211,17 @@ func matVecRow(row []uint16, m [][]uint16) []uint16 {
 	return out
 }
 
-// toSymbols reinterprets a byte payload as big-endian 16-bit symbols.
-func toSymbols(p []byte) ([]uint16, error) {
-	if len(p)%2 != 0 {
-		return nil, fmt.Errorf("rse16: payload length %d is odd", len(p))
-	}
-	out := make([]uint16, len(p)/2)
-	fillSymbols(out, p)
-	return out, nil
-}
-
-// toSymbolsPooled is toSymbols into a pooled slice; release with
-// symbol.PutU16.
+// toSymbolsPooled reinterprets a byte payload as big-endian 16-bit
+// symbols in a pooled slice; release with symbol.PutU16.
 func toSymbolsPooled(p []byte) ([]uint16, error) {
 	if len(p)%2 != 0 {
 		return nil, fmt.Errorf("rse16: payload length %d is odd", len(p))
 	}
 	out := symbol.GetU16(len(p) / 2)
-	fillSymbols(out, p)
-	return out, nil
-}
-
-func fillSymbols(out []uint16, p []byte) {
 	for i := range out {
 		out[i] = uint16(p[2*i])<<8 | uint16(p[2*i+1])
 	}
+	return out, nil
 }
 
 // putBytes writes the symbols into dst (2 bytes each, big endian).
@@ -450,81 +436,4 @@ func (d *payloadDecoder) TakeSources() symbol.Slab {
 func (d *payloadDecoder) Close() {
 	d.src.Release()
 	d.par.Release()
-}
-
-// Decode rebuilds the k source payloads from any k received (id, payload)
-// pairs. IDs below k are source symbols (identity rows).
-func (c *Code) Decode(ids []int, payloads [][]byte) ([][]byte, error) {
-	if len(ids) != len(payloads) {
-		return nil, fmt.Errorf("rse16: %d ids but %d payloads", len(ids), len(payloads))
-	}
-	out := make([][]byte, c.k)
-	received := make(map[int]int, len(ids))
-	symLen := -1
-	for i, id := range ids {
-		if id < 0 || id >= c.n {
-			return nil, fmt.Errorf("rse16: packet id %d outside [0,%d)", id, c.n)
-		}
-		if symLen == -1 {
-			symLen = len(payloads[i])
-		} else if len(payloads[i]) != symLen {
-			return nil, fmt.Errorf("rse16: ragged payloads")
-		}
-		if _, dup := received[id]; dup {
-			continue
-		}
-		received[id] = i
-		if id < c.k {
-			out[id] = append([]byte(nil), payloads[i]...)
-		}
-	}
-	missing := 0
-	for i := 0; i < c.k; i++ {
-		if out[i] == nil {
-			missing++
-		}
-	}
-	if missing == 0 {
-		return out, nil
-	}
-	if len(received) < c.k {
-		return nil, fmt.Errorf("rse16: undecodable: %d distinct symbols < k=%d", len(received), c.k)
-	}
-
-	gen := c.generator()
-	rows := make([][]uint16, 0, c.k)
-	rhs := make([][]uint16, 0, c.k)
-	for id := 0; id < c.n && len(rows) < c.k; id++ {
-		pi, ok := received[id]
-		if !ok {
-			continue
-		}
-		row := make([]uint16, c.k)
-		if id < c.k {
-			row[id] = 1
-		} else {
-			copy(row, gen[id-c.k])
-		}
-		s, err := toSymbols(payloads[pi])
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-		rhs = append(rhs, s)
-	}
-	inv := invert(rows)
-	for i := 0; i < c.k; i++ {
-		if out[i] != nil {
-			continue
-		}
-		acc := make([]uint16, symLen/2)
-		for t, coef := range inv[i] {
-			if coef != 0 {
-				gf65536.AddMul(acc, rhs[t], coef)
-			}
-		}
-		out[i] = make([]byte, symLen)
-		putBytes(out[i], acc)
-	}
-	return out, nil
 }

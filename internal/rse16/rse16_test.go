@@ -1,6 +1,7 @@
 package rse16
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -83,6 +84,34 @@ func randPayloads(rng *rand.Rand, n, symLen int) [][]byte {
 	return out
 }
 
+// decodeFrom feeds the (id, payload) pairs to a fresh payload decoder and
+// returns copies of the sources it ends up holding (nil where it holds
+// none) and whether it finished. The decoder rejects a bad id or a ragged
+// payload by panicking; that comes back as err.
+func decodeFrom(t *testing.T, c *Code, ids []int, payloads [][]byte) (out [][]byte, done bool, err error) {
+	t.Helper()
+	dec, err := c.NewDecoder(len(payloads[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dec.Close()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%v", r)
+		}
+	}()
+	for i, id := range ids {
+		dec.ReceivePayload(id, payloads[i])
+	}
+	out = make([][]byte, c.Layout().K)
+	for i := range out {
+		if s := dec.Source(i); s != nil {
+			out[i] = append([]byte(nil), s...)
+		}
+	}
+	return out, dec.Done(), nil
+}
+
 func TestEncodeDecodeAnyKOfN(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := mustNew(t, 20, 50)
@@ -101,9 +130,9 @@ func TestEncodeDecodeAnyKOfN(t *testing.T) {
 		for i, id := range ids {
 			payloads[i] = all[id]
 		}
-		dec, err := c.Decode(ids, payloads)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		dec, done, err := decodeFrom(t, c, ids, payloads)
+		if err != nil || !done {
+			t.Fatalf("trial %d: done=%v err=%v", trial, done, err)
 		}
 		for i := range src {
 			for b := range src[i] {
@@ -129,9 +158,9 @@ func TestDecodeFromParityOnly(t *testing.T) {
 		ids[i] = 10 + i
 		payloads[i] = parity[i]
 	}
-	dec, err := c.Decode(ids, payloads)
-	if err != nil {
-		t.Fatal(err)
+	dec, done, err := decodeFrom(t, c, ids, payloads)
+	if err != nil || !done {
+		t.Fatalf("done=%v err=%v", done, err)
 	}
 	for i := range src {
 		for b := range src[i] {
@@ -147,8 +176,8 @@ func TestDecodeInsufficient(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	payloads := randPayloads(rng, 9, 8)
 	ids := []int{10, 11, 12, 13, 14, 15, 16, 17, 18}
-	if _, err := c.Decode(ids, payloads); err == nil {
-		t.Fatal("decoded with fewer than k symbols")
+	if _, done, err := decodeFrom(t, c, ids, payloads); err != nil || done {
+		t.Fatalf("done=%v err=%v with fewer than k symbols", done, err)
 	}
 }
 
@@ -173,11 +202,15 @@ func TestEncodeValidation(t *testing.T) {
 
 func TestDecodeValidation(t *testing.T) {
 	c := mustNew(t, 4, 10)
-	if _, err := c.Decode([]int{0}, [][]byte{{1, 2}, {3, 4}}); err == nil {
-		t.Fatal("mismatched ids/payloads accepted")
-	}
-	if _, err := c.Decode([]int{-1, 0, 1, 2}, make([][]byte, 4)); err == nil {
+	sym := []byte{1, 2}
+	if _, _, err := decodeFrom(t, c, []int{-1, 0, 1, 2}, [][]byte{sym, sym, sym, sym}); err == nil {
 		t.Fatal("negative id accepted")
+	}
+	if _, _, err := decodeFrom(t, c, []int{10}, [][]byte{sym}); err == nil {
+		t.Fatal("id past n accepted")
+	}
+	if _, _, err := decodeFrom(t, c, []int{0, 1}, [][]byte{sym, {1, 2, 3, 4}}); err == nil {
+		t.Fatal("ragged payloads accepted")
 	}
 }
 

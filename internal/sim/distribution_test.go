@@ -18,6 +18,7 @@ import (
 
 	"fecperf/internal/channel"
 	"fecperf/internal/core"
+	"fecperf/internal/engine"
 	"fecperf/internal/ldpc"
 	"fecperf/internal/sched"
 )
@@ -72,15 +73,14 @@ func TestStreamingSchedulesMatchReferenceDistribution(t *testing.T) {
 		}}},
 	}
 	const trials = 1500
-	run := func(s core.Scheduler, seed int64) Aggregate {
-		return Run(Config{
+	run := func(s core.Scheduler, seed int64) engine.Aggregate {
+		return runOn(engine.PointSpec{
 			Code:      c,
 			Scheduler: s,
 			Channel:   channel.GilbertFactory{P: 0.1, Q: 0.5},
 			Trials:    trials,
 			Seed:      seed,
-			Workers:   4,
-		})
+		}, 4)
 	}
 	for _, pair := range pairs {
 		want := run(pair.reference, 1)

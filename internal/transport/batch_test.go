@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/codes"
 	"fecperf/internal/core"
 	"fecperf/internal/session"
 	"fecperf/internal/wire"
@@ -528,17 +529,18 @@ func TestCastBatchedUDPGilbertEndToEnd(t *testing.T) {
 	go func() { colDone <- col.Run(colCtx) }()
 
 	caster, err := NewCaster(lossy, bytes.NewReader(source), CasterConfig{
-		BaseObjectID: 900,
-		K:            64,
-		PayloadSize:  1024,
-		Ratio:        1.8,
-		Rounds:       3,
-		BatchSize:    32,
+		Delivery: Delivery{
+			BaseObjectID: 900,
+			Codec:        codes.Spec{K: 64, Ratio: 1.8},
+			PayloadSize:  1024,
+			Rounds:       3,
+			BatchSize:    32,
+			Seed:         11,
+		},
 		// Pace below the loopback interface's comfort zone so kernel
 		// buffers cannot overflow even on a loaded runner; loss comes
 		// from the Gilbert chain, not congestion.
 		Rate: 20_000,
-		Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,42 +14,32 @@ import (
 
 // Caster defaults.
 const (
-	// DefaultChunkK is the source symbols per full chunk when
-	// CasterConfig.K is zero: 256 symbols of 1024 B ≈ 256 KiB chunks.
+	// DefaultChunkK is the source symbols per full chunk of a train whose
+	// Delivery.Codec.K is zero: 256 symbols of 1024 B ≈ 256 KiB chunks.
 	DefaultChunkK = 256
 	// DefaultPayloadSize is the symbol size when unset.
 	DefaultPayloadSize = 1024
 	// DefaultWindow is how many chunks are encoded and interleaved at
-	// once when CasterConfig.Window is zero.
+	// once when Delivery.Window is zero.
 	DefaultWindow = 4
 	// DefaultGroupRounds is how many carousel rounds each window group
-	// is transmitted when CasterConfig.Rounds is zero.
+	// is transmitted when Delivery.Rounds is zero. More rounds buy loss
+	// resilience at the price of throughput.
 	DefaultGroupRounds = 2
 	// DefaultRatio is the FEC expansion ratio when unset.
 	DefaultRatio = 1.5
 )
 
-// CasterConfig tunes a streaming cast.
+// CasterConfig tunes a streaming cast: the Delivery it carries plus the
+// caller's own pacing and observation handles.
 type CasterConfig struct {
-	// BaseObjectID is the train's base ID: the trailing manifest rides
-	// at BaseObjectID, chunk i at BaseObjectID+1+i (session.TrainChunkID).
-	BaseObjectID uint32
-	// Family selects the chunks' FEC code (default Reed-Solomon GF(2^8);
-	// the manifest always ships as Reed-Solomon — every datagram is
-	// self-describing, so the families mix freely on one train).
-	Family wire.CodeFamily
-	// K is the source symbols per full chunk (default DefaultChunkK).
-	// With PayloadSize it fixes the chunk size:
-	// session.ChunkDataSize(K, PayloadSize) stream bytes per chunk.
-	K int
-	// Ratio is the FEC expansion ratio n/k per chunk (default 1.5).
-	Ratio float64
-	// PayloadSize is the symbol size in bytes (default 1024).
-	PayloadSize int
-	// Seed fixes code construction and scheduling randomness.
-	Seed int64
-	// Scheduler orders each round's packets (default Tx_model_4).
-	Scheduler core.Scheduler
+	// Delivery is what goes on the air. Codec.K and PayloadSize fix the
+	// chunk size (session.ChunkDataSize stream bytes per chunk); the
+	// manifest always ships as Reed-Solomon — every datagram is
+	// self-describing, so the families mix freely on one train. Window is
+	// the sender-side memory bound and the backpressure on the source
+	// reader: reading pauses while a full window is on the air.
+	Delivery
 	// Rate limits transmission in packets per second (0 = unpaced);
 	// Burst is the token-bucket depth — see SenderConfig. One pacer share
 	// spans the whole cast, so the rate holds across window groups.
@@ -59,18 +49,6 @@ type CasterConfig struct {
 	// Burst are then ignored) — see SenderConfig.Pacer. The daemon paces
 	// streaming casts through a SharedPacer share this way.
 	Pacer Pacer
-	// BatchSize is the datagrams per flush of the group senders' round
-	// loops — see SenderConfig.BatchSize.
-	BatchSize int
-	// Window bounds how many chunks are FEC-encoded and resident at
-	// once (default DefaultWindow) — the sender-side memory bound and
-	// the backpressure on the source reader: reading pauses while a
-	// full window is on the air.
-	Window int
-	// Rounds is the carousel rounds each window group is transmitted
-	// before the caster advances to the next chunks (default 2). More
-	// rounds buy loss resilience at the price of throughput.
-	Rounds int
 	// OnProgress, when set, is called after every transmitted window
 	// group and once more when the cast completes.
 	OnProgress func(CastProgress)
@@ -126,9 +104,10 @@ type CasterStats struct {
 //
 // Run may be called once; Stats is safe concurrently with Run.
 type Caster struct {
-	conn Conn
-	src  io.Reader
-	cfg  CasterConfig
+	conn  Conn
+	src   io.Reader
+	cfg   CasterConfig         // Codec.K, Window and Rounds resolved
+	chunk session.SenderConfig // every chunk's config but its ObjectID
 
 	packets   obs.Counter
 	bytes     obs.Counter
@@ -144,17 +123,13 @@ type Caster struct {
 // NewCaster returns a caster reading from src and writing datagrams to
 // conn. Configuration errors surface here, not mid-stream.
 func NewCaster(conn Conn, src io.Reader, cfg CasterConfig) (*Caster, error) {
-	if cfg.Family == wire.CodeInvalid {
-		cfg.Family = wire.CodeRSE
+	chunk, err := cfg.ObjectConfig(0)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.K == 0 {
-		cfg.K = DefaultChunkK
-	}
-	if cfg.PayloadSize == 0 {
-		cfg.PayloadSize = DefaultPayloadSize
-	}
-	if cfg.Ratio == 0 {
-		cfg.Ratio = DefaultRatio
+	chunk.NSent = 0 // trains send whole rounds
+	if cfg.Codec.K == 0 {
+		cfg.Codec.K = DefaultChunkK
 	}
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
@@ -162,17 +137,11 @@ func NewCaster(conn Conn, src io.Reader, cfg CasterConfig) (*Caster, error) {
 	if cfg.Rounds == 0 {
 		cfg.Rounds = DefaultGroupRounds
 	}
-	if cfg.K < 0 || cfg.PayloadSize < 0 || cfg.Window < 0 || cfg.Rounds < 0 {
-		return nil, fmt.Errorf("transport: caster config has negative parameters")
-	}
-	if session.ChunkDataSize(cfg.K, cfg.PayloadSize) <= 0 {
+	if session.ChunkDataSize(cfg.Codec.K, chunk.PayloadSize) <= 0 {
 		return nil, fmt.Errorf("transport: chunk of k=%d × %d B payloads leaves no room for data",
-			cfg.K, cfg.PayloadSize)
+			cfg.Codec.K, chunk.PayloadSize)
 	}
-	if cfg.Ratio < 1 {
-		return nil, fmt.Errorf("transport: FEC expansion ratio %g below 1", cfg.Ratio)
-	}
-	c := &Caster{conn: conn, src: src, cfg: cfg}
+	c := &Caster{conn: conn, src: src, cfg: cfg, chunk: chunk}
 	if r := cfg.Metrics; r != nil {
 		r.CounterFunc("caster_packets_total", "Datagrams handed to the conn.", nil, c.packets.Load)
 		r.CounterFunc("caster_bytes_total", "Datagram bytes handed to the conn.", nil, c.bytes.Load)
@@ -199,7 +168,7 @@ func (c *Caster) Run(ctx context.Context) error {
 	pacer, release := ownPacer(c.cfg.Pacer, c.cfg.Rate, c.cfg.Burst)
 	defer release()
 
-	chunkData := session.ChunkDataSize(c.cfg.K, c.cfg.PayloadSize)
+	chunkData := session.ChunkDataSize(c.cfg.Codec.K, c.chunk.PayloadSize)
 	buf := make([]byte, chunkData)
 	crc := crc32.NewIEEE()
 	var total uint64
@@ -297,13 +266,9 @@ func (c *Caster) Run(ctx context.Context) error {
 			crc.Write(buf[:n])
 			total += uint64(n)
 			c.read.Add(uint64(n))
-			obj, encErr := session.EncodeObject(buf[:n], session.SenderConfig{
-				ObjectID:    session.TrainChunkID(c.cfg.BaseObjectID, idx),
-				Family:      c.cfg.Family,
-				Ratio:       c.cfg.Ratio,
-				PayloadSize: c.cfg.PayloadSize,
-				Seed:        c.cfg.Seed,
-			})
+			chunk := c.chunk
+			chunk.ObjectID = session.TrainChunkID(c.cfg.BaseObjectID, idx)
+			obj, encErr := session.EncodeObject(buf[:n], chunk)
 			if encErr != nil {
 				return fmt.Errorf("transport: encoding chunk %d: %w", idx, encErr)
 			}

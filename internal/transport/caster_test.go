@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/codes"
 	"fecperf/internal/core"
 	"fecperf/internal/sched"
 	"fecperf/internal/session"
@@ -67,9 +68,11 @@ func TestCastCollectLossless(t *testing.T) {
 	var progress []CastProgress
 	got := castCollect(t, data, nil,
 		CasterConfig{
-			BaseObjectID: 7,
-			K:            64, PayloadSize: 512, Ratio: 1.5,
-			Window: 4, Rounds: 2, Seed: 9,
+			Delivery: Delivery{
+				BaseObjectID: 7,
+				Codec:        codes.Spec{K: 64, Ratio: 1.5}, PayloadSize: 512,
+				Window: 4, Rounds: 2, Seed: 9,
+			},
 			OnProgress: func(p CastProgress) { progress = append(progress, p) },
 		},
 		CollectorConfig{BaseObjectID: 7})
@@ -93,12 +96,11 @@ func TestCastCollectGilbert(t *testing.T) {
 		func() core.Channel {
 			return channel.NewGilbert(0.01, 0.5, rand.New(rand.NewSource(42)))
 		},
-		CasterConfig{
+		CasterConfig{Delivery: Delivery{
 			BaseObjectID: 100,
-			Family:       wire.CodeRSE,
-			K:            128, PayloadSize: 1024, Ratio: 1.5,
+			Codec:        codes.Spec{Family: "rse", K: 128, Ratio: 1.5}, PayloadSize: 1024,
 			Window: 4, Rounds: 2, Seed: 3,
-		},
+		}},
 		CollectorConfig{
 			BaseObjectID: 100,
 			OnProgress:   func(p CollectProgress) { colProgress = append(colProgress, p) },
@@ -126,12 +128,11 @@ func TestCastCollectMixedFamilies(t *testing.T) {
 	data := make([]byte, 2<<20)
 	rand.New(rand.NewSource(3)).Read(data)
 	got := castCollect(t, data, nil,
-		CasterConfig{
+		CasterConfig{Delivery: Delivery{
 			BaseObjectID: 1,
-			Family:       wire.CodeLDGMStaircase,
-			K:            512, PayloadSize: 1024, Ratio: 2.5,
+			Codec:        codes.Spec{Family: "ldgm-staircase", K: 512, Ratio: 2.5}, PayloadSize: 1024,
 			Window: 2, Rounds: 2, Seed: 5,
-		},
+		}},
 		CollectorConfig{BaseObjectID: 1})
 	if !bytes.Equal(got, data) {
 		t.Fatal("LDGM-chunk train did not round-trip")
@@ -140,7 +141,7 @@ func TestCastCollectMixedFamilies(t *testing.T) {
 
 func TestCastEmptyStream(t *testing.T) {
 	got := castCollect(t, nil, nil,
-		CasterConfig{BaseObjectID: 5, K: 16, PayloadSize: 256, Seed: 1},
+		CasterConfig{Delivery: Delivery{BaseObjectID: 5, Codec: codes.Spec{K: 16}, PayloadSize: 256, Seed: 1}},
 		CollectorConfig{BaseObjectID: 5})
 	if len(got) != 0 {
 		t.Fatalf("empty stream collected %d bytes", len(got))
@@ -154,7 +155,7 @@ func TestCasterManifestAndStats(t *testing.T) {
 	defer hub.Close()
 	// No receivers: the cast still runs (broadcast to nobody).
 	c, err := NewCaster(hub.Sender(), bytes.NewReader(data),
-		CasterConfig{K: 32, PayloadSize: 512, Ratio: 1.5, Window: 2, Rounds: 1, Seed: 8})
+		CasterConfig{Delivery: Delivery{Codec: codes.Spec{K: 32, Ratio: 1.5}, PayloadSize: 512, Window: 2, Rounds: 1, Seed: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestCasterRateSpansWindowGroups(t *testing.T) {
 	data := make([]byte, chunks*session.ChunkDataSize(k, payload))
 	conn := &discardConn{}
 	c, err := NewCaster(conn, bytes.NewReader(data),
-		CasterConfig{K: k, PayloadSize: payload, Ratio: 1.5, Window: 1, Rounds: 1, Rate: rate, Seed: 5})
+		CasterConfig{Delivery: Delivery{Codec: codes.Spec{K: k, Ratio: 1.5}, PayloadSize: payload, Window: 1, Rounds: 1, Seed: 5}, Rate: rate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +230,10 @@ func TestCollectorOutOfOrderBound(t *testing.T) {
 	trace := func() core.Channel {
 		return &channel.Trace{Pattern: []bool{true}, NoWrap: true}
 	}
-	cfg := CasterConfig{
-		BaseObjectID: 30, K: 16, PayloadSize: 256, Ratio: 1.5,
+	cfg := CasterConfig{Delivery: Delivery{
+		BaseObjectID: 30, Codec: codes.Spec{K: 16, Ratio: 1.5}, PayloadSize: 256,
 		Window: 4, Rounds: 1, Seed: 2, Scheduler: sched.TxModel1{},
-	}
+	}}
 
 	got := castCollect(t, data, trace, cfg, CollectorConfig{BaseObjectID: 30, MaxPending: 3})
 	if !bytes.Equal(got, data) {
@@ -296,7 +297,7 @@ func TestCollectorIgnoresForeignObjects(t *testing.T) {
 	data := make([]byte, 3*session.ChunkDataSize(16, 256))
 	rand.New(rand.NewSource(9)).Read(data)
 	caster, err := NewCaster(hub.Sender(), bytes.NewReader(data),
-		CasterConfig{BaseObjectID: 7, K: 16, PayloadSize: 256, Ratio: 1.5, Window: 3, Rounds: 1, Seed: 4})
+		CasterConfig{Delivery: Delivery{BaseObjectID: 7, Codec: codes.Spec{K: 16, Ratio: 1.5}, PayloadSize: 256, Window: 3, Rounds: 1, Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestCollectorWriterError(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- col.Run(ctx) }()
 	caster, err := NewCaster(hub.Sender(), bytes.NewReader(data),
-		CasterConfig{BaseObjectID: 9, K: 32, PayloadSize: 512, Window: 2, Rounds: 1, Seed: 4})
+		CasterConfig{Delivery: Delivery{BaseObjectID: 9, Codec: codes.Spec{K: 32}, PayloadSize: 512, Window: 2, Rounds: 1, Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,7 @@ func TestCasterCancel(t *testing.T) {
 	defer cancel()
 	// Pace the cast slowly so cancellation lands mid-stream.
 	c, err := NewCaster(hub.Sender(), neverEndingReader{},
-		CasterConfig{K: 16, PayloadSize: 256, Rate: 200, Burst: 4, Window: 1, Rounds: 1, Seed: 1})
+		CasterConfig{Delivery: Delivery{Codec: codes.Spec{K: 16}, PayloadSize: 256, Window: 1, Rounds: 1, Seed: 1}, Rate: 200, Burst: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,13 +372,13 @@ func (neverEndingReader) Read(p []byte) (int, error) {
 func TestNewCasterConfigErrors(t *testing.T) {
 	hub := NewLoopback()
 	defer hub.Close()
-	for _, cfg := range []CasterConfig{
-		{K: 1, PayloadSize: 4}, // no room past the length prefix
-		{Ratio: 0.5},           // expansion below 1
-		{K: -1},                // negative
-		{Window: -2},           // negative
+	for _, cfg := range []Delivery{
+		{Codec: codes.Spec{K: 1}, PayloadSize: 4}, // no room past the length prefix
+		{Codec: codes.Spec{Ratio: 0.5}},           // expansion below 1
+		{Codec: codes.Spec{K: -1}},                // negative
+		{Window: -2},                              // negative
 	} {
-		if _, err := NewCaster(hub.Sender(), bytes.NewReader(nil), cfg); err == nil {
+		if _, err := NewCaster(hub.Sender(), bytes.NewReader(nil), CasterConfig{Delivery: cfg}); err == nil {
 			t.Errorf("NewCaster(%+v) succeeded, want error", cfg)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/codes"
 	"fecperf/internal/symbol"
 	"fecperf/internal/wire"
 )
@@ -68,12 +69,11 @@ func TestCastCollectSlowSinkReturnsEverySlab(t *testing.T) {
 		defer wg.Done()
 		colErr = col.Run(ctx)
 	}()
-	caster, err := NewCaster(hub.Sender(), bytes.NewReader(data), CasterConfig{
+	caster, err := NewCaster(hub.Sender(), bytes.NewReader(data), CasterConfig{Delivery: Delivery{
 		BaseObjectID: 900,
-		Family:       wire.CodeLDGMStaircase,
-		K:            256, PayloadSize: 512, Ratio: 1.5,
+		Codec:        codes.Spec{Family: "ldgm-staircase", K: 256, Ratio: 1.5}, PayloadSize: 512,
 		Window: 4, Rounds: 2, Seed: 6, BatchSize: 16,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCasterFailedOrCancelledRunReturnsEverySlab(t *testing.T) {
 			c, err := NewCaster(
 				&tripConn{after: tc.connAfter, trip: trip},
 				&tripSource{r: bytes.NewReader(data), after: tc.srcAfter, trip: trip},
-				CasterConfig{BaseObjectID: 60, K: k, PayloadSize: payload, Ratio: 1.5, Window: window, Rounds: 2, Seed: 5})
+				CasterConfig{Delivery: Delivery{BaseObjectID: 60, Codec: codes.Spec{K: k, Ratio: 1.5}, PayloadSize: payload, Window: window, Rounds: 2, Seed: 5}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,6 @@ import (
 	"fecperf/internal/engine"
 	"fecperf/internal/experiments"
 	"fecperf/internal/recommend"
-	"fecperf/internal/sim"
 )
 
 // Simulate runs repeated reception trials of one configuration — codec
@@ -39,13 +38,9 @@ func Simulate(opts ...Option) (Aggregate, error) {
 	if c.Codec.Family == "" {
 		return Aggregate{}, fmt.Errorf("fecperf: Simulate requires a codec (e.g. WithCodec(%q))", "rse(k=64,ratio=1.5)")
 	}
-	// resolvedRatio applies the same default the delivery constructors
-	// use, so one spec line is the same code in simulation and on the
-	// air.
-	code, err := CodecSpec{
-		Family: c.Codec.Family, K: c.Codec.K,
-		Ratio: c.resolvedRatio(), Seed: c.codecSeed(),
-	}.New()
+	// The delivery constructors run the same resolved codec, so one spec
+	// line is the same code in simulation and on the air.
+	code, err := c.ResolvedCodec().New()
 	if err != nil {
 		return Aggregate{}, err
 	}
@@ -57,15 +52,14 @@ func Simulate(opts ...Option) (Aggregate, error) {
 	if ch == nil {
 		ch = channel.NoLossFactory{}
 	}
-	return sim.Run(sim.Config{
+	return engine.RunPoint(context.Background(), engine.PointSpec{
 		Code:      code,
 		Scheduler: scheduler,
 		Channel:   ch,
 		Trials:    c.Trials,
 		Seed:      c.Seed,
 		NSent:     c.NSent,
-		Workers:   c.Workers,
-	}), nil
+	}, c.Workers)
 }
 
 // RunPlan expands a declarative plan into measurement points and
@@ -106,9 +100,10 @@ func TraceChannelSpec(pattern []bool, noWrap bool) ChannelSpec {
 }
 
 // SweepGrid sweeps a (code, scheduler) pair over a (p, q) grid; nil axes
-// mean the paper's 14-value axis. See sim.SweepConfig for the semantics.
+// mean the paper's 14-value axis, zero trials the paper's 100; cells run
+// on GOMAXPROCS workers and are deterministic in seed.
 func SweepGrid(code Code, s Scheduler, p, q []float64, trials int, seed int64) *Grid {
-	return sim.Sweep(sim.SweepConfig{Code: code, Scheduler: s, P: p, Q: q, Trials: trials, Seed: seed})
+	return engine.Sweep(engine.SweepConfig{Code: code, Scheduler: s, P: p, Q: q, Trials: trials, Seed: seed})
 }
 
 // RunExperiment executes one of the paper's figures or tables by ID
@@ -176,7 +171,5 @@ func NewGilbertChannel(p, q float64, seed int64) (Channel, error) {
 
 // PaperGrid is the 14-value (p, q) axis used by the paper's sweeps.
 func PaperGrid() []float64 {
-	out := make([]float64, len(sim.PaperGrid))
-	copy(out, sim.PaperGrid)
-	return out
+	return append([]float64(nil), engine.PaperGrid...)
 }
