@@ -29,8 +29,7 @@ type (
 	CasterStats = transport.CasterStats
 	// Collector reassembles a cast train in order into an io.Writer.
 	Collector = transport.Collector
-	// CollectorStats is a snapshot of collect counters (the collector's
-	// own reassembly progress plus its daemon's packet counters).
+	// CollectorStats snapshots a collect; Receiver holds its packet counters.
 	CollectorStats = transport.CollectorStats
 	// CollectProgress describes a running collect.
 	CollectProgress = transport.CollectProgress

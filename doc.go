@@ -154,11 +154,13 @@
 // them. NewBroadcaster streams encoded objects as a carousel — every
 // round re-scheduled by a Tx model, paced by a token bucket — over a
 // TransportConn from Dial (UDP) or NewLoopback (in-memory).
-// NewReceiverDaemon drains the other end, reassembling objects as they
-// decode, with LRU bounds on partial and completed state and atomic
-// counters for observability. Loopback receivers accept any Channel as a
-// live impairment (NewImpairment builds one from a channel spec), so a
-// Gilbert-loss broadcast is one process with no sockets: see
+// NewReceiverDaemon drains the other end through one table keyed by
+// object ID — an entry reassembles under an LRU bound, then remembers
+// its decoded ID under a FIFO bound — and hands every decoded object to
+// one sink: its own byte store, or a Collector's in-order writer.
+// Loopback receivers accept any Channel as a live impairment
+// (NewImpairment builds one from a channel spec), so a Gilbert-loss
+// broadcast is one process with no sockets: see
 // examples/filecast. cmd/feccast is the same pipeline over real UDP.
 //
 // The datapath is kernel-batched. A TransportConn moves datagrams
@@ -226,9 +228,8 @@
 // via MetricsServeConfig.Extra; per-cast counters land in the shared
 // registry labelled {cast="name"}. cmd/feccastd wraps all of it in a
 // supervisor-friendly binary: -casts spec file, SIGHUP convergence,
-// SIGTERM graceful drain. scripts/bench_daemon.sh gates the
-// multiplexing cost (>=0.9x independent senders) and fairness (<=10%
-// per-cast deviation) in BENCH_daemon.json.
+// SIGTERM graceful drain. bench's udp-daemon-paced workload measures the
+// pacer's fairness over real sockets (daemon.share_dev_pct).
 //
 // # Experiment engine
 //
@@ -297,9 +298,8 @@
 // registry that renders Prometheus text and expvar-style JSON.
 // Everything is nil-safe — a component built without a registry runs
 // the exact uninstrumented code it always did, and the sender round
-// loop and schedule draws stay 0 allocs/op either way (gated in
-// scripts/bench_obs.sh; the instrumented-vs-bare delta is held under
-// 3%).
+// loop and schedule draws stay 0 allocs/op either way
+// (TestSenderBatchedRoundAllocCeiling, TestCursorWalkAllocsNothing).
 //
 //	reg := fecperf.NewMetricsRegistry()          // + symbol pool & session instruments
 //	srv, _ := fecperf.ServeMetrics(":9090", reg, fecperf.MetricsServeConfig{})

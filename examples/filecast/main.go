@@ -98,13 +98,13 @@ func main() {
 	wg.Wait()
 	for _, s := range sides {
 		if s.err != nil {
-			log.Fatalf("%s: %v (stats %+v)", s.name, s.err, s.col.Stats())
+			log.Fatalf("%s: %v (stats %+v)", s.name, s.err, s.col.CollectStats())
 		}
 		status := "corrupted!"
 		if bytes.Equal(s.out.Bytes(), file) {
 			status = "verified byte-for-byte"
 		}
-		rxStats := s.col.Stats()
+		rxStats := s.col.CollectStats().Receiver
 		fmt.Printf("%-26s complete after %d ingested datagrams (inefficiency %.4f) — %s\n",
 			s.name, rxStats.PacketsIngested,
 			float64(rxStats.PacketsIngested)/float64(len(file)/1024), status)

@@ -105,15 +105,6 @@ func (s Spec) Name() string {
 	return spec.Format(s.Family, fields...)
 }
 
-// EffectiveRatio is the expansion ratio the codec is built with: the
-// explicit Ratio, or 1 when unset (valid only for no-fec).
-func (s Spec) EffectiveRatio() float64 {
-	if s.Ratio == 0 {
-		return 1
-	}
-	return s.Ratio
-}
-
 // WireFamily resolves the spec's family to its on-the-wire identifier.
 func (s Spec) WireFamily() (wire.CodeFamily, error) {
 	return wire.FamilyByName(s.Family)
@@ -130,7 +121,11 @@ func (s Spec) New() (core.Codec, error) {
 	if s.Ratio == 0 && s.Family != "no-fec" {
 		return nil, fmt.Errorf("codes: spec %q needs ratio (FEC expansion n/k)", s.Name())
 	}
-	return MakeCodec(s.Family, s.K, s.EffectiveRatio(), s.Seed)
+	ratio := s.Ratio
+	if ratio == 0 {
+		ratio = 1 // no-fec: n == k
+	}
+	return MakeCodec(s.Family, s.K, ratio, s.Seed)
 }
 
 // ByName resolves a fully parameterized codec spec — e.g.

@@ -33,9 +33,6 @@ func TestParseSpecDefaults(t *testing.T) {
 	if s.K != 0 || s.Ratio != 0 || s.Seed != 0 || s.Family != "rse" {
 		t.Errorf("bare spec = %+v, want zero params", s)
 	}
-	if s.EffectiveRatio() != 1 {
-		t.Errorf("EffectiveRatio of unset = %g, want 1", s.EffectiveRatio())
-	}
 	if _, err := s.New(); err == nil || !strings.Contains(err.Error(), "needs k") {
 		t.Errorf("New without k: err = %v, want needs-k error", err)
 	}

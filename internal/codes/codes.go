@@ -6,32 +6,21 @@ package codes
 
 import (
 	"fmt"
+	"slices"
 
 	"fecperf/internal/core"
-	"fecperf/internal/ldpc"
-	"fecperf/internal/rse"
 )
 
 // Names are the identifiers accepted by Make.
 var Names = []string{"rse", "ldgm", "ldgm-staircase", "ldgm-triangle"}
 
 // Make builds a code by family name for a given object size and FEC
-// expansion ratio. The seed fixes the pseudo-random LDGM construction
-// (it is ignored by RSE), so repeated runs are reproducible.
+// expansion ratio: MakeCodec, restricted to the families the simulation
+// studies (Names). The seed fixes the pseudo-random LDGM construction (it
+// is ignored by RSE), so repeated runs are reproducible.
 func Make(name string, k int, ratio float64, seed int64) (core.Code, error) {
-	switch name {
-	case "rse":
-		return rse.New(rse.Params{K: k, Ratio: ratio})
-	case "ldgm", "ldgm-staircase", "ldgm-triangle":
-		v := ldpc.Plain
-		switch name {
-		case "ldgm-staircase":
-			v = ldpc.Staircase
-		case "ldgm-triangle":
-			v = ldpc.Triangle
-		}
-		return ldpc.New(ldpc.Params{K: k, N: int(float64(k)*ratio + 0.5), Variant: v, Seed: seed})
-	default:
+	if !slices.Contains(Names, name) {
 		return nil, fmt.Errorf("codes: unknown code %q (have %v)", name, Names)
 	}
+	return MakeCodec(name, k, ratio, seed)
 }

@@ -180,7 +180,19 @@ func (cs CastSpec) Spec() string {
 // (weight, ratio, scheduler, batch, rounds, nsent) applies at the next
 // round boundary. Stream casts accept only weight: their codec and
 // schedule are burned into chunks already on the air.
+//
+// The delivery is compared as it runs, defaults applied: writing out a
+// value the running line left to its default (payload=1024, a codec seed
+// equal to the cast's) is not a change.
 func diffReload(old, next CastSpec) error {
+	was, err := old.ObjectConfig(0)
+	if err != nil {
+		return err
+	}
+	now, err := next.ObjectConfig(0)
+	if err != nil {
+		return err
+	}
 	var immutable []string
 	imm := func(key string, changed bool) {
 		if changed {
@@ -191,14 +203,14 @@ func diffReload(old, next CastSpec) error {
 	imm("addr", old.Addr != next.Addr)
 	imm("mode", old.Mode != next.Mode)
 	imm("file", old.File != next.File)
-	imm("payload", old.PayloadSize != next.PayloadSize)
+	imm("payload", was.PayloadSize != now.PayloadSize)
 	imm("object", old.BaseObjectID != next.BaseObjectID)
 	imm("seed", old.Seed != next.Seed)
-	imm("codec family", old.Codec.Family != next.Codec.Family)
+	imm("codec family", was.Family != now.Family)
 	imm("codec k", old.Codec.K != next.Codec.K)
-	imm("codec seed", old.Codec.Seed != next.Codec.Seed)
+	imm("codec seed", was.Seed != now.Seed)
 	if old.Mode == ModeStream {
-		imm("codec ratio", old.Codec.Ratio != next.Codec.Ratio)
+		imm("codec ratio", was.Ratio != now.Ratio)
 		imm("sched", old.SchedulerName() != next.SchedulerName())
 		imm("batch", old.BatchSize != next.BatchSize)
 		imm("window", old.Window != next.Window)

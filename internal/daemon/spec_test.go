@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fecperf/internal/codes"
 	"fecperf/internal/sched"
 	"fecperf/internal/transport"
 )
@@ -164,6 +165,36 @@ func TestDiffReloadImmutableKeys(t *testing.T) {
 		if !strings.Contains(err.Error(), key) {
 			t.Errorf("diff error %q does not name %q", err, key)
 		}
+	}
+
+	// Writing out a default the running line relied on changes nothing,
+	// in either direction.
+	bare, err := ParseCastSpec("name=x,addr=1:2,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"name=x,addr=1:2,seed=3,payload=1024",
+		"name=x,addr=1:2,seed=3,codec=rse(ratio=1.5)",
+		"name=x,addr=1:2,seed=3,codec=rse(seed=3)",
+	} {
+		explicit, err := ParseCastSpec(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := diffReload(bare, explicit); err != nil {
+			t.Errorf("reload to %q rejected: %v", line, err)
+		}
+		if err := diffReload(explicit, bare); err != nil {
+			t.Errorf("reload from %q rejected: %v", line, err)
+		}
+	}
+	// A literal spec that never met normalize is held to the same rule.
+	literal := CastSpec{Name: "x", Addr: "1:2", Mode: ModeStream}
+	resolved := literal
+	resolved.Codec = codes.Spec{Family: "rse", Ratio: 1.5}
+	if err := diffReload(literal, resolved); err != nil {
+		t.Errorf("literal spec vs its resolved form rejected: %v", err)
 	}
 
 	// Stream casts: ratio/sched/batch become immutable too.

@@ -2,7 +2,6 @@ package obs
 
 // Overhead benchmarks for the instrumentation primitives — the ns/op
 // here is the price every instrumented hot path pays per event.
-// scripts/bench_obs.sh collects them into BENCH_obs.json.
 
 import (
 	"strings"

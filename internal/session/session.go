@@ -13,6 +13,7 @@ package session
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"iter"
 	"math/rand"
@@ -275,14 +276,19 @@ func (o *Object) Send(rng *rand.Rand, emit func([]byte) error) error {
 }
 
 // Receiver reconstructs objects from datagrams. One receiver can track
-// any number of interleaved objects (an ALC session may multiplex them).
+// any number of interleaved objects (an ALC session may multiplex them):
+// it is an unbounded map from object ID to Reassembly, plus the decoded
+// objects nobody has claimed yet.
 type Receiver struct {
-	objects map[uint32]*objectState
+	objects map[uint32]*Reassembly
 	done    map[uint32]*Decoded
 	scratch wire.Packet // header scratch reused by Ingest
 }
 
-type objectState struct {
+// Reassembly is one object's receive-side state, from the datagram that
+// opened it to its decode: the OTI every later datagram must repeat, the
+// payload decoder and its slabs, and a bitmap of the packet IDs seen.
+type Reassembly struct {
 	family  wire.CodeFamily
 	k, n    int
 	seed    int64
@@ -292,6 +298,10 @@ type objectState struct {
 	seen    []uint64  // bitmap over packet IDs: duplicate detection
 	start   time.Time // first datagram arrival, for decode latency
 }
+
+// ErrCorrupt marks an object whose symbols all arrived and hold no object:
+// the length prefix announces more bytes than they carry.
+var ErrCorrupt = errors.New("session: corrupt object")
 
 // Decoded is a reconstructed object whose bytes still sit where the
 // decoder put them: in the source slab, behind the length prefix. Nothing
@@ -342,7 +352,7 @@ func (d *Decoded) Release() { d.slab.Release() }
 // never grows them.
 func NewReceiver() *Receiver {
 	return &Receiver{
-		objects: make(map[uint32]*objectState, 8),
+		objects: make(map[uint32]*Reassembly, 8),
 		done:    make(map[uint32]*Decoded, 8),
 	}
 }
@@ -350,20 +360,19 @@ func NewReceiver() *Receiver {
 // Ingest processes one datagram. It returns (objectID, true, data) when
 // this datagram completed an object. Datagrams for already-completed
 // objects are ignored. Malformed datagrams return an error and are
-// otherwise harmless.
+// otherwise harmless. The datagram may sit in a reused read buffer.
 func (r *Receiver) Ingest(datagram []byte) (objectID uint32, complete bool, data []byte, err error) {
-	// Decode into the receiver's scratch packet: the payload decoder
-	// copies what it retains, so nothing outlives this call.
 	if err := wire.DecodeTo(&r.scratch, datagram); err != nil {
 		return 0, false, nil, err
 	}
-	return r.IngestPacket(&r.scratch)
+	res, err := r.IngestPacketEx(&r.scratch)
+	if res.Complete {
+		data, _ = r.Object(res.ObjectID)
+	}
+	return res.ObjectID, res.Complete, data, err
 }
 
-// IngestResult describes what one datagram did to the receiver's state.
-// When Complete, the object is held by the receiver until the caller
-// claims it with Object (a plain slice) or Take (the slab-resident form),
-// or drops it with Forget.
+// IngestResult describes what one datagram did to an object's reassembly.
 type IngestResult struct {
 	ObjectID  uint32
 	Complete  bool  // this datagram completed the object
@@ -373,68 +382,31 @@ type IngestResult struct {
 	DecodeNS  int64 // first datagram to decode, when Complete
 }
 
-// IngestPacket processes an already-decoded packet and returns the
-// object's bytes when it completes one. The packet's Payload may alias a
-// reused read buffer (wire.Decode aliases its input): the payload decoder
-// copies what it keeps into its slabs, so the caller's buffer is free for
-// reuse as soon as IngestPacket returns.
-func (r *Receiver) IngestPacket(p *wire.Packet) (objectID uint32, complete bool, data []byte, err error) {
-	res, err := r.IngestPacketEx(p)
-	if res.Complete {
-		data, _ = r.Object(res.ObjectID)
-	}
-	return res.ObjectID, res.Complete, data, err
-}
-
-// IngestPacketEx is IngestPacket with the full ingest outcome: duplicate
-// detection (a per-object bitmap, so repeats are dropped before the
-// decoder), reassembly progress, and decode latency on completion. It
-// touches none of the object's bytes beyond the decoder's one copy of the
-// payload: a completed object waits in the receiver for Object or Take.
+// IngestPacketEx is Ingest for an already-parsed packet, with the full
+// outcome (see Reassembly.Ingest). A completed object waits in the
+// receiver — further datagrams for it are duplicates — until the caller
+// claims it with Object (a plain slice) or Take (the slab-resident form),
+// or drops it with Forget.
 func (r *Receiver) IngestPacketEx(p *wire.Packet) (IngestResult, error) {
-	res := IngestResult{ObjectID: p.ObjectID}
 	if _, ok := r.done[p.ObjectID]; ok {
-		res.Duplicate = true
-		return res, nil
+		return IngestResult{ObjectID: p.ObjectID, Duplicate: true}, nil
 	}
-	st, ok := r.objects[p.ObjectID]
+	a, ok := r.objects[p.ObjectID]
 	if !ok {
 		var err error
-		st, err = newObjectState(p)
-		if err != nil {
-			return res, err
+		if a, err = OpenReassembly(p); err != nil {
+			return IngestResult{ObjectID: p.ObjectID}, err
 		}
-		r.objects[p.ObjectID] = st
+		r.objects[p.ObjectID] = a
 	}
-	if err := st.consistent(p); err != nil {
-		return res, err
+	res, obj, err := a.Ingest(p)
+	if obj != nil {
+		r.done[p.ObjectID] = obj
 	}
-	res.K = st.k
-	word, bit := p.PacketID/64, uint64(1)<<(p.PacketID%64)
-	if st.seen[word]&bit != 0 {
-		res.Duplicate = true
-		res.Packets = st.packets
-		return res, nil
+	if obj != nil || errors.Is(err, ErrCorrupt) {
+		delete(r.objects, p.ObjectID)
 	}
-	st.seen[word] |= bit
-	st.packets++
-	res.Packets = st.packets
-	if finished := st.dec.ReceivePayload(int(p.PacketID), p.Payload); !finished {
-		return res, nil
-	}
-	// Decoded or corrupt, the reassembly state is finished with.
-	obj, err := st.finish()
-	delete(r.objects, p.ObjectID)
-	if err != nil {
-		return res, err
-	}
-	r.done[p.ObjectID] = obj
-	res.Complete = true
-	res.DecodeNS = time.Since(st.start).Nanoseconds()
-	if in := instr.Load(); in != nil {
-		in.decodeNS.Observe(res.DecodeNS)
-	}
-	return res, nil
+	return res, err
 }
 
 // Object returns a completed object's data as a plain slice (see
@@ -458,12 +430,11 @@ func (r *Receiver) Take(id uint32) (*Decoded, bool) {
 }
 
 // Forget drops all state for an object — in-flight reassembly and
-// completed data alike, returning its slabs to the symbol pool. Transport
-// daemons use it to bound memory: evicted objects simply start over if
-// their datagrams keep arriving.
+// completed data alike, returning its slabs to the symbol pool. The
+// object simply starts over if its datagrams keep arriving.
 func (r *Receiver) Forget(id uint32) {
-	if st, ok := r.objects[id]; ok {
-		st.dec.Close()
+	if a, ok := r.objects[id]; ok {
+		a.Close()
 		delete(r.objects, id)
 	}
 	if d, ok := r.done[id]; ok {
@@ -484,57 +455,93 @@ func (r *Receiver) InFlight() []uint32 {
 // PacketsIngested reports how many valid datagrams an in-flight object
 // has consumed (0 for unknown or completed objects).
 func (r *Receiver) PacketsIngested(id uint32) int {
-	if st, ok := r.objects[id]; ok {
-		return st.packets
+	if a, ok := r.objects[id]; ok {
+		return a.packets
 	}
 	return 0
 }
 
-func newObjectState(p *wire.Packet) (*objectState, error) {
-	st := &objectState{
+// OpenReassembly opens the state of the object p belongs to from p's OTI:
+// the (cached) code it names and a payload decoder for p's symbol length.
+// p itself is not consumed — pass it to Ingest next.
+func OpenReassembly(p *wire.Packet) (*Reassembly, error) {
+	a := &Reassembly{
 		family: p.Family,
 		k:      int(p.K),
 		n:      int(p.N),
 		seed:   p.Seed,
 		symLen: len(p.Payload),
 	}
-	if st.symLen == 0 {
+	if a.symLen == 0 {
 		return nil, fmt.Errorf("session: zero-length symbol")
 	}
-	code, err := codes.CachedForWire(p.Family, st.k, st.n, st.seed)
+	code, err := codes.CachedForWire(p.Family, a.k, a.n, a.seed)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	dec, err := code.NewDecoder(st.symLen)
+	dec, err := code.NewDecoder(a.symLen)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	st.dec = dec
-	st.seen = make([]uint64, (st.n+63)/64)
-	st.start = time.Now()
-	return st, nil
+	a.dec = dec
+	a.seen = make([]uint64, (a.n+63)/64)
+	a.start = time.Now()
+	return a, nil
 }
 
-func (st *objectState) consistent(p *wire.Packet) error {
-	if int(p.K) != st.k || int(p.N) != st.n || p.Seed != st.seed ||
-		p.Family != st.family || len(p.Payload) != st.symLen ||
-		int(p.PacketID) >= st.n {
-		return fmt.Errorf("session: datagram inconsistent with object %d's OTI", p.ObjectID)
+// Ingest feeds one packet of the object to its decoder. The packet's
+// Payload may alias a reused read buffer: the decoder copies what it
+// keeps into its slabs, so the buffer is free again on return. A packet
+// whose OTI contradicts the object's is an error and changes nothing; a
+// repeated packet ID is flagged Duplicate and dropped before the decoder.
+// The packet that completes the object returns it, still in the decoder's
+// source slab and owned by the caller — or ErrCorrupt. Either way the
+// Reassembly has closed itself and must not be used again.
+func (a *Reassembly) Ingest(p *wire.Packet) (IngestResult, *Decoded, error) {
+	res := IngestResult{ObjectID: p.ObjectID, K: a.k, Packets: a.packets}
+	if int(p.K) != a.k || int(p.N) != a.n || p.Seed != a.seed ||
+		p.Family != a.family || len(p.Payload) != a.symLen ||
+		int(p.PacketID) >= a.n {
+		return res, nil, fmt.Errorf("session: datagram inconsistent with object %d's OTI", p.ObjectID)
 	}
-	return nil
+	word, bit := p.PacketID/64, uint64(1)<<(p.PacketID%64)
+	if a.seen[word]&bit != 0 {
+		res.Duplicate = true
+		return res, nil, nil
+	}
+	a.seen[word] |= bit
+	a.packets++
+	res.Packets = a.packets
+	if finished := a.dec.ReceivePayload(int(p.PacketID), p.Payload); !finished {
+		return res, nil, nil
+	}
+	obj, err := a.finish()
+	if err != nil {
+		return res, nil, err
+	}
+	res.Complete = true
+	res.DecodeNS = time.Since(a.start).Nanoseconds()
+	if in := instr.Load(); in != nil {
+		in.decodeNS.Observe(res.DecodeNS)
+	}
+	return res, obj, nil
 }
+
+// Close abandons the object, returning the decoder's slabs to the symbol
+// pool. It is idempotent, and a no-op once Ingest closed the Reassembly.
+func (a *Reassembly) Close() { a.dec.Close() }
 
 // finish turns a done decoder into the decoded object: it takes the
 // source slab — which already holds the symbols back to back in ID order
 // — reads and checks the length prefix, and closes the decoder. The
 // object is the slab's bytes behind the prefix; nothing is moved.
-func (st *objectState) finish() (*Decoded, error) {
-	slab := st.dec.TakeSources()
-	st.dec.Close()
-	total := st.k * st.symLen
+func (a *Reassembly) finish() (*Decoded, error) {
+	slab := a.dec.TakeSources()
+	a.dec.Close()
+	total := a.k * a.symLen
 	if total < lengthPrefix {
 		slab.Release()
-		return nil, fmt.Errorf("session: object too short for length prefix")
+		return nil, fmt.Errorf("%w: %d bytes of symbols cannot hold the length prefix", ErrCorrupt, total)
 	}
 	var pre [lengthPrefix]byte
 	got := pre[:0]
@@ -544,7 +551,7 @@ func (st *objectState) finish() (*Decoded, error) {
 	objLen := binary.BigEndian.Uint64(got)
 	if objLen > uint64(total-lengthPrefix) {
 		slab.Release()
-		return nil, fmt.Errorf("session: corrupt length prefix %d > %d available", objLen, total-lengthPrefix)
+		return nil, fmt.Errorf("%w: length prefix %d > %d available", ErrCorrupt, objLen, total-lengthPrefix)
 	}
 	return &Decoded{slab: slab, off: lengthPrefix, n: int(objLen)}, nil
 }

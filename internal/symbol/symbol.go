@@ -39,15 +39,21 @@
 //     it again. Either way nothing aliases the caller's buffer once
 //     ReceivePayload has returned. When the decoder is done the source
 //     slab is the object: TakeSources moves it, untouched, to the
-//     session receiver, which wraps it as a session.Decoded; Close
+//     object's session.Reassembly, which wraps it as a session.Decoded
+//     and returns it from the Ingest call that completed it; Close
 //     releases whatever the decoder still owns.
-//   - transport.Collector takes each session.Decoded from its daemon,
-//     writes and checksums the bytes in order straight out of the slab,
-//     and Releases it — the hand-back that lets a cast of any length run
-//     on the few slabs one window needs.
-//   - transport.ReceiverDaemon's Object, WaitObject and OnComplete hand
-//     out Decoded.Bytes: a copy in memory of its own, never pooled, so a
-//     holder's bytes cannot be recycled under it.
+//   - transport.ReceiverDaemon owns a Reassembly for as long as its
+//     table entry is in flight and Closes it on eviction (an object that
+//     decodes, or turns out corrupt, has closed its own). The Decoded it
+//     gets back it hands, once, to its sink, which owns it from then on.
+//   - transport.Collector, as that sink, writes and checksums the bytes
+//     in order straight out of the slab and Releases it — the hand-back
+//     that lets a cast of any length run on the few slabs one window
+//     needs — and Releases what is still queued when its Run returns.
+//   - The daemon's default sink, behind Object, WaitObject and
+//     OnComplete, calls Decoded.Bytes: a copy in memory of its own,
+//     never pooled, so a holder's bytes cannot be recycled under it; the
+//     slab goes back to the pool at that call.
 //   - Codec.Encode (the convenience form of EncodeInto) returns parity in
 //     per-symbol pooled buffers owned by the caller;
 //   - transport read buffers are plain reused slices — packets decoded

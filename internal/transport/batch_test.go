@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/core"
+	"fecperf/internal/obs"
 	"fecperf/internal/session"
 	"fecperf/internal/wire"
 )
@@ -439,9 +441,12 @@ func TestSenderBatchedScalarIdenticalCarousel(t *testing.T) {
 }
 
 // TestSenderBatchedRoundAllocCeiling asserts the steady-state round loop
-// allocates nothing at any batch size: across many rounds the amortized
-// allocations per round must stay below one (the handful of setup
-// allocations — sender, flush scratch, cursors — divided away).
+// allocates nothing at any batch size, bare or with the full
+// observability surface attached (a registry exposing the sender's
+// counters and a tracer whose sampling rejects every object — the live
+// configuration of a fleet): across many rounds the amortized allocations
+// per round must stay below one (the handful of setup allocations —
+// sender, flush scratch, cursors, metric registrations — divided away).
 func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation ceilings are meaningless under the race detector")
@@ -451,10 +456,16 @@ func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 	defer objA.Close()
 	defer objB.Close()
 	const rounds = 64
-	for _, size := range []int{1, 32} {
+	instrumented := SenderConfig{
+		BatchSize: 32,
+		Metrics:   obs.NewRegistry("fecperf"),
+		Tracer:    obs.NewTracer(io.Discard, obs.TracerConfig{Sample: 1e-12, Seed: 7}),
+	}
+	for _, cfg := range []SenderConfig{{BatchSize: 1}, {BatchSize: 32}, instrumented} {
+		cfg.Seed, cfg.Rounds = 2, rounds
 		conn := &discardConn{}
 		allocs := testing.AllocsPerRun(5, func() {
-			s := NewSender(conn, SenderConfig{Seed: 2, Rounds: rounds, BatchSize: size})
+			s := NewSender(conn, cfg)
 			if err := s.Add(objA); err != nil {
 				t.Fatal(err)
 			}
@@ -466,11 +477,11 @@ func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 			}
 		})
 		if perRound := allocs / rounds; perRound >= 1 {
-			t.Errorf("batch=%d round loop allocates %.2f/round (%.0f total over %d rounds); want amortized 0",
-				size, perRound, allocs, rounds)
+			t.Errorf("batch=%d metrics=%v round loop allocates %.2f/round (%.0f total over %d rounds); want amortized 0",
+				cfg.BatchSize, cfg.Metrics != nil, perRound, allocs, rounds)
 		}
 		if conn.batches == 0 {
-			t.Fatalf("batch=%d never flushed", size)
+			t.Fatalf("batch=%d never flushed", cfg.BatchSize)
 		}
 	}
 }
@@ -554,7 +565,7 @@ func TestCastBatchedUDPGilbertEndToEnd(t *testing.T) {
 	if sha256.Sum256(sink.Bytes()) != sha256.Sum256(source) {
 		t.Fatal("collected stream hash differs from source")
 	}
-	if lossyStats := col.Stats(); lossyStats.PacketsSeen == 0 {
+	if lossyStats := col.CollectStats().Receiver; lossyStats.PacketsSeen == 0 {
 		t.Fatal("collector saw no packets")
 	}
 }

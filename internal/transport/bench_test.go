@@ -155,7 +155,7 @@ func BenchmarkSenderRoundBatched(b *testing.B) {
 // counters and a tracer whose sampling rejects every object (the
 // worst-case live configuration — a fleet traces a tiny fraction). The
 // per-round delta against BenchmarkSenderRound is the instrumentation
-// tax; scripts/bench_obs.sh gates it below 3%.
+// tax.
 func BenchmarkSenderRoundInstrumented(b *testing.B) {
 	reg := obs.NewRegistry("fecperf")
 	tr := obs.NewTracer(io.Discard, obs.TracerConfig{Sample: 1e-12, Seed: 7})

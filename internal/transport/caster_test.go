@@ -56,7 +56,7 @@ func castCollect(t *testing.T, data []byte, ch func() core.Channel,
 	}
 	wg.Wait()
 	if colErr != nil {
-		t.Fatalf("collector.Run: %v (progress %+v, stats %+v)", colErr, col.Progress(), col.Stats())
+		t.Fatalf("collector.Run: %v (progress %+v, stats %+v)", colErr, col.Progress(), col.CollectStats().Receiver)
 	}
 	return out.Bytes()
 }

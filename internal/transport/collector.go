@@ -116,7 +116,7 @@ func NewCollector(conn Conn, dst io.Writer, cfg CollectorConfig) *Collector {
 		Metrics:          cfg.Metrics,
 		Tracer:           cfg.Tracer,
 	})
-	c.daemon.takeDecoded = c.onObject
+	c.daemon.sink = c.onObject
 	if r := cfg.Metrics; r != nil {
 		r.CounterFunc("collector_chunks_written_total", "In-order chunks flushed to the destination.", nil, c.chunksWritten.Load)
 		r.CounterFunc("collector_bytes_written_total", "In-order bytes flushed to the destination.", nil, c.bytesWritten.Load)
@@ -174,10 +174,8 @@ func (c *Collector) onObject(id uint32, obj *session.Decoded) {
 		obj.Release()
 	}
 	c.mu.Unlock()
-	if c.cfg.OnProgress != nil {
-		for _, ev := range events {
-			c.cfg.OnProgress(ev)
-		}
+	for _, ev := range events { // queued only when OnProgress is set
+		c.cfg.OnProgress(ev)
 	}
 }
 
@@ -322,18 +320,17 @@ func (c *Collector) failLocked(err error) {
 // noteProgressLocked queues one progress snapshot for delivery after
 // the lock is released.
 func (c *Collector) noteProgressLocked(events *[]CollectProgress) {
-	if c.cfg.OnProgress == nil {
-		return
+	if c.cfg.OnProgress != nil {
+		*events = append(*events, c.progressLocked())
 	}
+}
+
+func (c *Collector) progressLocked() CollectProgress {
 	total := -1
 	if c.manifest != nil {
 		total = int(c.manifest.ChunkCount)
 	}
-	*events = append(*events, CollectProgress{
-		ChunksWritten: c.next,
-		BytesWritten:  c.written,
-		ChunksTotal:   total,
-	})
+	return CollectProgress{ChunksWritten: c.next, BytesWritten: c.written, ChunksTotal: total}
 }
 
 // Manifest returns the train manifest once it has decoded.
@@ -350,11 +347,7 @@ func (c *Collector) Manifest() (session.Manifest, bool) {
 func (c *Collector) Progress() CollectProgress {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	total := -1
-	if c.manifest != nil {
-		total = int(c.manifest.ChunkCount)
-	}
-	return CollectProgress{ChunksWritten: c.next, BytesWritten: c.written, ChunksTotal: total}
+	return c.progressLocked()
 }
 
 // CollectorStats is a point-in-time snapshot of collect counters: the
@@ -387,7 +380,3 @@ func (c *Collector) CollectStats() CollectorStats {
 		CRCFailures:   c.crcFailures.Load(),
 	}
 }
-
-// Stats returns the underlying receiver daemon's counters — the
-// compatibility view; CollectStats carries the collect-level counters.
-func (c *Collector) Stats() Stats { return c.daemon.Stats() }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"sync"
@@ -25,9 +24,9 @@ type ReceiverConfig struct {
 	// their bytes are released.
 	MaxCompleted int
 	// MaxCompletedIDs bounds the set of remembered completed object IDs
-	// (default 65536, ~4 bytes each). Past it the oldest completions are
-	// forgotten entirely; should their datagrams still be broadcast,
-	// those objects decode (and call OnComplete) again.
+	// (default 65536, a 64-byte table entry each). Past it the oldest
+	// completions are forgotten entirely; should their datagrams still be
+	// broadcast, those objects decode (and call OnComplete) again.
 	MaxCompletedIDs int
 	// MaxObjectPackets bounds the N (total packet count) a datagram's
 	// OTI may announce (default 262144, comfortably above the paper's
@@ -99,9 +98,10 @@ type Stats struct {
 }
 
 // ReceiverDaemon drains a Conn, demultiplexes datagrams into
-// per-ObjectID reassembly state and surfaces decoded objects. Memory is
-// bounded on both sides of completion: partial objects by an LRU of
-// MaxInFlight, decoded bytes by an LRU of MaxCompleted.
+// per-ObjectID reassembly state and surfaces decoded objects. It keeps
+// one table of objects, each entry in one of two lists: the in-flight LRU
+// (bounded by MaxInFlight) while it reassembles, the completed FIFO
+// (bounded by MaxCompletedIDs) once it has decoded.
 //
 // Run is the single ingest loop; Stats, Object and WaitObject are safe
 // from any goroutine, concurrently with Run.
@@ -109,28 +109,23 @@ type ReceiverDaemon struct {
 	conn Conn
 	cfg  ReceiverConfig
 
-	// takeDecoded, when set (by the Collector that owns this daemon),
-	// receives every decoded object still slab-resident, on the Run
-	// goroutine and outside the daemon's locks, and owns it from then on.
-	// The daemon then keeps no bytes at all — only the completed IDs —
-	// and OnComplete, Object and WaitObject have nothing to serve.
-	takeDecoded func(id uint32, obj *session.Decoded)
-	scratch     wire.Packet // parsed header of the datagram in hand (Run goroutine only)
+	// sink receives every decoded object still slab-resident, on the Run
+	// goroutine and outside the daemon's locks, and owns it from then on:
+	// retain, the store behind Object, WaitObject and OnComplete, unless a
+	// Collector put its in-order writer here — the daemon then keeps no
+	// bytes at all, only the completed IDs.
+	sink    func(id uint32, obj *session.Decoded)
+	scratch wire.Packet // parsed header of the datagram in hand (Run goroutine only)
 
-	mu       sync.Mutex
-	rx       *session.Receiver
-	lru      *list.List               // of uint32 (object IDs), front = most recent
-	lruIndex map[uint32]*list.Element // in-flight objects only
-	// Completions are remembered in FIFO order at two depths: byteRing
-	// bounds how many decoded objects keep their bytes (done), idRing
-	// bounds how many are remembered at all (doneIDs). An ID re-enters
-	// the rings only after idRing has forgotten it, so each holds any
-	// ID at most once.
-	done     map[uint32][]byte   // decoded objects still holding bytes
-	doneIDs  map[uint32]struct{} // every remembered decoded ID, bytes or not
-	byteRing ring
-	idRing   ring
-	waiters  map[uint32][]chan []byte
+	mu        sync.Mutex
+	objects   map[uint32]*entry
+	inFlight  entryList // front = most recently active
+	completed entryList // front = most recently decoded
+	// The completed entries from the front to oldestHeld, held of them,
+	// retain their bytes; those behind have released them.
+	oldestHeld *entry
+	held       int
+	waiters    map[uint32][]chan []byte
 
 	packetsSeen      obs.Counter
 	bytesSeen        obs.Counter
@@ -145,7 +140,8 @@ type ReceiverDaemon struct {
 	readBatchSizes   *obs.Histogram // nil unless Metrics is set
 }
 
-// NewReceiverDaemon returns a daemon reading from conn.
+// NewReceiverDaemon returns a daemon reading from conn that retains
+// decoded objects for Object, WaitObject and OnComplete.
 func NewReceiverDaemon(conn Conn, cfg ReceiverConfig) *ReceiverDaemon {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
@@ -172,17 +168,14 @@ func NewReceiverDaemon(conn Conn, cfg ReceiverConfig) *ReceiverDaemon {
 		cfg.ReadBatch = maxSendBatch
 	}
 	d := &ReceiverDaemon{
-		conn:     conn,
-		cfg:      cfg,
-		rx:       session.NewReceiver(),
-		lru:      list.New(),
-		lruIndex: make(map[uint32]*list.Element),
-		done:     make(map[uint32][]byte),
-		doneIDs:  make(map[uint32]struct{}),
-		byteRing: ring{cap: cfg.MaxCompleted},
-		idRing:   ring{cap: cfg.MaxCompletedIDs},
-		waiters:  make(map[uint32][]chan []byte),
+		conn:    conn,
+		cfg:     cfg,
+		objects: make(map[uint32]*entry),
+		waiters: make(map[uint32][]chan []byte),
 	}
+	d.sink = d.retain
+	d.inFlight.init()
+	d.completed.init()
 	if r := cfg.Metrics; r != nil {
 		r.CounterFunc("receiver_packets_total", "Datagrams read off the conn.", nil, d.packetsSeen.Load)
 		r.CounterFunc("receiver_bytes_total", "Datagram bytes read off the conn.", nil, d.bytesSeen.Load)
@@ -203,7 +196,7 @@ func NewReceiverDaemon(conn Conn, cfg ReceiverConfig) *ReceiverDaemon {
 		r.GaugeFunc("receiver_inflight_objects", "Objects mid-reassembly.", nil, func() int64 {
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			return int64(len(d.lruIndex))
+			return int64(d.inFlight.len)
 		})
 		d.decodeHist = r.Histogram("receiver_decode_seconds", "First datagram of an object to its decode.",
 			obs.DurationBuckets(), obs.SecondsUnit, nil)
@@ -213,24 +206,40 @@ func NewReceiverDaemon(conn Conn, cfg ReceiverConfig) *ReceiverDaemon {
 	return d
 }
 
-// ring is a fixed-capacity FIFO of object IDs: push returns the evicted
-// ID (and true) once the ring is full.
-type ring struct {
-	cap  int
-	ids  []uint32
-	next int
+// entry is one object in the table. While it reassembles, asm is set and
+// the entry is linked in inFlight; once decoded, asm is nil — the entry
+// only remembers the ID, for late-datagram discard — and it is linked in
+// completed, with data set while the daemon retains the object's bytes
+// and released set once MaxCompleted has dropped them.
+type entry struct {
+	id         uint32
+	asm        *session.Reassembly
+	data       []byte
+	released   bool
+	prev, next *entry // prev is nearer the list's front
 }
 
-func (r *ring) push(id uint32) (evicted uint32, full bool) {
-	if len(r.ids) < r.cap {
-		r.ids = append(r.ids, id)
-		return 0, false
-	}
-	evicted = r.ids[r.next]
-	r.ids[r.next] = id
-	r.next = (r.next + 1) % len(r.ids)
-	return evicted, true
+// entryList is an intrusive doubly linked ring of entries around a
+// sentinel: root.next is the front, root.prev the back.
+type entryList struct {
+	root entry
+	len  int
 }
+
+func (l *entryList) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+func (l *entryList) pushFront(e *entry) {
+	e.prev, e.next = &l.root, l.root.next
+	e.prev.next, e.next.prev = e, e
+	l.len++
+}
+
+func (l *entryList) remove(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	l.len--
+}
+
+func (l *entryList) moveToFront(e *entry) { l.remove(e); l.pushFront(e) }
 
 // Run reads datagrams until ctx is cancelled or the Conn is closed. It
 // returns nil on a clean Conn close, ctx.Err() on cancellation, and the
@@ -271,129 +280,144 @@ func (d *ReceiverDaemon) Run(ctx context.Context) error {
 		}
 		d.readBatches.Inc()
 		d.readBatchSizes.Observe(int64(filled))
-		for i := 0; i < filled; i++ {
-			b := bufs[i]
-			if len(b) > d.cfg.MTU {
-				d.packetsSeen.Add(1)
-				d.bytesSeen.Add(uint64(len(b)))
-				d.discards[discardTruncated].Add(1)
-				continue
-			}
+		for _, b := range bufs[:filled] {
 			d.handle(b)
 		}
 	}
 }
 
 // handle ingests one datagram. The payload aliases the read buffer; the
-// session receiver's payload decoder copies it once, to its final place
-// in the object's slab, so the buffer is reusable on return. Steady-state
-// ingest of an in-flight object allocates nothing.
+// object's payload decoder copies it once, to its final place in the
+// object's slab, so the buffer is reusable on return. Steady-state ingest
+// of an in-flight object allocates nothing.
 func (d *ReceiverDaemon) handle(datagram []byte) {
 	d.packetsSeen.Add(1)
 	d.bytesSeen.Add(uint64(len(datagram)))
-	p := &d.scratch
-	if err := wire.DecodeTo(p, datagram); err != nil {
-		d.discards[discardBad].Add(1)
+	if len(datagram) > d.cfg.MTU {
+		d.discards[discardTruncated].Add(1)
 		return
 	}
 	// The CRC proves the header arrived intact, not that its OTI is
 	// honest: cap the announced object size BEFORE the decoder
 	// constructor allocates for it.
-	if int64(p.N) > int64(d.cfg.MaxObjectPackets) {
+	p := &d.scratch
+	if wire.DecodeTo(p, datagram) != nil || int64(p.N) > int64(d.cfg.MaxObjectPackets) {
 		d.discards[discardBad].Add(1)
 		return
 	}
-
 	d.mu.Lock()
-	if _, completed := d.doneIDs[p.ObjectID]; completed {
-		d.mu.Unlock()
-		d.discards[discardLate].Add(1)
-		return
-	}
-	_, inFlight := d.lruIndex[p.ObjectID]
-	res, err := d.rx.IngestPacketEx(p)
-	id, complete := res.ObjectID, res.Complete
-	if err != nil {
-		if !inFlight {
-			// The packet may have opened session state before failing;
-			// drop it so nothing lives outside the LRU bound.
-			d.rx.Forget(p.ObjectID)
-		}
-		d.mu.Unlock()
-		if inFlight {
-			d.discards[discardInconsistent].Add(1)
-		} else {
-			// Failed to even open state (bad OTI combination).
-			d.discards[discardBad].Add(1)
-		}
-		return
-	}
-	if res.Duplicate {
-		d.packetsDuplicate.Inc()
-		if inFlight {
-			d.lru.MoveToFront(d.lruIndex[id])
-		}
-		d.mu.Unlock()
-		return
-	}
-	d.packetsIngested.Inc()
-	if tr := d.cfg.Tracer; tr != nil && res.Packets == res.K && tr.Sampled(id) {
-		tr.Emit(obs.Event{Event: obs.TraceKthRx, Object: id, K: res.K, Packets: res.Packets})
-	}
-	if !inFlight && !complete {
-		d.objectsStarted.Add(1)
-		d.lruIndex[id] = d.lru.PushFront(id)
-		// Evict only AFTER a new object successfully opened state, so
-		// unopenable datagrams cannot churn live reassembly progress.
-		if len(d.lruIndex) > d.cfg.MaxInFlight {
-			d.evictOldestLocked()
-		}
-		d.mu.Unlock()
-		return
-	}
-	if !complete {
-		d.lru.MoveToFront(d.lruIndex[id])
-		d.mu.Unlock()
-		return
-	}
-	// Object decoded: retire its in-flight entry and take the object off
-	// the session receiver. An owner that streams objects gets it as it
-	// is, in the decoder's slab; otherwise the bytes are copied out into
-	// memory of their own — holders of Object/WaitObject/OnComplete data
-	// keep it for as long as they like — and retained under the
-	// completed LRU bound.
-	if !inFlight {
-		d.objectsStarted.Add(1) // single-datagram object
-	} else {
-		d.lru.Remove(d.lruIndex[id])
-		delete(d.lruIndex, id)
-	}
-	obj, _ := d.rx.Take(id)
-	var data []byte
-	if d.takeDecoded == nil {
-		data = obj.Bytes()
-	}
-	d.rememberCompletedLocked(id, data)
-	waiters := d.waiters[id]
-	delete(d.waiters, id)
+	res, obj := d.ingestLocked(p)
 	d.mu.Unlock()
-
+	if obj == nil {
+		return
+	}
 	d.objectsDecoded.Add(1)
 	d.decodeHist.Observe(res.DecodeNS)
 	if tr := d.cfg.Tracer; tr != nil {
 		tr.Emit(obs.Event{
 			Event:   obs.TraceDecode,
-			Object:  id,
+			Object:  p.ObjectID,
 			K:       res.K,
 			Packets: res.Packets,
 			Bytes:   int64(obj.Len()),
 			NS:      res.DecodeNS,
 		})
 	}
-	if d.takeDecoded != nil {
-		d.takeDecoded(id, obj)
-		return
+	d.sink(p.ObjectID, obj)
+}
+
+// ingestLocked feeds p to the object it belongs to, found — reassembling,
+// decoded or new — by one table lookup, and counts what became of it. It
+// returns the object if p completed it.
+func (d *ReceiverDaemon) ingestLocked(p *wire.Packet) (session.IngestResult, *session.Decoded) {
+	e := d.objects[p.ObjectID]
+	fresh := e == nil
+	switch {
+	case fresh:
+		asm, err := session.OpenReassembly(p)
+		if err != nil {
+			d.discards[discardBad].Add(1) // bad OTI combination
+			return session.IngestResult{}, nil
+		}
+		e = &entry{id: p.ObjectID, asm: asm}
+		d.objects[e.id] = e
+		d.inFlight.pushFront(e)
+	case e.asm == nil:
+		d.discards[discardLate].Add(1)
+		return session.IngestResult{}, nil
 	}
+	res, obj, err := e.asm.Ingest(p)
+	switch {
+	case errors.Is(err, session.ErrCorrupt):
+		// Every symbol is in and they hold no object: the reassembly is
+		// over, and nothing of it may keep an in-flight slot.
+		d.dropLocked(e)
+		d.discards[discardBad].Add(1)
+		return res, nil
+	case err != nil:
+		d.discards[discardInconsistent].Add(1)
+		return res, nil
+	case res.Duplicate:
+		d.inFlight.moveToFront(e)
+		d.packetsDuplicate.Inc()
+		return res, nil
+	}
+	d.packetsIngested.Inc()
+	if fresh {
+		d.objectsStarted.Add(1)
+	}
+	if tr := d.cfg.Tracer; tr != nil && res.Packets == res.K && tr.Sampled(e.id) {
+		tr.Emit(obs.Event{Event: obs.TraceKthRx, Object: e.id, K: res.K, Packets: res.Packets})
+	}
+	if obj == nil {
+		d.inFlight.moveToFront(e)
+		// Evict only AFTER a new object successfully opened state, so
+		// unopenable datagrams cannot churn live reassembly progress.
+		if fresh && d.inFlight.len > d.cfg.MaxInFlight {
+			d.dropLocked(d.inFlight.root.prev)
+			d.objectsEvicted.Add(1)
+		}
+		return res, nil
+	}
+	// Decoded: the entry moves to the completed FIFO, which forgets its
+	// oldest ID past MaxCompletedIDs.
+	d.inFlight.remove(e)
+	e.asm = nil
+	d.completed.pushFront(e)
+	if d.completed.len > d.cfg.MaxCompletedIDs {
+		old := d.completed.root.prev
+		if old == d.oldestHeld { // only when the two bounds are equal
+			d.oldestHeld = old.prev
+			d.held--
+		}
+		d.completed.remove(old)
+		delete(d.objects, old.id)
+	}
+	return res, obj
+}
+
+// retain is the default sink: it copies the object out of its slab into
+// memory of its own — holders of Object/WaitObject/OnComplete data keep
+// it for as long as they like — keeps the copy on the object's entry
+// until MaxCompleted newer objects have decoded, wakes the object's
+// waiters and calls OnComplete.
+func (d *ReceiverDaemon) retain(id uint32, obj *session.Decoded) {
+	data := obj.Bytes()
+	d.mu.Lock()
+	e := d.completed.root.next // where handle, on this goroutine, just put the object
+	e.data = data
+	if d.held == 0 {
+		d.oldestHeld = e
+	}
+	if d.held++; d.held > d.cfg.MaxCompleted {
+		old := d.oldestHeld
+		old.data, old.released = nil, true
+		d.oldestHeld = old.prev
+		d.held--
+	}
+	waiters := d.waiters[id]
+	delete(d.waiters, id)
+	d.mu.Unlock()
 	for _, w := range waiters {
 		w <- data
 	}
@@ -402,58 +426,33 @@ func (d *ReceiverDaemon) handle(datagram []byte) {
 	}
 }
 
-// rememberCompletedLocked records a decoded object: bytes under the
-// MaxCompleted FIFO (unless a takeDecoded owner consumes them, in which
-// case the daemon retains none), the bare ID under the MaxCompletedIDs
-// FIFO. Both rings see completions in the same order and byteRing is
-// never deeper, so an ID's bytes are always released no later than the
-// ID itself.
-func (d *ReceiverDaemon) rememberCompletedLocked(id uint32, data []byte) {
-	if d.takeDecoded == nil {
-		d.done[id] = data
-		if old, full := d.byteRing.push(id); full {
-			delete(d.done, old)
-		}
-	}
-	d.doneIDs[id] = struct{}{}
-	if old, full := d.idRing.push(id); full {
-		delete(d.doneIDs, old)
-		delete(d.done, old) // no-op unless the rings are equally deep
-	}
+// dropLocked forgets an in-flight object and returns its slabs to the
+// symbol pool; it starts over if its datagrams keep arriving.
+func (d *ReceiverDaemon) dropLocked(e *entry) {
+	e.asm.Close()
+	d.inFlight.remove(e)
+	delete(d.objects, e.id)
 }
 
-// evictOldestLocked drops the least-recently-active in-flight object.
-func (d *ReceiverDaemon) evictOldestLocked() {
-	back := d.lru.Back()
-	if back == nil {
-		return
-	}
-	id := d.lru.Remove(back).(uint32)
-	delete(d.lruIndex, id)
-	d.rx.Forget(id)
-	d.objectsEvicted.Add(1)
-}
-
-// forgetInFlight drops every partly reassembled object and returns its
-// slabs to the symbol pool: for an owner that is done with the daemon once
-// Run has returned (a standalone daemon keeps its partial objects, so a
-// second Run can finish them).
+// forgetInFlight drops every partly reassembled object: for an owner that
+// is done with the daemon once Run has returned (a standalone daemon keeps
+// its partial objects, so a second Run can finish them).
 func (d *ReceiverDaemon) forgetInFlight() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, id := range d.rx.InFlight() {
-		d.rx.Forget(id)
+	for d.inFlight.len > 0 {
+		d.dropLocked(d.inFlight.root.prev)
 	}
-	d.lru.Init()
-	clear(d.lruIndex)
 }
 
 // Object returns a decoded object's bytes, if still retained.
 func (d *ReceiverDaemon) Object(id uint32) ([]byte, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	data, ok := d.done[id]
-	return data, ok
+	if e := d.objects[id]; e != nil && e.data != nil {
+		return e.data, true
+	}
+	return nil, false
 }
 
 // Completed reports whether the object has been decoded, even if its
@@ -461,8 +460,8 @@ func (d *ReceiverDaemon) Object(id uint32) ([]byte, bool) {
 func (d *ReceiverDaemon) Completed(id uint32) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.doneIDs[id]
-	return ok
+	e := d.objects[id]
+	return e != nil && e.asm == nil
 }
 
 // WaitObject blocks until the object decodes or ctx is done. It returns
@@ -470,14 +469,14 @@ func (d *ReceiverDaemon) Completed(id uint32) bool {
 // retained; an object decoded and already released returns an error.
 func (d *ReceiverDaemon) WaitObject(ctx context.Context, id uint32) ([]byte, error) {
 	d.mu.Lock()
-	if data, ok := d.done[id]; ok {
+	if e := d.objects[id]; e != nil && e.data != nil {
 		d.mu.Unlock()
-		return data, nil
-	}
-	if _, ok := d.doneIDs[id]; ok {
+		return e.data, nil
+	} else if e != nil && e.released {
 		d.mu.Unlock()
 		return nil, errors.New("transport: object decoded but no longer retained")
 	}
+	// Not decoded yet, or decoded this instant and on its way to retain.
 	ch := make(chan []byte, 1)
 	d.waiters[id] = append(d.waiters[id], ch)
 	d.mu.Unlock()

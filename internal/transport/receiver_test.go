@@ -210,6 +210,69 @@ func TestReceiverDaemonCompletedBytesBound(t *testing.T) {
 	}
 }
 
+// TestReceiverDaemonCompletedIDsBound: an ID still among the last
+// MaxCompletedIDs completions is discarded as late; one pushed out of that
+// FIFO is forgotten entirely, so its datagrams decode it — and fire
+// OnComplete — a second time. Run with the byte bound below and equal to
+// the ID bound, the two ways an entry's bytes can go.
+func TestReceiverDaemonCompletedIDsBound(t *testing.T) {
+	for _, maxCompleted := range []int{1, 2} {
+		hub := NewLoopback()
+		completions := map[uint32]int{}
+		d := NewReceiverDaemon(hub.Receiver(nil, 16), ReceiverConfig{
+			MaxCompleted:    maxCompleted,
+			MaxCompletedIDs: 2,
+			OnComplete:      func(id uint32, _ []byte) { completions[id]++ },
+		})
+		sources := func(id uint32) [][]byte {
+			obj := encodeTestObject(t, testFile(t, 2<<10, int64(id)), id, wire.CodeRSE, 1.5, 256)
+			defer obj.Close()
+			var out [][]byte
+			for i := 0; i < obj.K(); i++ {
+				f, err := obj.Datagram(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, f)
+			}
+			return out
+		}
+		feed := func(id uint32) {
+			for _, f := range sources(id) {
+				d.handle(f)
+			}
+		}
+		feed(1)
+		feed(2)
+		if _, held := d.Object(1); held != (maxCompleted == 2) {
+			t.Errorf("MaxCompleted %d: Object(1) held = %v after two completions", maxCompleted, held)
+		}
+		if _, err := d.WaitObject(context.Background(), 1); (err == nil) != (maxCompleted == 2) {
+			t.Errorf("MaxCompleted %d: WaitObject(1) = %v", maxCompleted, err)
+		}
+		d.handle(sources(1)[0])
+		if st := d.Stats(); st.PacketsLate != 1 || st.ObjectsDecoded != 2 {
+			t.Fatalf("MaxCompleted %d: remembered ID not discarded as late: %+v", maxCompleted, st)
+		}
+		feed(3) // pushes ID 1 out of the FIFO
+		if d.Completed(1) || !d.Completed(2) || !d.Completed(3) {
+			t.Fatalf("MaxCompleted %d: Completed(1,2,3) = %v %v %v, want false true true",
+				maxCompleted, d.Completed(1), d.Completed(2), d.Completed(3))
+		}
+		late := d.Stats().PacketsLate
+		feed(1)
+		if st := d.Stats(); st.ObjectsDecoded != 4 || st.PacketsLate != late || completions[1] != 2 {
+			t.Fatalf("MaxCompleted %d: forgotten ID did not decode again: %+v, OnComplete(1) ran %d times",
+				maxCompleted, st, completions[1])
+		}
+		if _, held := d.Object(1); !held || d.Completed(2) {
+			t.Errorf("MaxCompleted %d: after the second decode Object(1) held = %v, Completed(2) = %v",
+				maxCompleted, held, d.Completed(2))
+		}
+		hub.Close()
+	}
+}
+
 // TestReceiverDaemonConcurrentSenders drives one daemon from four
 // concurrent senders over a shared loopback — the -race acceptance
 // scenario: fan-in delivery, atomic stats reads, and waiter wakeups all

@@ -15,6 +15,8 @@ import (
 
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
+	"fecperf/internal/obs"
+	"fecperf/internal/session"
 	"fecperf/internal/symbol"
 	"fecperf/internal/wire"
 )
@@ -125,9 +127,9 @@ func TestCollectorCancelMidChunkReturnsEverySlab(t *testing.T) {
 		sent++
 	}
 	obj.Close()
-	for deadline := time.Now().Add(10 * time.Second); col.Stats().PacketsIngested < sent; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); col.CollectStats().Receiver.PacketsIngested < sent; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("collector ingested %d of %d datagrams", col.Stats().PacketsIngested, sent)
+			t.Fatalf("collector ingested %d of %d datagrams", col.CollectStats().Receiver.PacketsIngested, sent)
 		}
 	}
 	if held := symbol.PoolStats().Live - start; held <= 0 {
@@ -346,18 +348,64 @@ func TestForgedHugeFirstDatagramCommitsOneSlab(t *testing.T) {
 		t.Errorf("heap grew %d bytes for one forged datagram, want <= %d (one slab buffer + tables); announced %d",
 			grown, limit, n*(d.cfg.MTU-wire.HeaderLen))
 	}
-	d.mu.Lock()
-	d.rx.Forget(666)
-	d.mu.Unlock()
+	d.forgetInFlight()
 	if live := symbol.PoolStats().Live - poolBefore.Live; live != 0 {
 		t.Errorf("%d pool buffers live after the object was forgotten", live)
 	}
 }
 
-// TestReceiverDaemonIngestAllocsNothing pins steady-state ingest of an
-// in-flight object at zero allocations per datagram: the header parses
-// into the Run goroutine's scratch packet and the payload is copied into
-// a slab slot.
+// TestReceiverDaemonCorruptObjectLeavesNoEntry: an object whose symbols
+// all arrive but whose length prefix announces more bytes than they hold
+// is over when its last datagram lands. Nothing of it may outlive that
+// datagram — no in-flight entry (a MaxInFlight slot), no slab — and the
+// datagram is bad, not inconsistent with anything.
+func TestReceiverDaemonCorruptObjectLeavesNoEntry(t *testing.T) {
+	start := symbol.PoolStats().Live
+	hub := NewLoopback()
+	defer hub.Close()
+	reg := obs.NewRegistry("fecperf")
+	d := NewReceiverDaemon(hub.Receiver(nil, 16), ReceiverConfig{Metrics: reg})
+	inFlight := func() int64 {
+		v, _ := reg.GaugeValue("receiver_inflight_objects", nil)
+		return v
+	}
+	obj := encodeTestObject(t, testFile(t, 8<<10, 5), 9, wire.CodeRSE, 1.5, 1024)
+	k := obj.K()
+	var sources [][]byte
+	for id := 0; id < k; id++ {
+		f, err := obj.Datagram(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, f)
+	}
+	obj.Close()
+	sources[0][wire.HeaderLen] = 0xFF // the length prefix now announces 2^63 bytes and more
+	for id := k - 1; id > 0; id-- {
+		d.handle(sources[id])
+	}
+	if got, held := inFlight(), symbol.PoolStats().Live-start; got != 1 || held <= 0 {
+		t.Fatalf("before the last datagram: %d objects in flight, %d pool buffers held; want 1, > 0", got, held)
+	}
+	d.handle(sources[0])
+	st := d.Stats()
+	if st.PacketsBad != 1 || st.PacketsInconsistent != 0 || st.PacketsIngested != uint64(k-1) || st.ObjectsDecoded != 0 {
+		t.Errorf("corrupt object's last datagram miscounted: %+v", st)
+	}
+	if got := inFlight(); got != 0 {
+		t.Errorf("receiver_inflight_objects = %d after the corrupt object ended, want 0", got)
+	}
+	if live := symbol.PoolStats().Live - start; live != 0 {
+		t.Errorf("%d pool buffers still checked out after the corrupt object ended", live)
+	}
+}
+
+// TestReceiverDaemonIngestAllocsNothing pins the steady state of the
+// object table at zero allocations per datagram, whichever entry the
+// datagram finds: an in-flight object's next symbol (the header parses
+// into the Run goroutine's scratch packet and the payload is copied into a
+// slab slot), a repeat for another in-flight object (both move to the LRU
+// front in turn), and a late datagram for a decoded one.
 func TestReceiverDaemonIngestAllocsNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -372,33 +420,47 @@ func TestReceiverDaemonIngestAllocsNothing(t *testing.T) {
 		{wire.CodeRSE, 1024, 200 << 10},
 		{wire.CodeLDGMStaircase, 128, 200 << 10},
 	} {
-		obj := encodeTestObject(t, testFile(t, g.size, 3), 77, g.family, 1.5, g.payload)
 		d := NewReceiverDaemon(hub.Receiver(nil, 16), ReceiverConfig{})
+		frame := func(obj *session.Object, id int) []byte {
+			f, err := obj.Datagram(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		obj := encodeTestObject(t, testFile(t, g.size, 3), 77, g.family, 1.5, g.payload)
 		// Sources and parity alternately, well short of completing.
 		var datagrams [][]byte
 		for i := 0; i < 51; i++ {
-			for _, id := range []int{i, obj.K() + i} {
-				f, err := obj.Datagram(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				datagrams = append(datagrams, f)
-			}
+			datagrams = append(datagrams, frame(obj, i), frame(obj, obj.K()+i))
 		}
 		obj.Close()
+		decoded := encodeTestObject(t, testFile(t, g.payload/2, 4), 78, g.family, 1.5, g.payload)
+		late := frame(decoded, 0) // a one-symbol object: its first datagram decodes it
+		decoded.Close()
+		other := encodeTestObject(t, testFile(t, g.size, 5), 79, g.family, 1.5, g.payload)
+		repeat := frame(other, 0)
+		other.Close()
+		d.handle(late)
+		d.handle(repeat)
 		fed := 0
 		run := func() {
 			d.handle(datagrams[fed])
+			d.handle(repeat)
+			d.handle(late)
 			fed++
 		}
 		run() // opens the object's state and its first slab buffers
 		run()
 		if avg := testing.AllocsPerRun(99, run); avg != 0 {
-			t.Errorf("%v: handle allocs/datagram = %v, want 0", g.family, avg)
+			t.Errorf("%v: handle allocs per three datagrams = %v, want 0", g.family, avg)
 		}
-		if st := d.Stats(); st.PacketsIngested != uint64(fed) {
-			t.Fatalf("%v: ingested %d of %d datagrams", g.family, st.PacketsIngested, fed)
+		want := Stats{PacketsIngested: uint64(fed) + 2, PacketsDuplicate: uint64(fed), PacketsLate: uint64(fed), ObjectsStarted: 3, ObjectsDecoded: 1}
+		st := d.Stats()
+		want.PacketsSeen, want.BytesSeen = st.PacketsSeen, st.BytesSeen
+		if st != want {
+			t.Fatalf("%v: stats %+v, want %+v", g.family, st, want)
 		}
-		d.rx.Forget(77)
+		d.forgetInFlight()
 	}
 }

@@ -128,7 +128,7 @@ func TestStreamLargerThanMemoryBudget(t *testing.T) {
 	}
 	wg.Wait()
 	if colErr != nil {
-		t.Fatalf("collector.Run: %v (progress %+v, stats %+v)", colErr, col.Progress(), col.Stats())
+		t.Fatalf("collector.Run: %v (progress %+v, stats %+v)", colErr, col.Progress(), col.CollectStats().Receiver)
 	}
 
 	// Byte identity, verified without ever materialising the stream.
