@@ -178,12 +178,18 @@ func TestSchedulerByNameAndConstructors(t *testing.T) {
 
 func TestSweepGridSmoke(t *testing.T) {
 	c, _ := NewCode("ldgm-triangle", 100, 2.5, 1)
-	g := SweepGrid(c, TxModel4(), []float64{0, 0.1}, []float64{0.5, 1}, 3, 5)
+	g, err := SweepGrid(c, TxModel4(), []float64{0, 0.1}, []float64{0.5, 1}, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(g.Cells) != 2 || len(g.Cells[0]) != 2 {
 		t.Fatal("wrong grid shape")
 	}
 	if g.At(0, 0).Failed() {
 		t.Fatal("p=0 cell failed")
+	}
+	if _, err := SweepGrid(c, TxModel4(), []float64{2}, nil, 3, 5); err == nil {
+		t.Fatal("accepted the axis value p=2")
 	}
 }
 

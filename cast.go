@@ -12,7 +12,6 @@ package fecperf
 import (
 	"io"
 
-	"fecperf/internal/channel"
 	"fecperf/internal/session"
 	"fecperf/internal/transport"
 	"fecperf/internal/wire"
@@ -185,27 +184,23 @@ func NewReceiverDaemon(conn TransportConn, cfg ReceiverDaemonConfig) *ReceiverDa
 // channel spec and seed — the bridge from the paper's simulated loss to
 // live transport impairment.
 func NewImpairment(channelSpec string, seed int64) (Channel, error) {
-	f, err := ChannelByName(channelSpec)
+	s, err := ChannelByName(channelSpec)
 	if err != nil {
 		return nil, err
 	}
-	return f.New(newRand(seed)), nil
+	return s.New(newRand(seed)), nil
 }
 
 // NewBatchImpairment builds the batched stepper form of a channel spec
 // for Loopback.ReceiverStepper — the loss process that steps in 64-wide
 // masks under one lock when senders write batches. ok is false when the
-// channel kind cannot be batch-stepped (trace channels); the error is
-// reserved for unparseable specs.
+// channel kind cannot be batch-stepped (markov); the error is reserved
+// for unparseable specs.
 func NewBatchImpairment(channelSpec string) (st ChannelStepper, ok bool, err error) {
-	f, err := ChannelByName(channelSpec)
+	s, err := ChannelByName(channelSpec)
 	if err != nil {
 		return ChannelStepper{}, false, err
 	}
-	bf, isBatch := f.(channel.BatchFactory)
-	if !isBatch {
-		return ChannelStepper{}, false, nil
-	}
-	st, ok = bf.Batch()
+	st, ok = s.Stepper()
 	return st, ok, nil
 }

@@ -49,7 +49,6 @@ import (
 	"fecperf"
 	"fecperf/internal/channel"
 	"fecperf/internal/engine"
-	"fecperf/internal/spec"
 )
 
 func main() {
@@ -85,7 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		nsent    = fs.Int("nsent", 0, "truncate transmissions after this many packets (0 = send all)")
 		gridSpec = fs.String("grid", "", "comma-separated probabilities for both axes (default: paper's 14-value axis)")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		chName   = fs.String("channel", "gilbert", "channel family: "+strings.Join(channel.FamilyNames(), ", "))
+		chName   = fs.String("channel", "gilbert", "channel family: "+strings.Join(channel.Kinds, ", "))
 		resume   = fs.String("resume", "", "checkpoint file: completed cells are appended and restored on restart")
 		progress = fs.Bool("progress", false, "report per-cell completion on stderr")
 		metrics  = fs.String("metrics", "", `serve Prometheus/expvar engine metrics on this address while the sweep runs (e.g. ":9090"; also spec key metrics=addr)`)
@@ -118,22 +117,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if cfg.Scheduler != nil {
 			*txName = cfg.Scheduler.Name()
 		}
-		if cfg.Channel != nil {
-			// Take the family from the spec line's own channel value:
-			// factories like markov render a Name that is not a
-			// parseable spec.
-			_, params, err := spec.Split("cfg(" + strings.TrimSpace(*specLine) + ")")
-			if err != nil {
-				return err
-			}
-			base, _, err := spec.Split(params["channel"])
-			if err != nil {
-				return err
-			}
-			if base == "no-loss" {
-				base = "noloss"
-			}
-			*chName = base
+		if cfg.Channel.Kind != "" {
+			*chName = cfg.Channel.Kind
 		}
 		if cfg.Trials != 0 {
 			*trials = cfg.Trials
@@ -153,36 +138,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	fleetMode := *fleetN > 0
-	var (
-		plan     engine.Plan
-		grid     []float64
-		cellKeys [][]string
-	)
+	plan := engine.Plan{
+		Codes:      []string{*codeName},
+		Ks:         []int{*k},
+		Ratios:     []float64{*ratio},
+		Schedulers: []string{*txName},
+		NSents:     []int{*nsent},
+		Trials:     *trials,
+		Seed:       *seed,
+	}
+	var grid []float64
 	if fleetMode {
 		mix, err := parseMix(*mixSpec)
 		if err != nil {
 			return err
 		}
-		fleet := engine.FleetSpec{Receivers: *fleetN, Mix: mix}
-		if err := fleet.Validate(); err != nil {
-			return err
-		}
-		plan = buildFleetPlan(*codeName, *txName, *ratio, *k, *nsent, *seed, fleet)
+		// A fleet replaces the channel axis; its sample count is the
+		// receiver population, so Trials is ignored.
+		plan.Fleets = []engine.FleetSpec{{Receivers: *fleetN, Mix: mix}}
 	} else {
 		var err error
-		grid, err = parseGrid(*gridSpec)
-		if err != nil {
+		if grid, err = parseGrid(*gridSpec); err != nil {
 			return err
 		}
-		if grid == nil {
-			grid = engine.PaperGrid
-		}
-		if _, err := channel.ByName(*chName); err != nil {
-			return err
-		}
-		var channels []engine.ChannelSpec
-		channels, cellKeys = gridChannels(*chName, grid)
-		plan = buildPlan(*codeName, *txName, *ratio, *k, *trials, *nsent, *seed, channels)
 	}
 
 	opts := engine.Options{Workers: *workers, CheckpointPath: *resume}
@@ -211,7 +189,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	res, err := engine.Run(ctx, plan, opts)
+	var (
+		res []engine.PointResult
+		g   *engine.Grid
+		err error
+	)
+	if fleetMode {
+		res, err = engine.Run(ctx, plan, opts)
+	} else {
+		g, err = engine.SweepPlan(ctx, plan, *chName, grid, opts)
+	}
 	if err != nil {
 		if *resume != "" && ctx.Err() != nil {
 			fmt.Fprintf(stderr, "fecsim: interrupted; rerun with -resume %s to continue\n", *resume)
@@ -231,75 +218,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	byKey := make(map[string]engine.Aggregate, len(res))
-	for _, r := range res {
-		byKey[r.Point.Channel.Key()] = r.Aggregate
-	}
-	g := &engine.Grid{P: grid, Q: grid, Cells: make([][]engine.Aggregate, len(grid))}
-	for i := range g.Cells {
-		g.Cells[i] = make([]engine.Aggregate, len(grid))
-		for j := range g.Cells[i] {
-			g.Cells[i][j] = byKey[cellKeys[i][j]]
-		}
-	}
-
 	fmt.Fprintf(stdout, "# %s, %s, FEC expansion ratio %.2f, k=%d, trials=%d, channel=%s\n",
 		*codeName, *txName, *ratio, *k, *trials, *chName)
 	fmt.Fprintf(stdout, "# cell = mean inefficiency ratio; \"-\" = at least one trial failed\n")
 	printGrid(stdout, g)
 	return nil
-}
-
-// gridChannels enumerates the (p, q) grid row-major as channel specs,
-// deduplicated by identity: families that ignore a coordinate
-// (bernoulli ignores q, noloss both) collapse to one measurement per
-// distinct channel, and cellKeys maps every grid cell back to it.
-func gridChannels(chName string, grid []float64) ([]engine.ChannelSpec, [][]string) {
-	var channels []engine.ChannelSpec
-	seen := map[string]bool{}
-	cellKeys := make([][]string, len(grid))
-	for i, p := range grid {
-		cellKeys[i] = make([]string, len(grid))
-		for j, q := range grid {
-			spec := engine.ChannelSpec{Kind: chName, P: p, Q: q}
-			key := spec.Key()
-			cellKeys[i][j] = key
-			if !seen[key] {
-				seen[key] = true
-				channels = append(channels, spec)
-			}
-		}
-	}
-	return channels, cellKeys
-}
-
-// buildPlan declares the sweep: one code/scheduler over the channel axis.
-func buildPlan(codeName, txName string, ratio float64, k, trials, nsent int, seed int64, channels []engine.ChannelSpec) engine.Plan {
-	return engine.Plan{
-		Codes:      []string{codeName},
-		Ks:         []int{k},
-		Ratios:     []float64{ratio},
-		Schedulers: []string{txName},
-		Channels:   channels,
-		NSents:     []int{nsent},
-		Trials:     trials,
-		Seed:       seed,
-	}
-}
-
-// buildFleetPlan declares a fleet run: one code/scheduler, one fleet
-// population in place of the channel axis. Trials is irrelevant — a
-// fleet's sample count is its receiver population.
-func buildFleetPlan(codeName, txName string, ratio float64, k, nsent int, seed int64, fleet engine.FleetSpec) engine.Plan {
-	return engine.Plan{
-		Codes:      []string{codeName},
-		Ks:         []int{k},
-		Ratios:     []float64{ratio},
-		Schedulers: []string{txName},
-		Fleets:     []engine.FleetSpec{fleet},
-		NSents:     []int{nsent},
-		Seed:       seed,
-	}
 }
 
 // parseMix parses the -mix flag: comma-separated "channelspec:weight"
@@ -318,7 +241,7 @@ func parseMix(s string) ([]engine.MixComponent, error) {
 		} else if len(cut) > 2 {
 			return nil, fmt.Errorf("fleet mix component %q has more than one weight", field)
 		}
-		ch, err := mixChannel(specPart)
+		ch, err := channel.Parse(specPart)
 		if err != nil {
 			return nil, err
 		}
@@ -356,29 +279,6 @@ func splitTopLevel(s string, sep byte) []string {
 		}
 	}
 	return append(out, s[start:])
-}
-
-// mixChannel resolves a parameterized channel spec (the channel.ParseName
-// grammar) into the engine's serializable ChannelSpec form.
-func mixChannel(name string) (engine.ChannelSpec, error) {
-	fac, err := channel.ParseName(name)
-	if err != nil {
-		return engine.ChannelSpec{}, err
-	}
-	switch f := fac.(type) {
-	case channel.GilbertFactory:
-		return engine.GilbertChannel(f.P, f.Q), nil
-	case channel.BernoulliFactory:
-		return engine.BernoulliChannel(f.P), nil
-	case channel.NoLossFactory:
-		return engine.NoLossChannel(), nil
-	case channel.MarkovFactory:
-		// Mapped so fleet validation reports "cannot be batch-stepped"
-		// rather than a parse error.
-		return engine.MarkovChannel(f.Spec), nil
-	default:
-		return engine.ChannelSpec{}, fmt.Errorf("channel %q has no fleet mix mapping", name)
-	}
 }
 
 // printFleet renders a fleet summary: one row for the whole population,

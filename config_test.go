@@ -100,7 +100,7 @@ func TestParseSpecFields(t *testing.T) {
 	if c.Scheduler == nil || c.Scheduler.Name() != "tx2" {
 		t.Errorf("scheduler = %v", c.Scheduler)
 	}
-	if c.Channel == nil || c.Channel.Name() != "gilbert(p=0.01,q=0.79)" {
+	if c.Channel.String() != "gilbert(p=0.01,q=0.79)" {
 		t.Errorf("channel = %v", c.Channel)
 	}
 	if c.Rate != 5000 || c.Trials != 20 || c.Seed != 9 {
@@ -140,7 +140,7 @@ func TestOptionsComposeWithSpec(t *testing.T) {
 	if c.Codec.K != 64 || c.Seed != 3 {
 		t.Errorf("spec fields lost: %+v", c)
 	}
-	if c.Scheduler.Name() != "tx5" || c.Channel.Name() != "bernoulli(p=0.1)" {
+	if c.Scheduler.Name() != "tx5" || c.Channel.String() != "bernoulli(p=0.1)" {
 		t.Errorf("added fields missing: %+v", c)
 	}
 
@@ -163,7 +163,7 @@ func TestSimulateSpecMatchesSimRun(t *testing.T) {
 	}
 	want := runPoint(engine.PointSpec{
 		Code: code, Scheduler: TxModel2(),
-		Channel: channel.GilbertFactory{P: 0.01, Q: 0.79},
+		Channel: channel.GilbertChannel(0.01, 0.79),
 		Trials:  10, Seed: 7,
 	})
 	got, err := Simulate(WithSpec(
@@ -191,6 +191,22 @@ func TestSimulateDefaults(t *testing.T) {
 	}
 	if _, err := Simulate(WithCodec("rse(ratio=1.5)")); err == nil {
 		t.Error("Simulate without k succeeded")
+	}
+}
+
+func TestSimulateRejectsInvalidChannel(t *testing.T) {
+	// A Markov matrix whose row sums to 1.2 used to simulate as the
+	// perfect channel (MeanIneff 1, no error).
+	bad := func(c *Config) error {
+		c.Channel = channel.MarkovChannel(channel.MarkovSpec{
+			Transition: [][]float64{{0.9, 0.3}, {0.5, 0.5}},
+			LossProb:   []float64{0, 1},
+		})
+		return nil
+	}
+	agg, err := Simulate(WithCodec("rse(k=20,ratio=1.5)"), WithTrials(3), bad)
+	if err == nil || agg.Trials != 0 {
+		t.Errorf("Simulate = %+v, %v; want an error before the first trial", agg, err)
 	}
 }
 
@@ -267,6 +283,9 @@ func FuzzConfigSpec(f *testing.F) {
 	f.Add("payload=1024,object=42,window=8")
 	f.Add("sched=carousel(inner=tx6(frac=0.5),rounds=3)")
 	f.Add("codec=,sched=,channel=")
+	f.Add("channel=markov(p=0.01,q=0.5)")
+	f.Add("channel=noloss")
+	f.Add("channel=no-loss,trials=3")
 	f.Fuzz(func(t *testing.T, line string) {
 		c, err := ParseSpec(line)
 		if err != nil {

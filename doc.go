@@ -52,8 +52,11 @@
 // The grammar is uniform: a base name plus parenthesised key=value
 // parameters, nesting freely; CodecByName, SchedulerByName and
 // ChannelByName resolve its parts individually, and every resolved
-// value's Name() renders back, so configurations round-trip through
-// Config.Spec into CLI flags, engine plans and checkpoint files. The
+// value renders back (Name(); String() for a channel), so configurations
+// round-trip through Config.Spec into CLI flags, engine plans and
+// checkpoint files. A loss channel has one description throughout: the
+// ChannelSpec that ChannelByName parses is what plans, fleet mixes and
+// checkpoints hold and what builds each trial's chain. The
 // nine keys that say what goes on the air — codec, sched, payload,
 // batch, window, rounds, nsent, seed, object — are one type, Delivery,
 // embedded by Config and by feccastd's CastSpec: one parse, one set of

@@ -72,10 +72,6 @@ type (
 	ScheduleCursor = core.Cursor
 	// Channel decides, per transmission, whether a packet is erased.
 	Channel = core.Channel
-	// ChannelFactory mints one fresh Channel per trial or receiver;
-	// gilbert/bernoulli/noloss factories round-trip their Name through
-	// ChannelByName.
-	ChannelFactory = channel.Factory
 	// ChannelStepper is the batched loss-process stepper consumed by
 	// Loopback.ReceiverStepper: it advances a Gilbert chain up to 64
 	// transmissions per call on raw splitmix64 state, bit-identical to
@@ -101,8 +97,12 @@ type (
 	Point = engine.Point
 	// PointResult pairs a point with its measured aggregate.
 	PointResult = engine.PointResult
-	// ChannelSpec is a serializable loss-channel description for plans.
-	ChannelSpec = engine.ChannelSpec
+	// ChannelSpec is the one description of a loss channel: the value of
+	// the "channel" spec key (ChannelByName parses it, String renders
+	// it), the JSON in plans and checkpoints, and the builder of the
+	// running chain (New) and its batched stepper (Stepper). The zero
+	// value means "unset".
+	ChannelSpec = channel.Spec
 	// FleetSpec declares a fleet point — a receiver population and its
 	// channel mix — for Plan.Fleets or RunFleet.
 	FleetSpec = engine.FleetSpec
@@ -141,8 +141,8 @@ type Config struct {
 	Delivery
 	// Channel is the loss process — the simulated channel in Simulate,
 	// the loopback impairment in live runs (key "channel", e.g.
-	// channel=gilbert(p=0.01,q=0.5)).
-	Channel ChannelFactory
+	// channel=gilbert(p=0.01,q=0.5)). An empty Kind means unset.
+	Channel ChannelSpec
 	// Rate limits transmission in packets per second (key "rate");
 	// Burst is the token-bucket depth (key "burst").
 	Rate  float64
@@ -232,21 +232,9 @@ func WithSchedulerInstance(s Scheduler) Option {
 // WithChannel selects the loss process by spec, e.g.
 // "gilbert(p=0.01,q=0.5)", "bernoulli(p=0.05)", "noloss".
 func WithChannel(channelSpec string) Option {
-	return func(c *Config) error {
-		f, err := channel.ParseName(channelSpec)
-		if err != nil {
-			return err
-		}
-		c.Channel = f
-		return nil
-	}
-}
-
-// WithChannelFactory installs a ChannelFactory value directly.
-func WithChannelFactory(f ChannelFactory) Option {
-	return func(c *Config) error {
-		c.Channel = f
-		return nil
+	return func(c *Config) (err error) {
+		c.Channel, err = channel.Parse(channelSpec)
+		return err
 	}
 }
 
@@ -399,8 +387,8 @@ var configKeys = append(slices.Clone(transport.DeliveryKeys),
 //
 // Unknown keys and malformed values are errors. The empty line is the
 // zero Config. ParseSpec(c.Spec()) reproduces c for every Config whose
-// scheduler and channel names round-trip (all built-ins except trace
-// and markov channels, whose factories cannot render their state).
+// scheduler name round-trips and whose channel the grammar can express
+// (every ChannelSpec but a recorded trace or an explicit Markov matrix).
 func ParseSpec(line string) (Config, error) {
 	var c Config
 	if err := c.parse(line); err != nil {
@@ -427,7 +415,7 @@ func (c *Config) parse(line string) error {
 		return fail(err)
 	}
 	if v, ok := params["channel"]; ok {
-		if c.Channel, err = channel.ParseName(v); err != nil {
+		if c.Channel, err = channel.Parse(v); err != nil {
 			return fail(err)
 		}
 	}
@@ -470,8 +458,8 @@ func (c *Config) intKeys() []configInt {
 func (c Config) Spec() string {
 	fields := c.Delivery.Fields()
 	add := func(k, v string) { fields = append(fields, spec.Field{Key: k, Value: v}) }
-	if c.Channel != nil {
-		add("channel", c.Channel.Name())
+	if c.Channel.Kind != "" {
+		add("channel", c.Channel.String())
 	}
 	if c.Rate != 0 {
 		add("rate", strconv.FormatFloat(c.Rate, 'g', -1, 64))
@@ -573,11 +561,11 @@ func TxModel6() Scheduler { return sched.TxModel6{} }
 // round-trip: ByName(s.Name()) reproduces s.
 func SchedulerByName(name string) (Scheduler, error) { return sched.ByName(name) }
 
-// ChannelByName resolves a parameterized channel spec into a factory:
-// "gilbert(p=0.01,q=0.5)", "bernoulli(p=0.05)", "markov(p=0.01,q=0.5)",
-// "noloss". Gilbert, Bernoulli and no-loss names round-trip.
-func ChannelByName(channelSpec string) (ChannelFactory, error) {
-	return channel.ParseName(channelSpec)
+// ChannelByName parses a channel spec: "gilbert(p=0.01,q=0.5)",
+// "bernoulli(p=0.05)", "markov(p=0.01,q=0.5)", "noloss". The result's
+// String parses back to the same value.
+func ChannelByName(channelSpec string) (ChannelSpec, error) {
+	return channel.Parse(channelSpec)
 }
 
 // ScheduleFromIDs wraps an explicit packet-id order as a Schedule, for

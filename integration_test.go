@@ -33,7 +33,7 @@ func TestEveryCodeUnderEveryTxModel(t *testing.T) {
 			agg := runPoint(engine.PointSpec{
 				Code:      code,
 				Scheduler: s,
-				Channel:   channel.GilbertFactory{P: 0.01, Q: 0.9},
+				Channel:   channel.GilbertChannel(0.01, 0.9),
 				Trials:    5,
 				Seed:      11,
 			})
@@ -57,7 +57,7 @@ func TestPaperClaimTx1IsWorstForLDGMUnderBursts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty := channel.GilbertFactory{P: 0.03, Q: 0.3}
+	bursty := channel.GilbertChannel(0.03, 0.3)
 	tx1 := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel1{}, Channel: bursty, Trials: 10, Seed: 2})
 	tx2 := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel2{}, Channel: bursty, Trials: 10, Seed: 2})
 	if tx2.Failed() {
@@ -76,7 +76,7 @@ func TestPaperClaimInterleavingRescuesRSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty := channel.GilbertFactory{P: 0.02, Q: 0.15} // ~12% loss, ~7-packet bursts
+	bursty := channel.GilbertChannel(0.02, 0.15) // ~12% loss, ~7-packet bursts
 	tx1 := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel1{}, Channel: bursty, Trials: 10, Seed: 4})
 	tx5 := runPoint(engine.PointSpec{Code: code, Scheduler: sched.TxModel5{}, Channel: bursty, Trials: 10, Seed: 4})
 	if tx5.Failed() {
@@ -95,10 +95,10 @@ func TestPaperClaimTx4IsLossDistributionIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	channels := []channel.GilbertFactory{
-		{P: 0.01, Q: 0.99}, // IID-ish light loss
-		{P: 0.05, Q: 0.50}, // moderate bursts
-		{P: 0.10, Q: 0.40}, // heavier bursts
+	channels := []ChannelSpec{
+		GilbertChannelSpec(0.01, 0.99), // IID-ish light loss
+		GilbertChannelSpec(0.05, 0.50), // moderate bursts
+		GilbertChannelSpec(0.10, 0.40), // heavier bursts
 	}
 	var vals []float64
 	for _, ch := range channels {
@@ -133,7 +133,7 @@ func TestPaperClaimFig14SweetSpot(t *testing.T) {
 		agg := runPoint(engine.PointSpec{
 			Code:      code,
 			Scheduler: sched.RxModel1{SourceCount: srcCount},
-			Channel:   channel.NoLossFactory{},
+			Channel:   channel.NoLossChannel(),
 			Trials:    10,
 			Seed:      9,
 		})
@@ -155,7 +155,11 @@ func TestEndToEndDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return SweepGrid(code, TxModel4(), []float64{0, 0.1, 0.4}, []float64{0.3, 0.9}, 5, 77)
+		g, err := SweepGrid(code, TxModel4(), []float64{0, 0.1, 0.4}, []float64{0.3, 0.9}, 5, 77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
 	a, b := run(), run()
 	for i := range a.Cells {

@@ -148,27 +148,3 @@ func redrawY(s *uint64) uint64 {
 		}
 	}
 }
-
-// BatchFactory is implemented by channel factories whose chains can be
-// advanced by a batched Stepper. The fleet engine requires it: a fleet
-// of a million receivers steps every chain through StepMask rather than
-// through one core.Channel interface call per receiver per symbol.
-type BatchFactory interface {
-	Factory
-	// Batch returns the stepper equivalent to New's scalar chain, and
-	// whether the factory's parameters support batched stepping.
-	Batch() (Stepper, bool)
-}
-
-// Batch implements BatchFactory: the stepper is golden-equivalent to
-// the chain New returns when its rng is a core.SplitMixSource.
-func (f GilbertFactory) Batch() (Stepper, bool) { return NewStepper(f.P, f.Q), true }
-
-// Batch implements BatchFactory. Bernoulli loss is the Gilbert chain
-// with q = 1-p, exactly as the scalar Bernoulli constructor builds it.
-func (f BernoulliFactory) Batch() (Stepper, bool) { return NewStepper(f.P, 1-f.P), true }
-
-// Batch implements BatchFactory. The lossless stepper never advances
-// the chain state, matching the scalar NoLoss channel, which consumes
-// no randomness.
-func (NoLossFactory) Batch() (Stepper, bool) { return Stepper{}, true }

@@ -10,7 +10,7 @@ import (
 
 // scalarLosses runs the reference chain — the exact construction the
 // trial engine uses — for n transmissions.
-func scalarLosses(f Factory, seed int64, n int) []bool {
+func scalarLosses(f Spec, seed int64, n int) []bool {
 	rng := rand.New(&core.SplitMixSource{})
 	rng.Seed(seed)
 	ch := f.New(rng)
@@ -23,15 +23,11 @@ func scalarLosses(f Factory, seed int64, n int) []bool {
 
 // batchLosses runs the stepper over the same seed, drawing in batches
 // of batch transmissions.
-func batchLosses(t *testing.T, f Factory, seed int64, n, batch int) []bool {
+func batchLosses(t *testing.T, f Spec, seed int64, n, batch int) []bool {
 	t.Helper()
-	bf, ok := f.(BatchFactory)
+	st, ok := f.Stepper()
 	if !ok {
-		t.Fatalf("%s does not implement BatchFactory", f.Name())
-	}
-	st, ok := bf.Batch()
-	if !ok {
-		t.Fatalf("%s refused a batch stepper", f.Name())
+		t.Fatalf("%s refused a batch stepper", f)
 	}
 	state := uint64(seed)
 	lost := false
@@ -50,27 +46,27 @@ func batchLosses(t *testing.T, f Factory, seed int64, n, batch int) []bool {
 }
 
 // TestStepMaskMatchesScalarChain is the batch-step equivalence
-// property: for every factory, seed and batch size, the vectorized
+// property: for every spec, seed and batch size, the vectorized
 // step produces the identical loss sequence as the scalar
 // Gilbert.Lost() chain over the same SplitMix stream.
 func TestStepMaskMatchesScalarChain(t *testing.T) {
-	factories := []Factory{
-		GilbertFactory{P: 0.01, Q: 0.5},
-		GilbertFactory{P: 0.3, Q: 0.1},
-		GilbertFactory{P: 0, Q: 0.5}, // never leaves the good state
-		GilbertFactory{P: 1, Q: 0},   // absorbs into loss on step one
-		GilbertFactory{P: 1, Q: 1},   // alternates
-		GilbertFactory{P: 0.5, Q: 0.5},
-		BernoulliFactory{P: 0.05},
-		BernoulliFactory{P: 0},
-		BernoulliFactory{P: 1},
-		NoLossFactory{},
+	specs := []Spec{
+		GilbertChannel(0.01, 0.5),
+		GilbertChannel(0.3, 0.1),
+		GilbertChannel(0, 0.5), // never leaves the good state
+		GilbertChannel(1, 0),   // absorbs into loss on step one
+		GilbertChannel(1, 1),   // alternates
+		GilbertChannel(0.5, 0.5),
+		BernoulliChannel(0.05),
+		BernoulliChannel(0),
+		BernoulliChannel(1),
+		NoLossChannel(),
 	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 40; i++ {
-		factories = append(factories, GilbertFactory{P: rng.Float64(), Q: rng.Float64()})
+		specs = append(specs, GilbertChannel(rng.Float64(), rng.Float64()))
 	}
-	for _, f := range factories {
+	for _, f := range specs {
 		for _, seed := range []int64{0, 1, -1, 7777, math.MaxInt64, math.MinInt64} {
 			want := scalarLosses(f, seed, 3000)
 			for _, batch := range []int{64, 1, 7, 33} {
@@ -78,7 +74,7 @@ func TestStepMaskMatchesScalarChain(t *testing.T) {
 				for j := range want {
 					if got[j] != want[j] {
 						t.Fatalf("%s seed=%d batch=%d: loss[%d] = %t, scalar chain says %t",
-							f.Name(), seed, batch, j, got[j], want[j])
+							f, seed, batch, j, got[j], want[j])
 					}
 				}
 			}
@@ -91,26 +87,26 @@ func TestStepMaskMatchesScalarChain(t *testing.T) {
 // are the first 64 transmissions of each chain, bit j = transmission j.
 func TestStepMaskGolden(t *testing.T) {
 	cases := []struct {
-		f    Factory
+		f    Spec
 		seed int64
 		want uint64
 	}{
-		{GilbertFactory{P: 0.1, Q: 0.5}, 1, 0xe18000000e100000},
-		{GilbertFactory{P: 0.1, Q: 0.5}, 99, 0x300000fe00200006},
-		{GilbertFactory{P: 0.01, Q: 0.9}, 12345, 0x0600000004000000},
-		{BernoulliFactory{P: 0.25}, 7, 0x009008b084207d26},
-		{BernoulliFactory{P: 1}, 7, 0xffffffffffffffff},
-		{NoLossFactory{}, 7, 0},
+		{GilbertChannel(0.1, 0.5), 1, 0xe18000000e100000},
+		{GilbertChannel(0.1, 0.5), 99, 0x300000fe00200006},
+		{GilbertChannel(0.01, 0.9), 12345, 0x0600000004000000},
+		{BernoulliChannel(0.25), 7, 0x009008b084207d26},
+		{BernoulliChannel(1), 7, 0xffffffffffffffff},
+		{NoLossChannel(), 7, 0},
 	}
 	for _, c := range cases {
-		st, ok := c.f.(BatchFactory).Batch()
+		st, ok := c.f.Stepper()
 		if !ok {
-			t.Fatalf("%s refused a batch stepper", c.f.Name())
+			t.Fatalf("%s refused a batch stepper", c.f)
 		}
 		state, lost := uint64(c.seed), false
 		got := st.StepMask(&state, &lost, 64)
 		if got != c.want {
-			t.Errorf("%s seed=%d: mask %#016x, want %#016x", c.f.Name(), c.seed, got, c.want)
+			t.Errorf("%s seed=%d: mask %#016x, want %#016x", c.f, c.seed, got, c.want)
 		}
 		// The golden values must themselves agree with the scalar chain.
 		scalar := scalarLosses(c.f, c.seed, 64)
@@ -122,7 +118,7 @@ func TestStepMaskGolden(t *testing.T) {
 		}
 		if ref != c.want {
 			t.Errorf("%s seed=%d: golden %#016x disagrees with scalar chain %#016x",
-				c.f.Name(), c.seed, c.want, ref)
+				c.f, c.seed, c.want, ref)
 		}
 	}
 }

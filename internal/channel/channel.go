@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"fecperf/internal/core"
 )
 
 // Gilbert is the two-state Markov loss model of Figure 4. In the no-loss
@@ -37,7 +35,7 @@ func NewGilbert(p, q float64, rng *rand.Rand) *Gilbert {
 
 // ValidateGilbert checks that (p, q) are valid transition probabilities.
 func ValidateGilbert(p, q float64) error {
-	if p < 0 || p > 1 || q < 0 || q > 1 {
+	if !(p >= 0 && p <= 1 && q >= 0 && q <= 1) { // negated so NaN fails too
 		return fmt.Errorf("channel: gilbert parameters p=%g q=%g outside [0,1]", p, q)
 	}
 	return nil
@@ -151,58 +149,3 @@ func EstimateGilbert(trace []bool) (p, q float64, err error) {
 	}
 	return p, q, nil
 }
-
-// Factory creates one fresh channel per trial. Implementations must be
-// cheap: the sweep engine calls them tens of thousands of times.
-type Factory interface {
-	// New returns a channel drawing randomness from rng.
-	New(rng *rand.Rand) core.Channel
-	// Name identifies the channel family for reports.
-	Name() string
-}
-
-// GilbertFactory creates Gilbert chains with fixed (p, q).
-type GilbertFactory struct{ P, Q float64 }
-
-// New implements Factory.
-func (f GilbertFactory) New(rng *rand.Rand) core.Channel { return NewGilbert(f.P, f.Q, rng) }
-
-// Name implements Factory.
-func (f GilbertFactory) Name() string { return fmt.Sprintf("gilbert(p=%g,q=%g)", f.P, f.Q) }
-
-// NoLossFactory creates perfect channels.
-type NoLossFactory struct{}
-
-// New implements Factory.
-func (NoLossFactory) New(*rand.Rand) core.Channel { return NoLoss{} }
-
-// Name implements Factory.
-func (NoLossFactory) Name() string { return "no-loss" }
-
-// BernoulliFactory creates memoryless (IID) loss channels with rate P.
-type BernoulliFactory struct{ P float64 }
-
-// New implements Factory.
-func (f BernoulliFactory) New(rng *rand.Rand) core.Channel { return Bernoulli(f.P, rng) }
-
-// Name implements Factory.
-func (f BernoulliFactory) Name() string { return fmt.Sprintf("bernoulli(p=%g)", f.P) }
-
-// TraceFactory replays one recorded loss pattern; every trial restarts
-// from the beginning of the trace, so repeated trials see the same
-// channel realisation (the randomness across trials then comes from the
-// scheduler alone).
-type TraceFactory struct {
-	Pattern []bool
-	// NoWrap makes trials report "received" past the end of the trace
-	// instead of wrapping around.
-	NoWrap bool
-}
-
-// New implements Factory.
-func (f TraceFactory) New(*rand.Rand) core.Channel {
-	return &Trace{Pattern: f.Pattern, NoWrap: f.NoWrap}
-}
-
-// Name implements Factory.
-func (f TraceFactory) Name() string { return fmt.Sprintf("trace(%d samples)", len(f.Pattern)) }

@@ -294,9 +294,9 @@ func TestFeasibleFractionOrdering(t *testing.T) {
 
 func TestFactories(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	gf := GilbertFactory{P: 0.1, Q: 0.9}
-	if gf.Name() == "" {
-		t.Fatal("empty factory name")
+	gf := GilbertChannel(0.1, 0.9)
+	if gf.String() != "gilbert(p=0.1,q=0.9)" {
+		t.Fatalf("String = %q", gf)
 	}
 	ch := gf.New(rng)
 	lost := 0
@@ -306,14 +306,14 @@ func TestFactories(t *testing.T) {
 		}
 	}
 	if lost == 0 || lost == 10000 {
-		t.Fatalf("factory channel degenerate: %d/10000 lost", lost)
+		t.Fatalf("spec channel degenerate: %d/10000 lost", lost)
 	}
-	var nf NoLossFactory
-	if nf.Name() != "no-loss" {
-		t.Fatal("wrong NoLossFactory name")
+	nf := NoLossChannel()
+	if nf.String() != "noloss" {
+		t.Fatalf("String = %q, want the parseable noloss", nf)
 	}
 	if nf.New(rng).Lost() {
-		t.Fatal("NoLossFactory channel lost a packet")
+		t.Fatal("noloss channel lost a packet")
 	}
 }
 

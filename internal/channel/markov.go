@@ -11,8 +11,6 @@ package channel
 import (
 	"fmt"
 	"math/rand"
-
-	"fecperf/internal/core"
 )
 
 // MarkovSpec describes an n-state Markov loss model.
@@ -45,17 +43,17 @@ func (s MarkovSpec) Validate() error {
 		}
 		sum := 0.0
 		for j, p := range row {
-			if p < 0 || p > 1 {
+			if !(p >= 0 && p <= 1) { // negated so NaN fails too
 				return fmt.Errorf("channel: transition[%d][%d]=%g outside [0,1]", i, j, p)
 			}
 			sum += p
 		}
-		if sum < 1-1e-9 || sum > 1+1e-9 {
+		if !(sum >= 1-1e-9 && sum <= 1+1e-9) {
 			return fmt.Errorf("channel: transition row %d sums to %g, want 1", i, sum)
 		}
 	}
 	for i, p := range s.LossProb {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("channel: loss probability %d = %g outside [0,1]", i, p)
 		}
 	}
@@ -178,23 +176,4 @@ func (s MarkovSpec) StationaryLoss() (float64, error) {
 		loss += p * s.LossProb[i]
 	}
 	return loss, nil
-}
-
-// MarkovFactory creates chains from one spec.
-type MarkovFactory struct{ Spec MarkovSpec }
-
-// New implements Factory. The spec must have been validated beforehand
-// (NewMarkov panicking here would break sweeps mid-flight, so it falls
-// back to a no-loss channel on invalid specs — Validate first).
-func (f MarkovFactory) New(rng *rand.Rand) core.Channel {
-	m, err := NewMarkov(f.Spec, rng)
-	if err != nil {
-		return NoLoss{}
-	}
-	return m
-}
-
-// Name implements Factory.
-func (f MarkovFactory) Name() string {
-	return fmt.Sprintf("markov(%d states)", len(f.Spec.Transition))
 }

@@ -128,9 +128,9 @@ func TestMarkovStateProgression(t *testing.T) {
 }
 
 func TestMarkovFactory(t *testing.T) {
-	f := MarkovFactory{Spec: threeState()}
-	if f.Name() != "markov(3 states)" {
-		t.Fatalf("Name = %q", f.Name())
+	f := MarkovChannel(threeState())
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	ch := f.New(rand.New(rand.NewSource(1)))
 	lost := 0
@@ -140,12 +140,23 @@ func TestMarkovFactory(t *testing.T) {
 		}
 	}
 	if lost == 0 || lost == 50000 {
-		t.Fatalf("degenerate factory channel: %d/50000", lost)
+		t.Fatalf("degenerate markov channel: %d/50000", lost)
 	}
-	// Invalid spec falls back to no-loss rather than panicking mid-sweep.
-	bad := MarkovFactory{}
-	if bad.New(rand.New(rand.NewSource(1))).Lost() {
-		t.Fatal("invalid spec fallback lost a packet")
+	// An invalid model is an error from Validate, never a silently
+	// perfect channel: a row summing to 1.2, a NaN entry, no states.
+	overfull := threeState()
+	overfull.Transition[1] = []float64{0.5, 0.6, 0.1}
+	nan := threeState()
+	nan.Transition[0][0] = math.NaN()
+	for name, bad := range map[string]Spec{
+		"row sums to 1.2": MarkovChannel(overfull),
+		"NaN entry":       MarkovChannel(nan),
+		"no states":       MarkovChannel(MarkovSpec{}),
+		"p outside [0,1]": {Kind: "markov", P: 2, Q: 0.5},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package codes
 
 // Parameterized codec spec resolution — the codec-side instance of the
 // shared spec grammar (internal/spec), the third registry next to
-// sched.ByName and channel.ParseName:
+// sched.ByName and channel.Parse:
 //
 //	rse(k=32,ratio=1.5)
 //	rse16(k=70000,ratio=1.25)

@@ -28,7 +28,7 @@ func benchSpec(b *testing.B) PointSpec {
 	return PointSpec{
 		Code:      benchCode,
 		Scheduler: sched.TxModel4{},
-		Channel:   channel.GilbertFactory{P: 0.05, Q: 0.5},
+		Channel:   channel.GilbertChannel(0.05, 0.5),
 		Trials:    100,
 		Seed:      7,
 	}
@@ -65,7 +65,7 @@ func BenchmarkPlanThroughput(b *testing.B) {
 	var chans []ChannelSpec
 	for _, p := range axis {
 		for _, q := range []float64{0.5, 0.8, 1} {
-			chans = append(chans, GilbertChannel(p, q))
+			chans = append(chans, channel.GilbertChannel(p, q))
 		}
 	}
 	plan := Plan{

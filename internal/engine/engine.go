@@ -34,14 +34,15 @@ import (
 // that scheduling overhead stays negligible next to a decode.
 const shardSize = 8
 
-// PointSpec is a materialised work unit: live code, scheduler and
-// channel factory rather than declarative names. One-point callers
-// (Simulate, the figure and recommender loops, Sweep) build these
-// directly; plans materialise Points into them.
+// PointSpec is a materialised work unit: live code and scheduler rather
+// than declarative names, plus the channel every trial builds a fresh
+// chain from. One-point callers (Simulate, the figure and recommender
+// loops, Sweep) build these directly; plans materialise Points into
+// them.
 type PointSpec struct {
 	Code      core.Code
 	Scheduler core.Scheduler
-	Channel   channel.Factory
+	Channel   channel.Spec
 	// Trials is the number of independent receptions; 0 means 100.
 	Trials int
 	// Seed is the point seed; trial t draws from DeriveSeed(Seed, t).
@@ -169,16 +170,20 @@ func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool)
 // every worker. Results are deterministic in the specs' seeds whatever
 // the worker count: shard boundaries are fixed and partial aggregates
 // merge in shard order. On cancellation the returned error is ctx.Err()
-// and unfinished points hold zero-valued aggregates. A spec without a
-// code, scheduler or channel is a caller bug and panics here, on the
-// caller's goroutine, rather than inside a worker.
+// and unfinished points hold zero-valued aggregates. An invalid or unset
+// channel is an error before the first trial, with every aggregate
+// zero-valued. A spec without a code or scheduler is a caller bug and
+// panics here, on the caller's goroutine, rather than inside a worker.
 func RunPointSpecs(ctx context.Context, specs []PointSpec, workers int) ([]Aggregate, error) {
+	out := make([]Aggregate, len(specs))
 	for _, s := range specs {
-		if s.Code == nil || s.Scheduler == nil || s.Channel == nil {
-			panic("engine: PointSpec requires Code, Scheduler and Channel")
+		if s.Code == nil || s.Scheduler == nil {
+			panic("engine: PointSpec requires Code and Scheduler")
+		}
+		if err := s.Channel.Validate(); err != nil {
+			return out, err
 		}
 	}
-	out := make([]Aggregate, len(specs))
 	err := runSpecs(ctx, specs, workers, engineMetrics{}, func(i int, agg Aggregate) {
 		out[i] = agg
 	})
@@ -394,7 +399,7 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 	return results, retErr
 }
 
-// materialize builds the live code/scheduler/factory for a point,
+// materialize builds the live code and scheduler for a point,
 // sharing code constructions (the expensive part: LDGM matrix building)
 // across points with the same code spec.
 func materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
@@ -411,14 +416,13 @@ func materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
 	if err != nil {
 		return PointSpec{}, err
 	}
-	fac, err := pt.Channel.Factory()
-	if err != nil {
+	if err := pt.Channel.Validate(); err != nil {
 		return PointSpec{}, err
 	}
 	return PointSpec{
 		Code:      code,
 		Scheduler: s,
-		Channel:   fac,
+		Channel:   pt.Channel,
 		Trials:    pt.Trials,
 		Seed:      pt.Seed,
 		NSent:     pt.NSent,

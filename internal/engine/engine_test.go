@@ -11,6 +11,7 @@ import (
 
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
+	"fecperf/internal/obs"
 	"fecperf/internal/sched"
 )
 
@@ -21,10 +22,10 @@ func smallPlan() Plan {
 		Ratios:     []float64{2.5},
 		Schedulers: []string{"tx2", "tx4"},
 		Channels: []ChannelSpec{
-			GilbertChannel(0, 1),
-			GilbertChannel(0.05, 0.5),
-			GilbertChannel(0.2, 0.5),
-			BernoulliChannel(0.1),
+			channel.GilbertChannel(0, 1),
+			channel.GilbertChannel(0.05, 0.5),
+			channel.GilbertChannel(0.2, 0.5),
+			channel.BernoulliChannel(0.1),
 		},
 		Trials: 20,
 		Seed:   3,
@@ -68,7 +69,7 @@ func TestRunPointDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := PointSpec{
 		Code:      code,
 		Scheduler: sched.TxModel4{},
-		Channel:   mustFactory(t, GilbertChannel(0.1, 0.5)),
+		Channel:   channel.GilbertChannel(0.1, 0.5),
 		Trials:    50,
 		Seed:      99,
 	}
@@ -268,7 +269,7 @@ func TestRunPointZeroTrialsDefaultsTo100(t *testing.T) {
 	agg, err := RunPoint(context.Background(), PointSpec{
 		Code:      code,
 		Scheduler: sched.TxModel2{},
-		Channel:   mustFactory(t, NoLossChannel()),
+		Channel:   channel.NoLossChannel(),
 		Seed:      1,
 	}, 4)
 	if err != nil {
@@ -279,11 +280,115 @@ func TestRunPointZeroTrialsDefaultsTo100(t *testing.T) {
 	}
 }
 
-func mustFactory(t *testing.T, spec ChannelSpec) channel.Factory {
-	t.Helper()
-	f, err := spec.Factory()
+// TestCheckpointParentFormatRestores feeds the engine checkpoint lines
+// exactly as the pre-channel.Spec binary wrote them (fecsim -resume):
+// the configuration key and the derived seed must still match, so the
+// point is restored and not one trial runs.
+func TestCheckpointParentFormatRestores(t *testing.T) {
+	for _, c := range []struct {
+		plan Plan
+		line string
+	}{
+		{
+			Plan{Codes: []string{"rse"}, Ks: []int{200}, Ratios: []float64{2.5}, Schedulers: []string{"tx5"},
+				Channels: []ChannelSpec{channel.GilbertChannel(0.2, 0.2)}, NSents: []int{0}, Trials: 8, Seed: 1},
+			`{"key":"code=rse|k=200|ratio=2.5|sched=tx5|ch=gilbert(p=0.2,q=0.2)|trials=8|nsent=0|cseed=1","seed":3632278288989233998,"aggregate":{"trials":8,"failures":0,"ineff":{"n":8,"mean":1.016875,"m2":0.0014468749999999994,"min":1,"max":1.045},"received_over_k":{"n":8,"mean":1.2106249999999998,"m2":0.048121875,"min":1.085,"max":1.305}}}`,
+		},
+		{
+			Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{200}, Ratios: []float64{2.5}, Schedulers: []string{"tx2"},
+				Channels: []ChannelSpec{{Kind: "markov", P: 0.1, Q: 0}}, NSents: []int{0}, Trials: 8, Seed: 1},
+			`{"key":"code=ldgm-staircase|k=200|ratio=2.5|sched=tx2|ch=markov(p=0.1,q=0)|trials=8|nsent=0|cseed=1","seed":-2206542759027845891,"aggregate":{"trials":8,"failures":8,"ineff":{"n":0,"mean":0,"m2":0,"min":0,"max":0},"received_over_k":{"n":8,"mean":0.08812500000000001,"m2":0.054596875,"min":0.005,"max":0.26}}}`,
+		},
+	} {
+		path := filepath.Join(t.TempDir(), "parent.jsonl")
+		if err := os.WriteFile(path, []byte(c.line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry("fecperf")
+		restored := false
+		res, err := Run(context.Background(), c.plan, Options{
+			CheckpointPath: path,
+			Metrics:        reg,
+			Progress:       func(ev Progress) { restored = ev.FromCheckpoint },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trials, ok := reg.CounterValue("engine_trials_total", nil); !restored || !ok || trials != 0 {
+			t.Fatalf("%s: FromCheckpoint=%t with %d trials run, want a restore and none",
+				res[0].Point.Key(), restored, trials)
+		}
+		var rec checkpointRecord
+		if err := json.Unmarshal([]byte(c.line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if res[0].Aggregate != rec.Aggregate {
+			t.Fatalf("restored %+v, the line holds %+v", res[0].Aggregate, rec.Aggregate)
+		}
+	}
+}
+
+// TestInvalidChannelIsAnErrorBeforeTheFirstTrial: a Markov matrix whose
+// row sums to 1.2 used to be simulated as a perfect channel on the live
+// PointSpec path (inefficiency 1.0, no error). Every live entry point
+// must refuse it, and the unset channel with it.
+func TestInvalidChannelIsAnErrorBeforeTheFirstTrial(t *testing.T) {
+	code, err := codes.Make("rse", 40, 1.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	bad := channel.MarkovChannel(channel.MarkovSpec{
+		Transition: [][]float64{{0.9, 0.3}, {0.5, 0.5}},
+		LossProb:   []float64{0, 1},
+	})
+	for name, ch := range map[string]channel.Spec{"row sums to 1.2": bad, "unset": {}} {
+		spec := PointSpec{Code: code, Scheduler: sched.TxModel4{}, Channel: ch, Trials: 4, Seed: 1}
+		agg, err := RunPoint(context.Background(), spec, 2)
+		if err == nil || agg.Trials != 0 {
+			t.Errorf("%s: RunPoint = %+v, %v; want an error and no trials", name, agg, err)
+		}
+		if _, err := RunPointSpecs(context.Background(), []PointSpec{spec}, 2); err == nil {
+			t.Errorf("%s: RunPointSpecs accepted it", name)
+		}
+		if g, err := Sweep(SweepConfig{Code: code, Scheduler: sched.TxModel4{}, P: []float64{0}, Q: []float64{1},
+			Factory: func(p, q float64) channel.Spec { return ch }, Trials: 4}); err == nil {
+			t.Errorf("%s: Sweep returned a grid (%v) and no error", name, g.At(0, 0))
+		}
+	}
+}
+
+// TestSweepPlanDedupsAndFolds: kinds that ignore a grid coordinate
+// measure each distinct channel once, every cell still gets its
+// aggregate, and the cells are the plan's own results.
+func TestSweepPlanDedupsAndFolds(t *testing.T) {
+	plan := Plan{Codes: []string{"rse"}, Ks: []int{40}, Ratios: []float64{1.5}, Schedulers: []string{"tx4"}, Trials: 6, Seed: 2}
+	axis := []float64{0, 0.1, 0.3}
+	points := 0
+	g, err := SweepPlan(context.Background(), plan, "bernoulli", axis, Options{Progress: func(Progress) { points++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if points != len(axis) {
+		t.Fatalf("bernoulli sweep ran %d points for %d distinct channels", points, len(axis))
+	}
+	for i, p := range axis {
+		plan.Channels = []ChannelSpec{channel.BernoulliChannel(p)}
+		want, err := Run(context.Background(), plan, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range axis {
+			if g.At(i, j) != want[0].Aggregate {
+				t.Fatalf("cell (%d,%d) = %+v, the plan point measures %+v", i, j, g.At(i, j), want[0].Aggregate)
+			}
+		}
+	}
+	plan.Ks = []int{40, 80}
+	if _, err := SweepPlan(context.Background(), plan, "gilbert", axis, Options{}); err == nil {
+		t.Fatal("a two-k plan folded into one grid")
+	}
+	plan.Ks = []int{40}
+	if _, err := SweepPlan(context.Background(), plan, "smoke-signals", axis, Options{}); err == nil {
+		t.Fatal("accepted an unknown channel kind")
+	}
 }

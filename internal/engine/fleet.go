@@ -108,24 +108,15 @@ func (f FleetSpec) Validate() error {
 		if mc.Weight < 0 {
 			return fmt.Errorf("engine: fleet mix component %d has negative weight %g", i, mc.Weight)
 		}
-		if _, err := mc.batchFactory(); err != nil {
+		if err := mc.Channel.Validate(); err != nil {
 			return err
+		}
+		if _, ok := mc.Channel.Stepper(); !ok {
+			return fmt.Errorf("engine: fleet mix channel %s cannot be batch-stepped (supported: gilbert, bernoulli, noloss)",
+				mc.Channel.Key())
 		}
 	}
 	return nil
-}
-
-func (mc MixComponent) batchFactory() (channel.BatchFactory, error) {
-	fac, err := mc.Channel.Factory()
-	if err != nil {
-		return nil, err
-	}
-	bf, ok := fac.(channel.BatchFactory)
-	if !ok {
-		return nil, fmt.Errorf("engine: fleet mix channel %s cannot be batch-stepped (supported: gilbert, bernoulli, noloss)",
-			mc.Channel.Key())
-	}
-	return bf, nil
 }
 
 // Key returns the fleet's stable identity for checkpointing; it stands
@@ -444,14 +435,7 @@ func newFleetState(layout core.Layout, f FleetSpec, schedule core.Schedule, nsen
 	counts := f.apportion()
 	lo := 0
 	for i, mc := range f.Mix {
-		bf, err := mc.batchFactory()
-		if err != nil {
-			return nil, err
-		}
-		stepper, ok := bf.Batch()
-		if !ok {
-			return nil, fmt.Errorf("engine: fleet mix channel %s refused a batch stepper", mc.Channel.Key())
-		}
+		stepper, _ := mc.Channel.Stepper() // FleetSpec.Validate has checked ok
 		st.groups = append(st.groups, fleetGroup{
 			key: mc.Channel.Key(), stepper: stepper, lo: lo, hi: lo + counts[i],
 		})

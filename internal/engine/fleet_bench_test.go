@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/sched"
 )
@@ -31,8 +32,8 @@ func BenchmarkFleet(b *testing.B) {
 		Fleet: FleetSpec{
 			Receivers: receivers,
 			Mix: []MixComponent{
-				{Channel: GilbertChannel(0.05, 0.5), Weight: 2},
-				{Channel: BernoulliChannel(0.03), Weight: 1},
+				{Channel: channel.GilbertChannel(0.05, 0.5), Weight: 2},
+				{Channel: channel.BernoulliChannel(0.03), Weight: 1},
 			},
 		},
 		Seed: 42,

@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fecperf/internal/channel"
 )
 
 func fleetGoldenPlan() Plan {
@@ -26,14 +28,14 @@ func fleetGoldenPlan() Plan {
 			{
 				Receivers: 500,
 				Mix: []MixComponent{
-					{Channel: GilbertChannel(0.1, 0.5), Weight: 3},
-					{Channel: BernoulliChannel(0.05), Weight: 2},
-					{Channel: NoLossChannel(), Weight: 1},
+					{Channel: channel.GilbertChannel(0.1, 0.5), Weight: 3},
+					{Channel: channel.BernoulliChannel(0.05), Weight: 2},
+					{Channel: channel.NoLossChannel(), Weight: 1},
 				},
 			},
 			{
 				Receivers: 300,
-				Mix:       []MixComponent{{Channel: GilbertChannel(0.2, 0.4)}},
+				Mix:       []MixComponent{{Channel: channel.GilbertChannel(0.2, 0.4)}},
 			},
 		},
 		Seed: 77,

@@ -19,9 +19,9 @@ func testFleetSpec() FleetSpec {
 	return FleetSpec{
 		Receivers: 600,
 		Mix: []MixComponent{
-			{Channel: GilbertChannel(0.1, 0.5), Weight: 3},
-			{Channel: BernoulliChannel(0.05), Weight: 2},
-			{Channel: NoLossChannel(), Weight: 1},
+			{Channel: channel.GilbertChannel(0.1, 0.5), Weight: 3},
+			{Channel: channel.BernoulliChannel(0.05), Weight: 2},
+			{Channel: channel.NoLossChannel(), Weight: 1},
 		},
 	}
 }
@@ -47,10 +47,10 @@ func fleetSchedule(spec FleetRunSpec) core.Schedule {
 }
 
 // scalarReceiver replays one fleet receiver through the scalar pieces:
-// the code's real incremental decoder and the factory's scalar channel
+// the code's real incremental decoder and the spec's scalar channel
 // chain over the receiver's derived seed. Returns the 1-based schedule
 // position of completion (0 if never) and the receptions up to it.
-func scalarReceiver(spec FleetRunSpec, schedule core.Schedule, fac channel.Factory, r, nsent int) (completedAt, necessary int) {
+func scalarReceiver(spec FleetRunSpec, schedule core.Schedule, fac channel.Spec, r, nsent int) (completedAt, necessary int) {
 	rng := rand.New(&core.SplitMixSource{})
 	rng.Seed(DeriveSeed(spec.Seed, fleetRxStream, uint64(r)))
 	ch := fac.New(rng)
@@ -93,10 +93,7 @@ func TestFleetMatchesScalarReceivers(t *testing.T) {
 			}
 		}
 		for gi, g := range st.groups {
-			fac, err := spec.Fleet.Mix[gi].Channel.Factory()
-			if err != nil {
-				t.Fatal(err)
-			}
+			fac := spec.Fleet.Mix[gi].Channel
 			for r := g.lo; r < g.hi; r++ {
 				wantAt, wantNec := scalarReceiver(spec, schedule, fac, r, nsent)
 				gotAt := int(st.completedAt[r])
@@ -225,10 +222,10 @@ func TestFleetValidate(t *testing.T) {
 	}{
 		{"zero receivers", FleetSpec{Mix: good.Mix}},
 		{"empty mix", FleetSpec{Receivers: 10}},
-		{"negative weight", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: NoLossChannel(), Weight: -1}}}},
-		{"markov mix", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: MarkovChannel(channel.ThreeStateSpec(0.1, 0.5))}}}},
-		{"trace mix", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: TraceChannel([]bool{true, false}, false)}}}},
-		{"bad gilbert", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: GilbertChannel(1.5, 0.5)}}}},
+		{"negative weight", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: channel.NoLossChannel(), Weight: -1}}}},
+		{"markov mix", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: channel.MarkovChannel(channel.ThreeStateSpec(0.1, 0.5))}}}},
+		{"trace mix", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: channel.TraceChannel([]bool{true, false}, false)}}}},
+		{"bad gilbert", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: channel.GilbertChannel(1.5, 0.5)}}}},
 	}
 	for _, c := range cases {
 		if err := c.f.Validate(); err == nil {
@@ -243,9 +240,9 @@ func TestFleetApportion(t *testing.T) {
 	f := FleetSpec{
 		Receivers: 601,
 		Mix: []MixComponent{
-			{Channel: GilbertChannel(0.1, 0.5), Weight: 3},
-			{Channel: BernoulliChannel(0.05), Weight: 2},
-			{Channel: NoLossChannel(), Weight: 1},
+			{Channel: channel.GilbertChannel(0.1, 0.5), Weight: 3},
+			{Channel: channel.BernoulliChannel(0.05), Weight: 2},
+			{Channel: channel.NoLossChannel(), Weight: 1},
 		},
 	}
 	counts := f.apportion()
@@ -309,8 +306,8 @@ func TestFleetCeiling(t *testing.T) {
 		Fleet: FleetSpec{
 			Receivers: 1_000_000,
 			Mix: []MixComponent{
-				{Channel: GilbertChannel(0.05, 0.5), Weight: 2},
-				{Channel: BernoulliChannel(0.03), Weight: 1},
+				{Channel: channel.GilbertChannel(0.05, 0.5), Weight: 2},
+				{Channel: channel.BernoulliChannel(0.03), Weight: 1},
 			},
 		},
 		Seed: 42,
@@ -361,8 +358,8 @@ func TestFleetSmoke10kReceivers(t *testing.T) {
 		Fleet: FleetSpec{
 			Receivers: 10_000,
 			Mix: []MixComponent{
-				{Channel: GilbertChannel(0.05, 0.5), Weight: 2},
-				{Channel: BernoulliChannel(0.03), Weight: 1},
+				{Channel: channel.GilbertChannel(0.05, 0.5), Weight: 2},
+				{Channel: channel.BernoulliChannel(0.03), Weight: 1},
 			},
 		},
 		Seed: 42,

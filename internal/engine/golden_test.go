@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fecperf/internal/channel"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/plan_golden.json")
@@ -25,9 +27,9 @@ func goldenPlan() Plan {
 		Ratios:     []float64{2.0},
 		Schedulers: []string{"tx2", "tx4", "tx6(frac=0.5)", "rx1(src=10)"},
 		Channels: []ChannelSpec{
-			GilbertChannel(0, 1),
-			GilbertChannel(0.1, 0.5),
-			BernoulliChannel(0.05),
+			channel.GilbertChannel(0, 1),
+			channel.GilbertChannel(0.1, 0.5),
+			channel.BernoulliChannel(0.05),
 		},
 		Trials: 16,
 		Seed:   77,

@@ -8,106 +8,10 @@ import (
 	"fecperf/internal/sched"
 )
 
-// ChannelSpec is a serializable description of a loss channel — the
-// declarative counterpart of a channel.Factory, so plans and checkpoints
-// can be written to disk and rebuilt elsewhere.
-type ChannelSpec struct {
-	// Kind selects the family: "gilbert", "bernoulli", "markov",
-	// "noloss" or "trace".
-	Kind string `json:"kind"`
-	// P and Q parameterise gilbert (transition probabilities),
-	// bernoulli (loss rate P) and markov (ThreeStateSpec coordinates).
-	P float64 `json:"p,omitempty"`
-	Q float64 `json:"q,omitempty"`
-	// Markov overrides the canonical three-state model with an explicit
-	// n-state spec when Kind is "markov".
-	Markov *channel.MarkovSpec `json:"markov,omitempty"`
-	// Trace is the recorded loss pattern when Kind is "trace".
-	Trace  []bool `json:"trace,omitempty"`
-	NoWrap bool   `json:"nowrap,omitempty"`
-}
-
-// GilbertChannel describes a two-state Gilbert channel with transition
-// probabilities (p, q).
-func GilbertChannel(p, q float64) ChannelSpec { return ChannelSpec{Kind: "gilbert", P: p, Q: q} }
-
-// BernoulliChannel describes IID loss at rate p.
-func BernoulliChannel(p float64) ChannelSpec { return ChannelSpec{Kind: "bernoulli", P: p} }
-
-// NoLossChannel describes the perfect channel.
-func NoLossChannel() ChannelSpec { return ChannelSpec{Kind: "noloss"} }
-
-// MarkovChannel describes an explicit n-state Markov loss model.
-func MarkovChannel(spec channel.MarkovSpec) ChannelSpec {
-	return ChannelSpec{Kind: "markov", Markov: &spec}
-}
-
-// TraceChannel describes replay of a recorded loss pattern.
-func TraceChannel(pattern []bool, noWrap bool) ChannelSpec {
-	return ChannelSpec{Kind: "trace", Trace: pattern, NoWrap: noWrap}
-}
-
-// Factory materialises the spec into a channel.Factory.
-func (c ChannelSpec) Factory() (channel.Factory, error) {
-	switch c.Kind {
-	case "gilbert":
-		if err := channel.ValidateGilbert(c.P, c.Q); err != nil {
-			return nil, err
-		}
-		return channel.GilbertFactory{P: c.P, Q: c.Q}, nil
-	case "bernoulli":
-		if c.P < 0 || c.P > 1 {
-			return nil, fmt.Errorf("engine: bernoulli loss rate %g outside [0,1]", c.P)
-		}
-		return channel.BernoulliFactory{P: c.P}, nil
-	case "noloss":
-		return channel.NoLossFactory{}, nil
-	case "markov":
-		spec := channel.ThreeStateSpec(c.P, c.Q)
-		if c.Markov != nil {
-			spec = *c.Markov
-		}
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		return channel.MarkovFactory{Spec: spec}, nil
-	case "trace":
-		if len(c.Trace) == 0 {
-			return nil, fmt.Errorf("engine: trace channel spec has no pattern")
-		}
-		return channel.TraceFactory{Pattern: c.Trace, NoWrap: c.NoWrap}, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown channel kind %q", c.Kind)
-	}
-}
-
-// Key returns a stable identity string for checkpointing.
-func (c ChannelSpec) Key() string {
-	switch c.Kind {
-	case "noloss":
-		return "noloss"
-	case "bernoulli":
-		return fmt.Sprintf("bernoulli(p=%g)", c.P)
-	case "trace":
-		h := uint64(1469598103934665603) // FNV-1a over the pattern bits
-		for _, lost := range c.Trace {
-			b := uint64(0)
-			if lost {
-				b = 1
-			}
-			h = (h ^ b) * 1099511628211
-		}
-		return fmt.Sprintf("trace(n=%d,wrap=%t,h=%x)", len(c.Trace), !c.NoWrap, h)
-	case "markov":
-		if c.Markov != nil {
-			return fmt.Sprintf("markov(h=%x)", hashString(fmt.Sprintf("%v|%v|%d",
-				c.Markov.Transition, c.Markov.LossProb, c.Markov.Start)))
-		}
-		fallthrough
-	default:
-		return fmt.Sprintf("%s(p=%g,q=%g)", c.Kind, c.P, c.Q)
-	}
-}
+// ChannelSpec is channel.Spec, the serializable loss-channel description
+// plans, points and checkpoints carry. Its Key is part of every point's
+// configuration key, so it may never drift.
+type ChannelSpec = channel.Spec
 
 // Plan declares a cartesian scenario space: every combination of the
 // axes below becomes one measurement Point. Empty axes take the
@@ -189,7 +93,7 @@ func (p Plan) Validate() error {
 		}
 	}
 	for _, c := range p.Channels {
-		if _, err := c.Factory(); err != nil {
+		if err := c.Validate(); err != nil {
 			return err
 		}
 	}

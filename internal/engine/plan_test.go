@@ -14,9 +14,9 @@ func testPlan() Plan {
 		Ratios:     []float64{1.5, 2.5},
 		Schedulers: []string{"tx2", "tx4"},
 		Channels: []ChannelSpec{
-			GilbertChannel(0.05, 0.5),
-			BernoulliChannel(0.1),
-			NoLossChannel(),
+			channel.GilbertChannel(0.05, 0.5),
+			channel.BernoulliChannel(0.1),
+			channel.NoLossChannel(),
 		},
 		Trials: 6,
 		Seed:   11,
@@ -96,7 +96,7 @@ func TestPlanValidation(t *testing.T) {
 		"bad code":      func(p *Plan) { p.Codes = []string{"zzz"} },
 		"bad scheduler": func(p *Plan) { p.Schedulers = []string{"tx9"} },
 		"bad channel":   func(p *Plan) { p.Channels = []ChannelSpec{{Kind: "warp"}} },
-		"bad gilbert":   func(p *Plan) { p.Channels = []ChannelSpec{GilbertChannel(2, 0)} },
+		"bad gilbert":   func(p *Plan) { p.Channels = []ChannelSpec{channel.GilbertChannel(2, 0)} },
 		"bad k":         func(p *Plan) { p.Ks = []int{-5} },
 		"bad ratio":     func(p *Plan) { p.Ratios = []float64{0.5} },
 	} {
@@ -111,8 +111,8 @@ func TestPlanValidation(t *testing.T) {
 func TestPointJSONRoundTrip(t *testing.T) {
 	plan := testPlan()
 	plan.Channels = append(plan.Channels,
-		MarkovChannel(channel.ThreeStateSpec(0.2, 0.6)),
-		TraceChannel([]bool{true, false, true}, true),
+		channel.MarkovChannel(channel.ThreeStateSpec(0.2, 0.6)),
+		channel.TraceChannel([]bool{true, false, true}, true),
 	)
 	points, err := plan.Points()
 	if err != nil {
@@ -130,22 +130,22 @@ func TestPointJSONRoundTrip(t *testing.T) {
 		if back.Key() != pt.Key() || back.Seed != pt.Seed {
 			t.Fatalf("round-trip changed identity: %s vs %s", back.Key(), pt.Key())
 		}
-		if _, err := back.Channel.Factory(); err != nil {
-			t.Fatalf("deserialised channel does not materialise: %v", err)
+		if err := back.Channel.Validate(); err != nil {
+			t.Fatalf("deserialised channel is invalid: %v", err)
 		}
 	}
 }
 
 func TestChannelSpecKeysDistinct(t *testing.T) {
 	specs := []ChannelSpec{
-		GilbertChannel(0.1, 0.5),
-		GilbertChannel(0.5, 0.1),
-		BernoulliChannel(0.1),
-		NoLossChannel(),
+		channel.GilbertChannel(0.1, 0.5),
+		channel.GilbertChannel(0.5, 0.1),
+		channel.BernoulliChannel(0.1),
+		channel.NoLossChannel(),
 		{Kind: "markov", P: 0.1, Q: 0.5},
-		MarkovChannel(channel.ThreeStateSpec(0.1, 0.5)),
-		TraceChannel([]bool{true}, false),
-		TraceChannel([]bool{false}, false),
+		channel.MarkovChannel(channel.ThreeStateSpec(0.1, 0.5)),
+		channel.TraceChannel([]bool{true}, false),
+		channel.TraceChannel([]bool{false}, false),
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {

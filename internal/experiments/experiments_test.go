@@ -340,12 +340,12 @@ func TestMLReceiverBeatsPeelingOnAverage(t *testing.T) {
 	_ = rngSchedule
 	agg := runPoint(engine.PointSpec{
 		Code: c, Scheduler: sched.TxModel4{},
-		Channel: channel.GilbertFactory{P: 0.1, Q: 0.5},
+		Channel: channel.GilbertChannel(0.1, 0.5),
 		Trials:  5, Seed: 3,
 	})
 	ml := runPoint(engine.PointSpec{
 		Code: mlCode{c}, Scheduler: sched.TxModel4{},
-		Channel: channel.GilbertFactory{P: 0.1, Q: 0.5},
+		Channel: channel.GilbertChannel(0.1, 0.5),
 		Trials:  5, Seed: 3,
 	})
 	if ml.Failed() {

@@ -52,11 +52,14 @@ func init() {
 				{"peeling decoder", c},
 				{"peeling + Gaussian fallback (ML)", mlCode{c}},
 			} {
-				g := engine.Sweep(engine.SweepConfig{
+				g, err := engine.Sweep(engine.SweepConfig{
 					Code: spec.code, Scheduler: sched.TxModel4{},
 					P: grid, Q: grid,
 					Trials: o.Trials, Seed: o.Seed, Workers: o.Workers,
 				})
+				if err != nil {
+					return nil, err
+				}
 				rep.Tables = append(rep.Tables, gridTable(spec.name, g))
 			}
 			return rep, nil
@@ -84,7 +87,7 @@ func init() {
 				agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
 					Code:      c,
 					Scheduler: sched.Carousel{Rounds: rounds},
-					Channel:   channel.GilbertFactory{P: 0.5, Q: 0.5},
+					Channel:   channel.GilbertChannel(0.5, 0.5),
 					Trials:    o.Trials,
 					Seed:      o.Seed,
 				}, o.Workers)

@@ -53,39 +53,18 @@ func receivedTable(name string, g *engine.Grid) Table {
 }
 
 // sweepCode runs one (code, scheduler) sweep with the experiment options
-// as a declarative engine plan whose channel axis is the (p, q) grid.
+// as a declarative engine plan whose channel axis is the Gilbert (p, q)
+// grid.
 func sweepCode(o Options, codeName string, ratio float64, s core.Scheduler) (*engine.Grid, error) {
-	axis := o.Grid
-	if axis == nil {
-		axis = engine.PaperGrid
-	}
-	channels := make([]engine.ChannelSpec, 0, len(axis)*len(axis))
-	for _, p := range axis {
-		for _, q := range axis {
-			channels = append(channels, engine.GilbertChannel(p, q))
-		}
-	}
 	plan := engine.Plan{
 		Codes:      []string{codeName},
 		Ks:         []int{o.K},
 		Ratios:     []float64{ratio},
 		Schedulers: []string{s.Name()},
-		Channels:   channels,
 		Trials:     o.Trials,
 		Seed:       o.Seed,
 	}
-	res, err := engine.Run(context.Background(), plan, engine.Options{Workers: o.Workers})
-	if err != nil {
-		return nil, err
-	}
-	g := &engine.Grid{P: axis, Q: axis, Cells: make([][]engine.Aggregate, len(axis))}
-	for i := range g.Cells {
-		g.Cells[i] = make([]engine.Aggregate, len(axis))
-		for j := range g.Cells[i] {
-			g.Cells[i][j] = res[i*len(axis)+j].Aggregate
-		}
-	}
-	return g, nil
+	return engine.SweepPlan(context.Background(), plan, "gilbert", o.Grid, engine.Options{Workers: o.Workers})
 }
 
 // txFigure builds the standard figure report: the given codes × ratios
@@ -197,10 +176,13 @@ func init() {
 			if qs == nil {
 				qs = engine.PaperGrid
 			}
-			g := engine.Sweep(engine.SweepConfig{
+			g, err := engine.Sweep(engine.SweepConfig{
 				Code: c, Scheduler: sched.Repeat{}, P: ps, Q: qs,
 				Trials: o.Trials, Seed: o.Seed, Workers: o.Workers,
 			})
+			if err != nil {
+				return nil, err
+			}
 			rep := &Report{ID: "fig7-no-fec", Title: "Performances without FEC but 2 repetitions",
 				Notes:  []string{"expected: decodes only at p=0, inefficiency near 2.0"},
 				Tables: []Table{gridTable("no-FEC x2 repetition", g)}}
@@ -304,7 +286,7 @@ func runFig14(o Options) (*Report, error) {
 		agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
 			Code:      c,
 			Scheduler: sched.RxModel1{SourceCount: sc},
-			Channel:   channel.NoLossFactory{},
+			Channel:   channel.NoLossChannel(),
 			Trials:    o.Trials,
 			Seed:      engine.DeriveSeed(o.Seed, uint64(sc)),
 		}, o.Workers)
@@ -343,7 +325,7 @@ func runFig15(o Options) (*Report, error) {
 				}
 				agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
 					Code: c, Scheduler: m,
-					Channel: channel.GilbertFactory{P: p, Q: q},
+					Channel: channel.GilbertChannel(p, q),
 					Trials:  o.Trials, Seed: o.Seed,
 				}, o.Workers)
 				row[ci] = agg.String()

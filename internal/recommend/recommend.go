@@ -85,9 +85,6 @@ func (c Config) withDefaults() Config {
 // Evaluate measures one tuple at the Gilbert point (p, q).
 func Evaluate(t Tuple, p, q float64, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if err := channel.ValidateGilbert(p, q); err != nil {
-		return Result{}, err
-	}
 	code, err := codes.Make(t.Code, cfg.K, t.Ratio, cfg.Seed)
 	if err != nil {
 		return Result{}, err
@@ -96,13 +93,16 @@ func Evaluate(t Tuple, p, q float64, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
+	agg, err := engine.RunPoint(context.Background(), engine.PointSpec{
 		Code:      code,
 		Scheduler: s,
-		Channel:   channel.GilbertFactory{P: p, Q: q},
+		Channel:   channel.GilbertChannel(p, q),
 		Trials:    cfg.Trials,
 		Seed:      cfg.Seed,
 	}, cfg.Workers)
+	if err != nil {
+		return Result{}, err
+	}
 	return Result{
 		Tuple:    t,
 		Failed:   agg.Failed(),
@@ -118,9 +118,6 @@ func Evaluate(t Tuple, p, q float64, cfg Config) (Result, error) {
 // engine plan, so evaluation parallelises across tuples and trials.
 func Rank(p, q float64, cfg Config) ([]Result, error) {
 	cfg = cfg.withDefaults()
-	if err := channel.ValidateGilbert(p, q); err != nil {
-		return nil, err
-	}
 	// The plan axes and the kept subset both derive from Candidates(),
 	// so the search space has a single definition.
 	cands := Candidates()
@@ -157,7 +154,7 @@ func Rank(p, q float64, cfg Config) ([]Result, error) {
 		Ks:         []int{cfg.K},
 		Ratios:     ratioAxis,
 		Schedulers: schedAxis,
-		Channels:   []engine.ChannelSpec{engine.GilbertChannel(p, q)},
+		Channels:   []engine.ChannelSpec{channel.GilbertChannel(p, q)},
 		Trials:     cfg.Trials,
 		Seed:       cfg.Seed,
 	}

@@ -109,13 +109,16 @@ func NSentForPopulation(t Tuple, points []PQ, margin int, cfg Config) (int, erro
 	n := code.Layout().N
 	best := 0
 	for _, pt := range points {
-		agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
+		agg, err := engine.RunPoint(context.Background(), engine.PointSpec{
 			Code:      code,
 			Scheduler: s,
-			Channel:   channel.GilbertFactory{P: pt.P, Q: pt.Q},
+			Channel:   channel.GilbertChannel(pt.P, pt.Q),
 			Trials:    cfg.Trials,
 			Seed:      pointSeed(cfg.Seed, pt),
 		}, cfg.Workers)
+		if err != nil {
+			return 0, err
+		}
 		if agg.Failed() {
 			return 0, fmt.Errorf("recommend: tuple %s fails at (p=%g, q=%g); cannot size n_sent", t, pt.P, pt.Q)
 		}

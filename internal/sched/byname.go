@@ -1,7 +1,7 @@
 package sched
 
 // Name-based scheduler resolution for the CLI tools, plans and
-// checkpoints — the scheduler-side twin of channel.ByName. Plain names
+// checkpoints — the scheduler-side twin of channel.Parse. Plain names
 // select the paper's models with their default parameters; a
 // parenthesised key=value list tunes the parameterized ones:
 //

@@ -77,7 +77,7 @@ func TestStreamingSchedulesMatchReferenceDistribution(t *testing.T) {
 		return runOn(engine.PointSpec{
 			Code:      c,
 			Scheduler: s,
-			Channel:   channel.GilbertFactory{P: 0.1, Q: 0.5},
+			Channel:   channel.GilbertChannel(0.1, 0.5),
 			Trials:    trials,
 			Seed:      seed,
 		}, 4)

@@ -30,6 +30,16 @@ func staircase(t *testing.T, k int, ratio float64) core.Code {
 // run executes one point sequentially; runOn on the given worker count.
 func run(spec engine.PointSpec) engine.Aggregate { return runOn(spec, 1) }
 
+// sweep runs a grid sweep whose channels are all valid.
+func sweep(t *testing.T, cfg engine.SweepConfig) *engine.Grid {
+	t.Helper()
+	g, err := engine.Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func runOn(spec engine.PointSpec, workers int) engine.Aggregate {
 	agg, _ := engine.RunPoint(context.Background(), spec, workers)
 	return agg
@@ -45,7 +55,7 @@ func TestRunNoLossTx1IsPerfect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range codes {
-		agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel1{}, Channel: channel.NoLossFactory{}, Trials: 5, Seed: 1})
+		agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel1{}, Channel: channel.NoLossChannel(), Trials: 5, Seed: 1})
 		if agg.Failed() {
 			t.Fatalf("%s: trial failed on perfect channel", c.Name())
 		}
@@ -57,7 +67,7 @@ func TestRunNoLossTx1IsPerfect(t *testing.T) {
 
 func TestRunDeterministicInSeed(t *testing.T) {
 	c := staircase(t, 100, 2.5)
-	cfg := engine.PointSpec{Code: c, Scheduler: sched.TxModel4{}, Channel: channel.GilbertFactory{P: 0.1, Q: 0.5}, Trials: 20, Seed: 99}
+	cfg := engine.PointSpec{Code: c, Scheduler: sched.TxModel4{}, Channel: channel.GilbertChannel(0.1, 0.5), Trials: 20, Seed: 99}
 	a := run(cfg)
 	b := run(cfg)
 	if a.MeanIneff() != b.MeanIneff() || a.Failures != b.Failures {
@@ -73,7 +83,7 @@ func TestRunDeterministicInSeed(t *testing.T) {
 func TestRunCountsFailures(t *testing.T) {
 	// A brutal channel (p=1, q=0) after the first packet: nothing decodes.
 	c := staircase(t, 50, 1.5)
-	agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel1{}, Channel: channel.GilbertFactory{P: 1, Q: 0}, Trials: 10, Seed: 3})
+	agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel1{}, Channel: channel.GilbertChannel(1, 0), Trials: 10, Seed: 3})
 	if !agg.Failed() || agg.Failures != 10 {
 		t.Fatalf("failures = %d, want 10", agg.Failures)
 	}
@@ -86,7 +96,7 @@ func TestRunNSentTruncationCausesFailure(t *testing.T) {
 	// Sending only half the source packets of a no-parity schedule can
 	// never decode.
 	c := staircase(t, 100, 2.5)
-	agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel1{}, Channel: channel.NoLossFactory{}, Trials: 3, Seed: 4, NSent: 50})
+	agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel1{}, Channel: channel.NoLossChannel(), Trials: 3, Seed: 4, NSent: 50})
 	if !agg.Failed() {
 		t.Fatal("expected failures with truncated transmission")
 	}
@@ -94,7 +104,7 @@ func TestRunNSentTruncationCausesFailure(t *testing.T) {
 
 func TestReceivedOverKTracksChannel(t *testing.T) {
 	c := staircase(t, 200, 2.0)
-	agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel4{}, Channel: channel.GilbertFactory{P: 0.5, Q: 0.5}, Trials: 50, Seed: 5})
+	agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel4{}, Channel: channel.GilbertChannel(0.5, 0.5), Trials: 50, Seed: 5})
 	// n_received/k should hover near (1 - 0.5) * n/k = 1.0.
 	if got := agg.ReceivedOverK.Mean(); math.Abs(got-1.0) > 0.05 {
 		t.Fatalf("ReceivedOverK mean %g, want ≈1.0", got)
@@ -103,7 +113,7 @@ func TestReceivedOverKTracksChannel(t *testing.T) {
 
 func TestAggregateStringFormatsRatio(t *testing.T) {
 	c := staircase(t, 100, 2.5)
-	agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel2{}, Channel: channel.NoLossFactory{}, Trials: 2, Seed: 6})
+	agg := run(engine.PointSpec{Code: c, Scheduler: sched.TxModel2{}, Channel: channel.NoLossChannel(), Trials: 2, Seed: 6})
 	if agg.String() != "1.000" {
 		t.Fatalf("String = %q, want 1.000", agg.String())
 	}
@@ -120,8 +130,8 @@ func TestSweepShapeAndDeterminism(t *testing.T) {
 		Seed:      7,
 		Workers:   3,
 	}
-	g1 := engine.Sweep(cfg)
-	g2 := engine.Sweep(cfg)
+	g1 := sweep(t, cfg)
+	g2 := sweep(t, cfg)
 	if len(g1.Cells) != 2 || len(g1.Cells[0]) != 2 {
 		t.Fatalf("grid shape %dx%d, want 2x2", len(g1.Cells), len(g1.Cells[0]))
 	}
@@ -142,7 +152,7 @@ func TestSweepShapeAndDeterminism(t *testing.T) {
 
 func TestSweepDefaultsToPaperGrid(t *testing.T) {
 	c := staircase(t, 30, 2.5)
-	g := engine.Sweep(engine.SweepConfig{Code: c, Scheduler: sched.TxModel2{}, Trials: 1, Seed: 8})
+	g := sweep(t, engine.SweepConfig{Code: c, Scheduler: sched.TxModel2{}, Trials: 1, Seed: 8})
 	if len(g.P) != 14 || len(g.Q) != 14 {
 		t.Fatalf("default grid %dx%d, want 14x14", len(g.P), len(g.Q))
 	}
@@ -175,7 +185,7 @@ func TestRunGoldenAggregate(t *testing.T) {
 	agg := run(engine.PointSpec{
 		Code:      c,
 		Scheduler: sched.TxModel2{},
-		Channel:   channel.GilbertFactory{P: 0.1, Q: 0.5},
+		Channel:   channel.GilbertChannel(0.1, 0.5),
 		Trials:    40,
 		Seed:      1234,
 	})
@@ -194,7 +204,7 @@ func TestRunGoldenAggregate(t *testing.T) {
 
 func TestRunIdenticalAcrossWorkerCounts(t *testing.T) {
 	c := staircase(t, 100, 2.5)
-	cfg := engine.PointSpec{Code: c, Scheduler: sched.TxModel4{}, Channel: channel.GilbertFactory{P: 0.1, Q: 0.5}, Trials: 30, Seed: 5}
+	cfg := engine.PointSpec{Code: c, Scheduler: sched.TxModel4{}, Channel: channel.GilbertChannel(0.1, 0.5), Trials: 30, Seed: 5}
 	base := run(cfg)
 	for _, w := range []int{2, 4, 8} {
 		if got := runOn(cfg, w); got != base {
@@ -204,29 +214,30 @@ func TestRunIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestSweepCustomFactory(t *testing.T) {
-	// The sweep must accept any channel family; a Markov factory on the
-	// degenerate two-state spec behaves like the Gilbert chain it encodes.
+	// The sweep must accept any channel family; an explicit Markov model
+	// on the degenerate two-state spec behaves like the Gilbert chain it
+	// encodes.
 	c := staircase(t, 80, 2.5)
 	cfg := engine.SweepConfig{
 		Code:      c,
 		Scheduler: sched.TxModel2{},
 		P:         []float64{0, 0.1},
 		Q:         []float64{0.5, 1},
-		Factory: func(p, q float64) channel.Factory {
-			return channel.MarkovFactory{Spec: channel.GilbertSpec(p, q)}
+		Factory: func(p, q float64) channel.Spec {
+			return channel.MarkovChannel(channel.GilbertSpec(p, q))
 		},
 		Trials: 5,
 		Seed:   9,
 	}
-	g := engine.Sweep(cfg)
+	g := sweep(t, cfg)
 	if g.At(0, 0).Failed() || g.At(0, 1).Failed() {
-		t.Fatal("p=0 row failed under markov factory")
+		t.Fatal("p=0 row failed under the markov model")
 	}
 	// And a trace-driven sweep: a lossless trace decodes everywhere.
-	cfg.Factory = func(p, q float64) channel.Factory {
-		return channel.TraceFactory{Pattern: make([]bool, 16)}
+	cfg.Factory = func(p, q float64) channel.Spec {
+		return channel.TraceChannel(make([]bool, 16), false)
 	}
-	g = engine.Sweep(cfg)
+	g = sweep(t, cfg)
 	for i := range g.P {
 		for j := range g.Q {
 			if g.At(i, j).Failed() {

@@ -11,7 +11,7 @@
 // line "cfg(codec=rse(k=32,ratio=1.5),channel=gilbert(p=0.01,q=0.5))"
 // are both one Split away from their parts.
 //
-// The contract shared by every user (sched.ByName, channel.ParseName,
+// The contract shared by every user (sched.ByName, channel.Parse,
 // codes.ByName, the fecperf facade's ParseSpec): a resolver parses with
 // Split, renders its canonical form with Format, and the two round-trip —
 // Split(Format(base, fields...)) returns the same base and parameters.

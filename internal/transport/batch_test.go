@@ -190,9 +190,9 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 		queue = 300 // below the ~2/3 of total that survive: the tail overflows
 	)
 	payload := func(i int) []byte { return []byte{byte(i >> 8), byte(i), 0xEE} }
-	stepper, ok := channel.GilbertFactory{P: p, Q: q}.Batch()
+	stepper, ok := channel.GilbertChannel(p, q).Stepper()
 	if !ok {
-		t.Fatal("GilbertFactory should support batched stepping")
+		t.Fatal("a gilbert channel should support batched stepping")
 	}
 	stepperRx := func(hub *Loopback) Conn { return hub.ReceiverStepper(stepper, seed, queue) }
 	// The scalar Gilbert chain over the same splitmix64 stream — the

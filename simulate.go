@@ -49,8 +49,8 @@ func Simulate(opts ...Option) (Aggregate, error) {
 		scheduler = TxModel4()
 	}
 	ch := c.Channel
-	if ch == nil {
-		ch = channel.NoLossFactory{}
+	if ch.Kind == "" {
+		ch = channel.NoLossChannel()
 	}
 	return engine.RunPoint(context.Background(), engine.PointSpec{
 		Code:      code,
@@ -86,23 +86,24 @@ func RunFleet(ctx context.Context, spec FleetRunSpec, workers int) (*FleetSummar
 // Channel spec constructors for Plan.Channels.
 
 // GilbertChannelSpec declares a two-state Gilbert channel.
-func GilbertChannelSpec(p, q float64) ChannelSpec { return engine.GilbertChannel(p, q) }
+func GilbertChannelSpec(p, q float64) ChannelSpec { return channel.GilbertChannel(p, q) }
 
 // BernoulliChannelSpec declares IID loss at rate p.
-func BernoulliChannelSpec(p float64) ChannelSpec { return engine.BernoulliChannel(p) }
+func BernoulliChannelSpec(p float64) ChannelSpec { return channel.BernoulliChannel(p) }
 
 // NoLossChannelSpec declares the perfect channel.
-func NoLossChannelSpec() ChannelSpec { return engine.NoLossChannel() }
+func NoLossChannelSpec() ChannelSpec { return channel.NoLossChannel() }
 
 // TraceChannelSpec declares replay of a recorded loss pattern.
 func TraceChannelSpec(pattern []bool, noWrap bool) ChannelSpec {
-	return engine.TraceChannel(pattern, noWrap)
+	return channel.TraceChannel(pattern, noWrap)
 }
 
 // SweepGrid sweeps a (code, scheduler) pair over a (p, q) grid; nil axes
 // mean the paper's 14-value axis, zero trials the paper's 100; cells run
-// on GOMAXPROCS workers and are deterministic in seed.
-func SweepGrid(code Code, s Scheduler, p, q []float64, trials int, seed int64) *Grid {
+// on GOMAXPROCS workers and are deterministic in seed. Axis values
+// outside [0, 1] are an error.
+func SweepGrid(code Code, s Scheduler, p, q []float64, trials int, seed int64) (*Grid, error) {
 	return engine.Sweep(engine.SweepConfig{Code: code, Scheduler: s, P: p, Q: q, Trials: trials, Seed: seed})
 }
 
@@ -166,7 +167,7 @@ func NewGilbertChannel(p, q float64, seed int64) (Channel, error) {
 	if err := channel.ValidateGilbert(p, q); err != nil {
 		return nil, err
 	}
-	return channel.GilbertFactory{P: p, Q: q}.New(newRand(seed)), nil
+	return channel.GilbertChannel(p, q).New(newRand(seed)), nil
 }
 
 // PaperGrid is the 14-value (p, q) axis used by the paper's sweeps.
