@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/codes"
 	"fecperf/internal/recommend"
 )
 
@@ -77,8 +78,7 @@ func main() {
 	}
 
 	if best := ranked[0]; !best.Failed {
-		nTotal := int(best.Tuple.Ratio * float64(*k))
-		nsent, err := recommend.OptimalNSent(*k, best.Ineff, channel.GlobalLoss(pp, qq), *margin, nTotal)
+		nsent, nTotal, err := sizeNSent(best, cfg, channel.GlobalLoss(pp, qq), *margin)
 		if err != nil {
 			fatal(err)
 		}
@@ -88,6 +88,19 @@ func main() {
 		fmt.Println("\nno tuple decodes reliably at this channel point;")
 		fmt.Println("universal fallbacks:", recommend.Universal())
 	}
+}
+
+// sizeNSent applies Equation 3 to the best tuple, capped at the n of the
+// code the sender would build — which for segmented Reed-Solomon is not
+// int(ratio·k): every block rounds its own parity count.
+func sizeNSent(best recommend.Result, cfg recommend.Config, pGlobal float64, margin int) (nsent, n int, err error) {
+	code, err := codes.Make(best.Tuple.Code, cfg.K, best.Tuple.Ratio, cfg.Seed)
+	if err != nil {
+		return 0, 0, err
+	}
+	n = code.Layout().N
+	nsent, err = recommend.OptimalNSent(cfg.K, best.Ineff, pGlobal, margin, n)
+	return nsent, n, err
 }
 
 func printExample() {

@@ -4,7 +4,24 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fecperf/internal/recommend"
 )
+
+// TestSizeNSentCapsAtTheCodesN: segmented RSE rounds parity per block, so
+// its n is not int(ratio·k); the cap must be what the sender can send.
+func TestSizeNSentCapsAtTheCodesN(t *testing.T) {
+	for _, tc := range []struct{ k, n int }{{1000, 1502}, {20000, 30030}} {
+		best := recommend.Result{Tuple: recommend.Tuple{Code: "rse", TxModel: "tx5", Ratio: 1.5}, Ineff: 1.4}
+		nsent, n, err := sizeNSent(best, recommend.Config{K: tc.k, Seed: 1}, 0.2, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.n || nsent != tc.n {
+			t.Errorf("k=%d: n_sent %d of %d, want the cap %d of %d", tc.k, nsent, n, tc.n, tc.n)
+		}
+	}
+}
 
 func TestEstimateFromFile(t *testing.T) {
 	dir := t.TempDir()

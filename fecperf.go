@@ -515,7 +515,8 @@ func CodecByName(codecSpec string) (Codec, error) { return codes.ByName(codecSpe
 func ParseCodecSpec(codecSpec string) (CodecSpec, error) { return codes.ParseSpec(codecSpec) }
 
 // ReleaseSymbol returns a pooled symbol buffer (from Codec.Encode) to
-// the symbol pool. The buffer must not be used afterwards.
+// the symbol pool. The buffer must not be used afterwards, nor released
+// twice.
 func ReleaseSymbol(b []byte) { symbol.Put(b) }
 
 // NewRSE builds the Reed-Solomon erasure code with FLUTE-style blocking.

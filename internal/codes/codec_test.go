@@ -107,6 +107,85 @@ func TestCodecRoundTripAllFamilies(t *testing.T) {
 	}
 }
 
+// TestStructuralMatchesPayloadAllFamilies is the codec-layer half of the
+// simulator ↔ wire differential: the receiver the simulations run
+// (NewReceiver) and the decoder the wire ships (NewDecoder) must agree
+// after every packet of every arrival order — same completion arrival,
+// same recovered-source and buffered-symbol counts — and the payload side
+// must end up holding the original sources.
+func TestStructuralMatchesPayloadAllFamilies(t *testing.T) {
+	type geom struct {
+		k     int
+		ratio float64
+	}
+	ldgm := []geom{{50, 1.5}, {120, 2.5}}
+	geoms := map[string][]geom{
+		"rse":            {{20, 1.5}, {171, 1.5}, {30, 1}}, // one block, two unequal blocks, no parity
+		"rse16":          {{20, 1.5}, {64, 2.5}},
+		"ldgm":           ldgm,
+		"ldgm-staircase": ldgm,
+		"ldgm-triangle":  ldgm,
+		"no-fec":         {{1, 1}, {40, 1}},
+	}
+	const symLen = 16
+	for _, name := range CodecNames {
+		for _, g := range geoms[name] {
+			c, err := MakeCodec(name, g.k, g.ratio, 5)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, g, err)
+			}
+			l := c.Layout()
+			rng := rand.New(rand.NewSource(int64(l.N)))
+			src := randSymbols(rng, l.K, symLen)
+			parity, err := c.Encode(src)
+			if err != nil {
+				t.Fatalf("%s %+v: encode: %v", name, g, err)
+			}
+			all := append(append([][]byte{}, src...), parity...)
+			for order := 0; order < 8; order++ {
+				// A lossy pass with duplicates, then a clean pass so that
+				// every order completes.
+				var ids []int
+				for _, id := range rng.Perm(l.N) {
+					if rng.Float64() < 0.3 {
+						continue
+					}
+					ids = append(ids, id)
+					if rng.Float64() < 0.2 {
+						ids = append(ids, ids[rng.Intn(len(ids))])
+					}
+				}
+				ids = append(ids, rng.Perm(l.N)...)
+
+				rx := c.NewReceiver()
+				dec, err := c.NewDecoder(symLen)
+				if err != nil {
+					t.Fatalf("%s %+v: NewDecoder: %v", name, g, err)
+				}
+				rxMem, decMem := rx.(core.MemoryReporter), dec.(core.MemoryReporter)
+				for i, id := range ids {
+					a, b := rx.Receive(id), dec.ReceivePayload(id, all[id])
+					if a != b || rx.Done() != dec.Done() || rx.SourceRecovered() != dec.SourceRecovered() ||
+						rxMem.BufferedSymbols() != decMem.BufferedSymbols() {
+						t.Fatalf("%s %+v order %d, arrival %d (id %d): structural done=%v/%v recovered=%d buffered=%d, payload done=%v/%v recovered=%d buffered=%d",
+							name, g, order, i, id, a, rx.Done(), rx.SourceRecovered(), rxMem.BufferedSymbols(),
+							b, dec.Done(), dec.SourceRecovered(), decMem.BufferedSymbols())
+					}
+				}
+				if !dec.Done() {
+					t.Fatalf("%s %+v order %d: not decoded after every symbol arrived", name, g, order)
+				}
+				for i := range src {
+					if !bytes.Equal(dec.Source(i), src[i]) {
+						t.Fatalf("%s %+v order %d: source %d differs from the original", name, g, order, i)
+					}
+				}
+				dec.Close()
+			}
+		}
+	}
+}
+
 func TestCodecDecodesUnderLoss(t *testing.T) {
 	// Drop a third of the packets; MDS families must still decode from
 	// any k survivors, LDGM whenever the peeling decoder completes.

@@ -1,0 +1,243 @@
+package core
+
+import (
+	"fmt"
+	"sort"
+
+	"fecperf/internal/symbol"
+)
+
+// BlockSolver is the algebra a block code family supplies to
+// BlockDecoder; everything else about receiving such a code is shared.
+type BlockSolver interface {
+	// SolveBlock rebuilds the missing source symbols of one block, which
+	// has just received its k_b-th distinct symbol and lacks e >= 1
+	// sources. tab is the block's view table, n_b+e entries in three
+	// regions: [0,k_b) the source symbols by in-block index, nil where
+	// missing; [k_b,n_b) the buffered parity symbols by in-block index,
+	// nil where not received (exactly e are present); [n_b,n_b+e) the
+	// slots of the missing sources in index order, holding stale bytes,
+	// which SolveBlock must fill. The parity views are the decoder's own
+	// copies and may be used as scratch.
+	SolveBlock(block int, tab [][]byte)
+}
+
+// BlockDecoder is the receive state machine of every code that decodes
+// per block at a distinct-symbol threshold (BlockMDS): Reed-Solomon over
+// either field and the no-FEC baseline. A block with k_b sources is
+// decoded the moment k_b distinct symbols of it have arrived. With
+// symLen == 0 it is structural — the paper's counting receiver, driven
+// through Receive; otherwise it is a PayloadDecoder, driven through
+// ReceivePayload: a source payload is copied once, into its final slot of
+// the source slab, a parity payload into the next slot of the parity
+// slab, and the solver writes rebuilt sources straight into their slots.
+// One type runs both, so the simulator measures the decoder the wire
+// ships.
+type BlockDecoder struct {
+	layout   Layout
+	symLen   int // 0 = structural mode
+	solver   BlockSolver
+	got      []uint64 // received-bitmap over global packet IDs
+	blocks   []blockState
+	src      symbol.Slab // the k source slots by global ID, received or rebuilt in place
+	par      symbol.Slab // buffered parity: one slot per arrival, made on the first
+	parUsed  int
+	pending  int // blocks not yet decoded
+	srcRec   int // source symbols received or rebuilt
+	buffered int // distinct symbols held by undecoded blocks
+}
+
+// blockState tracks one block. tab is its view table (see BlockSolver),
+// made when the block first buffers a parity payload.
+type blockState struct {
+	tab            [][]byte
+	srcOff, parOff int32 // first global source / parity ID
+	count          int32 // distinct symbols received
+	srcGot         int32 // of which sources
+	decoded        bool
+}
+
+// NewBlockDecoder returns a decoder for the layout: structural when
+// symLen is 0, carrying payloads of symLen bytes otherwise. solver may be
+// nil for a code without parity. Packet IDs map to blocks by binary
+// search on the blocks' first IDs, so the layout must list its blocks in
+// ID order, each block's sources and parities a contiguous ascending run;
+// anything else is a bug in the code family and panics.
+func NewBlockDecoder(l Layout, symLen int, solver BlockSolver) *BlockDecoder {
+	d := &BlockDecoder{
+		layout:  l,
+		symLen:  symLen,
+		solver:  solver,
+		got:     make([]uint64, (l.N+63)/64),
+		blocks:  make([]blockState, len(l.Blocks)),
+		pending: len(l.Blocks),
+	}
+	srcOff, parOff := 0, l.K
+	for bi, b := range l.Blocks {
+		for i, id := range b.Source {
+			if id != srcOff+i {
+				panic(fmt.Sprintf("core: block %d sources are not the contiguous run from %d", bi, srcOff))
+			}
+		}
+		for i, id := range b.Parity {
+			if id != parOff+i {
+				panic(fmt.Sprintf("core: block %d parities are not the contiguous run from %d", bi, parOff))
+			}
+		}
+		d.blocks[bi].srcOff, d.blocks[bi].parOff = int32(srcOff), int32(parOff)
+		srcOff += len(b.Source)
+		parOff += len(b.Parity)
+	}
+	if srcOff != l.K || parOff != l.N {
+		panic(fmt.Sprintf("core: blocks cover %d source / %d total packets, want %d / %d", srcOff, parOff, l.K, l.N))
+	}
+	if symLen > 0 {
+		d.src = symbol.NewSlab(l.K, symLen)
+	}
+	return d
+}
+
+// blockOf maps a global packet ID to its block and in-block index
+// (0..n_b-1, sources first): the last block whose first ID is <= id. A
+// block without parity shares its first parity ID with its successor and
+// so is never the last.
+func (d *BlockDecoder) blockOf(id int) (bi, idx int) {
+	if id < d.layout.K {
+		bi = sort.Search(len(d.blocks), func(i int) bool { return int(d.blocks[i].srcOff) > id }) - 1
+		return bi, id - int(d.blocks[bi].srcOff)
+	}
+	bi = sort.Search(len(d.blocks), func(i int) bool { return int(d.blocks[i].parOff) > id }) - 1
+	return bi, len(d.layout.Blocks[bi].Source) + id - int(d.blocks[bi].parOff)
+}
+
+// Receive implements Receiver (structural mode). It panics on a payload
+// decoder, whose symbols need their bytes: use ReceivePayload.
+func (d *BlockDecoder) Receive(id int) bool {
+	if d.symLen != 0 {
+		panic("core: Receive on a payload decoder")
+	}
+	return d.receive(id, nil)
+}
+
+// ReceivePayload implements PayloadDecoder. The payload is only read
+// during the call: a source is copied to its final slot, a parity symbol
+// to the next parity slot.
+func (d *BlockDecoder) ReceivePayload(id int, payload []byte) bool {
+	if d.symLen == 0 {
+		panic("core: ReceivePayload on a structural decoder")
+	}
+	if len(payload) != d.symLen {
+		panic(fmt.Sprintf("core: payload length %d, want %d", len(payload), d.symLen))
+	}
+	return d.receive(id, payload)
+}
+
+func (d *BlockDecoder) receive(id int, payload []byte) bool {
+	if id < 0 || id >= d.layout.N {
+		panic(fmt.Sprintf("core: packet id %d outside [0,%d)", id, d.layout.N))
+	}
+	if d.has(id) {
+		return d.Done()
+	}
+	bi, idx := d.blockOf(id)
+	b := &d.blocks[bi]
+	if b.decoded {
+		return d.Done()
+	}
+	d.got[id>>6] |= 1 << (id & 63)
+	b.count++
+	d.buffered++
+	blk := d.layout.Blocks[bi]
+	kb, nb := len(blk.Source), len(blk.Source)+len(blk.Parity)
+	if idx < kb {
+		b.srcGot++
+		d.srcRec++
+		if payload != nil {
+			// The one copy between the read buffer and the decoded object.
+			copy(d.src.Slot(id), payload)
+		}
+	} else if payload != nil {
+		if b.tab == nil {
+			b.tab = make([][]byte, 2*nb-kb)
+		}
+		if d.par.Slots() == 0 {
+			// Each block buffers at most k_b symbols and has n_b-k_b parities.
+			d.par = symbol.NewSlab(min(d.layout.K, d.layout.N-d.layout.K), d.symLen)
+		}
+		p := d.par.Slot(d.parUsed)
+		d.parUsed++
+		copy(p, payload)
+		b.tab[idx] = p
+	}
+	if int(b.count) == kb {
+		e := kb - int(b.srcGot)
+		if e > 0 && payload != nil {
+			d.solve(bi, b, kb, nb, e)
+		}
+		d.srcRec += e
+		d.buffered -= kb
+		b.tab = nil
+		b.decoded = true
+		d.pending--
+	}
+	return d.Done()
+}
+
+// solve completes block bi's view table — source views where received,
+// the e missing sources' slots as the output region — and hands it to
+// the family's solver.
+func (d *BlockDecoder) solve(bi int, b *blockState, kb, nb, e int) {
+	src, out := b.tab[:kb], b.tab[nb:nb]
+	for i := range src {
+		id := int(b.srcOff) + i
+		if s := d.src.Slot(id); d.has(id) {
+			src[i] = s
+		} else {
+			out = append(out, s)
+		}
+	}
+	d.solver.SolveBlock(bi, b.tab[:nb+e])
+}
+
+func (d *BlockDecoder) has(id int) bool { return d.got[id>>6]&(1<<(id&63)) != 0 }
+
+// Done implements Receiver and PayloadDecoder.
+func (d *BlockDecoder) Done() bool { return d.pending == 0 }
+
+// SourceRecovered implements Receiver and PayloadDecoder.
+func (d *BlockDecoder) SourceRecovered() int { return d.srcRec }
+
+// BufferedSymbols implements MemoryReporter: symbols of undecoded blocks
+// must be held; a decoded block's sources stream out to the application
+// and its parity is dropped.
+func (d *BlockDecoder) BufferedSymbols() int { return d.buffered }
+
+// Source implements PayloadDecoder.
+func (d *BlockDecoder) Source(i int) []byte {
+	if d.symLen == 0 {
+		panic("core: Source on a structural decoder")
+	}
+	if i < 0 || i >= d.layout.K {
+		panic(fmt.Sprintf("core: source index %d outside [0,%d)", i, d.layout.K))
+	}
+	if bi, _ := d.blockOf(i); d.src.Slots() == 0 || !(d.blocks[bi].decoded || d.has(i)) {
+		return nil // not recovered yet, or the slab is gone (taken, closed)
+	}
+	return d.src.Slot(i)
+}
+
+// TakeSources implements PayloadDecoder.
+func (d *BlockDecoder) TakeSources() symbol.Slab {
+	if d.symLen == 0 || !d.Done() {
+		panic("core: TakeSources needs a payload decoder that is done")
+	}
+	return d.src.Take()
+}
+
+// Close implements PayloadDecoder: the slabs the decoder still owns —
+// the sources unless taken, and the buffered parity — go back to the
+// symbol pool. It is idempotent and a no-op for structural decoders.
+func (d *BlockDecoder) Close() {
+	d.src.Release()
+	d.par.Release()
+}

@@ -35,20 +35,43 @@ import (
 const shardSize = 8
 
 // PointSpec is a materialised work unit: live code and scheduler rather
-// than declarative names, plus the channel every trial builds a fresh
-// chain from. One-point callers (Simulate, the figure and recommender
+// than declarative names, plus either the channel every trial builds a
+// fresh chain from or the fleet that watches one shared transmission.
+// One-point callers (Simulate, RunFleet, the figure and recommender
 // loops, Sweep) build these directly; plans materialise Points into
 // them.
 type PointSpec struct {
 	Code      core.Code
 	Scheduler core.Scheduler
 	Channel   channel.Spec
+	// Fleet, when non-zero, makes this a fleet point: Channel and Trials
+	// are unused, Code must implement core.BlockMDS (fleet receivers are
+	// per-block countdown counters, valid only for threshold-decoding
+	// codes), and the aggregate carries the fleet's summary.
+	Fleet FleetSpec
 	// Trials is the number of independent receptions; 0 means 100.
 	Trials int
-	// Seed is the point seed; trial t draws from DeriveSeed(Seed, t).
+	// Seed is the point seed; trial t draws from DeriveSeed(Seed, t). A
+	// fleet derives its shared schedule draw and every receiver's
+	// channel chain from it.
 	Seed int64
 	// NSent truncates every schedule when positive.
 	NSent int
+}
+
+func (s PointSpec) isFleet() bool { return s.Fleet.Receivers != 0 || len(s.Fleet.Mix) > 0 }
+
+// validate reports what would otherwise fail inside a worker: an invalid
+// or unset channel, or a fleet the fleet engine cannot run.
+func (s PointSpec) validate() error {
+	if !s.isFleet() {
+		return s.Channel.Validate()
+	}
+	if mds, ok := s.Code.(core.BlockMDS); !ok || !mds.BlockMDS() {
+		return fmt.Errorf("engine: fleet mode needs a block-MDS code; %s does not decode at a per-block threshold",
+			s.Code.Name())
+	}
+	return s.Fleet.Validate()
 }
 
 func (s PointSpec) trials() int {
@@ -109,6 +132,7 @@ type engineMetrics struct {
 	points     *obs.Counter
 	ckptWrites *obs.Counter
 	restored   *obs.Counter
+	fleet      fleetMetrics
 }
 
 func newEngineMetrics(r *obs.Registry) engineMetrics {
@@ -121,14 +145,8 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		points:     r.Counter("engine_points_total", "Plan points delivered (computed or restored).", nil),
 		ckptWrites: r.Counter("engine_checkpoint_writes_total", "Point results appended to the checkpoint file.", nil),
 		restored:   r.Counter("engine_points_restored_total", "Points restored from the checkpoint instead of recomputed.", nil),
+		fleet:      newFleetMetrics(r),
 	}
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // runShard executes trials [lo, hi) of a point and returns their partial
@@ -165,22 +183,24 @@ func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool)
 }
 
 // RunPointSpecs executes every spec with trial-level parallelism and
-// returns aggregates aligned with the input. All shards of all points
-// feed one worker pool, so a single expensive point still saturates
-// every worker. Results are deterministic in the specs' seeds whatever
-// the worker count: shard boundaries are fixed and partial aggregates
-// merge in shard order. On cancellation the returned error is ctx.Err()
-// and unfinished points hold zero-valued aggregates. An invalid or unset
-// channel is an error before the first trial, with every aggregate
-// zero-valued. A spec without a code or scheduler is a caller bug and
-// panics here, on the caller's goroutine, rather than inside a worker.
+// returns aggregates aligned with the input. All shards of all scalar
+// points feed one worker pool, so a single expensive point still
+// saturates every worker; fleet points run first, one at a time, each
+// parallel across its receiver shards. Results are deterministic in the
+// specs' seeds whatever the worker count: shard boundaries are fixed and
+// partial aggregates merge in shard order. On cancellation the returned
+// error is ctx.Err() and unfinished points hold zero-valued aggregates.
+// An invalid or unset channel, or an invalid fleet, is an error before
+// the first trial, with every aggregate zero-valued. A spec without a
+// code or scheduler is a caller bug and panics here, on the caller's
+// goroutine, rather than inside a worker.
 func RunPointSpecs(ctx context.Context, specs []PointSpec, workers int) ([]Aggregate, error) {
 	out := make([]Aggregate, len(specs))
 	for _, s := range specs {
 		if s.Code == nil || s.Scheduler == nil {
 			panic("engine: PointSpec requires Code and Scheduler")
 		}
-		if err := s.Channel.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			return out, err
 		}
 	}
@@ -197,11 +217,13 @@ func RunPoint(ctx context.Context, spec PointSpec, workers int) (Aggregate, erro
 	return aggs[0], err
 }
 
-// runSpecs is the shared pool: it shards every point's trials, drains
-// the shard queue with a bounded worker pool, and calls done(i, agg)
-// exactly once per point that completes all its shards. done may be
-// called from any worker goroutine, one call at a time per point but
-// concurrently across points.
+// runSpecs runs validated specs. Fleet points go first and whole, each
+// through the fleet engine's own pool: fleet state is tens of MB per
+// point and must not exist for every pending point at once. Then the
+// shared pool shards every scalar point's trials and drains the shard
+// queue with a bounded worker pool. done(i, agg) is called exactly once
+// per point that completes — from any worker goroutine, one call at a
+// time per point but concurrently across points.
 func runSpecs(ctx context.Context, specs []PointSpec, workers int, m engineMetrics, done func(int, Aggregate)) error {
 	if len(specs) == 0 {
 		return ctx.Err()
@@ -209,12 +231,24 @@ func runSpecs(ctx context.Context, specs []PointSpec, workers int, m engineMetri
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	for i, spec := range specs {
+		if spec.isFleet() {
+			summary, err := runFleet(ctx, spec, workers, m.fleet)
+			if err != nil {
+				return err // cancelled: the remaining points stay zero-valued
+			}
+			done(i, fleetAggregate(summary))
+		}
+	}
 
 	type task struct{ point, shard int }
 	var tasks []task
 	parts := make([][]Aggregate, len(specs))
 	remaining := make([]int, len(specs))
 	for i, spec := range specs {
+		if spec.isFleet() {
+			continue
+		}
 		n := (spec.trials() + shardSize - 1) / shardSize
 		if n == 0 {
 			n = 1 // zero-trial point: one empty shard so done() still fires
@@ -343,15 +377,11 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 		}
 	}
 
-	// Restore checkpointed points, then materialise and run the rest.
-	// Fleet points take their own path: each runs whole (internally
-	// parallel across receiver shards), so they are materialised and
-	// validated up front alongside the scalar points.
+	// Restore checkpointed points, then materialise (which validates)
+	// and run the rest.
 	var (
-		pending      []PointSpec
-		indices      []int
-		fleetPending []FleetRunSpec
-		fleetIndices []int
+		pending []PointSpec
+		indices []int
 	)
 	codeCache := map[string]core.Code{}
 	for i, pt := range points {
@@ -361,15 +391,6 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 				continue
 			}
 		}
-		if pt.Fleet != nil {
-			spec, err := materializeFleet(pt, codeCache)
-			if err != nil {
-				return nil, err
-			}
-			fleetPending = append(fleetPending, spec)
-			fleetIndices = append(fleetIndices, i)
-			continue
-		}
 		spec, err := materialize(pt, codeCache)
 		if err != nil {
 			return nil, err
@@ -378,20 +399,8 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 		indices = append(indices, i)
 	}
 
-	fm := newFleetMetrics(opts.Metrics)
-	for j, spec := range fleetPending {
-		summary, err := runFleet(ctx, spec, opts.workers(), fm)
-		if err != nil {
-			// Specs were validated at materialisation; the only error
-			// left is cancellation, which leaves the remaining points
-			// zero-valued like a cancelled scalar run.
-			return results, err
-		}
-		deliver(fleetIndices[j], fleetAggregate(summary), false)
-	}
-
 	var mu sync.Mutex // serialises deliver across worker goroutines
-	retErr = runSpecs(ctx, pending, opts.workers(), m, func(j int, agg Aggregate) {
+	retErr = runSpecs(ctx, pending, opts.Workers, m, func(j int, agg Aggregate) {
 		mu.Lock()
 		deliver(indices[j], agg, false)
 		mu.Unlock()
@@ -399,9 +408,9 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 	return results, retErr
 }
 
-// materialize builds the live code and scheduler for a point,
-// sharing code constructions (the expensive part: LDGM matrix building)
-// across points with the same code spec.
+// materialize builds the live, validated work unit for a point, sharing
+// code constructions (the expensive part: LDGM matrix building) across
+// points with the same code spec.
 func materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
 	codeKey := pt.codeKey()
 	code, ok := codeCache[codeKey]
@@ -416,17 +425,18 @@ func materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
 	if err != nil {
 		return PointSpec{}, err
 	}
-	if err := pt.Channel.Validate(); err != nil {
-		return PointSpec{}, err
-	}
-	return PointSpec{
+	spec := PointSpec{
 		Code:      code,
 		Scheduler: s,
 		Channel:   pt.Channel,
 		Trials:    pt.Trials,
 		Seed:      pt.Seed,
 		NSent:     pt.NSent,
-	}, nil
+	}
+	if pt.Fleet != nil {
+		spec.Fleet = *pt.Fleet
+	}
+	return spec, spec.validate()
 }
 
 func (pt Point) codeKey() string {

@@ -38,17 +38,14 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/codes"
 	"fecperf/internal/core"
 	"fecperf/internal/obs"
-	"fecperf/internal/sched"
 	"fecperf/internal/stats"
 )
 
@@ -231,20 +228,9 @@ type FleetSummary struct {
 	Groups           []FleetGroupSummary `json:"groups"`
 }
 
-// FleetRunSpec is a materialised fleet work unit: live code and
-// scheduler rather than declarative names, mirroring PointSpec.
-type FleetRunSpec struct {
-	// Code must implement core.BlockMDS: fleet receivers are per-block
-	// countdown counters, valid only for threshold-decoding codes.
-	Code      core.Code
-	Scheduler core.Scheduler
-	Fleet     FleetSpec
-	// Seed derives the shared schedule draw and every receiver's
-	// channel chain.
-	Seed int64
-	// NSent truncates the shared schedule when positive.
-	NSent int
-}
+// FleetRunSpec is the name RunFleet's callers build their work unit
+// under: a PointSpec whose Fleet is set.
+type FleetRunSpec = PointSpec
 
 // fleetMetrics is the fleet's instrument set; the zero value is inert.
 type fleetMetrics struct {
@@ -274,22 +260,13 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 // summary is identical for every worker count. On cancellation the
 // returned error is ctx.Err().
 func RunFleet(ctx context.Context, spec FleetRunSpec, workers int) (*FleetSummary, error) {
-	return runFleet(ctx, spec, workers, fleetMetrics{})
+	agg, err := RunPoint(ctx, spec, workers)
+	return agg.Fleet, err
 }
 
-func runFleet(ctx context.Context, spec FleetRunSpec, workers int, m fleetMetrics) (*FleetSummary, error) {
-	mds, ok := spec.Code.(core.BlockMDS)
-	if !ok || !mds.BlockMDS() {
-		return nil, fmt.Errorf("engine: fleet mode needs a block-MDS code; %s does not decode at a per-block threshold",
-			spec.Code.Name())
-	}
-	if err := spec.Fleet.Validate(); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
+// runFleet runs a spec that PointSpec.validate has accepted, on workers
+// (> 0) goroutines.
+func runFleet(ctx context.Context, spec PointSpec, workers int, m fleetMetrics) (*FleetSummary, error) {
 	// The shared transmission order, drawn exactly once per point.
 	layout := spec.Code.Layout()
 	rng := rand.New(&core.SplitMixSource{})
@@ -632,39 +609,6 @@ func (st *fleetState) bytesPerReceiver() float64 {
 		len(st.completedAt)*4 + len(st.blocksLeft)*2 + len(st.remaining)*2 +
 		len(st.active)*4 + len(st.seen)*8
 	return float64(total) / float64(r)
-}
-
-// materializeFleet builds the live fleet work unit for a point, sharing
-// the code cache with scalar materialisation. A fleet point has no
-// scalar channel, so it cannot go through materialize().
-func materializeFleet(pt Point, codeCache map[string]core.Code) (FleetRunSpec, error) {
-	codeKey := pt.codeKey()
-	code, ok := codeCache[codeKey]
-	if !ok {
-		var err error
-		if code, err = codes.Make(pt.Code, pt.K, pt.Ratio, pt.CodeSeed); err != nil {
-			return FleetRunSpec{}, err
-		}
-		codeCache[codeKey] = code
-	}
-	if mds, ok := code.(core.BlockMDS); !ok || !mds.BlockMDS() {
-		return FleetRunSpec{}, fmt.Errorf("engine: fleet mode needs a block-MDS code; %s does not decode at a per-block threshold",
-			code.Name())
-	}
-	if err := pt.Fleet.Validate(); err != nil {
-		return FleetRunSpec{}, err
-	}
-	s, err := sched.ByName(pt.Scheduler)
-	if err != nil {
-		return FleetRunSpec{}, err
-	}
-	return FleetRunSpec{
-		Code:      code,
-		Scheduler: s,
-		Fleet:     *pt.Fleet,
-		Seed:      pt.Seed,
-		NSent:     pt.NSent,
-	}, nil
 }
 
 // fleetAggregate wraps a fleet summary in the scalar Aggregate shape:

@@ -138,6 +138,44 @@ func TestFleetWorkerCountIndependence(t *testing.T) {
 // TestFleetPlanAxis: a Fleets plan expands into fleet points whose
 // aggregates carry the fleet summary, and the whole run is
 // deterministic across worker counts.
+// TestRunPointSpecsMixesFleetAndScalarPoints: fleet and scalar specs are
+// one work unit, so one batch may hold both, and each point's aggregate
+// equals running it alone.
+func TestRunPointSpecsMixesFleetAndScalarPoints(t *testing.T) {
+	fleet := testFleetRunSpec(t, "tx2")
+	scalar := PointSpec{Code: fleet.Code, Scheduler: fleet.Scheduler,
+		Channel: channel.GilbertChannel(0.1, 0.5), Trials: 12, Seed: 9}
+	aggs, err := RunPointSpecs(context.Background(), []PointSpec{scalar, fleet, scalar}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := RunFleet(context.Background(), fleet, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aggs[1].Fleet == nil || marshalAny(t, aggs[1].Fleet) != marshalAny(t, alone) {
+		t.Fatal("fleet point in a mixed batch differs from RunFleet alone")
+	}
+	if aggs[1].Trials != fleet.Fleet.Receivers {
+		t.Fatalf("fleet aggregate counts %d trials, want its %d receivers", aggs[1].Trials, fleet.Fleet.Receivers)
+	}
+	want, err := RunPoint(context.Background(), scalar, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		if aggs[i].Fleet != nil || marshalAny(t, aggs[i]) != marshalAny(t, want) {
+			t.Fatalf("scalar point %d in a mixed batch differs from RunPoint alone", i)
+		}
+	}
+
+	// A fleet of zero receivers is still a fleet, and says what is wrong.
+	fleet.Fleet.Receivers = 0
+	if _, err := RunPoint(context.Background(), fleet, 1); err == nil || !strings.Contains(err.Error(), "receiver count") {
+		t.Fatalf("zero-receiver fleet: %v", err)
+	}
+}
+
 func TestFleetPlanAxis(t *testing.T) {
 	plan := fleetGoldenPlan()
 	if got, want := plan.NumPoints(), 4; got != want {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
@@ -76,14 +77,7 @@ func (p Plan) Validate() error {
 		}
 	}
 	for _, c := range p.Codes {
-		ok := false
-		for _, n := range codes.Names {
-			if c == n {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(codes.Names, c) {
 			return fmt.Errorf("engine: unknown code %q (have %v)", c, codes.Names)
 		}
 	}
@@ -117,10 +111,7 @@ func (p Plan) Validate() error {
 // NumPoints returns the size of the expanded scenario space.
 func (p Plan) NumPoints() int {
 	p = p.withDefaults()
-	chans := len(p.Channels)
-	if len(p.Fleets) > 0 {
-		chans = len(p.Fleets)
-	}
+	chans := len(p.Channels) + len(p.Fleets) // mutually exclusive axes
 	return len(p.Codes) * len(p.Ks) * len(p.Ratios) * len(p.Schedulers) * chans * len(p.NSents)
 }
 
@@ -174,31 +165,16 @@ func (p Plan) Points() ([]Point, error) {
 	}
 	p = p.withDefaults()
 	out := make([]Point, 0, p.NumPoints())
+	// The channel axis: one entry per channel, or one (unset) per fleet.
+	chans, trials := p.Channels, p.Trials
+	if len(p.Fleets) > 0 {
+		chans, trials = make([]ChannelSpec, len(p.Fleets)), 0
+	}
 	for _, code := range p.Codes {
 		for _, k := range p.Ks {
 			for _, ratio := range p.Ratios {
 				for _, s := range p.Schedulers {
-					if len(p.Fleets) > 0 {
-						for fi := range p.Fleets {
-							for _, nsent := range p.NSents {
-								f := p.Fleets[fi]
-								pt := Point{
-									Index:     len(out),
-									Code:      code,
-									K:         k,
-									Ratio:     ratio,
-									Scheduler: s,
-									Fleet:     &f,
-									NSent:     nsent,
-									CodeSeed:  p.Seed,
-								}
-								pt.Seed = DeriveSeed(p.Seed, hashString(pt.Key()))
-								out = append(out, pt)
-							}
-						}
-						continue
-					}
-					for _, ch := range p.Channels {
+					for ci, ch := range chans {
 						for _, nsent := range p.NSents {
 							pt := Point{
 								Index:     len(out),
@@ -208,8 +184,12 @@ func (p Plan) Points() ([]Point, error) {
 								Scheduler: s,
 								Channel:   ch,
 								NSent:     nsent,
-								Trials:    p.Trials,
+								Trials:    trials,
 								CodeSeed:  p.Seed,
+							}
+							if len(p.Fleets) > 0 {
+								f := p.Fleets[ci]
+								pt.Fleet = &f
 							}
 							pt.Seed = DeriveSeed(p.Seed, hashString(pt.Key()))
 							out = append(out, pt)

@@ -62,21 +62,9 @@ func (t Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s\n", t.Name)
 	width := len(t.RowHeader)
-	for _, c := range t.ColLabels {
-		if len(c) > width {
-			width = len(c)
-		}
-	}
-	for _, r := range t.RowLabels {
-		if len(r) > width {
-			width = len(r)
-		}
-	}
-	for _, row := range t.Cells {
-		for _, c := range row {
-			if len(c) > width {
-				width = len(c)
-			}
+	for _, cells := range append([][]string{t.ColLabels, t.RowLabels}, t.Cells...) {
+		for _, c := range cells {
+			width = max(width, len(c))
 		}
 	}
 	pad := func(s string) string { return fmt.Sprintf("%*s", width+2, s) }

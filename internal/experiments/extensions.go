@@ -60,7 +60,7 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				rep.Tables = append(rep.Tables, gridTable(spec.name, g))
+				rep.Tables = append(rep.Tables, gridTable(spec.name, g, engine.Aggregate.String))
 			}
 			return rep, nil
 		},
@@ -83,15 +83,23 @@ func init() {
 				RowHeader: "rounds",
 				ColLabels: []string{"decoded", "mean inefficiency"},
 			}
-			for _, rounds := range []int{1, 2, 3, 4} {
-				agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
+			rounds := []int{1, 2, 3, 4}
+			specs := make([]engine.PointSpec, len(rounds))
+			for i, r := range rounds {
+				specs[i] = engine.PointSpec{
 					Code:      c,
-					Scheduler: sched.Carousel{Rounds: rounds},
+					Scheduler: sched.Carousel{Rounds: r},
 					Channel:   channel.GilbertChannel(0.5, 0.5),
 					Trials:    o.Trials,
 					Seed:      o.Seed,
-				}, o.Workers)
-				t.RowLabels = append(t.RowLabels, fmt.Sprintf("%d", rounds))
+				}
+			}
+			aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)
+			if err != nil {
+				return nil, err
+			}
+			for i, agg := range aggs {
+				t.RowLabels = append(t.RowLabels, fmt.Sprintf("%d", rounds[i]))
 				ineff := "-"
 				if !agg.Failed() {
 					ineff = fmt.Sprintf("%.3f", agg.MeanIneff())

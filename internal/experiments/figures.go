@@ -8,6 +8,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"fecperf/internal/channel"
 	"fecperf/internal/core"
@@ -16,8 +17,10 @@ import (
 	"fecperf/internal/sched"
 )
 
-// gridTable renders a sweep result as a paper-style table.
-func gridTable(name string, g *engine.Grid) Table {
+// gridTable renders a sweep result as a paper-style table, one cell per
+// (p, q) through cell: engine.Aggregate.String for the inefficiency
+// surface, receivedOverK for its n_received/k companion.
+func gridTable(name string, g *engine.Grid, cell func(engine.Aggregate) string) Table {
 	t := Table{
 		Name:      name,
 		RowHeader: "p\\q",
@@ -27,30 +30,14 @@ func gridTable(name string, g *engine.Grid) Table {
 	for i := range g.P {
 		row := make([]string, len(g.Q))
 		for j := range g.Q {
-			row[j] = g.At(i, j).String()
+			row[j] = cell(g.At(i, j))
 		}
 		t.Cells = append(t.Cells, row)
 	}
 	return t
 }
 
-// receivedTable renders the n_received/k companion surface.
-func receivedTable(name string, g *engine.Grid) Table {
-	t := Table{
-		Name:      name + " (n_received/k)",
-		RowHeader: "p\\q",
-		ColLabels: percentLabels(g.Q),
-		RowLabels: percentLabels(g.P),
-	}
-	for i := range g.P {
-		row := make([]string, len(g.Q))
-		for j := range g.Q {
-			row[j] = fmt.Sprintf("%.3f", g.At(i, j).ReceivedOverK.Mean())
-		}
-		t.Cells = append(t.Cells, row)
-	}
-	return t
-}
+func receivedOverK(a engine.Aggregate) string { return fmt.Sprintf("%.3f", a.ReceivedOverK.Mean()) }
 
 // sweepCode runs one (code, scheduler) sweep with the experiment options
 // as a declarative engine plan whose channel axis is the Gilbert (p, q)
@@ -84,9 +71,9 @@ func txFigure(id, ref, title string, s core.Scheduler, combos []comboSpec, withR
 					return nil, err
 				}
 				name := fmt.Sprintf("%s, FEC expansion ratio %.1f", cb.code, cb.ratio)
-				rep.Tables = append(rep.Tables, gridTable(name, g))
+				rep.Tables = append(rep.Tables, gridTable(name, g, engine.Aggregate.String))
 				if withReceived {
-					rep.Tables = append(rep.Tables, receivedTable(name, g))
+					rep.Tables = append(rep.Tables, gridTable(name+" (n_received/k)", g, receivedOverK))
 				}
 			}
 			return rep, nil
@@ -97,6 +84,12 @@ func txFigure(id, ref, title string, s core.Scheduler, combos []comboSpec, withR
 type comboSpec struct {
 	code  string
 	ratio float64
+}
+
+// allCombos is the three codes at both ratios, in the figures' order.
+var allCombos = []comboSpec{
+	{"rse", 2.5}, {"ldgm-staircase", 2.5}, {"ldgm-triangle", 2.5},
+	{"rse", 1.5}, {"ldgm-staircase", 1.5}, {"ldgm-triangle", 1.5},
 }
 
 func init() {
@@ -185,7 +178,7 @@ func init() {
 			}
 			rep := &Report{ID: "fig7-no-fec", Title: "Performances without FEC but 2 repetitions",
 				Notes:  []string{"expected: decodes only at p=0, inefficiency near 2.0"},
-				Tables: []Table{gridTable("no-FEC x2 repetition", g)}}
+				Tables: []Table{gridTable("no-FEC x2 repetition", g, engine.Aggregate.String)}}
 			return rep, nil
 		},
 	})
@@ -199,28 +192,19 @@ func init() {
 	register(txFigure("fig9-tx2", "Figure 9",
 		"Tx_model_2: source sequentially, then parity randomly",
 		sched.TxModel2{},
-		[]comboSpec{
-			{"rse", 2.5}, {"ldgm-staircase", 2.5}, {"ldgm-triangle", 2.5},
-			{"rse", 1.5}, {"ldgm-staircase", 1.5}, {"ldgm-triangle", 1.5},
-		},
+		allCombos,
 		false))
 
 	register(txFigure("fig10-tx3", "Figure 10",
 		"Tx_model_3: parity sequentially, then source randomly",
 		sched.TxModel3{},
-		[]comboSpec{
-			{"rse", 2.5}, {"ldgm-staircase", 2.5}, {"ldgm-triangle", 2.5},
-			{"rse", 1.5}, {"ldgm-staircase", 1.5}, {"ldgm-triangle", 1.5},
-		},
+		allCombos,
 		true))
 
 	register(txFigure("fig11-tx4", "Figure 11",
 		"Tx_model_4: everything in random order",
 		sched.TxModel4{},
-		[]comboSpec{
-			{"rse", 2.5}, {"ldgm-staircase", 2.5}, {"ldgm-triangle", 2.5},
-			{"rse", 1.5}, {"ldgm-staircase", 1.5}, {"ldgm-triangle", 1.5},
-		},
+		allCombos,
 		false))
 
 	register(txFigure("fig12-tx5", "Figure 12",
@@ -266,31 +250,30 @@ func runFig14(o Options) (*Report, error) {
 		}
 	}
 	counts = append(counts, o.K)
-	uniqueSorted := counts[:0]
-	seen := map[int]bool{}
-	for _, v := range counts {
-		if !seen[v] {
-			seen[v] = true
-			uniqueSorted = append(uniqueSorted, v)
-		}
-	}
-	counts = uniqueSorted
-	sortInts(counts)
+	slices.Sort(counts)
+	counts = slices.Compact(counts)
 
-	s := Series{
-		Name:   "Rx_model_1, LDGM Staircase, ratio 2.5",
-		XLabel: "nb of received source packets",
-		YLabel: "aver. inefficiency ratio",
-	}
-	for _, sc := range counts {
-		agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
+	specs := make([]engine.PointSpec, len(counts))
+	for i, sc := range counts {
+		specs[i] = engine.PointSpec{
 			Code:      c,
 			Scheduler: sched.RxModel1{SourceCount: sc},
 			Channel:   channel.NoLossChannel(),
 			Trials:    o.Trials,
 			Seed:      engine.DeriveSeed(o.Seed, uint64(sc)),
-		}, o.Workers)
-		s.X = append(s.X, float64(sc))
+		}
+	}
+	aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)
+	if err != nil {
+		return nil, err
+	}
+	s := Series{
+		Name:   "Rx_model_1, LDGM Staircase, ratio 2.5",
+		XLabel: "nb of received source packets",
+		YLabel: "aver. inefficiency ratio",
+	}
+	for i, agg := range aggs {
+		s.X = append(s.X, float64(counts[i]))
 		s.Y = append(s.Y, agg.MeanIneff())
 		s.Failed = append(s.Failed, agg.Failed())
 	}
@@ -305,42 +288,53 @@ func runFig15(o Options) (*Report, error) {
 	rep := &Report{ID: "fig15-example", Title: "Section 6.2.1 worked channel",
 		Notes: []string{fmt.Sprintf("gilbert p=%g q=%g (p_global=%.4f), k=%d, trials=%d",
 			p, q, channel.GlobalLoss(p, q), o.K, o.Trials)}}
+	codeNames := []string{"rse", "ldgm-staircase", "ldgm-triangle"}
+	// Every cell of both tables is one batch: a row per model, a column
+	// per code, each (code, ratio) built once.
+	var specs []engine.PointSpec
 	for _, ratio := range []float64{1.5, 2.5} {
-		models := sched.All()
 		t := Table{
 			Name:      fmt.Sprintf("FEC expansion ratio = %.1f", ratio),
 			RowHeader: "model",
-			ColLabels: []string{"rse", "ldgm-staircase", "ldgm-triangle"},
+			ColLabels: codeNames,
 		}
-		for _, m := range models {
+		built := make([]core.Code, len(codeNames))
+		for ci, name := range codeNames {
+			c, err := MakeCode(name, o.K, ratio, o.Seed)
+			if err != nil {
+				return nil, err
+			}
+			built[ci] = c
+		}
+		for _, m := range sched.All() {
 			if m.Name() == "tx6" && ratio < 2 {
 				continue // the paper omits tx6 at ratio 1.5 (too few packets)
 			}
 			t.RowLabels = append(t.RowLabels, m.Name())
-			row := make([]string, len(t.ColLabels))
-			for ci, codeName := range t.ColLabels {
-				c, err := MakeCode(codeName, o.K, ratio, o.Seed)
-				if err != nil {
-					return nil, err
-				}
-				agg, _ := engine.RunPoint(context.Background(), engine.PointSpec{
+			for _, c := range built {
+				specs = append(specs, engine.PointSpec{
 					Code: c, Scheduler: m,
 					Channel: channel.GilbertChannel(p, q),
 					Trials:  o.Trials, Seed: o.Seed,
-				}, o.Workers)
-				row[ci] = agg.String()
+				})
 			}
-			t.Cells = append(t.Cells, row)
 		}
 		rep.Tables = append(rep.Tables, t)
 	}
-	return rep, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+	aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)
+	if err != nil {
+		return nil, err
+	}
+	for ti := range rep.Tables {
+		t := &rep.Tables[ti]
+		for range t.RowLabels {
+			row := make([]string, len(codeNames))
+			for ci := range row {
+				row[ci] = aggs[ci].String()
+			}
+			aggs = aggs[len(row):]
+			t.Cells = append(t.Cells, row)
 		}
 	}
+	return rep, nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"fecperf/internal/core"
+	"fecperf/internal/engine"
 	"fecperf/internal/sched"
 )
 
@@ -48,7 +49,7 @@ func init() {
 					Title: fmt.Sprintf("%s (%s, %s, ratio %.1f)", s.ref, s.scheduler.Name(), s.code, s.ratio),
 					Notes: []string{fmt.Sprintf("k=%d, trials=%d", o.K, o.Trials)},
 					Tables: []Table{gridTable(
-						fmt.Sprintf("%s: %s, FEC expansion ratio = %.1f", s.scheduler.Name(), s.code, s.ratio), g)},
+						fmt.Sprintf("%s: %s, FEC expansion ratio = %.1f", s.scheduler.Name(), s.code, s.ratio), g, engine.Aggregate.String)},
 				}, nil
 			},
 		})

@@ -38,19 +38,27 @@ type Result struct {
 	Trials   int
 }
 
-// Candidates returns the search space used throughout Section 6: the three
-// codes crossed with the six transmission models and the two ratios the
-// paper studies. Tx_model_6 requires a high expansion ratio (Section 4.8),
-// so it is only paired with 2.5.
+// The search space used throughout Section 6: the three codes crossed
+// with the six transmission models and the two ratios the paper studies.
+var (
+	candidateCodes  = []string{"rse", "ldgm-staircase", "ldgm-triangle"}
+	candidateModels = []string{"tx1", "tx2", "tx3", "tx4", "tx5", "tx6"}
+	candidateRatios = []float64{1.5, 2.5}
+)
+
+// admissible drops the pairings the paper rules out: Tx_model_6 requires
+// a high expansion ratio (Section 4.8), so it is only paired with 2.5.
+func admissible(tx string, ratio float64) bool { return tx != "tx6" || ratio >= 2 }
+
+// Candidates returns the admissible tuples of the search space.
 func Candidates() []Tuple {
 	var out []Tuple
-	for _, code := range []string{"rse", "ldgm-staircase", "ldgm-triangle"} {
-		for _, tx := range []string{"tx1", "tx2", "tx3", "tx4", "tx5", "tx6"} {
-			for _, ratio := range []float64{1.5, 2.5} {
-				if tx == "tx6" && ratio < 2 {
-					continue
+	for _, code := range candidateCodes {
+		for _, tx := range candidateModels {
+			for _, ratio := range candidateRatios {
+				if admissible(tx, ratio) {
+					out = append(out, Tuple{Code: code, TxModel: tx, Ratio: ratio})
 				}
-				out = append(out, Tuple{Code: code, TxModel: tx, Ratio: ratio})
 			}
 		}
 	}
@@ -82,34 +90,51 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Evaluate measures one tuple at the Gilbert point (p, q).
-func Evaluate(t Tuple, p, q float64, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
+// measure builds the tuple's code once — a sender has one code, so the
+// construction seed is cfg.Seed whatever the channel point — and runs its
+// channel points as a single engine batch; seed gives each point's trial
+// seed. It returns the code's n alongside the per-point aggregates.
+func measure(t Tuple, points []PQ, seed func(PQ) int64, cfg Config) (n int, aggs []engine.Aggregate, err error) {
 	code, err := codes.Make(t.Code, cfg.K, t.Ratio, cfg.Seed)
 	if err != nil {
-		return Result{}, err
+		return 0, nil, err
 	}
 	s, err := sched.ByName(t.TxModel)
 	if err != nil {
-		return Result{}, err
+		return 0, nil, err
 	}
-	agg, err := engine.RunPoint(context.Background(), engine.PointSpec{
-		Code:      code,
-		Scheduler: s,
-		Channel:   channel.GilbertChannel(p, q),
-		Trials:    cfg.Trials,
-		Seed:      cfg.Seed,
-	}, cfg.Workers)
-	if err != nil {
-		return Result{}, err
+	specs := make([]engine.PointSpec, len(points))
+	for i, pt := range points {
+		specs[i] = engine.PointSpec{
+			Code:      code,
+			Scheduler: s,
+			Channel:   channel.GilbertChannel(pt.P, pt.Q),
+			Trials:    cfg.Trials,
+			Seed:      seed(pt),
+		}
 	}
+	aggs, err = engine.RunPointSpecs(context.Background(), specs, cfg.Workers)
+	return code.Layout().N, aggs, err
+}
+
+func resultOf(t Tuple, agg engine.Aggregate) Result {
 	return Result{
 		Tuple:    t,
 		Failed:   agg.Failed(),
 		Ineff:    agg.MeanIneff(),
 		Failures: agg.Failures,
 		Trials:   agg.Trials,
-	}, nil
+	}
+}
+
+// Evaluate measures one tuple at the Gilbert point (p, q).
+func Evaluate(t Tuple, p, q float64, cfg Config) (Result, error) {
+	cfg = cfg.withDefaults()
+	_, aggs, err := measure(t, []PQ{{P: p, Q: q}}, func(PQ) int64 { return cfg.Seed }, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return resultOf(t, aggs[0]), nil
 }
 
 // Rank evaluates every candidate tuple at (p, q) and sorts them: reliable
@@ -118,42 +143,11 @@ func Evaluate(t Tuple, p, q float64, cfg Config) (Result, error) {
 // engine plan, so evaluation parallelises across tuples and trials.
 func Rank(p, q float64, cfg Config) ([]Result, error) {
 	cfg = cfg.withDefaults()
-	// The plan axes and the kept subset both derive from Candidates(),
-	// so the search space has a single definition.
-	cands := Candidates()
-	var (
-		codeAxis, schedAxis []string
-		ratioAxis           []float64
-		want                = map[Tuple]bool{}
-	)
-	appendString := func(axis []string, v string) []string {
-		for _, have := range axis {
-			if have == v {
-				return axis
-			}
-		}
-		return append(axis, v)
-	}
-	for _, c := range cands {
-		codeAxis = appendString(codeAxis, c.Code)
-		schedAxis = appendString(schedAxis, c.TxModel)
-		seen := false
-		for _, r := range ratioAxis {
-			if r == c.Ratio {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			ratioAxis = append(ratioAxis, c.Ratio)
-		}
-		want[c] = true
-	}
 	plan := engine.Plan{
-		Codes:      codeAxis,
+		Codes:      candidateCodes,
 		Ks:         []int{cfg.K},
-		Ratios:     ratioAxis,
-		Schedulers: schedAxis,
+		Ratios:     candidateRatios,
+		Schedulers: candidateModels,
 		Channels:   []engine.ChannelSpec{channel.GilbertChannel(p, q)},
 		Trials:     cfg.Trials,
 		Seed:       cfg.Seed,
@@ -164,10 +158,9 @@ func Rank(p, q float64, cfg Config) ([]Result, error) {
 	}
 	kept := points[:0]
 	for _, pt := range points {
-		if !want[Tuple{Code: pt.Code, TxModel: pt.Scheduler, Ratio: pt.Ratio}] {
-			continue
+		if admissible(pt.Scheduler, pt.Ratio) {
+			kept = append(kept, pt)
 		}
-		kept = append(kept, pt)
 	}
 	res, err := engine.RunPoints(context.Background(), kept, engine.Options{Workers: cfg.Workers})
 	if err != nil {
@@ -175,13 +168,7 @@ func Rank(p, q float64, cfg Config) ([]Result, error) {
 	}
 	out := make([]Result, 0, len(res))
 	for _, r := range res {
-		out = append(out, Result{
-			Tuple:    Tuple{Code: r.Point.Code, TxModel: r.Point.Scheduler, Ratio: r.Point.Ratio},
-			Failed:   r.Aggregate.Failed(),
-			Ineff:    r.Aggregate.MeanIneff(),
-			Failures: r.Aggregate.Failures,
-			Trials:   r.Aggregate.Trials,
-		})
+		out = append(out, resultOf(Tuple{Code: r.Point.Code, TxModel: r.Point.Scheduler, Ratio: r.Point.Ratio}, r.Aggregate))
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]

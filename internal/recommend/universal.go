@@ -7,15 +7,12 @@ package recommend
 // and find the corresponding n_sent value; then we select the largest").
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/codes"
 	"fecperf/internal/engine"
-	"fecperf/internal/sched"
 	"fecperf/internal/stats"
 )
 
@@ -26,8 +23,8 @@ type PQ struct{ P, Q float64 }
 // its position in the population, so the same (p, q) point always sees
 // the same trial stream — sizing a subset of a population is then
 // guaranteed to agree with sizing the whole of it.
-func pointSeed(base int64, pt PQ) int64 {
-	return engine.DeriveSeed(base, math.Float64bits(pt.P), math.Float64bits(pt.Q))
+func (c Config) pointSeed(pt PQ) int64 {
+	return engine.DeriveSeed(c.Seed, math.Float64bits(pt.P), math.Float64bits(pt.Q))
 }
 
 // PopulationResult describes how one tuple serves a set of receivers.
@@ -50,17 +47,17 @@ func EvaluatePopulation(t Tuple, points []PQ, cfg Config) (PopulationResult, err
 	if len(points) == 0 {
 		return PopulationResult{}, fmt.Errorf("recommend: no channel points")
 	}
+	_, aggs, err := measure(t, points, cfg.pointSeed, cfg)
+	if err != nil {
+		return PopulationResult{}, err
+	}
 	out := PopulationResult{Tuple: t}
-	for _, pt := range points {
-		r, err := Evaluate(t, pt.P, pt.Q, Config{K: cfg.K, Trials: cfg.Trials, Seed: pointSeed(cfg.Seed, pt)})
-		if err != nil {
-			return PopulationResult{}, err
-		}
-		if r.Failed {
-			out.FailedPoints = append(out.FailedPoints, pt)
+	for i, agg := range aggs {
+		if agg.Failed() {
+			out.FailedPoints = append(out.FailedPoints, points[i])
 			continue
 		}
-		out.Ineff.Add(r.Ineff)
+		out.Ineff.Add(agg.MeanIneff())
 	}
 	return out, nil
 }
@@ -98,27 +95,13 @@ func RankForPopulation(points []PQ, cfg Config) ([]PopulationResult, error) {
 // impossible and are returned as an error.
 func NSentForPopulation(t Tuple, points []PQ, margin int, cfg Config) (int, error) {
 	cfg = cfg.withDefaults()
-	code, err := codes.Make(t.Code, cfg.K, t.Ratio, cfg.Seed)
+	n, aggs, err := measure(t, points, cfg.pointSeed, cfg)
 	if err != nil {
 		return 0, err
 	}
-	s, err := sched.ByName(t.TxModel)
-	if err != nil {
-		return 0, err
-	}
-	n := code.Layout().N
 	best := 0
-	for _, pt := range points {
-		agg, err := engine.RunPoint(context.Background(), engine.PointSpec{
-			Code:      code,
-			Scheduler: s,
-			Channel:   channel.GilbertChannel(pt.P, pt.Q),
-			Trials:    cfg.Trials,
-			Seed:      pointSeed(cfg.Seed, pt),
-		}, cfg.Workers)
-		if err != nil {
-			return 0, err
-		}
+	for i, agg := range aggs {
+		pt := points[i]
 		if agg.Failed() {
 			return 0, fmt.Errorf("recommend: tuple %s fails at (p=%g, q=%g); cannot size n_sent", t, pt.P, pt.Q)
 		}

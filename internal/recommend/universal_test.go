@@ -1,8 +1,15 @@
 package recommend
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"fecperf/internal/channel"
+	"fecperf/internal/codes"
+	"fecperf/internal/engine"
+	"fecperf/internal/sched"
+	"fecperf/internal/stats"
 )
 
 func mildPopulation() []PQ {
@@ -27,6 +34,41 @@ func TestEvaluatePopulationReliable(t *testing.T) {
 	}
 	if r.Ineff.Mean() < 1.0 || r.Ineff.Mean() > 1.4 {
 		t.Fatalf("mean inefficiency %g out of plausible range", r.Ineff.Mean())
+	}
+}
+
+// TestEvaluatePopulationOneGraphPerTuple: a sender has one code, so an
+// LDGM tuple is measured on the graph built from cfg.Seed at every channel
+// point — the graph NSentForPopulation sizes — and only the trial streams
+// differ per point.
+func TestEvaluatePopulationOneGraphPerTuple(t *testing.T) {
+	tuple := Tuple{Code: "ldgm-staircase", TxModel: "tx2", Ratio: 2.5}
+	cfg := fastCfg()
+	got, err := EvaluatePopulation(tuple, mildPopulation(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := codes.Make(tuple.Code, cfg.K, tuple.Ratio, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ByName(tuple.TxModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want stats.Accumulator
+	for _, pt := range mildPopulation() {
+		agg, err := engine.RunPoint(context.Background(), engine.PointSpec{
+			Code: code, Scheduler: s, Channel: channel.GilbertChannel(pt.P, pt.Q),
+			Trials: cfg.Trials, Seed: cfg.pointSeed(pt),
+		}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(agg.MeanIneff())
+	}
+	if !got.Reliable() || got.Ineff != want {
+		t.Fatalf("population measured %+v, the cfg.Seed graph gives %+v", got.Ineff, want)
 	}
 }
 

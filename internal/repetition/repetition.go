@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"fecperf/internal/core"
-	"fecperf/internal/symbol"
 )
 
 // Code is the degenerate no-FEC "code": k source packets, no parity.
@@ -44,31 +43,9 @@ func (c *Code) Layout() core.Layout { return c.layout }
 // threshold is all k distinct source packets — trivially MDS.
 func (c *Code) BlockMDS() bool { return true }
 
-// NewReceiver implements core.Code: done once all k distinct source
-// packets have arrived.
-func (c *Code) NewReceiver() core.Receiver {
-	return &receiver{got: make([]bool, c.layout.K)}
-}
-
-type receiver struct {
-	got  []bool
-	seen int
-}
-
-func (r *receiver) Receive(id int) bool {
-	if id < 0 || id >= len(r.got) {
-		panic(fmt.Sprintf("repetition: packet id %d outside [0,%d)", id, len(r.got)))
-	}
-	if !r.got[id] {
-		r.got[id] = true
-		r.seen++
-	}
-	return r.Done()
-}
-
-func (r *receiver) Done() bool { return r.seen == len(r.got) }
-
-func (r *receiver) SourceRecovered() int { return r.seen }
+// NewReceiver implements core.Code: the structural block decoder with no
+// solver — one block whose threshold is every source packet.
+func (c *Code) NewReceiver() core.Receiver { return core.NewBlockDecoder(c.layout, 0, nil) }
 
 // EncodeInto implements core.Codec. A repetition "code" has no parity at
 // all (n == k); redundancy comes from the scheduler sending packets
@@ -99,51 +76,5 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 	if symLen <= 0 {
 		return nil, fmt.Errorf("repetition: symbol length must be positive, got %d", symLen)
 	}
-	k := c.layout.K
-	return &payloadDecoder{symLen: symLen, got: make([]bool, k), src: symbol.NewSlab(k, symLen)}, nil
+	return core.NewBlockDecoder(c.layout, symLen, nil), nil
 }
-
-type payloadDecoder struct {
-	symLen int
-	got    []bool
-	src    symbol.Slab // one slot per source packet
-	seen   int
-}
-
-func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
-	if id < 0 || id >= len(d.got) {
-		panic(fmt.Sprintf("repetition: packet id %d outside [0,%d)", id, len(d.got)))
-	}
-	if len(payload) != d.symLen {
-		panic(fmt.Sprintf("repetition: payload length %d, want %d", len(payload), d.symLen))
-	}
-	if !d.got[id] {
-		d.got[id] = true
-		copy(d.src.Slot(id), payload)
-		d.seen++
-	}
-	return d.Done()
-}
-
-func (d *payloadDecoder) Done() bool { return d.seen == len(d.got) }
-
-func (d *payloadDecoder) SourceRecovered() int { return d.seen }
-
-func (d *payloadDecoder) Source(i int) []byte {
-	if i < 0 || i >= len(d.got) {
-		panic(fmt.Sprintf("repetition: source index %d outside [0,%d)", i, len(d.got)))
-	}
-	if d.src.Slots() == 0 || !d.got[i] {
-		return nil // not received yet, or the slab is gone (taken, closed)
-	}
-	return d.src.Slot(i)
-}
-
-func (d *payloadDecoder) TakeSources() symbol.Slab {
-	if !d.Done() {
-		panic("repetition: TakeSources before the decoder is done")
-	}
-	return d.src.Take()
-}
-
-func (d *payloadDecoder) Close() { d.src.Release() }

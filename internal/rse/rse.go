@@ -10,10 +10,11 @@
 // receiver effectively plays a coupon-collector game across blocks.
 //
 // The code is MDS: a block with k_b source symbols decodes from any k_b of
-// its n_b symbols. The structural receiver used by the simulations exploits
-// exactly that property; the payload codec carries real data. Encoding
-// multiplies the sources by the (n_b-k_b)×k_b parity generator G. Decoding
-// (codec.go, the package's one decode path) is systematic erasure decoding:
+// its n_b symbols. That counting rule is core.BlockDecoder, the one receive
+// state machine the simulations (structurally) and the wire (with payloads)
+// both run; this package supplies the algebra. Encoding multiplies the
+// sources by the (n_b-k_b)×k_b parity generator G. Decoding (codec.go) is
+// systematic erasure decoding:
 // received sources are final as they arrive, and a block missing e sources
 // folds the received ones into its e buffered parity symbols to form
 // syndromes, inverts the e×e submatrix of G that couples those parity rows
@@ -25,7 +26,6 @@ package rse
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"fecperf/internal/core"
@@ -51,7 +51,6 @@ type Params struct {
 // Code is a Reed-Solomon erasure code over a segmented object.
 // It is immutable after construction and safe for concurrent receivers.
 type Code struct {
-	params Params
 	layout core.Layout
 	blocks []blockDef
 
@@ -63,10 +62,9 @@ type Code struct {
 
 // blockDef records per-block geometry in global-ID space.
 type blockDef struct {
-	kb, nb     int
-	srcOff     int // first global source ID
-	parOff     int // first global parity ID
-	blockIndex int
+	kb, nb int
+	srcOff int // first global source ID
+	parOff int // first global parity ID
 }
 
 // New constructs the segmented code. It returns an error when the geometry
@@ -97,7 +95,7 @@ func New(p Params) (*Code, error) {
 	aSmall := p.K / b
 	iLarge := p.K - aSmall*b
 
-	c := &Code{params: p, genFor: make(map[[2]int]*matrix.Matrix)}
+	c := &Code{genFor: make(map[[2]int]*matrix.Matrix)}
 	srcOff, parCount := 0, 0
 	for bi := 0; bi < b; bi++ {
 		kb := aSmall
@@ -111,7 +109,7 @@ func New(p Params) (*Code, error) {
 		if nb < kb {
 			nb = kb
 		}
-		c.blocks = append(c.blocks, blockDef{kb: kb, nb: nb, srcOff: srcOff, blockIndex: bi})
+		c.blocks = append(c.blocks, blockDef{kb: kb, nb: nb, srcOff: srcOff})
 		srcOff += kb
 		parCount += nb - kb
 	}
@@ -154,89 +152,10 @@ func (c *Code) NumBlocks() int { return len(c.blocks) }
 // already embodies.
 func (c *Code) BlockMDS() bool { return true }
 
-// blockOf maps a global packet ID to its block and in-block index
-// (0..nb-1, with source symbols first).
-func (c *Code) blockOf(id int) (bi, esi int) {
-	if id < c.layout.K {
-		// Source IDs are contiguous per block: binary search on srcOff.
-		bi = sort.Search(len(c.blocks), func(i int) bool {
-			return c.blocks[i].srcOff+c.blocks[i].kb > id
-		})
-		return bi, id - c.blocks[bi].srcOff
-	}
-	bi = sort.Search(len(c.blocks), func(i int) bool {
-		bd := c.blocks[i]
-		return bd.parOff+(bd.nb-bd.kb) > id
-	})
-	return bi, c.blocks[bi].kb + (id - c.blocks[bi].parOff)
-}
-
-// NewReceiver implements core.Code with the MDS counting rule: a block is
-// decodable as soon as it has k_b distinct symbols.
-func (c *Code) NewReceiver() core.Receiver {
-	r := &receiver{code: c}
-	r.got = make([][]bool, len(c.blocks))
-	r.count = make([]int, len(c.blocks))
-	for i, bd := range c.blocks {
-		r.got[i] = make([]bool, bd.nb)
-	}
-	r.pending = len(c.blocks)
-	return r
-}
-
-type receiver struct {
-	code    *Code
-	got     [][]bool
-	count   []int
-	pending int // blocks not yet decodable
-}
-
-func (r *receiver) Receive(id int) bool {
-	if id < 0 || id >= r.code.layout.N {
-		panic(fmt.Sprintf("rse: packet id %d outside [0,%d)", id, r.code.layout.N))
-	}
-	bi, esi := r.code.blockOf(id)
-	if r.got[bi][esi] {
-		return r.Done()
-	}
-	r.got[bi][esi] = true
-	r.count[bi]++
-	if r.count[bi] == r.code.blocks[bi].kb {
-		r.pending--
-	}
-	return r.Done()
-}
-
-func (r *receiver) Done() bool { return r.pending == 0 }
-
-// BufferedSymbols implements core.MemoryReporter: symbols of undecoded
-// blocks must be buffered; a decoded block's sources stream out to the
-// application and its parity is dropped.
-func (r *receiver) BufferedSymbols() int {
-	total := 0
-	for bi, bd := range r.code.blocks {
-		if r.count[bi] < bd.kb {
-			total += r.count[bi]
-		}
-	}
-	return total
-}
-
-func (r *receiver) SourceRecovered() int {
-	total := 0
-	for bi, bd := range r.code.blocks {
-		if r.count[bi] >= bd.kb {
-			total += bd.kb
-			continue
-		}
-		for esi := 0; esi < bd.kb; esi++ {
-			if r.got[bi][esi] {
-				total++
-			}
-		}
-	}
-	return total
-}
+// NewReceiver implements core.Code: the structural form of the package's
+// one decoder, which embodies the MDS counting rule — a block is decodable
+// as soon as it has k_b distinct symbols.
+func (c *Code) NewReceiver() core.Receiver { return core.NewBlockDecoder(c.layout, 0, c) }
 
 // generator returns the (nb-kb)×kb parity generator for a block geometry:
 // the bottom rows of V·V_top^-1 where V is Vandermonde(nb, kb). The top kb

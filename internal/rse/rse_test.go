@@ -1,7 +1,9 @@
 package rse
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -86,20 +88,26 @@ func TestBlockSizesDifferByAtMostOne(t *testing.T) {
 	}
 }
 
+// TestBlockOfRoundTrip checks the decoder files every packet ID under its
+// own block: that ID plus k_b-1 other symbols of the block must decode
+// exactly that block, leaving nothing buffered.
 func TestBlockOfRoundTrip(t *testing.T) {
 	c := mustNew(t, Params{K: 500, Ratio: 2.5})
-	l := c.Layout()
-	for bi, b := range l.Blocks {
-		for i, id := range b.Source {
-			gotB, gotE := c.blockOf(id)
-			if gotB != bi || gotE != i {
-				t.Fatalf("blockOf(source %d) = (%d,%d), want (%d,%d)", id, gotB, gotE, bi, i)
+	for bi, b := range c.Layout().Blocks {
+		ids := append(append([]int{}, b.Source...), b.Parity...)
+		for _, id := range ids {
+			rx := c.NewReceiver()
+			rx.Receive(id)
+			for fed := 1; fed < len(b.Source); fed++ {
+				if other := ids[fed-1]; other != id {
+					rx.Receive(other)
+				} else {
+					rx.Receive(ids[len(b.Source)-1])
+				}
 			}
-		}
-		for i, id := range b.Parity {
-			gotB, gotE := c.blockOf(id)
-			if gotB != bi || gotE != len(b.Source)+i {
-				t.Fatalf("blockOf(parity %d) = (%d,%d), want (%d,%d)", id, gotB, gotE, bi, len(b.Source)+i)
+			if buf := rx.(core.MemoryReporter).BufferedSymbols(); rx.SourceRecovered() != len(b.Source) || buf != 0 {
+				t.Fatalf("block %d with packet %d: %d sources recovered, %d symbols still buffered",
+					bi, id, rx.SourceRecovered(), buf)
 			}
 		}
 	}
@@ -280,8 +288,7 @@ func TestDecodeMultiBlockWithLoss(t *testing.T) {
 			if rng.Float64() < 0.4 {
 				continue
 			}
-			bi, _ := c.blockOf(id)
-			perBlock[bi]++
+			perBlock[blockIndex(l, id)]++
 			ids = append(ids, id)
 			payloads = append(payloads, all[id])
 		}
@@ -421,10 +428,21 @@ func assertPayloadsEqual(t *testing.T, want, got [][]byte) {
 	}
 }
 
+// blockIndex returns the block of the layout that packet id belongs to.
+func blockIndex(l core.Layout, id int) int {
+	for bi, b := range l.Blocks {
+		if slices.Contains(b.Source, id) || slices.Contains(b.Parity, id) {
+			return bi
+		}
+	}
+	panic(fmt.Sprintf("packet %d is in no block", id))
+}
+
 func TestBufferedSymbols(t *testing.T) {
 	c := mustNew(t, Params{K: 10, Ratio: 2.0, MaxBlock: 10})
-	rx := c.NewReceiver().(*receiver)
-	if rx.BufferedSymbols() != 0 {
+	rx := c.NewReceiver()
+	mem := rx.(core.MemoryReporter)
+	if mem.BufferedSymbols() != 0 {
 		t.Fatal("fresh receiver buffers symbols")
 	}
 	l := c.Layout()
@@ -432,12 +450,41 @@ func TestBufferedSymbols(t *testing.T) {
 	for _, id := range l.Blocks[0].Source[:4] {
 		rx.Receive(id)
 	}
-	if got := rx.BufferedSymbols(); got != 4 {
+	if got := mem.BufferedSymbols(); got != 4 {
 		t.Fatalf("BufferedSymbols = %d, want 4", got)
 	}
 	// Complete block 0: its symbols stream out.
 	rx.Receive(l.Blocks[0].Source[4])
-	if got := rx.BufferedSymbols(); got != 0 {
+	if got := mem.BufferedSymbols(); got != 0 {
 		t.Fatalf("BufferedSymbols = %d after block decode, want 0", got)
+	}
+
+	// The running count equals a recount from the received set after
+	// every packet of a random arrival order with duplicates.
+	c = mustNew(t, Params{K: 40, Ratio: 1.5, MaxBlock: 12})
+	l = c.Layout()
+	rx = c.NewReceiver()
+	mem = rx.(core.MemoryReporter)
+	rng := rand.New(rand.NewSource(11))
+	seen := make(map[int]bool)
+	for i := 0; i < 3*l.N; i++ {
+		id := rng.Intn(l.N)
+		rx.Receive(id)
+		seen[id] = true
+		want := 0
+		for _, b := range l.Blocks {
+			n := 0
+			for _, id := range append(append([]int{}, b.Source...), b.Parity...) {
+				if seen[id] {
+					n++
+				}
+			}
+			if n < len(b.Source) {
+				want += n
+			}
+		}
+		if got := mem.BufferedSymbols(); got != want {
+			t.Fatalf("after %d packets: BufferedSymbols = %d, recount %d", i+1, got, want)
+		}
 	}
 }

@@ -81,43 +81,9 @@ func (c *Code) Layout() core.Layout { return c.layout }
 // exactly k distinct packets.
 func (c *Code) BlockMDS() bool { return true }
 
-// NewReceiver implements core.Code: pure MDS counting — done at exactly k
-// distinct packets.
-func (c *Code) NewReceiver() core.Receiver {
-	return &receiver{code: c, got: make([]bool, c.n)}
-}
-
-type receiver struct {
-	code *Code
-	got  []bool
-	seen int
-}
-
-func (r *receiver) Receive(id int) bool {
-	if id < 0 || id >= r.code.n {
-		panic(fmt.Sprintf("rse16: packet id %d outside [0,%d)", id, r.code.n))
-	}
-	if !r.got[id] {
-		r.got[id] = true
-		r.seen++
-	}
-	return r.Done()
-}
-
-func (r *receiver) Done() bool { return r.seen >= r.code.k }
-
-func (r *receiver) SourceRecovered() int {
-	if r.Done() {
-		return r.code.k
-	}
-	n := 0
-	for id := 0; id < r.code.k; id++ {
-		if r.got[id] {
-			n++
-		}
-	}
-	return n
-}
+// NewReceiver implements core.Code: the structural form of the block
+// decoder — done at exactly k distinct packets.
+func (c *Code) NewReceiver() core.Receiver { return core.NewBlockDecoder(c.layout, 0, c) }
 
 // generator lazily builds the systematic parity generator: the bottom
 // n-k rows of V·V_top^-1 for V = Vandermonde(n, k) over GF(2^16).
@@ -287,153 +253,59 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 	if symLen%2 != 0 {
 		return nil, fmt.Errorf("rse16: symbol length %d is odd (payloads are 16-bit symbols)", symLen)
 	}
-	return &payloadDecoder{
-		code:   c,
-		symLen: symLen,
-		got:    make([]bool, c.n),
-		src:    symbol.NewSlab(c.k, symLen),
-	}, nil
+	return core.NewBlockDecoder(c.layout, symLen, c), nil
 }
 
-// payloadDecoder copies each source payload to its slot of the source
-// slab and buffers parity in a second slab until any k distinct symbols
-// arrived (the code is MDS over the whole object), then solves once,
-// rebuilding the missing sources in their slots.
-type payloadDecoder struct {
-	code   *Code
-	symLen int
-	got    []bool
-	src    symbol.Slab // the k source slots, received or rebuilt in place
-	par    symbol.Slab // buffered parity, one slot per arrival, aligned with parIDs
-	parIDs []int
-	seen   int
-	srcRec int
-	done   bool
-}
-
-func (d *payloadDecoder) ReceivePayload(id int, payload []byte) bool {
-	if id < 0 || id >= d.code.n {
-		panic(fmt.Sprintf("rse16: packet id %d outside [0,%d)", id, d.code.n))
-	}
-	if len(payload) != d.symLen {
-		panic(fmt.Sprintf("rse16: payload length %d, want %d", len(payload), d.symLen))
-	}
-	if d.done || d.got[id] {
-		return d.done
-	}
-	d.got[id] = true
-	d.seen++
-	if id < d.code.k {
-		copy(d.src.Slot(id), payload)
-		d.srcRec++
-	} else {
-		if d.par.Slots() == 0 {
-			// At most k symbols are ever buffered, and never more parity
-			// than the code has.
-			d.par = symbol.NewSlab(min(d.code.k, d.code.n-d.code.k), d.symLen)
+// SolveBlock implements core.BlockSolver for the single block: it solves
+// the k×k system of the k symbols present in the view table (the code is
+// MDS over the whole object) and writes the missing sources into their
+// slots. All matrix scratch — equation rows, right-hand sides, the
+// inverse and the accumulator — is pooled []uint16.
+func (c *Code) SolveBlock(_ int, tab [][]byte) {
+	k := c.k
+	gen := c.generator()
+	rows := make([][]uint16, 0, k)
+	rhs := make([][]uint16, 0, k)
+	for id, pay := range tab[:c.n] {
+		if pay == nil {
+			continue
 		}
-		copy(d.par.Slot(len(d.parIDs)), payload)
-		d.parIDs = append(d.parIDs, id)
-	}
-	if d.seen == d.code.k {
-		d.decode()
-	}
-	return d.done
-}
-
-// decode solves the single MDS block from the k buffered symbols. All
-// matrix scratch — equation rows, right-hand sides, the inverse and the
-// accumulator — is pooled []uint16, and the recovered payloads are
-// written straight into their source slots.
-func (d *payloadDecoder) decode() {
-	if d.srcRec < d.code.k {
-		k := d.code.k
-		gen := d.code.generator()
-		rows := make([][]uint16, 0, k)
-		rhs := make([][]uint16, 0, k)
-		for id := 0; id < d.code.n && len(rows) < k; id++ {
-			if !d.got[id] {
-				continue
-			}
-			row := symbol.GetU16(k)
-			var pay []byte
-			if id < k {
-				row[id] = 1
-				pay = d.src.Slot(id)
-			} else {
-				copy(row, gen[id-k])
-				pay = d.par.Slot(d.parityAt(id))
-			}
-			s, err := toSymbolsPooled(pay)
-			if err != nil {
-				// Lengths were validated at ReceivePayload; unreachable.
-				panic(fmt.Sprintf("rse16: %v", err))
-			}
-			rows = append(rows, row)
-			rhs = append(rhs, s)
+		row := symbol.GetU16(k)
+		if id < k {
+			row[id] = 1
+		} else {
+			copy(row, gen[id-k])
 		}
-		inv := make([][]uint16, k)
-		for i := range inv {
-			inv[i] = symbol.GetU16(k)
+		s, err := toSymbolsPooled(pay)
+		if err != nil {
+			// NewDecoder refused odd lengths; unreachable.
+			panic(fmt.Sprintf("rse16: %v", err))
 		}
-		invertInto(rows, inv)
-		acc := symbol.GetU16(d.symLen / 2)
-		for i := 0; i < k; i++ {
-			if d.got[i] {
-				continue
+		rows = append(rows, row)
+		rhs = append(rhs, s)
+	}
+	inv := make([][]uint16, k)
+	for i := range inv {
+		inv[i] = symbol.GetU16(k)
+	}
+	invertInto(rows, inv)
+	out := tab[c.n:]
+	acc := symbol.GetU16(len(out[0]) / 2)
+	for i := 0; i < k; i++ {
+		if tab[i] != nil {
+			continue
+		}
+		clear(acc)
+		for t, coef := range inv[i] {
+			if coef != 0 {
+				gf65536.AddMul(acc, rhs[t], coef)
 			}
-			clear(acc)
-			for t, coef := range inv[i] {
-				if coef != 0 {
-					gf65536.AddMul(acc, rhs[t], coef)
-				}
-			}
-			putBytes(d.src.Slot(i), acc)
-			d.srcRec++
 		}
-		symbol.PutU16(acc)
-		symbol.PutAllU16(rows)
-		symbol.PutAllU16(rhs)
-		symbol.PutAllU16(inv)
+		putBytes(out[0], acc)
+		out = out[1:]
 	}
-	d.par.Release()
-	d.parIDs = nil
-	d.done = true
-}
-
-// parityAt returns the par slot holding parity id. Linear scan: at
-// most k entries, and the cubic inversion dominates decode anyway.
-func (d *payloadDecoder) parityAt(id int) int {
-	for i, pid := range d.parIDs {
-		if pid == id {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("rse16: parity %d not buffered", id))
-}
-
-func (d *payloadDecoder) Done() bool { return d.done }
-
-func (d *payloadDecoder) SourceRecovered() int { return d.srcRec }
-
-func (d *payloadDecoder) Source(i int) []byte {
-	if i < 0 || i >= d.code.k {
-		panic(fmt.Sprintf("rse16: source index %d outside [0,%d)", i, d.code.k))
-	}
-	if d.src.Slots() == 0 || !(d.done || d.got[i]) {
-		return nil // not recovered yet, or the slab is gone (taken, closed)
-	}
-	return d.src.Slot(i)
-}
-
-func (d *payloadDecoder) TakeSources() symbol.Slab {
-	if !d.done {
-		panic("rse16: TakeSources before the decoder is done")
-	}
-	return d.src.Take()
-}
-
-func (d *payloadDecoder) Close() {
-	d.src.Release()
-	d.par.Release()
+	symbol.PutU16(acc)
+	symbol.PutAllU16(rows)
+	symbol.PutAllU16(rhs)
+	symbol.PutAllU16(inv)
 }
