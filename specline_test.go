@@ -159,3 +159,26 @@ func TestSpecLineSameTrainEverywhere(t *testing.T) {
 		t.Error("codec=(seed=) did not change the chunk datagrams: it must build the code")
 	}
 }
+
+// TestCastFrameStreamPinned pins the datagram sequence of the three
+// bench cast specs — two full window groups, then one with a short last
+// chunk and the manifest — through NewCaster and through a feccastd
+// stream cast. The sums were recorded at commit 924dd6e, before the
+// caster overlapped encoding with sending: what goes on the wire, and
+// in what order, is not the pipeline's to change.
+func TestCastFrameStreamPinned(t *testing.T) {
+	src := make([]byte, 9<<18+1000)
+	newRand(11).Read(src)
+	for line, want := range map[string]string{
+		"codec=rse(k=256,ratio=1.5),sched=tx4,payload=1024,rounds=1,window=4":                     "d9206dadda398a61 (3461 datagrams)",
+		"codec=rse(k=256,ratio=1.5),sched=tx1,payload=1024,rounds=1,window=4":                     "fcc857e5a1e0982d (3461 datagrams)",
+		"codec=ldgm-staircase(k=2048,ratio=1.5),sched=tx4,payload=128,rounds=1,window=4,batch=32": "11d1415446406877 (27664 datagrams)",
+	} {
+		if got := streamSum(castThroughFacade(t, src, WithSpec(line))); got != want {
+			t.Errorf("%q through NewCaster:\n  got  %s\n  want %s", line, got, want)
+		}
+		if got := streamSum(castThroughDaemon(t, src, line)); got != want {
+			t.Errorf("%q through feccastd:\n  got  %s\n  want %s", line, got, want)
+		}
+	}
+}
