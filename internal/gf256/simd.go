@@ -42,6 +42,11 @@ const (
 	gfniMaxCols = 256
 )
 
+// RowsStrip is the row-length granularity of AddMulRows' fused kernel:
+// rows whose length is a multiple of it run there whole, with no tail
+// left for the per-source ladder. matrix.Invert pads its rows to it.
+const RowsStrip = gfniStrip
+
 // Tier names the kernel tier the dispatch selected for this process:
 // "gfni", "avx2", "neon" or "portable".
 func Tier() string {

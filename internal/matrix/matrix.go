@@ -144,76 +144,123 @@ func (m *Matrix) MulVec(dst, src [][]byte) {
 	gf256.AddMulRows(dst, m.data, src)
 }
 
-// Inverse returns m^-1 computed by Gauss-Jordan elimination with partial
-// pivoting (any non-zero pivot works in a field). It returns ErrSingular if
-// m is not invertible and panics if m is not square.
+// invStride is the row length of Invert's workspace for an n×n matrix:
+// the augmented row [m | I], 2n bytes, padded to the strip the fused
+// gf256.AddMulRows kernel works in — so on the gfni tier a whole
+// elimination step runs inside that kernel, never in its per-row ladder.
+func invStride(n int) int {
+	return (2*n + gf256.RowsStrip - 1) &^ (gf256.RowsStrip - 1)
+}
+
+// NewPooledSquare returns a zero n×n pooled matrix with Invert's
+// workspace behind it in the same pool buffer, so inverting it touches
+// the allocator zero times. The decode-path sizes (n ≤ 127, the most
+// sources a 255-symbol block can lack and still have parity for) fit a
+// 32 KiB buffer; larger ones fall through the pool to plain make.
+func NewPooledSquare(n int) Matrix {
+	if n <= 0 {
+		panic(fmt.Sprintf("matrix: invalid dimensions %dx%d", n, n))
+	}
+	return Matrix{rows: n, cols: n, data: symbol.Get(n * invStride(n))[:n*n]}
+}
+
+// Inverse returns m^-1; see Invert. It returns ErrSingular if m is not
+// invertible and panics if m is not square.
 func (m *Matrix) Inverse() (*Matrix, error) {
-	a := m.Clone()
-	inv := New(m.rows, m.cols)
-	if err := a.InvertTo(inv); err != nil {
+	inv := m.Clone()
+	if err := inv.Invert(); err != nil {
 		return nil, err
 	}
 	return inv, nil
 }
 
-// InvertTo computes m^-1 into dst without allocating: m itself is the
-// elimination workspace (reduced to the identity on success, garbage on
-// failure) and dst — which must share m's square shape — is overwritten
-// starting from the identity. Decode paths pair it with NewPooled
-// scratch so a block inversion touches the allocator zero times.
-func (m *Matrix) InvertTo(dst *Matrix) error {
+// Invert replaces square m with m^-1 by Gauss-Jordan elimination (the
+// pivot is the first non-zero entry at or below the diagonal: any
+// non-zero pivot works in a field). It returns ErrSingular, leaving m
+// garbage, if m is not invertible, and panics if m is not square.
+//
+// The elimination runs on augmented rows [m | I] of invStride bytes, and
+// clearing a pivot's column from every other row is one
+// gf256.AddMulRows call — all other rows ^= their column entry × the
+// pivot row — so the n² row updates of an inversion reach the vector
+// kernels four rows at a time instead of as 2n² short single-row calls.
+// A matrix from NewPooledSquare carries the workspace in its own buffer;
+// any other allocates it.
+func (m *Matrix) Invert() error {
 	if m.rows != m.cols {
 		panic("matrix: Inverse of non-square matrix")
 	}
-	if dst.rows != m.rows || dst.cols != m.cols {
-		panic(fmt.Sprintf("matrix: InvertTo into %dx%d, want %dx%d", dst.rows, dst.cols, m.rows, m.cols))
+	n, w := m.rows, invStride(m.rows)
+	var ws []byte
+	if cap(m.data) >= n*w {
+		ws = m.data[:n*w]
+	} else {
+		ws = make([]byte, n*w)
 	}
-	n := m.rows
-	clear(dst.data)
-	for i := 0; i < n; i++ {
-		dst.Set(i, i, 1)
+	// Spread the rows from n bytes apart to w, last first: in m's own
+	// storage row i lands at or above where it was, on top of nothing
+	// still to move.
+	for i := n - 1; i >= 0; i-- {
+		row := ws[i*w : (i+1)*w]
+		copy(row, m.data[i*n:(i+1)*n])
+		clear(row[n:])
+		row[n+i] = 1
 	}
+
+	// others is every row but the pivot's — the rows one AddMulRows call
+	// updates — and coef their entries in the pivot column. GF(2^8)
+	// matrices have at most 256 rows, so both live on the stack.
+	var (
+		othersBuf [gf256.Size][]byte
+		coefBuf   [gf256.Size]byte
+		pivotRow  [1][]byte
+	)
+	others, coef := othersBuf[:0], coefBuf[:0]
+	if n > len(othersBuf) {
+		others, coef = make([][]byte, 0, n), make([]byte, 0, n)
+	}
+	for r := 1; r < n; r++ {
+		others = append(others, ws[r*w:(r+1)*w])
+	}
+	coef = coef[:len(others)]
 	for col := 0; col < n; col++ {
-		// Find a pivot at or below the diagonal.
-		pivot := -1
-		for r := col; r < n; r++ {
-			if m.At(r, col) != 0 {
-				pivot = r
-				break
-			}
+		pivot := col
+		for pivot < n && ws[pivot*w+col] == 0 {
+			pivot++
 		}
-		if pivot < 0 {
+		if pivot == n {
 			return ErrSingular
 		}
+		prow := ws[col*w : (col+1)*w]
 		if pivot != col {
-			m.swapRows(pivot, col)
-			dst.swapRows(pivot, col)
-		}
-		// Scale the pivot row so the pivot becomes 1.
-		if p := m.At(col, col); p != 1 {
-			ip := gf256.Inv(p)
-			gf256.MulSlice(m.Row(col), m.Row(col), ip)
-			gf256.MulSlice(dst.Row(col), dst.Row(col), ip)
-		}
-		// Eliminate the column everywhere else.
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			if c := m.At(r, col); c != 0 {
-				gf256.AddMul(m.Row(r), m.Row(col), c)
-				gf256.AddMul(dst.Row(r), dst.Row(col), c)
+			// others holds views by position, so the rows trade contents.
+			other := ws[pivot*w : (pivot+1)*w]
+			for t := range prow[:2*n] {
+				prow[t], other[t] = other[t], prow[t]
 			}
 		}
+		if p := prow[col]; p != 1 {
+			// Earlier steps cleared the columns left of the pivot.
+			gf256.MulSlice(prow[col:2*n], prow[col:2*n], gf256.Inv(p))
+		}
+		for i := range coef {
+			r := i
+			if i >= col {
+				r++
+			}
+			coef[i] = ws[r*w+col]
+		}
+		pivotRow[0] = prow
+		gf256.AddMulRows(others, coef, pivotRow[:])
+		if col < len(others) {
+			others[col] = prow // the next pivot row leaves, this one returns
+		}
+	}
+	// Pack the inverse halves back to n bytes apart, first row first.
+	for i := 0; i < n; i++ {
+		copy(m.data[i*n:(i+1)*n], ws[i*w+n:i*w+2*n])
 	}
 	return nil
-}
-
-func (m *Matrix) swapRows(i, j int) {
-	ri, rj := m.Row(i), m.Row(j)
-	for t := range ri {
-		ri[t], rj[t] = rj[t], ri[t]
-	}
 }
 
 // Equal reports whether m and other have identical shape and contents.

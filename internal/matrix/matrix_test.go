@@ -271,3 +271,122 @@ func BenchmarkInverse64(b *testing.B) {
 		}
 	}
 }
+
+// referenceInverse is the textbook Gauss-Jordan inversion, one scalar
+// field operation per entry: the oracle Invert is compared against.
+func referenceInverse(m *Matrix) (*Matrix, error) {
+	n := m.Rows()
+	a, inv := m.Clone(), Identity(n)
+	for col := 0; col < n; col++ {
+		pivot := col
+		for pivot < n && a.At(pivot, col) == 0 {
+			pivot++
+		}
+		if pivot == n {
+			return nil, ErrSingular
+		}
+		for j := 0; j < n; j++ {
+			av, iv := a.At(col, j), inv.At(col, j)
+			a.Set(col, j, a.At(pivot, j))
+			inv.Set(col, j, inv.At(pivot, j))
+			a.Set(pivot, j, av)
+			inv.Set(pivot, j, iv)
+		}
+		ip := gf256.Inv(a.At(col, col))
+		for j := 0; j < n; j++ {
+			a.Set(col, j, gf256.Mul(a.At(col, j), ip))
+			inv.Set(col, j, gf256.Mul(inv.At(col, j), ip))
+		}
+		for r := 0; r < n; r++ {
+			c := a.At(r, col)
+			if r == col || c == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				a.Set(r, j, a.At(r, j)^gf256.Mul(c, a.At(col, j)))
+				inv.Set(r, j, inv.At(r, j)^gf256.Mul(c, inv.At(col, j)))
+			}
+		}
+	}
+	return inv, nil
+}
+
+// TestInvertMatchesReference runs Invert — from pooled storage, where the
+// workspace is the matrix's own buffer, and from plain storage, where it
+// is allocated — against the scalar reference on the shapes that matter
+// to the kernels behind it: one row, under and over a 128-byte strip of
+// augmented row (n = 64 fills one exactly), the decoder's largest (127)
+// and the generator's (255). Each size is tried dense, with zeros down
+// the diagonal so that every step has to find its pivot lower and swap,
+// and singular.
+func TestInvertMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 31, 32, 43, 64, 127, 128, 255} {
+		dense := randomDense(rng, n, n)
+		zeroMinors := randomDense(rng, n, n)
+		for i := 0; i < n; i++ {
+			zeroMinors.Set(i, i, 0)
+		}
+		singular := randomDense(rng, n, n)
+		if n == 1 {
+			singular.Set(0, 0, 0)
+		} else {
+			// Last row = first row ^ 3 × second row.
+			copy(singular.Row(n-1), singular.Row(0))
+			gf256.AddMul(singular.Row(n-1), singular.Row(1), 3)
+		}
+		for name, m := range map[string]*Matrix{"dense": dense, "zero diagonal": zeroMinors, "singular": singular} {
+			want, wantErr := referenceInverse(m)
+			if name == "singular" && wantErr != ErrSingular {
+				t.Fatalf("n=%d: reference inverted a singular matrix", n)
+			}
+			got, err := m.Inverse()
+			pooled := NewPooledSquare(n)
+			copy(pooled.data, m.data)
+			pooledErr := pooled.Invert()
+			if err != wantErr || pooledErr != wantErr {
+				t.Fatalf("n=%d %s: Inverse err %v, pooled Invert err %v, reference %v", n, name, err, pooledErr, wantErr)
+			}
+			if wantErr == nil && (!got.Equal(want) || !pooled.Equal(want)) {
+				t.Fatalf("n=%d %s: inverse differs from the reference", n, name)
+			}
+			pooled.Release()
+		}
+	}
+}
+
+// BenchmarkInvert43 inverts what cast-rse-lossy's decoder inverts: a
+// 43×43 submatrix (43 parity rows × 43 missing-source columns, about the
+// erasure count 9 % bursty loss leaves a block) of the k_b=128, n_b=192
+// systematic generator, in pooled storage as rse.SolveBlock holds it.
+func BenchmarkInvert43(b *testing.B) {
+	const kb, nb, e = 128, 192, 43
+	v := Vandermonde(nb, kb)
+	top := make([]int, kb)
+	for i := range top {
+		top[i] = i
+	}
+	topInv, err := v.SubMatrix(top).Inverse()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys := v.Mul(topInv)
+	rng := rand.New(rand.NewSource(9))
+	rows, cols := rng.Perm(nb - kb)[:e], rng.Perm(kb)[:e]
+	sub := New(e, e)
+	for i, r := range rows {
+		for j, c := range cols {
+			sub.Set(i, j, sys.At(kb+r, c))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewPooledSquare(e)
+		copy(m.data, sub.data)
+		if err := m.Invert(); err != nil {
+			b.Fatal(err)
+		}
+		m.Release()
+	}
+}

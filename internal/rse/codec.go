@@ -35,9 +35,11 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 // rows][missing columns] needs inverting (non-singular for any choice:
 // the code is MDS), and (c) its inverse times the syndromes is the
 // missing sources: O(e³ + e·k_b) where selecting and inverting k_b rows of
-// the systematic matrix was O(k_b³). Matrices borrow pool buffers and the
-// vectors live in the block's view table, so a block decode allocates
-// nothing.
+// the systematic matrix was O(k_b³). The e×e matrix is inverted in place,
+// in the one pool buffer that also holds its elimination workspace, one
+// gf256.AddMulRows call per pivot column (matrix.Invert). Matrices borrow
+// pool buffers — two per solve — and the vectors live in the block's view
+// table, so a block decode allocates nothing.
 func (c *Code) SolveBlock(bi int, tab [][]byte) {
 	bd := c.blocks[bi]
 	src, par, out := tab[:bd.kb], tab[bd.kb:bd.nb], tab[bd.nb:]
@@ -58,7 +60,7 @@ func (c *Code) SolveBlock(bi int, tab [][]byte) {
 	}
 	rows.MulVec(syn, src)
 
-	sub, inv := matrix.NewPooled(e, e), matrix.NewPooled(e, e)
+	sub := matrix.NewPooledSquare(e)
 	col := 0
 	for esi, s := range src {
 		if s == nil {
@@ -68,13 +70,12 @@ func (c *Code) SolveBlock(bi int, tab [][]byte) {
 			col++
 		}
 	}
-	if err := sub.InvertTo(&inv); err != nil {
+	if err := sub.Invert(); err != nil {
 		// Any square submatrix of an MDS generator is non-singular;
 		// reaching this is a construction bug.
 		panic(fmt.Sprintf("rse: decode matrix singular (should be impossible for MDS): %v", err))
 	}
-	inv.MulVec(out, syn)
+	sub.MulVec(out, syn)
 	rows.Release()
 	sub.Release()
-	inv.Release()
 }

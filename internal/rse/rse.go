@@ -20,7 +20,10 @@
 // syndromes, inverts the e×e submatrix of G that couples those parity rows
 // to the missing columns, and multiplies: an O(e³) inversion plus e·k_b
 // symbol-length multiply-accumulates, four rows per pass, where inverting
-// the full k_b×k_b system cost O(k_b³) before any data moved.
+// the full k_b×k_b system cost O(k_b³) before any data moved. The
+// inversion runs on the same kernel as the data passes: Gauss-Jordan over
+// augmented rows, each pivot column cleared from all other rows by one
+// gf256.AddMulRows call (matrix.Invert).
 package rse
 
 import (
