@@ -48,9 +48,10 @@ type BlockDecoder struct {
 }
 
 // blockState tracks one block. tab is its view table (see BlockSolver),
-// made when the block first buffers a parity payload.
+// borrowed from symbol's table pool when the block first buffers a parity
+// payload and returned when the block decodes, or in Close.
 type blockState struct {
-	tab            [][]byte
+	tab            *[][]byte
 	srcOff, parOff int32 // first global source / parity ID
 	count          int32 // distinct symbols received
 	srcGot         int32 // of which sources
@@ -158,7 +159,7 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 		}
 	} else if payload != nil {
 		if b.tab == nil {
-			b.tab = make([][]byte, 2*nb-kb)
+			b.tab = symbol.GetViews(2*nb - kb)
 		}
 		if d.par.Slots() == 0 {
 			// Each block buffers at most k_b symbols and has n_b-k_b parities.
@@ -167,7 +168,7 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 		p := d.par.Slot(d.parUsed)
 		d.parUsed++
 		copy(p, payload)
-		b.tab[idx] = p
+		(*b.tab)[idx] = p
 	}
 	if int(b.count) == kb {
 		e := kb - int(b.srcGot)
@@ -176,7 +177,7 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 		}
 		d.srcRec += e
 		d.buffered -= kb
-		b.tab = nil
+		b.releaseTab()
 		b.decoded = true
 		d.pending--
 	}
@@ -187,7 +188,8 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 // the e missing sources' slots as the output region — and hands it to
 // the family's solver.
 func (d *BlockDecoder) solve(bi int, b *blockState, kb, nb, e int) {
-	src, out := b.tab[:kb], b.tab[nb:nb]
+	tab := *b.tab
+	src, out := tab[:kb], tab[nb:nb]
 	for i := range src {
 		id := int(b.srcOff) + i
 		if s := d.src.Slot(id); d.has(id) {
@@ -196,7 +198,14 @@ func (d *BlockDecoder) solve(bi int, b *blockState, kb, nb, e int) {
 			out = append(out, s)
 		}
 	}
-	d.solver.SolveBlock(bi, b.tab[:nb+e])
+	d.solver.SolveBlock(bi, tab[:nb+e])
+}
+
+func (b *blockState) releaseTab() {
+	if b.tab != nil {
+		symbol.PutViews(b.tab)
+		b.tab = nil
+	}
 }
 
 func (d *BlockDecoder) has(id int) bool { return d.got[id>>6]&(1<<(id&63)) != 0 }
@@ -236,8 +245,15 @@ func (d *BlockDecoder) TakeSources() symbol.Slab {
 
 // Close implements PayloadDecoder: the slabs the decoder still owns —
 // the sources unless taken, and the buffered parity — go back to the
-// symbol pool. It is idempotent and a no-op for structural decoders.
+// symbol pool, and the view tables of blocks that never decoded to
+// theirs. It is idempotent and a no-op for structural decoders.
 func (d *BlockDecoder) Close() {
+	if d.symLen == 0 {
+		return
+	}
 	d.src.Release()
 	d.par.Release()
+	for i := range d.blocks {
+		d.blocks[i].releaseTab()
+	}
 }

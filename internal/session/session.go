@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -118,8 +117,8 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 	// Lay out the n frames and stamp their headers; payloads[id] is the
 	// payload half of frame id, which the scatter and the codec fill in.
 	o := &Object{cfg: cfg, code: code, frames: symbol.NewSlab(n, wire.HeaderLen+cfg.PayloadSize)}
-	views := getViews(n)
-	defer putViews(views)
+	views := symbol.GetViews(n)
+	defer symbol.PutViews(views)
 	payloads := *views
 	hdr := wire.Packet{Family: cfg.Family, ObjectID: cfg.ObjectID, K: uint32(k), N: uint32(n), Seed: cfg.Seed}
 	for id := range payloads {
@@ -160,25 +159,6 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 		in.encodeNS.Observe(time.Since(start).Nanoseconds())
 	}
 	return o, nil
-}
-
-// viewTables recycles EncodeObject's payload view table (24 bytes a
-// packet, more than the rest of an encode allocates put together). A table
-// goes back cleared, so an idle one pins no slab buffer.
-var viewTables sync.Pool // of *[][]byte
-
-func getViews(n int) *[][]byte {
-	if v, _ := viewTables.Get().(*[][]byte); v != nil && cap(*v) >= n {
-		*v = (*v)[:n]
-		return v
-	}
-	v := make([][]byte, n)
-	return &v
-}
-
-func putViews(v *[][]byte) {
-	clear(*v)
-	viewTables.Put(v)
 }
 
 // Close returns the object's frame slab to the pool. The object cannot be
