@@ -155,7 +155,7 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 		d.srcRec++
 		if payload != nil {
 			// The one copy between the read buffer and the decoded object.
-			copy(d.src.Slot(id), payload)
+			copy(d.src.Draw(id), payload)
 		}
 	} else if payload != nil {
 		if b.tab == nil {
@@ -165,7 +165,7 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 			// Each block buffers at most k_b symbols and has n_b-k_b parities.
 			d.par = symbol.NewSlab(min(d.layout.K, d.layout.N-d.layout.K), d.symLen)
 		}
-		p := d.par.Slot(d.parUsed)
+		p := d.par.Draw(d.parUsed)
 		d.parUsed++
 		copy(p, payload)
 		(*b.tab)[idx] = p
@@ -192,10 +192,10 @@ func (d *BlockDecoder) solve(bi int, b *blockState, kb, nb, e int) {
 	src, out := tab[:kb], tab[nb:nb]
 	for i := range src {
 		id := int(b.srcOff) + i
-		if s := d.src.Slot(id); d.has(id) {
-			src[i] = s
+		if d.has(id) {
+			src[i] = d.src.Slot(id)
 		} else {
-			out = append(out, s)
+			out = append(out, d.src.Draw(id))
 		}
 	}
 	d.solver.SolveBlock(bi, tab[:nb+e])

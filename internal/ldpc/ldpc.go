@@ -499,7 +499,7 @@ func (d *Decoder) markKnown(id int32, val []byte) {
 	d.stack = append(d.stack, id)
 	if p := d.pay; p != nil {
 		if int(id) < d.code.k {
-			copy(p.src.Slot(int(id)), val)
+			copy(p.src.Draw(int(id)), val)
 		}
 		p.vals = append(p.vals, val)
 	}
@@ -527,11 +527,12 @@ func (d *Decoder) propagate() {
 			e.xorID ^= id
 			var a []byte
 			if p != nil {
-				a = p.acc.Slot(int(eq))
 				if p.touched[eq] {
+					a = p.acc.Slot(int(eq))
 					gf256.Xor(a, val)
 				} else {
 					// First term: copy it rather than XOR into zeros.
+					a = p.acc.Draw(int(eq))
 					copy(a, val)
 					p.touched[eq] = true
 				}

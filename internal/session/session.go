@@ -122,7 +122,7 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 	payloads := *views
 	hdr := wire.Packet{Family: cfg.Family, ObjectID: cfg.ObjectID, K: uint32(k), N: uint32(n), Seed: cfg.Seed}
 	for id := range payloads {
-		f := o.frames.Slot(id)
+		f := o.frames.Draw(id)
 		hdr.PacketID, hdr.Payload = uint32(id), f[wire.HeaderLen:]
 		if err := hdr.PutHeader(f); err != nil {
 			o.Close()

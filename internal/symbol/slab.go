@@ -11,16 +11,17 @@ import "iter"
 // class that fits; one unpooled buffer per slot when stride exceeds
 // MaxPooled).
 //
-// Buffers are drawn as their first slot is asked for, so a slab's memory
+// Buffers are drawn as their first slot is asked for (Draw), so a slab's memory
 // follows what was actually written: a header announcing a huge object
 // costs the buffer table and one buffer, never slots·stride bytes. They
 // come from the pool unzeroed — a slot holds stale bytes until its owner
 // writes it, and owners write every byte they later read or send.
 //
 // The zero Slab has no slots. A Slab is owned by one holder at a time.
-// Slot draws a buffer on first use, so concurrent calls are safe only
-// once every slot has been written (a finished slab is read-only: that
-// is how several senders share one object). Release returns every buffer
+// Draw takes a buffer on first use, so it is not safe concurrently; Slot
+// only reads the slab, so once every slot has been written any number of
+// holders may call it (a finished slab is read-only: that is how several
+// senders share one object). Release returns every buffer
 // to the pool, after which any view into the slab is dead.
 type Slab struct {
 	slots, stride, per int
@@ -50,21 +51,24 @@ func NewSlab(slots, stride int) Slab {
 // Slots returns the number of slots.
 func (s *Slab) Slots() int { return s.slots }
 
-// Slot returns slot i, drawing its buffer from the pool on first use. The
-// view is capped at the slot, so an append cannot run into slot i+1.
-func (s *Slab) Slot(i int) []byte {
-	b := i / s.per
-	buf := s.bufs[b]
-	if buf == nil {
-		n := s.slots - b*s.per
-		if n > s.per {
-			n = s.per
-		}
-		buf = getRaw(n * s.stride)
-		s.bufs[b] = buf
+// Draw returns slot i, drawing its buffer from the pool on first use: the
+// accessor for a slot about to be written for the first time.
+func (s *Slab) Draw(i int) []byte {
+	if b := i / s.per; s.bufs[b] == nil {
+		s.bufs[b] = getRaw(min(s.per, s.slots-b*s.per) * s.stride)
 	}
-	off := (i - b*s.per) * s.stride
-	return buf[off : off+s.stride : off+s.stride]
+	return s.Slot(i)
+}
+
+// Slot returns slot i of a buffer already drawn — any slot written
+// before, through Draw — and panics on one that is not. The view is
+// capped at the slot, so an append cannot run into slot i+1. With the
+// draw in a method of its own this one is an index and a reslice, small
+// enough to inline into the per-symbol loops that call it (the peeler's
+// accumulator updates, the sender's frame views); CI greps the
+// compiler's -m output to keep it so.
+func (s *Slab) Slot(i int) []byte {
+	return s.bufs[i/s.per][i%s.per*s.stride:][:s.stride:s.stride]
 }
 
 // Segments yields, in order, the contiguous runs that make up bytes

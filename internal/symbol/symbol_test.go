@@ -123,7 +123,7 @@ func TestSlabLayout(t *testing.T) {
 		}
 		var want []byte
 		for i := 0; i < tc.slots; i++ {
-			slot := s.Slot(i)
+			slot := s.Draw(i)
 			if len(slot) != tc.stride || cap(slot) != tc.stride {
 				t.Fatalf("%+v: slot %d len/cap = %d/%d", tc, i, len(slot), cap(slot))
 			}
@@ -165,10 +165,26 @@ func TestSlabLazy(t *testing.T) {
 	if got := PoolStats().Gets - start.Gets; got != 0 {
 		t.Fatalf("NewSlab drew %d buffers, want 0", got)
 	}
-	s.Slot(100000)
-	s.Slot(100001)
+	s.Draw(100000)
+	s.Draw(100001)
 	if got := PoolStats().Gets - start.Gets; got != 1 {
 		t.Fatalf("two neighbouring slots drew %d buffers, want 1", got)
+	}
+	// Slot reads what Draw made and never draws: an untouched buffer is
+	// a panic, not a silent allocation on a read path.
+	if len(s.Slot(100001)) != 2008 {
+		t.Fatal("Slot of a drawn buffer has the wrong length")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Slot of an undrawn buffer did not panic")
+			}
+		}()
+		s.Slot(5)
+	}()
+	if got := PoolStats().Gets - start.Gets; got != 1 {
+		t.Fatalf("Slot drew a buffer: %d gets, want 1", got)
 	}
 	s.Release()
 	if live := PoolStats().Live; live != start.Live {
