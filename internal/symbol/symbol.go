@@ -61,7 +61,10 @@
 //     at the ownership boundary.
 package symbol
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Size classes are powers of two from 64 bytes to 64 KiB — below the
 // smallest class Get rounds up (a few wasted bytes beat a dedicated
@@ -155,6 +158,17 @@ func getRaw(n int) []byte {
 	return make([]byte, n, 1<<(minClassBits+c))
 }
 
+// poison makes Put overwrite a buffer before pooling it: see
+// PoisonReleased.
+var poison atomic.Bool
+
+// PoisonReleased makes every buffer read as garbage from the moment it is
+// Put (0xDB in every byte) instead of from whenever the pool happens to
+// hand it out again, so that a view outliving its slab's release fails
+// the check that reads it — a header CRC, a comparison — at once and
+// every time. For tests of who owns a slab when; off by default.
+func PoisonReleased(on bool) { poison.Store(on) }
+
 // Put returns b to its size class for reuse. Buffers whose capacity is
 // not an exact class size (not allocated by this pool, or jumbo) are
 // ignored. Put(nil) is a no-op.
@@ -165,8 +179,14 @@ func Put(b []byte) {
 	}
 	puts.Inc()
 	live.Add(-1)
+	b = b[:cap(b)]
+	if poison.Load() {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
 	hp := headers.Get().(*[]byte)
-	*hp = b[:cap(b)]
+	*hp = b
 	classes[c].Put(hp)
 }
 

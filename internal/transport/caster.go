@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
+	"time"
 
 	"fecperf/internal/core"
 	"fecperf/internal/obs"
@@ -153,10 +155,64 @@ func NewCaster(conn Conn, src io.Reader, cfg CasterConfig) (*Caster, error) {
 	return c, nil
 }
 
+// castGroup is one window group on its way from the reading stage to the
+// sending stage.
+type castGroup struct {
+	objs   []*session.Object // the window's chunks; the manifest last when final
+	index  int               // position in the train: seeds the group's schedules
+	final  bool
+	encode time.Duration // the reading stage's time per full window, smoothed
+	// start is closed by the sending stage when the reading stage may
+	// begin the next window: see startAfter.
+	start chan struct{}
+}
+
+// startAfter is the start rule of the cast's pipeline: how many of a
+// group's total datagrams the sending stage must have handed to the conn
+// before the reading stage starts on the next window. encode is how long
+// the reading stage takes to fill a window and rate how many datagrams a
+// second the sending stage gets out; the next window is started as late
+// as still has it ready when this group ends, encode×rate datagrams from
+// the end. A cast bound by its sender (that lead covers the group) starts
+// at once and overlaps fully; one bound by its receiver or its pacer,
+// whose sending stage spends the group blocked, starts late and reads the
+// source no earlier than a cast without the overlap would — read-ahead a
+// slow receiver cannot use is only chunk latency. Without a rate estimate
+// yet (the first group) it is the last quarter.
+func startAfter(encode time.Duration, rate float64, total int) int {
+	if total <= 0 {
+		return 0
+	}
+	if encode <= 0 || !(rate > 0) {
+		return total - total/4
+	}
+	lead := encode.Seconds() * rate
+	if !(lead < float64(total)) {
+		return 0
+	}
+	return total - int(lead)
+}
+
+// ewma folds a new measurement into a smoothed one (weight 1/4; the
+// first measurement stands as it is).
+func ewma(avg, x float64) float64 {
+	if avg == 0 {
+		return x
+	}
+	return avg + (x-avg)/4
+}
+
 // Run reads the source to EOF, casting it window by window, then seals
 // the train with the manifest. It returns the first read, encode or
 // send error; cancelling ctx stops between packets with ctx.Err().
-func (c *Caster) Run(ctx context.Context) error {
+//
+// Run is a two-stage pipeline. The reading stage — Run's own goroutine —
+// reads, checksums and encodes window group g+1 while the sending stage,
+// one goroutine for the whole cast, carousels group g. The hand-off
+// between them is unbuffered, so at most two windows exist at a time,
+// and the reading stage waits for the sending stage's start signal
+// (startAfter) before it touches the source again.
+func (c *Caster) Run(ctx context.Context) (err error) {
 	if c.ran {
 		return fmt.Errorf("transport: caster Run called twice")
 	}
@@ -168,26 +224,109 @@ func (c *Caster) Run(ctx context.Context) error {
 	pacer, release := ownPacer(c.cfg.Pacer, c.cfg.Rate, c.cfg.Burst)
 	defer release()
 
+	// The first failure of either stage is Run's result and stops the
+	// other stage through ctx.
+	ctx, cancel := context.WithCancel(ctx)
+	var (
+		failOnce sync.Once
+		failure  error
+	)
+	fail := func(err error) error {
+		failOnce.Do(func() {
+			failure = err
+			cancel()
+		})
+		return err
+	}
+
+	var windows [2][]*session.Object // alternate: one on the air, one being filled
+	air := make(chan castGroup)      // unbuffered: the sending stage takes group g+1 when g is off the air
+	sent := make(chan struct{})      // closed when the sending stage has exited
+	go func() {
+		defer close(sent)
+		rate := 0.0 // datagrams per second, smoothed over groups
+		for g := range air {
+			n, took, err := c.send(ctx, pacer, g, rate)
+			if err != nil {
+				fail(err)
+				return
+			}
+			if n > 0 && took > 0 {
+				rate = ewma(rate, float64(n)/took.Seconds())
+			}
+		}
+	}()
+	// One cleanup for every way out — complete, cancelled or failed in
+	// either stage. The sending stage finishes the group it has (at once,
+	// if a failure cancelled ctx) and exits; from then on nothing reads a
+	// frame, and whatever the two windows hold goes back to the pool.
+	// Object.Close is idempotent, so a group the sending stage already
+	// closed costs nothing here.
+	defer func() {
+		close(air)
+		<-sent
+		cancel()
+		for _, w := range windows {
+			for _, o := range w {
+				o.Close()
+			}
+		}
+		c.window.Set(0)
+		if failure != nil {
+			err = failure
+		}
+	}()
+
 	chunkData := session.ChunkDataSize(c.cfg.Codec.K, c.chunk.PayloadSize)
 	buf := make([]byte, chunkData)
 	crc := crc32.NewIEEE()
 	var total uint64
-	var window []*session.Object
-	idx, group := 0, 0
-	// One cleanup for every way out — complete, cancelled or failed at
-	// any step: whatever the window holds goes back to the pool.
-	// Object.Close is idempotent, so a group its sender already closed
-	// costs nothing here.
-	closeWindow := func() {
-		for _, o := range window {
-			o.Close()
+	var encode time.Duration // the time a full window takes to read and encode, smoothed
+	idx := 0
+	for group := 0; ; group++ {
+		window := windows[group%2][:0]
+		final := false
+		began := time.Now()
+		for !final && len(window) < c.cfg.Window {
+			// Reading and encoding a window never touches the conn, so
+			// check cancellation explicitly between chunks.
+			if err := ctx.Err(); err != nil {
+				return fail(err)
+			}
+			n, err := io.ReadFull(c.src, buf)
+			if n > 0 {
+				crc.Write(buf[:n])
+				total += uint64(n)
+				c.read.Add(uint64(n))
+				chunk := c.chunk
+				chunk.ObjectID = session.TrainChunkID(c.cfg.BaseObjectID, idx)
+				obj, encErr := session.EncodeObject(buf[:n], chunk)
+				if encErr != nil {
+					return fail(fmt.Errorf("transport: encoding chunk %d: %w", idx, encErr))
+				}
+				idx++
+				window = append(window, obj)
+				windows[group%2] = window
+				c.window.Add(1)
+				if tr := c.cfg.Tracer; tr != nil {
+					tr.Emit(obs.Event{
+						Event:  obs.TraceEnqueue,
+						Object: obj.ObjectID(),
+						Chunk:  idx - 1,
+						K:      obj.K(),
+						N:      obj.N(),
+						Bytes:  int64(n),
+					})
+				}
+			}
+			switch err {
+			case nil:
+			case io.EOF, io.ErrUnexpectedEOF:
+				final = true
+			default:
+				return fail(fmt.Errorf("transport: reading source: %w", err))
+			}
 		}
-		window = window[:0]
-		c.window.Set(0)
-	}
-	defer closeWindow()
-
-	flush := func(final bool) error {
 		if final {
 			c.manifest = session.Manifest{
 				ChunkCount: uint32(idx),
@@ -205,100 +344,95 @@ func (c *Caster) Run(ctx context.Context) error {
 				Seed:        c.cfg.Seed,
 			})
 			if err != nil {
-				return fmt.Errorf("transport: encoding manifest: %w", err)
+				return fail(fmt.Errorf("transport: encoding manifest: %w", err))
 			}
 			window = append(window, m)
+			windows[group%2] = window
+		} else {
+			encode = time.Duration(ewma(float64(encode), float64(time.Since(began))))
 		}
-		if len(window) == 0 {
-			return nil
+		g := castGroup{objs: window, index: group, final: final, encode: encode}
+		if !final {
+			g.start = make(chan struct{})
 		}
-		chunksInGroup := len(window)
+		select {
+		case air <- g:
+		case <-ctx.Done():
+			return fail(ctx.Err())
+		}
 		if final {
-			chunksInGroup--
+			return nil // or what the cleanup finds the last group failed with
 		}
-		s := NewSender(c.conn, SenderConfig{
-			Pacer:     pacer,
-			BatchSize: c.cfg.BatchSize,
-			Rounds:    c.cfg.Rounds,
-			Scheduler: c.cfg.Scheduler,
-			// Every group draws fresh schedules: the sender reseeds per
-			// (round, object), so distinct group seeds keep rounds from
-			// repeating the same erasure-aligned order.
-			Seed: core.DeriveSeed(c.cfg.Seed, 0xCA57, uint64(group)),
-			// No Metrics: the group senders are throwaway; their stats
-			// fold into the caster's registered aggregates below.
-			Tracer: c.cfg.Tracer,
-		})
-		for _, o := range window {
-			if err := s.Add(o); err != nil {
-				return err
-			}
+		select {
+		case <-g.start:
+		case <-ctx.Done():
+			return fail(ctx.Err())
 		}
-		err := s.Run(ctx)
-		st := s.Stats()
-		c.packets.Add(st.PacketsSent)
-		c.bytes.Add(st.BytesSent)
-		c.pacerWait.Add(st.PacerWaitNS)
-		closeWindow() // the group is off the air: its frame slabs go back now
-		if err != nil {
-			return err
-		}
-		c.chunks.Add(uint64(chunksInGroup))
-		group++
-		if c.cfg.OnProgress != nil {
-			c.cfg.OnProgress(CastProgress{
-				ChunksCast: int(c.chunks.Load()),
-				BytesRead:  int64(c.read.Load()),
-				Done:       final,
-			})
-		}
-		return nil
 	}
+}
 
-	for {
-		// Reading and encoding a window never touches the conn, so check
-		// cancellation explicitly between chunks.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n, err := io.ReadFull(c.src, buf)
-		if n > 0 {
-			crc.Write(buf[:n])
-			total += uint64(n)
-			c.read.Add(uint64(n))
-			chunk := c.chunk
-			chunk.ObjectID = session.TrainChunkID(c.cfg.BaseObjectID, idx)
-			obj, encErr := session.EncodeObject(buf[:n], chunk)
-			if encErr != nil {
-				return fmt.Errorf("transport: encoding chunk %d: %w", idx, encErr)
-			}
-			idx++
-			window = append(window, obj)
-			c.window.Set(int64(len(window)))
-			if tr := c.cfg.Tracer; tr != nil {
-				tr.Emit(obs.Event{
-					Event:  obs.TraceEnqueue,
-					Object: obj.ObjectID(),
-					Chunk:  idx - 1,
-					K:      obj.K(),
-					N:      obj.N(),
-					Bytes:  int64(n),
-				})
-			}
-		}
-		switch err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			return flush(true)
-		default:
-			return fmt.Errorf("transport: reading source: %w", err)
-		}
-		if len(window) >= c.cfg.Window {
-			if err := flush(false); err != nil {
-				return err
-			}
+// send is the sending stage's work on one group: a throwaway Sender
+// carousels it, its counters fold into the cast's, and its frame slabs go
+// back to the pool the moment it is off the air. It returns how many
+// datagrams went out after the start signal and how long they took: the
+// send rate while the reading stage is running too, which is the rate the
+// next signal has to be timed by.
+func (c *Caster) send(ctx context.Context, pacer Pacer, g castGroup, rate float64) (int, time.Duration, error) {
+	s := NewSender(c.conn, SenderConfig{
+		Pacer:     pacer,
+		BatchSize: c.cfg.BatchSize,
+		Rounds:    c.cfg.Rounds,
+		Scheduler: c.cfg.Scheduler,
+		// Every group draws fresh schedules: the sender reseeds per
+		// (round, object), so distinct group seeds keep rounds from
+		// repeating the same erasure-aligned order.
+		Seed: core.DeriveSeed(c.cfg.Seed, 0xCA57, uint64(g.index)),
+		// No Metrics: the group senders are throwaway; their stats
+		// fold into the caster's registered aggregates below.
+		Tracer: c.cfg.Tracer,
+	})
+	for _, o := range g.objs {
+		if err := s.Add(o); err != nil {
+			return 0, 0, err
 		}
 	}
+	if g.start != nil {
+		if after := startAfter(g.encode, rate, s.planned()); after > 0 {
+			s.notify, s.notifyAt = g.start, uint64(after)
+		} else {
+			close(g.start)
+		}
+	}
+	s.notifiedAt = time.Now() // the signal, unless a flush gives it later
+	err := s.Run(ctx)
+	took := time.Since(s.notifiedAt)
+	if s.notify != nil {
+		close(s.notify) // the carousel stopped short of notifyAt
+	}
+	st := s.Stats()
+	c.packets.Add(st.PacketsSent)
+	c.bytes.Add(st.BytesSent)
+	c.pacerWait.Add(st.PacerWaitNS)
+	for _, o := range g.objs {
+		o.Close()
+	}
+	chunks := len(g.objs)
+	if g.final {
+		chunks-- // the manifest
+	}
+	c.window.Add(-int64(chunks))
+	if err != nil {
+		return 0, 0, err
+	}
+	c.chunks.Add(uint64(chunks))
+	if c.cfg.OnProgress != nil {
+		c.cfg.OnProgress(CastProgress{
+			ChunksCast: int(c.chunks.Load()),
+			BytesRead:  int64(c.read.Load()),
+			Done:       g.final,
+		})
+	}
+	return int(st.PacketsSent - s.notifiedSent), took, nil
 }
 
 // Manifest returns the train manifest Run sealed the cast with; ok is

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +19,7 @@ import (
 	"fecperf/internal/core"
 	"fecperf/internal/sched"
 	"fecperf/internal/session"
+	"fecperf/internal/symbol"
 	"fecperf/internal/wire"
 )
 
@@ -388,4 +392,150 @@ func TestCastProgressString(t *testing.T) {
 	// Compile-time-ish sanity that the progress type formats cleanly in
 	// logs (no Stringer, but %+v must not recurse).
 	_ = fmt.Sprintf("%+v", CastProgress{ChunksCast: 1})
+}
+
+// TestStartAfter pins the pipeline's start rule on synthetic numbers.
+func TestStartAfter(t *testing.T) {
+	const total = 1536 // cast-rse-lossy's group
+	for _, tc := range []struct {
+		name   string
+		encode time.Duration
+		rate   float64
+		total  int
+		want   int
+	}{
+		// Encoding a window takes longer than sending one: start at once.
+		{"sender-bound", 2 * time.Millisecond, 2e6, total, 0},
+		{"lead exactly the group", time.Millisecond, 1536e3, total, 0},
+		// The group trickles out over 10 ms, a window encodes in 1 ms:
+		// start when a tenth of it is left.
+		{"receiver-bound", time.Millisecond, 153600, total, total - 153},
+		{"pacer-bound", time.Millisecond, 1000, total, total - 1},
+		{"lead under one datagram", time.Microsecond, 1000, total, total},
+		// No estimate of one factor or the other: the last quarter.
+		{"no rate yet", time.Millisecond, 0, total, total - total/4},
+		{"no encode time yet", 0, 1e6, total, total - total/4},
+		{"NaN rate", time.Millisecond, math.NaN(), total, total - total/4},
+		{"negative rate", time.Millisecond, -5, total, total - total/4},
+		// Nothing overflows or goes negative.
+		{"infinite rate", time.Millisecond, math.Inf(1), total, 0},
+		{"huge both", math.MaxInt64, math.MaxFloat64, math.MaxInt, 0},
+		{"huge total", time.Millisecond, 1e6, math.MaxInt, math.MaxInt - 1000},
+		{"one datagram", time.Millisecond, 100, 1, 1},
+		{"empty group", time.Millisecond, 1e6, 0, 0},
+		{"negative total", time.Millisecond, 1e6, -3, 0},
+	} {
+		got := startAfter(tc.encode, tc.rate, tc.total)
+		if got != tc.want {
+			t.Errorf("%s: startAfter(%v, %g, %d) = %d, want %d", tc.name, tc.encode, tc.rate, tc.total, got, tc.want)
+		}
+		if got < 0 || got > max(tc.total, 0) {
+			t.Errorf("%s: startAfter = %d outside [0, %d]", tc.name, got, tc.total)
+		}
+	}
+}
+
+// windowGuardConn is a discarding conn that checks, at every write, the
+// two things the caster's pipeline promises about memory: every datagram
+// it is handed is a live frame — the pool poisons what is released, so a
+// view into a slab closed under the sender fails to parse — and no more
+// than `bound` pool buffers are out. Each write takes a moment, as a real
+// conn's does, so that a group is still on the air when the next window's
+// start signal comes.
+type windowGuardConn struct {
+	discardConn
+	t       *testing.T
+	start   int64
+	bound   int64
+	maxLive int64
+}
+
+func (c *windowGuardConn) WriteBatch(batch []wire.Datagram) (int, error) {
+	time.Sleep(20 * time.Microsecond)
+	live := symbol.PoolStats().Live - c.start
+	c.maxLive = max(c.maxLive, live)
+	if live > c.bound {
+		c.t.Errorf("datagram %d: %d pool buffers out, want at most %d", c.packets, live, c.bound)
+	}
+	for _, d := range batch {
+		if _, err := wire.Decode(d); err != nil {
+			c.t.Errorf("datagram %d is not a live frame: %v", c.packets, err)
+		}
+	}
+	return c.discardConn.WriteBatch(batch)
+}
+
+// TestCasterHoldsTwoWindowsOfLiveFrames: with one window on the air and
+// one being encoded, at most two windows of frame slabs — plus, at the
+// end, the manifest — are ever out of the pool, and nothing the sending
+// stage hands the conn has been released.
+func TestCasterHoldsTwoWindowsOfLiveFrames(t *testing.T) {
+	symbol.PoisonReleased(true)
+	defer symbol.PoisonReleased(false)
+	const k, payload, window = 16, 256, 3 // a chunk is one pool buffer
+	data := testFile(t, 20*session.ChunkDataSize(k, payload)+100, 23)
+	conn := &windowGuardConn{t: t, start: symbol.PoolStats().Live, bound: 2*window + 1}
+	c, err := NewCaster(conn, bytes.NewReader(data),
+		CasterConfig{Delivery: Delivery{Codec: codes.Spec{K: k, Ratio: 1.5}, PayloadSize: payload, Window: window, Rounds: 2, Seed: 11, BatchSize: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if conn.maxLive <= window {
+		t.Errorf("never more than %d pool buffers out: the stages did not overlap", conn.maxLive)
+	}
+	if live := symbol.PoolStats().Live - conn.start; live != 0 {
+		t.Errorf("%d pool buffers still out after Run", live)
+	}
+}
+
+// TestCasterProgressInOrder: OnProgress runs on the sending stage while
+// the reading stage works ahead, and still one call at a time, in group
+// order, the Done call last — and all of them before Run returns, which
+// is what lets a caller read what its callback wrote without a lock.
+func TestCasterProgressInOrder(t *testing.T) {
+	const k, payload, window, chunks = 16, 256, 2, 9
+	data := testFile(t, chunks*session.ChunkDataSize(k, payload), 29)
+	var (
+		inCall atomic.Int32
+		calls  []CastProgress // unsynchronised on purpose: -race checks the claim
+	)
+	c, err := NewCaster(&discardConn{}, bytes.NewReader(data), CasterConfig{
+		Delivery: Delivery{Codec: codes.Spec{K: k, Ratio: 1.5}, PayloadSize: payload, Window: window, Rounds: 1, Seed: 13},
+		OnProgress: func(p CastProgress) {
+			if inCall.Add(1) != 1 {
+				t.Error("OnProgress called concurrently with itself")
+			}
+			calls = append(calls, p)
+			runtime.Gosched()
+			inCall.Add(-1)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Four full groups and the short one that carries the manifest.
+	if want := (chunks + window - 1) / window; len(calls) != want {
+		t.Fatalf("%d progress calls, want %d: %+v", len(calls), want, calls)
+	}
+	for i, p := range calls {
+		wantChunks := min((i+1)*window, chunks)
+		if p.ChunksCast != wantChunks {
+			t.Errorf("call %d: ChunksCast = %d, want %d", i, p.ChunksCast, wantChunks)
+		}
+		if i > 0 && p.BytesRead < calls[i-1].BytesRead {
+			t.Errorf("call %d: BytesRead went back, %d after %d", i, p.BytesRead, calls[i-1].BytesRead)
+		}
+		if p.Done != (i == len(calls)-1) {
+			t.Errorf("call %d of %d: Done = %v", i, len(calls), p.Done)
+		}
+	}
+	if last := calls[len(calls)-1]; last.BytesRead != int64(len(data)) {
+		t.Errorf("final BytesRead = %d, want %d", last.BytesRead, len(data))
+	}
 }

@@ -131,6 +131,24 @@ type Sender struct {
 	views   []wire.Datagram
 	pending uint64      // total length of views
 	traces  []obs.Event // first_tx events deferred until the flush lands
+
+	// rng draws the schedules: one O(1)-seed generator, reseeded per
+	// (round, object) from a splitmix64 hash, so a schedule depends only
+	// on those coordinates, never on how much of the carousel ran before
+	// — the resume contract.
+	rng *rand.Rand
+
+	// notify, when set, is closed by the flush that takes the packet
+	// count to notifyAt: how a Caster's reading stage learns, without
+	// polling, that this carousel is close enough to its end to start
+	// on the next window (startAfter). Set before Run, on its goroutine.
+	// That flush also notes when it ran and what the count was, so the
+	// caster can time the rest of the carousel: the one clock read an
+	// unpaced sender ever makes.
+	notify       chan struct{}
+	notifyAt     uint64
+	notifiedAt   time.Time
+	notifiedSent uint64
 }
 
 type senderObject struct {
@@ -145,7 +163,7 @@ type senderObject struct {
 
 // NewSender returns a sender writing to conn.
 func NewSender(conn Conn, cfg SenderConfig) *Sender {
-	s := &Sender{conn: conn, cfg: cfg}
+	s := &Sender{conn: conn, cfg: cfg, rng: rand.New(&core.SplitMixSource{})}
 	if r := cfg.Metrics; r != nil {
 		r.CounterFunc("sender_packets_total", "Datagrams handed to the conn.", nil, s.packets.Load)
 		r.CounterFunc("sender_bytes_total", "Datagram bytes handed to the conn.", nil, s.bytes.Load)
@@ -211,19 +229,10 @@ func (s *Sender) Run(ctx context.Context) error {
 	if len(s.objs) == 0 {
 		return fmt.Errorf("transport: sender has no objects")
 	}
-	defaultSched := s.cfg.Scheduler
-	if defaultSched == nil {
-		defaultSched = sched.TxModel4{}
-	}
 	startRound := s.cfg.StartRound
 	if startRound < 0 {
 		startRound = 0
 	}
-	// One O(1)-seed generator, reseeded per (round, object) from a
-	// splitmix64 hash: schedules depend only on those coordinates,
-	// never on how much of the carousel ran before — the resume
-	// contract.
-	rng := rand.New(&core.SplitMixSource{})
 	p, release := ownPacer(s.cfg.Pacer, s.cfg.Rate, s.cfg.Burst)
 	defer release()
 	if startRound > 0 || s.cfg.StartPos > 0 {
@@ -239,17 +248,7 @@ func (s *Sender) Run(ctx context.Context) error {
 	s.views = make([]wire.Datagram, 0, batchSize)
 
 	for round := startRound; s.cfg.Rounds <= 0 || round < s.cfg.Rounds; round++ {
-		for i, o := range s.objs {
-			sc := o.scheduler
-			if sc == nil {
-				sc = defaultSched
-			}
-			rng.Seed(core.DeriveSeed(s.cfg.Seed, uint64(round), uint64(i)))
-			// Honour the object's Section-6 n_sent truncation, exactly
-			// as session.Object.Send does for a single pass.
-			o.sched = sc.Schedule(o.layout, rng).Truncate(o.nsent)
-			o.cur = o.sched.Cursor()
-		}
+		s.drawRound(round)
 		if round == startRound && s.cfg.StartPos > 0 {
 			// Resume mid-round: random access is O(1), so seeking every
 			// object's cursor costs nothing.
@@ -312,6 +311,32 @@ func (s *Sender) Run(ctx context.Context) error {
 	return nil
 }
 
+// drawRound draws every object's schedule for a round and returns how
+// many datagrams the round will send.
+func (s *Sender) drawRound(round int) (n int) {
+	for i, o := range s.objs {
+		sc := o.scheduler
+		if sc == nil {
+			sc = s.cfg.Scheduler
+		}
+		if sc == nil {
+			sc = sched.TxModel4{}
+		}
+		s.rng.Seed(core.DeriveSeed(s.cfg.Seed, uint64(round), uint64(i)))
+		// Honour the object's Section-6 n_sent truncation, exactly
+		// as session.Object.Send does for a single pass.
+		o.sched = sc.Schedule(o.layout, s.rng).Truncate(o.nsent)
+		o.cur = o.sched.Cursor()
+		n += o.sched.Len()
+	}
+	return n
+}
+
+// planned returns how many datagrams a bounded Run from the start of the
+// carousel will send. A schedule's length follows from the layout and the
+// scheduler, not from the draw, so round 0 stands for every round.
+func (s *Sender) planned() int { return s.cfg.Rounds * s.drawRound(0) }
+
 // maxSendBatch caps SenderConfig.BatchSize at the widths the layers
 // below are built for: one StepMask on the loopback, one sendmmsg
 // header array (and the kernel's GSO segment limit) on UDP.
@@ -320,7 +345,7 @@ const maxSendBatch = 64
 // flush debits the pacer once for the pending views, hands them to the
 // conn in one batch write, and settles the deferred metrics and
 // first_tx traces. Cancellation is noticed here, once per flush. Only a
-// paced sender reads the clock.
+// paced sender reads the clock (but see notify).
 func (s *Sender) flush(ctx context.Context, p Pacer) error {
 	n := len(s.views)
 	if n == 0 {
@@ -347,6 +372,10 @@ func (s *Sender) flush(ctx context.Context, p Pacer) error {
 	}
 	s.packets.Add(uint64(n))
 	s.bytes.Add(s.pending)
+	if sent := s.packets.Load(); s.notify != nil && sent >= s.notifyAt {
+		close(s.notify)
+		s.notify, s.notifiedAt, s.notifiedSent = nil, time.Now(), sent
+	}
 	s.batches.Inc()
 	s.batchSizes.Observe(int64(n))
 	if tr := s.cfg.Tracer; tr != nil {

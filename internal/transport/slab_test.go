@@ -166,14 +166,21 @@ func (s *tripSource) Read(p []byte) (int, error) {
 }
 
 // tripConn discards datagrams and calls trip before every write once
-// `after` of them went out; a non-nil result fails that write.
+// `after` of them went out; a non-nil result fails that write. Once
+// holdAfter (when set) went out it keeps the writer — a carousel on the
+// air — waiting until hold is closed.
 type tripConn struct {
 	discardConn
-	after int
-	trip  func() error
+	after     int
+	trip      func() error
+	holdAfter int
+	hold      <-chan struct{}
 }
 
 func (c *tripConn) WriteBatch(batch []wire.Datagram) (int, error) {
+	if c.hold != nil && c.packets >= c.holdAfter {
+		<-c.hold
+	}
 	if c.packets >= c.after {
 		if err := c.trip(); err != nil {
 			return 0, err
@@ -182,13 +189,29 @@ func (c *tripConn) WriteBatch(batch []wire.Datagram) (int, error) {
 	return c.discardConn.WriteBatch(batch)
 }
 
-// TestCasterFailedOrCancelledRunReturnsEverySlab stops a cast with a
-// partly filled or partly sent window in each way Run can stop, and
-// requires every frame slab back in the pool when Run has returned.
+// waitGoroutines waits for the goroutine count to come back down to
+// want: a goroutine Run has already waited for may still be unwinding.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want %d:\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestCasterFailedOrCancelledRunReturnsEverySlab stops a cast in each way
+// Run can stop — with a partly filled window, a partly sent one, and both
+// at once: a group held on the air while the next window is being read,
+// or waits finished for its turn — and requires every frame slab back in
+// the pool, and the sending stage's goroutine gone, when Run has
+// returned. A chunk here is one pool buffer, and so is the manifest.
 func TestCasterFailedOrCancelledRunReturnsEverySlab(t *testing.T) {
 	const (
 		k, payload, window = 16, 256, 4
 		chunk              = k*payload - 8
+		group              = window * (k * 3 / 2) * 2 // datagrams: two rounds of four 24-packet chunks
 		never              = 1 << 30
 	)
 	data := testFile(t, 12*chunk, 17)
@@ -197,33 +220,72 @@ func TestCasterFailedOrCancelledRunReturnsEverySlab(t *testing.T) {
 		name       string
 		srcAfter   int  // source bytes before the trip
 		connAfter  int  // datagrams before the trip
+		holdAfter  int  // datagrams before the conn stalls until the trip (0 = never); let go, it trips too if connAfter says so
+		liveAtTrip int  // trip, from outside, once this many pool buffers are out (0 = never)
 		cancel     bool // the trip cancels the context instead of failing
 		wantErr    error
 		wantChunks uint64
+		wantHeld   int64 // pool buffers out at the trip, at least
 	}{
-		{"cancelled while filling the window", 2*chunk + chunk/2, never, true, context.Canceled, 0},
-		{"source fails while filling the window", 2*chunk + chunk/2, never, false, boom, 0},
-		{"cancelled while a group is on the air", never, 30, true, context.Canceled, 0},
-		{"conn fails while a group is on the air", never, 30, false, boom, 0},
-		{"conn fails in the second group", never, window*k*3 + 30, false, boom, window},
+		{name: "cancelled while filling the window", srcAfter: 2*chunk + chunk/2, connAfter: never, cancel: true, wantErr: context.Canceled, wantHeld: 2},
+		{name: "source fails while filling the window", srcAfter: 2*chunk + chunk/2, connAfter: never, wantErr: boom, wantHeld: 2},
+		{name: "cancelled while a group is on the air", srcAfter: never, connAfter: 30, cancel: true, wantErr: context.Canceled, wantHeld: window},
+		{name: "conn fails while a group is on the air", srcAfter: never, connAfter: 30, wantErr: boom, wantHeld: window},
+		{name: "conn fails in the second group", srcAfter: never, connAfter: group + 30, wantErr: boom, wantChunks: window, wantHeld: window},
+		// The first group stalls past its start signal (the last quarter),
+		// so the next window is being read while it is on the air.
+		{name: "cancelled filling the next window, a group on the air", srcAfter: 5*chunk + chunk/2, connAfter: never, holdAfter: group - 20, cancel: true, wantErr: context.Canceled, wantHeld: window + 1},
+		{name: "source fails filling the next window, a group on the air", srcAfter: 5*chunk + chunk/2, connAfter: group - 20, holdAfter: group - 20, wantErr: boom, wantHeld: window + 1},
+		{name: "cancelled with the next window finished, a group on the air", srcAfter: never, connAfter: never, holdAfter: group - 20, liveAtTrip: 2 * window, cancel: true, wantErr: context.Canceled, wantHeld: 2 * window},
+		{name: "conn fails in the second group, the third window finished", srcAfter: never, connAfter: 2*group - 20, holdAfter: 2*group - 20, liveAtTrip: 2 * window, wantErr: boom, wantChunks: window, wantHeld: 2 * window},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			start := symbol.PoolStats().Live
+			goroutines := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			held := int64(0) // pool buffers out when the trip first fired
-			trip := func() error {
-				if held == 0 {
+			var (
+				once sync.Once
+				held int64 // pool buffers out when the trip first fired
+				hold = make(chan struct{})
+			)
+			release := func() {
+				once.Do(func() {
 					held = symbol.PoolStats().Live - start
-				}
+					close(hold)
+				})
+			}
+			trip := func() error {
 				if tc.cancel {
+					// Before the stalled conn is let go, so the group
+					// it holds cannot finish first.
 					cancel()
+					release()
 					return nil
 				}
+				release()
 				return boom
 			}
-			c, err := NewCaster(
-				&tripConn{after: tc.connAfter, trip: trip},
+			conn := &tripConn{after: tc.connAfter, trip: trip}
+			if tc.holdAfter > 0 {
+				conn.holdAfter, conn.hold = tc.holdAfter, hold
+			}
+			watched := make(chan struct{})
+			go func() {
+				defer close(watched)
+				for tc.liveAtTrip > 0 && ctx.Err() == nil {
+					if symbol.PoolStats().Live-start >= int64(tc.liveAtTrip) {
+						if tc.cancel {
+							trip()
+						} else {
+							release() // the stalled conn runs into its own trip
+						}
+						return
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}()
+			c, err := NewCaster(conn,
 				&tripSource{r: bytes.NewReader(data), after: tc.srcAfter, trip: trip},
 				CasterConfig{Delivery: Delivery{BaseObjectID: 60, Codec: codes.Spec{K: k, Ratio: 1.5}, PayloadSize: payload, Window: window, Rounds: 2, Seed: 5}})
 			if err != nil {
@@ -232,8 +294,10 @@ func TestCasterFailedOrCancelledRunReturnsEverySlab(t *testing.T) {
 			if err := c.Run(ctx); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("Run = %v, want %v", err, tc.wantErr)
 			}
-			if held <= 0 {
-				t.Fatalf("%d pool buffers held when the cast was stopped: the window was empty", held)
+			cancel()
+			<-watched
+			if held < tc.wantHeld {
+				t.Fatalf("%d pool buffers held when the cast was stopped, want at least %d: the windows were not what the case is about", held, tc.wantHeld)
 			}
 			if got := c.Stats().ChunksCast; got != tc.wantChunks {
 				t.Errorf("ChunksCast = %d, want %d", got, tc.wantChunks)
@@ -241,6 +305,7 @@ func TestCasterFailedOrCancelledRunReturnsEverySlab(t *testing.T) {
 			if live := symbol.PoolStats().Live - start; live != 0 {
 				t.Errorf("%d pool buffers still checked out after Run returned", live)
 			}
+			waitGoroutines(t, goroutines)
 		})
 	}
 }
