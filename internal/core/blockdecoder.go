@@ -47,9 +47,12 @@ type BlockDecoder struct {
 	buffered int // distinct symbols held by undecoded blocks
 }
 
+// blockTables recycles the blocks' view tables.
+var blockTables symbol.ViewPool
+
 // blockState tracks one block. tab is its view table (see BlockSolver),
-// borrowed from symbol's table pool when the block first buffers a parity
-// payload and returned when the block decodes, or in Close.
+// borrowed from blockTables when the block first buffers a parity payload
+// and returned when the block decodes, or in Close.
 type blockState struct {
 	tab            *[][]byte
 	srcOff, parOff int32 // first global source / parity ID
@@ -159,7 +162,7 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 		}
 	} else if payload != nil {
 		if b.tab == nil {
-			b.tab = symbol.GetViews(2*nb - kb)
+			b.tab = blockTables.Get(2*nb - kb)
 		}
 		if d.par.Slots() == 0 {
 			// Each block buffers at most k_b symbols and has n_b-k_b parities.
@@ -203,7 +206,7 @@ func (d *BlockDecoder) solve(bi int, b *blockState, kb, nb, e int) {
 
 func (b *blockState) releaseTab() {
 	if b.tab != nil {
-		symbol.PutViews(b.tab)
+		blockTables.Put(b.tab)
 		b.tab = nil
 	}
 }

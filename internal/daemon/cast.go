@@ -304,8 +304,9 @@ func (c *Cast) runStream(ctx context.Context) error {
 	src = newCancelReader(ctx, src)
 	// fold accumulates the caster's counter deltas into the cast's
 	// lifetime counters on every progress step — OnProgress fires on the
-	// caster goroutine, sequentially, and once more after Run returns —
-	// so a long-running stream's counters advance live.
+	// caster's sending goroutine, one call at a time and none after Run
+	// has returned, and fold runs once more then — so a long-running
+	// stream's counters advance live.
 	var caster *transport.Caster
 	var folded transport.CasterStats
 	fold := func() {

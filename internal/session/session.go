@@ -117,8 +117,8 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 	// Lay out the n frames and stamp their headers; payloads[id] is the
 	// payload half of frame id, which the scatter and the codec fill in.
 	o := &Object{cfg: cfg, code: code, frames: symbol.NewSlab(n, wire.HeaderLen+cfg.PayloadSize)}
-	views := symbol.GetViews(n)
-	defer symbol.PutViews(views)
+	views := payloadViews.Get(n)
+	defer payloadViews.Put(views)
 	payloads := *views
 	hdr := wire.Packet{Family: cfg.Family, ObjectID: cfg.ObjectID, K: uint32(k), N: uint32(n), Seed: cfg.Seed}
 	for id := range payloads {
@@ -160,6 +160,9 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 	}
 	return o, nil
 }
+
+// payloadViews recycles EncodeObject's payload view table.
+var payloadViews symbol.ViewPool
 
 // Close returns the object's frame slab to the pool. The object cannot be
 // transmitted afterwards and every view Frame handed out is dead; Close

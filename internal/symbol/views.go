@@ -2,17 +2,19 @@ package symbol
 
 import "sync"
 
-// viewTables recycles the tables of symbol views the datapath builds per
-// object or per block — an encode's payload views, a block decoder's
+// ViewPool recycles the tables of symbol views one kind of caller builds
+// per object or per block — an encode's payload views, a block decoder's
 // solve table: 24 bytes a symbol, more than the rest of an encode or a
-// block decode allocates put together. They are plain [][]byte, not pool
-// buffers: PoolStats does not count them.
-var viewTables sync.Pool // of *[][]byte
+// block decode allocates put together. Each kind keeps a pool of its own,
+// so tables of one size do not displace tables of another. They are plain
+// [][]byte, not pool buffers: PoolStats does not count them. The zero
+// ViewPool is ready to use.
+type ViewPool struct{ tables sync.Pool } // of *[][]byte
 
-// GetViews returns a table of n nil views. The caller owns it, and the
-// box it came in, until PutViews.
-func GetViews(n int) *[][]byte {
-	if v, _ := viewTables.Get().(*[][]byte); v != nil && cap(*v) >= n {
+// Get returns a table of n nil views. The caller owns it, and the box it
+// came in, until Put.
+func (p *ViewPool) Get(n int) *[][]byte {
+	if v, _ := p.tables.Get().(*[][]byte); v != nil && cap(*v) >= n {
 		*v = (*v)[:n]
 		return v
 	}
@@ -20,9 +22,9 @@ func GetViews(n int) *[][]byte {
 	return &v
 }
 
-// PutViews takes a table from GetViews back. It is cleared first, so an
-// idle table pins no slab buffer.
-func PutViews(v *[][]byte) {
+// Put takes a table from Get back. It is cleared first, so an idle table
+// pins no slab buffer.
+func (p *ViewPool) Put(v *[][]byte) {
 	clear(*v)
-	viewTables.Put(v)
+	p.tables.Put(v)
 }

@@ -39,8 +39,10 @@ type CasterConfig struct {
 	// chunk size (session.ChunkDataSize stream bytes per chunk); the
 	// manifest always ships as Reed-Solomon — every datagram is
 	// self-describing, so the families mix freely on one train. Window is
-	// the sender-side memory bound and the backpressure on the source
-	// reader: reading pauses while a full window is on the air.
+	// the sender-side memory bound — up to two windows are resident, one
+	// on the air and one being encoded — and the backpressure on the
+	// source reader: with a full window on the air, reading pauses until
+	// the start rule (startAfter) admits the next group.
 	Delivery
 	// Rate limits transmission in packets per second (0 = unpaced);
 	// Burst is the token-bucket depth — see SenderConfig. One pacer share
@@ -52,7 +54,9 @@ type CasterConfig struct {
 	// streaming casts through a SharedPacer share this way.
 	Pacer Pacer
 	// OnProgress, when set, is called after every transmitted window
-	// group and once more when the cast completes.
+	// group, the last call with Done — one call at a time, in group
+	// order, all of them before Run returns, but not on the goroutine
+	// that called Run.
 	OnProgress func(CastProgress)
 	// Metrics, when set, exposes the cast's aggregate counters on the
 	// registry (caster_* series). The per-group inner senders stay
@@ -93,9 +97,9 @@ type CasterStats struct {
 // bounded number of interleaved carousel rounds alongside its window
 // neighbours, and a small trailing manifest (chunk count, total size,
 // stream CRC) seals the train. Peak memory is the window, not the
-// stream: at most Window encoded chunks (plus the manifest) are
-// resident at any moment, so objects far larger than RAM cast in O(1)
-// space.
+// stream: at most two windows of encoded chunks (plus the manifest) are
+// resident at any moment — one on the air, the next being read and
+// encoded — so objects far larger than RAM cast in O(1) space.
 //
 // The receiving side is Collector, which reassembles completed chunks
 // in order into an io.Writer. Chunk object IDs are sequential
@@ -116,7 +120,7 @@ type Caster struct {
 	chunks    obs.Counter
 	read      obs.Counter
 	pacerWait obs.Counter
-	window    obs.Gauge // chunks resident in the current window
+	window    obs.Gauge // chunks resident: on the air, and encoded for the next group
 
 	manifest session.Manifest
 	ran      bool
@@ -150,7 +154,7 @@ func NewCaster(conn Conn, src io.Reader, cfg CasterConfig) (*Caster, error) {
 		r.CounterFunc("caster_chunks_total", "Fully transmitted chunks.", nil, c.chunks.Load)
 		r.CounterFunc("caster_bytes_read_total", "Source-stream bytes consumed.", nil, c.read.Load)
 		r.CounterFunc("caster_pacer_wait_ns_total", "Nanoseconds the cast's senders blocked in the rate limiter.", nil, c.pacerWait.Load)
-		r.GaugeFunc("caster_window_chunks", "Encoded chunks resident in the current window.", nil, c.window.Load)
+		r.GaugeFunc("caster_window_chunks", "Encoded chunks resident: the window on the air plus the one being encoded (at most twice the window).", nil, c.window.Load)
 	}
 	return c, nil
 }
