@@ -11,8 +11,8 @@ import "iter"
 // class that fits; one unpooled buffer per slot when stride exceeds
 // MaxPooled).
 //
-// Buffers are drawn as their first slot is asked for (Draw), so a slab's memory
-// follows what was actually written: a header announcing a huge object
+// Buffers are drawn as their first slot is asked for (Draw), so a slab's
+// memory follows what was actually written: a header announcing a huge object
 // costs the buffer table and one buffer, never slots·stride bytes. They
 // come from the pool unzeroed — a slot holds stale bytes until its owner
 // writes it, and owners write every byte they later read or send.

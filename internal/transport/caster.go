@@ -288,10 +288,11 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 	var encode time.Duration // the time a full window takes to read and encode, smoothed
 	idx := 0
 	for group := 0; ; group++ {
-		window := windows[group%2][:0]
+		window := &windows[group%2]
+		*window = (*window)[:0]
 		final := false
 		began := time.Now()
-		for !final && len(window) < c.cfg.Window {
+		for !final && len(*window) < c.cfg.Window {
 			// Reading and encoding a window never touches the conn, so
 			// check cancellation explicitly between chunks.
 			if err := ctx.Err(); err != nil {
@@ -309,8 +310,7 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 					return fail(fmt.Errorf("transport: encoding chunk %d: %w", idx, encErr))
 				}
 				idx++
-				window = append(window, obj)
-				windows[group%2] = window
+				*window = append(*window, obj)
 				c.window.Add(1)
 				if tr := c.cfg.Tracer; tr != nil {
 					tr.Emit(obs.Event{
@@ -350,12 +350,11 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 			if err != nil {
 				return fail(fmt.Errorf("transport: encoding manifest: %w", err))
 			}
-			window = append(window, m)
-			windows[group%2] = window
+			*window = append(*window, m)
 		} else {
 			encode = time.Duration(ewma(float64(encode), float64(time.Since(began))))
 		}
-		g := castGroup{objs: window, index: group, final: final, encode: encode}
+		g := castGroup{objs: *window, index: group, final: final, encode: encode}
 		if !final {
 			g.start = make(chan struct{})
 		}
