@@ -35,115 +35,9 @@ func udpPair(t *testing.T) (rx, tx Conn) {
 	return rx, tx
 }
 
-// TestUDPBatchRoundTrip pushes a mixed-size batch (GSO can only coalesce
-// equal-size runs, so this exercises run grouping, singles and the
-// plain-sendmmsg path together) through a socket pair and checks every
-// datagram arrives intact and in order.
-func TestUDPBatchRoundTrip(t *testing.T) {
-	rx, tx := udpPair(t)
-	var batch []wire.Datagram
-	for i := 0; i < 150; i++ {
-		size := 300 + 200*(i%3) // runs of up to 3 equal-size datagrams
-		d := bytes.Repeat([]byte{byte(i)}, size)
-		d[0] = byte(i >> 8)
-		batch = append(batch, d)
-	}
-	n, err := tx.WriteBatch(batch)
-	if n != len(batch) || err != nil {
-		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, len(batch))
-	}
-	rx.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	got := 0
-	for got < len(batch) {
-		bufs := make([]wire.Datagram, 32)
-		for i := range bufs {
-			bufs[i] = make([]byte, 2048)
-		}
-		m, err := rx.ReadBatch(bufs)
-		if err != nil {
-			t.Fatalf("ReadBatch after %d datagrams: %v", got, err)
-		}
-		if m == 0 {
-			t.Fatal("ReadBatch returned 0 with nil error")
-		}
-		for i := 0; i < m; i++ {
-			want := batch[got+i]
-			if !bytes.Equal(bufs[i], want) {
-				t.Fatalf("datagram %d: got %d bytes (first %x), want %d bytes",
-					got+i, len(bufs[i]), bufs[i][:2], len(want))
-			}
-		}
-		got += m
-	}
-}
-
-// TestUDPBatchEqualSizeGSO sends more equal-size datagrams than one GSO
-// super-datagram may carry, forcing the writer to split runs across
-// headers and crossings, and verifies the kernel re-segments them into
-// the original datagram boundaries.
-func TestUDPBatchEqualSizeGSO(t *testing.T) {
-	rx, tx := udpPair(t)
-	const count, size = 300, 512
-	batch := make([]wire.Datagram, count)
-	for i := range batch {
-		d := bytes.Repeat([]byte{0xA5}, size)
-		d[0], d[1] = byte(i>>8), byte(i)
-		batch[i] = d
-	}
-	if n, err := tx.WriteBatch(batch); n != count || err != nil {
-		t.Fatalf("WriteBatch = %d, %v; want %d, nil", n, err, count)
-	}
-	rx.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	for got := 0; got < count; {
-		bufs := make([]wire.Datagram, 64)
-		for i := range bufs {
-			bufs[i] = make([]byte, 2048)
-		}
-		m, err := rx.ReadBatch(bufs)
-		if err != nil {
-			t.Fatalf("ReadBatch after %d datagrams: %v", got, err)
-		}
-		for i := 0; i < m; i++ {
-			if len(bufs[i]) != size {
-				t.Fatalf("datagram %d: %d bytes, want %d (bad GSO segmentation?)", got+i, len(bufs[i]), size)
-			}
-			if idx := int(bufs[i][0])<<8 | int(bufs[i][1]); idx != got+i {
-				t.Fatalf("datagram %d carries index %d: order not preserved", got+i, idx)
-			}
-		}
-		got += m
-	}
-}
-
-// TestUDPReadBatchTruncation checks ReadBatch truncates oversized
-// datagrams to the caller's buffer exactly like Recv does.
-func TestUDPReadBatchTruncation(t *testing.T) {
-	rx, tx := udpPair(t)
-	if err := tx.Send(bytes.Repeat([]byte{7}, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	rx.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	bufs := []wire.Datagram{make([]byte, 100)}
-	n, err := rx.ReadBatch(bufs)
-	if n != 1 || err != nil {
-		t.Fatalf("ReadBatch = %d, %v", n, err)
-	}
-	if len(bufs[0]) != 100 {
-		t.Fatalf("truncated read re-sliced to %d, want 100", len(bufs[0]))
-	}
-}
-
-// TestUDPBatchDeadline checks ReadBatch honours the read deadline with a
-// timeout net.Error, like Recv.
-func TestUDPBatchDeadline(t *testing.T) {
-	rx, _ := udpPair(t)
-	rx.SetReadDeadline(time.Now().Add(20 * time.Millisecond)) //nolint:errcheck
-	bufs := []wire.Datagram{make([]byte, 64)}
-	n, err := rx.ReadBatch(bufs)
-	if n != 0 || !isTimeout(err) {
-		t.Fatalf("ReadBatch past deadline = %d, %v; want 0 and a timeout", n, err)
-	}
-}
+// The read side of the contract — round trip, GSO re-segmentation,
+// truncation, deadline, and what a GRO socket adds — is in
+// udp_read_test.go, run over both read paths.
 
 // TestUDPWriteBatchICMPSwallowed writes batches at a port nothing
 // listens on: the kernel's async ICMP feedback (connection refused)

@@ -33,9 +33,10 @@ var ErrClosed = net.ErrClosed
 
 // Conn is a datagram endpoint that moves several datagrams per call. The
 // UDP backend maps batches onto sendmmsg/recvmmsg (with UDP GSO
-// segmentation where the kernel offers it) and the loopback backend
-// applies its loss models in 64-wide batched steps, so a carousel sender
-// flushing 64-packet batches pays one syscall, one pacer debit and one
+// segmentation on the way out and UDP GRO trains on the way in where
+// the kernel offers them) and the loopback backend applies its loss
+// models in 64-wide batched steps, so a carousel sender flushing
+// 64-packet batches pays one syscall, one pacer debit and one
 // loss-model lock per flush.
 //
 // Implementations must be safe for concurrent use: multiple goroutines
@@ -59,6 +60,13 @@ type Conn interface {
 	// exactly like a UDP socket read. It returns ErrClosed once the
 	// endpoint is closed and a net.Error with Timeout()==true when the
 	// read deadline passes. n > 0 implies err == nil.
+	//
+	// For an implementer: the buffers are the caller's and are filled,
+	// never re-pointed. A backend whose reads can return more datagrams
+	// than the caller has buffers for (a UDP GRO socket is handed whole
+	// trains) copies out of memory of its own and keeps the rest for
+	// the next call, which then returns it before it blocks or consults
+	// the deadline. A caller sees none of this.
 	ReadBatch(bufs []wire.Datagram) (int, error)
 	// Send is the one-datagram convenience over WriteBatch.
 	Send(datagram []byte) error

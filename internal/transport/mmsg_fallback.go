@@ -14,9 +14,20 @@ type udpBatch struct{}
 
 func (u *udpConn) initBatch() {}
 
+func (u *udpConn) enableGRO() {}
+
+func (b *udpBatch) release() {}
+
 // GSOEnabled reports false: UDP generic segmentation offload is a
 // Linux-only socket feature.
 func (u *udpConn) GSOEnabled() bool { return false }
+
+// GROEnabled reports false: no socket here hands up coalesced trains,
+// so a message read is always one datagram.
+func (u *udpConn) GROEnabled() bool { return false }
+
+// Recv implements Conn with one socket read.
+func (u *udpConn) Recv(buf []byte) (int, error) { return u.recvScalar(buf) }
 
 // WriteBatch implements Conn with one Send per datagram.
 func (u *udpConn) WriteBatch(batch []wire.Datagram) (int, error) {

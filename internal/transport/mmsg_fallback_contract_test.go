@@ -13,7 +13,7 @@ import (
 // TestUDPFallbackBatchContract proves the portable (non-mmsg) UDP batch
 // path satisfies the Conn batch contract: WriteBatch delivers the whole
 // batch in order, ReadBatch blocks for at least one datagram and
-// re-slices what it fills, and GSO is reported off. It runs only on
+// re-slices what it fills, and GSO and GRO are reported off. It runs only on
 // platforms without the Linux sendmmsg datapath — the cross-compile CI
 // steps keep it building, and any non-Linux `go test` exercises it.
 func TestUDPFallbackBatchContract(t *testing.T) {
@@ -30,6 +30,9 @@ func TestUDPFallbackBatchContract(t *testing.T) {
 
 	if tx.(interface{ GSOEnabled() bool }).GSOEnabled() {
 		t.Fatal("portable fallback must report GSO disabled")
+	}
+	if rx.(interface{ GROEnabled() bool }).GROEnabled() {
+		t.Fatal("portable fallback must report GRO disabled")
 	}
 	batch := make([]wire.Datagram, 40)
 	for i := range batch {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -200,6 +201,12 @@ type PacerShare struct {
 	sp     *SharedPacer
 	weight float64
 
+	// timer is the stopped timer the last Take that had to wait left
+	// for the next one, so a paced sender does not build one per wait.
+	// A Take holds it exclusively while it waits; one racing it on the
+	// same share finds nil and makes its own.
+	timer atomic.Pointer[time.Timer]
+
 	// All fields below are guarded by sp.mu.
 	rate     float64 // assured slice: sp.rate · weight / Σweights
 	burst    float64
@@ -231,12 +238,19 @@ func (ps *PacerShare) Take(ctx context.Context, n int) error {
 		if admitted || err != nil {
 			return err
 		}
-		t := time.NewTimer(wait)
+		t := ps.timer.Swap(nil)
+		if t == nil {
+			t = time.NewTimer(wait)
+		} else {
+			t.Reset(wait)
+		}
 		select {
 		case <-ctx.Done():
 			t.Stop()
+			ps.timer.Store(t)
 			return ctx.Err()
 		case <-t.C:
+			ps.timer.Store(t)
 		}
 	}
 }

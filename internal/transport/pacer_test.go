@@ -222,6 +222,62 @@ func TestSharedPacerCloseAndNil(t *testing.T) {
 	}
 }
 
+// --- shared pacer: a Take that waits reuses the share's timer ---
+
+// TestPacerTakeWaitAllocFree drains a share and keeps taking: every
+// Take has to sleep for its tokens, and none of them may allocate (the
+// first wait builds the share's timer; AllocsPerRun's warm-up call pays
+// for it).
+func TestPacerTakeWaitAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const (
+		rate  = 100_000.0
+		batch = 8
+		runs  = 100
+	)
+	ps := NewSharedPacer(rate, batch).AddShare(1)
+	defer ps.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	take := func() {
+		if err := ps.Take(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	take() // the start-up burst: the only Take below that finds tokens waiting
+	start := time.Now()
+	allocs := testing.AllocsPerRun(runs, take)
+	if allocs != 0 {
+		t.Errorf("a Take that waits allocates %.1f times, want 0", allocs)
+	}
+	if d, ideal := time.Since(start), time.Duration(runs*batch/rate*float64(time.Second)); d < ideal/2 {
+		t.Fatalf("%d takes of %d admitted in %v — they did not wait (ideal %v)", runs, batch, d, ideal)
+	}
+
+	// A wait cut short by its context stops the timer and leaves it for
+	// the next Take, which sleeps out what is left of the 50 ms a token
+	// takes at this rate.
+	slow := NewSharedPacer(20, 1).AddShare(1)
+	defer slow.Close()
+	if err := slow.Take(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	short, stop := context.WithTimeout(ctx, time.Millisecond)
+	defer stop()
+	if err := slow.Take(short, 1); err != context.DeadlineExceeded {
+		t.Fatalf("Take cut short by its context = %v, want DeadlineExceeded", err)
+	}
+	begin := time.Now()
+	if err := slow.Take(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(begin); d < 20*time.Millisecond || d > 2*time.Second {
+		t.Fatalf("the Take after a cancelled wait slept %v, want about 50 ms", d)
+	}
+}
+
 // --- shared pacer: drives a real sender via SenderConfig.Pacer ---
 
 func TestSenderExternalPacer(t *testing.T) {

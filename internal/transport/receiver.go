@@ -38,9 +38,11 @@ type ReceiverConfig struct {
 	// symbol size or datagrams are truncated and discarded).
 	MTU int
 	// ReadBatch is how many datagrams the ingest loop asks the conn for
-	// per read crossing (default 16, clamped to 64): a burst drains
-	// recvmmsg-style — one kernel crossing for the whole batch. 1 reads
-	// one datagram per crossing.
+	// per ReadBatch call (default 16, clamped to 64): a burst drains in
+	// one call, which on the UDP conn is at most one kernel crossing (a
+	// GRO socket hands up a whole train per message, and a train longer
+	// than the batch feeds the next call without a crossing). 1 reads
+	// one datagram per call.
 	ReadBatch int
 	// OnComplete, when set, is called — outside the daemon's locks, on
 	// the Run goroutine — each time an object decodes.
@@ -200,8 +202,14 @@ func NewReceiverDaemon(conn Conn, cfg ReceiverConfig) *ReceiverDaemon {
 		})
 		d.decodeHist = r.Histogram("receiver_decode_seconds", "First datagram of an object to its decode.",
 			obs.DurationBuckets(), obs.SecondsUnit, nil)
-		r.CounterFunc("receiver_read_batches_total", "Read crossings the ingest loop issued.", nil, d.readBatches.Load)
-		d.readBatchSizes = r.Histogram("receiver_read_batch_size", "Datagrams per read crossing.", obs.ExpBuckets(1, 2, 7), 0, nil)
+		r.CounterFunc("receiver_read_batches_total", "ReadBatch calls the ingest loop made.", nil, d.readBatches.Load)
+		d.readBatchSizes = r.Histogram("receiver_read_batch_size", "Datagrams handed up per ReadBatch call.", obs.ExpBuckets(1, 2, 7), 0, nil)
+		r.GaugeFunc("receiver_gro_enabled", "1 when the conn's reads take coalesced trains from the kernel (UDP generic receive offload).", nil, func() int64 {
+			if g, ok := conn.(interface{ GROEnabled() bool }); ok && g.GROEnabled() {
+				return 1
+			}
+			return 0
+		})
 	}
 	return d
 }
@@ -255,9 +263,9 @@ func (d *ReceiverDaemon) Run(ctx context.Context) error {
 	// was larger than MTU and therefore cut short (UDP truncation is
 	// otherwise silent), which would fail the CRC and masquerade as
 	// corruption instead of pointing at the MTU mismatch. The ingest
-	// loop reads ReadBatch datagrams per crossing, each into its own
+	// loop asks for ReadBatch datagrams per call, each into its own
 	// slot of one backing allocation; the slots are re-armed to full
-	// width before every crossing (ReadBatch re-slices what it fills).
+	// width before every call (ReadBatch re-slices what it fills).
 	slot := d.cfg.MTU + 1
 	backing := make([]byte, d.cfg.ReadBatch*slot)
 	bufs := make([]wire.Datagram, d.cfg.ReadBatch)

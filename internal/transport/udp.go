@@ -11,10 +11,10 @@ import (
 )
 
 // udpConn adapts *net.UDPConn to the Conn interface; the batch methods
-// live with the udpBatch state (mmsg_linux.go / mmsg_fallback.go). The
-// sender side is a connected socket (unicast, broadcast or multicast
-// destination); the receiver side is a bound — and, for multicast
-// groups, joined — socket.
+// and Recv live with the udpBatch state (mmsg_linux.go /
+// mmsg_fallback.go). The sender side is a connected socket (unicast,
+// broadcast or multicast destination); the receiver side is a bound —
+// and, for multicast groups, joined — socket.
 type udpConn struct {
 	c     *net.UDPConn
 	batch udpBatch
@@ -40,8 +40,15 @@ func DialUDP(addr string) (Conn, error) {
 // ListenUDP returns a receiving endpoint bound to addr ("host:port" or
 // ":port"). When addr names a multicast group the socket joins it on the
 // system-chosen interface, so `feccast recv` works for both unicast and
-// multicast sessions with one flag.
-func ListenUDP(addr string) (Conn, error) {
+// multicast sessions with one flag. The socket asks the kernel for UDP
+// GRO — coalesced trains per read instead of one datagram — and reads
+// exactly as before where the kernel refuses (see mmsg_linux.go).
+func ListenUDP(addr string) (Conn, error) { return listenUDP(addr, true) }
+
+// listenUDP is ListenUDP; gro false never asks for UDP GRO — the socket
+// a kernel without the option gets, which tests pin beside the probed
+// one.
+func listenUDP(addr string, gro bool) (Conn, error) {
 	laddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %q: %w", addr, err)
@@ -60,6 +67,9 @@ func ListenUDP(addr string) (Conn, error) {
 	c.SetReadBuffer(8 << 20) //nolint:errcheck
 	u := &udpConn{c: c}
 	u.initBatch()
+	if gro {
+		u.enableGRO()
+	}
 	return u, nil
 }
 
@@ -78,7 +88,9 @@ func (u *udpConn) Send(datagram []byte) error {
 	return err
 }
 
-func (u *udpConn) Recv(buf []byte) (int, error) {
+// recvScalar is Recv as one socket read: the next message is the next
+// datagram.
+func (u *udpConn) recvScalar(buf []byte) (int, error) {
 	n, _, err := u.c.ReadFromUDP(buf)
 	return n, err
 }
@@ -99,7 +111,7 @@ func (u *udpConn) readBatchScalar(bufs []wire.Datagram) (int, error) {
 	if len(bufs) == 0 {
 		return 0, nil
 	}
-	n, err := u.Recv(bufs[0])
+	n, err := u.recvScalar(bufs[0])
 	if err != nil {
 		return 0, err
 	}
@@ -111,6 +123,10 @@ func (u *udpConn) SetReadDeadline(t time.Time) error {
 	return u.c.SetReadDeadline(t)
 }
 
-func (u *udpConn) Close() error { return u.c.Close() }
+func (u *udpConn) Close() error {
+	err := u.c.Close()
+	u.batch.release()
+	return err
+}
 
 func (u *udpConn) LocalAddr() string { return u.c.LocalAddr().String() }
