@@ -107,7 +107,7 @@ const (
 )
 
 func BenchmarkEncodeRSE(b *testing.B) {
-	c, err := rse.New(rse.Params{K: speedK, Ratio: 1.5})
+	c, err := NewRSE(speedK, 1.5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func BenchmarkEncodeLDGMStaircase(b *testing.B) { benchmarkEncodeLDGM(b, ldpc.St
 func BenchmarkEncodeLDGMTriangle(b *testing.B)  { benchmarkEncodeLDGM(b, ldpc.Triangle) }
 
 func BenchmarkDecodeRSE(b *testing.B) {
-	c, err := rse.New(rse.Params{K: speedK, Ratio: 1.5})
+	c, err := NewRSE(speedK, 1.5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,7 +282,11 @@ func BenchmarkAblationLeftDegree(b *testing.B) {
 func BenchmarkAblationRSEBlockSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, mb := range []int{64, 128, 255} {
-			c, err := rse.New(rse.Params{K: 1000, Ratio: 2.5, MaxBlock: mb})
+			n, err := rse.N(1000, 2.5, mb)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := rse.New(rse.Params{K: 1000, N: n, MaxBlock: mb})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -404,7 +408,7 @@ func BenchmarkEncodeRSE16(b *testing.B) {
 // premium under random reception while the single-block GF(2^16) codec is
 // perfectly MDS (inefficiency exactly 1.0).
 func BenchmarkAblationGF8vsGF16Inefficiency(b *testing.B) {
-	c8, err := rse.New(rse.Params{K: 2000, Ratio: 2.5})
+	c8, err := NewRSE(2000, 2.5)
 	if err != nil {
 		b.Fatal(err)
 	}

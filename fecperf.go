@@ -521,7 +521,11 @@ func ReleaseSymbol(b []byte) { symbol.Put(b) }
 
 // NewRSE builds the Reed-Solomon erasure code with FLUTE-style blocking.
 func NewRSE(k int, ratio float64) (*rse.Code, error) {
-	return rse.New(rse.Params{K: k, Ratio: ratio})
+	n, err := rse.N(k, ratio, 0)
+	if err != nil {
+		return nil, err
+	}
+	return rse.New(rse.Params{K: k, N: n})
 }
 
 // NewLDGM builds one of the large-block codes with full parameter control.

@@ -11,22 +11,17 @@ package codes
 // receiver in the process.
 
 import (
-	"math"
 	"sync"
 
 	"fecperf/internal/core"
 	"fecperf/internal/wire"
 )
 
-// codecKey identifies a codec geometry. Encode-side lookups know the
-// expansion ratio (n still to be derived); wire-side lookups know the
-// exact n from the OTI. n = -1 with ratioBits set marks the former, so
-// the two shapes never collide.
+// codecKey identifies a codec: the integers on the wire.
 type codecKey struct {
-	family    wire.CodeFamily
-	k, n      int
-	ratioBits uint64
-	seed      int64
+	family wire.CodeFamily
+	k, n   int
+	seed   int64
 }
 
 // codecCacheMax bounds the cache. A process talks to a handful of
@@ -40,7 +35,12 @@ var (
 	codecCache = make(map[codecKey]core.Codec)
 )
 
-func cachedCodec(key codecKey, build func() (core.Codec, error)) (core.Codec, error) {
+// CachedForWire is ForWire through the process-wide codec cache — the
+// hot path of both directions: the session layer encodes every object and
+// opens every reassembly through it, so a sender and a receiver of one
+// geometry in one process share one instance.
+func CachedForWire(f wire.CodeFamily, k, n int, seed int64) (core.Codec, error) {
+	key := codecKey{family: f, k: k, n: n, seed: seed}
 	codecMu.RLock()
 	c, ok := codecCache[key]
 	codecMu.RUnlock()
@@ -50,7 +50,7 @@ func cachedCodec(key codecKey, build func() (core.Codec, error)) (core.Codec, er
 	// Build outside the lock: constructions are deterministic in the
 	// key, so concurrent builders producing duplicate instances is
 	// harmless (last one wins).
-	c, err := build()
+	c, err := ForWire(f, k, n, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -61,20 +61,4 @@ func cachedCodec(key codecKey, build func() (core.Codec, error)) (core.Codec, er
 	codecCache[key] = c
 	codecMu.Unlock()
 	return c, nil
-}
-
-// CachedForFamily is ForFamily through the process-wide codec cache —
-// the encode-side hot path. Use it wherever codecs for the same
-// geometry are built repeatedly (the session layer encodes every object
-// through it).
-func CachedForFamily(f wire.CodeFamily, k int, ratio float64, seed int64) (core.Codec, error) {
-	key := codecKey{family: f, k: k, n: -1, ratioBits: math.Float64bits(ratio), seed: seed}
-	return cachedCodec(key, func() (core.Codec, error) { return ForFamily(f, k, ratio, seed) })
-}
-
-// CachedForWire is ForWire through the process-wide codec cache — the
-// receive-side hot path, resolving the codec a packet's OTI describes.
-func CachedForWire(f wire.CodeFamily, k, n int, seed int64) (core.Codec, error) {
-	key := codecKey{family: f, k: k, n: n, seed: seed}
-	return cachedCodec(key, func() (core.Codec, error) { return ForWire(f, k, n, seed) })
 }

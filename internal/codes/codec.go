@@ -3,7 +3,10 @@ package codes
 // Codec resolution: the payload-carrying registry next to the ID-level
 // Make. Every per-family decision in the repository funnels through this
 // file — the session layer, transport and examples build codecs from
-// names or on-the-wire OTI and never switch on a family themselves.
+// names or on-the-wire OTI and never switch on a family themselves. A
+// code's identity is the integers on the wire, (family, k, n, seed):
+// ForWire is the one constructor, and a configured ratio is turned into n
+// (N) before it is called.
 
 import (
 	"fmt"
@@ -28,55 +31,39 @@ func MakeCodec(name string, k int, ratio float64, seed int64) (core.Codec, error
 	if err != nil {
 		return nil, fmt.Errorf("codes: unknown codec %q (have %v)", name, CodecNames)
 	}
-	return ForFamily(f, k, ratio, seed)
-}
-
-// ForFamily builds the codec for a wire code family on the encode side,
-// where the total symbol count still has to be derived from the ratio.
-func ForFamily(f wire.CodeFamily, k int, ratio float64, seed int64) (core.Codec, error) {
-	switch f {
-	case wire.CodeRSE:
-		return rse.New(rse.Params{K: k, Ratio: ratio})
-	case wire.CodeRSE16:
-		return rse16.New(rse16.Params{K: k, N: int(float64(k)*ratio + 0.5)})
-	case wire.CodeLDGM, wire.CodeLDGMStaircase, wire.CodeLDGMTriangle:
-		return ldpc.New(ldpc.Params{
-			K: k, N: int(float64(k)*ratio + 0.5),
-			Variant: ldgmVariant(f), Seed: seed,
-		})
-	case wire.CodeNoFEC:
-		if n := int(float64(k)*ratio + 0.5); n != k {
-			return nil, fmt.Errorf("codes: no-fec carries no parity; ratio %g (n=%d) must keep n == k=%d", ratio, n, k)
-		}
-		return repetition.New(k)
-	default:
-		return nil, fmt.Errorf("codes: unsupported code family %v", f)
+	n, err := N(f, k, ratio)
+	if err != nil {
+		return nil, err
 	}
+	return ForWire(f, k, n, seed)
 }
 
-// ForWire rebuilds the codec a received packet's OTI describes: exact
-// (k, n) geometry plus the construction seed. It fails when the family
-// cannot reproduce that geometry (the segmented RSE blocking must land
-// on the announced n), so a receiver rejects impossible OTI instead of
+// N is where a configured expansion ratio becomes the symbol count n a
+// sender announces. The ratio is sender-side configuration and goes no
+// further: (family, k, n, seed) travel in every datagram and are all a
+// codec is built from.
+func N(f wire.CodeFamily, k int, ratio float64) (int, error) {
+	if f == wire.CodeRSE {
+		return rse.N(k, ratio, 0) // per-block rounding
+	}
+	return int(float64(k)*ratio + 0.5), nil
+}
+
+// ForWire builds the codec the integers on the wire describe — the one
+// constructor senders and receivers share. Geometry a family cannot
+// realise is an error, so a receiver rejects impossible OTI instead of
 // mis-decoding.
 func ForWire(f wire.CodeFamily, k, n int, seed int64) (core.Codec, error) {
 	switch f {
 	case wire.CodeRSE:
-		c, err := rse.New(rse.Params{K: k, Ratio: float64(n) / float64(k)})
-		if err != nil {
-			return nil, err
-		}
-		if c.Layout().N != n {
-			return nil, fmt.Errorf("codes: RSE geometry mismatch: rebuilt n=%d, wire n=%d", c.Layout().N, n)
-		}
-		return c, nil
+		return rse.New(rse.Params{K: k, N: n})
 	case wire.CodeRSE16:
 		return rse16.New(rse16.Params{K: k, N: n})
 	case wire.CodeLDGM, wire.CodeLDGMStaircase, wire.CodeLDGMTriangle:
 		return ldpc.New(ldpc.Params{K: k, N: n, Variant: ldgmVariant(f), Seed: seed})
 	case wire.CodeNoFEC:
 		if n != k {
-			return nil, fmt.Errorf("codes: no-fec OTI with n=%d != k=%d", n, k)
+			return nil, fmt.Errorf("codes: no-fec carries no parity; n=%d must equal k=%d", n, k)
 		}
 		return repetition.New(k)
 	default:

@@ -3,6 +3,8 @@ package codes
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"fecperf/internal/core"
@@ -314,7 +316,7 @@ func TestNewDecoderRejectsBadSymbolLengths(t *testing.T) {
 }
 
 func TestForWireGeometry(t *testing.T) {
-	// ForWire must reproduce exactly the geometry ForFamily announced.
+	// ForWire must reproduce exactly the geometry the sender announced.
 	for _, name := range CodecNames {
 		for _, k := range []int{1, 7, 100, 300} {
 			enc, err := MakeCodec(name, k, ratioFor(name, 1.5), 9)
@@ -341,11 +343,114 @@ func TestForWireGeometry(t *testing.T) {
 	if _, err := ForWire(wire.CodeInvalid, 10, 12, 0); err == nil {
 		t.Error("invalid family accepted")
 	}
-	// An RSE OTI whose n cannot come out of the blocking algorithm
-	// (two blocks of 150 sources each must round to 151 symbols, so the
-	// announced total of 301 is unreachable).
-	if _, err := ForWire(wire.CodeRSE, 300, 301, 0); err == nil {
-		t.Error("impossible RSE geometry accepted")
+
+	// RSE blocks are a function of (k, n): every n from k to 255·k is a
+	// code of exactly n symbols, each block with at least one source and
+	// at most 255 symbols. All of them for small k, a seeded sample above.
+	checkRSE := func(k, n int) {
+		c, err := ForWire(wire.CodeRSE, k, n, 0)
+		if err != nil {
+			t.Fatalf("rse k=%d n=%d: %v", k, n, err)
+		}
+		l := c.Layout()
+		if l.K != k || l.N != n {
+			t.Fatalf("rse k=%d n=%d: built (%d,%d)", k, n, l.K, l.N)
+		}
+		for bi, b := range l.Blocks {
+			if len(b.Source) < 1 || len(b.Source)+len(b.Parity) > rse.MaxBlock {
+				t.Fatalf("rse k=%d n=%d: block %d has %d sources, %d parities", k, n, bi, len(b.Source), len(b.Parity))
+			}
+		}
+	}
+	for k := 1; k <= 8; k++ {
+		for n := k; n <= rse.MaxBlock*k; n++ {
+			checkRSE(k, n)
+		}
+	}
+	rng := rand.New(rand.NewSource(301))
+	for i := 0; i < 2000; i++ {
+		k := 1 + rng.Intn(3000)
+		checkRSE(k, k+rng.Intn(min(rse.MaxBlock*k, 20000)-k+1))
+	}
+	checkRSE(300, 301) // no (k, n) within the bound is unreachable
+
+	// Geometry from the network that no blocking satisfies is an error,
+	// never a panic: OpenReassembly hands ForWire whatever a header says.
+	for _, g := range [][2]int{{10, 9}, {0, 0}, {0, 5}, {-3, 4}, {1, 256}, {10, 2551}, {1 << 20, 1<<32 - 1}} {
+		if _, err := ForWire(wire.CodeRSE, g[0], g[1], 0); err == nil {
+			t.Errorf("rse k=%d n=%d accepted", g[0], g[1])
+		}
+	}
+}
+
+func sameLayout(a, b core.Layout) bool {
+	return a.K == b.K && a.N == b.N && slices.EqualFunc(a.Blocks, b.Blocks, func(x, y core.Block) bool {
+		return slices.Equal(x.Source, y.Source) && slices.Equal(x.Parity, y.Parity)
+	})
+}
+
+// wireRatios are the expansion ratios the sender↔receiver differentials
+// walk: the paper's 1.5 and 2.5 among values whose products with k round
+// every way.
+var wireRatios = []float64{1.05, 1.1, 1.2, 1.25, 1.3, 1.333, 1.4, 1.5, 1.6, 1.75, 2, 2.25, 2.5, 3, 3.5, 4}
+
+// TestSenderAndWireCodecsAgree is the codec half of the sender↔receiver
+// differential: for every family, k = 1…3000 and every ratio above, the
+// codec a sender builds from (k, ratio) and the codec a receiver rebuilds
+// from the (k, n) in the header have identical block lists, and the cache
+// hands both sides one instance. Before the blocks of an RS code were a
+// function of (k, n) the rebuild was refused for a third of these k at
+// ratio 1.5 (first k = 339) and silently differed for others (first 677).
+func TestSenderAndWireCodecsAgree(t *testing.T) {
+	for _, name := range CodecNames {
+		f, err := wire.FamilyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An LDGM graph costs ≈0.5 ms to build against microseconds for
+		// the block codes, and the family is one block whatever (k, n):
+		// its full grid is a minute of construction, so -short walks it in
+		// strides — as -race walks every family, this being one goroutine.
+		ldgm := strings.HasPrefix(name, "ldgm")
+		stride := 1
+		if raceEnabled || (ldgm && testing.Short()) {
+			stride = 37
+		}
+		points := 0
+		for k := 1; k <= 3000; k += stride {
+			for _, ratio := range wireRatios {
+				n, err := N(f, k, ratioFor(name, ratio))
+				if err != nil {
+					t.Fatalf("%s k=%d ratio %g: N: %v", name, k, ratio, err)
+				}
+				sender, err := CachedForWire(f, k, n, 5)
+				if err != nil {
+					continue // n == k at a small k: rse16 and LDGM need parity
+				}
+				points++
+				l := sender.Layout()
+				if l.K != k || l.N != n {
+					t.Fatalf("%s k=%d ratio %g: sender built (%d,%d), announced n=%d", name, k, ratio, l.K, l.N, n)
+				}
+				cached, err := CachedForWire(f, l.K, l.N, 5)
+				if err != nil || cached != sender {
+					t.Fatalf("%s k=%d ratio %g: the receiver's cache lookup is another codec (err %v)", name, k, ratio, err)
+				}
+				if ldgm {
+					continue // one block; a second graph build would say nothing
+				}
+				rebuilt, err := ForWire(f, l.K, l.N, 5)
+				if err != nil {
+					t.Fatalf("%s k=%d ratio %g: receiver cannot rebuild n=%d: %v", name, k, ratio, l.N, err)
+				}
+				if !sameLayout(rebuilt.Layout(), l) {
+					t.Fatalf("%s k=%d ratio %g (n=%d): sender and receiver cut different blocks", name, k, ratio, n)
+				}
+			}
+		}
+		if points < 3000*len(wireRatios)/stride*9/10 {
+			t.Errorf("%s: only %d points built", name, points)
+		}
 	}
 }
 
@@ -365,24 +470,33 @@ func TestEncodeValidatesInput(t *testing.T) {
 	}
 }
 
+// wireGeometries are RS (k, ratio index into wireRatios) pairs on which a
+// receiver rebuilding the code from the header used to disagree with the
+// sender: refused (339 @ 1.5, 304 @ 2.5), silently different blocks
+// (203 @ 2.5, 677 @ 1.5, 407 @ 1.25, 243 @ 1.05, 508 @ 1.05), and two that
+// always agreed beside them (1001 @ 2.5, 256 @ 1.5).
+var wireGeometries = [][2]int{{203, 12}, {677, 7}, {407, 3}, {243, 0}, {339, 7}, {304, 12}, {508, 0}, {1001, 12}, {256, 7}}
+
 // FuzzCodecRoundTrip drives random (family, k, ratio, symbol size, loss
 // pattern, delivery order) combinations through encode → drop → decode
 // and asserts byte-identical recovery for every pattern the decoder
-// accepts — and that full delivery always decodes.
+// accepts — and that full delivery always decodes. The decoder belongs to
+// a codec rebuilt from what the header carries — (family, k, n, seed) —
+// never to the instance that encoded.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(uint8(0), uint8(10), uint8(5), uint8(64), int64(1), int64(2))
-	f.Add(uint8(1), uint8(1), uint8(0), uint8(1), int64(3), int64(4))
-	f.Add(uint8(2), uint8(200), uint8(15), uint8(33), int64(5), int64(6))
-	f.Add(uint8(3), uint8(40), uint8(29), uint8(2), int64(7), int64(8))
-	f.Add(uint8(4), uint8(7), uint8(10), uint8(17), int64(9), int64(10))
-	f.Add(uint8(5), uint8(3), uint8(0), uint8(128), int64(11), int64(12))
-	f.Fuzz(func(t *testing.T, famB, kB, ratioB, lenB uint8, seed, lossSeed int64) {
+	f.Add(uint8(0), uint16(10), uint8(7), uint8(64), int64(1), int64(2))
+	f.Add(uint8(1), uint16(1), uint8(7), uint8(1), int64(3), int64(4))
+	f.Add(uint8(2), uint16(200), uint8(12), uint8(33), int64(5), int64(6))
+	f.Add(uint8(3), uint16(40), uint8(15), uint8(2), int64(7), int64(8))
+	f.Add(uint8(4), uint16(7), uint8(10), uint8(17), int64(9), int64(10))
+	f.Add(uint8(5), uint16(3), uint8(0), uint8(128), int64(11), int64(12))
+	for i, g := range wireGeometries {
+		f.Add(uint8(0), uint16(g[0]-1), uint8(g[1]), uint8(15), int64(i), int64(13+i))
+	}
+	f.Fuzz(func(t *testing.T, famB uint8, kRaw uint16, ratioB, lenB uint8, seed, lossSeed int64) {
 		name := CodecNames[int(famB)%len(CodecNames)]
-		k := 1 + int(kB)
-		ratio := 1.0 + float64(ratioB%30)/10.0
-		if name == "no-fec" {
-			ratio = 1.0
-		}
+		k := 1 + int(kRaw)%3000
+		ratio := ratioFor(name, wireRatios[int(ratioB)%len(wireRatios)])
 		symLen := 1 + int(lenB)%200 // odd and unaligned lengths included
 		symLen = evenFor(name, symLen)
 
@@ -399,7 +513,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		all := append(append([][]byte{}, src...), parity...)
 
-		dec, err := c.NewDecoder(symLen)
+		family, _ := wire.FamilyByName(name)
+		rx, err := ForWire(family, l.K, l.N, seed)
+		if err != nil {
+			t.Fatalf("%s k=%d ratio %g: receiver cannot rebuild n=%d: %v", name, k, ratio, l.N, err)
+		}
+		dec, err := rx.NewDecoder(symLen)
 		if err != nil {
 			t.Fatalf("%s: NewDecoder: %v", name, err)
 		}
@@ -411,7 +530,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			for i := 0; i < k; i++ {
 				if !bytes.Equal(dec.Source(i), src[i]) {
-					t.Fatalf("%s %s: source %d differs after decode", name, stage, i)
+					t.Fatalf("%s k=%d ratio %g %s: source %d differs after decode", name, k, ratio, stage, i)
 				}
 			}
 		}

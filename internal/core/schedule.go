@@ -516,10 +516,11 @@ func ProportionalMergeSchedule(sources, parities int) Schedule {
 // InterleaveSchedule is the multi-block interleave of the paper's
 // Tx_model_5: one in-block symbol per block per round — all the first
 // symbols, then all the second symbols, and so on, blocks in layout
-// order, exhausted blocks dropping out. For the layouts FEC codes
-// actually produce (equal blocks, or longer blocks leading — the
-// FLUTE partitioner's shape) every position is closed-form arithmetic;
-// irregular layouts fall back to a materialised order.
+// order, exhausted blocks dropping out. For equal blocks, or longer
+// blocks leading shorter ones (an even split's shape), every position
+// is closed-form arithmetic; other layouts — a third block length, as
+// when an RS object's source and parity remainders differ — fall back
+// to a materialised order.
 func InterleaveSchedule(l Layout) Schedule {
 	il, ok := newInterleave(l)
 	if !ok {

@@ -500,3 +500,53 @@ func TestLiteralSpecsAreValidated(t *testing.T) {
 		t.Errorf("Reload with nsent=-1: %v", err)
 	}
 }
+
+// TestDaemonCarouselObjectAcrossRSBlocks casts whole files as one RS
+// object each — what a carousel cast does — at sizes whose (k, n) a
+// receiver used to be unable to turn back into the sender's blocks:
+// k = 339 at the default ratio 1.5 (n = 509) and k = 304 at ratio 2.5.
+// OpenReassembly refused every datagram of both and the receiver counted
+// each as bad; now the bytes arrive and nothing is dropped as bad.
+func TestDaemonCarouselObjectAcrossRSBlocks(t *testing.T) {
+	if transport.DefaultPayloadSize != 1024 {
+		t.Fatalf("the sizes below are k = 339 and 304 at 1024-byte symbols, not at %d", transport.DefaultPayloadSize)
+	}
+	for i, c := range []struct {
+		size int
+		line string
+	}{
+		{347_128, "name=default,addr=239.0.0.7:9000,object=70"},
+		{311_288, "name=wide,addr=239.0.0.8:9000,object=71,codec=rse(ratio=2.5)"},
+	} {
+		cs, err := ParseCastSpec(c.line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.Data = testData(c.size, int64(20+i))
+
+		hubs := newTestHubs()
+		reg := obs.NewRegistry("fecperf")
+		rx := transport.NewReceiverDaemon(hubs.hub(cs.Addr).Receiver(channel.NoLoss{}, 1<<16), transport.ReceiverConfig{Metrics: reg})
+		rxCtx, rxCancel := context.WithCancel(context.Background())
+		go rx.Run(rxCtx) //nolint:errcheck
+
+		d := New(Config{Rate: 300_000, BatchSize: 16, DrainTimeout: 10 * time.Second, Dial: hubs.dial})
+		if err := d.AddCast(cs); err != nil {
+			t.Fatal(err)
+		}
+		waitCtx, waitCancel := context.WithTimeout(context.Background(), 30*time.Second)
+		got, err := rx.WaitObject(waitCtx, cs.BaseObjectID)
+		waitCancel()
+		if err != nil {
+			t.Errorf("%s: %v (receiver stats %+v)", cs.Name, err, rx.Stats())
+		} else if !bytes.Equal(got, cs.Data) {
+			t.Errorf("%s: the received object differs from the one cast", cs.Name)
+		}
+		if bad, ok := reg.CounterValue("receiver_packets_dropped_total", obs.L("reason", "bad")); !ok || bad != 0 {
+			t.Errorf("%s: receiver_packets_dropped_total{reason=\"bad\"} = %d (registered: %v), want 0", cs.Name, bad, ok)
+		}
+		d.Close()
+		rxCancel()
+		hubs.close()
+	}
+}

@@ -6,7 +6,7 @@ import (
 )
 
 func BenchmarkStructuralReceiver20k(b *testing.B) {
-	c, err := New(Params{K: 20000, Ratio: 2.5})
+	c, err := newRatio(20000, 2.5, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func BenchmarkStructuralReceiver20k(b *testing.B) {
 }
 
 func BenchmarkEncodeBlock(b *testing.B) {
-	c, err := New(Params{K: 100, Ratio: 2.5})
+	c, err := newRatio(100, 2.5, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func BenchmarkEncodeBlock(b *testing.B) {
 func BenchmarkDecodeBlockWorstCase(b *testing.B) {
 	// All source symbols lost: decode from parity alone (e = k_b, a dense
 	// k_b×k_b inversion).
-	c, err := New(Params{K: 100, Ratio: 2.5})
+	c, err := newRatio(100, 2.5, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

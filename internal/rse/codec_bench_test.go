@@ -25,7 +25,7 @@ func benchSource(b testing.TB) (*Code, [][]byte) { return codecFixture(b, benchK
 // random 1 KiB source symbols.
 func codecFixture(b testing.TB, k int) (*Code, [][]byte) {
 	b.Helper()
-	c, err := New(Params{K: k, Ratio: benchRatio})
+	c, err := newRatio(k, benchRatio, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

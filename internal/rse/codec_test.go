@@ -26,7 +26,7 @@ func testSymbols(t *testing.T, k, symLen int, seed int64) [][]byte {
 // object is large enough (1 MiB, 8 blocks) to cross the parallel
 // threshold once GOMAXPROCS allows it.
 func TestEncodeParallelMatchesSequential(t *testing.T) {
-	c, err := New(Params{K: 1024, Ratio: 1.5})
+	c, err := newRatio(1024, 1.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestEncodeParallelMatchesSequential(t *testing.T) {
 // blocks: one block decodes from parity alone, the others from mixes,
 // and completed blocks must release state without waiting for the rest.
 func TestPayloadDecoderPerBlock(t *testing.T) {
-	c, err := New(Params{K: 200, Ratio: 2.5}) // 2 blocks of 100
+	c, err := newRatio(200, 2.5, 0) // 2 blocks of 100
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPayloadDecoderPerBlock(t *testing.T) {
 // TestEncodeRatioOneBlock covers the zero-parity geometry the fuzzer
 // found: ratio 1 blocks have no generator and must encode to nothing.
 func TestEncodeRatioOneBlock(t *testing.T) {
-	c, err := New(Params{K: 10, Ratio: 1.0})
+	c, err := newRatio(10, 1.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestDecodeDifferentialScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, kb := range []int{1, 2, 5, 32, 128, 170} {
 		for _, ratio := range []float64{1.5, 2.5} {
-			c, err := New(Params{K: kb, Ratio: ratio})
+			c, err := newRatio(kb, ratio, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ func TestDecodeDifferentialScalarOracle(t *testing.T) {
 // and missing source columns yields a singular system — by decoding from
 // every one of the 70 k_b-subsets of an (n_b=8, k_b=4) block.
 func TestDecodeEverySubsetK4N8(t *testing.T) {
-	c, err := New(Params{K: 4, Ratio: 2.0})
+	c, err := newRatio(4, 2.0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@
 // The construction follows Rizzo's classic erasure codec: a systematic code
 // derived from a Vandermonde matrix over GF(2^8). Because the field bounds
 // the block length at n <= 255 encoding symbols, large objects are segmented
-// into blocks (the partitioner below follows the FLUTE/ALC blocking
-// algorithm). Segmentation is what costs RSE its global efficiency in the
+// into blocks — an integer function of the (k, n) every datagram carries
+// (New; RFC 5052 §9.1's even split, applied to sources and parities), so a
+// receiver rebuilds the sender's blocks from the header alone.
+// Segmentation is what costs RSE its global efficiency in the
 // paper: a parity packet can only repair losses inside its own block, so a
 // receiver effectively plays a coupon-collector game across blocks.
 //
@@ -40,12 +42,11 @@ import (
 // GF(2^8) with Rizzo's construction (one row per non-zero field element).
 const MaxBlock = 255
 
-// Params configures a Code.
+// Params is a Code's whole identity: the integers its datagrams carry.
 type Params struct {
-	// K is the total number of source packets in the object.
-	K int
-	// Ratio is the FEC expansion ratio n/k (e.g. 1.5 or 2.5).
-	Ratio float64
+	// K is the number of source packets in the object, N the total number
+	// of encoding symbols (source plus parity).
+	K, N int
 	// MaxBlock caps n_b per block; defaults to MaxBlock (255) when zero.
 	// Lowering it is useful for ablation studies.
 	MaxBlock int
@@ -70,70 +71,96 @@ type blockDef struct {
 	parOff int // first global parity ID
 }
 
-// New constructs the segmented code. It returns an error when the geometry
-// is unsatisfiable (k <= 0, ratio < 1, or a block too small to honour the
-// ratio within MaxBlock).
+func checkMaxBlock(maxBlock int) (int, error) {
+	if maxBlock == 0 {
+		return MaxBlock, nil
+	}
+	if maxBlock < 2 || maxBlock > MaxBlock {
+		return 0, fmt.Errorf("rse: MaxBlock %d outside [2,%d]", maxBlock, MaxBlock)
+	}
+	return maxBlock, nil
+}
+
+// N turns a configured expansion ratio into the symbol count a sender
+// announces: k sources cut into blocks of at most ⌊maxBlock/ratio⌋, each
+// block rounded to its own n_b. It is sender-side configuration and the
+// package's only float arithmetic — the result travels in the header and
+// New lays the blocks out from the integers alone.
+func N(k int, ratio float64, maxBlock int) (int, error) {
+	if k <= 0 {
+		return 0, fmt.Errorf("rse: k must be positive, got %d", k)
+	}
+	if !(ratio >= 1) { // also rejects NaN
+		return 0, fmt.Errorf("rse: expansion ratio must be >= 1, got %g", ratio)
+	}
+	maxBlock, err := checkMaxBlock(maxBlock)
+	if err != nil {
+		return 0, err
+	}
+	kmax := int(float64(maxBlock) / ratio)
+	if kmax < 1 {
+		return 0, fmt.Errorf("rse: ratio %g leaves no room for source symbols in blocks of %d", ratio, maxBlock)
+	}
+	b := (k + kmax - 1) / kmax
+	nbOf := func(kb int) int {
+		return min(max(int(float64(kb)*ratio+0.5), kb), maxBlock)
+	}
+	large := k % b // blocks holding ⌈k/b⌉ sources; the rest hold ⌊k/b⌋
+	return large*nbOf(k/b+1) + (b-large)*nbOf(k/b), nil
+}
+
+// New constructs the segmented code for exactly p.N symbols. The blocking
+// is an integer function of (K, N, MaxBlock), so every party that reads
+// those off a datagram builds the same blocks: b is the smallest block
+// count, from ⌈N/MaxBlock⌉ up, with ⌈K/b⌉ + ⌈(N−K)/b⌉ <= MaxBlock; the K
+// sources and the N−K parities are each dealt FLUTE-style, the first
+// K mod b (resp. (N−K) mod b) blocks taking one more. A geometry that
+// would need more blocks than sources is an error.
 func New(p Params) (*Code, error) {
 	if p.K <= 0 {
 		return nil, fmt.Errorf("rse: k must be positive, got %d", p.K)
 	}
-	if p.Ratio < 1 {
-		return nil, fmt.Errorf("rse: expansion ratio must be >= 1, got %g", p.Ratio)
+	if p.N < p.K {
+		return nil, fmt.Errorf("rse: n=%d below k=%d", p.N, p.K)
 	}
-	if p.MaxBlock == 0 {
-		p.MaxBlock = MaxBlock
+	maxBlock, err := checkMaxBlock(p.MaxBlock)
+	if err != nil {
+		return nil, err
 	}
-	if p.MaxBlock < 2 || p.MaxBlock > MaxBlock {
-		return nil, fmt.Errorf("rse: MaxBlock %d outside [2,%d]", p.MaxBlock, MaxBlock)
+	par := p.N - p.K
+	b := (p.N + maxBlock - 1) / maxBlock
+	for b <= p.K && (p.K+b-1)/b+(par+b-1)/b > maxBlock {
+		b++
 	}
-	kmax := int(float64(p.MaxBlock) / p.Ratio)
-	if kmax < 1 {
-		return nil, fmt.Errorf("rse: ratio %g leaves no room for source symbols in blocks of %d", p.Ratio, p.MaxBlock)
+	if b > p.K {
+		return nil, fmt.Errorf("rse: k=%d, n=%d needs more than k blocks of %d symbols", p.K, p.N, maxBlock)
 	}
 
-	// FLUTE-style blocking: B blocks, the first iLarge of size aLarge,
-	// the rest aSmall, so block sizes differ by at most one.
-	b := (p.K + kmax - 1) / kmax
-	aLarge := (p.K + b - 1) / b
-	aSmall := p.K / b
-	iLarge := p.K - aSmall*b
-
-	c := &Code{genFor: make(map[[2]int]*matrix.Matrix)}
-	srcOff, parCount := 0, 0
-	for bi := 0; bi < b; bi++ {
-		kb := aSmall
-		if bi < iLarge {
-			kb = aLarge
+	c := &Code{
+		layout: core.Layout{K: p.K, N: p.N, Blocks: make([]core.Block, b)},
+		blocks: make([]blockDef, b),
+		genFor: make(map[[2]int]*matrix.Matrix),
+	}
+	srcOff, parOff := 0, p.K // parity IDs follow all source IDs
+	for bi := range c.blocks {
+		kb, pb := p.K/b, par/b
+		if bi < p.K%b {
+			kb++
 		}
-		nb := int(float64(kb)*p.Ratio + 0.5)
-		if nb > p.MaxBlock {
-			nb = p.MaxBlock
+		if bi < par%b {
+			pb++
 		}
-		if nb < kb {
-			nb = kb
+		c.blocks[bi] = blockDef{kb: kb, nb: kb + pb, srcOff: srcOff, parOff: parOff}
+		blk := core.Block{Source: make([]int, kb), Parity: make([]int, pb)}
+		for i := range blk.Source {
+			blk.Source[i] = srcOff + i
 		}
-		c.blocks = append(c.blocks, blockDef{kb: kb, nb: nb, srcOff: srcOff})
+		for i := range blk.Parity {
+			blk.Parity[i] = parOff + i
+		}
+		c.layout.Blocks[bi] = blk
 		srcOff += kb
-		parCount += nb - kb
-	}
-	// Assign parity IDs after all source IDs.
-	n := p.K + parCount
-	parOff := p.K
-	for i := range c.blocks {
-		c.blocks[i].parOff = parOff
-		parOff += c.blocks[i].nb - c.blocks[i].kb
-	}
-
-	c.layout = core.Layout{K: p.K, N: n}
-	for _, bd := range c.blocks {
-		blk := core.Block{}
-		for i := 0; i < bd.kb; i++ {
-			blk.Source = append(blk.Source, bd.srcOff+i)
-		}
-		for i := 0; i < bd.nb-bd.kb; i++ {
-			blk.Parity = append(blk.Parity, bd.parOff+i)
-		}
-		c.layout.Blocks = append(c.layout.Blocks, blk)
+		parOff += pb
 	}
 	if err := c.layout.Validate(); err != nil {
 		return nil, fmt.Errorf("rse: internal layout error: %w", err)

@@ -2,6 +2,7 @@ package rse
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,9 +11,20 @@ import (
 	"fecperf/internal/core"
 )
 
-func mustNew(t *testing.T, p Params) *Code {
+// newRatio is how every test here names a code: the sender's way, a
+// ratio turned into a symbol count by N and handed to New. maxBlock 0
+// means MaxBlock.
+func newRatio(k int, ratio float64, maxBlock int) (*Code, error) {
+	n, err := N(k, ratio, maxBlock)
+	if err != nil {
+		return nil, err
+	}
+	return New(Params{K: k, N: n, MaxBlock: maxBlock})
+}
+
+func mustNew(t testing.TB, k int, ratio float64, maxBlock int) *Code {
 	t.Helper()
-	c, err := New(p)
+	c, err := newRatio(k, ratio, maxBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,15 +32,34 @@ func mustNew(t *testing.T, p Params) *Code {
 }
 
 func TestNewRejectsBadParams(t *testing.T) {
-	cases := []Params{
-		{K: 0, Ratio: 2},
-		{K: -5, Ratio: 2},
-		{K: 10, Ratio: 0.5},
-		{K: 10, Ratio: 2, MaxBlock: 1},
-		{K: 10, Ratio: 2, MaxBlock: 1000},
-		{K: 10, Ratio: 300, MaxBlock: 255},
+	for _, c := range []struct {
+		k        int
+		ratio    float64
+		maxBlock int
+	}{
+		{0, 2, 0},
+		{-5, 2, 0},
+		{10, 0.5, 0},
+		{10, math.NaN(), 0},
+		{10, 2, 1},
+		{10, 2, 1000},
+		{10, 300, 255},
+	} {
+		if _, err := newRatio(c.k, c.ratio, c.maxBlock); err == nil {
+			t.Errorf("ratio %+v accepted", c)
+		}
 	}
-	for _, p := range cases {
+	// The same from the integers, as a receiver meets them.
+	for _, p := range []Params{
+		{K: 0, N: 5},
+		{K: -5, N: 5},
+		{K: 10, N: 9},
+		{K: 10, N: 20, MaxBlock: 1},
+		{K: 10, N: 20, MaxBlock: 1000},
+		{K: 10, N: 3000},           // more blocks than sources
+		{K: 2, N: 12, MaxBlock: 5}, // likewise under a lowered cap
+		{K: 1 << 20, N: 1<<31 - 1}, // k blocks of ⌈n/k⌉ > 255
+	} {
 		if _, err := New(p); err == nil {
 			t.Errorf("New(%+v) accepted invalid params", p)
 		}
@@ -36,7 +67,7 @@ func TestNewRejectsBadParams(t *testing.T) {
 }
 
 func TestSingleBlockGeometry(t *testing.T) {
-	c := mustNew(t, Params{K: 100, Ratio: 2.5})
+	c := mustNew(t, 100, 2.5, 0)
 	if c.NumBlocks() != 1 {
 		t.Fatalf("NumBlocks = %d, want 1", c.NumBlocks())
 	}
@@ -52,7 +83,7 @@ func TestSingleBlockGeometry(t *testing.T) {
 func TestMultiBlockGeometry(t *testing.T) {
 	// k=20000, ratio 2.5 as in the paper: kmax = floor(255/2.5) = 102,
 	// so roughly 197 blocks.
-	c := mustNew(t, Params{K: 20000, Ratio: 2.5})
+	c := mustNew(t, 20000, 2.5, 0)
 	if c.NumBlocks() < 190 || c.NumBlocks() > 210 {
 		t.Fatalf("NumBlocks = %d, want ~197", c.NumBlocks())
 	}
@@ -73,7 +104,7 @@ func TestMultiBlockGeometry(t *testing.T) {
 }
 
 func TestBlockSizesDifferByAtMostOne(t *testing.T) {
-	c := mustNew(t, Params{K: 1000, Ratio: 1.5})
+	c := mustNew(t, 1000, 1.5, 0)
 	minK, maxK := 1<<30, 0
 	for _, b := range c.Layout().Blocks {
 		if len(b.Source) < minK {
@@ -92,7 +123,7 @@ func TestBlockSizesDifferByAtMostOne(t *testing.T) {
 // own block: that ID plus k_b-1 other symbols of the block must decode
 // exactly that block, leaving nothing buffered.
 func TestBlockOfRoundTrip(t *testing.T) {
-	c := mustNew(t, Params{K: 500, Ratio: 2.5})
+	c := mustNew(t, 500, 2.5, 0)
 	for bi, b := range c.Layout().Blocks {
 		ids := append(append([]int{}, b.Source...), b.Parity...)
 		for _, id := range ids {
@@ -114,7 +145,7 @@ func TestBlockOfRoundTrip(t *testing.T) {
 }
 
 func TestReceiverMDSPerBlock(t *testing.T) {
-	c := mustNew(t, Params{K: 10, Ratio: 2.0, MaxBlock: 10})
+	c := mustNew(t, 10, 2.0, 10)
 	// kmax = 5 → two blocks of 5 source + 5 parity each.
 	if c.NumBlocks() != 2 {
 		t.Fatalf("NumBlocks = %d, want 2", c.NumBlocks())
@@ -146,7 +177,7 @@ func TestReceiverMDSPerBlock(t *testing.T) {
 }
 
 func TestReceiverDuplicatesIgnored(t *testing.T) {
-	c := mustNew(t, Params{K: 4, Ratio: 2.0})
+	c := mustNew(t, 4, 2.0, 0)
 	rx := c.NewReceiver()
 	for i := 0; i < 3; i++ {
 		if rx.Receive(0) {
@@ -159,7 +190,7 @@ func TestReceiverDuplicatesIgnored(t *testing.T) {
 }
 
 func TestReceiverOutOfRangePanics(t *testing.T) {
-	c := mustNew(t, Params{K: 4, Ratio: 2.0})
+	c := mustNew(t, 4, 2.0, 0)
 	rx := c.NewReceiver()
 	defer func() {
 		if recover() == nil {
@@ -202,7 +233,7 @@ func decodeFrom(t *testing.T, c *Code, ids []int, payloads [][]byte) ([][]byte, 
 
 func TestEncodeDecodeRoundTripNoLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := mustNew(t, Params{K: 20, Ratio: 2.0, MaxBlock: 20})
+	c := mustNew(t, 20, 2.0, 20)
 	src := randPayloads(rng, 20, 16)
 	parity, err := c.Encode(src)
 	if err != nil {
@@ -224,7 +255,7 @@ func TestEncodeDecodeRoundTripNoLoss(t *testing.T) {
 
 func TestDecodeFromParityOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := mustNew(t, Params{K: 10, Ratio: 2.0, MaxBlock: 20})
+	c := mustNew(t, 10, 2.0, 20)
 	src := randPayloads(rng, 10, 32)
 	parity, err := c.Encode(src)
 	if err != nil {
@@ -244,7 +275,7 @@ func TestDecodeFromParityOnly(t *testing.T) {
 func TestDecodeAnyKOfN(t *testing.T) {
 	// The MDS property on real payloads: any k of the n symbols decode.
 	rng := rand.New(rand.NewSource(3))
-	c := mustNew(t, Params{K: 8, Ratio: 2.5, MaxBlock: 20})
+	c := mustNew(t, 8, 2.5, 20)
 	l := c.Layout()
 	src := randPayloads(rng, l.K, 24)
 	parity, err := c.Encode(src)
@@ -268,7 +299,7 @@ func TestDecodeAnyKOfN(t *testing.T) {
 
 func TestDecodeMultiBlockWithLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := mustNew(t, Params{K: 30, Ratio: 2.0, MaxBlock: 20})
+	c := mustNew(t, 30, 2.0, 20)
 	if c.NumBlocks() < 2 {
 		t.Fatal("want multi-block geometry")
 	}
@@ -311,7 +342,7 @@ func TestDecodeMultiBlockWithLoss(t *testing.T) {
 
 func TestDecodeUndecodableBlockErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := mustNew(t, Params{K: 10, Ratio: 2.0, MaxBlock: 20})
+	c := mustNew(t, 10, 2.0, 20)
 	src := randPayloads(rng, 10, 8)
 	// Only 9 distinct symbols for a k_b=10 block.
 	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
@@ -323,7 +354,7 @@ func TestDecodeUndecodableBlockErrors(t *testing.T) {
 
 func TestDecodeDuplicateSymbolsDoNotHelp(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	c := mustNew(t, Params{K: 5, Ratio: 2.0, MaxBlock: 10})
+	c := mustNew(t, 5, 2.0, 10)
 	src := randPayloads(rng, 5, 8)
 	ids := []int{0, 0, 0, 1, 2}
 	payloads := [][]byte{src[0], src[0], src[0], src[1], src[2]}
@@ -333,7 +364,7 @@ func TestDecodeDuplicateSymbolsDoNotHelp(t *testing.T) {
 }
 
 func TestEncodeLengthMismatch(t *testing.T) {
-	c := mustNew(t, Params{K: 4, Ratio: 2.0})
+	c := mustNew(t, 4, 2.0, 0)
 	bad := [][]byte{{1, 2}, {1, 2}, {1, 2, 3}, {1, 2}}
 	if _, err := c.Encode(bad); err == nil {
 		t.Fatal("Encode accepted ragged payloads")
@@ -344,7 +375,7 @@ func TestEncodeLengthMismatch(t *testing.T) {
 }
 
 func TestDecodeIDPayloadMismatch(t *testing.T) {
-	c := mustNew(t, Params{K: 4, Ratio: 2.0})
+	c := mustNew(t, 4, 2.0, 0)
 	if _, err := c.NewDecoder(0); err == nil {
 		t.Fatal("NewDecoder accepted a zero symbol length")
 	}
@@ -377,7 +408,7 @@ func TestPropertyAnyKSubsetDecodes(t *testing.T) {
 		if ratioChoice%2 == 1 {
 			ratio = 2.5
 		}
-		c, err := New(Params{K: k, Ratio: ratio, MaxBlock: 100})
+		c, err := newRatio(k, ratio, 100)
 		if err != nil {
 			return false
 		}
@@ -439,7 +470,7 @@ func blockIndex(l core.Layout, id int) int {
 }
 
 func TestBufferedSymbols(t *testing.T) {
-	c := mustNew(t, Params{K: 10, Ratio: 2.0, MaxBlock: 10})
+	c := mustNew(t, 10, 2.0, 10)
 	rx := c.NewReceiver()
 	mem := rx.(core.MemoryReporter)
 	if mem.BufferedSymbols() != 0 {
@@ -461,7 +492,7 @@ func TestBufferedSymbols(t *testing.T) {
 
 	// The running count equals a recount from the received set after
 	// every packet of a random arrival order with duplicates.
-	c = mustNew(t, Params{K: 40, Ratio: 1.5, MaxBlock: 12})
+	c = mustNew(t, 40, 1.5, 12)
 	l = c.Layout()
 	rx = c.NewReceiver()
 	mem = rx.(core.MemoryReporter)
@@ -486,5 +517,132 @@ func TestBufferedSymbols(t *testing.T) {
 		if got := mem.BufferedSymbols(); got != want {
 			t.Fatalf("after %d packets: BufferedSymbols = %d, recount %d", i+1, got, want)
 		}
+	}
+}
+
+// ratioPartition is the blocking New used before its blocks became a
+// function of (K, N): sources dealt into ⌈k/⌊maxBlock/ratio⌋⌉ blocks, each
+// rounded to its own n_b in floating point. It stays as ground truth for
+// N — which must keep its symbol count — and for the drift report below.
+func ratioPartition(k int, ratio float64, maxBlock int) (blocks [][2]int) {
+	kmax := int(float64(maxBlock) / ratio)
+	b := (k + kmax - 1) / kmax
+	aLarge := (k + b - 1) / b
+	aSmall := k / b
+	iLarge := k - aSmall*b
+	for bi := 0; bi < b; bi++ {
+		kb := aSmall
+		if bi < iLarge {
+			kb = aLarge
+		}
+		nb := int(float64(kb)*ratio + 0.5)
+		if nb > maxBlock {
+			nb = maxBlock
+		}
+		if nb < kb {
+			nb = kb
+		}
+		blocks = append(blocks, [2]int{kb, nb})
+	}
+	return blocks
+}
+
+// blockLengths counts the distinct n_b of a partition.
+func blockLengths(blocks [][2]int) int {
+	lens := map[int]bool{}
+	for _, b := range blocks {
+		lens[b[1]] = true
+	}
+	return len(lens)
+}
+
+func (c *Code) partition() (blocks [][2]int) {
+	for _, bd := range c.blocks {
+		blocks = append(blocks, [2]int{bd.kb, bd.nb})
+	}
+	return blocks
+}
+
+// TestBlockingDriftFromRatioPartitioner measures what making the blocks an
+// integer function of (k, n) moved: per ratio, how many sender layouts for
+// k = 1…4000 differ from the ratio partitioner's (the table is CHANGES.md's
+// and README's — a peer built before the change disagrees exactly there),
+// with n identical everywhere and every bench, golden and paper-scale
+// geometry unchanged. It also counts the layouts with three distinct block
+// lengths, which Tx_model_5 serves from InterleaveSchedule's materialised
+// fallback, and checks that order against a plain round-robin.
+func TestBlockingDriftFromRatioPartitioner(t *testing.T) {
+	const maxK = 4000
+	for _, want := range []struct {
+		ratio            float64
+		moved, threeLens int
+	}{
+		{1.05, 98, 64}, {1.1, 39, 28}, {1.2, 9, 0}, {1.25, 0, 0}, {1.3, 0, 0},
+		{1.333, 0, 0}, {1.4, 0, 0}, {1.5, 0, 0}, {1.6, 0, 0}, {1.75, 112, 96},
+		{2, 0, 0}, {2.25, 684, 641}, {2.5, 1543, 1459}, {3, 3599, 3442}, {3.5, 3678, 3444}, {4, 3710, 3402},
+	} {
+		moved, threeLens := 0, 0
+		for k := 1; k <= maxK; k++ {
+			c := mustNew(t, k, want.ratio, 0)
+			ref := ratioPartition(k, want.ratio, MaxBlock)
+			n := 0
+			for _, b := range ref {
+				n += b[1]
+			}
+			if c.Layout().N != n {
+				t.Fatalf("k=%d ratio %g: N = %d, the ratio partitioner sends %d", k, want.ratio, c.Layout().N, n)
+			}
+			got := c.partition()
+			if !slices.Equal(got, ref) {
+				moved++
+			}
+			if blockLengths(ref) > 2 {
+				t.Fatalf("k=%d ratio %g: the ratio partitioner itself cut three block lengths", k, want.ratio)
+			}
+			if blockLengths(got) > 2 {
+				if threeLens%100 == 0 {
+					assertInterleaveIsRoundRobin(t, c.Layout())
+				}
+				threeLens++
+			}
+		}
+		t.Logf("ratio %-5g: %4d of %d layouts moved, %4d with three block lengths", want.ratio, moved, maxK, threeLens)
+		if moved != want.moved || threeLens != want.threeLens {
+			t.Errorf("ratio %g: %d layouts moved (%d with three block lengths), want %d (%d)",
+				want.ratio, moved, threeLens, want.moved, want.threeLens)
+		}
+	}
+	// Every geometry a bench workload, golden or paper-scale run uses.
+	for _, ratio := range []float64{1.5, 2.5} {
+		for _, k := range []int{100, 120, 200, 256, 500, 1000, 2000, 4000, 5000, 10000, 20000} {
+			if got, ref := mustNew(t, k, ratio, 0).partition(), ratioPartition(k, ratio, MaxBlock); !slices.Equal(got, ref) {
+				t.Errorf("k=%d ratio %g: blocks %v, were %v", k, ratio, got, ref)
+			}
+		}
+	}
+	if got, want := fmt.Sprint(mustNew(t, 1001, 2.5, 0).partition()[:3]), "[[101 252] [100 251] [100 250]]"; got != want {
+		t.Errorf("k=1001 ratio 2.5: leading blocks %s, want %s", got, want)
+	}
+}
+
+// assertInterleaveIsRoundRobin checks core.InterleaveSchedule on l against
+// the definition of Tx_model_5: one symbol per block per round, sources
+// before parities, exhausted blocks dropping out.
+func assertInterleaveIsRoundRobin(t *testing.T, l core.Layout) {
+	t.Helper()
+	var want []int
+	for round := 0; len(want) < l.N; round++ {
+		for _, b := range l.Blocks {
+			switch {
+			case round < len(b.Source):
+				want = append(want, b.Source[round])
+			case round < len(b.Source)+len(b.Parity):
+				want = append(want, b.Parity[round-len(b.Source)])
+			}
+		}
+	}
+	s := core.InterleaveSchedule(l)
+	if got := s.AppendTo(nil); !slices.Equal(got, want) {
+		t.Fatalf("k=%d n=%d: InterleaveSchedule is not the round-robin over the blocks", l.K, l.N)
 	}
 }

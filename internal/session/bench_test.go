@@ -43,7 +43,7 @@ func BenchmarkSessionEncodeRawCodec(b *testing.B) {
 	data := benchData(64 << 10)
 	const payload = 1024
 	k := (lengthPrefix + len(data) + payload - 1) / payload
-	code, err := codes.ForFamily(wire.CodeRSE, k, 1.5, 0)
+	code, err := codes.MakeCodec("rse", k, 1.5, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

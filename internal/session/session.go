@@ -106,13 +106,17 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 		start = time.Now()
 	}
 	// Geometries repeat across objects, so this is a cache hit on every
-	// object but the first.
+	// object but the first — and the instance OpenReassembly gets for
+	// the same header.
 	k := (lengthPrefix + len(data) + cfg.PayloadSize - 1) / cfg.PayloadSize
-	code, err := codes.CachedForFamily(cfg.Family, k, cfg.Ratio, cfg.Seed)
+	n, err := codes.N(cfg.Family, k, cfg.Ratio)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	n := code.Layout().N
+	code, err := codes.CachedForWire(cfg.Family, k, n, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
 
 	// Lay out the n frames and stamp their headers; payloads[id] is the
 	// payload half of frame id, which the scatter and the codec fill in.

@@ -427,3 +427,54 @@ func TestSessionAllWireFamilies(t *testing.T) {
 		t.Fatal("rse16 accepted an odd payload size")
 	}
 }
+
+// TestReceiverRebuildsSendersBlocks carries RS geometries on which a
+// receiver used to rebuild other blocks than the sender's from the (k, n)
+// in the header — refused outright (339 @ 1.5, 304 @ 2.5) or accepted and
+// decoded to wrong bytes (203 @ 2.5, 677 @ 1.5, 407 @ 1.25, 243 @ 1.05) —
+// with neighbours that always worked. Sources 1–5 are lost, so the decode
+// has to go through the parities of the blocks in question; an object
+// carries no CRC, only equal bytes say it worked.
+func TestReceiverRebuildsSendersBlocks(t *testing.T) {
+	const payload = 16
+	for _, g := range []struct {
+		k     int
+		ratio float64
+	}{
+		{203, 2.5}, {677, 1.5}, {407, 1.25}, {243, 1.05}, {339, 1.5},
+		{304, 2.5}, {508, 1.05}, {1001, 2.5}, {256, 1.5},
+	} {
+		data := testObject(g.k*payload-lengthPrefix, int64(g.k))
+		cfg := baseConfig(wire.CodeRSE)
+		cfg.Ratio, cfg.PayloadSize = g.ratio, payload
+		obj, err := EncodeObject(data, cfg)
+		if err != nil {
+			t.Fatalf("k=%d ratio %g: %v", g.k, g.ratio, err)
+		}
+		if obj.K() != g.k {
+			t.Fatalf("k=%d ratio %g: object has k=%d", g.k, g.ratio, obj.K())
+		}
+		rx := NewReceiver()
+		var got []byte
+		for id := 0; id < obj.N() && got == nil; id++ {
+			if id >= 1 && id <= 5 {
+				continue
+			}
+			frame, err := obj.Frame(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, complete, out, err := rx.Ingest(frame)
+			if err != nil {
+				t.Fatalf("k=%d ratio %g (n=%d): packet %d: %v", g.k, g.ratio, obj.N(), id, err)
+			}
+			if complete {
+				got = out
+			}
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("k=%d ratio %g (n=%d): decoded %d bytes, equal to the object: false", g.k, g.ratio, obj.N(), len(got))
+		}
+		obj.Close()
+	}
+}

@@ -50,7 +50,7 @@ func TestFramesMatchAppendEncode(t *testing.T) {
 				for i := range symbols {
 					symbols[i] = stream[i*size : (i+1)*size]
 				}
-				code, err := codes.ForFamily(f, k, cfg.Ratio, cfg.Seed)
+				code, err := codes.ForWire(f, k, n, cfg.Seed)
 				if err != nil {
 					t.Fatal(err)
 				}

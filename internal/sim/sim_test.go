@@ -49,7 +49,7 @@ func TestRunNoLossTx1IsPerfect(t *testing.T) {
 	// Figure 8 observation: with p=0 and Tx_model_1 the inefficiency is
 	// exactly 1.0 for every code (all source packets arrive first).
 	codes := []core.Code{staircase(t, 200, 2.5)}
-	if rc, err := rse.New(rse.Params{K: 200, Ratio: 2.5}); err == nil {
+	if rc, err := rse.New(rse.Params{K: 200, N: 500}); err == nil {
 		codes = append(codes, rc)
 	} else {
 		t.Fatal(err)
