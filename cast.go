@@ -65,7 +65,7 @@ func NewCaster(conn TransportConn, src io.Reader, opts ...Option) (*Caster, erro
 // NewCollector returns a collector reassembling the train cast at the
 // configured base object ID from conn into dst, verifying stream
 // length and CRC before its Run reports success. The relevant options:
-// WithBaseObjectID (must match the caster), WithMaxPending,
+// WithBaseObjectID (must match the caster), WithSpec("pending=…"),
 // WithPayloadSize (sizes the read buffer), WithCollectProgress.
 func NewCollector(conn TransportConn, dst io.Writer, opts ...Option) (*Collector, error) {
 	c, err := NewConfig(opts...)

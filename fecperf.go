@@ -254,14 +254,6 @@ func WithRate(packetsPerSecond float64) Option {
 	}
 }
 
-// WithBurst sets the pacer's token-bucket depth in packets.
-func WithBurst(n int) Option {
-	return func(c *Config) error {
-		c.Burst = n
-		return nil
-	}
-}
-
 // WithPacer substitutes an external admission source — typically a
 // share of a NewSharedPacer — for the one-share pacer Rate/Burst would
 // configure; both are ignored when a pacer is set. Several
@@ -291,34 +283,10 @@ func WithBaseObjectID(id uint32) Option {
 	}
 }
 
-// WithWindow bounds how many chunks a Caster holds encoded at once.
-func WithWindow(n int) Option {
-	return func(c *Config) error {
-		c.Window = n
-		return nil
-	}
-}
-
-// WithRounds sets carousel rounds (per Caster window group).
-func WithRounds(n int) Option {
-	return func(c *Config) error {
-		c.Rounds = n
-		return nil
-	}
-}
-
 // WithSeed fixes all randomness not covered by the codec spec's seed.
 func WithSeed(seed int64) Option {
 	return func(c *Config) error {
 		c.Seed = seed
-		return nil
-	}
-}
-
-// WithNSent truncates transmissions (Section 6's n_sent optimisation).
-func WithNSent(n int) Option {
-	return func(c *Config) error {
-		c.NSent = n
 		return nil
 	}
 }
@@ -336,14 +304,6 @@ func WithTrials(n int) Option {
 func WithWorkers(n int) Option {
 	return func(c *Config) error {
 		c.Workers = n
-		return nil
-	}
-}
-
-// WithMaxPending bounds a Collector's out-of-order chunk buffer.
-func WithMaxPending(n int) Option {
-	return func(c *Config) error {
-		c.MaxPending = n
 		return nil
 	}
 }

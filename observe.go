@@ -113,14 +113,3 @@ func WithTracer(t *Tracer) Option {
 		return nil
 	}
 }
-
-// WithMetricsAddr requests a metrics endpoint at addr (spec key
-// "metrics", e.g. "metrics=:9090"). The address is declarative: the
-// cmd/* tools bind and serve it; library code serves explicitly via
-// ServeMetrics. Constructors never bind sockets on their own.
-func WithMetricsAddr(addr string) Option {
-	return func(c *Config) error {
-		c.MetricsAddr = addr
-		return nil
-	}
-}
