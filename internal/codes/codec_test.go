@@ -416,7 +416,6 @@ func TestSenderAndWireCodecsAgree(t *testing.T) {
 		if raceEnabled || (ldgm && testing.Short()) {
 			stride = 37
 		}
-		points := 0
 		for k := 1; k <= 3000; k += stride {
 			for _, ratio := range wireRatios {
 				n, err := N(f, k, ratioFor(name, ratio))
@@ -425,9 +424,11 @@ func TestSenderAndWireCodecsAgree(t *testing.T) {
 				}
 				sender, err := CachedForWire(f, k, n, 5)
 				if err != nil {
-					continue // n == k at a small k: rse16 and LDGM need parity
+					if n == k && (ldgm || name == "rse16") {
+						continue // a small k rounds to no parity, which these families refuse
+					}
+					t.Fatalf("%s k=%d ratio %g (n=%d): %v", name, k, ratio, n, err)
 				}
-				points++
 				l := sender.Layout()
 				if l.K != k || l.N != n {
 					t.Fatalf("%s k=%d ratio %g: sender built (%d,%d), announced n=%d", name, k, ratio, l.K, l.N, n)
@@ -447,9 +448,6 @@ func TestSenderAndWireCodecsAgree(t *testing.T) {
 					t.Fatalf("%s k=%d ratio %g (n=%d): sender and receiver cut different blocks", name, k, ratio, n)
 				}
 			}
-		}
-		if points < 3000*len(wireRatios)/stride*9/10 {
-			t.Errorf("%s: only %d points built", name, points)
 		}
 	}
 }

@@ -523,30 +523,31 @@ func TestDaemonCarouselObjectAcrossRSBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		cs.Data = testData(c.size, int64(20+i))
+		t.Run(cs.Name, func(t *testing.T) {
+			hubs := newTestHubs()
+			defer hubs.close()
+			reg := obs.NewRegistry("fecperf")
+			rx := transport.NewReceiverDaemon(hubs.hub(cs.Addr).Receiver(channel.NoLoss{}, 1<<16), transport.ReceiverConfig{Metrics: reg})
+			rxCtx, rxCancel := context.WithCancel(context.Background())
+			defer rxCancel()
+			go rx.Run(rxCtx) //nolint:errcheck
 
-		hubs := newTestHubs()
-		reg := obs.NewRegistry("fecperf")
-		rx := transport.NewReceiverDaemon(hubs.hub(cs.Addr).Receiver(channel.NoLoss{}, 1<<16), transport.ReceiverConfig{Metrics: reg})
-		rxCtx, rxCancel := context.WithCancel(context.Background())
-		go rx.Run(rxCtx) //nolint:errcheck
-
-		d := New(Config{Rate: 300_000, BatchSize: 16, DrainTimeout: 10 * time.Second, Dial: hubs.dial})
-		if err := d.AddCast(cs); err != nil {
-			t.Fatal(err)
-		}
-		waitCtx, waitCancel := context.WithTimeout(context.Background(), 30*time.Second)
-		got, err := rx.WaitObject(waitCtx, cs.BaseObjectID)
-		waitCancel()
-		if err != nil {
-			t.Errorf("%s: %v (receiver stats %+v)", cs.Name, err, rx.Stats())
-		} else if !bytes.Equal(got, cs.Data) {
-			t.Errorf("%s: the received object differs from the one cast", cs.Name)
-		}
-		if bad, ok := reg.CounterValue("receiver_packets_dropped_total", obs.L("reason", "bad")); !ok || bad != 0 {
-			t.Errorf("%s: receiver_packets_dropped_total{reason=\"bad\"} = %d (registered: %v), want 0", cs.Name, bad, ok)
-		}
-		d.Close()
-		rxCancel()
-		hubs.close()
+			d := New(Config{Rate: 300_000, BatchSize: 16, DrainTimeout: 10 * time.Second, Dial: hubs.dial})
+			defer d.Close()
+			if err := d.AddCast(cs); err != nil {
+				t.Fatal(err)
+			}
+			waitCtx, waitCancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer waitCancel()
+			got, err := rx.WaitObject(waitCtx, cs.BaseObjectID)
+			if err != nil {
+				t.Errorf("%v (receiver stats %+v)", err, rx.Stats())
+			} else if !bytes.Equal(got, cs.Data) {
+				t.Error("the received object differs from the one cast")
+			}
+			if bad, ok := reg.CounterValue("receiver_packets_dropped_total", obs.L("reason", "bad")); !ok || bad != 0 {
+				t.Errorf("receiver_packets_dropped_total{reason=\"bad\"} = %d (registered: %v), want 0", bad, ok)
+			}
+		})
 	}
 }
