@@ -133,6 +133,25 @@ func (st Stepper) StepMask(state *uint64, lost *bool, n int) uint64 {
 	return mask
 }
 
+// Chain is one running chain of a Stepper — the stepper, its splitmix64
+// state and its in-loss bit — as a core.Channel and core.LossMasker: the
+// fleet's kernel stepping a scalar trial.
+type Chain struct {
+	st    Stepper
+	state uint64
+	lost  bool
+}
+
+// Chain starts a chain in the no-loss state from splitmix64 state: the
+// chain New builds over a core.SplitMixSource holding state.
+func (st Stepper) Chain(state uint64) Chain { return Chain{st: st, state: state} }
+
+// Lost implements core.Channel.
+func (c *Chain) Lost() bool { return c.st.StepMask(&c.state, &c.lost, 1) != 0 }
+
+// LossMask implements core.LossMasker.
+func (c *Chain) LossMask(n int) uint64 { return c.st.StepMask(&c.state, &c.lost, n) }
+
 // redrawY reproduces Float64's resampling: draw again until the value
 // no longer rounds to 1.0, consuming splitmix64 outputs exactly as the
 // scalar chain would.

@@ -82,6 +82,43 @@ func TestStepMaskMatchesScalarChain(t *testing.T) {
 	}
 }
 
+// TestChainMatchesScalarChain: a Chain started from a SplitMixSource's
+// state mid-stream — after a scheduler's draws, as a trial starts it —
+// answers Lost and LossMask calls of any width, interleaved, exactly as
+// the scalar chain over that source would.
+func TestChainMatchesScalarChain(t *testing.T) {
+	for _, f := range []Spec{GilbertChannel(0.1, 0.5), GilbertChannel(1, 1), BernoulliChannel(0.3), NoLossChannel()} {
+		st, _ := f.Stepper()
+		for seed := int64(0); seed < 20; seed++ {
+			src := &core.SplitMixSource{}
+			rng := rand.New(src)
+			rng.Seed(seed)
+			rng.Perm(int(seed)) // the scheduler's draws
+			c := st.Chain(src.State())
+			scalar := f.New(rng)
+			for i, width := range []int{1, 64, 5, 1, 63, 64, 2} {
+				var got uint64
+				if width == 1 && i%2 == 0 {
+					if c.Lost() {
+						got = 1
+					}
+				} else {
+					got = c.LossMask(width)
+				}
+				var want uint64
+				for j := range width {
+					if scalar.Lost() {
+						want |= 1 << j
+					}
+				}
+				if got != want {
+					t.Fatalf("%s seed %d call %d (width %d): chain %#x, scalar %#x", f, seed, i, width, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestStepMaskGolden pins fixed-seed loss masks so the stepper cannot
 // drift silently even if the scalar chain drifts with it. The values
 // are the first 64 transmissions of each chain, bit j = transmission j.

@@ -104,6 +104,10 @@ func (m *Markov) Lost() bool {
 // State returns the current state index (useful in tests).
 func (m *Markov) State() int { return m.state }
 
+// Reset puts the chain back in its start state, so one chain — model
+// resolved and validated once — serves trial after trial on the same rng.
+func (m *Markov) Reset() { m.state = m.spec.Start }
+
 // GilbertSpec returns the MarkovSpec equivalent to Gilbert(p, q): two
 // states, deterministic loss per state, started in the no-loss state.
 func GilbertSpec(p, q float64) MarkovSpec {

@@ -127,6 +127,28 @@ func TestMarkovStateProgression(t *testing.T) {
 	}
 }
 
+// TestMarkovResetIsFresh: a chain Reset on its reseeded rng loses
+// exactly what a freshly built chain on that rng would.
+func TestMarkovResetIsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(0))
+	reused, _ := NewMarkov(threeState(), rng)
+	for seed := int64(1); seed <= 5; seed++ {
+		rng.Seed(seed)
+		var want []bool
+		fresh, _ := NewMarkov(threeState(), rng)
+		for range 200 {
+			want = append(want, fresh.Lost())
+		}
+		rng.Seed(seed)
+		reused.Reset()
+		for i, w := range want {
+			if got := reused.Lost(); got != w {
+				t.Fatalf("seed %d step %d: reset chain lost=%v, fresh %v", seed, i, got, w)
+			}
+		}
+	}
+}
+
 func TestMarkovFactory(t *testing.T) {
 	f := MarkovChannel(threeState())
 	if err := f.Validate(); err != nil {

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -137,10 +138,36 @@ type MemoryReporter interface {
 
 // Channel decides, transmission by transmission, whether a packet is lost.
 // A Channel is stateful (the Gilbert model has memory); one fresh instance
-// is used per trial.
+// is used per trial. RunTrial samples it up to 64 transmissions ahead of
+// the receiver, so a Channel must not depend on what was received.
 type Channel interface {
 	// Lost returns whether the next transmitted packet is erased.
 	Lost() bool
+}
+
+// LossMasker is an optional Channel capability: the channel's losses a
+// batch at a time. RunTrial asks for masks when a channel has it and
+// samples Lost otherwise.
+type LossMasker interface {
+	// LossMask advances the channel n (1 ≤ n ≤ 64) transmissions and
+	// returns bit j set iff transmission j is lost — exactly the values
+	// n successive Lost calls would return.
+	LossMask(n int) uint64
+}
+
+// LossMask returns the next n (≤ 64) transmissions of ch as a loss mask:
+// asked of the channel when it is a LossMasker, n Lost calls otherwise.
+func LossMask(ch Channel, n int) uint64 {
+	if m, ok := ch.(LossMasker); ok {
+		return m.LossMask(n)
+	}
+	var mask uint64
+	for j := 0; j < n; j++ {
+		if ch.Lost() {
+			mask |= 1 << j
+		}
+	}
+	return mask
 }
 
 // Scheduler produces the transmission order of packet IDs for one trial.
@@ -185,30 +212,43 @@ func (r TrialResult) Inefficiency(k int) float64 {
 // receiver's, not the scheduler's. nsent truncates the schedule when
 // positive (the paper's Section 6 transmission-stopping optimisation);
 // pass 0 to send everything.
+//
+// The channel is sampled in masks of up to 64 transmissions (LossMasker,
+// or that many Lost calls), so it runs up to 64 transmissions ahead of
+// the receiver. Once the object decodes, no further ids are drawn and
+// the receiver is not called again: the rest of the schedule only
+// counts towards NReceived.
 func RunTrial(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult {
 	if nsent <= 0 || nsent > schedule.Len() {
 		nsent = schedule.Len()
 	}
-	var res TrialResult
-	res.NSent = nsent
+	res := TrialResult{NSent: nsent}
 	mem, _ := rx.(MemoryReporter)
-	// Sequential walk → cursor: ids arrive in batched draws, which for
-	// permutation-backed schedules amortises the Feistel walk across
-	// interleaved lanes instead of paying its serial latency per packet.
-	cur := schedule.Cursor()
-	for i := 0; i < nsent; i++ {
-		id, _ := cur.Next()
-		if ch.Lost() {
+	// A batch's ids arrive in one draw, which for permutation-backed
+	// schedules amortises the Feistel walk across interleaved lanes
+	// instead of paying its serial latency per packet.
+	var ids [64]int32
+	for pos := 0; pos < nsent; pos += len(ids) {
+		n := min(nsent-pos, len(ids))
+		got := ^LossMask(ch, n) & (uint64(1)<<n - 1)
+		if res.Decoded {
+			res.NReceived += bits.OnesCount64(got)
 			continue
 		}
-		res.NReceived++
-		if !res.Decoded && rx.Receive(id) {
-			res.Decoded = true
-			res.NNecessary = res.NReceived
-		}
-		if mem != nil {
-			if b := mem.BufferedSymbols(); b > res.MaxBuffered {
-				res.MaxBuffered = b
+		schedule.batchAt(pos, ids[:n])
+		// got's lowest set bit is the next arrival.
+		for ; got != 0; got &= got - 1 {
+			res.NReceived++
+			decoded := rx.Receive(int(ids[bits.TrailingZeros64(got)]))
+			if mem != nil {
+				if b := mem.BufferedSymbols(); b > res.MaxBuffered {
+					res.MaxBuffered = b
+				}
+			}
+			if decoded {
+				res.Decoded, res.NNecessary = true, res.NReceived
+				res.NReceived += bits.OnesCount64(got & (got - 1)) // the batch's later arrivals
+				break
 			}
 		}
 	}

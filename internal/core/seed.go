@@ -47,6 +47,10 @@ type SplitMixSource struct {
 // Seed implements rand.Source.
 func (s *SplitMixSource) Seed(seed int64) { s.state = uint64(seed) }
 
+// State returns the generator's 8 bytes of state: the state a
+// channel.Stepper continues the stream from.
+func (s *SplitMixSource) State() uint64 { return s.state }
+
 // Uint64 implements rand.Source64.
 func (s *SplitMixSource) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15

@@ -87,6 +87,53 @@ func BenchmarkPlanThroughput(b *testing.B) {
 	b.ReportMetric(float64(points*b.N)/b.Elapsed().Seconds(), "points/s")
 }
 
+// BenchmarkSimGridPlan runs one family's slice of the sim-paper-grid
+// bench workload's plan (bench/sim.go: k = 2000, ratios 1.5 and 2.5,
+// tx1/tx2/tx4/tx5, a 4×3 Gilbert grid, 20 trials) on one worker, codes
+// built beforehand, and reports trials/s. It steps the engine's own trial
+// path — the channel masks included — which bench's core.runtrial_us.*
+// rows, driving the facade's scalar Gilbert channel, cannot see.
+func BenchmarkSimGridPlan(b *testing.B) {
+	var chans []ChannelSpec
+	for _, p := range []float64{0.01, 0.05, 0.1, 0.2} {
+		for _, q := range []float64{0.2, 0.5, 0.8} {
+			chans = append(chans, channel.GilbertChannel(p, q))
+		}
+	}
+	for _, family := range []string{"rse", "ldgm-staircase", "ldgm-triangle"} {
+		b.Run(family, func(b *testing.B) {
+			plan := Plan{
+				Codes:      []string{family},
+				Ks:         []int{2000},
+				Ratios:     []float64{1.5, 2.5},
+				Schedulers: []string{"tx1", "tx2", "tx4", "tx5"},
+				Channels:   chans,
+				Trials:     20,
+				Seed:       1,
+			}
+			points, err := plan.Points()
+			if err != nil {
+				b.Fatal(err)
+			}
+			specs := make([]PointSpec, len(points))
+			cache := map[string]core.Code{}
+			for i, pt := range points {
+				if specs[i], err = materialize(pt, cache); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunPointSpecs(context.Background(), specs, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(specs)*plan.Trials*b.N)/b.Elapsed().Seconds(), "trials/s")
+		})
+	}
+}
+
 // BenchmarkSweep4x4 measures a small (p, q) grid sweep end to end.
 func BenchmarkSweep4x4(b *testing.B) {
 	code, err := codes.Make("ldgm-triangle", 500, 2.5, 1)

@@ -154,13 +154,15 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 // One splitmix64-backed rand.Rand is reseeded per trial — O(1) seeding
 // and no per-trial allocation, versus a fresh 607-word rngSource per
 // trial before — and schedules are consumed lazily, so the shard's
-// cost profile is dominated by the decoder; the scheduler contributes
-// no allocations at all.
+// cost profile is dominated by the decoder; the scheduler and the
+// channel contribute no allocations at all.
 func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool) {
 	layout := spec.Code.Layout()
 	k := float64(layout.K)
 	var agg Aggregate
-	rng := rand.New(&core.SplitMixSource{})
+	src := &core.SplitMixSource{}
+	rng := rand.New(src)
+	nextChannel := trialChannels(spec.Channel, src, rng)
 	for t := lo; t < hi; t++ {
 		select {
 		case <-ctx.Done():
@@ -169,8 +171,7 @@ func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool)
 		}
 		rng.Seed(DeriveSeed(spec.Seed, uint64(t)))
 		schedule := spec.Scheduler.Schedule(layout, rng)
-		ch := spec.Channel.New(rng)
-		res := core.RunTrial(schedule, ch, spec.Code.NewReceiver(), spec.NSent)
+		res := core.RunTrial(schedule, nextChannel(), spec.Code.NewReceiver(), spec.NSent)
 		agg.Trials++
 		agg.ReceivedOverK.Add(float64(res.NReceived) / k)
 		if res.Decoded {
@@ -180,6 +181,31 @@ func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool)
 		}
 	}
 	return agg, true
+}
+
+// trialChannels returns a shard's channel maker: called right after a
+// trial's schedule draw, it returns the channel spec.New(rng) would build
+// at that point, invalidating the previous one. The kind is resolved
+// here, once per shard. A batch-steppable kind reuses one Chain continued
+// from src's state — the same stream the scalar chain would draw, since
+// the scheduler has drawn all of its randomness by then; markov reuses
+// one chain, its model resolved and validated once; a trace gets a fresh
+// replay per trial.
+func trialChannels(cs channel.Spec, src *core.SplitMixSource, rng *rand.Rand) func() core.Channel {
+	if st, ok := cs.Stepper(); ok {
+		chain := new(channel.Chain)
+		return func() core.Channel {
+			*chain = st.Chain(src.State())
+			return chain
+		}
+	}
+	if m, ok := cs.New(rng).(*channel.Markov); ok {
+		return func() core.Channel {
+			m.Reset()
+			return m
+		}
+	}
+	return func() core.Channel { return cs.New(rng) }
 }
 
 // RunPointSpecs executes every spec with trial-level parallelism and

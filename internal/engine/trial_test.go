@@ -1,0 +1,237 @@
+package engine
+
+// The oracle for the masked trial loop: core.RunTrial steps a channel 64
+// transmissions at a time and stops drawing ids once the object decodes;
+// every result must still be the one the scalar loop — one Lost per
+// transmission over the scalar chains, every survivor to the receiver
+// until it decodes — produces from the same splitmix64 state. The plan
+// golden pins gilbert and bernoulli at full schedules only; this covers
+// noloss, markov, traces and truncation, for every family.
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"fecperf/internal/channel"
+	"fecperf/internal/codes"
+	"fecperf/internal/core"
+	"fecperf/internal/sched"
+)
+
+// scalarTrial is RunTrial before masks: one Lost per transmission, ids
+// by random access, every survivor to the receiver until it decodes,
+// BufferedSymbols after every reception.
+func scalarTrial(schedule core.Schedule, ch core.Channel, rx core.Receiver, nsent int) core.TrialResult {
+	if nsent <= 0 || nsent > schedule.Len() {
+		nsent = schedule.Len()
+	}
+	res := core.TrialResult{NSent: nsent}
+	mem, _ := rx.(core.MemoryReporter)
+	for i := 0; i < nsent; i++ {
+		id := schedule.At(i)
+		if ch.Lost() {
+			continue
+		}
+		res.NReceived++
+		if !res.Decoded && rx.Receive(id) {
+			res.Decoded = true
+			res.NNecessary = res.NReceived
+		}
+		if mem != nil {
+			if b := mem.BufferedSymbols(); b > res.MaxBuffered {
+				res.MaxBuffered = b
+			}
+		}
+	}
+	return res
+}
+
+// lostOnly hides every capability of a channel but Lost, so RunTrial
+// samples it through its scalar adapter.
+type lostOnly struct{ ch core.Channel }
+
+func (l lostOnly) Lost() bool { return l.ch.Lost() }
+
+// trialRunner runs trials the way runShard does: one rng per run,
+// reseeded per trial, the channel made right after the schedule draw.
+type trialRunner struct {
+	rng  *rand.Rand
+	next func() core.Channel
+}
+
+func newTrialRunner(cs channel.Spec, scalar bool) *trialRunner {
+	src := &core.SplitMixSource{}
+	r := &trialRunner{rng: rand.New(src)}
+	if scalar {
+		r.next = func() core.Channel { return cs.New(r.rng) }
+	} else {
+		r.next = trialChannels(cs, src, r.rng)
+	}
+	return r
+}
+
+func (r *trialRunner) schedule(s core.Scheduler, l core.Layout, seed int64) core.Schedule {
+	r.rng.Seed(seed)
+	return s.Schedule(l, r.rng)
+}
+
+func TestRunTrialMasksMatchScalar(t *testing.T) {
+	const k, trials = 100, 3
+	var pattern []bool // a bursty recorded trace, replayed with wrap-around
+	g := channel.NewGilbert(0.2, 0.4, rand.New(rand.NewSource(5)))
+	for range 150 {
+		pattern = append(pattern, g.Lost())
+	}
+	channels := []channel.Spec{
+		channel.GilbertChannel(0.1, 0.5),
+		channel.GilbertChannel(0, 1),
+		channel.BernoulliChannel(0.05),
+		channel.NoLossChannel(),
+		{Kind: "markov", P: 0.1, Q: 0.5},
+		channel.TraceChannel(pattern, false),
+	}
+	schedulers := []string{"tx1", "tx2", "tx4", "tx5", "tx6(frac=0.5)", "rx1(src=10)", "carousel(rounds=2)"}
+	for _, family := range codes.CodecNames {
+		t.Run(family, func(t *testing.T) {
+			ratio := 2.5
+			if family == "no-fec" {
+				ratio = 1
+			}
+			code, err := codes.MakeCodec(family, k, ratio, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layout := code.Layout()
+			for _, name := range schedulers {
+				s, err := sched.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cs := range channels {
+					masked, wrapped, scalar := newTrialRunner(cs, false), newTrialRunner(cs, false), newTrialRunner(cs, true)
+					full := s.Schedule(layout, rand.New(rand.NewSource(1)))
+					for _, nsent := range []int{0, 1, 63, 64, 65, full.Len() - 1} {
+						for tr := range trials {
+							seed := DeriveSeed(int64(nsent), uint64(tr))
+							sch := masked.schedule(s, layout, seed)
+							got := core.RunTrial(sch, masked.next(), code.NewReceiver(), nsent)
+							sch = wrapped.schedule(s, layout, seed)
+							viaLost := core.RunTrial(sch, lostOnly{wrapped.next()}, code.NewReceiver(), nsent)
+							sch = scalar.schedule(s, layout, seed)
+							want := scalarTrial(sch, scalar.next(), code.NewReceiver(), nsent)
+							if got != want || viaLost != want {
+								t.Fatalf("%s %s nsent=%d trial %d: masks %+v, Lost-only %+v, scalar %+v",
+									name, cs, nsent, tr, got, viaLost, want)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+
+	// The decoding packet at either end of its batch, with a receiver
+	// that keeps holding its symbols after it decodes: MaxBuffered then
+	// depends on the BufferedSymbols read after the decoding Receive.
+	for _, c := range []struct {
+		name string
+		lost []int // positions lost, of 200 sent
+		need int
+		// decodes at this position, which is this bit of its batch
+		pos, bit int
+	}{
+		{"bit0-first-batch", nil, 1, 0, 0},
+		{"bit63-first-batch", nil, 64, 63, 63},
+		{"bit0-second-batch", nil, 65, 64, 0},
+		{"bit63-second-batch", nil, 128, 127, 63},
+		{"bit63-after-losses", []int{3, 10, 11, 12, 40}, 59, 63, 63},
+		{"bit0-after-losses", []int{0, 63, 66}, 63, 64, 0},
+		{"short-last-batch", []int{199}, 199, 198, 6},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pattern := make([]bool, 200)
+			for _, p := range c.lost {
+				pattern[p] = true
+			}
+			sch := core.SequenceSchedule(0, 200)
+			rx := &holdingReceiver{need: c.need}
+			got := core.RunTrial(sch, &channel.Trace{Pattern: pattern}, rx, 0)
+			want := scalarTrial(sch, &channel.Trace{Pattern: pattern}, &holdingReceiver{need: c.need}, 0)
+			if got != want {
+				t.Fatalf("masks %+v, scalar %+v", got, want)
+			}
+			if c.pos%64 != c.bit || got.NNecessary != c.pos+1-lostBefore(c.lost, c.pos) {
+				t.Fatalf("case does not decode at position %d (bit %d): %+v", c.pos, c.bit, got)
+			}
+			if got.MaxBuffered != c.need || got.NReceived != 200-len(c.lost) {
+				t.Fatalf("got %+v, want MaxBuffered %d NReceived %d", got, c.need, 200-len(c.lost))
+			}
+			if rx.calls != c.need {
+				t.Fatalf("receiver called %d times, want %d: nothing after it decodes", rx.calls, c.need)
+			}
+		})
+	}
+}
+
+func lostBefore(lost []int, pos int) int {
+	n := 0
+	for _, p := range lost {
+		if p < pos {
+			n++
+		}
+	}
+	return n
+}
+
+// holdingReceiver decodes at its need-th distinct packet and reports
+// every symbol it got as buffered, before and after decoding.
+type holdingReceiver struct {
+	need, calls int
+	seen        map[int]bool
+}
+
+func (r *holdingReceiver) Receive(id int) bool {
+	r.calls++
+	if r.seen == nil {
+		r.seen = map[int]bool{}
+	}
+	r.seen[id] = true
+	return r.Done()
+}
+func (r *holdingReceiver) Done() bool           { return len(r.seen) >= r.need }
+func (r *holdingReceiver) SourceRecovered() int { return len(r.seen) }
+func (r *holdingReceiver) BufferedSymbols() int { return len(r.seen) }
+
+// TestRunShardAllocsPerTrial is the allocation gate of the trial loop: a
+// trial through runShard allocates what its receiver does and nothing
+// else — no chain, rng or resolved channel model per trial, whatever the
+// channel kind.
+func TestRunShardAllocsPerTrial(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	code, err := codes.Make("rse", 500, 1.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rxAllocs := testing.AllocsPerRun(10, func() { code.NewReceiver() })
+	for _, cs := range []channel.Spec{
+		channel.GilbertChannel(0.05, 0.5),
+		channel.BernoulliChannel(0.03),
+		channel.NoLossChannel(),
+		{Kind: "markov", P: 0.05, Q: 0.5},
+	} {
+		t.Run(cs.Kind, func(t *testing.T) {
+			spec := PointSpec{Code: code, Scheduler: sched.TxModel4{}, Channel: cs, Seed: 3}
+			shard := func(trials int) float64 {
+				return testing.AllocsPerRun(5, func() { runShard(context.Background(), spec, 0, trials) })
+			}
+			const extra = 16
+			perTrial := (shard(1+extra) - shard(1)) / extra
+			if perTrial > rxAllocs {
+				t.Errorf("%s: %.2f allocations per trial, want at most NewReceiver's %.0f", cs, perTrial, rxAllocs)
+			}
+		})
+	}
+}

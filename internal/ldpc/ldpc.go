@@ -38,6 +38,7 @@ package ldpc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fecperf/internal/core"
 	"fecperf/internal/gf256"
@@ -105,6 +106,8 @@ type Code struct {
 	// The equations variable v participates in, in increasing order, are
 	// eqIdx[eqOff[v]:eqOff[v+1]].
 	eqOff, eqIdx []int32
+	// eqInit is a fresh decoder's equation table: every variable unknown.
+	eqInit []equation
 }
 
 // New builds the code. The construction is deterministic in Params.
@@ -251,14 +254,18 @@ func (c *Code) buildRight(rng *rand.Rand, rows [][]int32) {
 }
 
 // buildIndex flattens the construction's per-equation lists into the two
-// CSR indexes.
+// CSR indexes and the initial equation table.
 func (c *Code) buildIndex(rows [][]int32) {
 	c.rowOff = make([]int32, c.m+1)
 	c.eqOff = make([]int32, c.n+1)
+	c.eqInit = make([]equation, c.m)
 	for i, row := range rows {
 		c.rowOff[i+1] = c.rowOff[i] + int32(len(row))
+		e := &c.eqInit[i]
+		e.unknown = int32(len(row))
 		for _, v := range row {
 			c.eqOff[v+1]++
+			e.xorID ^= v
 		}
 	}
 	for v := 0; v < c.n; v++ {
@@ -431,15 +438,7 @@ func (c *Code) newDecoder(symLen int) *Decoder {
 		code:   c,
 		symLen: symLen,
 		known:  make([]bool, c.n),
-		eqs:    make([]equation, c.m),
-	}
-	for i := range d.eqs {
-		row := c.EquationVars(i)
-		x := int32(0)
-		for _, v := range row {
-			x ^= v
-		}
-		d.eqs[i] = equation{unknown: int32(len(row)), xorID: x}
+		eqs:    slices.Clone(c.eqInit),
 	}
 	if symLen > 0 {
 		d.pay = &payloads{

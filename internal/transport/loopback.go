@@ -54,17 +54,14 @@ func (l *Loopback) Receiver(ch core.Channel, queue int) Conn {
 // ReceiverStepper attaches a receiving endpoint whose loss process is
 // the batched stepper st over a splitmix64 stream seeded with seed. It
 // is the batch-native sibling of Receiver: a WriteBatch fan-out steps
-// the chain in 64-wide StepMask calls — one lock acquisition and no
-// interface dispatch per batch — and the loss sequence is bit-identical
-// at every batch size (and identical to the scalar chain the stepper's
-// factory builds over a core.SplitMixSource with the same seed). queue
-// <= 0 selects DefaultLoopbackQueue.
+// the chain in 64-wide StepMask calls — one lock acquisition and one
+// interface dispatch per 64 datagrams — and the loss sequence is
+// bit-identical at every batch size (and identical to the scalar chain
+// the stepper's factory builds over a core.SplitMixSource with the same
+// seed). queue <= 0 selects DefaultLoopbackQueue.
 func (l *Loopback) ReceiverStepper(st channel.Stepper, seed int64, queue int) Conn {
-	c := newLoopConn(l, queue)
-	c.useStepper = true
-	c.stepper = st
-	c.chState = uint64(seed)
-	return l.attach(c)
+	chain := st.Chain(uint64(seed))
+	return l.Receiver(&chain, queue)
 }
 
 func newLoopConn(l *Loopback, queue int) *loopConn {
@@ -175,19 +172,13 @@ func (s *loopSender) Close() error {
 func (s *loopSender) LocalAddr() string { return "loopback(sender)" }
 
 // loopConn is a receiving endpoint: a bounded queue behind a loss model
-// — either a scalar core.Channel or, for ReceiverStepper endpoints, a
-// batched channel.Stepper over raw splitmix64 state.
+// — a core.Channel, for ReceiverStepper endpoints a channel.Chain.
 type loopConn struct {
 	hub   *Loopback
 	queue chan []byte
 
-	chMu sync.Mutex // guards ch / (chState, chLost): stateful, shared across senders' deliveries
+	chMu sync.Mutex // guards ch: stateful, shared across senders' deliveries
 	ch   core.Channel
-
-	useStepper bool
-	stepper    channel.Stepper
-	chState    uint64 // raw splitmix64 stream state
-	chLost     bool   // Gilbert chain state (in the loss state?)
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -219,15 +210,8 @@ func (c *loopConn) deliverBatch(datagrams [][]byte) {
 			n = 64
 		}
 		var mask uint64
-		switch {
-		case c.useStepper:
-			mask = c.stepper.StepMask(&c.chState, &c.chLost, n)
-		case c.ch != nil:
-			for j := 0; j < n; j++ {
-				if c.ch.Lost() {
-					mask |= 1 << uint(j)
-				}
-			}
+		if c.ch != nil {
+			mask = core.LossMask(c.ch, n)
 		}
 		for j := 0; j < n; j++ {
 			if mask&(1<<uint(j)) != 0 {

@@ -157,7 +157,9 @@ func EstimateGilbert(trace []bool) (p, q float64, err error) {
 }
 
 // RunTrial simulates one reception of the given schedule through a
-// channel, evaluating the schedule lazily position by position.
+// channel, evaluating the schedule lazily. The channel is sampled up to
+// 64 transmissions ahead of the receiver, and no ids are drawn once the
+// object decodes.
 func RunTrial(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult {
 	return core.RunTrial(schedule, ch, rx, nsent)
 }
