@@ -134,7 +134,7 @@ func TestMeasureWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Simulate(point, WithWorkers(6))
+	par, err := Simulate(point, WithSpec("workers=6"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ type (
 	TrainManifest = session.Manifest
 )
 
-// NewCaster returns a caster streaming src over conn, configured by
-// options or a one-line spec:
+// NewCaster returns a caster streaming src over conn, configured by a
+// one-line spec:
 //
 //	fecperf.NewCaster(conn, file,
 //	    fecperf.WithSpec("codec=rse(k=256,ratio=1.5),sched=tx4,rate=5000,object=7"))
@@ -64,9 +64,10 @@ func NewCaster(conn TransportConn, src io.Reader, opts ...Option) (*Caster, erro
 
 // NewCollector returns a collector reassembling the train cast at the
 // configured base object ID from conn into dst, verifying stream
-// length and CRC before its Run reports success. The relevant options:
-// WithBaseObjectID (must match the caster), WithSpec("pending=…"),
-// WithPayloadSize (sizes the read buffer), WithCollectProgress.
+// length and CRC before its Run reports success. The keys it reads:
+// object= (must match the caster), payload= (sizes the read buffer),
+// pending= (the out-of-order chunk bound) and batch= (datagrams per
+// read); WithCollectProgress observes it.
 func NewCollector(conn TransportConn, dst io.Writer, opts ...Option) (*Collector, error) {
 	c, err := NewConfig(opts...)
 	if err != nil {

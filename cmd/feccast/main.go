@@ -4,11 +4,13 @@
 //
 // Whole objects held in memory ride the carousel (send/recv); files of
 // any size — including larger than RAM — stream as chunked object
-// trains (cast/collect). Every subcommand accepts the library's
-// one-line configuration spec, so the exact scenario a simulation or
-// an engine plan describes runs on the air unchanged:
+// trains (cast/collect). send, cast and collect take every delivery and
+// run setting from one -spec line in the library's configuration
+// grammar, so the exact scenario a simulation or an engine plan
+// describes runs on the air unchanged; send applies the line over its
+// defaults (sendDefaults, printed by -h):
 //
-//	feccast send -addr 239.1.2.3:9900 -file big.iso -spec "codec=ldgm-staircase(ratio=2.5),sched=tx4,rate=8000"
+//	feccast send -addr 239.1.2.3:9900 -file big.iso -spec "codec=ldgm-triangle(ratio=2.5),rate=8000,metrics=:9090"
 //	feccast recv -addr 239.1.2.3:9900 -out ./downloads -count 1
 //	feccast cast -addr 239.1.2.3:9900 -file huge.img -spec "codec=rse(k=256,ratio=1.5),rate=8000,object=7"
 //	feccast collect -addr :9900 -out huge.img -spec "object=7"
@@ -28,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -93,19 +94,6 @@ func setupObs(metricsAddr, traceFile string, pprofOn bool) (reg *fecperf.Metrics
 	return reg, tr, done, nil
 }
 
-// resolveMetricsAddr picks the metrics endpoint: the -metrics flag
-// wins, else the spec line's "metrics=addr" key.
-func resolveMetricsAddr(flagAddr, specLine string) string {
-	if flagAddr != "" {
-		return flagAddr
-	}
-	cfg, err := fecperf.ParseSpec(specLine)
-	if err != nil {
-		return "" // the real parse error surfaces from the constructor
-	}
-	return cfg.MetricsAddr
-}
-
 // onListen, when tests set it, receives the address recv or collect
 // bound (-addr host:0 binds an ephemeral port).
 var onListen func(addr string)
@@ -137,45 +125,44 @@ func run(args []string) error {
 	}
 }
 
+// sendDefaults is send's configuration before its -spec line, which
+// overrides it key by key: an LDGM-Staircase carousel in random order,
+// paced for a LAN. A rounds= key bounds the carousel (default: until
+// interrupted).
+const sendDefaults = "codec=ldgm-staircase(ratio=2.5),sched=tx4,rate=5000,seed=1,object=1"
+
+// sendOptions is send's whole configuration: sendDefaults overlaid by
+// the -spec line. The object and its carousel are built from it.
+func sendOptions(specLine string) []fecperf.Option {
+	return []fecperf.Option{fecperf.WithSpec(sendDefaults), fecperf.WithSpec(specLine)}
+}
+
+// carouselConfig is the carousel a send configuration runs.
+func carouselConfig(cfg fecperf.Config) fecperf.BroadcasterConfig {
+	return fecperf.BroadcasterConfig{
+		Rate:      cfg.Rate,
+		Burst:     cfg.Burst,
+		BatchSize: cfg.BatchSize,
+		Rounds:    cfg.Rounds,
+		Scheduler: cfg.Scheduler,
+		Seed:      cfg.Seed,
+	}
+}
+
 func runSend(args []string) error {
 	fs := flag.NewFlagSet("feccast send", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9900", "destination host:port (multicast groups work)")
 	file := fs.String("file", "", "file to broadcast (required)")
-	objID := fs.Uint("object", 1, "object ID stamped on every datagram")
-	code := fs.String("code", "ldgm-staircase", "FEC code: rse, ldgm, ldgm-staircase, ldgm-triangle")
-	ratio := fs.Float64("ratio", 2.5, "FEC expansion ratio n/k")
-	payload := fs.Int("payload", transport.DefaultPayloadSize, "symbol payload bytes per datagram")
-	seed := fs.Int64("seed", 1, "seed for code construction and scheduling")
-	tx := fs.String("tx", "tx4", "transmission model tx1..tx6, parameterized forms tx6(frac=0.3), carousel(inner=tx4,rounds=3)")
-	rate := fs.Float64("rate", 5000, "packets per second (0 = unpaced)")
-	batch := fs.Int("batch", 0, "datagrams per kernel send batch, up to 64 (0 or 1 = one syscall per packet; also spec key batch=n)")
-	rounds := fs.Int("rounds", 0, "carousel rounds (0 = loop until interrupted)")
-	metricsAddr := fs.String("metrics", "", `serve Prometheus/expvar metrics on this address (e.g. ":9090"; also spec key metrics=addr)`)
-	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics endpoint")
+	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics endpoint (spec key metrics=addr)")
 	traceFile := fs.String("trace", "", `write JSONL lifecycle trace events to this file ("-" = stderr)`)
-	specLine := fs.String("spec", "", `one-line configuration spec overriding the flags above, e.g. "codec=rse(ratio=1.5,seed=7),sched=tx4,rate=8000,object=3"`)
+	specLine := fs.String("spec", "", fmt.Sprintf(`one-line configuration spec over the defaults %q, e.g. "codec=rse(ratio=1.5),rounds=4,object=3"`, sendDefaults))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *file == "" {
 		return fmt.Errorf("send: -file is required")
 	}
-	if *objID > math.MaxUint32 {
-		return fmt.Errorf("send: -object %d exceeds the wire format's 32-bit object ID", *objID)
-	}
-	// The individual flags form the base configuration; -spec overlays
-	// whatever keys it names. The object and the carousel below are built
-	// from this one option list.
-	opts := []fecperf.Option{
-		fecperf.WithCodec(fmt.Sprintf("%s(ratio=%g,seed=%d)", *code, *ratio, *seed)),
-		fecperf.WithScheduler(*tx),
-		fecperf.WithPayloadSize(*payload),
-		fecperf.WithBaseObjectID(uint32(*objID)),
-		fecperf.WithSeed(*seed),
-		fecperf.WithRate(*rate),
-		fecperf.WithBatchSize(*batch),
-		fecperf.WithSpec(*specLine),
-	}
+	opts := sendOptions(*specLine)
 	cfg, err := fecperf.NewConfig(opts...)
 	if err != nil {
 		return err
@@ -194,7 +181,7 @@ func runSend(args []string) error {
 	}
 	defer conn.Close()
 
-	reg, tracer, obsDone, err := setupObs(resolveMetricsAddr(*metricsAddr, *specLine), *traceFile, *pprofOn)
+	reg, tracer, obsDone, err := setupObs(cfg.MetricsAddr, *traceFile, *pprofOn)
 	if err != nil {
 		return err
 	}
@@ -203,26 +190,15 @@ func runSend(args []string) error {
 	// OnRound reads the sender's own stats; the closure captures the
 	// variable before assignment, which is safe because Run (the only
 	// caller of OnRound) starts afterwards.
-	carouselRounds := cfg.Rounds
-	if carouselRounds == 0 {
-		carouselRounds = *rounds
-	}
 	var s *fecperf.Broadcaster
-	s = fecperf.NewBroadcaster(conn, fecperf.BroadcasterConfig{
-		Rate:      cfg.Rate,
-		Burst:     cfg.Burst,
-		BatchSize: cfg.BatchSize,
-		Rounds:    carouselRounds,
-		Scheduler: cfg.Scheduler,
-		Seed:      cfg.Seed,
-		Metrics:   reg,
-		Tracer:    tracer,
-		OnRound: func(round int) {
-			st := s.Stats()
-			fmt.Fprintf(os.Stderr, "round %d done: %d packets / %d bytes on the wire\n",
-				round+1, st.PacketsSent, st.BytesSent)
-		},
-	})
+	bc := carouselConfig(cfg)
+	bc.Metrics, bc.Tracer = reg, tracer
+	bc.OnRound = func(round int) {
+		st := s.Stats()
+		fmt.Fprintf(os.Stderr, "round %d done: %d packets / %d bytes on the wire\n",
+			round+1, st.PacketsSent, st.BytesSent)
+	}
+	s = fecperf.NewBroadcaster(conn, bc)
 	if err := s.Add(obj); err != nil {
 		return err
 	}
@@ -345,17 +321,19 @@ func runCast(args []string) error {
 	fs := flag.NewFlagSet("feccast cast", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:9900", "destination host:port (multicast groups work)")
 	file := fs.String("file", "", `file to stream ("-" = stdin; required)`)
-	batch := fs.Int("batch", 0, "datagrams per kernel send batch, up to 64 (0 or 1 = one syscall per packet; also spec key batch=n)")
-	specLine := fs.String("spec", "", `one-line configuration spec, e.g. "codec=rse(k=256,ratio=1.5),sched=tx4,rate=8000,object=7,window=4,rounds=2"`)
+	specLine := fs.String("spec", "", `one-line configuration spec, e.g. "codec=rse(k=256,ratio=1.5),sched=tx4,rate=8000,object=7,window=4,rounds=2,batch=32"`)
 	progress := fs.Bool("progress", false, "report per-window progress on stderr")
-	metricsAddr := fs.String("metrics", "", `serve Prometheus/expvar metrics on this address (e.g. ":9090"; also spec key metrics=addr)`)
-	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics endpoint")
+	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics endpoint (spec key metrics=addr)")
 	traceFile := fs.String("trace", "", `write JSONL lifecycle trace events to this file ("-" = stderr)`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *file == "" {
 		return fmt.Errorf("cast: -file is required")
+	}
+	cfg, err := fecperf.ParseSpec(*specLine)
+	if err != nil {
+		return err
 	}
 	var src io.Reader
 	if *file == "-" {
@@ -374,14 +352,13 @@ func runCast(args []string) error {
 	}
 	defer conn.Close()
 
-	reg, tracer, obsDone, err := setupObs(resolveMetricsAddr(*metricsAddr, *specLine), *traceFile, *pprofOn)
+	reg, tracer, obsDone, err := setupObs(cfg.MetricsAddr, *traceFile, *pprofOn)
 	if err != nil {
 		return err
 	}
 	defer obsDone()
 
-	// The flag forms the base; a batch= key in -spec overrides it.
-	opts := []fecperf.Option{fecperf.WithBatchSize(*batch), fecperf.WithSpec(*specLine), fecperf.WithMetrics(reg), fecperf.WithTracer(tracer)}
+	opts := []fecperf.Option{fecperf.WithSpec(*specLine), fecperf.WithMetrics(reg), fecperf.WithTracer(tracer)}
 	if *progress {
 		opts = append(opts, fecperf.WithCastProgress(func(p fecperf.CastProgress) {
 			fmt.Fprintf(os.Stderr, "cast: %d chunks / %d bytes read\n", p.ChunksCast, p.BytesRead)
@@ -406,17 +383,19 @@ func runCollect(args []string) error {
 	addr := fs.String("addr", ":9900", "listen host:port (multicast groups are joined)")
 	out := fs.String("out", "", `output file ("-" = stdout; required)`)
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = no limit)")
-	batch := fs.Int("batch", 0, "datagrams per kernel read batch, up to 64 (0 = default 16, 1 = one syscall per packet; also spec key batch=n)")
-	specLine := fs.String("spec", "", `one-line configuration spec, e.g. "object=7,payload=1024,pending=64"`)
+	specLine := fs.String("spec", "", `one-line configuration spec, e.g. "object=7,payload=1024,pending=64,batch=16"`)
 	progress := fs.Bool("progress", false, "report per-chunk progress on stderr")
-	metricsAddr := fs.String("metrics", "", `serve Prometheus/expvar metrics on this address (e.g. ":9090"; also spec key metrics=addr)`)
-	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics endpoint")
+	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the metrics endpoint (spec key metrics=addr)")
 	traceFile := fs.String("trace", "", `write JSONL lifecycle trace events to this file ("-" = stderr)`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("collect: -out is required")
+	}
+	cfg, err := fecperf.ParseSpec(*specLine)
+	if err != nil {
+		return err
 	}
 	var dst io.Writer
 	if *out == "-" {
@@ -435,14 +414,13 @@ func runCollect(args []string) error {
 	}
 	defer conn.Close()
 
-	reg, tracer, obsDone, err := setupObs(resolveMetricsAddr(*metricsAddr, *specLine), *traceFile, *pprofOn)
+	reg, tracer, obsDone, err := setupObs(cfg.MetricsAddr, *traceFile, *pprofOn)
 	if err != nil {
 		return err
 	}
 	defer obsDone()
 
-	// The flag forms the base; a batch= key in -spec overrides it.
-	opts := []fecperf.Option{fecperf.WithBatchSize(*batch), fecperf.WithSpec(*specLine), fecperf.WithMetrics(reg), fecperf.WithTracer(tracer)}
+	opts := []fecperf.Option{fecperf.WithSpec(*specLine), fecperf.WithMetrics(reg), fecperf.WithTracer(tracer)}
 	if *progress {
 		opts = append(opts, fecperf.WithCollectProgress(func(p fecperf.CollectProgress) {
 			total := "?"

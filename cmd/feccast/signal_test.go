@@ -36,7 +36,7 @@ func TestSIGTERMStopsCarousel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		sendErr = run([]string{"send", "-addr", addr, "-file", file,
-			"-rate", "2000", "-rounds", "0"})
+			"-spec", "rate=2000,rounds=0"})
 	}()
 
 	pc.SetReadDeadline(time.Now().Add(30 * time.Second))

@@ -45,6 +45,7 @@ import (
 	"syscall"
 
 	"fecperf"
+	"fecperf/internal/transport"
 )
 
 func main() {
@@ -88,6 +89,9 @@ func run(ctx context.Context, hup <-chan os.Signal, args []string, stdout, stder
 	drainTimeout := fs.Duration("drain-timeout", fecperf.DefaultDrainTimeout, "graceful-drain bound before in-flight casts are hard-cancelled")
 	pprofOn := fs.Bool("pprof", false, "mount /debug/pprof/ on the control endpoint")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := transport.ValidatePacing(*rate, *burst); err != nil {
 		return err
 	}
 

@@ -71,6 +71,7 @@ func TestRunRejectsBadUsage(t *testing.T) {
 		{"-casts", badFile},                            // bad line inside
 		{"-cast", "name=a,addr=h:1,file=x", "-cast", "name=a,addr=h:2,file=y"}, // dup
 		{"-cast", "name=a,addr=h:1,file=/definitely/not/here.bin"},             // unreadable source
+		{"-rate", "NaN"}, {"-rate", "-1"}, {"-rate", "+Inf"}, {"-burst", "-3"}, // the spec keys' pacing rule
 	} {
 		err := run(context.Background(), hup, args, io.Discard, io.Discard)
 		if err == nil {

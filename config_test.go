@@ -125,32 +125,77 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 func TestOptionsComposeWithSpec(t *testing.T) {
+	var progress bool
+	reg := NewMetricsRegistry()
 	c, err := NewConfig(
 		WithSpec("codec=rse(k=64,ratio=1.5),rate=1000,seed=3"),
-		WithRate(2000),       // later option wins
-		WithScheduler("tx5"), // adds a field the spec left unset
-		WithChannel("bernoulli(p=0.1)"),
+		WithMetrics(reg),                     // a Go-only handle between two lines
+		WithSpec("rate=2000"),                // a later line's key wins
+		WithSpec("sched=tx5"),                // adds a key the first line left unset
+		WithSpec("channel=bernoulli(p=0.1)"), // and another
+		WithCastProgress(func(CastProgress) { progress = true }),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Rate != 2000 {
-		t.Errorf("Rate = %g, want the later option's 2000", c.Rate)
+		t.Errorf("Rate = %g, want the later line's 2000", c.Rate)
 	}
 	if c.Codec.K != 64 || c.Seed != 3 {
-		t.Errorf("spec fields lost: %+v", c)
+		t.Errorf("first line's keys lost: %+v", c)
 	}
 	if c.Scheduler.Name() != "tx5" || c.Channel.String() != "bernoulli(p=0.1)" {
-		t.Errorf("added fields missing: %+v", c)
+		t.Errorf("added keys missing: %+v", c)
+	}
+	if c.Metrics != reg || c.OnCastProgress == nil {
+		t.Errorf("Go-only handles lost among the lines: %+v", c)
+	} else if c.OnCastProgress(CastProgress{}); !progress {
+		t.Error("OnCastProgress is not the callback given")
+	}
+	if got, want := c.Spec(), "codec=rse(k=64,ratio=1.5),sched=tx5,seed=3,channel=bernoulli(p=0.1),rate=2000"; got != want {
+		t.Errorf("Spec() = %q, want %q (handles do not serialize)", got, want)
 	}
 
-	// The reverse order: the spec overlays only its own keys.
-	c, err = NewConfig(WithRate(2000), WithSpec("rate=1000,seed=3"))
+	// The reverse order: a later line overlays only its own keys.
+	c, err = NewConfig(WithSpec("rate=2000,sched=tx2"), WithSpec("rate=1000,seed=3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Rate != 1000 || c.Seed != 3 {
-		t.Errorf("WithSpec after WithRate: %+v", c)
+	if c.Rate != 1000 || c.Seed != 3 || c.Scheduler.Name() != "tx2" {
+		t.Errorf("second line over the first: %+v", c)
+	}
+}
+
+// TestConfigKeysRejectOutOfRange: Config's own keys are validated like
+// the delivery keys — a rate that is not a finite non-negative number
+// and a negative burst, trials, workers or pending are errors, from a
+// line and from every constructor that takes one.
+func TestConfigKeysRejectOutOfRange(t *testing.T) {
+	for _, line := range []string{
+		"rate=-1",
+		"rate=NaN",
+		"rate=Inf",
+		"rate=+Inf",
+		"burst=-3",
+		"trials=-5",
+		"workers=-2",
+		"pending=-4",
+	} {
+		key, _, _ := strings.Cut(line, "=")
+		if _, err := ParseSpec(line); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("ParseSpec(%q): err = %v, want one naming %q", line, err, key)
+		}
+	}
+	agg, err := Simulate(WithSpec("codec=rse(k=64,ratio=1.5),channel=gilbert(p=0.01,q=0.5),trials=-5"))
+	if err == nil {
+		t.Errorf("Simulate with trials=-5 = %+v, nil error", agg)
+	}
+	if _, err := NewCaster(&captureConn{}, strings.NewReader("x"), WithSpec("rate=NaN")); err == nil {
+		t.Error("NewCaster accepted rate=NaN")
+	}
+	// Zero still selects the default for every one of them.
+	if _, err := ParseSpec("rate=0,burst=0,trials=0,workers=0,pending=0"); err != nil {
+		t.Errorf("zero values rejected: %v", err)
 	}
 }
 
@@ -179,7 +224,7 @@ func TestSimulateSpecMatchesSimRun(t *testing.T) {
 func TestSimulateDefaults(t *testing.T) {
 	// No scheduler, no channel: tx4 over the perfect channel. Every
 	// trial then needs exactly the ideal packet count.
-	agg, err := Simulate(WithCodec("rse(k=20,ratio=1.5)"), WithTrials(5), WithSeed(1))
+	agg, err := Simulate(WithSpec("codec=rse(k=20,ratio=1.5),trials=5,seed=1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +234,7 @@ func TestSimulateDefaults(t *testing.T) {
 	if _, err := Simulate(); err == nil || !strings.Contains(err.Error(), "codec") {
 		t.Errorf("Simulate without codec: err = %v", err)
 	}
-	if _, err := Simulate(WithCodec("rse(ratio=1.5)")); err == nil {
+	if _, err := Simulate(WithSpec("codec=rse(ratio=1.5)")); err == nil {
 		t.Error("Simulate without k succeeded")
 	}
 }
@@ -204,7 +249,7 @@ func TestSimulateRejectsInvalidChannel(t *testing.T) {
 		})
 		return nil
 	}
-	agg, err := Simulate(WithCodec("rse(k=20,ratio=1.5)"), WithTrials(3), bad)
+	agg, err := Simulate(WithSpec("codec=rse(k=20,ratio=1.5),trials=3"), bad)
 	if err == nil || agg.Trials != 0 {
 		t.Errorf("Simulate = %+v, %v; want an error before the first trial", agg, err)
 	}
@@ -214,20 +259,19 @@ func TestSimulateRatioDefaultMatchesDelivery(t *testing.T) {
 	// A spec that omits ratio must mean the same code in simulation as
 	// on the delivery path: the shared 1.5 default, never a silent
 	// zero-parity code.
-	implicit, err := Simulate(WithCodec("rse(k=20)"), WithTrials(3), WithSeed(2),
-		WithChannel("bernoulli(p=0.1)"))
+	const rest = ",trials=3,seed=2,channel=bernoulli(p=0.1)"
+	implicit, err := Simulate(WithSpec("codec=rse(k=20)" + rest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := Simulate(WithCodec("rse(k=20,ratio=1.5)"), WithTrials(3), WithSeed(2),
-		WithChannel("bernoulli(p=0.1)"))
+	explicit, err := Simulate(WithSpec("codec=rse(k=20,ratio=1.5)" + rest))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if implicit != explicit {
 		t.Errorf("implicit ratio %+v != explicit 1.5 %+v", implicit, explicit)
 	}
-	obj, err := NewObject(make([]byte, 4096), WithCodec("rse(k=20)"), WithPayloadSize(256))
+	obj, err := NewObject(make([]byte, 4096), WithSpec("codec=rse(k=20),payload=256"))
 	if err != nil {
 		t.Fatal(err)
 	}

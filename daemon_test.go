@@ -3,6 +3,7 @@ package fecperf
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestWithPacerSharesOneBudget(t *testing.T) {
 	sp := NewSharedPacer(2000, 16)
 	data := bytes.Repeat([]byte("x"), 8<<10)
 	run := func(share *PacerShare, id uint32) *Broadcaster {
-		obj, err := NewObject(data, WithBaseObjectID(id), WithCodecSpec(CodecSpec{Family: "rse", Ratio: 1.5}))
+		obj, err := NewObject(data, WithSpec(fmt.Sprintf("object=%d,codec=rse(ratio=1.5)", id)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,10 +9,11 @@
 // This is an overview of the entry points. README.md is the manual; its
 // section names are given in parentheses.
 //
-// One Config drives every constructor, assembled from functional options
-// (WithCodec, WithScheduler, WithChannel, WithRate, ...), parsed from a
-// one-line spec (ParseSpec / WithSpec), or both — later options override
-// earlier ones (README "Public API" and "Delivery keys"):
+// One Config drives every constructor, parsed from a one-line spec
+// (ParseSpec / WithSpec; later lines override earlier keys). Only the Go
+// values a line cannot carry have options of their own: WithPacer,
+// WithCastProgress, WithCollectProgress, WithMetrics and WithTracer
+// (README "Public API" and "Delivery keys"):
 //
 //	agg, _ := fecperf.Simulate(fecperf.WithSpec(
 //	    "codec=ldgm-staircase(k=1000,ratio=2.5),sched=tx2,channel=gilbert(p=0.01,q=0.79),trials=100"))

@@ -46,12 +46,9 @@ func main() {
 	const trials = 50
 	fmt.Printf("%-30s %12s %14s\n", "scheme", "decoded", "inefficiency")
 	for _, e := range entries {
-		agg, err := fecperf.Simulate(
-			fecperf.WithCodec(e.codec),
-			fecperf.WithScheduler(e.sched),
-			fecperf.WithChannel(fmt.Sprintf("gilbert(p=%g,q=%g)", p, q)),
-			fecperf.WithTrials(trials),
-			fecperf.WithSeed(5))
+		agg, err := fecperf.Simulate(fecperf.WithSpec(fmt.Sprintf(
+			"codec=%s,sched=%s,channel=gilbert(p=%g,q=%g),trials=%d,seed=5",
+			e.codec, e.sched, p, q, trials)))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,16 +3,18 @@ package fecperf
 // The unified facade core: every public constructor in this package —
 // streaming delivery (NewCaster/NewCollector), single objects
 // (NewObject), simulation (Simulate) and the CLI tools built on them —
-// is configured the same way, by a Config assembled from functional
-// options, a one-line spec string, or both. The spec grammar is the
-// repository-wide one (internal/spec): comma-separated key=value pairs
-// whose values may themselves be parameterized specs, so a whole
-// send/receive/simulate configuration serializes to one line,
+// is configured the same way, by a Config parsed from a one-line spec
+// string. The spec grammar is the repository-wide one (internal/spec):
+// comma-separated key=value pairs whose values may themselves be
+// parameterized specs, so a whole send/receive/simulate configuration
+// serializes to one line,
 //
 //	codec=rse(k=64,ratio=1.5),sched=tx4,channel=gilbert(p=0.01,q=0.5),rate=5000
 //
 // and round-trips through Config.Spec — usable identically from Go
-// code, cmd/* flags and engine plans.
+// code, cmd/* flags and engine plans. The only other options carry the
+// Go values a line cannot: a pacer, progress callbacks, a metrics
+// registry and a tracer.
 
 import (
 	"fmt"
@@ -127,11 +129,13 @@ type (
 )
 
 // Config is the one configuration every top-level constructor consumes.
-// Zero fields mean "the constructor's default". Assemble it with
-// functional options (WithCodec, WithScheduler, ...), parse it from a
-// one-line spec (ParseSpec / WithSpec), and serialize it back with
-// Spec; the two forms are equivalent and compose (later options
-// override earlier ones).
+// Zero fields mean "the constructor's default". Every serializable
+// field is one spec key: parse it from a line (ParseSpec, or WithSpec
+// in an option list, where later lines override earlier keys) and
+// serialize it back with Spec. The Go-only handles — Pacer, the
+// progress callbacks, Metrics and Tracer — have one option each
+// (WithPacer, WithCastProgress, WithCollectProgress, WithMetrics,
+// WithTracer).
 type Config struct {
 	// Delivery holds the nine delivery keys — codec, sched, payload,
 	// batch, window, rounds, nsent, seed, object — promoted as Codec,
@@ -143,17 +147,17 @@ type Config struct {
 	// the loopback impairment in live runs (key "channel", e.g.
 	// channel=gilbert(p=0.01,q=0.5)). An empty Kind means unset.
 	Channel ChannelSpec
-	// Rate limits transmission in packets per second (key "rate");
-	// Burst is the token-bucket depth (key "burst").
+	// Rate limits transmission in packets per second (key "rate", finite,
+	// 0 = unpaced); Burst is the token-bucket depth (key "burst").
 	Rate  float64
 	Burst int
 	// Trials is the reception count for Simulate (key "trials").
 	Trials int
 	// Workers bounds Simulate's parallelism (key "workers", 0 =
-	// GOMAXPROCS).
+	// GOMAXPROCS); the aggregate is identical for every worker count.
 	Workers int
 	// MaxPending bounds a Collector's out-of-order chunk buffer (key
-	// "pending").
+	// "pending"). None of these keys may be negative.
 	MaxPending int
 	// OnCastProgress and OnCollectProgress observe streaming transfers.
 	// Callbacks are Go-only: they do not serialize into Spec.
@@ -180,78 +184,10 @@ type Option func(*Config) error
 
 // WithSpec applies a whole one-line configuration spec. Keys present in
 // the line overwrite the corresponding Config fields; everything else
-// is left as previously set, so WithSpec composes with the other
-// options in argument order.
+// is left as previously set, so several lines compose in argument
+// order, later keys overriding earlier ones.
 func WithSpec(line string) Option {
 	return func(c *Config) error { return c.parse(line) }
-}
-
-// WithCodec selects the FEC codec by spec, e.g. "rse(k=64,ratio=1.5)".
-func WithCodec(codecSpec string) Option {
-	return func(c *Config) error {
-		s, err := codes.ParseSpec(codecSpec)
-		if err != nil {
-			return err
-		}
-		c.Codec = s
-		return nil
-	}
-}
-
-// WithCodecSpec selects the FEC codec by structured spec.
-func WithCodecSpec(s CodecSpec) Option {
-	return func(c *Config) error {
-		c.Codec = s
-		return nil
-	}
-}
-
-// WithScheduler selects the transmission model by name, e.g. "tx4",
-// "tx6(frac=0.3)", "carousel(inner=tx2,rounds=4)".
-func WithScheduler(name string) Option {
-	return func(c *Config) error {
-		s, err := sched.ByName(name)
-		if err != nil {
-			return err
-		}
-		c.Scheduler = s
-		return nil
-	}
-}
-
-// WithSchedulerInstance installs a Scheduler value directly (custom
-// schedulers; note Config.Spec serializes it via its Name, which must
-// then parse back through SchedulerByName to round-trip).
-func WithSchedulerInstance(s Scheduler) Option {
-	return func(c *Config) error {
-		c.Scheduler = s
-		return nil
-	}
-}
-
-// WithChannel selects the loss process by spec, e.g.
-// "gilbert(p=0.01,q=0.5)", "bernoulli(p=0.05)", "noloss".
-func WithChannel(channelSpec string) Option {
-	return func(c *Config) (err error) {
-		c.Channel, err = channel.Parse(channelSpec)
-		return err
-	}
-}
-
-// WithPayloadSize sets the symbol size in bytes.
-func WithPayloadSize(n int) Option {
-	return func(c *Config) error {
-		c.PayloadSize = n
-		return nil
-	}
-}
-
-// WithRate limits transmission in packets per second (0 = unpaced).
-func WithRate(packetsPerSecond float64) Option {
-	return func(c *Config) error {
-		c.Rate = packetsPerSecond
-		return nil
-	}
 }
 
 // WithPacer substitutes an external admission source — typically a
@@ -262,48 +198,6 @@ func WithRate(packetsPerSecond float64) Option {
 func WithPacer(p Pacer) Option {
 	return func(c *Config) error {
 		c.Pacer = p
-		return nil
-	}
-}
-
-// WithBatchSize groups datagrams per kernel crossing on the transport
-// hot paths (0 = one datagram per flush).
-func WithBatchSize(n int) Option {
-	return func(c *Config) error {
-		c.BatchSize = n
-		return nil
-	}
-}
-
-// WithBaseObjectID sets the delivery object ID (a cast train's base).
-func WithBaseObjectID(id uint32) Option {
-	return func(c *Config) error {
-		c.BaseObjectID = id
-		return nil
-	}
-}
-
-// WithSeed fixes all randomness not covered by the codec spec's seed.
-func WithSeed(seed int64) Option {
-	return func(c *Config) error {
-		c.Seed = seed
-		return nil
-	}
-}
-
-// WithTrials sets Simulate's reception count.
-func WithTrials(n int) Option {
-	return func(c *Config) error {
-		c.Trials = n
-		return nil
-	}
-}
-
-// WithWorkers bounds Simulate's worker pool (0 = GOMAXPROCS); the
-// aggregate is identical for every worker count.
-func WithWorkers(n int) Option {
-	return func(c *Config) error {
-		c.Workers = n
 		return nil
 	}
 }
@@ -395,6 +289,14 @@ func (c *Config) parse(line string) error {
 	}
 	if v, ok := params["metrics"]; ok {
 		c.MetricsAddr = v
+	}
+	for _, f := range c.intKeys() {
+		if *f.v < 0 {
+			return fail(fmt.Errorf("%s must not be negative, got %d", f.key, *f.v))
+		}
+	}
+	if err := transport.ValidatePacing(c.Rate, c.Burst); err != nil {
+		return fail(err)
 	}
 	return nil
 }
@@ -532,10 +434,6 @@ func SchedulerByName(name string) (Scheduler, error) { return sched.ByName(name)
 func ChannelByName(channelSpec string) (ChannelSpec, error) {
 	return channel.Parse(channelSpec)
 }
-
-// ScheduleFromIDs wraps an explicit packet-id order as a Schedule, for
-// custom or externally computed transmission orders.
-func ScheduleFromIDs(ids []int) Schedule { return core.SliceSchedule(ids) }
 
 // --- Transport endpoints ---
 

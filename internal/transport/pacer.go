@@ -26,6 +26,19 @@ type Pacer interface {
 // own pacer when its Burst is unset.
 const defaultBurst = 32
 
+// ValidatePacing rejects a rate or burst no pacer can run with: the
+// rate must be finite and non-negative (0 = unpaced), the burst
+// non-negative (0 = the default depth).
+func ValidatePacing(rate float64, burst int) error {
+	if !(rate >= 0) || math.IsInf(rate, 1) { // also rejects NaN
+		return fmt.Errorf("transport: rate must be finite and non-negative, got %g", rate)
+	}
+	if burst < 0 {
+		return fmt.Errorf("transport: burst must not be negative, got %d", burst)
+	}
+	return nil
+}
+
 // ownPacer resolves the admission source of a sender or caster run: the
 // external pacer when one is configured; otherwise, for rate > 0, the
 // sole share of a fresh SharedPacer (burst < 1 selects defaultBurst);

@@ -36,7 +36,7 @@ func Simulate(opts ...Option) (Aggregate, error) {
 		return Aggregate{}, err
 	}
 	if c.Codec.Family == "" {
-		return Aggregate{}, fmt.Errorf("fecperf: Simulate requires a codec (e.g. WithCodec(%q))", "rse(k=64,ratio=1.5)")
+		return Aggregate{}, fmt.Errorf("fecperf: Simulate requires a codec (e.g. WithSpec(%q))", "codec=rse(k=64,ratio=1.5)")
 	}
 	// The delivery constructors run the same resolved codec, so one spec
 	// line is the same code in simulation and on the air.

@@ -88,7 +88,8 @@ func castThroughDaemon(t *testing.T, src []byte, line string) [][]byte {
 
 // TestSpecLineSameTrainEverywhere: one spec line is one datagram
 // sequence — through NewCaster(WithSpec), through a feccastd stream
-// cast, and through the option list `feccast cast` assembles. It also
+// cast, and through the option list `feccast cast` assembles (its -spec
+// line plus the observability handles, absent here). It also
 // pins which seed does what when both are given: codec=(seed=) builds
 // the code (and rides in every chunk datagram), seed= orders the
 // packets.
@@ -104,9 +105,7 @@ func TestSpecLineSameTrainEverywhere(t *testing.T) {
 	for _, line := range lines {
 		facade := castThroughFacade(t, src, WithSpec(line))
 		daemon := castThroughDaemon(t, src, line)
-		// cmd/feccast cast: the -batch flag as the base, then -spec, then
-		// the (absent) observability handles.
-		cli := castThroughFacade(t, src, WithBatchSize(0), WithSpec(line), WithMetrics(nil), WithTracer(nil))
+		cli := castThroughFacade(t, src, WithSpec(line), WithMetrics(nil), WithTracer(nil))
 		if a, b, c := streamSum(facade), streamSum(daemon), streamSum(cli); a != b || a != c {
 			t.Errorf("%q:\n  NewCaster    %s\n  feccastd     %s\n  feccast cast %s", line, a, b, c)
 		}
