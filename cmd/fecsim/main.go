@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fecsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		codeName = fs.String("code", "ldgm-staircase", "FEC code: rse, ldgm, ldgm-staircase, ldgm-triangle")
+		codeName = fs.String("code", "ldgm-staircase", "FEC code: "+strings.Join(fecperf.CodecNames, ", "))
 		txName   = fs.String("tx", "tx2", "transmission model: tx1..tx6, parameterized forms tx6(frac=0.3), rx1(src=12), repeat(x=3), carousel(inner=tx4,rounds=3)")
 		ratio    = fs.Float64("ratio", 2.5, "FEC expansion ratio n/k")
 		k        = fs.Int("k", 1000, "object size in source packets (paper: 20000)")

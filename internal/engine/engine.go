@@ -442,7 +442,7 @@ func materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
 	code, ok := codeCache[codeKey]
 	if !ok {
 		var err error
-		if code, err = codes.Make(pt.Code, pt.K, pt.Ratio, pt.CodeSeed); err != nil {
+		if code, err = codes.MakeCodec(pt.Code, pt.K, pt.Ratio, pt.CodeSeed); err != nil {
 			return PointSpec{}, err
 		}
 		codeCache[codeKey] = code

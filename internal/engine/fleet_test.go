@@ -135,9 +135,6 @@ func TestFleetWorkerCountIndependence(t *testing.T) {
 	}
 }
 
-// TestFleetPlanAxis: a Fleets plan expands into fleet points whose
-// aggregates carry the fleet summary, and the whole run is
-// deterministic across worker counts.
 // TestRunPointSpecsMixesFleetAndScalarPoints: fleet and scalar specs are
 // one work unit, so one batch may hold both, and each point's aggregate
 // equals running it alone.
@@ -176,6 +173,9 @@ func TestRunPointSpecsMixesFleetAndScalarPoints(t *testing.T) {
 	}
 }
 
+// TestFleetPlanAxis: a Fleets plan expands into fleet points whose
+// aggregates carry the fleet summary, and the whole run is
+// deterministic across worker counts.
 func TestFleetPlanAxis(t *testing.T) {
 	plan := fleetGoldenPlan()
 	if got, want := plan.NumPoints(), 4; got != want {
@@ -204,6 +204,46 @@ func TestFleetPlanAxis(t *testing.T) {
 	}
 	if marshal(t, res1) != marshal(t, res8) {
 		t.Fatal("fleet plan results differ across worker counts")
+	}
+}
+
+// TestFleetPlanBuildsEveryCodecFamily: a plan builds its codes from the
+// same registry as RunFleet's callers, so rse16 and no-fec fleet points
+// run inside plans and summarise exactly as RunFleet does on the same
+// code and the point's seed.
+func TestFleetPlanBuildsEveryCodecFamily(t *testing.T) {
+	for _, tc := range []struct {
+		code  string
+		ratio float64
+	}{{"rse16", 1.5}, {"no-fec", 1}} {
+		plan := Plan{
+			Codes:      []string{tc.code},
+			Ks:         []int{256},
+			Ratios:     []float64{tc.ratio},
+			Schedulers: []string{"tx4"},
+			Fleets:     []FleetSpec{testFleetSpec()},
+			Seed:       5,
+		}
+		res, err := Run(context.Background(), plan, Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s plan: %v", tc.code, err)
+		}
+		pt := res[0].Point
+		code, err := codes.MakeCodec(tc.code, pt.K, pt.Ratio, pt.CodeSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sched.ByName(pt.Scheduler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunFleet(context.Background(), FleetRunSpec{Code: code, Scheduler: s, Fleet: *pt.Fleet, Seed: pt.Seed}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res[0].Aggregate.Fleet; got == nil || marshalAny(t, got) != marshalAny(t, want) {
+			t.Fatalf("%s: plan fleet summary differs from RunFleet", tc.code)
+		}
 	}
 }
 

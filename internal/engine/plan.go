@@ -19,8 +19,9 @@ type ChannelSpec = channel.Spec
 // defaults noted on each field; Codes, Schedulers and Channels must be
 // non-empty.
 type Plan struct {
-	// Codes are code family names accepted by codes.Make
-	// ("rse", "ldgm", "ldgm-staircase", "ldgm-triangle").
+	// Codes are codec family names accepted by codes.MakeCodec
+	// ("rse", "rse16", "ldgm", "ldgm-staircase", "ldgm-triangle",
+	// "no-fec"; no-fec needs ratio 1).
 	Codes []string `json:"codes"`
 	// Ks are object sizes in source packets (default {1000}).
 	Ks []int `json:"ks,omitempty"`
@@ -77,8 +78,8 @@ func (p Plan) Validate() error {
 		}
 	}
 	for _, c := range p.Codes {
-		if !slices.Contains(codes.Names, c) {
-			return fmt.Errorf("engine: unknown code %q (have %v)", c, codes.Names)
+		if !slices.Contains(codes.CodecNames, c) {
+			return fmt.Errorf("engine: unknown code %q (have %v)", c, codes.CodecNames)
 		}
 	}
 	for _, s := range p.Schedulers {

@@ -5,22 +5,15 @@
 // of the huge encoding/decoding time at large (k, n). This package exists
 // to make that trade-off measurable: a GF(2^16) codec can treat a whole
 // 20000-packet object as a single MDS block (no coupon-collector
-// penalty), but no 64 KiB full multiplication table fits the 2^32
-// product space, so the per-byte cost stays above GF(2^8)'s. The slice
-// kernels narrow the gap with per-coefficient low/high-byte split tables
-// (AddMul, MulSlice) and a word-friendly Xor; the *Scalar variants keep
-// the original log/exp loops as the reference implementations.
+// penalty), but no full multiplication table fits the 2^32 product
+// space, so every slice multiplication (AddMul, MulSlice) goes through
+// the log/exp tables and the per-byte cost stays above GF(2^8)'s.
 //
 // The field is generated by the primitive polynomial
 // x^16 + x^12 + x^3 + x + 1 (0x1100B).
 package gf65536
 
-import (
-	"fmt"
-	"unsafe"
-
-	"fecperf/internal/gf256"
-)
+import "fmt"
 
 // Poly is the generator polynomial including the x^16 term.
 const Poly = 0x1100B
@@ -97,32 +90,8 @@ func Pow(a uint16, n int) uint16 {
 	return expTable[(int(logTable[a])*n)%(Size-1)]
 }
 
-// splitTableLen is the slice length above which AddMul/MulSlice build the
-// 2x256-entry split tables for the coefficient. Building costs ~512
-// lookups through the L2-resident log/exp tables — the same work as a
-// full scalar pass over 256 elements — so short slices are cheaper
-// through the scalar path. The crossover measures just under 1024
-// elements on amd64 (1.26x at 1024, 1.6x at 4096).
-const splitTableLen = 1024
-
-// buildSplit fills lo/hi so that c*s == lo[s&0xff] ^ hi[s>>8] for every
-// 16-bit s: the GF(2^16) analogue of the nibble split. A full product
-// table (2^32 entries) can never exist for this field; two 512-byte
-// tables per coefficient is the next best thing, and they turn the hot
-// loop branch-free — two L1 loads instead of log/exp with a zero test.
-// hi is the product table of c*0x100, because c*(x<<8) = (c*0x100)*x.
-func buildSplit(lo, hi *[256]uint16, c uint16) {
-	lc := int(logTable[c])
-	lo[0], hi[0] = 0, 0
-	for x := 1; x < 256; x++ {
-		lo[x] = expTable[lc+int(logTable[x])]
-		hi[x] = expTable[lc+int(logTable[x<<8])]
-	}
-}
-
-// AddMul sets dst[i] ^= c * src[i] over 16-bit symbols. For slices past
-// splitTableLen it goes through per-coefficient low/high-byte split
-// tables (1 KiB, L1-resident) instead of per-element log/exp.
+// AddMul sets dst[i] ^= c * src[i] over 16-bit symbols: one log and one
+// exp lookup per non-zero element.
 func AddMul(dst, src []uint16, c uint16) {
 	if len(dst) != len(src) {
 		panic("gf65536: AddMul length mismatch")
@@ -133,35 +102,6 @@ func AddMul(dst, src []uint16, c uint16) {
 	case 1:
 		Xor(dst, src)
 	default:
-		if len(src) < splitTableLen {
-			AddMulScalar(dst, src, c)
-			return
-		}
-		var lo, hi [256]uint16
-		buildSplit(&lo, &hi, c)
-		n := len(src)
-		dst = dst[:n]
-		for i, s := range src {
-			dst[i] ^= lo[s&0xff] ^ hi[s>>8]
-		}
-	}
-}
-
-// AddMulScalar is the log/exp scalar reference for AddMul: the kernel
-// this package shipped before split tables, kept for equivalence tests
-// and old-vs-new benchmarks.
-func AddMulScalar(dst, src []uint16, c uint16) {
-	if len(dst) != len(src) {
-		panic("gf65536: AddMul length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		for i, s := range src {
-			dst[i] ^= s
-		}
-	default:
 		lc := logTable[c]
 		for i, s := range src {
 			if s != 0 {
@@ -171,43 +111,14 @@ func AddMulScalar(dst, src []uint16, c uint16) {
 	}
 }
 
-// MulSlice sets dst[i] = c * src[i], split-table accelerated like AddMul.
+// MulSlice sets dst[i] = c * src[i].
 func MulSlice(dst, src []uint16, c uint16) {
 	if len(dst) != len(src) {
 		panic("gf65536: MulSlice length mismatch")
 	}
 	switch c {
 	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-	case 1:
-		copy(dst, src)
-	default:
-		if len(src) < splitTableLen {
-			MulSliceScalar(dst, src, c)
-			return
-		}
-		var lo, hi [256]uint16
-		buildSplit(&lo, &hi, c)
-		n := len(src)
-		dst = dst[:n]
-		for i, s := range src {
-			dst[i] = lo[s&0xff] ^ hi[s>>8]
-		}
-	}
-}
-
-// MulSliceScalar is the log/exp scalar reference for MulSlice.
-func MulSliceScalar(dst, src []uint16, c uint16) {
-	if len(dst) != len(src) {
-		panic("gf65536: MulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	case 1:
 		copy(dst, src)
 	default:
@@ -224,28 +135,7 @@ func MulSliceScalar(dst, src []uint16, c uint16) {
 
 // Xor sets dst[i] ^= src[i] (field addition of two symbol slices). The
 // slices must have equal length.
-//
-// Field addition is bitwise, so the element width does not matter: the
-// kernel reinterprets both slices as bytes and delegates to gf256.Xor,
-// which dispatches to the SIMD tier CPU detection picked. This replaced
-// a manual 4-lane uint16 unroll that benchmarked *slower* than the
-// plain range loop (the compiler vectorises neither, and the unroll's
-// bounds checks cost more than it saved) — the dispatched tier must
-// never lose to XorScalar, which the kernel guard test enforces.
 func Xor(dst, src []uint16) {
-	if len(dst) != len(src) {
-		panic("gf65536: Xor length mismatch")
-	}
-	if len(dst) == 0 {
-		return
-	}
-	db := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), len(dst)*2)
-	sb := unsafe.Slice((*byte)(unsafe.Pointer(&src[0])), len(src)*2)
-	gf256.Xor(db, sb)
-}
-
-// XorScalar is the element-at-a-time reference for Xor.
-func XorScalar(dst, src []uint16) {
 	if len(dst) != len(src) {
 		panic("gf65536: Xor length mismatch")
 	}

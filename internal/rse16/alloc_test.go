@@ -7,11 +7,11 @@ import (
 	"fecperf/internal/symbol"
 )
 
-// Alloc ceilings for the hot codec paths. All per-op matrix and symbol
-// scratch routes through internal/symbol's pooled []uint16 slices, so
-// the steady state is a handful of slice headers — the ceilings here
-// are deliberately loose versions of that, and orders of magnitude
-// below the pre-pooling baseline (50 encode / 131 decode allocs/op).
+// Alloc ceilings for the hot codec paths. Each EncodeInto and SolveBlock
+// call cuts all its matrix and symbol scratch from one []uint16, so the
+// steady state is that allocation plus a handful of slice headers — the
+// ceilings here are deliberately loose versions of that, and far below
+// the per-row baseline (50 encode / 131 decode allocs/op).
 
 func encodeDecodeFixture(tb testing.TB, k, n, payLen int) (*Code, [][]byte) {
 	tb.Helper()

@@ -21,7 +21,6 @@ import (
 
 	"fecperf/internal/core"
 	"fecperf/internal/gf65536"
-	"fecperf/internal/symbol"
 )
 
 // MaxBlock is the field-imposed limit on encoding symbols per block.
@@ -131,8 +130,7 @@ func invert(a [][]uint16) [][]uint16 {
 }
 
 // invertInto is invert writing into caller-supplied (zeroed, n×n) rows —
-// the hot decode path hands it pooled scratch so inversion allocates
-// nothing.
+// the decode path hands it rows of its one scratch allocation.
 func invertInto(a, inv [][]uint16) {
 	n := len(a)
 	for i := range inv {
@@ -177,17 +175,23 @@ func matVecRow(row []uint16, m [][]uint16) []uint16 {
 	return out
 }
 
-// toSymbolsPooled reinterprets a byte payload as big-endian 16-bit
-// symbols in a pooled slice; release with symbol.PutU16.
-func toSymbolsPooled(p []byte) ([]uint16, error) {
-	if len(p)%2 != 0 {
-		return nil, fmt.Errorf("rse16: payload length %d is odd", len(p))
+// cutRows cuts flat into count equal rows: EncodeInto and SolveBlock
+// take all their scratch from one zeroed allocation per call.
+func cutRows(flat []uint16, count int) [][]uint16 {
+	n := len(flat) / count
+	rows := make([][]uint16, count)
+	for i := range rows {
+		rows[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
-	out := symbol.GetU16(len(p) / 2)
-	for i := range out {
-		out[i] = uint16(p[2*i])<<8 | uint16(p[2*i+1])
+	return rows
+}
+
+// toSymbols reads a byte payload into dst as big-endian 16-bit symbols;
+// len(p) must be 2*len(dst).
+func toSymbols(dst []uint16, p []byte) {
+	for i := range dst {
+		dst[i] = uint16(p[2*i])<<8 | uint16(p[2*i+1])
 	}
-	return out, nil
 }
 
 // putBytes writes the symbols into dst (2 bytes each, big endian).
@@ -214,19 +218,20 @@ func (c *Code) EncodeInto(src, parity [][]byte) error {
 			return fmt.Errorf("rse16: parity buffer %d has length %d, want %d", i, len(p), symLen)
 		}
 	}
-	symSrc := make([][]uint16, c.k)
-	defer symbol.PutAllU16(symSrc)
+	if symLen%2 != 0 {
+		return fmt.Errorf("rse16: payload length %d is odd", symLen)
+	}
 	for i, p := range src {
 		if len(p) != symLen {
 			return fmt.Errorf("rse16: payload %d has length %d, want %d", i, len(p), symLen)
 		}
-		s, err := toSymbolsPooled(p)
-		if err != nil {
-			return err
-		}
-		symSrc[i] = s
 	}
-	acc := symbol.GetU16(symLen / 2)
+	// Rows 0..k-1 hold the sources as symbols, row k the accumulator.
+	symSrc := cutRows(make([]uint16, (c.k+1)*symLen/2), c.k+1)
+	for i, p := range src {
+		toSymbols(symSrc[i], p)
+	}
+	acc := symSrc[c.k]
 	for i, row := range c.generator() {
 		clear(acc)
 		for j, coef := range row {
@@ -236,7 +241,6 @@ func (c *Code) EncodeInto(src, parity [][]byte) error {
 		}
 		putBytes(parity[i], acc)
 	}
-	symbol.PutU16(acc)
 	return nil
 }
 
@@ -259,38 +263,33 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 // SolveBlock implements core.BlockSolver for the single block: it solves
 // the k×k system of the k symbols present in the view table (the code is
 // MDS over the whole object) and writes the missing sources into their
-// slots. All matrix scratch — equation rows, right-hand sides, the
-// inverse and the accumulator — is pooled []uint16.
+// slots. All scratch — equation rows, the inverse, right-hand sides and
+// the accumulator — is cut from one zeroed allocation (NewDecoder refused
+// odd symbol lengths).
 func (c *Code) SolveBlock(_ int, tab [][]byte) {
 	k := c.k
 	gen := c.generator()
-	rows := make([][]uint16, 0, k)
-	rhs := make([][]uint16, 0, k)
+	out := tab[c.n:]
+	flat := make([]uint16, 2*k*k+(k+1)*len(out[0])/2)
+	mat := cutRows(flat[:2*k*k], 2*k)
+	rows, inv := mat[:k], mat[k:]
+	// Rows 0..k-1 hold the right-hand sides, row k the accumulator.
+	rhs := cutRows(flat[2*k*k:], k+1)
+	acc := rhs[k]
+	r := 0
 	for id, pay := range tab[:c.n] {
 		if pay == nil {
 			continue
 		}
-		row := symbol.GetU16(k)
 		if id < k {
-			row[id] = 1
+			rows[r][id] = 1
 		} else {
-			copy(row, gen[id-k])
+			copy(rows[r], gen[id-k])
 		}
-		s, err := toSymbolsPooled(pay)
-		if err != nil {
-			// NewDecoder refused odd lengths; unreachable.
-			panic(fmt.Sprintf("rse16: %v", err))
-		}
-		rows = append(rows, row)
-		rhs = append(rhs, s)
-	}
-	inv := make([][]uint16, k)
-	for i := range inv {
-		inv[i] = symbol.GetU16(k)
+		toSymbols(rhs[r], pay)
+		r++
 	}
 	invertInto(rows, inv)
-	out := tab[c.n:]
-	acc := symbol.GetU16(len(out[0]) / 2)
 	for i := 0; i < k; i++ {
 		if tab[i] != nil {
 			continue
@@ -304,8 +303,4 @@ func (c *Code) SolveBlock(_ int, tab [][]byte) {
 		putBytes(out[0], acc)
 		out = out[1:]
 	}
-	symbol.PutU16(acc)
-	symbol.PutAllU16(rows)
-	symbol.PutAllU16(rhs)
-	symbol.PutAllU16(inv)
 }

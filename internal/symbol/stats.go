@@ -6,8 +6,8 @@ import "fecperf/internal/obs"
 // atomic add, so the packet path pays nothing measurable and Stats is
 // truthful even when no registry was ever attached.
 var (
-	gets   obs.Counter // buffers handed out by Get/Clone/GetU16
-	puts   obs.Counter // buffers accepted back by Put/PutU16
+	gets   obs.Counter // buffers handed out by Get/GetDirty/Clone
+	puts   obs.Counter // buffers accepted back by Put
 	misses obs.Counter // pool empty: a Get fell through to make
 	jumbos obs.Counter // requests above MaxPooled, served unpooled
 	live   obs.Gauge   // pooled-class buffers currently checked out
@@ -15,7 +15,7 @@ var (
 
 // Stats is a point-in-time view of the pool counters.
 type Stats struct {
-	Gets   uint64 // buffers handed out (all pools)
+	Gets   uint64 // buffers handed out (all size classes)
 	Puts   uint64 // buffers returned
 	Misses uint64 // gets that had to allocate
 	Jumbos uint64 // unpooled over-MaxPooled requests
