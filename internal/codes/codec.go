@@ -10,6 +10,7 @@ package codes
 
 import (
 	"fmt"
+	"math"
 
 	"fecperf/internal/core"
 	"fecperf/internal/ldpc"
@@ -41,19 +42,31 @@ func MakeCodec(name string, k int, ratio float64, seed int64) (core.Codec, error
 // N is where a configured expansion ratio becomes the symbol count n a
 // sender announces. The ratio is sender-side configuration and goes no
 // further: (family, k, n, seed) travel in every datagram and are all a
-// codec is built from.
-func N(f wire.CodeFamily, k int, ratio float64) (int, error) {
-	if f == wire.CodeRSE {
-		return rse.N(k, ratio, 0) // per-block rounding
+// codec is built from. A non-finite ratio, or an n past uint32, is an error.
+func N(f wire.CodeFamily, k int, ratio float64) (n int, err error) {
+	if !(ratio >= 1) || math.IsInf(ratio, 1) { // also rejects NaN
+		return 0, fmt.Errorf("codes: expansion ratio %g is not a finite value >= 1", ratio)
 	}
-	return int(float64(k)*ratio + 0.5), nil
+	n = int(min(float64(k)*ratio+0.5, math.MaxUint32+1))
+	if f == wire.CodeRSE {
+		n, err = rse.N(k, ratio, 0) // per-block rounding
+	}
+	if err == nil && int64(n) > math.MaxUint32 {
+		return 0, fmt.Errorf("codes: k=%d at ratio %g needs more than the header's %d symbols", k, ratio, uint32(math.MaxUint32))
+	}
+	return n, err
 }
 
 // ForWire builds the codec the integers on the wire describe — the one
 // constructor senders and receivers share. Geometry a family cannot
 // realise is an error, so a receiver rejects impossible OTI instead of
-// mis-decoding.
-func ForWire(f wire.CodeFamily, k, n int, seed int64) (core.Codec, error) {
+// mis-decoding; the codec is then nil.
+func ForWire(f wire.CodeFamily, k, n int, seed int64) (c core.Codec, err error) {
+	defer func() {
+		if err != nil {
+			c = nil // not a nil *T in a non-nil interface
+		}
+	}()
 	switch f {
 	case wire.CodeRSE:
 		return rse.New(rse.Params{K: k, N: n})

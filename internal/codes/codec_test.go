@@ -2,6 +2,7 @@ package codes
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -383,6 +384,53 @@ func TestForWireGeometry(t *testing.T) {
 	}
 }
 
+// TestRatioBeyondTheHeaderIsAnError: a ratio that is not a finite value
+// >= 1, or one whose n the header's 32-bit symbol count cannot carry, is
+// an error wherever it meets a codec, and a failed build returns no codec
+// at all — not a nil pointer in a non-nil interface.
+func TestRatioBeyondTheHeaderIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		family string
+		k      int
+		ratio  float64
+	}{
+		{"ldgm-staircase", 100, math.NaN()},
+		{"ldgm-staircase", 100, math.Inf(1)},
+		{"ldgm-staircase", 100, 1e300},
+		{"rse16", 100, math.Inf(-1)},
+		{"rse", 100, math.NaN()},
+		{"rse", 100, math.Inf(1)},
+		{"no-fec", 100, 0.5},
+	} {
+		f, err := wire.FamilyByName(c.family)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := N(f, c.k, c.ratio); err == nil {
+			t.Errorf("N(%s, k=%d, ratio=%g) = %d, want an error", c.family, c.k, c.ratio, n)
+		}
+		if codec, err := MakeCodec(c.family, c.k, c.ratio, 1); err == nil || codec != nil {
+			t.Errorf("MakeCodec(%s, k=%d, ratio=%g) = %v, %v; want nil and an error", c.family, c.k, c.ratio, codec, err)
+		}
+	}
+	// Finite, but past the header: an error before any construction.
+	if n, err := N(wire.CodeLDGMTriangle, 1<<30, 5); err == nil {
+		t.Errorf("N(ldgm-triangle, k=2^30, ratio=5) = %d, want an error", n)
+	}
+	s, err := ParseSpec("ldgm(k=100,ratio=1e300)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codec, err := s.New(); err == nil || codec != nil {
+		t.Errorf("%s: New() = %v, %v; want nil and an error", s.Name(), codec, err)
+	}
+	for _, f := range []wire.CodeFamily{wire.CodeRSE, wire.CodeRSE16, wire.CodeLDGMStaircase, wire.CodeNoFEC} {
+		if codec, err := ForWire(f, 100, 50, 1); err == nil || codec != nil {
+			t.Errorf("ForWire(%v, k=100, n=50) = %v, %v; want nil and an error", f, codec, err)
+		}
+	}
+}
+
 func sameLayout(a, b core.Layout) bool {
 	return a.K == b.K && a.N == b.N && slices.EqualFunc(a.Blocks, b.Blocks, func(x, y core.Block) bool {
 		return slices.Equal(x.Source, y.Source) && slices.Equal(x.Parity, y.Parity)
@@ -563,13 +611,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		verify("full")
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestCodecNamesResolve keeps the registry lists in sync.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"fecperf/internal/symbol"
 )
@@ -34,9 +33,10 @@ type BlockSolver interface {
 // One type runs both, so the simulator measures the decoder the wire
 // ships.
 type BlockDecoder struct {
-	layout   Layout
+	k        int // source symbols
 	symLen   int // 0 = structural mode
 	solver   BlockSolver
+	blockIdx []int32  // the layout's id→block table: one entry per packet ID
 	got      []uint64 // received-bitmap over global packet IDs
 	blocks   []blockState
 	src      symbol.Slab // the k source slots by global ID, received or rebuilt in place
@@ -56,20 +56,22 @@ var blockTables symbol.ViewPool
 type blockState struct {
 	tab            *[][]byte
 	srcOff, parOff int32 // first global source / parity ID
-	count          int32 // distinct symbols received
+	kb, pb         int32 // source / parity symbols
+	count          int32 // distinct symbols received, kb once decoded
 	srcGot         int32 // of which sources
-	decoded        bool
 }
+
+func (b *blockState) decoded() bool { return b.count == b.kb }
 
 // NewBlockDecoder returns a decoder for the layout: structural when
 // symLen is 0, carrying payloads of symLen bytes otherwise. solver may be
-// nil for a code without parity. Packet IDs map to blocks by binary
-// search on the blocks' first IDs, so the layout must list its blocks in
-// ID order, each block's sources and parities a contiguous ascending run;
-// anything else is a bug in the code family and panics.
+// nil for a code without parity. Packet IDs map to blocks by the layout's
+// table and to in-block indexes by offset, so the layout must list its
+// blocks in ID order, each block's sources and parities a contiguous
+// ascending run; anything else is a bug in the code family and panics.
 func NewBlockDecoder(l Layout, symLen int, solver BlockSolver) *BlockDecoder {
 	d := &BlockDecoder{
-		layout:  l,
+		k:       l.K,
 		symLen:  symLen,
 		solver:  solver,
 		got:     make([]uint64, (l.N+63)/64),
@@ -88,13 +90,15 @@ func NewBlockDecoder(l Layout, symLen int, solver BlockSolver) *BlockDecoder {
 				panic(fmt.Sprintf("core: block %d parities are not the contiguous run from %d", bi, parOff))
 			}
 		}
-		d.blocks[bi].srcOff, d.blocks[bi].parOff = int32(srcOff), int32(parOff)
+		d.blocks[bi] = blockState{srcOff: int32(srcOff), parOff: int32(parOff),
+			kb: int32(len(b.Source)), pb: int32(len(b.Parity))}
 		srcOff += len(b.Source)
 		parOff += len(b.Parity)
 	}
 	if srcOff != l.K || parOff != l.N {
 		panic(fmt.Sprintf("core: blocks cover %d source / %d total packets, want %d / %d", srcOff, parOff, l.K, l.N))
 	}
+	d.blockIdx = l.BlockIndex()
 	if symLen > 0 {
 		d.src = symbol.NewSlab(l.K, symLen)
 	}
@@ -102,16 +106,14 @@ func NewBlockDecoder(l Layout, symLen int, solver BlockSolver) *BlockDecoder {
 }
 
 // blockOf maps a global packet ID to its block and in-block index
-// (0..n_b-1, sources first): the last block whose first ID is <= id. A
-// block without parity shares its first parity ID with its successor and
-// so is never the last.
+// (0..n_b-1, sources first).
 func (d *BlockDecoder) blockOf(id int) (bi, idx int) {
-	if id < d.layout.K {
-		bi = sort.Search(len(d.blocks), func(i int) bool { return int(d.blocks[i].srcOff) > id }) - 1
-		return bi, id - int(d.blocks[bi].srcOff)
+	bi = int(d.blockIdx[id])
+	b := &d.blocks[bi]
+	if id < d.k {
+		return bi, id - int(b.srcOff)
 	}
-	bi = sort.Search(len(d.blocks), func(i int) bool { return int(d.blocks[i].parOff) > id }) - 1
-	return bi, len(d.layout.Blocks[bi].Source) + id - int(d.blocks[bi].parOff)
+	return bi, int(b.kb) + id - int(b.parOff)
 }
 
 // Receive implements Receiver (structural mode). It panics on a payload
@@ -137,22 +139,21 @@ func (d *BlockDecoder) ReceivePayload(id int, payload []byte) bool {
 }
 
 func (d *BlockDecoder) receive(id int, payload []byte) bool {
-	if id < 0 || id >= d.layout.N {
-		panic(fmt.Sprintf("core: packet id %d outside [0,%d)", id, d.layout.N))
+	if id < 0 || id >= len(d.blockIdx) {
+		panic(fmt.Sprintf("core: packet id %d outside [0,%d)", id, len(d.blockIdx)))
 	}
 	if d.has(id) {
 		return d.Done()
 	}
 	bi, idx := d.blockOf(id)
 	b := &d.blocks[bi]
-	if b.decoded {
+	if b.decoded() {
 		return d.Done()
 	}
 	d.got[id>>6] |= 1 << (id & 63)
 	b.count++
 	d.buffered++
-	blk := d.layout.Blocks[bi]
-	kb, nb := len(blk.Source), len(blk.Source)+len(blk.Parity)
+	kb, nb := int(b.kb), int(b.kb+b.pb)
 	if idx < kb {
 		b.srcGot++
 		d.srcRec++
@@ -166,7 +167,7 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 		}
 		if d.par.Slots() == 0 {
 			// Each block buffers at most k_b symbols and has n_b-k_b parities.
-			d.par = symbol.NewSlab(min(d.layout.K, d.layout.N-d.layout.K), d.symLen)
+			d.par = symbol.NewSlab(min(d.k, len(d.blockIdx)-d.k), d.symLen)
 		}
 		p := d.par.Draw(d.parUsed)
 		d.parUsed++
@@ -181,7 +182,6 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 		d.srcRec += e
 		d.buffered -= kb
 		b.releaseTab()
-		b.decoded = true
 		d.pending--
 	}
 	return d.Done()
@@ -213,6 +213,19 @@ func (b *blockState) releaseTab() {
 
 func (d *BlockDecoder) has(id int) bool { return d.got[id>>6]&(1<<(id&63)) != 0 }
 
+// Reset implements Resetter, between simulated trials. It panics on a
+// payload decoder, whose slabs and view tables have owners.
+func (d *BlockDecoder) Reset() {
+	if d.symLen != 0 {
+		panic("core: Reset on a payload decoder")
+	}
+	clear(d.got)
+	for i := range d.blocks {
+		d.blocks[i].count, d.blocks[i].srcGot = 0, 0
+	}
+	d.pending, d.srcRec, d.buffered = len(d.blocks), 0, 0
+}
+
 // Done implements Receiver and PayloadDecoder.
 func (d *BlockDecoder) Done() bool { return d.pending == 0 }
 
@@ -229,10 +242,10 @@ func (d *BlockDecoder) Source(i int) []byte {
 	if d.symLen == 0 {
 		panic("core: Source on a structural decoder")
 	}
-	if i < 0 || i >= d.layout.K {
-		panic(fmt.Sprintf("core: source index %d outside [0,%d)", i, d.layout.K))
+	if i < 0 || i >= d.k {
+		panic(fmt.Sprintf("core: source index %d outside [0,%d)", i, d.k))
 	}
-	if bi, _ := d.blockOf(i); d.src.Slots() == 0 || !(d.blocks[bi].decoded || d.has(i)) {
+	if d.src.Slots() == 0 || !(d.blocks[d.blockIdx[i]].decoded() || d.has(i)) {
 		return nil // not recovered yet, or the slab is gone (taken, closed)
 	}
 	return d.src.Slot(i)

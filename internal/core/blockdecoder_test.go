@@ -114,6 +114,7 @@ func TestBlockDecoderModeMismatchPanics(t *testing.T) {
 	mustPanic(t, "negative packet id", func() { structural.Receive(-1) })
 	mustPanic(t, "source index out of range", func() { payload.Source(l.K) })
 	mustPanic(t, "TakeSources before Done", func() { payload.TakeSources() })
+	mustPanic(t, "Reset on a payload decoder", func() { payload.Reset() })
 }
 
 func TestBlockDecoderBlockOf(t *testing.T) {
@@ -163,10 +164,10 @@ func TestBlockDecoderRunningCounts(t *testing.T) {
 							n++
 						}
 					}
-					if n >= len(b.Source) != d.blocks[bi].decoded {
-						t.Fatalf("block %d holds %d of %d symbols but decoded=%v", bi, n, len(b.Source), d.blocks[bi].decoded)
+					if n >= len(b.Source) != d.blocks[bi].decoded() {
+						t.Fatalf("block %d holds %d of %d symbols but decoded=%v", bi, n, len(b.Source), d.blocks[bi].decoded())
 					}
-					if d.blocks[bi].decoded {
+					if d.blocks[bi].decoded() {
 						recovered += len(b.Source)
 					} else {
 						buffered += n

@@ -26,9 +26,32 @@ import (
 // are segmented into several blocks, and the per-block ID ranges drive the
 // paper's Tx_model_5 interleaver.
 type Layout struct {
-	K      int     // number of source packets
-	N      int     // total number of packets (source + parity)
-	Blocks []Block // at least one; blocks partition [0,N)
+	K       int     // number of source packets
+	N       int     // total number of packets (source + parity)
+	Blocks  []Block // at least one; blocks partition [0,N)
+	blockOf []int32 // id→block table, built once per code by IndexBlocks
+}
+
+// IndexBlocks builds the id→block table BlockIndex returns. A block family
+// calls it once per code, so the code's receivers and fleets share it.
+func (l *Layout) IndexBlocks() { l.blockOf = l.BlockIndex() }
+
+// BlockIndex returns the block of every packet ID, by ID: IndexBlocks'
+// shared table (do not modify it), or a new one for a layout without it.
+func (l Layout) BlockIndex() []int32 {
+	if l.blockOf != nil {
+		return l.blockOf
+	}
+	idx := make([]int32, l.N)
+	for bi, b := range l.Blocks {
+		for _, id := range b.Source {
+			idx[id] = int32(bi)
+		}
+		for _, id := range b.Parity {
+			idx[id] = int32(bi)
+		}
+	}
+	return idx
 }
 
 // Block is one FEC block: the global IDs of its source and parity packets.
@@ -134,6 +157,12 @@ type BlockMDS interface {
 // output); RunTrial tracks the running maximum when available.
 type MemoryReporter interface {
 	BufferedSymbols() int
+}
+
+// Resetter is an optional Receiver capability: Reset returns a structural
+// receiver to its NewReceiver state. Payload decoders panic on it.
+type Resetter interface {
+	Reset()
 }
 
 // Channel decides, transmission by transmission, whether a packet is lost.

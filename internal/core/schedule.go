@@ -563,7 +563,7 @@ func RoundsSchedule(rounds []Schedule) Schedule {
 // symbols. Rounds [0, smallLen) emit one symbol from every block;
 // rounds [smallLen, bigLen) emit only from the first nBig.
 type interleave struct {
-	l                Layout
+	blocks           []Block
 	nBig             int
 	bigLen, smallLen int
 }
@@ -571,7 +571,7 @@ type interleave struct {
 // newInterleave derives the two-level geometry, refusing layouts whose
 // block lengths are not "bigLen × nBig then smallLen × rest".
 func newInterleave(l Layout) (interleave, bool) {
-	il := interleave{l: l}
+	il := interleave{blocks: l.Blocks}
 	if len(l.Blocks) == 0 {
 		return il, false
 	}
@@ -598,7 +598,7 @@ func newInterleave(l Layout) (interleave, bool) {
 }
 
 func (il *interleave) at(i int) int {
-	nb := len(il.l.Blocks)
+	nb := len(il.blocks)
 	split := il.smallLen * nb // positions covered by the all-blocks rounds
 	var round, blk int
 	if i < split {
@@ -606,7 +606,7 @@ func (il *interleave) at(i int) int {
 	} else {
 		round, blk = il.smallLen+(i-split)/il.nBig, (i-split)%il.nBig
 	}
-	b := &il.l.Blocks[blk]
+	b := &il.blocks[blk]
 	if round < len(b.Source) {
 		return b.Source[round]
 	}

@@ -151,11 +151,10 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 
 // runShard executes trials [lo, hi) of a point and returns their partial
 // aggregate, stopping early (with a short count) when ctx is cancelled.
-// One splitmix64-backed rand.Rand is reseeded per trial — O(1) seeding
-// and no per-trial allocation, versus a fresh 607-word rngSource per
-// trial before — and schedules are consumed lazily, so the shard's
-// cost profile is dominated by the decoder; the scheduler and the
-// channel contribute no allocations at all.
+// One splitmix64-backed rand.Rand is reseeded, one channel chain and one
+// receiver (a core.Resetter) are reset per trial, and schedules are
+// consumed lazily, so a trial costs its decoding work and allocates
+// nothing. A receiver that cannot be reset (the ML one) is built per trial.
 func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool) {
 	layout := spec.Code.Layout()
 	k := float64(layout.K)
@@ -163,6 +162,7 @@ func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool)
 	src := &core.SplitMixSource{}
 	rng := rand.New(src)
 	nextChannel := trialChannels(spec.Channel, src, rng)
+	var rx core.Receiver
 	for t := lo; t < hi; t++ {
 		select {
 		case <-ctx.Done():
@@ -171,7 +171,12 @@ func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool)
 		}
 		rng.Seed(DeriveSeed(spec.Seed, uint64(t)))
 		schedule := spec.Scheduler.Schedule(layout, rng)
-		res := core.RunTrial(schedule, nextChannel(), spec.Code.NewReceiver(), spec.NSent)
+		if r, ok := rx.(core.Resetter); ok {
+			r.Reset()
+		} else {
+			rx = spec.Code.NewReceiver()
+		}
+		res := core.RunTrial(schedule, nextChannel(), rx, spec.NSent)
 		agg.Trials++
 		agg.ReceivedOverK.Add(float64(res.NReceived) / k)
 		if res.Decoded {

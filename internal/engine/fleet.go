@@ -38,6 +38,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -167,21 +168,28 @@ type FleetPercentiles struct {
 	P999 float64 `json:"p999"`
 }
 
-// percentilesOf computes nearest-rank percentiles from the sorted
-// values of the completed receivers out of a population of n.
-func percentilesOf(sorted []float64, n int) FleetPercentiles {
-	pick := func(p float64) float64 {
-		if n == 0 {
-			return -1
+// percentilesOf computes nearest-rank percentiles out of a population of
+// n from the completed receivers' keys, given as sorted runs: it merges
+// the runs only as deep as the deepest rank it picks, and val turns just
+// the picked keys into values, so it must be monotone.
+func percentilesOf(runs [][]uint32, n int, val func(uint32) float64) FleetPercentiles {
+	heads := make([]int, len(runs))
+	merged, last := 0, uint32(0)
+	pick := func(p float64) float64 { // in increasing p: the merge only moves forward
+		for rank := max(int(math.Ceil(p*float64(n))), 1); merged < rank; merged++ {
+			best := -1
+			for j, run := range runs {
+				if heads[j] < len(run) && (best < 0 || run[heads[j]] < runs[best][heads[best]]) {
+					best = j
+				}
+			}
+			if best < 0 {
+				return -1 // the rank falls past the completed receivers
+			}
+			last = runs[best][heads[best]]
+			heads[best]++
 		}
-		rank := int(math.Ceil(p * float64(n)))
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > len(sorted) {
-			return -1
-		}
-		return sorted[rank-1]
+		return val(last)
 	}
 	return FleetPercentiles{P50: pick(0.50), P90: pick(0.90), P99: pick(0.99), P999: pick(0.999)}
 }
@@ -346,8 +354,7 @@ type fleetState struct {
 	nblocks  int
 	groups   []fleetGroup
 
-	// blockIdx maps a packet id to its block — shared, not per receiver.
-	blockIdx []uint16
+	blockIdx []int32 // packet id → block: the code's table (Layout.BlockIndex)
 
 	// Per-receiver state. The steady-state budget: 8 (chanState) +
 	// 1 (lost) + 4 (received) + 4 (completedAt) + 2 (blocksLeft) +
@@ -384,7 +391,7 @@ func newFleetState(layout core.Layout, f FleetSpec, schedule core.Schedule, nsen
 		schedule:    schedule,
 		nsent:       nsent,
 		nblocks:     nb,
-		blockIdx:    make([]uint16, layout.N),
+		blockIdx:    layout.BlockIndex(),
 		chanState:   make([]uint64, r),
 		lost:        make([]bool, r),
 		received:    make([]uint32, r),
@@ -392,14 +399,6 @@ func newFleetState(layout core.Layout, f FleetSpec, schedule core.Schedule, nsen
 		blocksLeft:  make([]uint16, r),
 		remaining:   make([]uint16, r*nb),
 		active:      make([]int32, r),
-	}
-	for bi, b := range layout.Blocks {
-		for _, id := range b.Source {
-			st.blockIdx[id] = uint16(bi)
-		}
-		for _, id := range b.Parity {
-			st.blockIdx[id] = uint16(bi)
-		}
 	}
 	// Duplicate-free schedules (the paper's permutation models) need no
 	// dedup state at all; carousels and repeat schemes pay N bits per
@@ -479,7 +478,7 @@ func (st *fleetState) runShard(ctx context.Context, sh fleetShardRange) (int64, 
 
 	var (
 		ids    [64]int32
-		blk    [64]uint16
+		blk    [64]int32
 		events int64
 	)
 	cur := st.schedule.Cursor()
@@ -554,7 +553,8 @@ func (st *fleetState) runShard(ctx context.Context, sh fleetShardRange) (int64, 
 // summarize builds the deterministic fleet summary: per-group and
 // overall nearest-rank percentiles plus inefficiency accumulators, all
 // computed single-threaded from the per-receiver arrays in receiver
-// order — no trace of which worker ran which shard survives.
+// order — no trace of which worker ran which shard survives. Each group's
+// integer keys are sorted once; the fleet-wide percentiles merge them.
 func (st *fleetState) summarize(nsent int, events int64) *FleetSummary {
 	k := float64(st.layout.K)
 	r := len(st.chanState)
@@ -564,36 +564,34 @@ func (st *fleetState) summarize(nsent int, events int64) *FleetSummary {
 		Events:           events,
 		BytesPerReceiver: st.bytesPerReceiver(),
 	}
-	allComp := make([]float64, 0, r)
-	allIneff := make([]float64, 0, r)
+	symbols := func(at uint32) float64 { return float64(at) }
+	ineff := func(received uint32) float64 { return float64(received) / k }
+	comps := make([][]uint32, len(st.groups))
+	recvs := make([][]uint32, len(st.groups))
 	for gi := range st.groups {
 		g := &st.groups[gi]
 		gs := FleetGroupSummary{Channel: g.key, Receivers: g.hi - g.lo}
-		comp := make([]float64, 0, gs.Receivers)
-		ineff := make([]float64, 0, gs.Receivers)
+		comp := make([]uint32, 0, gs.Receivers)
+		recv := make([]uint32, 0, gs.Receivers)
 		for r := g.lo; r < g.hi; r++ {
 			if at := st.completedAt[r]; at > 0 {
-				comp = append(comp, float64(at))
-				inf := float64(st.received[r]) / k
-				ineff = append(ineff, inf)
-				gs.IneffStats.Add(inf)
+				comp = append(comp, uint32(at))
+				recv = append(recv, st.received[r])
+				gs.IneffStats.Add(ineff(st.received[r]))
 			}
 		}
+		slices.Sort(comp)
+		slices.Sort(recv)
+		comps[gi], recvs[gi] = comp, recv
 		gs.Completed = len(comp)
-		allComp = append(allComp, comp...)
-		allIneff = append(allIneff, ineff...)
-		sort.Float64s(comp)
-		sort.Float64s(ineff)
-		gs.Completion = percentilesOf(comp, gs.Receivers)
-		gs.Ineff = percentilesOf(ineff, gs.Receivers)
+		gs.Completion = percentilesOf(comps[gi:gi+1], gs.Receivers, symbols)
+		gs.Ineff = percentilesOf(recvs[gi:gi+1], gs.Receivers, ineff)
 		sum.Completed += gs.Completed
 		sum.IneffStats.Merge(gs.IneffStats)
 		sum.Groups = append(sum.Groups, gs)
 	}
-	sort.Float64s(allComp)
-	sort.Float64s(allIneff)
-	sum.Completion = percentilesOf(allComp, r)
-	sum.Ineff = percentilesOf(allIneff, r)
+	sum.Completion = percentilesOf(comps, r, symbols)
+	sum.Ineff = percentilesOf(recvs, r, ineff)
 	return sum
 }
 

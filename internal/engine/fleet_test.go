@@ -344,18 +344,29 @@ func TestFleetApportion(t *testing.T) {
 }
 
 // TestFleetPercentiles: nearest-rank semantics, with -1 past the
-// completed fraction.
+// completed fraction, over one sorted run or the same keys split across
+// several; val maps the picked keys to values.
 func TestFleetPercentiles(t *testing.T) {
-	sorted := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90} // 9 of 10 completed
-	p := percentilesOf(sorted, 10)
-	if p.P50 != 50 || p.P90 != 90 {
-		t.Fatalf("p50=%g p90=%g, want 50 90", p.P50, p.P90)
+	half := func(x uint32) float64 { return float64(x) / 2 }
+	for name, runs := range map[string][][]uint32{
+		"one run": {{10, 20, 30, 40, 50, 60, 70, 80, 90}}, // 9 of 10 completed
+		"three":   {{20, 50, 80}, {10, 40, 70}, {30, 60, 90}},
+		"uneven":  {{}, {10, 20, 30, 40, 50, 60}, {70, 80, 90}},
+	} {
+		p := percentilesOf(runs, 10, half)
+		if p.P50 != 25 || p.P90 != 45 {
+			t.Fatalf("%s: p50=%g p90=%g, want 25 45", name, p.P50, p.P90)
+		}
+		if p.P99 != -1 || p.P999 != -1 {
+			t.Fatalf("%s: p99=%g p999=%g, want -1 -1 (rank lands on the incomplete receiver)", name, p.P99, p.P999)
+		}
 	}
-	if p.P99 != -1 || p.P999 != -1 {
-		t.Fatalf("p99=%g p999=%g, want -1 -1 (rank lands on the incomplete receiver)", p.P99, p.P999)
-	}
-	if e := percentilesOf(nil, 0); e.P50 != -1 {
+	if e := percentilesOf(nil, 0, half); e.P50 != -1 {
 		t.Fatalf("empty population p50 = %g, want -1", e.P50)
+	}
+	// Two percentiles on one rank read the same key.
+	if p := percentilesOf([][]uint32{{7}, {3}}, 2, half); p != (FleetPercentiles{1.5, 3.5, 3.5, 3.5}) {
+		t.Fatalf("n=2: %+v, want p50 1.5 and the rest 3.5", p)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"fecperf/internal/channel"
@@ -99,8 +100,8 @@ func (p Plan) Validate() error {
 		}
 	}
 	for _, r := range q.Ratios {
-		if r < 1 {
-			return fmt.Errorf("engine: expansion ratio %g below 1", r)
+		if !(r >= 1) || math.IsInf(r, 1) { // also rejects NaN
+			return fmt.Errorf("engine: expansion ratio %g is not a finite value >= 1", r)
 		}
 	}
 	if q.Trials < 0 {

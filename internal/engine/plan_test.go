@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"fecperf/internal/channel"
@@ -92,13 +93,15 @@ func TestPlanSeedChangesEverySeed(t *testing.T) {
 
 func TestPlanValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Plan){
-		"no codes":      func(p *Plan) { p.Codes = nil },
-		"bad code":      func(p *Plan) { p.Codes = []string{"zzz"} },
-		"bad scheduler": func(p *Plan) { p.Schedulers = []string{"tx9"} },
-		"bad channel":   func(p *Plan) { p.Channels = []ChannelSpec{{Kind: "warp"}} },
-		"bad gilbert":   func(p *Plan) { p.Channels = []ChannelSpec{channel.GilbertChannel(2, 0)} },
-		"bad k":         func(p *Plan) { p.Ks = []int{-5} },
-		"bad ratio":     func(p *Plan) { p.Ratios = []float64{0.5} },
+		"no codes":       func(p *Plan) { p.Codes = nil },
+		"bad code":       func(p *Plan) { p.Codes = []string{"zzz"} },
+		"bad scheduler":  func(p *Plan) { p.Schedulers = []string{"tx9"} },
+		"bad channel":    func(p *Plan) { p.Channels = []ChannelSpec{{Kind: "warp"}} },
+		"bad gilbert":    func(p *Plan) { p.Channels = []ChannelSpec{channel.GilbertChannel(2, 0)} },
+		"bad k":          func(p *Plan) { p.Ks = []int{-5} },
+		"bad ratio":      func(p *Plan) { p.Ratios = []float64{0.5} },
+		"NaN ratio":      func(p *Plan) { p.Ratios = []float64{math.NaN()} },
+		"infinite ratio": func(p *Plan) { p.Ratios = []float64{math.Inf(1)} },
 	} {
 		plan := testPlan()
 		mutate(&plan)

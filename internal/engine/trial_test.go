@@ -204,18 +204,26 @@ func (r *holdingReceiver) SourceRecovered() int { return len(r.seen) }
 func (r *holdingReceiver) BufferedSymbols() int { return len(r.seen) }
 
 // TestRunShardAllocsPerTrial is the allocation gate of the trial loop: a
-// trial through runShard allocates what its receiver does and nothing
-// else — no chain, rng or resolved channel model per trial, whatever the
-// channel kind.
+// trial through runShard allocates nothing — no chain, rng or resolved
+// channel model per trial, whatever the channel kind, and no receiver:
+// the shard resets one. What is left is the LDGM peeler's stack growing
+// in the trial that goes deepest.
 func TestRunShardAllocsPerTrial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	code, err := codes.Make("rse", 500, 1.5, 1)
-	if err != nil {
-		t.Fatal(err)
+	var specs []PointSpec
+	for _, family := range codes.CodecNames {
+		ratio := 2.5
+		if family == "no-fec" {
+			ratio = 1
+		}
+		code, err := codes.MakeCodec(family, 500, ratio, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, PointSpec{Code: code, Scheduler: sched.TxModel4{}, Seed: 3})
 	}
-	rxAllocs := testing.AllocsPerRun(10, func() { code.NewReceiver() })
 	for _, cs := range []channel.Spec{
 		channel.GilbertChannel(0.05, 0.5),
 		channel.BernoulliChannel(0.03),
@@ -223,15 +231,118 @@ func TestRunShardAllocsPerTrial(t *testing.T) {
 		{Kind: "markov", P: 0.05, Q: 0.5},
 	} {
 		t.Run(cs.Kind, func(t *testing.T) {
-			spec := PointSpec{Code: code, Scheduler: sched.TxModel4{}, Channel: cs, Seed: 3}
-			shard := func(trials int) float64 {
-				return testing.AllocsPerRun(5, func() { runShard(context.Background(), spec, 0, trials) })
+			for _, spec := range specs {
+				spec.Channel = cs
+				shard := func(trials int) float64 {
+					return testing.AllocsPerRun(5, func() { runShard(context.Background(), spec, 0, trials) })
+				}
+				const extra = 32
+				if perTrial := (shard(1+extra) - shard(1)) / extra; perTrial >= 0.1 {
+					t.Errorf("%s %s: %.3f allocations per trial, want < 0.1", spec.Code.Name(), cs, perTrial)
+				}
 			}
-			const extra = 16
-			perTrial := (shard(1+extra) - shard(1)) / extra
-			if perTrial > rxAllocs {
-				t.Errorf("%s: %.2f allocations per trial, want at most NewReceiver's %.0f", cs, perTrial, rxAllocs)
+		})
+	}
+}
+
+// rxState is what a receiver shows of itself: Done, SourceRecovered,
+// BufferedSymbols and, for LDGM, Known of every id.
+type rxState struct {
+	done                bool
+	recovered, buffered int
+	known               string
+}
+
+func stateOf(rx core.Receiver, n int) rxState {
+	st := rxState{done: rx.Done(), recovered: rx.SourceRecovered()}
+	if m, ok := rx.(core.MemoryReporter); ok {
+		st.buffered = m.BufferedSymbols()
+	}
+	if d, ok := rx.(interface{ Known(int) bool }); ok {
+		known := make([]byte, n)
+		for id := range known {
+			if d.Known(id) {
+				known[id] = 1
 			}
+		}
+		st.known = string(known)
+	}
+	return st
+}
+
+// TestResetReceiverIsFreshReceiver: a receiver reset between trials, as
+// runShard reuses one, is a fresh receiver — every trial, decoded, failed
+// or truncated, gives the TrialResult and leaves the state a new
+// NewReceiver would, and after Reset the receiver reads as new. Payload
+// decoders refuse Reset.
+func TestResetReceiverIsFreshReceiver(t *testing.T) {
+	const k, trials = 100, 40
+	for _, family := range codes.CodecNames {
+		t.Run(family, func(t *testing.T) {
+			ratio := 1.5 // low enough that even RS fails at 40 % loss
+			if family == "no-fec" {
+				ratio = 1
+			}
+			code, err := codes.MakeCodec(family, k, ratio, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layout := code.Layout()
+			fresh := stateOf(code.NewReceiver(), layout.N)
+			reused := code.NewReceiver()
+			var decoded, failed, truncated int
+			for _, name := range []string{"tx1", "tx4", "tx5", "carousel(rounds=2)"} {
+				s, err := sched.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cs := range []channel.Spec{channel.GilbertChannel(0.2, 0.3), channel.NoLossChannel()} {
+					for _, nsent := range []int{0, k / 2} {
+						viaReset, viaNew := newTrialRunner(cs, false), newTrialRunner(cs, false)
+						for tr := range trials {
+							reused.(core.Resetter).Reset()
+							if got := stateOf(reused, layout.N); got != fresh {
+								t.Fatalf("%s %s nsent=%d: reset before trial %d reads %+v, a new receiver %+v", name, cs, nsent, tr, got, fresh)
+							}
+							seed := DeriveSeed(int64(nsent), uint64(tr))
+							got := core.RunTrial(viaReset.schedule(s, layout, seed), viaReset.next(), reused, nsent)
+							rx := code.NewReceiver()
+							want := core.RunTrial(viaNew.schedule(s, layout, seed), viaNew.next(), rx, nsent)
+							if got != want {
+								t.Fatalf("%s %s nsent=%d trial %d: reset receiver %+v, new receiver %+v", name, cs, nsent, tr, got, want)
+							}
+							if a, b := stateOf(reused, layout.N), stateOf(rx, layout.N); a != b {
+								t.Fatalf("%s %s nsent=%d trial %d: reset receiver ends at %+v, new receiver at %+v", name, cs, nsent, tr, a, b)
+							}
+							switch {
+							case got.Decoded:
+								decoded++
+							case nsent > 0:
+								truncated++
+							default:
+								failed++
+							}
+						}
+					}
+				}
+			}
+			if decoded == 0 || failed == 0 || truncated == 0 {
+				t.Fatalf("%d decoded, %d failed, %d truncated trials: want some of each", decoded, failed, truncated)
+			}
+
+			dec, err := code.NewDecoder(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dec.Close()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("Reset on a payload decoder did not panic")
+					}
+				}()
+				dec.(core.Resetter).Reset()
+			}()
 		})
 	}
 }

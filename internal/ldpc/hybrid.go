@@ -39,7 +39,7 @@ func (d *Decoder) SolveGauss() bool {
 		}
 		liveEqs = append(liveEqs, int32(eq))
 		for _, v := range c.EquationVars(eq) {
-			if !d.known[v] {
+			if !has(d.known, v) {
 				if _, ok := colOf[v]; !ok {
 					colOf[v] = len(cols)
 					cols = append(cols, v)
@@ -61,14 +61,14 @@ func (d *Decoder) SolveGauss() bool {
 	for i, eq := range liveEqs {
 		row := make([]uint64, words)
 		for _, v := range c.EquationVars(int(eq)) {
-			if j, ok := colOf[v]; ok && !d.known[v] {
+			if j, ok := colOf[v]; ok && !has(d.known, v) {
 				row[j/64] ^= 1 << (j % 64)
 			}
 		}
 		rows[i] = row
 		if d.symLen > 0 {
 			r := symbol.Get(d.symLen)
-			if d.pay.touched[eq] {
+			if has(d.pay.touched, eq) {
 				copy(r, d.pay.acc.Slot(int(eq)))
 			}
 			rhs[i] = r
@@ -100,7 +100,7 @@ func (d *Decoder) SolveGauss() bool {
 					rows[r][t] ^= rows[rank][t]
 				}
 				if d.symLen > 0 {
-					xorBytes(rhs[r], rhs[rank])
+					gf256.Xor(rhs[r], rhs[rank])
 				}
 			}
 		}
@@ -128,7 +128,7 @@ func (d *Decoder) SolveGauss() bool {
 			continue
 		}
 		v := cols[pc]
-		if d.known[v] {
+		if has(d.known, v) {
 			continue
 		}
 		d.markKnown(v, rhs[r])
@@ -179,5 +179,3 @@ func (m *MLReceiver) Done() bool { return m.dec.Done() }
 
 // SourceRecovered implements core.Receiver.
 func (m *MLReceiver) SourceRecovered() int { return m.dec.SourceRecovered() }
-
-func xorBytes(dst, src []byte) { gf256.Xor(dst, src) }

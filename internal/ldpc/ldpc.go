@@ -29,10 +29,10 @@
 //
 // Code and Decoder keep all of this in flat index arrays: the graph in
 // compressed sparse row form, eight bytes of peeling state per equation,
-// one flag per variable. The same Decoder type runs the simulations
-// (structural: IDs only) and the cast datapath (payload mode); in payload
-// mode it adds a slab of k source slots and a slab of n-k accumulators and
-// nothing per symbol — see payloads.
+// one bit per variable. The same Decoder type runs the simulations
+// (structural: IDs only, reset between trials) and the cast datapath
+// (payload mode); in payload mode it adds a slab of k source slots, a slab
+// of n-k accumulators and a bit per equation, nothing per symbol.
 package ldpc
 
 import (
@@ -397,12 +397,11 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 // in; any equation left with a single unknown yields that variable, which
 // is substituted recursively. Substitution is eager — a variable is folded
 // into every one of its equations the moment it becomes known and is never
-// read again — so the decoder keeps no per-variable state beyond a known
-// flag.
+// read again — so the decoder keeps one known bit per variable, no more.
 type Decoder struct {
 	code       *Code
-	symLen     int // 0 = structural mode
-	known      []bool
+	symLen     int      // 0 = structural mode
+	known      []uint64 // bitset over variable IDs
 	eqs        []equation
 	srcKnown   int
 	knownCount int
@@ -411,10 +410,11 @@ type Decoder struct {
 }
 
 // equation is one check equation's peeling state. It stays at 8 bytes:
-// the grid simulations mint structural decoders by the million and this
-// table is most of what each one allocates.
+// Reset copies this table once per simulated trial. Every variable is
+// pushed and popped once, so after propagate an equation is solved
+// (unknown == 0) or has two or more unknowns.
 type equation struct {
-	unknown int32 // variables not yet substituted; 0 once solved
+	unknown int32 // variables not yet substituted
 	xorID   int32 // XOR of their IDs: the variable itself when unknown == 1
 }
 
@@ -429,7 +429,7 @@ type equation struct {
 // is XORed into its equations straight from the caller's buffer.
 type payloads struct {
 	src, acc symbol.Slab
-	touched  []bool   // per equation: its accumulator slot holds a term
+	touched  []uint64 // bitset over equations: the accumulator slot holds a term
 	vals     [][]byte // parallel to Decoder.stack: where each variable's bytes are
 }
 
@@ -437,17 +437,32 @@ func (c *Code) newDecoder(symLen int) *Decoder {
 	d := &Decoder{
 		code:   c,
 		symLen: symLen,
-		known:  make([]bool, c.n),
+		known:  make([]uint64, (c.n+63)/64),
 		eqs:    slices.Clone(c.eqInit),
 	}
 	if symLen > 0 {
 		d.pay = &payloads{
 			src:     symbol.NewSlab(c.k, symLen),
 			acc:     symbol.NewSlab(c.m, symLen),
-			touched: make([]bool, c.m),
+			touched: make([]uint64, (c.m+63)/64),
 		}
 	}
 	return d
+}
+
+func has(set []uint64, i int32) bool { return set[i>>6]&(1<<(i&63)) != 0 }
+
+func add(set []uint64, i int32) { set[i>>6] |= 1 << (i & 63) }
+
+// Reset implements core.Resetter: every variable unknown, every equation
+// whole. It panics on a payload decoder, whose slabs have owners.
+func (d *Decoder) Reset() {
+	if d.pay != nil {
+		panic("ldpc: Reset on a payload decoder")
+	}
+	clear(d.known)
+	copy(d.eqs, d.code.eqInit)
+	d.srcKnown, d.knownCount = 0, 0 // the stack is empty: propagate drains it
 }
 
 // Receive implements core.Receiver (structural mode). It panics on a
@@ -477,7 +492,7 @@ func (d *Decoder) receive(id int, payload []byte) bool {
 	if id < 0 || id >= d.code.n {
 		panic(fmt.Sprintf("ldpc: packet id %d outside [0,%d)", id, d.code.n))
 	}
-	if d.Done() || d.known[id] {
+	if d.Done() || has(d.known, int32(id)) {
 		return d.Done()
 	}
 	d.markKnown(int32(id), payload)
@@ -490,7 +505,7 @@ func (d *Decoder) receive(id int, payload []byte) bool {
 // has drained the stack; a source is first copied to its final slot — the
 // one copy between the caller's buffer and the decoded object.
 func (d *Decoder) markKnown(id int32, val []byte) {
-	d.known[id] = true
+	add(d.known, id)
 	if int(id) < d.code.k {
 		d.srcKnown++
 	}
@@ -519,31 +534,28 @@ func (d *Decoder) propagate() {
 		}
 		for _, eq := range c.eqIdx[c.eqOff[id]:c.eqOff[id+1]] {
 			e := &eqs[eq]
-			if e.unknown == 0 {
-				continue
-			}
 			e.unknown--
 			e.xorID ^= id
 			var a []byte
 			if p != nil {
-				if p.touched[eq] {
+				if e.unknown == 0 {
+					continue // the accumulator is id's own value
+				}
+				if has(p.touched, eq) {
 					a = p.acc.Slot(int(eq))
 					gf256.Xor(a, val)
 				} else {
 					// First term: copy it rather than XOR into zeros.
 					a = p.acc.Draw(int(eq))
 					copy(a, val)
-					p.touched[eq] = true
+					add(p.touched, eq)
 				}
 			}
-			if e.unknown == 1 {
-				// The remaining unknown equals the XOR of all substituted
-				// terms (the row sums to zero), which is what the
-				// accumulator holds.
-				if solved := e.xorID; !d.known[solved] {
-					d.markKnown(solved, a)
-				}
-				*e = equation{}
+			// The remaining unknown equals the XOR of all substituted
+			// terms (the row sums to zero), which is what the accumulator
+			// holds. Already known, it is on the stack and solves nothing.
+			if e.unknown == 1 && !has(d.known, e.xorID) {
+				d.markKnown(e.xorID, a)
 			}
 		}
 	}
@@ -577,7 +589,7 @@ func (d *Decoder) Source(i int) []byte {
 	if i < 0 || i >= d.code.k {
 		panic(fmt.Sprintf("ldpc: source index %d outside [0,%d)", i, d.code.k))
 	}
-	if !d.known[i] || d.pay.src.Slots() == 0 { // unknown, or the slab is gone (taken, closed)
+	if !has(d.known, int32(i)) || d.pay.src.Slots() == 0 { // unknown, or the slab is gone (taken, closed)
 		return nil
 	}
 	return d.pay.src.Slot(i)
@@ -593,7 +605,7 @@ func (d *Decoder) TakeSources() symbol.Slab {
 }
 
 // Known reports whether variable id has been received or rebuilt.
-func (d *Decoder) Known(id int) bool { return d.known[id] }
+func (d *Decoder) Known(id int) bool { return has(d.known, int32(id)) }
 
 // Close implements core.PayloadDecoder: it returns the slabs the decoder
 // still owns to the symbol pool. The decoder, and any slice Source

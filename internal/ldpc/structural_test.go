@@ -38,16 +38,16 @@ func TestStructuralDecoderCarriesNoPayloadState(t *testing.T) {
 		t.Errorf("Decoder is %d bytes, want <= 144 (its size class before slabs)", size)
 	}
 	before := symbol.PoolStats()
-	// The struct and the known/unknown/xorID tables; the propagation
-	// stack grows on first use.
+	// The struct, the known bitset and the equation table; the
+	// propagation stack grows on first use.
 	if avg := testing.AllocsPerRun(20, func() { c.NewReceiver() }); avg > 4 {
 		t.Errorf("NewReceiver allocs = %.0f, want <= 4", avg)
 	}
-	// 11 408 bytes with the peeling state in two parallel []int32: one
-	// byte per variable and eight per equation, in size classes. A ninth
-	// byte per equation costs the grid +37 % allocation.
-	if got := bytesPerRun(20, func() { c.NewReceiver() }); got > 11408*1.01 {
-		t.Errorf("NewReceiver allocates %.0f bytes, want <= 11408 + 1 %%", got)
+	// 8 688 bytes: one bit per variable and eight bytes per equation, in
+	// size classes (11 376 with a byte per variable). The simulator resets
+	// one such decoder per shard; the wire builds one per LDGM object.
+	if got := bytesPerRun(20, func() { c.NewReceiver() }); got > 8688*1.01 {
+		t.Errorf("NewReceiver allocates %.0f bytes, want <= 8688 + 1 %%", got)
 	}
 	r := c.NewReceiver()
 	for id := 0; id < c.Layout().N && !r.Receive(id); id++ {
@@ -64,15 +64,16 @@ func TestStructuralDecoderCarriesNoPayloadState(t *testing.T) {
 }
 
 // TestPayloadDecoderStateIsFlat: a payload decoder's fixed state is the
-// structural tables plus one first-touch byte per equation and two slab
+// structural tables plus one first-touch bit per equation and two slab
 // buffer tables — no slice header per symbol or per equation (24 bytes
-// each: 110 KiB at this geometry, ten times the real state).
+// each: 110 KiB at this geometry, twelve times the real state).
 func TestPayloadDecoderStateIsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	c := mustNew(t, Params{K: 2048, N: 3072, Variant: Staircase, Seed: 1})
-	if got := bytesPerRun(20, func() { c.NewPayloadDecoder(128).Close() }); got > 16<<10 {
-		t.Errorf("NewPayloadDecoder allocates %.0f bytes, want <= 16 KiB", got)
+	// 9 104 bytes (12 688 with a byte per variable and per equation).
+	if got := bytesPerRun(20, func() { c.NewPayloadDecoder(128).Close() }); got > 9104*1.02 {
+		t.Errorf("NewPayloadDecoder allocates %.0f bytes, want <= 9104 + 2 %%", got)
 	}
 }

@@ -30,6 +30,7 @@ func New(k int) (*Code, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
+	l.IndexBlocks()
 	return &Code{layout: l}, nil
 }
 

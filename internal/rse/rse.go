@@ -165,6 +165,7 @@ func New(p Params) (*Code, error) {
 	if err := c.layout.Validate(); err != nil {
 		return nil, fmt.Errorf("rse: internal layout error: %w", err)
 	}
+	c.layout.IndexBlocks()
 	return c, nil
 }
 

@@ -67,6 +67,7 @@ func New(p Params) (*Code, error) {
 		k: p.K, n: p.N,
 		layout: core.Layout{K: p.K, N: p.N, Blocks: []core.Block{{Source: src, Parity: par}}},
 	}
+	c.layout.IndexBlocks()
 	return c, nil
 }
 
