@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -251,8 +252,8 @@ func parseMix(s string) ([]engine.MixComponent, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bad fleet mix weight %q: %v", weightPart, err)
 			}
-			if w <= 0 {
-				return nil, fmt.Errorf("fleet mix weight %g must be positive", w)
+			if !(w > 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("fleet mix weight %g must be positive and finite", w)
 			}
 			mc.Weight = w
 		}

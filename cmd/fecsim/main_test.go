@@ -213,6 +213,16 @@ func TestParseMix(t *testing.T) {
 	}
 }
 
+// TestParseMixRejectsNonFiniteWeights: a weight must be a positive
+// finite number; NaN and infinities parse as floats but are refused.
+func TestParseMixRejectsNonFiniteWeights(t *testing.T) {
+	for _, w := range []string{"nan", "NaN", "inf", "+Inf", "-inf", "1e309"} {
+		if mix, err := parseMix("gilbert(p=0.1):" + w); err == nil {
+			t.Errorf("weight %q accepted: %+v", w, mix)
+		}
+	}
+}
+
 func TestRunFleetRejectsBadMix(t *testing.T) {
 	for _, mix := range []string{
 		"",                    // empty

@@ -6,23 +6,32 @@ package channel
 // receiver per symbol would make the RNG the whole profile. A Stepper
 // instead advances a chain directly on its raw splitmix64 state — the
 // same 8 bytes core.SplitMixSource holds — up to 64 transmissions at a
-// time, with branch-free integer arithmetic in the hot loop, and
-// returns the losses as a bitmask.
+// time, and returns the losses as a bitmask. stepScalar is the scalar
+// reference. A full word on amd64 with AVX512F+DQ runs splitmixWord: 64
+// outputs eight lanes at a time (state j is s+(j+1)·γ) as "enter loss"
+// and "stay in loss" masks, which resolveChain runs the two-state chain
+// through by parallel-prefix composition. Shorter batches, `-tags
+// purego` builds, other architectures and older CPUs take the reference.
 //
-// The stepper is golden-equivalent to the scalar chain: for the same
+// Both paths are golden-equivalent to the scalar chain: for the same
 // seed, StepMask reproduces, bit for bit, the loss sequence of
 //
 //	NewGilbert(p, q, rand.New(&core.SplitMixSource{seeded}))
 //
 // including math/rand's Float64 resampling loop (Float64 redraws when
 // the 53-bit rounding of Int63()/2⁶³ lands exactly on 1.0 — a once per
-// 2⁵⁴ draws event the fixup path below reproduces). The equivalence
-// holds because Float64() < P compares float64(x>>1)/2⁶³ against P,
-// the division by 2⁶³ is exact, and uint64→float64 conversion is
-// monotone — so the float comparison collapses to one integer compare
-// against a precomputed threshold.
+// 2⁵⁴ draws event the reference's fixup path reproduces; a word in
+// which any lane would redraw falls back to the reference whole). The
+// equivalence holds because Float64() < P compares float64(x>>1)/2⁶³
+// against P, the division by 2⁶³ is exact, and uint64→float64
+// conversion is monotone — so the float comparison collapses to one
+// integer compare against a precomputed threshold.
 
-import "fmt"
+import (
+	"fmt"
+
+	"fecperf/internal/cpuid"
+)
 
 const (
 	splitmixGamma = 0x9e3779b97f4a7c15
@@ -30,7 +39,17 @@ const (
 	// rounds up to exactly 2⁶³ — the values where math/rand's Float64
 	// resamples. Computed in init by the same search as the thresholds.
 	two63 = float64(1 << 63)
+	// wordGamma advances a splitmix64 state by one full word of draws.
+	wordGamma = 64 * splitmixGamma & (1<<64 - 1)
 )
+
+// wordOffsets[j] = (j+1)·γ: lane j's state is the reference's after j+1 steps.
+var wordOffsets = func() (o [64]uint64) {
+	for j := range o {
+		o[j] = uint64(j+1) * splitmixGamma
+	}
+	return o
+}()
 
 var redrawMin = yThreshold(two63)
 
@@ -90,11 +109,6 @@ func (st Stepper) Lossless() bool { return !st.active }
 // lost — exactly the values n successive Gilbert.Lost() calls would
 // return on a chain over a SplitMixSource holding *state. state and
 // lost are updated in place.
-//
-// The loop is branch-free: the splitmix64 step, the threshold select
-// and the state transition are all integer arithmetic with no
-// data-dependent branches. The single exception is math/rand's Float64
-// resample, taken once per ~2⁵⁴ draws.
 func (st Stepper) StepMask(state *uint64, lost *bool, n int) uint64 {
 	if n <= 0 {
 		return 0
@@ -105,6 +119,20 @@ func (st Stepper) StepMask(state *uint64, lost *bool, n int) uint64 {
 	if !st.active {
 		return 0
 	}
+	if n == 64 && cpuid.AVX512DQ {
+		if enter, stay, redraw := splitmixWord(*state, st.pT, st.qT, redrawMin, &wordOffsets); redraw == 0 {
+			mask := resolveChain(enter, stay, *lost)
+			*state, *lost = *state+wordGamma, mask>>63 == 1
+			return mask
+		}
+	}
+	return st.stepScalar(state, lost, n)
+}
+
+// stepScalar is StepMask's reference path for 1 ≤ n ≤ 64 on an active
+// stepper: branch-free integer arithmetic, except for math/rand's
+// Float64 resample, taken once per ~2⁵⁴ draws.
+func (st Stepper) stepScalar(state *uint64, lost *bool, n int) uint64 {
 	s := *state
 	var cur uint64
 	if *lost {
@@ -131,6 +159,31 @@ func (st Stepper) StepMask(state *uint64, lost *bool, n int) uint64 {
 	*state = s
 	*lost = cur == 1
 	return mask
+}
+
+// resolveChain runs a two-state chain, started in state lost, through
+// 64 steps, step j taking state 0 to bit j of enter and 1 to bit j of
+// stay, and returns its state after each step. After six prefix rounds
+// bit j of (a, b) is the state after steps 0..j from state 0 and 1.
+func resolveChain(enter, stay uint64, lost bool) uint64 {
+	a, b := compose(enter, stay, 1)
+	a, b = compose(a, b, 2)
+	a, b = compose(a, b, 4)
+	a, b = compose(a, b, 8)
+	a, b = compose(a, b, 16)
+	a, b = compose(a, b, 32)
+	if lost {
+		return b
+	}
+	return a
+}
+
+// compose is one prefix round: it composes each step's map (bit j of a,
+// b: its images of 0 and 1) after f, the map d steps before it (the
+// identity below bit d), sending x to f(x) ? b : a.
+func compose(a, b uint64, d uint) (uint64, uint64) {
+	differ := a ^ b
+	return a ^ a<<d&differ, a ^ (b<<d|(1<<d-1))&differ
 }
 
 // Chain is one running chain of a Stepper — the stepper, its splitmix64

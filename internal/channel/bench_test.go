@@ -45,3 +45,26 @@ func BenchmarkEstimateGilbert(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStepMask64 steps one chain a full word per call: the word
+// kernel where the CPU has it; the scalar sub-benchmark is the
+// reference loop on every CPU.
+func BenchmarkStepMask64(b *testing.B) {
+	st := NewStepper(0.05, 0.5)
+	var sink uint64
+	b.Run("dispatch", func(b *testing.B) {
+		state, lost := uint64(1), false
+		for b.Loop() {
+			sink ^= st.StepMask(&state, &lost, 64)
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		state, lost := uint64(1), false
+		for b.Loop() {
+			sink ^= st.stepScalar(&state, &lost, 64)
+		}
+	})
+	stepMaskSink = sink
+}
+
+var stepMaskSink uint64

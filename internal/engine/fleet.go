@@ -22,9 +22,10 @@ package engine
 //     out so the inner loop streams through them.
 //
 //   - Channel sampling is batched: channel.Stepper advances a
-//     receiver's Gilbert chain up to 64 transmissions per call on its
-//     raw splitmix64 state word — branch-free integer arithmetic,
-//     golden-equivalent to the scalar Gilbert.Lost() chain.
+//     receiver's Gilbert chain 64 transmissions per call on its raw
+//     splitmix64 state word (an AVX-512 kernel where the CPU has one),
+//     golden-equivalent to the scalar Gilbert.Lost() chain, and the
+//     receptions come off the block countdowns by popcount.
 //
 // Receivers are sharded in fixed-size contiguous ranges; workers drain
 // the shard queue. Every per-receiver result lands in that receiver's
@@ -103,8 +104,8 @@ func (f FleetSpec) Validate() error {
 		return fmt.Errorf("engine: fleet needs at least one mix component")
 	}
 	for i, mc := range f.Mix {
-		if mc.Weight < 0 {
-			return fmt.Errorf("engine: fleet mix component %d has negative weight %g", i, mc.Weight)
+		if !(mc.Weight >= 0) || math.IsInf(mc.Weight, 1) {
+			return fmt.Errorf("engine: fleet mix component %d has weight %g, want finite and non-negative", i, mc.Weight)
 		}
 		if err := mc.Channel.Validate(); err != nil {
 			return err
@@ -114,7 +115,8 @@ func (f FleetSpec) Validate() error {
 				mc.Channel.Key())
 		}
 	}
-	return nil
+	_, err := f.apportion() // rejects weights whose sum overflows
+	return err
 }
 
 // Key returns the fleet's stable identity for checkpointing; it stands
@@ -132,18 +134,23 @@ func (f FleetSpec) Key() string {
 // apportion splits the population across mix components by largest
 // remainder: exact proportional floors first, then the leftover
 // receivers to the largest fractional parts (ties to the earlier
-// component). Deterministic, and off by at most one per component.
-func (f FleetSpec) apportion() []int {
+// component). Deterministic, and off by at most one per component. Each
+// share is a fraction of the total before it is scaled, so only a total
+// that overflows is refused.
+func (f FleetSpec) apportion() ([]int, error) {
 	total := 0.0
 	for _, mc := range f.Mix {
 		total += mc.weight()
+	}
+	if math.IsInf(total, 0) || math.IsNaN(total) {
+		return nil, fmt.Errorf("engine: fleet mix weights sum to %g", total)
 	}
 	counts := make([]int, len(f.Mix))
 	order := make([]int, len(f.Mix))
 	fracs := make([]float64, len(f.Mix))
 	assigned := 0
 	for i, mc := range f.Mix {
-		exact := float64(f.Receivers) * mc.weight() / total
+		exact := float64(f.Receivers) * (mc.weight() / total)
 		counts[i] = int(exact)
 		fracs[i] = exact - float64(counts[i])
 		order[i] = i
@@ -154,7 +161,7 @@ func (f FleetSpec) apportion() []int {
 		counts[order[j%len(order)]]++
 		assigned++
 	}
-	return counts
+	return counts, nil
 }
 
 // FleetPercentiles are nearest-rank percentile values over a receiver
@@ -408,7 +415,10 @@ func newFleetState(layout core.Layout, f FleetSpec, schedule core.Schedule, nsen
 		st.seen = make([]uint64, r*st.seenWords)
 	}
 
-	counts := f.apportion()
+	counts, err := f.apportion()
+	if err != nil {
+		return nil, err
+	}
 	lo := 0
 	for i, mc := range f.Mix {
 		stepper, _ := mc.Channel.Stepper() // FleetSpec.Validate has checked ok
@@ -458,15 +468,16 @@ func (st *fleetState) shardTasks() []fleetShardRange {
 }
 
 // runShard simulates receivers [sh.lo, sh.hi) over the whole shared
-// schedule, 64 symbols per batch, and returns how many receiver-symbol
+// schedule, 64 symbols per word, and returns how many receiver-symbol
 // events it stepped (false when cancelled mid-shard).
 //
-// The loop is receiver-major within each batch: the batch's ids and
-// block translations are drawn once from the shard's own cursor copy,
-// then every still-active receiver advances its channel chain 64 steps
-// in one StepMask call and walks its received bits. Receivers that
-// complete are swap-removed from the shard's active window, so a
-// receiver costs nothing after its completion position.
+// The loop is receiver-major within each word. The word's ids, distinct
+// blocks and per-block position masks are built once (a shard-local
+// slot table finds the blocks without a map); then each active receiver
+// steps its chain 64 transmissions in one StepMask call and counts each
+// block down by the popcount of its fresh receptions there. Only a
+// schedule that may repeat ids pays a per-bit dedup pass. Completed
+// receivers are swap-removed from the shard's active window.
 func (st *fleetState) runShard(ctx context.Context, sh fleetShardRange) (int64, bool) {
 	arena := st.active[sh.lo:sh.hi]
 	for i := range arena {
@@ -474,13 +485,14 @@ func (st *fleetState) runShard(ctx context.Context, sh fleetShardRange) (int64, 
 	}
 	n := len(arena)
 	stepper := st.groups[sh.group].stepper
-	nb := st.nblocks
 
 	var (
 		ids    [64]int32
-		blk    [64]int32
+		blocks [64]int32  // the word's distinct blocks, in first-seen order
+		masks  [64]uint64 // masks[i]: the word positions of blocks[i]
 		events int64
 	)
+	slot := make([]int8, st.nblocks) // block → 1 + its index in blocks; 0 = not in this word
 	cur := st.schedule.Cursor()
 	for pos := 0; pos < st.nsent && n > 0; {
 		select {
@@ -488,66 +500,84 @@ func (st *fleetState) runShard(ctx context.Context, sh fleetShardRange) (int64, 
 			return events, false
 		default:
 		}
-		m := st.nsent - pos
-		if m > 64 {
-			m = 64
-		}
+		m := min(st.nsent-pos, 64)
+		touched := 0
 		for j := 0; j < m; j++ {
 			id, _ := cur.Next()
 			ids[j] = int32(id)
-			blk[j] = st.blockIdx[id]
+			b := st.blockIdx[id]
+			if slot[b] == 0 {
+				blocks[touched], masks[touched] = b, 0
+				touched++
+				slot[b] = int8(touched)
+			}
+			masks[slot[b]-1] |= 1 << uint(j)
 		}
-		full := ^uint64(0)
-		if m < 64 {
-			full = 1<<uint(m) - 1
+		for _, b := range blocks[:touched] {
+			slot[b] = 0
 		}
+		full := ^uint64(0) >> uint(64-m)
 		events += int64(n) * int64(m)
 		for i := 0; i < n; {
 			r := arena[i]
-			lostMask := stepper.StepMask(&st.chanState[r], &st.lost[r], m)
-			rbits := ^lostMask & full
-			base := int(r) * nb
-			completed := false
-			for rbits != 0 {
-				j := bits.TrailingZeros64(rbits)
-				rbits &= rbits - 1
-				// Count the reception before any dedup/threshold skip:
-				// n_necessary counts duplicates too, like RunTrial's
-				// NReceived.
-				st.received[r]++
-				if st.seen != nil {
-					id := ids[j]
-					w := &st.seen[int(r)*st.seenWords+int(id)>>6]
-					bit := uint64(1) << (uint32(id) & 63)
+			rbits := ^stepper.StepMask(&st.chanState[r], &st.lost[r], m) & full
+			fresh := rbits
+			if st.seen != nil {
+				seen := st.seen[int(r)*st.seenWords:][:st.seenWords]
+				for b := rbits; b != 0; b &= b - 1 {
+					j := bits.TrailingZeros64(b)
+					w, bit := &seen[ids[j]>>6], uint64(1)<<(ids[j]&63)
 					if *w&bit != 0 {
-						continue
+						fresh &^= 1 << uint(j)
 					}
 					*w |= bit
 				}
-				rem := &st.remaining[base+int(blk[j])]
-				if *rem == 0 {
-					continue // block already at its threshold
-				}
-				*rem--
-				if *rem == 0 {
-					st.blocksLeft[r]--
-					if st.blocksLeft[r] == 0 {
-						st.completedAt[r] = int32(pos + j + 1)
-						completed = true
-						break
-					}
-				}
 			}
-			if completed {
+			// Receptions count duplicates too, like RunTrial's NReceived;
+			// at completion, only those up to the completing position.
+			if j := st.countDown(r, fresh, blocks[:touched], masks[:touched]); j >= 0 {
+				st.received[r] += uint32(bits.OnesCount64(rbits & (2<<uint(j) - 1)))
+				st.completedAt[r] = int32(pos + j + 1)
 				n--
 				arena[i] = arena[n]
 			} else {
+				st.received[r] += uint32(bits.OnesCount64(rbits))
 				i++
 			}
 		}
 		pos += m
 	}
 	return events, true
+}
+
+// countDown takes receiver r's fresh receptions in a word off the
+// countdowns of its blocks (masks[i] holds blocks[i]'s positions) and
+// returns the position at which r completes, or -1: the latest of the
+// completing blocks' remaining-th fresh positions, once none is left.
+func (st *fleetState) countDown(r int32, fresh uint64, blocks []int32, masks []uint64) int {
+	rem := st.remaining[int(r)*st.nblocks:][:st.nblocks]
+	last := -1
+	for i, b := range blocks {
+		left := int(rem[b])
+		if left == 0 {
+			continue // block already at its threshold
+		}
+		f := fresh & masks[i]
+		if c := bits.OnesCount64(f); c < left {
+			rem[b] = uint16(left - c)
+			continue
+		}
+		rem[b] = 0
+		for ; left > 1; left-- {
+			f &= f - 1
+		}
+		last = max(last, bits.TrailingZeros64(f))
+		st.blocksLeft[r]--
+	}
+	if st.blocksLeft[r] != 0 {
+		return -1
+	}
+	return last
 }
 
 // summarize builds the deterministic fleet summary: per-group and

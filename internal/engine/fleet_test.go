@@ -3,9 +3,11 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,14 +51,14 @@ func fleetSchedule(spec FleetRunSpec) core.Schedule {
 // scalarReceiver replays one fleet receiver through the scalar pieces:
 // the code's real incremental decoder and the spec's scalar channel
 // chain over the receiver's derived seed. Returns the 1-based schedule
-// position of completion (0 if never) and the receptions up to it.
-func scalarReceiver(spec FleetRunSpec, schedule core.Schedule, fac channel.Spec, r, nsent int) (completedAt, necessary int) {
+// position of completion (0 if never) and the receptions up to it (all
+// nsent positions' receptions if never).
+func scalarReceiver(spec FleetRunSpec, schedule core.Schedule, fac channel.Spec, r, nsent int) (completedAt, received int) {
 	rng := rand.New(&core.SplitMixSource{})
 	rng.Seed(DeriveSeed(spec.Seed, fleetRxStream, uint64(r)))
 	ch := fac.New(rng)
 	rx := spec.Code.NewReceiver()
 	cur := schedule.Cursor()
-	received := 0
 	for i := 0; i < nsent; i++ {
 		id, _ := cur.Next()
 		if ch.Lost() {
@@ -67,7 +69,39 @@ func scalarReceiver(spec FleetRunSpec, schedule core.Schedule, fac channel.Spec,
 			return i + 1, received
 		}
 	}
-	return 0, 0
+	return 0, received
+}
+
+// checkFleetAgainstScalar runs every shard of spec's fleet over nsent
+// schedule positions and compares each receiver's completion position
+// and reception count with scalarReceiver's. It returns the fleet
+// state for further checks.
+func checkFleetAgainstScalar(t *testing.T, name string, spec FleetRunSpec, nsent int) *fleetState {
+	t.Helper()
+	schedule := fleetSchedule(spec)
+	if nsent <= 0 {
+		nsent = schedule.Len()
+	}
+	st, err := newFleetState(spec.Code.Layout(), spec.Fleet, schedule, nsent, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range st.shardTasks() {
+		if _, ok := st.runShard(context.Background(), sh); !ok {
+			t.Fatalf("%s: shard cancelled", name)
+		}
+	}
+	for gi, g := range st.groups {
+		fac := spec.Fleet.Mix[gi].Channel
+		for r := g.lo; r < g.hi; r++ {
+			wantAt, wantRecv := scalarReceiver(spec, schedule, fac, r, nsent)
+			if gotAt, gotRecv := int(st.completedAt[r]), int(st.received[r]); gotAt != wantAt || gotRecv != wantRecv {
+				t.Fatalf("%s receiver %d (%s): fleet completed at %d with %d received, scalar at %d with %d",
+					name, r, g.key, gotAt, gotRecv, wantAt, wantRecv)
+			}
+		}
+	}
+	return st
 }
 
 // TestFleetMatchesScalarReceivers: every fleet receiver's completion
@@ -77,33 +111,56 @@ func scalarReceiver(spec FleetRunSpec, schedule core.Schedule, fac channel.Spec,
 func TestFleetMatchesScalarReceivers(t *testing.T) {
 	for _, schedName := range []string{"tx2", "tx5", "carousel(inner=tx2,rounds=3)"} {
 		spec := testFleetRunSpec(t, schedName)
-		schedule := fleetSchedule(spec)
-		nsent := schedule.Len()
-		st, err := newFleetState(spec.Code.Layout(), spec.Fleet, schedule, nsent, spec.Seed)
+		st := checkFleetAgainstScalar(t, schedName, spec, 0)
+		if wantDedup := !st.schedule.DistinctIDs(); (st.seen != nil) != wantDedup {
+			t.Fatalf("%s: dedup bitmap allocated=%t, want %t", schedName, st.seen != nil, wantDedup)
+		}
+	}
+}
+
+// TestFleetCountdownEdgeCases drives the per-word block countdown
+// through the layouts and cut-offs where a popcount could miscount,
+// each against the scalar replay: a word of 64 one-symbol blocks
+// (no-fec), many RS blocks (k=2000), a schedule cut mid-word, lossless
+// receivers completing exactly at a word's first and last bit, and a
+// carousel over fewer than 64 symbols, so one word repeats ids.
+func TestFleetCountdownEdgeCases(t *testing.T) {
+	mixed := testFleetSpec()
+	lossless := FleetSpec{Receivers: 3, Mix: []MixComponent{{Channel: channel.NoLossChannel()}}}
+	cases := []struct {
+		name   string
+		code   string
+		k      int
+		ratio  float64
+		sched  string
+		fleet  FleetSpec
+		nsent  int
+		wantAt int // the lossless receivers' completion position, when > 0
+	}{
+		{name: "no-fec", code: "no-fec", k: 300, ratio: 1, sched: "tx2", fleet: mixed},
+		{name: "rse k=2000", code: "rse", k: 2000, ratio: 1.5, sched: "tx2", fleet: mixed},
+		{name: "nsent mid-word", code: "rse", k: 64, ratio: 2, sched: "tx2", fleet: mixed, nsent: 100},
+		{name: "completes at bit 0", code: "no-fec", k: 65, ratio: 1, sched: "tx1", fleet: lossless, wantAt: 65},
+		{name: "completes at bit 63", code: "no-fec", k: 128, ratio: 1, sched: "tx1", fleet: lossless, wantAt: 128},
+		// Most receivers miss a symbol in the first round, so repeats count.
+		{name: "carousel n<64", code: "no-fec", k: 40, ratio: 1, sched: "carousel(inner=tx2,rounds=8)", fleet: mixed},
+		{name: "rse carousel n<64", code: "rse", k: 24, ratio: 1.25, sched: "carousel(inner=tx2,rounds=8)", fleet: mixed},
+	}
+	for _, c := range cases {
+		code, err := codes.MakeCodec(c.code, c.k, c.ratio, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantDedup := !schedule.DistinctIDs()
-		if (st.seen != nil) != wantDedup {
-			t.Fatalf("%s: dedup bitmap allocated=%t, want %t", schedName, st.seen != nil, wantDedup)
+		s, err := sched.ByName(c.sched)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, sh := range st.shardTasks() {
-			if _, ok := st.runShard(context.Background(), sh); !ok {
-				t.Fatalf("%s: shard cancelled", schedName)
-			}
-		}
-		for gi, g := range st.groups {
-			fac := spec.Fleet.Mix[gi].Channel
-			for r := g.lo; r < g.hi; r++ {
-				wantAt, wantNec := scalarReceiver(spec, schedule, fac, r, nsent)
-				gotAt := int(st.completedAt[r])
-				if gotAt != wantAt {
-					t.Fatalf("%s receiver %d (%s): fleet completed at %d, scalar at %d",
-						schedName, r, g.key, gotAt, wantAt)
-				}
-				if gotAt > 0 && int(st.received[r]) != wantNec {
-					t.Fatalf("%s receiver %d (%s): fleet n_necessary %d, scalar %d",
-						schedName, r, g.key, st.received[r], wantNec)
+		spec := FleetRunSpec{Code: code, Scheduler: s, Fleet: c.fleet, Seed: 321}
+		st := checkFleetAgainstScalar(t, c.name, spec, c.nsent)
+		if c.wantAt > 0 {
+			for r, at := range st.completedAt {
+				if int(at) != c.wantAt {
+					t.Fatalf("%s: lossless receiver %d completed at %d, want %d", c.name, r, at, c.wantAt)
 				}
 			}
 		}
@@ -304,6 +361,10 @@ func TestFleetValidate(t *testing.T) {
 		{"markov mix", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: channel.MarkovChannel(channel.ThreeStateSpec(0.1, 0.5))}}}},
 		{"trace mix", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: channel.TraceChannel([]bool{true, false}, false)}}}},
 		{"bad gilbert", FleetSpec{Receivers: 10, Mix: []MixComponent{{Channel: channel.GilbertChannel(1.5, 0.5)}}}},
+		{"NaN weight", weighted(math.NaN(), 1)},
+		{"+Inf weight", weighted(math.Inf(1), 1)},
+		{"-Inf weight", weighted(math.Inf(-1), 1)},
+		{"weights overflow their sum", weighted(1e308, 1e308)},
 	}
 	for _, c := range cases {
 		if err := c.f.Validate(); err == nil {
@@ -323,7 +384,10 @@ func TestFleetApportion(t *testing.T) {
 			{Channel: channel.NoLossChannel(), Weight: 1},
 		},
 	}
-	counts := f.apportion()
+	counts, err := f.apportion()
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -338,8 +402,47 @@ func TestFleetApportion(t *testing.T) {
 	}
 	// A zero weight means one share, not zero receivers.
 	f.Mix[2].Weight = 0
-	if got := f.apportion(); got[2] == 0 {
+	if got, _ := f.apportion(); got[2] == 0 {
 		t.Fatalf("zero-weight component got no receivers: %v", got)
+	}
+}
+
+// weighted is a 1000-receiver two-component mix with weights w0 and w1.
+func weighted(w0, w1 float64) FleetSpec {
+	return FleetSpec{Receivers: 1000, Mix: []MixComponent{
+		{Channel: channel.NoLossChannel(), Weight: w0},
+		{Channel: channel.BernoulliChannel(0.1), Weight: w1},
+	}}
+}
+
+// TestFleetApportionWeights: weights near the float64 limit apportion
+// like any others — each share is divided by the total before it is
+// scaled — and a sum that overflows is an error, not a count loop.
+func TestFleetApportionWeights(t *testing.T) {
+	cases := []struct {
+		name string
+		f    FleetSpec
+		want []int // nil: an error
+	}{
+		{"ordinary", weighted(3, 1), []int{750, 250}},
+		{"huge equal", weighted(1e308, 5e307), []int{667, 333}},
+		{"huge times receivers", weighted(1e306, 1e306), []int{500, 500}},
+		{"tiny", weighted(5e-324, 5e-324), []int{500, 500}},
+		{"sum overflows", weighted(1e308, 1e308), nil},
+		{"NaN", weighted(math.NaN(), 1), nil},
+		{"+Inf", weighted(math.Inf(1), 1), nil},
+	}
+	for _, c := range cases {
+		got, err := c.f.apportion()
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: apportion = %v, want an error", c.name, got)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("%s: apportion = %v, %v; want %v", c.name, got, err, c.want)
+		}
 	}
 }
 

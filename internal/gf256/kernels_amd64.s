@@ -9,47 +9,6 @@
 
 #include "textflag.h"
 
-// func cpuFeatures() (avx2, gfni bool)
-TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
-	MOVB $0, avx2+0(FP)
-	MOVB $0, gfni+1(FP)
-	// CPUID.1: ECX bit 27 = OSXSAVE, bit 28 = AVX.
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, BX
-	ANDL $(1<<27 | 1<<28), BX
-	CMPL BX, $(1<<27 | 1<<28)
-	JNE  done
-	// XCR0 bits 1,2: OS saves XMM and YMM state.
-	XORL CX, CX
-	XGETBV
-	MOVL AX, R8
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  done
-	// CPUID.7.0: EBX bit 5 = AVX2, bit 16 = AVX512F; ECX bit 8 = GFNI.
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	MOVL BX, AX
-	SHRL $5, AX
-	ANDL $1, AX
-	MOVB AX, avx2+0(FP)
-	// The GFNI kernel is EVEX-encoded ZMM code next to the AVX2 kernels:
-	// it needs all three flags and XCR0 bits 5-7 (OS saves opmask and ZMM
-	// state).
-	ANDL $0xe0, R8
-	CMPL R8, $0xe0
-	JNE  done
-	SHRL $16, BX
-	SHRL $8, CX
-	ANDL BX, CX
-	ANDL AX, CX
-	MOVB CX, gfni+1(FP)
-done:
-	RET
-
 // func addMulAVX2(dst, src *byte, n int, lo, hi *[16]byte)
 // dst[i] ^= lo[src[i]&0x0f] ^ hi[src[i]>>4] for i in [0,n), n % 32 == 0.
 TEXT ·addMulAVX2(SB), NOSPLIT, $0-40

@@ -2,6 +2,8 @@
 
 package gf256
 
+import "fecperf/internal/cpuid"
+
 // AVX2 nibble shuffle-table kernels. Each coefficient's 256-entry product
 // row factors into two 16-entry tables (mulLow/mulHigh, built at init):
 // c*x = lo[x&0x0f] ^ hi[x>>4]. VPSHUFB performs 32 of those 16-entry
@@ -10,17 +12,10 @@ package gf256
 // technique of Plank et al. (FAST 2013) used by klauspost/reedsolomon.
 // The GFNI kernel under AddMulRows is at the end of the file.
 
-// simdEnabled gates the nibble-shuffle kernels (AVX2, with the OS saving
-// YMM state); gfniEnabled gates the fused AddMulRows kernel (GFNI and
-// AVX512F on top, with the OS saving ZMM state).
-var simdEnabled, gfniEnabled = cpuFeatures()
+// The nibble-shuffle tier needs AVX2, the fused AddMulRows kernel GFNI.
+var simdEnabled, gfniEnabled = cpuid.AVX2, cpuid.GFNI
 
 const simdTierName = "avx2"
-
-// cpuFeatures reports what the two assembly tiers need: CPU flags (AVX,
-// OSXSAVE, AVX2; GFNI, AVX512F) plus XGETBV confirming the OS saves the
-// vector state they use. gfni implies avx2.
-func cpuFeatures() (avx2, gfni bool)
 
 //go:noescape
 func addMulAVX2(dst, src *byte, n int, lo, hi *[16]byte)
