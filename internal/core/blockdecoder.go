@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fecperf/internal/symbol"
 )
@@ -26,12 +27,12 @@ type BlockSolver interface {
 // either field and the no-FEC baseline. A block with k_b sources is
 // decoded the moment k_b distinct symbols of it have arrived. With
 // symLen == 0 it is structural — the paper's counting receiver, driven
-// through Receive; otherwise it is a PayloadDecoder, driven through
-// ReceivePayload: a source payload is copied once, into its final slot of
-// the source slab, a parity payload into the next slot of the parity
-// slab, and the solver writes rebuilt sources straight into their slots.
-// One type runs both, so the simulator measures the decoder the wire
-// ships.
+// through ReceiveBatch (or Receive, a batch of one); otherwise it is a
+// PayloadDecoder, driven through ReceivePayload: a source payload is
+// copied once, into its final slot of the source slab, a parity payload
+// into the next slot of the parity slab, and the solver writes rebuilt
+// sources straight into their slots. Both modes count arrivals through
+// one path, so the simulator measures the decoder the wire ships.
 type BlockDecoder struct {
 	k        int // source symbols
 	symLen   int // 0 = structural mode
@@ -116,18 +117,75 @@ func (d *BlockDecoder) blockOf(id int) (bi, idx int) {
 	return bi, int(b.kb) + id - int(b.parOff)
 }
 
-// Receive implements Receiver (structural mode). It panics on a payload
-// decoder, whose symbols need their bytes: use ReceivePayload.
+// Receive implements Receiver (structural mode): a batch of one. It
+// panics on a payload decoder, whose symbols need their bytes: use
+// ReceivePayload.
 func (d *BlockDecoder) Receive(id int) bool {
 	if d.symLen != 0 {
 		panic("core: Receive on a payload decoder")
 	}
-	return d.receive(id, nil)
+	if uint(id) >= uint(len(d.blockIdx)) {
+		d.outside(id)
+	}
+	_, done, _ := d.count([]int32{int32(id)}, 1)
+	return done
+}
+
+// ReceiveBatch implements BatchReceiver (structural mode). It panics on
+// a payload decoder.
+func (d *BlockDecoder) ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int) {
+	if d.symLen != 0 {
+		panic("core: ReceiveBatch on a payload decoder")
+	}
+	return d.count(ids, arrived)
+}
+
+// count is the receive path of both modes, on locals: it counts the
+// arrival of ids[j] for each set bit j of arrived — a new symbol of an
+// undecoded block, or nothing — and stops after the arrival that decodes
+// the object. Payloads are ReceivePayload's business.
+func (d *BlockDecoder) count(ids []int32, arrived uint64) (n int, done bool, peak int) {
+	got, blocks, blockIdx, k := d.got, d.blocks, d.blockIdx, int32(d.k)
+	pending, srcRec, buffered := d.pending, d.srcRec, d.buffered
+	for ; arrived != 0; arrived &= arrived - 1 {
+		n++
+		id := ids[bits.TrailingZeros64(arrived)]
+		if uint32(id) >= uint32(len(blockIdx)) {
+			d.outside(int(id))
+		}
+		if w, bit := id>>6, uint64(1)<<(id&63); got[w]&bit == 0 {
+			if b := &blocks[blockIdx[id]]; b.count != b.kb {
+				got[w] |= bit
+				b.count++
+				buffered++
+				if id < k {
+					b.srcGot++
+					srcRec++
+				}
+				if b.count == b.kb {
+					srcRec += int(b.kb - b.srcGot)
+					buffered -= int(b.kb)
+					pending--
+				}
+			}
+		}
+		peak = max(peak, buffered)
+		if pending == 0 {
+			break
+		}
+	}
+	d.pending, d.srcRec, d.buffered = pending, srcRec, buffered
+	return n, pending == 0, peak
+}
+
+func (d *BlockDecoder) outside(id int) {
+	panic(fmt.Sprintf("core: packet id %d outside [0,%d)", id, len(d.blockIdx)))
 }
 
 // ReceivePayload implements PayloadDecoder. The payload is only read
 // during the call: a source is copied to its final slot, a parity symbol
-// to the next parity slot.
+// to the next parity slot; count then counts it, and a block it decodes
+// is solved.
 func (d *BlockDecoder) ReceivePayload(id int, payload []byte) bool {
 	if d.symLen == 0 {
 		panic("core: ReceivePayload on a structural decoder")
@@ -135,12 +193,8 @@ func (d *BlockDecoder) ReceivePayload(id int, payload []byte) bool {
 	if len(payload) != d.symLen {
 		panic(fmt.Sprintf("core: payload length %d, want %d", len(payload), d.symLen))
 	}
-	return d.receive(id, payload)
-}
-
-func (d *BlockDecoder) receive(id int, payload []byte) bool {
-	if id < 0 || id >= len(d.blockIdx) {
-		panic(fmt.Sprintf("core: packet id %d outside [0,%d)", id, len(d.blockIdx)))
+	if uint(id) >= uint(len(d.blockIdx)) {
+		d.outside(id)
 	}
 	if d.has(id) {
 		return d.Done()
@@ -150,18 +204,13 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 	if b.decoded() {
 		return d.Done()
 	}
-	d.got[id>>6] |= 1 << (id & 63)
-	b.count++
-	d.buffered++
 	kb, nb := int(b.kb), int(b.kb+b.pb)
+	e := kb - int(b.srcGot) // sources the block lacks after this arrival
 	if idx < kb {
-		b.srcGot++
-		d.srcRec++
-		if payload != nil {
-			// The one copy between the read buffer and the decoded object.
-			copy(d.src.Draw(id), payload)
-		}
-	} else if payload != nil {
+		e--
+		// The one copy between the read buffer and the decoded object.
+		copy(d.src.Draw(id), payload)
+	} else {
 		if b.tab == nil {
 			b.tab = blockTables.Get(2*nb - kb)
 		}
@@ -174,17 +223,14 @@ func (d *BlockDecoder) receive(id int, payload []byte) bool {
 		copy(p, payload)
 		(*b.tab)[idx] = p
 	}
-	if int(b.count) == kb {
-		e := kb - int(b.srcGot)
-		if e > 0 && payload != nil {
+	_, done, _ := d.count([]int32{int32(id)}, 1)
+	if b.decoded() {
+		if e > 0 {
 			d.solve(bi, b, kb, nb, e)
 		}
-		d.srcRec += e
-		d.buffered -= kb
 		b.releaseTab()
-		d.pending--
 	}
-	return d.Done()
+	return done
 }
 
 // solve completes block bi's view table — source views where received,

@@ -185,6 +185,41 @@ func TestBlockDecoderRunningCounts(t *testing.T) {
 	}
 }
 
+// TestBlockDecoderBatchMatchesReceive: ReceiveBatch consumes what that
+// many Receive calls would, up to the decoding arrival, leaves the same
+// counts, and reports the largest BufferedSymbols after any consumed
+// arrival of its own batch — 0 when it consumes none.
+func TestBlockDecoderBatchMatchesReceive(t *testing.T) {
+	l := xorLayout([]int{3, 1, 4, 2}, 1)
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		batched, single := NewBlockDecoder(l, 0, nil), NewBlockDecoder(l, 0, nil)
+		for done := false; !done; {
+			ids := make([]int32, 1+rng.Intn(12))
+			for j := range ids {
+				ids[j] = int32(rng.Intn(l.N)) // duplicates included
+			}
+			mask := rng.Uint64() & (1<<len(ids) - 1)
+			wantN, wantPeak, wantDone := 0, 0, false
+			for m := mask; m != 0 && !wantDone; m &= m - 1 {
+				wantDone = single.Receive(int(ids[bits.TrailingZeros64(m)]))
+				wantN++
+				wantPeak = max(wantPeak, single.BufferedSymbols())
+			}
+			var n, peak int
+			n, done, peak = batched.ReceiveBatch(ids, mask)
+			if n != wantN || done != wantDone || peak != wantPeak {
+				t.Fatalf("trial %d, ids %v mask %b: consumed %d, decoded %v, peak %d; Receive gives %d, %v, %d",
+					trial, ids, mask, n, done, peak, wantN, wantDone, wantPeak)
+			}
+			if batched.BufferedSymbols() != single.BufferedSymbols() || batched.SourceRecovered() != single.SourceRecovered() {
+				t.Fatalf("trial %d: batches leave buffered %d recovered %d, Receive %d / %d", trial,
+					batched.BufferedSymbols(), batched.SourceRecovered(), single.BufferedSymbols(), single.SourceRecovered())
+			}
+		}
+	}
+}
+
 func TestBlockDecoderCloseAndTakeSourcesBalancePool(t *testing.T) {
 	l := xorLayout([]int{3, 2}, 1)
 	rng := rand.New(rand.NewSource(4))

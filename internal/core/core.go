@@ -234,51 +234,100 @@ func (r TrialResult) Inefficiency(k int) float64 {
 	return float64(r.NNecessary) / float64(k)
 }
 
-// RunTrial simulates one reception: it walks the schedule lazily, asks
-// the channel which transmissions are erased, and feeds survivors to the
+// BatchReceiver is an optional Receiver capability: the arrivals of one
+// batch of transmissions in one call, so the receiver keeps its state in
+// locals across them. RunTrial hands a batch to it when a receiver has it
+// and to Receive, arrival by arrival, otherwise.
+type BatchReceiver interface {
+	// ReceiveBatch delivers ids[j] for every set bit j of arrived, in
+	// increasing j, exactly as that many Receive calls would, and stops
+	// after the arrival that completes the object. It returns the
+	// arrivals consumed, whether the object is decoded, and the largest
+	// BufferedSymbols after any arrival this call consumed (0 when it
+	// consumes none, or for a receiver that is not a MemoryReporter).
+	// len(ids) must cover arrived's highest bit.
+	ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int)
+}
+
+// perArrival is BatchReceiver for a receiver without it: one Receive per
+// arrival, BufferedSymbols after each.
+type perArrival struct {
+	rx  Receiver
+	mem MemoryReporter
+}
+
+func (p *perArrival) ReceiveBatch(ids []int32, arrived uint64) (n int, decoded bool, peak int) {
+	for ; arrived != 0; arrived &= arrived - 1 {
+		n++
+		decoded = p.rx.Receive(int(ids[bits.TrailingZeros64(arrived)]))
+		if p.mem != nil {
+			peak = max(peak, p.mem.BufferedSymbols())
+		}
+		if decoded {
+			break
+		}
+	}
+	return n, decoded, peak
+}
+
+// Trial is the reusable scratch of RunTrial: a batch's ids and the
+// per-arrival adapter. A caller running many trials keeps one, so a
+// trial allocates nothing; a Trial serves one goroutine at a time.
+type Trial struct {
+	ids  [64]int32
+	each perArrival
+}
+
+// RunTrial simulates one reception with a Trial of its own; see
+// Trial.Run.
+func RunTrial(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult {
+	return new(Trial).Run(schedule, ch, rx, nsent)
+}
+
+// Run simulates one reception: it walks the schedule lazily, asks the
+// channel which transmissions are erased, and feeds survivors to the
 // receiver in arrival order. The schedule is never materialised — each
 // position is evaluated as it is sent, so a trial's memory is the
 // receiver's, not the scheduler's. nsent truncates the schedule when
 // positive (the paper's Section 6 transmission-stopping optimisation);
 // pass 0 to send everything.
 //
-// The channel is sampled in masks of up to 64 transmissions (LossMasker,
-// or that many Lost calls), so it runs up to 64 transmissions ahead of
-// the receiver. Once the object decodes, no further ids are drawn and
-// the receiver is not called again: the rest of the schedule only
-// counts towards NReceived.
-func RunTrial(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult {
+// Transmissions go in batches of up to 64: the channel's losses as one
+// mask (LossMasker, or that many Lost calls), so it runs up to 64
+// transmissions ahead of the receiver; the batch's ids in one schedule
+// draw; and the survivors to the receiver in one ReceiveBatch call
+// (BatchReceiver, or Receive per arrival). Once the object decodes, no
+// further ids are drawn and the receiver is not called again: the rest
+// of the schedule only counts towards NReceived. A result depends on
+// which ids arrived and in what order, never on the batching.
+func (t *Trial) Run(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult {
 	if nsent <= 0 || nsent > schedule.Len() {
 		nsent = schedule.Len()
 	}
 	res := TrialResult{NSent: nsent}
-	mem, _ := rx.(MemoryReporter)
+	br, ok := rx.(BatchReceiver)
+	if !ok {
+		mem, _ := rx.(MemoryReporter)
+		t.each = perArrival{rx, mem}
+		br = &t.each
+	}
 	// A batch's ids arrive in one draw, which for permutation-backed
 	// schedules amortises the Feistel walk across interleaved lanes
 	// instead of paying its serial latency per packet.
-	var ids [64]int32
-	for pos := 0; pos < nsent; pos += len(ids) {
-		n := min(nsent-pos, len(ids))
+	for pos := 0; pos < nsent; pos += len(t.ids) {
+		n := min(nsent-pos, len(t.ids))
 		got := ^LossMask(ch, n) & (uint64(1)<<n - 1)
 		if res.Decoded {
 			res.NReceived += bits.OnesCount64(got)
 			continue
 		}
-		schedule.batchAt(pos, ids[:n])
-		// got's lowest set bit is the next arrival.
-		for ; got != 0; got &= got - 1 {
-			res.NReceived++
-			decoded := rx.Receive(int(ids[bits.TrailingZeros64(got)]))
-			if mem != nil {
-				if b := mem.BufferedSymbols(); b > res.MaxBuffered {
-					res.MaxBuffered = b
-				}
-			}
-			if decoded {
-				res.Decoded, res.NNecessary = true, res.NReceived
-				res.NReceived += bits.OnesCount64(got & (got - 1)) // the batch's later arrivals
-				break
-			}
+		schedule.batchAt(pos, t.ids[:n])
+		used, decoded, peak := br.ReceiveBatch(t.ids[:n], got)
+		res.NReceived += used
+		res.MaxBuffered = max(res.MaxBuffered, peak)
+		if decoded {
+			res.Decoded, res.NNecessary = true, res.NReceived
+			res.NReceived += bits.OnesCount64(got) - used // the batch's later arrivals
 		}
 	}
 	return res

@@ -149,34 +149,61 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	}
 }
 
+// worker is one pool goroutine's trial state, kept across the shards it
+// runs: one core.Trial, one splitmix64-backed rand.Rand, and the reset
+// receiver of the last code it ran. The queue hands each worker its
+// shards code by code (Plan.Points expands codes outermost, and points
+// of one code share its Code), so one slot builds a code's receiver once
+// per worker, and a worker holds one receiver at a time.
+type worker struct {
+	trial core.Trial
+	src   core.SplitMixSource
+	rng   *rand.Rand
+	code  core.Code
+	rx    core.Receiver
+}
+
+func newWorker() *worker {
+	w := &worker{}
+	w.rng = rand.New(&w.src)
+	return w
+}
+
+// receiver returns a receiver of code in its NewReceiver state: the
+// worker's own, reset, when it is code's and code's receivers are
+// core.Resetters, and a new one otherwise (the ML receiver is built per
+// trial).
+func (w *worker) receiver(code core.Code) core.Receiver {
+	if w.rx != nil && w.code == code {
+		w.rx.(core.Resetter).Reset()
+		return w.rx
+	}
+	rx := code.NewReceiver()
+	if _, ok := rx.(core.Resetter); ok {
+		w.code, w.rx = code, rx
+	}
+	return rx
+}
+
 // runShard executes trials [lo, hi) of a point and returns their partial
 // aggregate, stopping early (with a short count) when ctx is cancelled.
-// One splitmix64-backed rand.Rand is reseeded, one channel chain and one
-// receiver (a core.Resetter) are reset per trial, and schedules are
-// consumed lazily, so a trial costs its decoding work and allocates
-// nothing. A receiver that cannot be reset (the ML one) is built per trial.
-func runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool) {
+// The worker's rng is reseeded, one channel chain and the worker's
+// receiver for the code are reset per trial, and schedules are consumed
+// lazily, so a trial costs its decoding work and allocates nothing.
+func (w *worker) runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggregate, bool) {
 	layout := spec.Code.Layout()
 	k := float64(layout.K)
 	var agg Aggregate
-	src := &core.SplitMixSource{}
-	rng := rand.New(src)
-	nextChannel := trialChannels(spec.Channel, src, rng)
-	var rx core.Receiver
+	nextChannel := trialChannels(spec.Channel, &w.src, w.rng)
 	for t := lo; t < hi; t++ {
 		select {
 		case <-ctx.Done():
 			return agg, false
 		default:
 		}
-		rng.Seed(DeriveSeed(spec.Seed, uint64(t)))
-		schedule := spec.Scheduler.Schedule(layout, rng)
-		if r, ok := rx.(core.Resetter); ok {
-			r.Reset()
-		} else {
-			rx = spec.Code.NewReceiver()
-		}
-		res := core.RunTrial(schedule, nextChannel(), rx, spec.NSent)
+		w.rng.Seed(DeriveSeed(spec.Seed, uint64(t)))
+		schedule := spec.Scheduler.Schedule(layout, w.rng)
+		res := w.trial.Run(schedule, nextChannel(), w.receiver(spec.Code), spec.NSent)
 		agg.Trials++
 		agg.ReceivedOverK.Add(float64(res.NReceived) / k)
 		if res.Decoded {
@@ -252,9 +279,12 @@ func RunPoint(ctx context.Context, spec PointSpec, workers int) (Aggregate, erro
 // through the fleet engine's own pool: fleet state is tens of MB per
 // point and must not exist for every pending point at once. Then the
 // shared pool shards every scalar point's trials and drains the shard
-// queue with a bounded worker pool. done(i, agg) is called exactly once
-// per point that completes — from any worker goroutine, one call at a
-// time per point but concurrently across points.
+// queue with a bounded worker pool. Each worker keeps its trial state
+// across the shards it takes, whatever their point: one core.Trial, one
+// rng, and the receiver of the code it last ran, reset per trial — so a
+// worker builds a code's receiver once, not once per shard. done(i, agg)
+// is called exactly once per point that completes — from any worker
+// goroutine, one call at a time per point but concurrently across points.
 func runSpecs(ctx context.Context, specs []PointSpec, workers int, m engineMetrics, done func(int, Aggregate)) error {
 	if len(specs) == 0 {
 		return ctx.Err()
@@ -300,6 +330,7 @@ func runSpecs(ctx context.Context, specs []PointSpec, workers int, m engineMetri
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := newWorker()
 			for tk := range queue {
 				spec := specs[tk.point]
 				trials := spec.trials()
@@ -308,7 +339,7 @@ func runSpecs(ctx context.Context, specs []PointSpec, workers int, m engineMetri
 				if hi > trials {
 					hi = trials
 				}
-				agg, ok := runShard(ctx, spec, lo, hi)
+				agg, ok := w.runShard(ctx, spec, lo, hi)
 				if !ok {
 					continue // cancelled mid-shard: point never completes
 				}

@@ -33,7 +33,7 @@ func smallPlan() Plan {
 }
 
 // marshal canonicalises results for byte-identity comparison.
-func marshal(t *testing.T, res []PointResult) string {
+func marshal(t *testing.T, res any) string {
 	t.Helper()
 	blob, err := json.Marshal(res)
 	if err != nil {

@@ -3,9 +3,10 @@ package engine
 // Fleet mode: one carousel, a million receivers. The scalar engine
 // answers the paper's question — how inefficient is one reception? —
 // by running independent trials. Fleet mode answers the operational
-// question behind ROADMAP item 1: when one sender transmits one shared
-// schedule to 10⁵–10⁶ heterogeneous receivers, what does the completion
-// CDF of the whole fleet look like?
+// question behind the paper's §6.2.2 recommendations for a receiver
+// population: when one sender transmits one shared schedule to 10⁵–10⁶
+// heterogeneous receivers, what does the completion CDF of the whole
+// fleet look like?
 //
 // Three structural choices make that population size cheap:
 //

@@ -10,6 +10,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -76,7 +77,14 @@ func (r *trialRunner) schedule(s core.Scheduler, l core.Layout, seed int64) core
 	return s.Schedule(l, r.rng)
 }
 
-func TestRunTrialMasksMatchScalar(t *testing.T) {
+// trialGrid runs the oracles' grid: each codec family (k = 100, ratio
+// 2.5, or 1 for no-fec) under every scheduler and channel below, the
+// schedule sent whole and cut after 1, 63, 64, 65 and N-1 transmissions,
+// three seeds each. setup is called once per code, scheduler and channel,
+// and the check it returns runs every trial of that cell, so runners it
+// builds carry their chains from trial to trial as runShard's do. A
+// check returns what went wrong.
+func trialGrid(t *testing.T, setup func(code core.Code, s core.Scheduler, cs channel.Spec) func(nsent int, seed int64) string) {
 	const k, trials = 100, 3
 	var pattern []bool // a bursty recorded trace, replayed with wrap-around
 	g := channel.NewGilbert(0.2, 0.4, rand.New(rand.NewSource(5)))
@@ -102,27 +110,18 @@ func TestRunTrialMasksMatchScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			layout := code.Layout()
 			for _, name := range schedulers {
 				s, err := sched.ByName(name)
 				if err != nil {
 					t.Fatal(err)
 				}
+				full := s.Schedule(code.Layout(), rand.New(rand.NewSource(1)))
 				for _, cs := range channels {
-					masked, wrapped, scalar := newTrialRunner(cs, false), newTrialRunner(cs, false), newTrialRunner(cs, true)
-					full := s.Schedule(layout, rand.New(rand.NewSource(1)))
+					check := setup(code, s, cs)
 					for _, nsent := range []int{0, 1, 63, 64, 65, full.Len() - 1} {
 						for tr := range trials {
-							seed := DeriveSeed(int64(nsent), uint64(tr))
-							sch := masked.schedule(s, layout, seed)
-							got := core.RunTrial(sch, masked.next(), code.NewReceiver(), nsent)
-							sch = wrapped.schedule(s, layout, seed)
-							viaLost := core.RunTrial(sch, lostOnly{wrapped.next()}, code.NewReceiver(), nsent)
-							sch = scalar.schedule(s, layout, seed)
-							want := scalarTrial(sch, scalar.next(), code.NewReceiver(), nsent)
-							if got != want || viaLost != want {
-								t.Fatalf("%s %s nsent=%d trial %d: masks %+v, Lost-only %+v, scalar %+v",
-									name, cs, nsent, tr, got, viaLost, want)
+							if msg := check(nsent, DeriveSeed(int64(nsent), uint64(tr))); msg != "" {
+								t.Fatalf("%s %s nsent=%d trial %d: %s", name, cs, nsent, tr, msg)
 							}
 						}
 					}
@@ -130,6 +129,22 @@ func TestRunTrialMasksMatchScalar(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestRunTrialMasksMatchScalar(t *testing.T) {
+	trialGrid(t, func(code core.Code, s core.Scheduler, cs channel.Spec) func(int, int64) string {
+		layout := code.Layout()
+		masked, wrapped, scalar := newTrialRunner(cs, false), newTrialRunner(cs, false), newTrialRunner(cs, true)
+		return func(nsent int, seed int64) string {
+			got := core.RunTrial(masked.schedule(s, layout, seed), masked.next(), code.NewReceiver(), nsent)
+			viaLost := core.RunTrial(wrapped.schedule(s, layout, seed), lostOnly{wrapped.next()}, code.NewReceiver(), nsent)
+			want := scalarTrial(scalar.schedule(s, layout, seed), scalar.next(), code.NewReceiver(), nsent)
+			if got != want || viaLost != want {
+				return fmt.Sprintf("masks %+v, Lost-only %+v, scalar %+v", got, viaLost, want)
+			}
+			return ""
+		}
+	})
 
 	// The decoding packet at either end of its batch, with a receiver
 	// that keeps holding its symbols after it decodes: MaxBuffered then
@@ -174,6 +189,38 @@ func TestRunTrialMasksMatchScalar(t *testing.T) {
 	}
 }
 
+// perID hides a receiver's BatchReceiver, so RunTrial feeds it one
+// Receive per arrival; BufferedSymbols stays visible.
+type perID struct{ rx core.Receiver }
+
+func (p perID) Receive(id int) bool  { return p.rx.Receive(id) }
+func (p perID) Done() bool           { return p.rx.Done() }
+func (p perID) SourceRecovered() int { return p.rx.SourceRecovered() }
+func (p perID) BufferedSymbols() int { return p.rx.(core.MemoryReporter).BufferedSymbols() }
+
+// TestRunTrialBatchMatchesReceive: every family's receiver, fed a batch
+// per call, gives the TrialResult it gives fed through Receive arrival by
+// arrival, on the whole oracle grid, through one reused core.Trial.
+func TestRunTrialBatchMatchesReceive(t *testing.T) {
+	var trial core.Trial
+	trialGrid(t, func(code core.Code, s core.Scheduler, cs channel.Spec) func(int, int64) string {
+		layout := code.Layout()
+		batched, single := newTrialRunner(cs, false), newTrialRunner(cs, false)
+		return func(nsent int, seed int64) string {
+			rx := code.NewReceiver()
+			if _, ok := rx.(core.BatchReceiver); !ok {
+				return code.Name() + " receivers take no batches"
+			}
+			got := trial.Run(batched.schedule(s, layout, seed), batched.next(), rx, nsent)
+			want := trial.Run(single.schedule(s, layout, seed), single.next(), perID{code.NewReceiver()}, nsent)
+			if got != want {
+				return fmt.Sprintf("batches %+v, Receive per arrival %+v", got, want)
+			}
+			return ""
+		}
+	})
+}
+
 func lostBefore(lost []int, pos int) int {
 	n := 0
 	for _, p := range lost {
@@ -205,9 +252,9 @@ func (r *holdingReceiver) BufferedSymbols() int { return len(r.seen) }
 
 // TestRunShardAllocsPerTrial is the allocation gate of the trial loop: a
 // trial through runShard allocates nothing — no chain, rng or resolved
-// channel model per trial, whatever the channel kind, and no receiver:
-// the shard resets one. What is left is the LDGM peeler's stack growing
-// in the trial that goes deepest.
+// channel model per trial, whatever the channel kind, no receiver (the
+// worker resets one) and no batch buffer (the worker's core.Trial holds
+// it).
 func TestRunShardAllocsPerTrial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -234,7 +281,7 @@ func TestRunShardAllocsPerTrial(t *testing.T) {
 			for _, spec := range specs {
 				spec.Channel = cs
 				shard := func(trials int) float64 {
-					return testing.AllocsPerRun(5, func() { runShard(context.Background(), spec, 0, trials) })
+					return testing.AllocsPerRun(5, func() { newWorker().runShard(context.Background(), spec, 0, trials) })
 				}
 				const extra = 32
 				if perTrial := (shard(1+extra) - shard(1)) / extra; perTrial >= 0.1 {
@@ -344,5 +391,58 @@ func TestResetReceiverIsFreshReceiver(t *testing.T) {
 				dec.(core.Resetter).Reset()
 			}()
 		})
+	}
+}
+
+// unresettable hides its receivers' Reset, as the ML receiver has none:
+// workers build one per trial.
+type unresettable struct{ core.Code }
+
+func (u unresettable) NewReceiver() core.Receiver { return perID{u.Code.NewReceiver()} }
+
+// TestRunSpecsSwitchingCodesDeterministic: workers keep the receiver of
+// their last code across shards. A queue whose points alternate codes,
+// with uneven last shards, gives the aggregates of one fresh worker per
+// shard, at 1, 2 and 8 workers.
+func TestRunSpecsSwitchingCodesDeterministic(t *testing.T) {
+	var cs []core.Code
+	for _, c := range []struct {
+		family string
+		ratio  float64
+	}{{"ldgm-staircase", 2.5}, {"rse", 1.5}, {"ldgm-triangle", 1.5}, {"no-fec", 1}, {"ldgm-staircase", 1.5}} {
+		code, err := codes.MakeCodec(c.family, 120, c.ratio, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, code)
+	}
+	cs = append(cs, unresettable{cs[0]})
+	var specs []PointSpec
+	for i, trials := range []int{13, 5, 21, 9, 8, 1, 17, 12, 3, 30, 7, 11} {
+		specs = append(specs, PointSpec{
+			Code:      cs[i%len(cs)],
+			Scheduler: sched.TxModel4{},
+			Channel:   channel.GilbertChannel(0.1, 0.4),
+			Trials:    trials,
+			Seed:      int64(i),
+		})
+	}
+	want := make([]Aggregate, len(specs))
+	for i, spec := range specs {
+		for lo := 0; lo < spec.Trials; lo += shardSize {
+			part, _ := newWorker().runShard(context.Background(), spec, lo, min(lo+shardSize, spec.Trials))
+			want[i].Merge(part)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got, err := RunPointSpecs(context.Background(), specs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if a, b := marshal(t, got[i]), marshal(t, want[i]); a != b {
+				t.Fatalf("workers=%d point %d (%s): %s, fresh workers %s", workers, i, specs[i].Code.Name(), a, b)
+			}
+		}
 	}
 }

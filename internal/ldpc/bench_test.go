@@ -3,6 +3,10 @@ package ldpc
 import (
 	"math/rand"
 	"testing"
+
+	"fecperf/internal/channel"
+	"fecperf/internal/core"
+	"fecperf/internal/sched"
 )
 
 func benchCode(b *testing.B, v Variant, k int) *Code {
@@ -32,22 +36,32 @@ func BenchmarkConstructionTriangle20k(b *testing.B) {
 	}
 }
 
+// benchmarkStructuralDecode runs k = 20 000, ratio 2.5 trials the way the
+// plan engine does: a tx4 schedule drawn per trial, Gilbert(0.05, 0.5)
+// losses 64 transmissions at a time, and one receiver and one core.Trial
+// reused across trials.
 func benchmarkStructuralDecode(b *testing.B, v Variant) {
 	c := benchCode(b, v, 20000)
-	order := rand.New(rand.NewSource(2)).Perm(50000)
+	st, _ := channel.GilbertChannel(0.05, 0.5).Stepper()
+	src := &core.SplitMixSource{}
+	rng := rand.New(src)
+	rx := c.NewReceiver()
+	var (
+		chain channel.Chain
+		trial core.Trial
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rx := c.NewReceiver()
-		for _, id := range order {
-			if rx.Receive(id) {
-				break
-			}
-		}
-		if !rx.Done() {
+		rng.Seed(int64(i))
+		schedule := sched.TxModel4{}.Schedule(c.Layout(), rng)
+		chain = st.Chain(src.State())
+		rx.(core.Resetter).Reset()
+		if !trial.Run(schedule, &chain, rx, 0).Decoded {
 			b.Fatal("decode failed")
 		}
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
 func BenchmarkStructuralDecodeStaircase20k(b *testing.B) { benchmarkStructuralDecode(b, Staircase) }

@@ -127,17 +127,13 @@ func (d *Decoder) SolveGauss() bool {
 		if !determined {
 			continue
 		}
-		v := cols[pc]
-		if has(d.known, v) {
-			continue
+		// Peel from the solved variable: it may unlock equations the
+		// elimination left alone (rows dropped by rank), and solve
+		// variables further down this list, which are then skipped.
+		if v := cols[pc]; !has(d.known, v) {
+			d.propagate(v, rhs[r])
 		}
-		d.markKnown(v, rhs[r])
 	}
-	// Feed the newly solved variables back through peeling: they may
-	// unlock equations the elimination left alone (rows dropped by rank).
-	// Peeling reads their values out of the RHS scratch, which goes back
-	// to the pool only once the stack has drained.
-	d.propagate()
 	symbol.PutAll(rhs)
 	return d.Done()
 }

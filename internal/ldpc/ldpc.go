@@ -27,18 +27,26 @@
 // inef_ratio*k > k packets; measuring that overhead is the whole point of
 // the study.
 //
-// Code and Decoder keep all of this in flat index arrays: the graph in
-// compressed sparse row form, eight bytes of peeling state per equation,
-// one bit per variable. The same Decoder type runs the simulations
-// (structural: IDs only, reset between trials) and the cast datapath
-// (payload mode); in payload mode it adds a slab of k source slots, a slab
-// of n-k accumulators and a bit per equation, nothing per symbol.
+// Code and Decoder keep all of this in flat index arrays: the graph by
+// equation in compressed sparse row form and by variable at a fixed
+// stride of four equations (overflow runs for the few variables in more),
+// eight bytes of peeling state per equation, one bit per variable. The
+// peeler's solve queue is a stack of m+2 entries, pushed without a branch
+// and taken once per decoder (recycled when a payload decoder closes);
+// the variables it makes known are logged at its far end, which is all
+// the payload pass needs. The same Decoder type runs the simulations
+// (structural: IDs only, reset between trials, fed a batch of arrivals
+// per call) and the cast datapath (payload mode); in payload mode it adds
+// a slab of k source slots, a slab of n-k accumulators and a bit per
+// equation, nothing per symbol.
 package ldpc
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"fecperf/internal/core"
 	"fecperf/internal/gf256"
@@ -90,11 +98,11 @@ type Params struct {
 	TriangleDensity float64
 }
 
-// Code is an immutable LDGM code instance: the parity-check matrix in
-// compressed sparse row form, once by equation and once by variable, plus
-// the derived layout. Both indexes are two flat int32 arrays — no slice
-// header per row — so walking the graph touches index bytes only. Safe
-// for concurrent use.
+// Code is an immutable LDGM code instance: the parity-check matrix
+// indexed once by equation, in compressed sparse row form, and once by
+// variable, at a fixed stride; plus the derived layout. Both indexes are
+// flat int32 arrays — no slice header per row — so walking the graph
+// touches index bytes only. Safe for concurrent use.
 type Code struct {
 	params  Params
 	k, n, m int // m = n-k check equations
@@ -103,12 +111,21 @@ type Code struct {
 	// Equation i's variable (packet) IDs, the diagonal parity k+i
 	// included, are rowIdx[rowOff[i]:rowOff[i+1]].
 	rowOff, rowIdx []int32
-	// The equations variable v participates in, in increasing order, are
-	// eqIdx[eqOff[v]:eqOff[v+1]].
-	eqOff, eqIdx []int32
+	// varEq is the variable→equation index at a fixed stride: variable
+	// v's equations, in increasing order, fill varEq[4v:4v+4], padded with
+	// -1, so one load finds them. A variable in more than four equations
+	// (an early Triangle parity; a source under a wide left degree or a
+	// patched row) has varEq[4v+3] = -2-o instead, and its whole list is
+	// an overflow run from varEq[o], past the n·4 slots, ended by -1.
+	varEq []int32
 	// eqInit is a fresh decoder's equation table: every variable unknown.
 	eqInit []equation
 }
+
+// eqSlots is the variable index's stride: a source under the default
+// left degree plus a patched row, or a Triangle parity in up to four
+// equations, fits.
+const eqSlots = 4
 
 // New builds the code. The construction is deterministic in Params.
 func New(p Params) (*Code, error) {
@@ -161,15 +178,15 @@ func (c *Code) buildLeft(rng *rand.Rand) [][]int32 {
 	}
 	rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
 
-	inRow := make(map[int64]bool, len(slots)) // (row<<32|col) presence
-	key := func(row int32, col int) int64 { return int64(row)<<32 | int64(col) }
+	chosen := make([]int32, 0, deg) // the rows of the current column
 	pos := 0
 	for col := 0; col < c.k; col++ {
+		chosen = chosen[:0]
 		for t := 0; t < deg; t++ {
 			// Take the next slot whose row is not already used by this
 			// column, swapping it to the front so overall balance holds.
 			idx := pos
-			for idx < len(slots) && inRow[key(slots[idx], col)] {
+			for idx < len(slots) && slices.Contains(chosen, slots[idx]) {
 				idx++
 			}
 			var row int32
@@ -182,25 +199,21 @@ func (c *Code) buildLeft(rng *rand.Rand) [][]int32 {
 				// possible in the last few columns); fall back to any
 				// distinct row at the cost of a ±1 imbalance.
 				row = int32(rng.Intn(c.m))
-				for inRow[key(row, col)] {
+				for slices.Contains(chosen, row) {
 					row = int32(rng.Intn(c.m))
 				}
 			}
-			inRow[key(row, col)] = true
+			chosen = append(chosen, row)
 			rows[row] = append(rows[row], int32(col))
 		}
 	}
 	// When m > deg*k some rows legitimately receive no source symbol; such
 	// an equation would relate parity symbols only and contribute nothing
-	// to recovery, so patch it with one extra entry.
+	// to recovery, so patch it with one extra entry. The row is empty, so
+	// any column is new to it.
 	for i := range rows {
 		if len(rows[i]) == 0 {
-			col := rng.Intn(c.k)
-			for inRow[key(int32(i), col)] {
-				col = rng.Intn(c.k)
-			}
-			inRow[key(int32(i), col)] = true
-			rows[i] = append(rows[i], int32(col))
+			rows[i] = append(rows[i], int32(rng.Intn(c.k)))
 		}
 	}
 	return rows
@@ -238,14 +251,11 @@ func (c *Code) buildRight(rng *rand.Rand, rows [][]int32) {
 				if max := i - 1; cnt > max {
 					cnt = max
 				}
-				seen := map[int32]bool{}
+				tail := len(rows[i]) // a repeated draw adds nothing
 				for e := 0; e < cnt; e++ {
-					j := int32(c.k + rng.Intn(i-1))
-					if seen[j] {
-						continue
+					if j := int32(c.k + rng.Intn(i-1)); !slices.Contains(rows[i][tail:], j) {
+						rows[i] = append(rows[i], j)
 					}
-					seen[j] = true
-					rows[i] = append(rows[i], j)
 				}
 			}
 			rows[i] = append(rows[i], int32(c.k+i))
@@ -253,35 +263,60 @@ func (c *Code) buildRight(rng *rand.Rand, rows [][]int32) {
 	}
 }
 
-// buildIndex flattens the construction's per-equation lists into the two
-// CSR indexes and the initial equation table.
+// buildIndex flattens the construction's per-equation lists into the row
+// CSR, the fixed-stride variable index and the initial equation table.
 func (c *Code) buildIndex(rows [][]int32) {
 	c.rowOff = make([]int32, c.m+1)
-	c.eqOff = make([]int32, c.n+1)
 	c.eqInit = make([]equation, c.m)
+	deg := make([]int32, c.n)
 	for i, row := range rows {
 		c.rowOff[i+1] = c.rowOff[i] + int32(len(row))
 		e := &c.eqInit[i]
 		e.unknown = int32(len(row))
 		for _, v := range row {
-			c.eqOff[v+1]++
+			deg[v]++
 			e.xorID ^= v
 		}
 	}
-	for v := 0; v < c.n; v++ {
-		c.eqOff[v+1] += c.eqOff[v]
-	}
-	edges := c.rowOff[c.m]
-	c.rowIdx = make([]int32, 0, edges)
-	c.eqIdx = make([]int32, edges)
-	next := append([]int32(nil), c.eqOff[:c.n]...)
-	for i, row := range rows {
+	c.rowIdx = make([]int32, 0, c.rowOff[c.m])
+	for _, row := range rows {
 		c.rowIdx = append(c.rowIdx, row...)
+	}
+
+	// next[v] is where variable v's next equation goes: its slots, or
+	// its overflow run.
+	next := make([]int32, c.n)
+	size := int32(eqSlots * c.n)
+	for v, dv := range deg {
+		next[v] = int32(eqSlots * v)
+		if dv > eqSlots {
+			next[v] = size
+			size += dv + 1
+		}
+	}
+	c.varEq = slices.Repeat([]int32{-1}, int(size))
+	for v, dv := range deg {
+		if dv > eqSlots {
+			c.varEq[eqSlots*v+eqSlots-1] = -2 - next[v]
+		}
+	}
+	for i, row := range rows {
 		for _, v := range row {
-			c.eqIdx[next[v]] = int32(i)
+			c.varEq[next[v]] = int32(i)
 			next[v]++
 		}
 	}
+}
+
+// equations returns where the variable index varEq holds variable v's
+// equations: varEq[lo:hi] is its slots, or its overflow run onwards, and
+// the list ends at the first -1 in it or at hi.
+func equations(varEq []int32, v int32) (lo, hi int) {
+	lo, hi = eqSlots*int(v), eqSlots*int(v)+eqSlots
+	if x := varEq[hi-1]; x < -1 {
+		lo, hi = int(-2-x), len(varEq)
+	}
+	return lo, hi
 }
 
 func singleBlockLayout(k, n int) core.Layout {
@@ -398,6 +433,8 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 // is substituted recursively. Substitution is eager — a variable is folded
 // into every one of its equations the moment it becomes known and is never
 // read again — so the decoder keeps one known bit per variable, no more.
+// The set of known variables after an arrival is the peeling closure of
+// the received set, whatever the arrival order.
 type Decoder struct {
 	code       *Code
 	symLen     int      // 0 = structural mode
@@ -405,14 +442,14 @@ type Decoder struct {
 	eqs        []equation
 	srcKnown   int
 	knownCount int
-	stack      []int32   // newly known variables awaiting substitution
+	stack      *[]solve  // the solve queue and log: m+2 entries, taken on first use
 	pay        *payloads // nil in structural mode
 }
 
 // equation is one check equation's peeling state. It stays at 8 bytes:
-// Reset copies this table once per simulated trial. Every variable is
-// pushed and popped once, so after propagate an equation is solved
-// (unknown == 0) or has two or more unknowns.
+// Reset copies this table once per simulated trial. An equation reaches
+// one unknown once, and that unknown is then solved, so after propagate
+// an equation is solved (unknown == 0) or has two or more unknowns.
 type equation struct {
 	unknown int32 // variables not yet substituted
 	xorID   int32 // XOR of their IDs: the variable itself when unknown == 1
@@ -423,14 +460,14 @@ type equation struct {
 // the k source symbols at their final positions, and slot i of acc is
 // equation i's accumulator, the running XOR of its substituted terms.
 // When an equation is down to one unknown its accumulator is that
-// variable's value; the slot is never written again, so the value is read
-// from there while it is substituted, a source being copied to its slot
-// in src first. Parity symbols are consumed, not stored: a received one
-// is XORed into its equations straight from the caller's buffer.
+// variable's value; the slot of the equation that solves it is never
+// written again, so the value is read from there while it is
+// substituted, a source being copied to its slot in src first. Parity
+// symbols are consumed, not stored: a received one is XORed into its
+// equations straight from the caller's buffer.
 type payloads struct {
 	src, acc symbol.Slab
 	touched  []uint64 // bitset over equations: the accumulator slot holds a term
-	vals     [][]byte // parallel to Decoder.stack: where each variable's bytes are
 }
 
 func (c *Code) newDecoder(symLen int) *Decoder {
@@ -465,13 +502,27 @@ func (d *Decoder) Reset() {
 	d.srcKnown, d.knownCount = 0, 0 // the stack is empty: propagate drains it
 }
 
-// Receive implements core.Receiver (structural mode). It panics on a
-// payload decoder, whose variables need their bytes: use ReceivePayload.
+// Receive implements core.Receiver (structural mode): a batch of one. It
+// panics on a payload decoder, whose variables need their bytes: use
+// ReceivePayload.
 func (d *Decoder) Receive(id int) bool {
 	if d.pay != nil {
 		panic("ldpc: Receive on a payload decoder")
 	}
-	return d.receive(id, nil)
+	if uint(id) >= uint(d.code.n) {
+		d.outside(id)
+	}
+	_, done, _ := d.receive([]int32{int32(id)}, 1, nil)
+	return done
+}
+
+// ReceiveBatch implements core.BatchReceiver (structural mode). It
+// panics on a payload decoder.
+func (d *Decoder) ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int) {
+	if d.pay != nil {
+		panic("ldpc: ReceiveBatch on a payload decoder")
+	}
+	return d.receive(ids, arrived, nil)
 }
 
 // ReceivePayload delivers a packet with its payload, which is only read
@@ -485,77 +536,167 @@ func (d *Decoder) ReceivePayload(id int, payload []byte) bool {
 	if len(payload) != d.symLen {
 		panic(fmt.Sprintf("ldpc: payload length %d, want %d", len(payload), d.symLen))
 	}
-	return d.receive(id, payload)
+	if uint(id) >= uint(d.code.n) {
+		d.outside(id)
+	}
+	_, done, _ := d.receive([]int32{int32(id)}, 1, payload)
+	return done
 }
 
-func (d *Decoder) receive(id int, payload []byte) bool {
-	if id < 0 || id >= d.code.n {
-		panic(fmt.Sprintf("ldpc: packet id %d outside [0,%d)", id, d.code.n))
-	}
-	if d.Done() || has(d.known, int32(id)) {
-		return d.Done()
-	}
-	d.markKnown(int32(id), payload)
-	d.propagate()
-	return d.Done()
+func (d *Decoder) outside(id int) {
+	panic(fmt.Sprintf("ldpc: packet id %d outside [0,%d)", id, d.code.n))
 }
 
-// markKnown records variable id as known and queues it for substitution.
-// In payload mode val holds its bytes and must stay valid until propagate
-// has drained the stack; a source is first copied to its final slot — the
-// one copy between the caller's buffer and the decoded object.
-func (d *Decoder) markKnown(id int32, val []byte) {
-	add(d.known, id)
-	if int(id) < d.code.k {
-		d.srcKnown++
-	}
-	d.knownCount++
-	d.stack = append(d.stack, id)
-	if p := d.pay; p != nil {
-		if int(id) < d.code.k {
-			copy(p.src.Draw(int(id)), val)
+// receive is the receive path of both modes, with ReceiveBatch's
+// contract; val is the payload of a batch of one. A new variable, before
+// the object is decoded, is peeled from. BufferedSymbols only grows until
+// the object decodes, and is 0 after, so the peak is its value after the
+// arrival before the decoding one (when that is in the batch), or at the
+// end.
+func (d *Decoder) receive(ids []int32, arrived uint64, val []byte) (n int, done bool, peak int) {
+	known, nvars := d.known, uint32(d.code.n)
+	for ; arrived != 0; arrived &= arrived - 1 {
+		n++
+		id := ids[bits.TrailingZeros64(arrived)]
+		if uint32(id) >= nvars {
+			d.outside(int(id))
 		}
-		p.vals = append(p.vals, val)
+		if !d.Done() && !has(known, id) {
+			peak = d.knownCount
+			d.propagate(id, val)
+		}
+		if d.Done() {
+			if n == 1 {
+				peak = 0 // the decoding arrival is the batch's first
+			}
+			return n, true, peak
+		}
 	}
+	if n == 0 {
+		return 0, false, 0
+	}
+	return n, false, d.BufferedSymbols()
 }
 
-// propagate drains the stack of newly-known variables, updating equations
-// and solving any that drop to a single unknown.
-func (d *Decoder) propagate() {
-	c, p, eqs := d.code, d.pay, d.eqs
-	for len(d.stack) > 0 {
-		top := len(d.stack) - 1
-		id := d.stack[top]
-		d.stack = d.stack[:top]
-		var val []byte
-		if p != nil {
-			val, p.vals[top] = p.vals[top], nil
-			p.vals = p.vals[:top]
+// propagate makes the unknown variable id known — in payload mode val
+// holds its bytes, read during the call — and peels: a variable becoming
+// known is substituted into each of its equations, and an equation left
+// with one unknown solves that one.
+//
+// The solve queue is a stack: every equation update writes the
+// equation's xorID to the top slot and advances the stack pointer iff
+// one unknown is left, without a branch; an id popped twice (two
+// equations solved it) is skipped as known. The variables made known are
+// logged downwards from the stack's far end, each with the equation that
+// solved it, for the payload pass. An equation reaches one unknown once,
+// so pushes and log together never exceed m+1 entries, and the stack has
+// m+2 for the top slot. Tables and both ends live in locals.
+func (d *Decoder) propagate(id int32, val []byte) {
+	c := d.code
+	if d.stack == nil {
+		d.stack = solveStack(c.m + 2)
+	}
+	varEq, eqs, known, stack := c.varEq, d.eqs, d.known, *d.stack
+	stack[0] = solve{id, -1}
+	logged := len(stack)
+	for sp := 1; sp > 0; {
+		sp--
+		s := stack[sp]
+		w, bit := s.id>>6, uint64(1)<<(s.id&63)
+		if known[w]&bit != 0 {
+			continue
 		}
-		for _, eq := range c.eqIdx[c.eqOff[id]:c.eqOff[id+1]] {
+		known[w] |= bit
+		logged--
+		stack[logged] = s
+		for j, end := equations(varEq, s.id); j < end; j++ {
+			eq := varEq[j]
+			if eq < 0 {
+				break
+			}
 			e := &eqs[eq]
 			e.unknown--
-			e.xorID ^= id
-			var a []byte
-			if p != nil {
-				if e.unknown == 0 {
-					continue // the accumulator is id's own value
-				}
-				if has(p.touched, eq) {
-					a = p.acc.Slot(int(eq))
-					gf256.Xor(a, val)
-				} else {
-					// First term: copy it rather than XOR into zeros.
-					a = p.acc.Draw(int(eq))
-					copy(a, val)
-					add(p.touched, eq)
-				}
+			e.xorID ^= s.id
+			stack[sp] = solve{e.xorID, eq}
+			sp += oneIf(e.unknown == 1)
+		}
+	}
+	made := stack[logged:]
+	d.knownCount += len(made)
+	for _, s := range made {
+		if int(s.id) < c.k {
+			d.srcKnown++
+		}
+	}
+	if d.pay != nil {
+		d.pay.substitute(c, made, val)
+	}
+}
+
+// solve is an entry of the solve queue: a variable, and the equation it
+// was the last unknown of (-1 for the variable that arrived).
+type solve struct{ id, eq int32 }
+
+// solveStacks recycles the solve stacks of payload decoders, which the
+// wire builds one per LDGM object and closes when it is done: at eight
+// bytes an equation, a stack would otherwise be the largest allocation
+// of an object's receive path. A structural decoder keeps its stack for
+// life: the engine resets one per worker, and a receiver built per trial
+// (the ML one) pays 8·(m+2) bytes a trial, next to its elimination's
+// megabytes.
+var solveStacks sync.Pool // of *[]solve
+
+// solveStack returns a stack of n entries, recycled where one is free.
+func solveStack(n int) *[]solve {
+	if s, _ := solveStacks.Get().(*[]solve); s != nil && cap(*s) >= n {
+		*s = (*s)[:n]
+		return s
+	}
+	s := make([]solve, n)
+	return &s
+}
+
+// oneIf is 1 if b, else 0, computed without a branch.
+func oneIf(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// substitute is propagate's payload pass: it folds the bytes of the
+// variables propagate made known into their equations' accumulators, in
+// the order they became known. solved lists them last first, each with
+// the equation it was the last unknown of, whose accumulator holds its
+// bytes by then; val holds those of the variable that arrived. A source
+// is first copied to its final slot — the one copy between the caller's
+// buffer and the decoded object, or the one write of a rebuilt source.
+// The solving equation is skipped; another equation a variable was the
+// last unknown of goes to zero, and nothing reads it again. The first
+// term of an accumulator is copied rather than XORed into zeros.
+func (p *payloads) substitute(c *Code, solved []solve, val []byte) {
+	for i := len(solved) - 1; i >= 0; i-- {
+		s := solved[i]
+		b := val
+		if s.eq >= 0 {
+			b = p.acc.Slot(int(s.eq))
+		}
+		if int(s.id) < c.k {
+			copy(p.src.Draw(int(s.id)), b)
+		}
+		lo, hi := equations(c.varEq, s.id)
+		for _, eq := range c.varEq[lo:hi] {
+			if eq < 0 {
+				break
 			}
-			// The remaining unknown equals the XOR of all substituted
-			// terms (the row sums to zero), which is what the accumulator
-			// holds. Already known, it is on the stack and solves nothing.
-			if e.unknown == 1 && !has(d.known, e.xorID) {
-				d.markKnown(e.xorID, a)
+			switch {
+			case eq == s.eq:
+			case has(p.touched, eq):
+				gf256.Xor(p.acc.Slot(int(eq)), b)
+			default:
+				copy(p.acc.Draw(int(eq)), b)
+				add(p.touched, eq)
 			}
 		}
 	}
@@ -608,7 +749,8 @@ func (d *Decoder) TakeSources() symbol.Slab {
 func (d *Decoder) Known(id int) bool { return has(d.known, int32(id)) }
 
 // Close implements core.PayloadDecoder: it returns the slabs the decoder
-// still owns to the symbol pool. The decoder, and any slice Source
+// still owns to the symbol pool, and its solve stack for the next
+// decoder. The decoder, and any slice Source
 // returned, must not be used after Close. Close is idempotent and a no-op
 // for structural decoders.
 func (d *Decoder) Close() {
@@ -617,4 +759,8 @@ func (d *Decoder) Close() {
 	}
 	d.pay.src.Release()
 	d.pay.acc.Release()
+	if d.stack != nil {
+		solveStacks.Put(d.stack)
+		d.stack = nil
+	}
 }

@@ -38,8 +38,8 @@ func TestStructuralDecoderCarriesNoPayloadState(t *testing.T) {
 		t.Errorf("Decoder is %d bytes, want <= 144 (its size class before slabs)", size)
 	}
 	before := symbol.PoolStats()
-	// The struct, the known bitset and the equation table; the
-	// propagation stack grows on first use.
+	// The struct, the known bitset and the equation table; the solve
+	// queue is made on first use.
 	if avg := testing.AllocsPerRun(20, func() { c.NewReceiver() }); avg > 4 {
 		t.Errorf("NewReceiver allocs = %.0f, want <= 4", avg)
 	}

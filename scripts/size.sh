@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Prints the two size figures ROADMAP item 8 tracks, so CHANGES.md and
+# Prints the two size figures ROADMAP item 6 tracks, so CHANGES.md and
 # ROADMAP.md copy them instead of recomputing them by hand: lines of
 # non-test Go outside bench/, and lines of the committed API golden.
 set -eu
