@@ -2,6 +2,7 @@ package fecperf
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -282,15 +283,18 @@ func TestPaperGridIsCopy(t *testing.T) {
 	}
 }
 
+// TestNewCodecFacade round-trips a payload through every codec family
+// the facade builds, by spec line through CodecByName.
 func TestNewCodecFacade(t *testing.T) {
 	for _, name := range CodecNames {
 		ratio := 1.5
 		if name == "no-fec" {
 			ratio = 1.0
 		}
-		c, err := NewCodec(name, 16, ratio, 7)
+		line := fmt.Sprintf("%s(k=16,ratio=%g,seed=7)", name, ratio)
+		c, err := CodecByName(line)
 		if err != nil {
-			t.Fatalf("NewCodec(%q): %v", name, err)
+			t.Fatalf("CodecByName(%q): %v", line, err)
 		}
 		src := make([][]byte, 16)
 		for i := range src {

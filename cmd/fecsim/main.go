@@ -22,6 +22,10 @@
 //
 //	fecsim -spec "codec=ldgm-staircase(k=20000,ratio=2.5),sched=tx2,channel=gilbert,trials=100,seed=7"
 //
+// Codes are built from the run seed, so a codec seed that differs from
+// it is an error, as are the live-delivery keys a sweep cannot apply
+// (payload, batch, window, rounds, object, rate, burst, pending).
+//
 // -fleet switches from the (p, q) sweep to fleet mode: one shared
 // transmission order fanned out to N receivers whose loss channels are
 // drawn from the -mix components, reported as completion-time and
@@ -50,6 +54,7 @@ import (
 	"fecperf"
 	"fecperf/internal/channel"
 	"fecperf/internal/engine"
+	"fecperf/internal/spec"
 )
 
 func main() {
@@ -71,6 +76,11 @@ func main() {
 func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
+
+// sweepKeys are the -spec keys a sweep applies. The others (payload,
+// batch, window, rounds, object, rate, burst, pending) configure a live
+// delivery; fecsim refuses them rather than drop them.
+var sweepKeys = []string{"codec", "sched", "channel", "trials", "seed", "nsent", "workers", "metrics"}
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fecsim", flag.ContinueOnError)
@@ -106,6 +116,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		_, params, _ := spec.Split("cfg(" + strings.TrimSpace(*specLine) + ")") // ParseSpec has accepted the line
+		if bad := params.Unknown(sweepKeys...); bad != nil {
+			return fmt.Errorf("spec keys %v configure a live delivery, not a sweep (a sweep applies %v)", bad, sweepKeys)
+		}
 		if cfg.Codec.Family != "" {
 			*codeName = cfg.Codec.Family
 			if cfg.Codec.K != 0 {
@@ -126,6 +140,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		if cfg.Seed != 0 {
 			*seed = cfg.Seed
+		}
+		if cfg.Codec.Seed != 0 && cfg.Codec.Seed != *seed {
+			return fmt.Errorf("codec seed %d differs from run seed %d; a sweep builds codes from the run seed, so set seed=%d",
+				cfg.Codec.Seed, *seed, cfg.Codec.Seed)
 		}
 		if cfg.NSent != 0 {
 			*nsent = cfg.NSent

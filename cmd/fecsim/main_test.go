@@ -129,6 +129,47 @@ func TestRunSpecOverridesFlags(t *testing.T) {
 	}
 }
 
+// TestRunSpecRejectsDroppedSettings: a -spec setting fecsim cannot
+// apply is an error, not silently dropped. Codes are built from the run
+// seed, so a differing codec seed is refused; delivery-only keys are too.
+func TestRunSpecRejectsDroppedSettings(t *testing.T) {
+	for _, tc := range []struct {
+		line    string
+		wantErr []string // substrings of the error; nil = must run
+	}{
+		{"codec=ldgm-staircase(k=60,ratio=2.5,seed=9),seed=1", []string{"codec seed 9", "run seed 1"}},
+		{"codec=ldgm-staircase(k=60,ratio=2.5,seed=9)", []string{"codec seed 9", "run seed 1"}}, // -seed's default
+		{"codec=ldgm-staircase(k=60,ratio=2.5,seed=1234),seed=1234", nil},
+		{"codec=ldgm-staircase(k=60,ratio=2.5,seed=1)", nil},
+		{"payload=64", []string{"payload"}},
+		{"batch=8", []string{"batch"}},
+		{"window=4", []string{"window"}},
+		{"rounds=7", []string{"rounds"}},
+		{"object=3", []string{"object"}},
+		{"rate=5000", []string{"rate"}},
+		{"burst=16", []string{"burst"}},
+		{"pending=2", []string{"pending"}},
+	} {
+		var out, errs bytes.Buffer
+		err := run(context.Background(), fastArgs("-spec", tc.line), &out, &errs)
+		if tc.wantErr == nil {
+			if err != nil {
+				t.Errorf("-spec %q: %v", tc.line, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("-spec %q ran; want an error", tc.line)
+			continue
+		}
+		for _, want := range tc.wantErr {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("-spec %q: error %q does not name %q", tc.line, err, want)
+			}
+		}
+	}
+}
+
 func TestRunChannelFamilies(t *testing.T) {
 	for _, family := range []string{"bernoulli", "markov", "noloss"} {
 		var out, errs bytes.Buffer

@@ -76,15 +76,11 @@ func ParseCastSpec(line string) (CastSpec, error) { return daemon.ParseCastSpec(
 
 // Shared-pacer types, re-exported.
 type (
-	// Pacer admits n packet sends, blocking until allowed; the external
-	// admission interface consumed by WithPacer and
-	// BroadcasterConfig.Pacer.
-	Pacer = transport.Pacer
 	// SharedPacer is a hierarchical token bucket splitting one global
 	// packet rate across weighted shares, work-conserving.
 	SharedPacer = transport.SharedPacer
-	// PacerShare is one sender's slice of a SharedPacer; it implements
-	// Pacer.
+	// PacerShare is one sender's slice of a SharedPacer, the admission
+	// source WithPacer and BroadcasterConfig.Pacer take.
 	PacerShare = transport.PacerShare
 )
 

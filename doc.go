@@ -39,8 +39,8 @@
 //
 // Parts (README "Architecture", "Streaming schedules"): CodecByName,
 // SchedulerByName and ChannelByName resolve the grammar's names one at a
-// time, and every resolved value renders back. NewCodec returns a Codec,
-// whose PayloadDecoder states the buffer-ownership contract of the
+// time, and every resolved value renders back. CodecByName returns a
+// Codec, whose PayloadDecoder states the buffer-ownership contract of the
 // symbol pool. A Scheduler draws a streaming, O(1)-memory Schedule.
 //
 // Observability (README "Observability"): NewMetricsRegistry,

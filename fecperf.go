@@ -69,9 +69,6 @@ type (
 	// Schedule is a streaming transmission order: O(1) memory, any
 	// position evaluable in O(1) via At, iterable via Cursor.
 	Schedule = core.Schedule
-	// ScheduleCursor iterates a Schedule; copying it forks the
-	// iteration state (mid-stream resume is free).
-	ScheduleCursor = core.Cursor
 	// Channel decides, per transmission, whether a packet is erased.
 	Channel = core.Channel
 	// ChannelStepper is the batched loss-process stepper consumed by
@@ -112,7 +109,7 @@ type (
 	// relative share of the population.
 	MixComponent = engine.MixComponent
 	// FleetRunSpec is a materialised fleet work unit for RunFleet.
-	FleetRunSpec = engine.FleetRunSpec
+	FleetRunSpec = engine.PointSpec
 	// FleetSummary is a fleet point's result: completion-time and
 	// inefficiency percentile curves, overall and per mix component.
 	FleetSummary = engine.FleetSummary
@@ -122,7 +119,7 @@ type (
 	// population (-1 = the fleet never reached that completion fraction).
 	FleetPercentiles = engine.FleetPercentiles
 	// PlanOptions tunes a RunPlan call: workers, progress callback,
-	// streaming results channel and checkpoint path.
+	// checkpoint path and metrics registry.
 	PlanOptions = engine.Options
 	// PlanProgress describes one completed point of a running plan.
 	PlanProgress = engine.Progress
@@ -172,11 +169,11 @@ type Config struct {
 	Metrics     *obs.Registry
 	Tracer      *obs.Tracer
 	MetricsAddr string
-	// Pacer substitutes an external admission source — typically a
-	// SharedPacer share (WithPacer) — for the one-share pacer a caster
-	// or broadcaster would build from Rate/Burst, which are ignored
-	// when it is set. Go-only: it does not serialize into Spec.
-	Pacer Pacer
+	// Pacer substitutes a share of a SharedPacer (WithPacer) for the
+	// one-share pacer a caster or broadcaster would build from
+	// Rate/Burst, which are ignored when it is non-nil. Go-only: it
+	// does not serialize into Spec.
+	Pacer *PacerShare
 }
 
 // Option mutates a Config; every top-level constructor accepts a list.
@@ -190,12 +187,12 @@ func WithSpec(line string) Option {
 	return func(c *Config) error { return c.parse(line) }
 }
 
-// WithPacer substitutes an external admission source — typically a
-// share of a NewSharedPacer — for the one-share pacer Rate/Burst would
-// configure; both are ignored when a pacer is set. Several
-// casters or broadcasters handed shares of one SharedPacer split a
-// single global rate instead of pacing independently.
-func WithPacer(p Pacer) Option {
+// WithPacer substitutes a share of a NewSharedPacer for the one-share
+// pacer Rate/Burst would configure; both are ignored when the share is
+// non-nil. Several casters or broadcasters handed shares of one
+// SharedPacer split a single global rate instead of pacing
+// independently.
+func WithPacer(p *PacerShare) Option {
 	return func(c *Config) error {
 		c.Pacer = p
 		return nil
@@ -354,22 +351,18 @@ func NewCode(name string, k int, ratio float64, seed int64) (Code, error) {
 	return experiments.MakeCode(name, k, ratio, seed)
 }
 
-// CodecNames lists the identifiers accepted by NewCodec and the codec
-// spec grammar: "rse", "rse16", "ldgm", "ldgm-staircase",
-// "ldgm-triangle", "no-fec".
+// CodecNames lists the codec families of the codec spec grammar that
+// CodecByName and ParseCodecSpec accept: "rse", "rse16", "ldgm",
+// "ldgm-staircase", "ldgm-triangle", "no-fec".
 var CodecNames = codes.CodecNames
 
-// NewCodec builds a payload-carrying codec by family name: the encode /
-// incremental-decode surface the delivery session and transport run on.
-// Parity buffers returned by Encode are pooled; hand them back with
-// ReleaseSymbol when done, or let the garbage collector take them.
-func NewCodec(name string, k int, ratio float64, seed int64) (Codec, error) {
-	return codes.MakeCodec(name, k, ratio, seed)
-}
-
 // CodecByName resolves a fully parameterized codec spec, e.g.
-// "rse(k=64,ratio=1.5,seed=7)" — the codec-side twin of
-// SchedulerByName and ChannelByName.
+// "rse(k=64,ratio=1.5,seed=7)", into a payload-carrying codec: the
+// encode / incremental-decode surface the delivery session and
+// transport run on. Parity buffers returned by Encode are pooled; hand
+// them back with ReleaseSymbol when done, or let the garbage collector
+// take them. It is the codec-side twin of SchedulerByName and
+// ChannelByName.
 func CodecByName(codecSpec string) (Codec, error) { return codes.ByName(codecSpec) }
 
 // ParseCodecSpec parses a codec spec string into its structured form

@@ -62,7 +62,7 @@ func BenchmarkPointParallel4(b *testing.B) { benchmarkPoint(b, 4) }
 // regime where cross-point parallelism dominates.
 func BenchmarkPlanThroughput(b *testing.B) {
 	axis := []float64{0, 0.05, 0.2}
-	var chans []ChannelSpec
+	var chans []channel.Spec
 	for _, p := range axis {
 		for _, q := range []float64{0.5, 0.8, 1} {
 			chans = append(chans, channel.GilbertChannel(p, q))
@@ -94,7 +94,7 @@ func BenchmarkPlanThroughput(b *testing.B) {
 // path — the channel masks included — which bench's core.runtrial_us.*
 // rows, driving the facade's scalar Gilbert channel, cannot see.
 func BenchmarkSimGridPlan(b *testing.B) {
-	var chans []ChannelSpec
+	var chans []channel.Spec
 	for _, p := range []float64{0.01, 0.05, 0.1, 0.2} {
 		for _, q := range []float64{0.2, 0.5, 0.8} {
 			chans = append(chans, channel.GilbertChannel(p, q))

@@ -4,15 +4,14 @@
 // trials of one point are split into fixed-size shards, run on whatever
 // worker is free, and merged in shard order — so results are identical
 // under any worker count. The engine supports context cancellation,
-// progress callbacks, a streaming results channel, and JSON-lines
-// checkpointing so interrupted sweeps resume without recomputing
-// finished points.
+// progress callbacks, and JSON-lines checkpointing so interrupted
+// sweeps resume without recomputing finished points.
 //
 //	plan (axes) → points (serializable) → shards (trials) → workers → merge
 //
-// Per-trial randomness derives from splitmix64 hashing (DeriveSeed), not
-// arithmetic seed offsets, so no two trials or grid cells share
-// correlated rand streams.
+// Per-trial randomness derives from splitmix64 hashing
+// (core.DeriveSeed), not arithmetic seed offsets, so no two trials or
+// grid cells share correlated rand streams.
 package engine
 
 import (
@@ -51,9 +50,9 @@ type PointSpec struct {
 	Fleet FleetSpec
 	// Trials is the number of independent receptions; 0 means 100.
 	Trials int
-	// Seed is the point seed; trial t draws from DeriveSeed(Seed, t). A
-	// fleet derives its shared schedule draw and every receiver's
-	// channel chain from it.
+	// Seed is the point seed; trial t draws from
+	// core.DeriveSeed(Seed, t). A fleet derives its shared schedule draw
+	// and every receiver's channel chain from it.
 	Seed int64
 	// NSent truncates every schedule when positive.
 	NSent int
@@ -107,10 +106,6 @@ type Options struct {
 	// Calls are serialised but may come from worker goroutines, and
 	// arrive in completion order, not plan order.
 	Progress func(Progress)
-	// Results, when non-nil, receives every completed point in
-	// completion order. The engine closes it when the run ends; the
-	// caller must drain it concurrently or the run will block.
-	Results chan<- PointResult
 	// CheckpointPath, when non-empty, names a JSON-lines file: completed
 	// points are appended as they finish, and points already recorded
 	// there (matched on configuration key and seed) are restored instead
@@ -201,7 +196,7 @@ func (w *worker) runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggr
 			return agg, false
 		default:
 		}
-		w.rng.Seed(DeriveSeed(spec.Seed, uint64(t)))
+		w.rng.Seed(core.DeriveSeed(spec.Seed, uint64(t)))
 		schedule := spec.Scheduler.Schedule(layout, w.rng)
 		res := w.trial.Run(schedule, nextChannel(), w.receiver(spec.Code), spec.NSent)
 		agg.Trials++
@@ -275,11 +270,11 @@ func RunPoint(ctx context.Context, spec PointSpec, workers int) (Aggregate, erro
 	return aggs[0], err
 }
 
-// runSpecs runs validated specs. Fleet points go first and whole, each
-// through the fleet engine's own pool: fleet state is tens of MB per
-// point and must not exist for every pending point at once. Then the
-// shared pool shards every scalar point's trials and drains the shard
-// queue with a bounded worker pool. Each worker keeps its trial state
+// runSpecs runs validated specs through drainShards. Fleet points go
+// first and one at a time, each drained across its receiver shards:
+// fleet state is tens of MB per point and must not exist for every
+// pending point at once. Then the trials of every scalar point are cut
+// into shards and drained together. Each worker keeps its trial state
 // across the shards it takes, whatever their point: one core.Trial, one
 // rng, and the receiver of the code it last ran, reset per trial — so a
 // worker builds a code's receiver once, not once per shard. done(i, agg)
@@ -292,6 +287,10 @@ func runSpecs(ctx context.Context, specs []PointSpec, workers int, m engineMetri
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	type task struct{ point, shard int }
+	var tasks []task
+	parts := make([][]Aggregate, len(specs))
+	remaining := make([]int, len(specs))
 	for i, spec := range specs {
 		if spec.isFleet() {
 			summary, err := runFleet(ctx, spec, workers, m.fleet)
@@ -299,78 +298,72 @@ func runSpecs(ctx context.Context, specs []PointSpec, workers int, m engineMetri
 				return err // cancelled: the remaining points stay zero-valued
 			}
 			done(i, fleetAggregate(summary))
-		}
-	}
-
-	type task struct{ point, shard int }
-	var tasks []task
-	parts := make([][]Aggregate, len(specs))
-	remaining := make([]int, len(specs))
-	for i, spec := range specs {
-		if spec.isFleet() {
 			continue
 		}
-		n := (spec.trials() + shardSize - 1) / shardSize
-		if n == 0 {
-			n = 1 // zero-trial point: one empty shard so done() still fires
-		}
+		// A zero-trial point gets one empty shard, so done() still fires.
+		n := max((spec.trials()+shardSize-1)/shardSize, 1)
 		parts[i] = make([]Aggregate, n)
 		remaining[i] = n
-		for s := 0; s < n; s++ {
+		for s := range n {
 			tasks = append(tasks, task{point: i, shard: s})
 		}
 	}
 
-	var (
-		mu    sync.Mutex // guards remaining and the done callback
-		wg    sync.WaitGroup
-		queue = make(chan task)
-	)
-	for w := 0; w < workers; w++ {
+	var mu sync.Mutex // guards remaining and the done callback
+	drainShards(ctx, workers, len(tasks), func(w *worker, j int) {
+		tk := tasks[j]
+		spec := specs[tk.point]
+		lo := tk.shard * shardSize
+		hi := min(lo+shardSize, spec.trials())
+		agg, ok := w.runShard(ctx, spec, lo, hi)
+		if !ok {
+			return // cancelled mid-shard: point never completes
+		}
+		m.shards.Inc()
+		m.trials.Add(uint64(agg.Trials))
+		parts[tk.point][tk.shard] = agg
+		mu.Lock()
+		remaining[tk.point]--
+		if remaining[tk.point] == 0 {
+			var merged Aggregate
+			for _, part := range parts[tk.point] {
+				merged.Merge(part)
+			}
+			done(tk.point, merged)
+		}
+		mu.Unlock()
+	})
+	return ctx.Err()
+}
+
+// drainShards is the engine's one worker pool: it hands shards 0..n-1
+// to at most workers goroutines, each keeping one worker across the
+// shards it takes, and returns once every goroutine has. It stops
+// handing out shards when ctx is done; a shard already running watches
+// ctx itself.
+func drainShards(ctx context.Context, workers, n int, shard func(w *worker, i int)) {
+	var wg sync.WaitGroup
+	queue := make(chan int)
+	for range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			w := newWorker()
-			for tk := range queue {
-				spec := specs[tk.point]
-				trials := spec.trials()
-				lo := tk.shard * shardSize
-				hi := lo + shardSize
-				if hi > trials {
-					hi = trials
-				}
-				agg, ok := w.runShard(ctx, spec, lo, hi)
-				if !ok {
-					continue // cancelled mid-shard: point never completes
-				}
-				m.shards.Inc()
-				m.trials.Add(uint64(agg.Trials))
-				parts[tk.point][tk.shard] = agg
-				mu.Lock()
-				remaining[tk.point]--
-				if remaining[tk.point] == 0 {
-					var merged Aggregate
-					for _, part := range parts[tk.point] {
-						merged.Merge(part)
-					}
-					done(tk.point, merged)
-				}
-				mu.Unlock()
+			for i := range queue {
+				shard(w, i)
 			}
 		}()
 	}
-
 feed:
-	for _, tk := range tasks {
+	for i := range n {
 		select {
-		case queue <- tk:
+		case queue <- i:
 		case <-ctx.Done():
 			break feed
 		}
 	}
 	close(queue)
 	wg.Wait()
-	return ctx.Err()
 }
 
 // Run expands the plan and executes it; see RunPoints for semantics.
@@ -384,15 +377,12 @@ func Run(ctx context.Context, plan Plan, opts Options) ([]PointResult, error) {
 
 // RunPoints executes an explicit point list (normally a plan expansion,
 // possibly filtered). Results are returned aligned with the input, and
-// also streamed through opts.Results / opts.Progress in completion
-// order. With a checkpoint path configured, previously completed points
-// are restored instead of recomputed and new completions are appended;
-// on cancellation (err == ctx.Err()) the checkpoint holds every point
+// also reported through opts.Progress in completion order. With a
+// checkpoint path configured, previously completed points are restored
+// instead of recomputed and new completions are appended; on
+// cancellation (err == ctx.Err()) the checkpoint holds every point
 // finished so far, so the same call resumes the run later.
 func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointResult, retErr error) {
-	if opts.Results != nil {
-		defer close(opts.Results)
-	}
 	results := make([]PointResult, len(points))
 	for i, pt := range points {
 		results[i].Point = pt
@@ -433,9 +423,6 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 				Point: points[i], Aggregate: agg,
 				FromCheckpoint: resumed,
 			})
-		}
-		if opts.Results != nil {
-			opts.Results <- results[i]
 		}
 	}
 

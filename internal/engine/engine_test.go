@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -21,7 +22,7 @@ func smallPlan() Plan {
 		Ks:         []int{80},
 		Ratios:     []float64{2.5},
 		Schedulers: []string{"tx2", "tx4"},
-		Channels: []ChannelSpec{
+		Channels: []channel.Spec{
 			channel.GilbertChannel(0, 1),
 			channel.GilbertChannel(0.05, 0.5),
 			channel.GilbertChannel(0.2, 0.5),
@@ -93,22 +94,31 @@ func TestRunPointDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestRunStreamsAndReportsProgress(t *testing.T) {
 	plan := smallPlan()
-	stream := make(chan PointResult, plan.NumPoints())
-	var events int32
+	var (
+		mu       sync.Mutex
+		streamed = map[int]PointResult{}
+	)
 	res, err := Run(context.Background(), plan, Options{
-		Workers:  4,
-		Results:  stream,
-		Progress: func(Progress) { atomic.AddInt32(&events, 1) },
+		Workers: 4,
+		Progress: func(p Progress) {
+			mu.Lock()
+			defer mu.Unlock()
+			if p.Done != len(streamed)+1 || p.Total != plan.NumPoints() {
+				t.Errorf("progress %d/%d after %d points", p.Done, p.Total, len(streamed))
+			}
+			streamed[p.Point.Index] = PointResult{Point: p.Point, Aggregate: p.Aggregate}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var streamed int
-	for range stream { // engine closed it on return
-		streamed++
+	if len(streamed) != len(res) {
+		t.Fatalf("progress reported %d points, want %d", len(streamed), len(res))
 	}
-	if streamed != len(res) || int(events) != len(res) {
-		t.Fatalf("streamed %d, progress %d, want %d", streamed, events, len(res))
+	for _, r := range res {
+		if marshal(t, streamed[r.Point.Index]) != marshal(t, r) {
+			t.Fatalf("point %d: progress carried a different result than Run returned", r.Point.Index)
+		}
 	}
 	// p=0 under tx2 decodes with inefficiency exactly 1 (source first).
 	if res[0].Aggregate.Failed() || res[0].Aggregate.MeanIneff() != 1.0 {
@@ -291,12 +301,12 @@ func TestCheckpointParentFormatRestores(t *testing.T) {
 	}{
 		{
 			Plan{Codes: []string{"rse"}, Ks: []int{200}, Ratios: []float64{2.5}, Schedulers: []string{"tx5"},
-				Channels: []ChannelSpec{channel.GilbertChannel(0.2, 0.2)}, NSents: []int{0}, Trials: 8, Seed: 1},
+				Channels: []channel.Spec{channel.GilbertChannel(0.2, 0.2)}, NSents: []int{0}, Trials: 8, Seed: 1},
 			`{"key":"code=rse|k=200|ratio=2.5|sched=tx5|ch=gilbert(p=0.2,q=0.2)|trials=8|nsent=0|cseed=1","seed":3632278288989233998,"aggregate":{"trials":8,"failures":0,"ineff":{"n":8,"mean":1.016875,"m2":0.0014468749999999994,"min":1,"max":1.045},"received_over_k":{"n":8,"mean":1.2106249999999998,"m2":0.048121875,"min":1.085,"max":1.305}}}`,
 		},
 		{
 			Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{200}, Ratios: []float64{2.5}, Schedulers: []string{"tx2"},
-				Channels: []ChannelSpec{{Kind: "markov", P: 0.1, Q: 0}}, NSents: []int{0}, Trials: 8, Seed: 1},
+				Channels: []channel.Spec{{Kind: "markov", P: 0.1, Q: 0}}, NSents: []int{0}, Trials: 8, Seed: 1},
 			`{"key":"code=ldgm-staircase|k=200|ratio=2.5|sched=tx2|ch=markov(p=0.1,q=0)|trials=8|nsent=0|cseed=1","seed":-2206542759027845891,"aggregate":{"trials":8,"failures":8,"ineff":{"n":0,"mean":0,"m2":0,"min":0,"max":0},"received_over_k":{"n":8,"mean":0.08812500000000001,"m2":0.054596875,"min":0.005,"max":0.26}}}`,
 		},
 	} {
@@ -372,7 +382,7 @@ func TestSweepPlanDedupsAndFolds(t *testing.T) {
 		t.Fatalf("bernoulli sweep ran %d points for %d distinct channels", points, len(axis))
 	}
 	for i, p := range axis {
-		plan.Channels = []ChannelSpec{channel.BernoulliChannel(p)}
+		plan.Channels = []channel.Spec{channel.BernoulliChannel(p)}
 		want, err := Run(context.Background(), plan, Options{})
 		if err != nil {
 			t.Fatal(err)

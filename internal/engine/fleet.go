@@ -28,11 +28,12 @@ package engine
 //     golden-equivalent to the scalar Gilbert.Lost() chain, and the
 //     receptions come off the block countdowns by popcount.
 //
-// Receivers are sharded in fixed-size contiguous ranges; workers drain
-// the shard queue. Every per-receiver result lands in that receiver's
-// own array slot and the summary is computed single-threaded afterwards,
-// so percentile curves are byte-identical under any worker count — the
-// same determinism contract as the scalar engine.
+// Receivers are sharded in fixed-size contiguous ranges, drained by the
+// engine's one pool (drainShards). Every per-receiver result lands in
+// that receiver's own array slot and the summary is computed
+// single-threaded afterwards, so percentile curves are byte-identical
+// under any worker count — the same determinism contract as the scalar
+// engine.
 
 import (
 	"context"
@@ -43,7 +44,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"fecperf/internal/channel"
@@ -52,7 +52,7 @@ import (
 	"fecperf/internal/stats"
 )
 
-// Stream tags for DeriveSeed: the shared schedule draw and the
+// Stream tags for core.DeriveSeed: the shared schedule draw and the
 // per-receiver channel chains must live on unrelated rand streams.
 const (
 	fleetSchedStream uint64 = 0xf1ee7001
@@ -68,7 +68,7 @@ const fleetShardReceivers = 4096
 // MixComponent is one receiver class of a fleet: a loss channel and its
 // relative share of the population.
 type MixComponent struct {
-	Channel ChannelSpec `json:"channel"`
+	Channel channel.Spec `json:"channel"`
 	// Weight is the component's relative share; 0 means 1. Receiver
 	// counts are apportioned by largest remainder, so weights need not
 	// divide the population evenly.
@@ -244,10 +244,6 @@ type FleetSummary struct {
 	Groups           []FleetGroupSummary `json:"groups"`
 }
 
-// FleetRunSpec is the name RunFleet's callers build their work unit
-// under: a PointSpec whose Fleet is set.
-type FleetRunSpec = PointSpec
-
 // fleetMetrics is the fleet's instrument set; the zero value is inert.
 type fleetMetrics struct {
 	receivers  *obs.Counter
@@ -272,21 +268,13 @@ func newFleetMetrics(r *obs.Registry) fleetMetrics {
 	}
 }
 
-// RunFleet executes one fleet point. Workers ≤ 0 means GOMAXPROCS; the
-// summary is identical for every worker count. On cancellation the
-// returned error is ctx.Err().
-func RunFleet(ctx context.Context, spec FleetRunSpec, workers int) (*FleetSummary, error) {
-	agg, err := RunPoint(ctx, spec, workers)
-	return agg.Fleet, err
-}
-
-// runFleet runs a spec that PointSpec.validate has accepted, on workers
-// (> 0) goroutines.
+// runFleet runs a spec that PointSpec.validate has accepted, on at most
+// workers (> 0) goroutines.
 func runFleet(ctx context.Context, spec PointSpec, workers int, m fleetMetrics) (*FleetSummary, error) {
 	// The shared transmission order, drawn exactly once per point.
 	layout := spec.Code.Layout()
 	rng := rand.New(&core.SplitMixSource{})
-	rng.Seed(DeriveSeed(spec.Seed, fleetSchedStream))
+	rng.Seed(core.DeriveSeed(spec.Seed, fleetSchedStream))
 	schedule := spec.Scheduler.Schedule(layout, rng)
 	nsent := spec.NSent
 	if nsent <= 0 || nsent > schedule.Len() {
@@ -300,44 +288,25 @@ func runFleet(ctx context.Context, spec PointSpec, workers int, m fleetMetrics) 
 	m.receivers.Add(uint64(spec.Fleet.Receivers))
 
 	tasks := st.shardTasks()
-	var (
-		wg     sync.WaitGroup
-		events atomic.Int64
-		queue  = make(chan fleetShardRange)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sh := range queue {
-				m.live.Add(1)
-				ev, done := st.runShard(ctx, sh)
-				m.live.Add(-1)
-				events.Add(ev)
-				m.events.Add(uint64(ev))
-				if !done {
-					continue // cancelled mid-shard
-				}
-				m.shards.Inc()
-				for r := sh.lo; r < sh.hi; r++ {
-					if at := st.completedAt[r]; at > 0 {
-						m.completed.Inc()
-						m.completion.Observe(int64(at))
-					}
-				}
-			}
-		}()
-	}
-feed:
-	for _, sh := range tasks {
-		select {
-		case queue <- sh:
-		case <-ctx.Done():
-			break feed
+	var events atomic.Int64
+	drainShards(ctx, workers, len(tasks), func(_ *worker, i int) {
+		sh := tasks[i]
+		m.live.Add(1)
+		ev, done := st.runShard(ctx, sh)
+		m.live.Add(-1)
+		events.Add(ev)
+		m.events.Add(uint64(ev))
+		if !done {
+			return // cancelled mid-shard
 		}
-	}
-	close(queue)
-	wg.Wait()
+		m.shards.Inc()
+		for r := sh.lo; r < sh.hi; r++ {
+			if at := st.completedAt[r]; at > 0 {
+				m.completed.Inc()
+				m.completion.Observe(int64(at))
+			}
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -433,7 +402,7 @@ func newFleetState(layout core.Layout, f FleetSpec, schedule core.Schedule, nsen
 		// Receiver r's channel chain: its own derived splitmix64 stream,
 		// independent of its group — adding a mix component never
 		// reseeds the receivers after it.
-		st.chanState[r] = uint64(DeriveSeed(seed, fleetRxStream, uint64(r)))
+		st.chanState[r] = uint64(core.DeriveSeed(seed, fleetRxStream, uint64(r)))
 		st.blocksLeft[r] = uint16(st.nblocks)
 		base := r * st.nblocks
 		for bi, b := range layout.Blocks {

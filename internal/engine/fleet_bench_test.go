@@ -26,7 +26,7 @@ func BenchmarkFleet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := FleetRunSpec{
+	spec := PointSpec{
 		Code:      code,
 		Scheduler: s,
 		Fleet: FleetSpec{
@@ -46,7 +46,7 @@ func BenchmarkFleet(b *testing.B) {
 	var last *FleetSummary
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := RunFleet(context.Background(), spec, 0)
+		sum, err := fleetSummary(context.Background(), spec, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func testFleetSpec() FleetSpec {
 	}
 }
 
-func testFleetRunSpec(t *testing.T, schedName string) FleetRunSpec {
+func testFleetRunSpec(t *testing.T, schedName string) PointSpec {
 	t.Helper()
 	code, err := codes.Make("rse", 64, 2.0, 7)
 	if err != nil {
@@ -38,13 +38,20 @@ func testFleetRunSpec(t *testing.T, schedName string) FleetRunSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FleetRunSpec{Code: code, Scheduler: s, Fleet: testFleetSpec(), Seed: 123}
+	return PointSpec{Code: code, Scheduler: s, Fleet: testFleetSpec(), Seed: 123}
+}
+
+// fleetSummary runs one fleet point and returns its summary, as the
+// facade's RunFleet does.
+func fleetSummary(ctx context.Context, spec PointSpec, workers int) (*FleetSummary, error) {
+	agg, err := RunPoint(ctx, spec, workers)
+	return agg.Fleet, err
 }
 
 // fleetSchedule draws the shared schedule exactly as runFleet does.
-func fleetSchedule(spec FleetRunSpec) core.Schedule {
+func fleetSchedule(spec PointSpec) core.Schedule {
 	rng := rand.New(&core.SplitMixSource{})
-	rng.Seed(DeriveSeed(spec.Seed, fleetSchedStream))
+	rng.Seed(core.DeriveSeed(spec.Seed, fleetSchedStream))
 	return spec.Scheduler.Schedule(spec.Code.Layout(), rng)
 }
 
@@ -53,9 +60,9 @@ func fleetSchedule(spec FleetRunSpec) core.Schedule {
 // chain over the receiver's derived seed. Returns the 1-based schedule
 // position of completion (0 if never) and the receptions up to it (all
 // nsent positions' receptions if never).
-func scalarReceiver(spec FleetRunSpec, schedule core.Schedule, fac channel.Spec, r, nsent int) (completedAt, received int) {
+func scalarReceiver(spec PointSpec, schedule core.Schedule, fac channel.Spec, r, nsent int) (completedAt, received int) {
 	rng := rand.New(&core.SplitMixSource{})
-	rng.Seed(DeriveSeed(spec.Seed, fleetRxStream, uint64(r)))
+	rng.Seed(core.DeriveSeed(spec.Seed, fleetRxStream, uint64(r)))
 	ch := fac.New(rng)
 	rx := spec.Code.NewReceiver()
 	cur := schedule.Cursor()
@@ -76,7 +83,7 @@ func scalarReceiver(spec FleetRunSpec, schedule core.Schedule, fac channel.Spec,
 // schedule positions and compares each receiver's completion position
 // and reception count with scalarReceiver's. It returns the fleet
 // state for further checks.
-func checkFleetAgainstScalar(t *testing.T, name string, spec FleetRunSpec, nsent int) *fleetState {
+func checkFleetAgainstScalar(t *testing.T, name string, spec PointSpec, nsent int) *fleetState {
 	t.Helper()
 	schedule := fleetSchedule(spec)
 	if nsent <= 0 {
@@ -155,7 +162,7 @@ func TestFleetCountdownEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := FleetRunSpec{Code: code, Scheduler: s, Fleet: c.fleet, Seed: 321}
+		spec := PointSpec{Code: code, Scheduler: s, Fleet: c.fleet, Seed: 321}
 		st := checkFleetAgainstScalar(t, c.name, spec, c.nsent)
 		if c.wantAt > 0 {
 			for r, at := range st.completedAt {
@@ -172,7 +179,7 @@ func TestFleetCountdownEdgeCases(t *testing.T) {
 func TestFleetWorkerCountIndependence(t *testing.T) {
 	for _, schedName := range []string{"tx2", "carousel(inner=tx3,rounds=2)"} {
 		spec := testFleetRunSpec(t, schedName)
-		base, err := RunFleet(context.Background(), spec, 1)
+		base, err := fleetSummary(context.Background(), spec, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +188,7 @@ func TestFleetWorkerCountIndependence(t *testing.T) {
 		}
 		want := marshalAny(t, base)
 		for _, workers := range []int{2, 3, 8} {
-			got, err := RunFleet(context.Background(), spec, workers)
+			got, err := fleetSummary(context.Background(), spec, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,12 +210,12 @@ func TestRunPointSpecsMixesFleetAndScalarPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone, err := RunFleet(context.Background(), fleet, 1)
+	alone, err := fleetSummary(context.Background(), fleet, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if aggs[1].Fleet == nil || marshalAny(t, aggs[1].Fleet) != marshalAny(t, alone) {
-		t.Fatal("fleet point in a mixed batch differs from RunFleet alone")
+		t.Fatal("fleet point in a mixed batch differs from the point run alone")
 	}
 	if aggs[1].Trials != fleet.Fleet.Receivers {
 		t.Fatalf("fleet aggregate counts %d trials, want its %d receivers", aggs[1].Trials, fleet.Fleet.Receivers)
@@ -265,8 +272,8 @@ func TestFleetPlanAxis(t *testing.T) {
 }
 
 // TestFleetPlanBuildsEveryCodecFamily: a plan builds its codes from the
-// same registry as RunFleet's callers, so rse16 and no-fec fleet points
-// run inside plans and summarise exactly as RunFleet does on the same
+// same registry as one-point callers, so rse16 and no-fec fleet points
+// run inside plans and summarise exactly as RunPoint does on the same
 // code and the point's seed.
 func TestFleetPlanBuildsEveryCodecFamily(t *testing.T) {
 	for _, tc := range []struct {
@@ -294,12 +301,12 @@ func TestFleetPlanBuildsEveryCodecFamily(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := RunFleet(context.Background(), FleetRunSpec{Code: code, Scheduler: s, Fleet: *pt.Fleet, Seed: pt.Seed}, 1)
+		want, err := fleetSummary(context.Background(), PointSpec{Code: code, Scheduler: s, Fleet: *pt.Fleet, Seed: pt.Seed}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res[0].Aggregate.Fleet; got == nil || marshalAny(t, got) != marshalAny(t, want) {
-			t.Fatalf("%s: plan fleet summary differs from RunFleet", tc.code)
+			t.Fatalf("%s: plan fleet summary differs from RunPoint", tc.code)
 		}
 	}
 }
@@ -492,7 +499,7 @@ func TestFleetCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := FleetRunSpec{
+	spec := PointSpec{
 		Code:      code,
 		Scheduler: s,
 		Fleet: FleetSpec{
@@ -508,7 +515,7 @@ func TestFleetCeiling(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	sum, err := RunFleet(context.Background(), spec, 0)
+	sum, err := fleetSummary(context.Background(), spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +551,7 @@ func TestFleetSmoke10kReceivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := FleetRunSpec{
+	spec := PointSpec{
 		Code:      code,
 		Scheduler: s,
 		Fleet: FleetSpec{
@@ -556,11 +563,11 @@ func TestFleetSmoke10kReceivers(t *testing.T) {
 		},
 		Seed: 42,
 	}
-	sum1, err := RunFleet(context.Background(), spec, 1)
+	sum1, err := fleetSummary(context.Background(), spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum4, err := RunFleet(context.Background(), spec, 4)
+	sum4, err := fleetSummary(context.Background(), spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

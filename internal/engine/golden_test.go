@@ -26,7 +26,7 @@ func goldenPlan() Plan {
 		Ks:         []int{120},
 		Ratios:     []float64{2.0},
 		Schedulers: []string{"tx2", "tx4", "tx6(frac=0.5)", "rx1(src=10)"},
-		Channels: []ChannelSpec{
+		Channels: []channel.Spec{
 			channel.GilbertChannel(0, 1),
 			channel.GilbertChannel(0.1, 0.5),
 			channel.BernoulliChannel(0.05),

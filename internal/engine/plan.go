@@ -7,13 +7,9 @@ import (
 
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
+	"fecperf/internal/core"
 	"fecperf/internal/sched"
 )
-
-// ChannelSpec is channel.Spec, the serializable loss-channel description
-// plans, points and checkpoints carry. Its Key is part of every point's
-// configuration key, so it may never drift.
-type ChannelSpec = channel.Spec
 
 // Plan declares a cartesian scenario space: every combination of the
 // axes below becomes one measurement Point. Empty axes take the
@@ -32,7 +28,7 @@ type Plan struct {
 	Schedulers []string `json:"schedulers"`
 	// Channels are the loss models to sweep. Mutually exclusive with
 	// Fleets: a plan measures either independent trials or fleets.
-	Channels []ChannelSpec `json:"channels,omitempty"`
+	Channels []channel.Spec `json:"channels,omitempty"`
 	// Fleets replaces the Channels axis with fleet populations: each
 	// fleet becomes one point measuring the one-sender/N-receiver
 	// completion distribution (see FleetSpec). Fleet plans ignore
@@ -123,12 +119,14 @@ func (p Plan) NumPoints() int {
 type Point struct {
 	// Index is the position in the plan's expansion order (codes, then
 	// ks, ratios, schedulers, channels, nsents — last axis fastest).
-	Index     int         `json:"index"`
-	Code      string      `json:"code"`
-	K         int         `json:"k"`
-	Ratio     float64     `json:"ratio"`
-	Scheduler string      `json:"scheduler"`
-	Channel   ChannelSpec `json:"channel"`
+	Index     int     `json:"index"`
+	Code      string  `json:"code"`
+	K         int     `json:"k"`
+	Ratio     float64 `json:"ratio"`
+	Scheduler string  `json:"scheduler"`
+	// Channel's Key is part of the point's configuration key, so it may
+	// never drift.
+	Channel channel.Spec `json:"channel"`
 	// Fleet, when set, makes this a fleet point: Channel is unused and
 	// the result is the fleet's completion distribution. Fleet points
 	// carry Trials == 0 (the sample count is the receiver population).
@@ -136,7 +134,7 @@ type Point struct {
 	NSent  int        `json:"nsent,omitempty"`
 	Trials int        `json:"trials"`
 	// Seed is the per-point seed, derived from the plan seed and the
-	// configuration key; trial t then draws from DeriveSeed(Seed, t).
+	// configuration key; trial t then draws from core.DeriveSeed(Seed, t).
 	Seed int64 `json:"seed"`
 	// CodeSeed fixes the pseudo-random code construction (LDGM).
 	CodeSeed int64 `json:"codeseed"`
@@ -170,7 +168,7 @@ func (p Plan) Points() ([]Point, error) {
 	// The channel axis: one entry per channel, or one (unset) per fleet.
 	chans, trials := p.Channels, p.Trials
 	if len(p.Fleets) > 0 {
-		chans, trials = make([]ChannelSpec, len(p.Fleets)), 0
+		chans, trials = make([]channel.Spec, len(p.Fleets)), 0
 	}
 	for _, code := range p.Codes {
 		for _, k := range p.Ks {
@@ -193,7 +191,7 @@ func (p Plan) Points() ([]Point, error) {
 								f := p.Fleets[ci]
 								pt.Fleet = &f
 							}
-							pt.Seed = DeriveSeed(p.Seed, hashString(pt.Key()))
+							pt.Seed = core.DeriveSeed(p.Seed, hashString(pt.Key()))
 							out = append(out, pt)
 						}
 					}

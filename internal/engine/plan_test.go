@@ -14,7 +14,7 @@ func testPlan() Plan {
 		Ks:         []int{60},
 		Ratios:     []float64{1.5, 2.5},
 		Schedulers: []string{"tx2", "tx4"},
-		Channels: []ChannelSpec{
+		Channels: []channel.Spec{
 			channel.GilbertChannel(0.05, 0.5),
 			channel.BernoulliChannel(0.1),
 			channel.NoLossChannel(),
@@ -96,8 +96,8 @@ func TestPlanValidation(t *testing.T) {
 		"no codes":       func(p *Plan) { p.Codes = nil },
 		"bad code":       func(p *Plan) { p.Codes = []string{"zzz"} },
 		"bad scheduler":  func(p *Plan) { p.Schedulers = []string{"tx9"} },
-		"bad channel":    func(p *Plan) { p.Channels = []ChannelSpec{{Kind: "warp"}} },
-		"bad gilbert":    func(p *Plan) { p.Channels = []ChannelSpec{channel.GilbertChannel(2, 0)} },
+		"bad channel":    func(p *Plan) { p.Channels = []channel.Spec{{Kind: "warp"}} },
+		"bad gilbert":    func(p *Plan) { p.Channels = []channel.Spec{channel.GilbertChannel(2, 0)} },
 		"bad k":          func(p *Plan) { p.Ks = []int{-5} },
 		"bad ratio":      func(p *Plan) { p.Ratios = []float64{0.5} },
 		"NaN ratio":      func(p *Plan) { p.Ratios = []float64{math.NaN()} },
@@ -140,7 +140,7 @@ func TestPointJSONRoundTrip(t *testing.T) {
 }
 
 func TestChannelSpecKeysDistinct(t *testing.T) {
-	specs := []ChannelSpec{
+	specs := []channel.Spec{
 		channel.GilbertChannel(0.1, 0.5),
 		channel.GilbertChannel(0.5, 0.1),
 		channel.BernoulliChannel(0.1),

@@ -1,25 +1,6 @@
 package engine
 
-import (
-	"hash/fnv"
-
-	"fecperf/internal/core"
-)
-
-// DeriveSeed derives an independent RNG seed from a base seed and a
-// sequence of stream identifiers, so nearby identifiers (trial 4 vs
-// trial 5, grid cell (1,2) vs (2,1)) yield statistically unrelated
-// seeds — unlike the additive offsets (seed + t*7919,
-// i*1_000_003 + j*29_989) the harness used before, which put
-// neighbouring cells on overlapping or correlated rand streams.
-//
-// The splitmix64 derivation itself now lives in core (core.DeriveSeed):
-// the transport carousel hashes per-round seeds with it too, which is
-// what makes mid-round carousel resume deterministic. This wrapper
-// keeps the engine's established call sites and byte-identical results.
-func DeriveSeed(base int64, parts ...uint64) int64 {
-	return core.DeriveSeed(base, parts...)
-}
+import "hash/fnv"
 
 // hashString folds a string into a 64-bit stream identifier (FNV-1a);
 // used to derive per-point seeds from the point's configuration key so

@@ -1,6 +1,13 @@
 package engine
 
-import "testing"
+// The seed derivation every engine stream uses (core.DeriveSeed): per
+// trial, per sweep cell and per fleet receiver.
+
+import (
+	"testing"
+
+	"fecperf/internal/core"
+)
 
 func TestDeriveSeedDistinctStreams(t *testing.T) {
 	seen := map[int64]string{}
@@ -12,29 +19,29 @@ func TestDeriveSeedDistinctStreams(t *testing.T) {
 	}
 	// Neighbouring trials, cells and bases must all map to distinct seeds.
 	for base := int64(0); base < 4; base++ {
-		record(DeriveSeed(base), "base")
+		record(core.DeriveSeed(base), "base")
 		for tr := uint64(0); tr < 64; tr++ {
-			record(DeriveSeed(base, tr), "trial")
+			record(core.DeriveSeed(base, tr), "trial")
 		}
 		for i := uint64(0); i < 8; i++ {
 			for j := uint64(0); j < 8; j++ {
-				record(DeriveSeed(base, i, j), "cell")
+				record(core.DeriveSeed(base, i, j), "cell")
 			}
 		}
 	}
 }
 
 func TestDeriveSeedOrderSensitive(t *testing.T) {
-	if DeriveSeed(1, 2, 3) == DeriveSeed(1, 3, 2) {
+	if core.DeriveSeed(1, 2, 3) == core.DeriveSeed(1, 3, 2) {
 		t.Fatal("(2,3) and (3,2) collide")
 	}
-	if DeriveSeed(1, 0) == DeriveSeed(1) {
+	if core.DeriveSeed(1, 0) == core.DeriveSeed(1) {
 		t.Fatal("explicit zero part collides with no parts")
 	}
 }
 
 func TestDeriveSeedDeterministic(t *testing.T) {
-	if DeriveSeed(42, 7, 9) != DeriveSeed(42, 7, 9) {
+	if core.DeriveSeed(42, 7, 9) != core.DeriveSeed(42, 7, 9) {
 		t.Fatal("DeriveSeed not a pure function")
 	}
 }
@@ -52,8 +59,8 @@ func TestDeriveSeedAvalanche(t *testing.T) {
 		return n
 	}
 	for tr := uint64(0); tr < 100; tr++ {
-		a := uint64(DeriveSeed(1, tr))
-		b := uint64(DeriveSeed(1, tr+1))
+		a := uint64(core.DeriveSeed(1, tr))
+		b := uint64(core.DeriveSeed(1, tr+1))
 		if d := popcount(a ^ b); d < 8 || d > 56 {
 			t.Fatalf("trial %d→%d flipped only %d/64 bits", tr, tr+1, d)
 		}

@@ -69,7 +69,7 @@ func Sweep(cfg SweepConfig) (*Grid, error) {
 				Scheduler: cfg.Scheduler,
 				Channel:   factory(p, q),
 				Trials:    cfg.Trials,
-				Seed:      DeriveSeed(cfg.Seed, uint64(i), uint64(j)),
+				Seed:      core.DeriveSeed(cfg.Seed, uint64(i), uint64(j)),
 				NSent:     cfg.NSent,
 			})
 		}

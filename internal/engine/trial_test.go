@@ -120,7 +120,7 @@ func trialGrid(t *testing.T, setup func(code core.Code, s core.Scheduler, cs cha
 					check := setup(code, s, cs)
 					for _, nsent := range []int{0, 1, 63, 64, 65, full.Len() - 1} {
 						for tr := range trials {
-							if msg := check(nsent, DeriveSeed(int64(nsent), uint64(tr))); msg != "" {
+							if msg := check(nsent, core.DeriveSeed(int64(nsent), uint64(tr))); msg != "" {
 								t.Fatalf("%s %s nsent=%d trial %d: %s", name, cs, nsent, tr, msg)
 							}
 						}
@@ -351,7 +351,7 @@ func TestResetReceiverIsFreshReceiver(t *testing.T) {
 							if got := stateOf(reused, layout.N); got != fresh {
 								t.Fatalf("%s %s nsent=%d: reset before trial %d reads %+v, a new receiver %+v", name, cs, nsent, tr, got, fresh)
 							}
-							seed := DeriveSeed(int64(nsent), uint64(tr))
+							seed := core.DeriveSeed(int64(nsent), uint64(tr))
 							got := core.RunTrial(viaReset.schedule(s, layout, seed), viaReset.next(), reused, nsent)
 							rx := code.NewReceiver()
 							want := core.RunTrial(viaNew.schedule(s, layout, seed), viaNew.next(), rx, nsent)

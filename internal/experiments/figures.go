@@ -260,7 +260,7 @@ func runFig14(o Options) (*Report, error) {
 			Scheduler: sched.RxModel1{SourceCount: sc},
 			Channel:   channel.NoLossChannel(),
 			Trials:    o.Trials,
-			Seed:      engine.DeriveSeed(o.Seed, uint64(sc)),
+			Seed:      core.DeriveSeed(o.Seed, uint64(sc)),
 		}
 	}
 	aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)

@@ -148,7 +148,7 @@ func Rank(p, q float64, cfg Config) ([]Result, error) {
 		Ks:         []int{cfg.K},
 		Ratios:     candidateRatios,
 		Schedulers: candidateModels,
-		Channels:   []engine.ChannelSpec{channel.GilbertChannel(p, q)},
+		Channels:   []channel.Spec{channel.GilbertChannel(p, q)},
 		Trials:     cfg.Trials,
 		Seed:       cfg.Seed,
 	}

@@ -12,7 +12,7 @@ import (
 	"sort"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/engine"
+	"fecperf/internal/core"
 	"fecperf/internal/stats"
 )
 
@@ -24,7 +24,7 @@ type PQ struct{ P, Q float64 }
 // the same trial stream — sizing a subset of a population is then
 // guaranteed to agree with sizing the whole of it.
 func (c Config) pointSeed(pt PQ) int64 {
-	return engine.DeriveSeed(c.Seed, math.Float64bits(pt.P), math.Float64bits(pt.Q))
+	return core.DeriveSeed(c.Seed, math.Float64bits(pt.P), math.Float64bits(pt.Q))
 }
 
 // PopulationResult describes how one tuple serves a set of receivers.

@@ -49,10 +49,10 @@ type CasterConfig struct {
 	// spans the whole cast, so the rate holds across window groups.
 	Rate  float64
 	Burst int
-	// Pacer, when set, is the cast's admission source instead (Rate and
-	// Burst are then ignored) — see SenderConfig.Pacer. The daemon paces
-	// streaming casts through a SharedPacer share this way.
-	Pacer Pacer
+	// Pacer, when non-nil, is the cast's admission source instead (Rate
+	// and Burst are then ignored) — see SenderConfig.Pacer. The daemon
+	// paces streaming casts through a SharedPacer share this way.
+	Pacer *PacerShare
 	// OnProgress, when set, is called after every transmitted window
 	// group, the last call with Done — one call at a time, in group
 	// order, all of them before Run returns, but not on the goroutine
@@ -380,7 +380,7 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 // datagrams went out after the start signal and how long they took: the
 // send rate while the reading stage is running too, which is the rate the
 // next signal has to be timed by.
-func (c *Caster) send(ctx context.Context, pacer Pacer, g castGroup, rate float64) (int, time.Duration, error) {
+func (c *Caster) send(ctx context.Context, pacer *PacerShare, g castGroup, rate float64) (int, time.Duration, error) {
 	s := NewSender(c.conn, SenderConfig{
 		Pacer:     pacer,
 		BatchSize: c.cfg.BatchSize,

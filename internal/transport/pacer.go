@@ -9,19 +9,6 @@ import (
 	"time"
 )
 
-// Pacer admits packet transmissions. Take blocks until n tokens are
-// available (or ctx is done) and consumes them in one debit; n == 0 is a
-// cancellation check. It exists so a sender can hold a broadcast to the
-// session bitrate (ALC sessions are announced with a fixed rate) instead
-// of free-running and flooding kernel buffers. PacerShare is the
-// implementation: a sender or caster given Rate/Burst draws from the
-// sole share of its own SharedPacer, and the daemon hands every cast's
-// sender a share of one SharedPacer so many carousels divide one
-// line-rate budget.
-type Pacer interface {
-	Take(ctx context.Context, n int) error
-}
-
 // defaultBurst is the bucket depth in packets of a sender's or caster's
 // own pacer when its Burst is unset.
 const defaultBurst = 32
@@ -40,10 +27,10 @@ func ValidatePacing(rate float64, burst int) error {
 }
 
 // ownPacer resolves the admission source of a sender or caster run: the
-// external pacer when one is configured; otherwise, for rate > 0, the
+// external share when one is configured; otherwise, for rate > 0, the
 // sole share of a fresh SharedPacer (burst < 1 selects defaultBurst);
 // otherwise nil — unpaced. release closes the share ownPacer created.
-func ownPacer(external Pacer, rate float64, burst int) (p Pacer, release func()) {
+func ownPacer(external *PacerShare, rate float64, burst int) (p *PacerShare, release func()) {
 	if external != nil || rate <= 0 {
 		return external, func() {}
 	}
@@ -207,9 +194,14 @@ func (sp *SharedPacer) resliceLocked() {
 	}
 }
 
-// PacerShare is one cast's slice of a SharedPacer. It implements Pacer;
-// hand it to SenderConfig.Pacer or CasterConfig.Pacer. The nil share
-// admits everything (the unpaced configuration).
+// PacerShare is one cast's slice of a SharedPacer: the admission source
+// that holds a sender to its session bitrate (ALC sessions are announced
+// with a fixed rate) instead of letting it free-run and flood kernel
+// buffers. A sender or caster given Rate/Burst draws from the sole share
+// of its own SharedPacer; hand a share to SenderConfig.Pacer or
+// CasterConfig.Pacer instead, as the daemon does for every cast, and
+// many carousels divide one line-rate budget. The nil share admits
+// everything (the unpaced configuration).
 type PacerShare struct {
 	sp     *SharedPacer
 	weight float64
@@ -229,10 +221,11 @@ type PacerShare struct {
 	closed   bool
 }
 
-// Take implements Pacer: it blocks until the share's assured bucket (or
-// the surplus pool's work-conserving spill) covers the batch, then
-// debits the bucket it admitted from. See SharedPacer for the admission
-// and debt semantics.
+// Take admits n packet transmissions in one debit, n == 0 being a
+// cancellation check: it blocks until the share's assured bucket (or the
+// surplus pool's work-conserving spill) covers the batch, or ctx is
+// done, then debits the bucket it admitted from. See SharedPacer for the
+// admission and debt semantics.
 func (ps *PacerShare) Take(ctx context.Context, n int) error {
 	// Honour cancellation on every admission, including the token-rich
 	// fast path: the sender's round loop relies on Take to notice a

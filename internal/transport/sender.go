@@ -24,12 +24,12 @@ type SenderConfig struct {
 	// surplus pool — twice Burst — back to back; the long-run rate is
 	// Rate regardless.
 	Burst int
-	// Pacer, when set, is the admission source instead (Rate and Burst
-	// are then ignored). The daemon hands every cast's sender a
+	// Pacer, when non-nil, is the admission source instead (Rate and
+	// Burst are then ignored). The daemon hands every cast's sender a
 	// PacerShare here so many carousels divide one SharedPacer line-rate
 	// budget. Time blocked in Take accrues on the same pacer-wait
 	// counter either way.
-	Pacer Pacer
+	Pacer *PacerShare
 	// BatchSize is how many frame views the round loop gathers per
 	// flush: each flush is one pacer debit and one batch write — one
 	// kernel crossing (sendmmsg/GSO) on UDP, one lock on loopback. 0
@@ -346,7 +346,7 @@ const maxSendBatch = 64
 // conn in one batch write, and settles the deferred metrics and
 // first_tx traces. Cancellation is noticed here, once per flush. Only a
 // paced sender reads the clock (but see notify).
-func (s *Sender) flush(ctx context.Context, p Pacer) error {
+func (s *Sender) flush(ctx context.Context, p *PacerShare) error {
 	n := len(s.views)
 	if n == 0 {
 		return nil

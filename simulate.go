@@ -64,9 +64,9 @@ func Simulate(opts ...Option) (Aggregate, error) {
 
 // RunPlan expands a declarative plan into measurement points and
 // executes them on the parallel experiment engine: trials split across
-// workers, results identical for any worker count, optional progress /
-// streaming / JSON-lines checkpointing through opts, cancellation
-// through ctx. Results align with the plan's expansion order.
+// workers, results identical for any worker count, optional progress
+// and JSON-lines checkpointing through opts, cancellation through ctx.
+// Results align with the plan's expansion order.
 func RunPlan(ctx context.Context, plan Plan, opts PlanOptions) ([]PointResult, error) {
 	return engine.Run(ctx, plan, opts)
 }
@@ -80,7 +80,8 @@ func RunPlan(ctx context.Context, plan Plan, opts PlanOptions) ([]PointResult, e
 // byte-identical for every worker count. Fleet points also run inside
 // plans via Plan.Fleets.
 func RunFleet(ctx context.Context, spec FleetRunSpec, workers int) (*FleetSummary, error) {
-	return engine.RunFleet(ctx, spec, workers)
+	agg, err := engine.RunPoint(ctx, spec, workers)
+	return agg.Fleet, err
 }
 
 // Channel spec constructors for Plan.Channels.
