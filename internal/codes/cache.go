@@ -11,7 +11,9 @@ package codes
 // receiver in the process.
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"fecperf/internal/core"
 	"fecperf/internal/wire"
@@ -25,14 +27,22 @@ type codecKey struct {
 }
 
 // codecCacheMax bounds the cache. A process talks to a handful of
-// geometries in practice; when something pathological churns through
-// more, the whole map is dropped and rebuilt — an occasional re-build
-// beats unbounded growth.
+// geometries in practice; when more keys than this churn through it (a
+// run of forged headers, each naming a fresh seed), inserting one more
+// evicts only the least recently used key, so the codecs in use stay.
 const codecCacheMax = 256
+
+// codecEntry is one cached codec and the codecClock tick of its last
+// use. A hit only stores the tick, so the hit path takes no write lock.
+type codecEntry struct {
+	codec core.Codec
+	used  atomic.Uint64
+}
 
 var (
 	codecMu    sync.RWMutex
-	codecCache = make(map[codecKey]core.Codec)
+	codecCache = make(map[codecKey]*codecEntry)
+	codecClock atomic.Uint64
 )
 
 // CachedForWire is ForWire through the process-wide codec cache — the
@@ -42,23 +52,39 @@ var (
 func CachedForWire(f wire.CodeFamily, k, n int, seed int64) (core.Codec, error) {
 	key := codecKey{family: f, k: k, n: n, seed: seed}
 	codecMu.RLock()
-	c, ok := codecCache[key]
+	e, ok := codecCache[key]
 	codecMu.RUnlock()
 	if ok {
-		return c, nil
+		e.used.Store(codecClock.Add(1))
+		return e.codec, nil
 	}
 	// Build outside the lock: constructions are deterministic in the
-	// key, so concurrent builders producing duplicate instances is
-	// harmless (last one wins).
+	// key, so concurrent builders may duplicate work, and the first
+	// instance stored is the one every caller gets.
 	c, err := ForWire(f, k, n, seed)
 	if err != nil {
 		return nil, err
 	}
 	codecMu.Lock()
-	if len(codecCache) >= codecCacheMax {
-		codecCache = make(map[codecKey]core.Codec, codecCacheMax/4)
+	defer codecMu.Unlock()
+	if e, ok := codecCache[key]; ok {
+		e.used.Store(codecClock.Add(1))
+		return e.codec, nil
 	}
-	codecCache[key] = c
-	codecMu.Unlock()
+	if len(codecCache) >= codecCacheMax {
+		var (
+			oldest codecKey
+			least  uint64 = math.MaxUint64
+		)
+		for key, e := range codecCache {
+			if u := e.used.Load(); u < least {
+				oldest, least = key, u
+			}
+		}
+		delete(codecCache, oldest)
+	}
+	e = &codecEntry{codec: c}
+	e.used.Store(codecClock.Add(1))
+	codecCache[key] = e
 	return c, nil
 }

@@ -8,9 +8,10 @@
 //
 // Beyond scalar arithmetic the package provides the slice operations that
 // dominate codec time, so the codec layers never loop over bytes
-// themselves: Xor (every LDGM operation), AddMul/MulSlice (matrix
-// inversion) and AddMulRows, the fused coefficient-matrix × symbol-vector
-// product that is the whole of Reed-Solomon encode and decode. Each
+// themselves: Xor (every LDGM operation), MulSlice and EliminateColumn
+// (matrix inversion) and AddMulRows, the fused coefficient-matrix ×
+// symbol-vector product that is the whole of Reed-Solomon encode and
+// decode. Each
 // dispatches, once at init from CPUID, to the best tier the process has
 // (see Tier and simd.go): GFNI or AVX2 assembly on amd64, NEON on arm64,
 // one tuned pure-Go table tier everywhere else and for short slices. The
@@ -352,6 +353,51 @@ func AddMulRows(dst [][]byte, coef []byte, src [][]byte) {
 	if done < n {
 		addMulRowsLadder(dst, coef, src, done)
 	}
+}
+
+// EliminateColumn is one Gauss-Jordan pivot step over a workspace of
+// len(ws)/stride rows laid stride bytes apart: every row r but row col
+// gets row r ^= ws[r·stride+col] · row col across its whole width, which
+// clears column col outside the pivot row when that row holds 1 there
+// (matrix.Invert). Each row's pivot-column byte is the one it holds
+// before the step. len(ws) must be a multiple of stride and col a valid
+// row and column. On the gfni tier, and when stride is a multiple of
+// RowsStrip, the whole step is one assembly call; elsewhere it is one
+// AddMulRows call with the pivot row as the only source.
+func EliminateColumn(ws []byte, stride, col int) {
+	if stride <= 0 || len(ws)%stride != 0 || col < 0 || col >= len(ws)/stride || col >= stride {
+		panic("gf256: EliminateColumn shape mismatch")
+	}
+	if gfniEnabled && stride%gfniStrip == 0 {
+		eliminateFused(ws, stride, col)
+		return
+	}
+	eliminateRows(ws, stride, col)
+}
+
+// eliminateRows is EliminateColumn as one AddMulRows call: the other rows
+// are the destinations and their pivot-column bytes the coefficients.
+// GF(2^8) matrices have at most 256 rows, so the views fit on the stack.
+func eliminateRows(ws []byte, stride, col int) {
+	rows := len(ws) / stride
+	var (
+		othersBuf [Size][]byte
+		coefBuf   [Size]byte
+		pivotRow  [1][]byte
+	)
+	others, coef := othersBuf[:0], coefBuf[:0]
+	if rows > Size {
+		others, coef = make([][]byte, 0, rows), make([]byte, 0, rows)
+	}
+	for r := 0; r < rows; r++ {
+		if r != col {
+			row := ws[r*stride : (r+1)*stride]
+			others = append(others, row)
+			coef = append(coef, row[col])
+		}
+	}
+	pivotRow[0] = ws[col*stride : (col+1)*stride]
+	AddMulRows(others, coef, pivotRow[:])
 }
 
 // addMulRowsLadder is AddMulRows over bytes [from, n) of every slice, one

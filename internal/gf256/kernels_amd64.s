@@ -171,7 +171,10 @@ done:
 // spare rows' dst pointers are never touched and their matrices may hold
 // anything. The walk is strip-major: the 128-byte strip of all four rows
 // lives in Z0-Z7 across the whole source loop, so each destination byte is
-// loaded and stored once per call instead of once per source.
+// loaded and stored once per call instead of once per source. Sources go
+// two per step: one three-way VPTERNLOGQ folds both products into an
+// accumulator, 12 vector ALU ops per source where one at a time takes 16.
+// An odd last source takes the one-source step.
 TEXT ·addMulRowsGFNI(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), AX
 	MOVQ (AX), R8
@@ -195,7 +198,54 @@ strip:
 	VPXORQ Z7, Z7, Z7
 	XORQ AX, AX                    // source index
 	MOVQ DI, R13                   // this source's four matrices
-source:
+pair:
+	LEAQ      1(AX), R14           // a pair needs sources AX and AX+1
+	CMPQ      R14, CX
+	JAE       single
+	MOVQ      (SI)(AX*8), R14
+	VMOVDQU64 (R14)(BX*1), Z8
+	VMOVDQU64 64(R14)(BX*1), Z9
+	MOVQ      8(SI)(AX*8), R14
+	VMOVDQU64 (R14)(BX*1), Z16
+	VMOVDQU64 64(R14)(BX*1), Z17
+	VPBROADCASTQ   (R13), Z10
+	VPBROADCASTQ   32(R13), Z18
+	VGF2P8AFFINEQB $0, Z10, Z8, Z12
+	VGF2P8AFFINEQB $0, Z10, Z9, Z13
+	VGF2P8AFFINEQB $0, Z18, Z16, Z20
+	VGF2P8AFFINEQB $0, Z18, Z17, Z21
+	VPTERNLOGQ     $0x96, Z20, Z12, Z0
+	VPTERNLOGQ     $0x96, Z21, Z13, Z1
+	VPBROADCASTQ   8(R13), Z11
+	VPBROADCASTQ   40(R13), Z19
+	VGF2P8AFFINEQB $0, Z11, Z8, Z14
+	VGF2P8AFFINEQB $0, Z11, Z9, Z15
+	VGF2P8AFFINEQB $0, Z19, Z16, Z22
+	VGF2P8AFFINEQB $0, Z19, Z17, Z23
+	VPTERNLOGQ     $0x96, Z22, Z14, Z2
+	VPTERNLOGQ     $0x96, Z23, Z15, Z3
+	VPBROADCASTQ   16(R13), Z10
+	VPBROADCASTQ   48(R13), Z18
+	VGF2P8AFFINEQB $0, Z10, Z8, Z12
+	VGF2P8AFFINEQB $0, Z10, Z9, Z13
+	VGF2P8AFFINEQB $0, Z18, Z16, Z20
+	VGF2P8AFFINEQB $0, Z18, Z17, Z21
+	VPTERNLOGQ     $0x96, Z20, Z12, Z4
+	VPTERNLOGQ     $0x96, Z21, Z13, Z5
+	VPBROADCASTQ   24(R13), Z11
+	VPBROADCASTQ   56(R13), Z19
+	VGF2P8AFFINEQB $0, Z11, Z8, Z14
+	VGF2P8AFFINEQB $0, Z11, Z9, Z15
+	VGF2P8AFFINEQB $0, Z19, Z16, Z22
+	VGF2P8AFFINEQB $0, Z19, Z17, Z23
+	VPTERNLOGQ     $0x96, Z22, Z14, Z6
+	VPTERNLOGQ     $0x96, Z23, Z15, Z7
+	ADDQ      $64, R13
+	ADDQ      $2, AX
+	JMP       pair
+single:
+	CMPQ      AX, CX
+	JAE       store
 	MOVQ      (SI)(AX*8), R14
 	VMOVDQU64 (R14)(BX*1), Z8
 	VMOVDQU64 64(R14)(BX*1), Z9
@@ -219,10 +269,7 @@ source:
 	VPXORQ    Z13, Z5, Z5
 	VPXORQ    Z14, Z6, Z6
 	VPXORQ    Z15, Z7, Z7
-	ADDQ      $32, R13
-	INCQ      AX
-	CMPQ      AX, CX
-	JB        source
+store:
 	VPXORQ    (R8)(BX*1), Z0, Z0
 	VPXORQ    64(R8)(BX*1), Z1, Z1
 	VMOVDQU64 Z0, (R8)(BX*1)
@@ -249,5 +296,49 @@ next:
 	ADDQ $128, BX
 	CMPQ BX, DX
 	JB   strip
+	VZEROUPPER
+	RET
+
+// func eliminateGFNI(ws *byte, stride, rows, col int, mats *[256]uint64)
+// One Gauss-Jordan pivot step: for every row r in [0,rows) but col,
+// row r ^= mats[row r's byte at col]·row col over all stride bytes, the
+// rows laid stride bytes apart from ws; stride is a positive multiple of
+// 128. Each row reads its pivot-column byte before any store, so that
+// byte is read as it was. A zero byte leaves the row as it is and skips it.
+TEXT ·eliminateGFNI(SB), NOSPLIT, $0-40
+	MOVQ ws+0(FP), SI
+	MOVQ stride+8(FP), DX
+	MOVQ rows+16(FP), CX
+	MOVQ col+24(FP), BX
+	MOVQ mats+32(FP), R8
+	MOVQ BX, AX
+	IMULQ DX, AX
+	LEAQ (SI)(AX*1), DI            // pivot row
+	XORQ R9, R9                    // row index
+row:
+	CMPQ    R9, BX
+	JEQ     next
+	MOVBQZX (SI)(BX*1), AX         // the row's entry in the pivot column
+	TESTQ   AX, AX
+	JZ      next
+	VPBROADCASTQ (R8)(AX*8), Z0
+	XORQ    R10, R10               // byte offset
+strip:
+	VMOVDQU64 (DI)(R10*1), Z1
+	VMOVDQU64 64(DI)(R10*1), Z2
+	VGF2P8AFFINEQB $0, Z0, Z1, Z1
+	VGF2P8AFFINEQB $0, Z0, Z2, Z2
+	VPXORQ    (SI)(R10*1), Z1, Z1
+	VPXORQ    64(SI)(R10*1), Z2, Z2
+	VMOVDQU64 Z1, (SI)(R10*1)
+	VMOVDQU64 Z2, 64(SI)(R10*1)
+	ADDQ      $128, R10
+	CMPQ      R10, DX
+	JB        strip
+next:
+	ADDQ DX, SI
+	INCQ R9
+	CMPQ R9, CX
+	JB   row
 	VZEROUPPER
 	RET

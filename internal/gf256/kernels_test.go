@@ -196,8 +196,8 @@ func TestVectorKernelsAreVEXOnly(t *testing.T) {
 		}
 	}
 	flush()
-	if kernels != 4 {
-		t.Fatalf("found %d YMM/ZMM kernels in kernels_amd64.s, want 4 (addMul, addMul4, xor, addMulRowsGFNI): the parser lost track of the file", kernels)
+	if kernels != 5 {
+		t.Fatalf("found %d YMM/ZMM kernels in kernels_amd64.s, want 5 (addMul, addMul4, xor, addMulRowsGFNI, eliminateGFNI): the parser lost track of the file", kernels)
 	}
 }
 

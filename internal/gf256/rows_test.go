@@ -23,8 +23,10 @@ func rowsBodies(t testing.TB) map[string]func(dst [][]byte, coef []byte, src [][
 
 // TestAddMulRowsMatchesScalar is the differential test of the fused
 // entry: every body against per-(row, source) AddMulScalar, over row
-// counts on both sides of the four-row grouping, source counts up to the
-// field limit, lengths around the 32-, 64- and 128-byte kernel steps, nil
+// counts on both sides of the four-row grouping, source counts odd and
+// even (the GFNI kernel takes sources two at a time, an odd last one
+// alone) up to the kernel's scratch limit, lengths around the 32-, 64-
+// and 128-byte kernel steps and past them to a ladder tail (1152), nil
 // source columns, rows of all-0/all-1 coefficients and slices carved at
 // odd offsets with guard bytes either side. Sources must come back
 // untouched.
@@ -38,8 +40,8 @@ func TestAddMulRowsMatchesScalar(t *testing.T) {
 			return buf, buf[off+guard:][:n:n]
 		}
 		for rows := 1; rows <= 9; rows++ {
-			for _, cols := range []int{1, 2, 5, 128, 255} {
-				for _, n := range []int{1, 31, 32, 63, 64, 65, 96, 127, 128, 129, 256, 1024, 1500} {
+			for _, cols := range []int{1, 2, 3, 5, 127, 128, 255, 256} {
+				for _, n := range []int{1, 31, 32, 63, 64, 65, 96, 127, 128, 129, 256, 1024, 1152, 1500} {
 					id := fmt.Sprintf("%s rows=%d cols=%d n=%d", name, rows, cols, n)
 					src, srcWant := make([][]byte, cols), make([][]byte, cols)
 					for j := range src {
@@ -118,25 +120,71 @@ func TestAddMulRowsDegenerate(t *testing.T) {
 	}
 }
 
-// BenchmarkAddMulRows is the Reed-Solomon encode shape of the cast
-// benchmarks: 64 parity rows over 128 sources of 1 KiB, per body.
-func BenchmarkAddMulRows(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	const rows, cols, n = 64, 128, 1024
-	dst, src := make([][]byte, rows), make([][]byte, cols)
-	for r := range dst {
-		dst[r] = randSlice(rng, n)
+// TestEliminateColumnMatchesScalar checks the pivot step matrix.Invert
+// runs, through the dispatch entry and through its AddMulRows form, against
+// per-row AddMulScalar: every row count 1..128 and 255, on Invert's
+// workspace stride (2n padded to RowsStrip) and on an unpadded one, with
+// a random pivot row and random bytes everywhere, zero and one included.
+// It logs which elimination kernel the dispatch takes.
+func TestEliminateColumnMatchesScalar(t *testing.T) {
+	if gfniEnabled {
+		t.Log("elimination kernel: gfni (one assembly call per pivot)")
+	} else {
+		t.Logf("elimination kernel: AddMulRows on the %s tier", Tier())
 	}
-	for j := range src {
-		src[j] = randSlice(rng, n)
+	rng := rand.New(rand.NewSource(16))
+	sizes := []int{255}
+	for n := 1; n <= 128; n++ {
+		sizes = append(sizes, n)
 	}
-	coef := randSlice(rng, rows*cols)
-	for name, body := range rowsBodies(b) {
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(cols * n)
-			for i := 0; i < b.N; i++ {
-				body(dst, coef, src)
+	for _, n := range sizes {
+		for _, stride := range []int{(2*n + RowsStrip - 1) &^ (RowsStrip - 1), 2 * n} {
+			ws := randSlice(rng, n*stride)
+			for i := 0; i < len(ws); i += 1 + rng.Intn(8) {
+				ws[i] = byte(rng.Intn(2))
 			}
-		})
+			col := rng.Intn(n)
+			want := append([]byte(nil), ws...)
+			prow := want[col*stride:][:stride]
+			for r := 0; r < n; r++ {
+				if r != col {
+					row := want[r*stride:][:stride]
+					AddMulScalar(row, prow, row[col])
+				}
+			}
+			for name, step := range map[string]func([]byte, int, int){"dispatch": EliminateColumn, "AddMulRows": eliminateRows} {
+				got := append([]byte(nil), ws...)
+				step(got, stride, col)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s n=%d stride=%d col=%d: differs from AddMulScalar", name, n, stride, col)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAddMulRows is the Reed-Solomon encode shape of the cast
+// benchmarks: 64 parity rows over 1 KiB sources, 128 of them and an odd
+// 127 (the GFNI kernel's one-source step), per body.
+func BenchmarkAddMulRows(b *testing.B) {
+	for _, cols := range []int{128, 127} {
+		rng := rand.New(rand.NewSource(9))
+		const rows, n = 64, 1024
+		dst, src := make([][]byte, rows), make([][]byte, cols)
+		for r := range dst {
+			dst[r] = randSlice(rng, n)
+		}
+		for j := range src {
+			src[j] = randSlice(rng, n)
+		}
+		coef := randSlice(rng, rows*cols)
+		for name, body := range rowsBodies(b) {
+			b.Run(fmt.Sprintf("cols=%d/%s", cols, name), func(b *testing.B) {
+				b.SetBytes(int64(cols * n))
+				for i := 0; i < b.N; i++ {
+					body(dst, coef, src)
+				}
+			})
+		}
 	}
 }

@@ -6,12 +6,14 @@ package gf256
 //   - gfni: amd64 with GFNI and AVX512F (CPUID, plus XGETBV for ZMM
 //     state). AddMulRows runs as one assembly pass per four rows that
 //     multiplies with VGF2P8AFFINEQB and holds the rows' 128-byte strips
-//     in registers across all sources; everything else uses the avx2
-//     kernels.
+//     in registers across all sources, taken two per step;
+//     EliminateColumn, one pivot step of matrix.Invert, is one assembly
+//     pass over every other row of the workspace. Everything else uses
+//     the avx2 kernels.
 //   - avx2 (amd64) / neon (arm64): assembly using the low/high nibble
 //     shuffle-table technique (Plank et al., "Screaming Fast Galois Field
 //     Arithmetic Using Intel SIMD Instructions", FAST 2013), one call per
-//     source symbol.
+//     source symbol; EliminateColumn is one AddMulRows call.
 //   - portable: the tuned pure-Go full-table kernels — short slices,
 //     sub-vector tails, CPUs without the extensions, other architectures,
 //     and `-tags purego` builds.

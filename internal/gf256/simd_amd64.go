@@ -89,6 +89,15 @@ func init() {
 }
 
 //go:noescape
+func eliminateGFNI(ws *byte, stride, rows, col int, mats *[Size]uint64)
+
+// eliminateFused is EliminateColumn in one assembly call. Callers have
+// checked the shape and that stride is a multiple of gfniStrip.
+func eliminateFused(ws []byte, stride, col int) {
+	eliminateGFNI(&ws[0], stride, len(ws)/stride, col, &gfniMat)
+}
+
+//go:noescape
 func addMulRowsGFNI(dst *[4]*byte, rows int, src **byte, mats *[4]uint64, cols, n int)
 
 // addMulRowsFused is AddMulRows over the first n bytes of every slice, n

@@ -145,9 +145,10 @@ func (m *Matrix) MulVec(dst, src [][]byte) {
 }
 
 // invStride is the row length of Invert's workspace for an n×n matrix:
-// the augmented row [m | I], 2n bytes, padded to the strip the fused
-// gf256.AddMulRows kernel works in — so on the gfni tier a whole
-// elimination step runs inside that kernel, never in its per-row ladder.
+// the augmented row [m | I], 2n bytes, padded to the strip the gfni
+// tier's kernels work in — so on that tier each elimination step is one
+// gf256.EliminateColumn assembly call, and elsewhere the step's
+// AddMulRows call never reaches the per-row ladder for a tail.
 func invStride(n int) int {
 	return (2*n + gf256.RowsStrip - 1) &^ (gf256.RowsStrip - 1)
 }
@@ -180,12 +181,13 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 // garbage, if m is not invertible, and panics if m is not square.
 //
 // The elimination runs on augmented rows [m | I] of invStride bytes, and
-// clearing a pivot's column from every other row is one
-// gf256.AddMulRows call — all other rows ^= their column entry × the
-// pivot row — so the n² row updates of an inversion reach the vector
-// kernels four rows at a time instead of as 2n² short single-row calls.
-// A matrix from NewPooledSquare carries the workspace in its own buffer;
-// any other allocates it.
+// clearing a pivot's column from every other row — all other rows ^=
+// their column entry × the pivot row — is one gf256.EliminateColumn
+// call: on the gfni tier one assembly pass over the whole workspace,
+// elsewhere one AddMulRows call, four rows per kernel step. Either way
+// the n² row updates of an inversion never run as 2n² short single-row
+// calls. A matrix from NewPooledSquare carries the workspace in its own
+// buffer; any other allocates it.
 func (m *Matrix) Invert() error {
 	if m.rows != m.cols {
 		panic("matrix: Inverse of non-square matrix")
@@ -207,22 +209,6 @@ func (m *Matrix) Invert() error {
 		row[n+i] = 1
 	}
 
-	// others is every row but the pivot's — the rows one AddMulRows call
-	// updates — and coef their entries in the pivot column. GF(2^8)
-	// matrices have at most 256 rows, so both live on the stack.
-	var (
-		othersBuf [gf256.Size][]byte
-		coefBuf   [gf256.Size]byte
-		pivotRow  [1][]byte
-	)
-	others, coef := othersBuf[:0], coefBuf[:0]
-	if n > len(othersBuf) {
-		others, coef = make([][]byte, 0, n), make([]byte, 0, n)
-	}
-	for r := 1; r < n; r++ {
-		others = append(others, ws[r*w:(r+1)*w])
-	}
-	coef = coef[:len(others)]
 	for col := 0; col < n; col++ {
 		pivot := col
 		for pivot < n && ws[pivot*w+col] == 0 {
@@ -233,7 +219,6 @@ func (m *Matrix) Invert() error {
 		}
 		prow := ws[col*w : (col+1)*w]
 		if pivot != col {
-			// others holds views by position, so the rows trade contents.
 			other := ws[pivot*w : (pivot+1)*w]
 			for t := range prow[:2*n] {
 				prow[t], other[t] = other[t], prow[t]
@@ -243,18 +228,7 @@ func (m *Matrix) Invert() error {
 			// Earlier steps cleared the columns left of the pivot.
 			gf256.MulSlice(prow[col:2*n], prow[col:2*n], gf256.Inv(p))
 		}
-		for i := range coef {
-			r := i
-			if i >= col {
-				r++
-			}
-			coef[i] = ws[r*w+col]
-		}
-		pivotRow[0] = prow
-		gf256.AddMulRows(others, coef, pivotRow[:])
-		if col < len(others) {
-			others[col] = prow // the next pivot row leaves, this one returns
-		}
+		gf256.EliminateColumn(ws, w, col)
 	}
 	// Pack the inverse halves back to n bytes apart, first row first.
 	for i := 0; i < n; i++ {

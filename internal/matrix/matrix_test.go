@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -285,26 +286,26 @@ func referenceInverse(m *Matrix) (*Matrix, error) {
 		if pivot == n {
 			return nil, ErrSingular
 		}
+		ac, ic := a.Row(col), inv.Row(col)
+		ap, ip := a.Row(pivot), inv.Row(pivot)
 		for j := 0; j < n; j++ {
-			av, iv := a.At(col, j), inv.At(col, j)
-			a.Set(col, j, a.At(pivot, j))
-			inv.Set(col, j, inv.At(pivot, j))
-			a.Set(pivot, j, av)
-			inv.Set(pivot, j, iv)
+			ac[j], ap[j] = ap[j], ac[j]
+			ic[j], ip[j] = ip[j], ic[j]
 		}
-		ip := gf256.Inv(a.At(col, col))
+		s := gf256.Inv(ac[col])
 		for j := 0; j < n; j++ {
-			a.Set(col, j, gf256.Mul(a.At(col, j), ip))
-			inv.Set(col, j, gf256.Mul(inv.At(col, j), ip))
+			ac[j] = gf256.Mul(ac[j], s)
+			ic[j] = gf256.Mul(ic[j], s)
 		}
 		for r := 0; r < n; r++ {
-			c := a.At(r, col)
+			ar, ir := a.Row(r), inv.Row(r)
+			c := ar[col]
 			if r == col || c == 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				a.Set(r, j, a.At(r, j)^gf256.Mul(c, a.At(col, j)))
-				inv.Set(r, j, inv.At(r, j)^gf256.Mul(c, inv.At(col, j)))
+				ar[j] ^= gf256.Mul(c, ac[j])
+				ir[j] ^= gf256.Mul(c, ic[j])
 			}
 		}
 	}
@@ -313,15 +314,19 @@ func referenceInverse(m *Matrix) (*Matrix, error) {
 
 // TestInvertMatchesReference runs Invert — from pooled storage, where the
 // workspace is the matrix's own buffer, and from plain storage, where it
-// is allocated — against the scalar reference on the shapes that matter
-// to the kernels behind it: one row, under and over a 128-byte strip of
-// augmented row (n = 64 fills one exactly), the decoder's largest (127)
-// and the generator's (255). Each size is tried dense, with zeros down
-// the diagonal so that every step has to find its pivot lower and swap,
-// and singular.
+// is allocated — against the scalar reference, byte for byte, at every
+// size from 1 to 128 (the workspace stride steps at every multiple of 64,
+// and 127 is the decoder's largest) and at the generator's 255. Each size
+// is tried dense, with zeros down the diagonal so that every step has to
+// find its pivot lower and swap, and singular, which must return
+// ErrSingular.
 func TestInvertMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 31, 32, 43, 64, 127, 128, 255} {
+	sizes := []int{255}
+	for n := 1; n <= 128; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
 		dense := randomDense(rng, n, n)
 		zeroMinors := randomDense(rng, n, n)
 		for i := 0; i < n; i++ {
@@ -355,38 +360,43 @@ func TestInvertMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkInvert43 inverts what cast-rse-lossy's decoder inverts: a
-// 43×43 submatrix (43 parity rows × 43 missing-source columns, about the
-// erasure count 9 % bursty loss leaves a block) of the k_b=128, n_b=192
-// systematic generator, in pooled storage as rse.SolveBlock holds it.
-func BenchmarkInvert43(b *testing.B) {
-	const kb, nb, e = 128, 192, 43
-	v := Vandermonde(nb, kb)
-	top := make([]int, kb)
-	for i := range top {
-		top[i] = i
-	}
-	topInv, err := v.SubMatrix(top).Inverse()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := v.Mul(topInv)
-	rng := rand.New(rand.NewSource(9))
-	rows, cols := rng.Perm(nb - kb)[:e], rng.Perm(kb)[:e]
-	sub := New(e, e)
-	for i, r := range rows {
-		for j, c := range cols {
-			sub.Set(i, j, sys.At(kb+r, c))
+// BenchmarkInvert inverts what an RS decoder inverts: an e×e submatrix
+// (e parity rows × e missing-source columns) of a k_b=128 systematic
+// generator, in pooled storage as rse.SolveBlock holds it. e=43 is about
+// the erasure count cast-rse-lossy's 9 % bursty loss leaves a block at
+// n_b=192; e=127 needs n_b=255, the most a block can lack and decode.
+func BenchmarkInvert(b *testing.B) {
+	const kb = 128
+	for _, e := range []int{8, 43, 64, 127} {
+		nb := kb + max(e, 64)
+		v := Vandermonde(nb, kb)
+		top := make([]int, kb)
+		for i := range top {
+			top[i] = i
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := NewPooledSquare(e)
-		copy(m.data, sub.data)
-		if err := m.Invert(); err != nil {
+		topInv, err := v.SubMatrix(top).Inverse()
+		if err != nil {
 			b.Fatal(err)
 		}
-		m.Release()
+		sys := v.Mul(topInv)
+		rng := rand.New(rand.NewSource(9))
+		rows, cols := rng.Perm(nb - kb)[:e], rng.Perm(kb)[:e]
+		sub := New(e, e)
+		for i, r := range rows {
+			for j, c := range cols {
+				sub.Set(i, j, sys.At(kb+r, c))
+			}
+		}
+		b.Run(fmt.Sprintf("e=%d", e), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := NewPooledSquare(e)
+				copy(m.data, sub.data)
+				if err := m.Invert(); err != nil {
+					b.Fatal(err)
+				}
+				m.Release()
+			}
+		})
 	}
 }

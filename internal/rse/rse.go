@@ -23,9 +23,10 @@
 // to the missing columns, and multiplies: an O(e³) inversion plus e·k_b
 // symbol-length multiply-accumulates, four rows per pass, where inverting
 // the full k_b×k_b system cost O(k_b³) before any data moved. The
-// inversion runs on the same kernel as the data passes: Gauss-Jordan over
-// augmented rows, each pivot column cleared from all other rows by one
-// gf256.AddMulRows call (matrix.Invert).
+// inversion is Gauss-Jordan over augmented rows (matrix.Invert), each
+// pivot column cleared from all other rows by one gf256.EliminateColumn
+// call: one assembly pass on the gfni tier, one AddMulRows call on the
+// others.
 package rse
 
 import (

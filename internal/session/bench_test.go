@@ -34,6 +34,35 @@ func BenchmarkSessionEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeObject encodes the objects the cast benchmarks send: an
+// RS chunk of 256 symbols of 1 KiB and an LDGM-staircase chunk of 2048
+// symbols of 128 bytes, both at ratio 1.5 — parity, frame layout and
+// header stamping, per object.
+func BenchmarkEncodeObject(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		family     wire.CodeFamily
+		k, payload int
+	}{
+		{"rse-256x1KiB", wire.CodeRSE, 256, 1024},
+		{"ldgm-staircase-2048x128", wire.CodeLDGMStaircase, 2048, 128},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			data := benchData(c.k*c.payload - lengthPrefix)
+			cfg := SenderConfig{ObjectID: 1, Family: c.family, Ratio: 1.5, PayloadSize: c.payload}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				obj, err := EncodeObject(data, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				obj.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkSessionEncodeRawCodec is the raw codec run over exactly the
 // geometry BenchmarkSessionEncode produces (same k, symbol size and
 // ratio — per-source-byte parity work scales with n-k, so MB/s is only

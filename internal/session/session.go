@@ -120,19 +120,25 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 
 	// Lay out the n frames and stamp their headers; payloads[id] is the
 	// payload half of frame id, which the scatter and the codec fill in.
+	// Frame 0's header is validated and checksummed once; every other
+	// frame copies it and rewrites the packet ID, checksum included, in
+	// four table lookups.
 	o := &Object{cfg: cfg, code: code, frames: symbol.NewSlab(n, wire.HeaderLen+cfg.PayloadSize)}
 	views := payloadViews.Get(n)
 	defer payloadViews.Put(views)
 	payloads := *views
-	hdr := wire.Packet{Family: cfg.Family, ObjectID: cfg.ObjectID, K: uint32(k), N: uint32(n), Seed: cfg.Seed}
-	for id := range payloads {
+	f0 := o.frames.Draw(0)
+	payloads[0] = f0[wire.HeaderLen:]
+	hdr := wire.Packet{Family: cfg.Family, ObjectID: cfg.ObjectID, K: uint32(k), N: uint32(n), Seed: cfg.Seed, Payload: payloads[0]}
+	if err := hdr.PutHeader(f0); err != nil {
+		o.Close()
+		return nil, fmt.Errorf("session: %w", err)
+	}
+	for id := 1; id < n; id++ {
 		f := o.frames.Draw(id)
-		hdr.PacketID, hdr.Payload = uint32(id), f[wire.HeaderLen:]
-		if err := hdr.PutHeader(f); err != nil {
-			o.Close()
-			return nil, fmt.Errorf("session: %w", err)
-		}
-		payloads[id] = hdr.Payload
+		copy(f, f0[:wire.HeaderLen])
+		wire.SetPacketID(f, uint32(id))
+		payloads[id] = f[wire.HeaderLen:]
 	}
 
 	// Scatter the virtual stream (length prefix ++ data) into the source

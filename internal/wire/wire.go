@@ -18,15 +18,15 @@
 //	20      4     n  (total packets)
 //	24      8     code construction seed (LDGM) or zero
 //	32      4     payload length in bytes
-//	36      4     header checksum (IEEE CRC-32 of bytes 0..35 with this
-//	              field zeroed) — detects corrupted/foreign datagrams
+//	36      4     header checksum (IEEE CRC-32 of bytes 0..35) — detects
+//	              corrupted/foreign datagrams; SetPacketID updates it
+//	              from four table lookups when only the packet ID changes
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 )
 
 // Magic identifies fecperf datagrams.
@@ -149,7 +149,8 @@ func (p *Packet) IsSource() bool { return p.PacketID < p.K }
 // PutHeader validates the packet and writes its HeaderLen-byte header,
 // checksum included, into h[:HeaderLen]; the length field is
 // len(p.Payload). A sender that keeps datagrams resident lays each frame
-// out as header ++ payload and stamps the header once, here.
+// out as header ++ payload and stamps the header once: here, or for the
+// frames of one object from a copy of one header with SetPacketID.
 func (p *Packet) PutHeader(h []byte) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -165,7 +166,7 @@ func (p *Packet) PutHeader(h []byte) error {
 	binary.BigEndian.PutUint32(h[20:], p.N)
 	binary.BigEndian.PutUint64(h[24:], uint64(p.Seed))
 	binary.BigEndian.PutUint32(h[32:], uint32(len(p.Payload)))
-	binary.BigEndian.PutUint32(h[36:], crc32.ChecksumIEEE(h[:36]))
+	binary.BigEndian.PutUint32(h[36:], checksum(h[:36]))
 	return nil
 }
 
@@ -207,7 +208,7 @@ func DecodeTo(p *Packet, data []byte) error {
 	if h[4] != Version {
 		return ErrBadVersion
 	}
-	if binary.BigEndian.Uint32(h[36:]) != crc32.ChecksumIEEE(h[:36]) {
+	if binary.BigEndian.Uint32(h[36:]) != checksum(h[:36]) {
 		return ErrBadChecksum
 	}
 	*p = Packet{

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +228,45 @@ func TestClone(t *testing.T) {
 	empty := &Packet{Family: CodeRSE, K: 1, N: 1}
 	if cl := empty.Clone(); cl.Payload != nil {
 		t.Fatal("Clone invented a payload")
+	}
+}
+
+// TestSetPacketIDMatchesCRC checks the table update against a full
+// crc32.ChecksumIEEE: from a stamped header with packet ID 0 to IDs
+// across each byte boundary and both extremes, and from 10⁵ random
+// 36-byte headers (any field values, the old ID included) to random IDs.
+// A header it stamps must decode.
+func TestSetPacketIDMatchesCRC(t *testing.T) {
+	p := sample()
+	p.PacketID, p.N = 0, 1<<32-1
+	var base [HeaderLen]byte
+	if err := p.PutHeader(base[:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint32{0, 1, 255, 256, 65535, 65536, 1 << 24, 1<<32 - 1} {
+		h := base
+		SetPacketID(h[:], id)
+		if got, want := binary.BigEndian.Uint32(h[36:]), crc32.ChecksumIEEE(h[:36]); got != want {
+			t.Fatalf("id %#x: checksum %#08x, CRC says %#08x", id, got, want)
+		}
+		if binary.BigEndian.Uint32(h[12:]) != id {
+			t.Fatalf("id %#x: header carries packet ID %#x", id, binary.BigEndian.Uint32(h[12:]))
+		}
+		if id < p.N {
+			if q, err := Decode(append(h[:], p.Payload...)); err != nil || q.PacketID != id {
+				t.Fatalf("id %#x: stamped header does not decode (%v)", id, err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var h [HeaderLen]byte
+	for i := 0; i < 100_000; i++ {
+		rng.Read(h[:36])
+		binary.BigEndian.PutUint32(h[36:], crc32.ChecksumIEEE(h[:36]))
+		id := rng.Uint32()
+		SetPacketID(h[:], id)
+		if got, want := binary.BigEndian.Uint32(h[36:]), crc32.ChecksumIEEE(h[:36]); got != want || binary.BigEndian.Uint32(h[12:]) != id {
+			t.Fatalf("header %x, id %#x: checksum %#08x, CRC says %#08x", h[:36], id, got, want)
+		}
 	}
 }
