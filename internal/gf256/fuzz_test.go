@@ -100,5 +100,30 @@ func FuzzGFKernels(f *testing.F) {
 		if !bytes.Equal(d, w) {
 			t.Fatalf("n=%d off=%d: Xor diverges from XorScalar", n, off)
 		}
+
+		// XorSum over 0..9 sources (src twice when there are several),
+		// into a dst of stale bytes, then in place into its first source.
+		cnt := int(c) % 10
+		sums := make([][]byte, cnt)
+		for i := range sums {
+			buf := make([]byte, off+n)
+			fill(buf, 0x77+byte(i))
+			sums[i] = buf[off:]
+		}
+		if cnt > 1 {
+			sums[cnt-1] = src
+		}
+		want := xorSumScalar(n, sums)
+		d, _ = mkDst(0x88)
+		XorSum(d, sums)
+		if !bytes.Equal(d, want) {
+			t.Fatalf("n=%d off=%d sources=%d: XorSum diverges from the scalar sum", n, off, cnt)
+		}
+		if cnt > 0 {
+			XorSum(sums[0], sums)
+			if !bytes.Equal(sums[0], want) {
+				t.Fatalf("n=%d off=%d sources=%d: XorSum into its first source diverges from the scalar sum", n, off, cnt)
+			}
+		}
 	})
 }

@@ -8,7 +8,7 @@
 //
 // Beyond scalar arithmetic the package provides the slice operations that
 // dominate codec time, so the codec layers never loop over bytes
-// themselves: Xor (every LDGM operation), MulSlice and EliminateColumn
+// themselves: Xor and XorSum (every LDGM operation), MulSlice and EliminateColumn
 // (matrix inversion) and AddMulRows, the fused coefficient-matrix ×
 // symbol-vector product that is the whole of Reed-Solomon encode and
 // decode. Each
@@ -438,11 +438,12 @@ func addMulRowsLadder(dst [][]byte, coef []byte, src [][]byte, from int) {
 	}
 }
 
-// Xor sets dst[i] ^= src[i] (field addition of two symbol slices), eight
-// bytes per step: the uint64 loads/stores compile to single instructions,
-// and this is the hot loop of every LDGM operation. The slices must have
-// equal length and must not alias at an offset (dst == src is fine for
-// the degenerate self-xor, partial overlap is not).
+// Xor sets dst[i] ^= src[i] (field addition of two symbol slices): on
+// amd64 the two-source case of the XorSum kernel, elsewhere eight bytes
+// per step, the uint64 loads/stores compiling to single instructions.
+// The slices must have equal length and must not alias at an offset
+// (dst == src is fine for the degenerate self-xor, partial overlap is
+// not).
 func Xor(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: Xor length mismatch")
@@ -452,6 +453,37 @@ func Xor(dst, src []byte) {
 		return
 	}
 	xorWords(dst, src)
+}
+
+// XorSum sets dst to the XOR (field sum) of srcs; no sources clear dst,
+// one copies it. It is the LDGM kernel: an encoder's parity and a
+// decoder's rebuilt symbol are each the sum of their equation's other
+// members. On amd64 one assembly pass folds a 128-byte strip of every
+// source in registers and stores it once, so dst is written and never
+// read. Every slice must have dst's length; dst may be srcs[0] but must
+// not otherwise overlap a source.
+func XorSum(dst []byte, srcs [][]byte) {
+	for _, s := range srcs {
+		if len(s) != len(dst) {
+			panic("gf256: XorSum length mismatch")
+		}
+	}
+	switch {
+	case len(srcs) == 0:
+		clear(dst)
+	case simdEnabled && len(dst) >= simdMinLen:
+		xorSumSIMD(dst, srcs)
+	default:
+		xorSumLoop(dst, srcs)
+	}
+}
+
+// xorSumLoop is XorSum as a copy and one Xor per further source.
+func xorSumLoop(dst []byte, srcs [][]byte) {
+	copy(dst, srcs[0])
+	for _, s := range srcs[1:] {
+		Xor(dst, s)
+	}
 }
 
 // xorWords is the word-wide pure-Go kernel behind Xor, also used for the

@@ -122,43 +122,101 @@ loop:
 	VZEROUPPER
 	RET
 
-// func xorAVX2(dst, src *byte, n int)
-// dst[i] ^= src[i] for i in [0,n), n % 32 == 0, n > 0.
-TEXT ·xorAVX2(SB), NOSPLIT, $0-24
+// func xorSumAVX2(dst *byte, srcs *[]byte, cnt, n int)
+// dst[i] = srcs[0][i] ^ srcs[1][i] ^ … ^ srcs[cnt-1][i] for i in [0,n),
+// cnt > 0, n % 32 == 0, n > 0. srcs points at cnt slice headers (24 bytes
+// each; only the data pointer is read). The walk is strip-major: a
+// 128-byte strip of every source is folded into Y0-Y3 and stored once, so
+// dst is written and never read, and may be srcs[0] itself. Whole strips
+// first, then 32-byte steps. Two sources — Xor's dst ^= src — keep both
+// row pointers in registers for the whole pass.
+TEXT ·xorSumAVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	CMPQ CX, $128
-	JB   tail32
-loop128:
-	VMOVDQU (SI), Y0
-	VMOVDQU 32(SI), Y1
-	VMOVDQU 64(SI), Y2
-	VMOVDQU 96(SI), Y3
-	VPXOR   (DI), Y0, Y0
-	VPXOR   32(DI), Y1, Y1
-	VPXOR   64(DI), Y2, Y2
-	VPXOR   96(DI), Y3, Y3
+	MOVQ srcs+8(FP), SI
+	MOVQ cnt+16(FP), DX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX             // byte offset into every row
+	MOVQ CX, BX
+	ANDQ $-128, BX          // end of the whole strips
+	JZ   tail32
+	CMPQ DX, $2
+	JNE  loop128
+	MOVQ (SI), R8
+	MOVQ 24(SI), R9
+pair128:
+	VMOVDQU (R9), Y0
+	VMOVDQU 32(R9), Y1
+	VMOVDQU 64(R9), Y2
+	VMOVDQU 96(R9), Y3
+	VPXOR   (R8), Y0, Y0
+	VPXOR   32(R8), Y1, Y1
+	VPXOR   64(R8), Y2, Y2
+	VPXOR   96(R8), Y3, Y3
 	VMOVDQU Y0, (DI)
 	VMOVDQU Y1, 32(DI)
 	VMOVDQU Y2, 64(DI)
 	VMOVDQU Y3, 96(DI)
-	ADDQ    $128, SI
+	ADDQ    $128, R8
+	ADDQ    $128, R9
 	ADDQ    $128, DI
-	SUBQ    $128, CX
-	CMPQ    CX, $128
-	JAE     loop128
-tail32:
-	TESTQ CX, CX
-	JZ    done
-tailloop:
-	VMOVDQU (SI), Y0
-	VPXOR   (DI), Y0, Y0
+	ADDQ    $128, AX
+	CMPQ    AX, BX
+	JB      pair128
+	JMP     tail32
+loop128:
+	MOVQ    (SI), R8
+	ADDQ    AX, R8
+	VMOVDQU (R8), Y0
+	VMOVDQU 32(R8), Y1
+	VMOVDQU 64(R8), Y2
+	VMOVDQU 96(R8), Y3
+	LEAQ    24(SI), R9      // next source header
+	MOVQ    DX, R10
+	DECQ    R10
+	JZ      store128
+src128:
+	MOVQ  (R9), R8
+	ADDQ  AX, R8
+	VPXOR (R8), Y0, Y0
+	VPXOR 32(R8), Y1, Y1
+	VPXOR 64(R8), Y2, Y2
+	VPXOR 96(R8), Y3, Y3
+	ADDQ  $24, R9
+	DECQ  R10
+	JNZ   src128
+store128:
 	VMOVDQU Y0, (DI)
-	ADDQ    $32, SI
+	VMOVDQU Y1, 32(DI)
+	VMOVDQU Y2, 64(DI)
+	VMOVDQU Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, AX
+	CMPQ    AX, BX
+	JB      loop128
+tail32:
+	CMPQ AX, CX
+	JAE  done
+loop32:
+	MOVQ    (SI), R8
+	ADDQ    AX, R8
+	VMOVDQU (R8), Y0
+	LEAQ    24(SI), R9
+	MOVQ    DX, R10
+	DECQ    R10
+	JZ      store32
+src32:
+	MOVQ  (R9), R8
+	ADDQ  AX, R8
+	VPXOR (R8), Y0, Y0
+	ADDQ  $24, R9
+	DECQ  R10
+	JNZ   src32
+store32:
+	VMOVDQU Y0, (DI)
 	ADDQ    $32, DI
-	SUBQ    $32, CX
-	JNZ     tailloop
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JB      loop32
 done:
 	VZEROUPPER
 	RET

@@ -35,6 +35,54 @@ func TestXorMatchesScalar(t *testing.T) {
 	}
 }
 
+// xorSumScalar is the byte-at-a-time reference for XorSum, into a fresh
+// slice.
+func xorSumScalar(n int, srcs [][]byte) []byte {
+	want := make([]byte, n)
+	for _, s := range srcs {
+		XorScalar(want, s)
+	}
+	return want
+}
+
+// TestXorSumMatchesScalar: every source count from none (dst cleared) to
+// 40, at lengths around the 32-byte step and the 128-byte strip, into a
+// dst of stale bytes and into srcs[0] itself.
+func TestXorSumMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 31, 32, 33, 63, 64, 127, 128, 129, 1024, 1152} {
+		for cnt := 0; cnt <= 40; cnt++ {
+			for _, inPlace := range []bool{false, true} {
+				if inPlace && cnt == 0 {
+					continue
+				}
+				srcs := make([][]byte, cnt)
+				for i := range srcs {
+					srcs[i] = randSlice(rng, n)
+				}
+				want := xorSumScalar(n, srcs)
+				dst := randSlice(rng, n)
+				if inPlace {
+					dst = srcs[0]
+				}
+				XorSum(dst, srcs)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("len %d, %d sources, in place %v: XorSum diverges from the scalar sum", n, cnt, inPlace)
+				}
+			}
+		}
+	}
+}
+
+func TestXorSumLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("XorSum with a short source did not panic")
+		}
+	}()
+	XorSum(make([]byte, 64), [][]byte{make([]byte, 64), make([]byte, 63)})
+}
+
 func TestAddMulVariantsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range kernelLens {
@@ -197,7 +245,7 @@ func TestVectorKernelsAreVEXOnly(t *testing.T) {
 	}
 	flush()
 	if kernels != 5 {
-		t.Fatalf("found %d YMM/ZMM kernels in kernels_amd64.s, want 5 (addMul, addMul4, xor, addMulRowsGFNI, eliminateGFNI): the parser lost track of the file", kernels)
+		t.Fatalf("found %d YMM/ZMM kernels in kernels_amd64.s, want 5 (addMul, addMul4, xorSum, addMulRowsGFNI, eliminateGFNI): the parser lost track of the file", kernels)
 	}
 }
 
@@ -284,6 +332,21 @@ func BenchmarkXorKernel(b *testing.B) {
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {
 		Xor(dst, src)
+	}
+}
+
+// BenchmarkXorSum128 is the LDGM decoder's solve: a 128-byte symbol
+// rebuilt from the seven other members of its equation.
+func BenchmarkXorSum128(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	srcs := make([][]byte, 7)
+	for i := range srcs {
+		srcs[i] = randSlice(rng, 128)
+	}
+	dst := make([]byte, 128)
+	b.SetBytes(int64(len(srcs) * 128))
+	for i := 0; i < b.N; i++ {
+		XorSum(dst, srcs)
 	}
 }
 

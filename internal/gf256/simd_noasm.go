@@ -23,3 +23,7 @@ func addMul4SIMD(d0, d1, d2, d3, src []byte, c0, c1, c2, c3 byte) {
 func xorSIMD(dst, src []byte) {
 	panic("gf256: SIMD kernel called in a build without one")
 }
+
+func xorSumSIMD(dst []byte, srcs [][]byte) {
+	panic("gf256: SIMD kernel called in a build without one")
+}

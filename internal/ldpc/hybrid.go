@@ -52,26 +52,31 @@ func (d *Decoder) SolveGauss() bool {
 	}
 
 	// Build the residual system: one bit row per live equation over the
-	// unknown columns, plus the payload RHS (XOR of known terms) when in
-	// payload mode.
+	// unknown columns, plus the payload RHS (the XOR sum of its known
+	// members, every logged one written first) when in payload mode.
 	nUnk := len(cols)
 	words := (nUnk + 63) / 64
 	rows := make([][]uint64, len(liveEqs))
 	rhs := make([][]byte, len(liveEqs))
+	if d.symLen > 0 {
+		d.pay.solve(c)
+	}
+	var terms [][]byte
 	for i, eq := range liveEqs {
 		row := make([]uint64, words)
+		terms = terms[:0]
 		for _, v := range c.EquationVars(int(eq)) {
-			if j, ok := colOf[v]; ok && !has(d.known, v) {
+			if !has(d.known, v) {
+				j := colOf[v]
 				row[j/64] ^= 1 << (j % 64)
+			} else if d.symLen > 0 {
+				terms = append(terms, d.pay.slot(c, v))
 			}
 		}
 		rows[i] = row
 		if d.symLen > 0 {
-			r := symbol.Get(d.symLen)
-			if has(d.pay.touched, eq) {
-				copy(r, d.pay.acc.Slot(int(eq)))
-			}
-			rhs[i] = r
+			rhs[i] = symbol.GetDirty(d.symLen)
+			gf256.XorSum(rhs[i], terms)
 		}
 	}
 

@@ -33,12 +33,14 @@
 // eight bytes of peeling state per equation, one bit per variable. The
 // peeler's solve queue is a stack of m+2 entries, pushed without a branch
 // and taken once per decoder (recycled when a payload decoder closes);
-// the variables it makes known are logged at its far end, which is all
-// the payload pass needs. The same Decoder type runs the simulations
-// (structural: IDs only, reset between trials, fed a batch of arrivals
-// per call) and the cast datapath (payload mode); in payload mode it adds
-// a slab of k source slots, a slab of n-k accumulators and a bit per
-// equation, nothing per symbol.
+// the variables it makes known are logged at its far end. The same
+// Decoder type runs the simulations (structural: IDs only, reset between
+// trials, fed a batch of arrivals per call) and the cast datapath
+// (payload mode); in payload mode it adds a slab of k source slots, a
+// slab of n-k parity slots and a log of the variables equations solved,
+// nothing per symbol. The peel stays structural: bytes are only moved
+// once, when the object completes, to solve each logged variable from
+// its equation.
 package ldpc
 
 import (
@@ -354,7 +356,8 @@ func (c *Code) RowWeight(i int) int { return int(c.rowOff[i+1] - c.rowOff[i]) }
 // into caller-supplied buffers, overwriting every byte of them. Equations
 // are processed in order; with Staircase and Triangle each diagonal parity
 // depends only on source symbols and earlier parities, so a single pass
-// suffices. All payloads must share one length.
+// suffices. Each parity is one gf256.XorSum of its equation's other
+// members. All payloads must share one length.
 func (c *Code) EncodeInto(src, parity [][]byte) error {
 	if len(src) != c.k {
 		return fmt.Errorf("ldpc: expected %d source payloads, got %d", c.k, len(src))
@@ -373,33 +376,26 @@ func (c *Code) EncodeInto(src, parity [][]byte) error {
 			return fmt.Errorf("ldpc: parity buffer %d has length %d, want %d", i, len(p), symLen)
 		}
 	}
+	var buf [termsOnStack][]byte
 	for i, p := range parity {
-		// The first term is copied rather than XORed into zeros: one pass
-		// over p saved per equation.
-		first := true
+		terms := buf[:0]
 		for _, v := range c.EquationVars(i) {
-			var term []byte
 			switch {
 			case int(v) < c.k:
-				term = src[v]
-			case int(v) == c.k+i:
-				continue // the symbol being defined
-			default:
-				term = parity[int(v)-c.k]
-			}
-			if first {
-				copy(p, term)
-				first = false
-			} else {
-				gf256.Xor(p, term)
+				terms = append(terms, src[v])
+			case int(v) != c.k+i: // not the symbol being defined
+				terms = append(terms, parity[int(v)-c.k])
 			}
 		}
-		if first {
-			clear(p)
-		}
+		gf256.XorSum(p, terms)
 	}
 	return nil
 }
+
+// termsOnStack is how many members of an equation EncodeInto and the
+// payload solve gather without a heap allocation: a staircase row of the
+// default left degree has eight, a wider one spills.
+const termsOnStack = 16
 
 // Encode implements core.Codec: EncodeInto with one pooled buffer per
 // parity symbol, owned by the caller.
@@ -428,13 +424,13 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 }
 
 // Decoder is the incremental iterative decoder of Section 2.3.2: each
-// arriving packet substitutes its variable into the equations it appears
-// in; any equation left with a single unknown yields that variable, which
-// is substituted recursively. Substitution is eager — a variable is folded
-// into every one of its equations the moment it becomes known and is never
-// read again — so the decoder keeps one known bit per variable, no more.
-// The set of known variables after an arrival is the peeling closure of
-// the received set, whatever the arrival order.
+// arriving packet makes its variable known in each of its equations; any
+// equation left with a single unknown yields that variable, which is
+// propagated recursively. The peel is structural — it counts unknowns
+// and XORs IDs — so the decoder keeps one known bit per variable and
+// eight bytes per equation. The set of known variables after an arrival
+// is the peeling closure of the received set, whatever the arrival
+// order. A payload decoder adds the bytes (see payloads).
 type Decoder struct {
 	code       *Code
 	symLen     int      // 0 = structural mode
@@ -451,23 +447,24 @@ type Decoder struct {
 // one unknown once, and that unknown is then solved, so after propagate
 // an equation is solved (unknown == 0) or has two or more unknowns.
 type equation struct {
-	unknown int32 // variables not yet substituted
+	unknown int32 // variables not yet known
 	xorID   int32 // XOR of their IDs: the variable itself when unknown == 1
 }
 
 // payloads is the byte-carrying half of a Decoder, absent from the
-// structural decoders. It is two slabs and no per-symbol table: src holds
-// the k source symbols at their final positions, and slot i of acc is
-// equation i's accumulator, the running XOR of its substituted terms.
-// When an equation is down to one unknown its accumulator is that
-// variable's value; the slot of the equation that solves it is never
-// written again, so the value is read from there while it is
-// substituted, a source being copied to its slot in src first. Parity
-// symbols are consumed, not stored: a received one is XORed into its
-// equations straight from the caller's buffer.
+// structural decoders: two slabs and a log, no per-symbol table. A
+// received symbol is copied once, to its slot — a source to its final
+// position in src, a parity to its slot in par — and the peel goes on
+// without touching bytes. The variables equations solve are appended to
+// the log with their solving equation, at most one per equation. When
+// the object completes, one pass (solve) writes each logged variable as
+// the XOR sum of its equation's other members, in solve order, so every
+// member is in its slot by then: a rebuilt symbol costs one kernel call,
+// however many equations it appears in.
 type payloads struct {
-	src, acc symbol.Slab
-	touched  []uint64 // bitset over equations: the accumulator slot holds a term
+	src, par symbol.Slab
+	log      *[]solve // solved variables in solve order: m entries, taken on first solve
+	solved   int      // (*log)[:solved] are in their slots
 }
 
 func (c *Code) newDecoder(symLen int) *Decoder {
@@ -478,11 +475,7 @@ func (c *Code) newDecoder(symLen int) *Decoder {
 		eqs:    slices.Clone(c.eqInit),
 	}
 	if symLen > 0 {
-		d.pay = &payloads{
-			src:     symbol.NewSlab(c.k, symLen),
-			acc:     symbol.NewSlab(c.m, symLen),
-			touched: make([]uint64, (c.m+63)/64),
-		}
+		d.pay = &payloads{src: symbol.NewSlab(c.k, symLen), par: symbol.NewSlab(c.m, symLen)}
 	}
 	return d
 }
@@ -526,9 +519,8 @@ func (d *Decoder) ReceiveBatch(ids []int32, arrived uint64) (consumed int, decod
 }
 
 // ReceivePayload delivers a packet with its payload, which is only read
-// during the call: a source is copied to its slot, a parity symbol is
-// folded into its equations and dropped. It returns true once all k
-// source payloads are recovered.
+// during the call: a new symbol is copied to its slot. It returns true
+// once all k source payloads are recovered.
 func (d *Decoder) ReceivePayload(id int, payload []byte) bool {
 	if d.pay == nil {
 		panic("ldpc: ReceivePayload on a structural decoder")
@@ -580,7 +572,7 @@ func (d *Decoder) receive(ids []int32, arrived uint64, val []byte) (n int, done 
 
 // propagate makes the unknown variable id known — in payload mode val
 // holds its bytes, read during the call — and peels: a variable becoming
-// known is substituted into each of its equations, and an equation left
+// known leaves each of its equations' unknowns, and an equation left
 // with one unknown solves that one.
 //
 // The solve queue is a stack: every equation update writes the
@@ -588,7 +580,7 @@ func (d *Decoder) receive(ids []int32, arrived uint64, val []byte) (n int, done 
 // one unknown is left, without a branch; an id popped twice (two
 // equations solved it) is skipped as known. The variables made known are
 // logged downwards from the stack's far end, each with the equation that
-// solved it, for the payload pass. An equation reaches one unknown once,
+// solved it, for the payload log. An equation reaches one unknown once,
 // so pushes and log together never exceed m+1 entries, and the stack has
 // m+2 for the top slot. Tables and both ends live in locals.
 func (d *Decoder) propagate(id int32, val []byte) {
@@ -629,7 +621,7 @@ func (d *Decoder) propagate(id int32, val []byte) {
 		}
 	}
 	if d.pay != nil {
-		d.pay.substitute(c, made, val)
+		d.pay.record(c, made, val, d.Done())
 	}
 }
 
@@ -637,10 +629,10 @@ func (d *Decoder) propagate(id int32, val []byte) {
 // was the last unknown of (-1 for the variable that arrived).
 type solve struct{ id, eq int32 }
 
-// solveStacks recycles the solve stacks of payload decoders, which the
-// wire builds one per LDGM object and closes when it is done: at eight
-// bytes an equation, a stack would otherwise be the largest allocation
-// of an object's receive path. A structural decoder keeps its stack for
+// solveStacks recycles the solve stacks and solve logs of payload
+// decoders, which the wire builds one per LDGM object and closes when it
+// is done: at eight bytes an equation, each would otherwise be the
+// largest allocation of an object's receive path. A structural decoder keeps its stack for
 // life: the engine resets one per worker, and a receiver built per trial
 // (the ML one) pays 8·(m+2) bytes a trial, next to its elimination's
 // megabytes.
@@ -665,41 +657,62 @@ func oneIf(b bool) int {
 	return i
 }
 
-// substitute is propagate's payload pass: it folds the bytes of the
-// variables propagate made known into their equations' accumulators, in
-// the order they became known. solved lists them last first, each with
-// the equation it was the last unknown of, whose accumulator holds its
-// bytes by then; val holds those of the variable that arrived. A source
-// is first copied to its final slot — the one copy between the caller's
-// buffer and the decoded object, or the one write of a rebuilt source.
-// The solving equation is skipped; another equation a variable was the
-// last unknown of goes to zero, and nothing reads it again. The first
-// term of an accumulator is copied rather than XORed into zeros.
-func (p *payloads) substitute(c *Code, solved []solve, val []byte) {
-	for i := len(solved) - 1; i >= 0; i-- {
-		s := solved[i]
-		b := val
-		if s.eq >= 0 {
-			b = p.acc.Slot(int(s.eq))
+// record is propagate's payload step. made lists the variables it made
+// known, last first; the last entry is the one that arrived, whose bytes
+// val holds and go to its slot. The others were solved by equations and
+// are appended to the log in solve order. Once the object is done, solve
+// writes them.
+func (p *payloads) record(c *Code, made []solve, val []byte, done bool) {
+	copy(p.draw(c, made[len(made)-1].id), val)
+	if len(made) > 1 {
+		if p.log == nil {
+			p.log = solveStack(c.m)
+			*p.log = (*p.log)[:0]
 		}
-		if int(s.id) < c.k {
-			copy(p.src.Draw(int(s.id)), b)
-		}
-		lo, hi := equations(c.varEq, s.id)
-		for _, eq := range c.varEq[lo:hi] {
-			if eq < 0 {
-				break
-			}
-			switch {
-			case eq == s.eq:
-			case has(p.touched, eq):
-				gf256.Xor(p.acc.Slot(int(eq)), b)
-			default:
-				copy(p.acc.Draw(int(eq)), b)
-				add(p.touched, eq)
-			}
+		for i := len(made) - 2; i >= 0; i-- {
+			*p.log = append(*p.log, made[i])
 		}
 	}
+	if done {
+		p.solve(c)
+	}
+}
+
+// solve writes every logged variable not yet in its slot, in solve
+// order, as the XOR sum of the other members of the equation that solved
+// it: each of those arrived, or was solved earlier in the log.
+func (p *payloads) solve(c *Code) {
+	if p.log == nil {
+		return
+	}
+	log := *p.log
+	var buf [termsOnStack][]byte
+	for _, s := range log[p.solved:] {
+		terms := buf[:0]
+		for _, v := range c.EquationVars(int(s.eq)) {
+			if v != s.id {
+				terms = append(terms, p.slot(c, v))
+			}
+		}
+		gf256.XorSum(p.draw(c, s.id), terms)
+	}
+	p.solved = len(log)
+}
+
+// slot returns the bytes of known variable v, arrived or solved.
+func (p *payloads) slot(c *Code, v int32) []byte {
+	if int(v) < c.k {
+		return p.src.Slot(int(v))
+	}
+	return p.par.Slot(int(v) - c.k)
+}
+
+// draw returns variable v's slot for its first write.
+func (p *payloads) draw(c *Code, v int32) []byte {
+	if int(v) < c.k {
+		return p.src.Draw(int(v))
+	}
+	return p.par.Draw(int(v) - c.k)
 }
 
 // Done implements core.Receiver.
@@ -707,10 +720,11 @@ func (d *Decoder) Done() bool { return d.srcKnown == d.code.k }
 
 // BufferedSymbols implements core.MemoryReporter. A large-block iterative
 // decoder must keep every known symbol until the object completes (any of
-// them may participate in a future substitution); afterwards only the k
+// them may be a term of a lost symbol's equation); afterwards only the k
 // source symbols remain and they stream out, so the requirement drops to
-// zero. This is the paper's storage model, which the goldens pin — eager
-// substitution lets this implementation hold less (see payloads).
+// zero. This is the paper's storage model, which the goldens pin, and
+// the payload decoder's too: it keeps every known symbol in its slabs
+// until the object completes (see payloads).
 func (d *Decoder) BufferedSymbols() int {
 	if d.Done() {
 		return 0
@@ -733,6 +747,7 @@ func (d *Decoder) Source(i int) []byte {
 	if !has(d.known, int32(i)) || d.pay.src.Slots() == 0 { // unknown, or the slab is gone (taken, closed)
 		return nil
 	}
+	d.pay.solve(d.code) // a solved source is written at completion, or here
 	return d.pay.src.Slot(i)
 }
 
@@ -749,18 +764,22 @@ func (d *Decoder) TakeSources() symbol.Slab {
 func (d *Decoder) Known(id int) bool { return has(d.known, int32(id)) }
 
 // Close implements core.PayloadDecoder: it returns the slabs the decoder
-// still owns to the symbol pool, and its solve stack for the next
-// decoder. The decoder, and any slice Source
-// returned, must not be used after Close. Close is idempotent and a no-op
-// for structural decoders.
+// still owns to the symbol pool, and its solve stack and log for the
+// next decoder. The decoder, and any slice Source returned, must not be
+// used after Close. Close is idempotent and a no-op for structural
+// decoders.
 func (d *Decoder) Close() {
 	if d.pay == nil {
 		return
 	}
 	d.pay.src.Release()
-	d.pay.acc.Release()
+	d.pay.par.Release()
 	if d.stack != nil {
 		solveStacks.Put(d.stack)
 		d.stack = nil
+	}
+	if d.pay.log != nil {
+		solveStacks.Put(d.pay.log)
+		d.pay.log = nil
 	}
 }

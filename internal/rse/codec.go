@@ -37,7 +37,7 @@ func (c *Code) NewDecoder(symLen int) (core.PayloadDecoder, error) {
 // missing sources: O(e³ + e·k_b) where selecting and inverting k_b rows of
 // the systematic matrix was O(k_b³). The e×e matrix is inverted in place,
 // in the one pool buffer that also holds its elimination workspace, one
-// gf256.AddMulRows call per pivot column (matrix.Invert). Matrices borrow
+// gf256.EliminateColumn call per pivot (matrix.Invert). Matrices borrow
 // pool buffers — two per solve — and the vectors live in the block's view
 // table, so a block decode allocates nothing.
 func (c *Code) SolveBlock(bi int, tab [][]byte) {

@@ -137,8 +137,8 @@ func TestSessionDecodeAllocCeiling(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, run) - float64(used); avg > 16 {
 			t.Errorf("%s: receive+decode allocs/op = %.1f, want <= 16", g.name, avg)
 		}
-		// Source slab + the decoder's second slab (LDGM: one accumulator
-		// per equation; RS: at most as many parity symbols) + the three
+		// Source slab + the decoder's second slab (LDGM: one slot per
+		// parity symbol; RS: at most as many parity symbols) + the three
 		// scratch matrices of an RS solve.
 		ceiling := slabBuffers(k, g.cfg.PayloadSize) + slabBuffers(n-k, g.cfg.PayloadSize) + 3
 		if gets := poolGets(run); gets > ceiling {

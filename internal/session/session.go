@@ -279,13 +279,11 @@ type Receiver struct {
 }
 
 // Reassembly is one object's receive-side state, from the datagram that
-// opened it to its decode: the OTI every later datagram must repeat, the
-// payload decoder and its slabs, and a bitmap of the packet IDs seen.
+// opened it to its decode: the header whose OTI every later datagram must
+// repeat, the payload decoder and its slabs, and a bitmap of the packet
+// IDs seen.
 type Reassembly struct {
-	family  wire.CodeFamily
-	k, n    int
-	seed    int64
-	symLen  int
+	hdr     [wire.HeaderLen]byte // the opening datagram's, as PutHeader lays it out
 	dec     core.PayloadDecoder
 	packets int
 	seen    []uint64  // bitmap over packet IDs: duplicate detection
@@ -458,29 +456,37 @@ func (r *Receiver) PacketsIngested(id uint32) int {
 // the (cached) code it names and a payload decoder for p's symbol length.
 // p itself is not consumed — pass it to Ingest next.
 func OpenReassembly(p *wire.Packet) (*Reassembly, error) {
-	a := &Reassembly{
-		family: p.Family,
-		k:      int(p.K),
-		n:      int(p.N),
-		seed:   p.Seed,
-		symLen: len(p.Payload),
-	}
-	if a.symLen == 0 {
+	a := &Reassembly{}
+	if len(p.Payload) == 0 {
 		return nil, fmt.Errorf("session: zero-length symbol")
 	}
-	code, err := codes.CachedForWire(p.Family, a.k, a.n, a.seed)
+	if err := p.PutHeader(a.hdr[:]); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
+	}
+	code, err := codes.CachedForWire(p.Family, int(p.K), int(p.N), p.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	dec, err := code.NewDecoder(a.symLen)
+	dec, err := code.NewDecoder(len(p.Payload))
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
 	a.dec = dec
-	a.seen = make([]uint64, (a.n+63)/64)
+	a.seen = make([]uint64, (p.N+63)/64)
 	a.start = time.Now()
 	return a, nil
 }
+
+// Header returns the header of the datagram that opened the object (its
+// packet ID aside, the header every datagram of the object carries): the
+// template wire.DecodeLike checks the object's datagrams against. It is
+// read-only.
+func (a *Reassembly) Header() []byte { return a.hdr[:] }
+
+// The object's OTI, read from its header.
+func (a *Reassembly) k() int      { return int(binary.BigEndian.Uint32(a.hdr[16:])) }
+func (a *Reassembly) n() int      { return int(binary.BigEndian.Uint32(a.hdr[20:])) }
+func (a *Reassembly) symLen() int { return int(binary.BigEndian.Uint32(a.hdr[32:])) }
 
 // Ingest feeds one packet of the object to its decoder. The packet's
 // Payload may alias a reused read buffer: the decoder copies what it
@@ -491,10 +497,11 @@ func OpenReassembly(p *wire.Packet) (*Reassembly, error) {
 // source slab and owned by the caller — or ErrCorrupt. Either way the
 // Reassembly has closed itself and must not be used again.
 func (a *Reassembly) Ingest(p *wire.Packet) (IngestResult, *Decoded, error) {
-	res := IngestResult{ObjectID: p.ObjectID, K: a.k, Packets: a.packets}
-	if int(p.K) != a.k || int(p.N) != a.n || p.Seed != a.seed ||
-		p.Family != a.family || len(p.Payload) != a.symLen ||
-		int(p.PacketID) >= a.n {
+	k, n := a.k(), a.n()
+	res := IngestResult{ObjectID: p.ObjectID, K: k, Packets: a.packets}
+	if int(p.K) != k || int(p.N) != n || uint64(p.Seed) != binary.BigEndian.Uint64(a.hdr[24:]) ||
+		p.Family != wire.CodeFamily(a.hdr[5]) || len(p.Payload) != a.symLen() ||
+		int(p.PacketID) >= n {
 		return res, nil, fmt.Errorf("session: datagram inconsistent with object %d's OTI", p.ObjectID)
 	}
 	word, bit := p.PacketID/64, uint64(1)<<(p.PacketID%64)
@@ -531,7 +538,7 @@ func (a *Reassembly) Close() { a.dec.Close() }
 func (a *Reassembly) finish() (*Decoded, error) {
 	slab := a.dec.TakeSources()
 	a.dec.Close()
-	total := a.k * a.symLen
+	total := a.k() * a.symLen()
 	if total < lengthPrefix {
 		slab.Release()
 		return nil, fmt.Errorf("%w: %d bytes of symbols cannot hold the length prefix", ErrCorrupt, total)

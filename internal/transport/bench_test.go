@@ -1,12 +1,17 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
+	"fecperf/internal/channel"
+	"fecperf/internal/codes"
 	"fecperf/internal/obs"
+	"fecperf/internal/session"
 	"fecperf/internal/wire"
 )
 
@@ -295,4 +300,55 @@ func BenchmarkLoopbackWriteBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*batchN)/time.Since(start).Seconds(), "pkts/s")
+}
+
+// BenchmarkCollectLDGMSmall is the receive path of the cast-ldgm-smallpkt
+// workload without the link: a train of eight LDGM-staircase chunks of
+// k = 2048 symbols of 128 bytes, cast tx4 in window groups of four,
+// recorded once through Gilbert(0.05, 0.5) loss, then replayed into a
+// Collector reading 32 datagrams per ReadBatch — parse, header check,
+// ingest, peel, solve and the in-order write, per op.
+func BenchmarkCollectLDGMSmall(b *testing.B) {
+	delivery := Delivery{
+		BaseObjectID: 40,
+		Codec:        codes.Spec{Family: "ldgm-staircase", K: 2048, Ratio: 1.5},
+		PayloadSize:  128,
+		Window:       4,
+		Rounds:       1,
+		BatchSize:    32,
+		Seed:         7,
+	}
+	stream := testFile(b, 8*session.ChunkDataSize(2048, 128), 8)
+	capture := &captureConn{}
+	src := rand.New(rand.NewSource(9))
+	caster, err := NewCaster(&gilbertLossConn{Conn: capture, ch: channel.NewGilbert(0.05, 0.5, src)},
+		bytes.NewReader(stream), CasterConfig{Delivery: delivery})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := caster.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(stream)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var written countingWriter
+		col := NewCollector(&replayConn{datagrams: capture.frames}, &written,
+			CollectorConfig{BaseObjectID: delivery.BaseObjectID, ReadBatch: 32})
+		if err := col.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		if int(written) != len(stream) {
+			b.Fatalf("collected %d of %d bytes", written, len(stream))
+		}
+	}
+}
+
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter int
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	*w += countingWriter(len(p))
+	return len(p), nil
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"time"
@@ -105,8 +106,9 @@ type Stats struct {
 // (bounded by MaxInFlight) while it reassembles, the completed FIFO
 // (bounded by MaxCompletedIDs) once it has decoded.
 //
-// Run is the single ingest loop; Stats, Object and WaitObject are safe
-// from any goroutine, concurrently with Run.
+// Run is the single ingest loop, which holds the lock for a read batch
+// at a time; Stats, Object and WaitObject are safe from any goroutine,
+// concurrently with Run.
 type ReceiverDaemon struct {
 	conn Conn
 	cfg  ReceiverConfig
@@ -288,131 +290,144 @@ func (d *ReceiverDaemon) Run(ctx context.Context) error {
 		}
 		d.readBatches.Inc()
 		d.readBatchSizes.Observe(int64(filled))
-		for _, b := range bufs[:filled] {
-			d.handle(b)
-		}
+		d.ingest(bufs[:filled])
 	}
 }
 
-// handle ingests one datagram. The payload aliases the read buffer; the
-// object's payload decoder copies it once, to its final place in the
-// object's slab, so the buffer is reusable on return. Steady-state ingest
-// of an in-flight object allocates nothing.
-func (d *ReceiverDaemon) handle(datagram []byte) {
-	d.packetsSeen.Add(1)
-	d.bytesSeen.Add(uint64(len(datagram)))
-	if len(datagram) > d.cfg.MTU {
-		d.discards[discardTruncated].Add(1)
-		return
+// ingest feeds one read batch to the objects its datagrams belong to,
+// under one hold of d.mu, and counts what became of each. Payloads alias
+// the read buffers; an object's payload decoder copies each once, to its
+// final place in the object's slab, so the buffers are reusable on
+// return. Steady-state ingest of an in-flight object allocates nothing.
+//
+// A datagram is matched to its object by its raw object-ID bytes: one
+// of an object in flight is checked against the object's header
+// (wire.DecodeLike), any other takes wire.DecodeTo. The datagram that
+// completes an object lets go of the lock while the sink takes the
+// object, before the next datagram is looked at.
+func (d *ReceiverDaemon) ingest(batch []wire.Datagram) {
+	var seen uint64
+	for _, b := range batch {
+		seen += uint64(len(b))
 	}
-	// The CRC proves the header arrived intact, not that its OTI is
-	// honest: cap the announced object size BEFORE the decoder
-	// constructor allocates for it.
+	d.packetsSeen.Add(uint64(len(batch)))
+	d.bytesSeen.Add(seen)
 	p := &d.scratch
-	if wire.DecodeTo(p, datagram) != nil || int64(p.N) > int64(d.cfg.MaxObjectPackets) {
-		d.discards[discardBad].Add(1)
-		return
-	}
 	d.mu.Lock()
-	res, obj := d.ingestLocked(p)
+	for _, datagram := range batch {
+		if len(datagram) > d.cfg.MTU {
+			d.discards[discardTruncated].Add(1)
+			continue
+		}
+		var e *entry
+		if len(datagram) >= wire.HeaderLen {
+			e = d.objects[binary.BigEndian.Uint32(datagram[8:])]
+		}
+		var err error
+		if e != nil && e.asm != nil {
+			err = wire.DecodeLike(p, datagram, e.asm.Header())
+		} else {
+			err = wire.DecodeTo(p, datagram)
+		}
+		// The CRC proves the header arrived intact, not that its OTI is
+		// honest: cap the announced object size BEFORE the decoder
+		// constructor allocates for it.
+		if err != nil || int64(p.N) > int64(d.cfg.MaxObjectPackets) {
+			d.discards[discardBad].Add(1)
+			continue
+		}
+		fresh := e == nil
+		switch {
+		case fresh:
+			asm, err := session.OpenReassembly(p)
+			if err != nil {
+				d.discards[discardBad].Add(1) // bad OTI combination
+				continue
+			}
+			e = &entry{id: p.ObjectID, asm: asm}
+			d.objects[e.id] = e
+			d.inFlight.pushFront(e)
+		case e.asm == nil:
+			d.discards[discardLate].Add(1)
+			continue
+		}
+		res, obj, err := e.asm.Ingest(p)
+		switch {
+		case errors.Is(err, session.ErrCorrupt):
+			// Every symbol is in and they hold no object: the reassembly
+			// is over, and nothing of it may keep an in-flight slot.
+			d.dropLocked(e)
+			d.discards[discardBad].Add(1)
+			continue
+		case err != nil:
+			d.discards[discardInconsistent].Add(1)
+			continue
+		case res.Duplicate:
+			d.inFlight.moveToFront(e)
+			d.packetsDuplicate.Inc()
+			continue
+		}
+		d.packetsIngested.Inc()
+		if fresh {
+			d.objectsStarted.Add(1)
+		}
+		if tr := d.cfg.Tracer; tr != nil && res.Packets == res.K && tr.Sampled(e.id) {
+			tr.Emit(obs.Event{Event: obs.TraceKthRx, Object: e.id, K: res.K, Packets: res.Packets})
+		}
+		if obj == nil {
+			d.inFlight.moveToFront(e)
+			// Evict only AFTER a new object successfully opened state, so
+			// unopenable datagrams cannot churn live reassembly progress.
+			if fresh && d.inFlight.len > d.cfg.MaxInFlight {
+				d.dropLocked(d.inFlight.root.prev)
+				d.objectsEvicted.Add(1)
+			}
+			continue
+		}
+		// Decoded: the entry moves to the completed FIFO, which forgets
+		// its oldest ID past MaxCompletedIDs.
+		d.inFlight.remove(e)
+		e.asm = nil
+		d.completed.pushFront(e)
+		if d.completed.len > d.cfg.MaxCompletedIDs {
+			old := d.completed.root.prev
+			if old == d.oldestHeld { // only when the two bounds are equal
+				d.oldestHeld = old.prev
+				d.held--
+			}
+			d.completed.remove(old)
+			delete(d.objects, old.id)
+		}
+		d.mu.Unlock()
+		d.objectsDecoded.Add(1)
+		d.decodeHist.Observe(res.DecodeNS)
+		if tr := d.cfg.Tracer; tr != nil {
+			tr.Emit(obs.Event{
+				Event:   obs.TraceDecode,
+				Object:  e.id,
+				K:       res.K,
+				Packets: res.Packets,
+				Bytes:   int64(obj.Len()),
+				NS:      res.DecodeNS,
+			})
+		}
+		d.sink(e.id, obj)
+		d.mu.Lock()
+	}
 	d.mu.Unlock()
-	if obj == nil {
-		return
-	}
-	d.objectsDecoded.Add(1)
-	d.decodeHist.Observe(res.DecodeNS)
-	if tr := d.cfg.Tracer; tr != nil {
-		tr.Emit(obs.Event{
-			Event:   obs.TraceDecode,
-			Object:  p.ObjectID,
-			K:       res.K,
-			Packets: res.Packets,
-			Bytes:   int64(obj.Len()),
-			NS:      res.DecodeNS,
-		})
-	}
-	d.sink(p.ObjectID, obj)
-}
-
-// ingestLocked feeds p to the object it belongs to, found — reassembling,
-// decoded or new — by one table lookup, and counts what became of it. It
-// returns the object if p completed it.
-func (d *ReceiverDaemon) ingestLocked(p *wire.Packet) (session.IngestResult, *session.Decoded) {
-	e := d.objects[p.ObjectID]
-	fresh := e == nil
-	switch {
-	case fresh:
-		asm, err := session.OpenReassembly(p)
-		if err != nil {
-			d.discards[discardBad].Add(1) // bad OTI combination
-			return session.IngestResult{}, nil
-		}
-		e = &entry{id: p.ObjectID, asm: asm}
-		d.objects[e.id] = e
-		d.inFlight.pushFront(e)
-	case e.asm == nil:
-		d.discards[discardLate].Add(1)
-		return session.IngestResult{}, nil
-	}
-	res, obj, err := e.asm.Ingest(p)
-	switch {
-	case errors.Is(err, session.ErrCorrupt):
-		// Every symbol is in and they hold no object: the reassembly is
-		// over, and nothing of it may keep an in-flight slot.
-		d.dropLocked(e)
-		d.discards[discardBad].Add(1)
-		return res, nil
-	case err != nil:
-		d.discards[discardInconsistent].Add(1)
-		return res, nil
-	case res.Duplicate:
-		d.inFlight.moveToFront(e)
-		d.packetsDuplicate.Inc()
-		return res, nil
-	}
-	d.packetsIngested.Inc()
-	if fresh {
-		d.objectsStarted.Add(1)
-	}
-	if tr := d.cfg.Tracer; tr != nil && res.Packets == res.K && tr.Sampled(e.id) {
-		tr.Emit(obs.Event{Event: obs.TraceKthRx, Object: e.id, K: res.K, Packets: res.Packets})
-	}
-	if obj == nil {
-		d.inFlight.moveToFront(e)
-		// Evict only AFTER a new object successfully opened state, so
-		// unopenable datagrams cannot churn live reassembly progress.
-		if fresh && d.inFlight.len > d.cfg.MaxInFlight {
-			d.dropLocked(d.inFlight.root.prev)
-			d.objectsEvicted.Add(1)
-		}
-		return res, nil
-	}
-	// Decoded: the entry moves to the completed FIFO, which forgets its
-	// oldest ID past MaxCompletedIDs.
-	d.inFlight.remove(e)
-	e.asm = nil
-	d.completed.pushFront(e)
-	if d.completed.len > d.cfg.MaxCompletedIDs {
-		old := d.completed.root.prev
-		if old == d.oldestHeld { // only when the two bounds are equal
-			d.oldestHeld = old.prev
-			d.held--
-		}
-		d.completed.remove(old)
-		delete(d.objects, old.id)
-	}
-	return res, obj
 }
 
 // retain is the default sink: it copies the object out of its slab into
 // memory of its own — holders of Object/WaitObject/OnComplete data keep
 // it for as long as they like — keeps the copy on the object's entry
 // until MaxCompleted newer objects have decoded, wakes the object's
-// waiters and calls OnComplete.
+// waiters and calls OnComplete. The object's entry is the completed
+// list's front: ingest put it there and let go of the lock only to call
+// the sink, on this goroutine, before it looks at the next datagram.
 func (d *ReceiverDaemon) retain(id uint32, obj *session.Decoded) {
 	data := obj.Bytes()
 	d.mu.Lock()
-	e := d.completed.root.next // where handle, on this goroutine, just put the object
+	e := d.completed.root.next
 	e.data = data
 	if d.held == 0 {
 		d.oldestHeld = e

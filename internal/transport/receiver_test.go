@@ -239,7 +239,7 @@ func TestReceiverDaemonCompletedIDsBound(t *testing.T) {
 		}
 		feed := func(id uint32) {
 			for _, f := range sources(id) {
-				d.handle(f)
+				d.ingest([]wire.Datagram{f})
 			}
 		}
 		feed(1)
@@ -250,7 +250,7 @@ func TestReceiverDaemonCompletedIDsBound(t *testing.T) {
 		if _, err := d.WaitObject(context.Background(), 1); (err == nil) != (maxCompleted == 2) {
 			t.Errorf("MaxCompleted %d: WaitObject(1) = %v", maxCompleted, err)
 		}
-		d.handle(sources(1)[0])
+		d.ingest([]wire.Datagram{sources(1)[0]})
 		if st := d.Stats(); st.PacketsLate != 1 || st.ObjectsDecoded != 2 {
 			t.Fatalf("MaxCompleted %d: remembered ID not discarded as late: %+v", maxCompleted, st)
 		}

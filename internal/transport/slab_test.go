@@ -400,7 +400,7 @@ func TestForgedHugeFirstDatagramCommitsOneSlab(t *testing.T) {
 	}
 	poolBefore := symbol.PoolStats()
 	before := heap()
-	d.handle(forged)
+	d.ingest([]wire.Datagram{forged})
 	grown := int64(heap() - before)
 	if st := d.Stats(); st.PacketsIngested != 1 || st.ObjectsStarted != 1 {
 		t.Fatalf("forged datagram was not ingested: %+v", st)
@@ -447,12 +447,12 @@ func TestReceiverDaemonCorruptObjectLeavesNoEntry(t *testing.T) {
 	obj.Close()
 	sources[0][wire.HeaderLen] = 0xFF // the length prefix now announces 2^63 bytes and more
 	for id := k - 1; id > 0; id-- {
-		d.handle(sources[id])
+		d.ingest([]wire.Datagram{sources[id]})
 	}
 	if got, held := inFlight(), symbol.PoolStats().Live-start; got != 1 || held <= 0 {
 		t.Fatalf("before the last datagram: %d objects in flight, %d pool buffers held; want 1, > 0", got, held)
 	}
-	d.handle(sources[0])
+	d.ingest([]wire.Datagram{sources[0]})
 	st := d.Stats()
 	if st.PacketsBad != 1 || st.PacketsInconsistent != 0 || st.PacketsIngested != uint64(k-1) || st.ObjectsDecoded != 0 {
 		t.Errorf("corrupt object's last datagram miscounted: %+v", st)
@@ -506,19 +506,19 @@ func TestReceiverDaemonIngestAllocsNothing(t *testing.T) {
 		other := encodeTestObject(t, testFile(t, g.size, 5), 79, g.family, 1.5, g.payload)
 		repeat := frame(other, 0)
 		other.Close()
-		d.handle(late)
-		d.handle(repeat)
+		d.ingest([]wire.Datagram{late})
+		d.ingest([]wire.Datagram{repeat})
 		fed := 0
+		batch := make([]wire.Datagram, 3)
 		run := func() {
-			d.handle(datagrams[fed])
-			d.handle(repeat)
-			d.handle(late)
+			batch[0], batch[1], batch[2] = datagrams[fed], repeat, late
+			d.ingest(batch)
 			fed++
 		}
 		run() // opens the object's state and its first slab buffers
 		run()
 		if avg := testing.AllocsPerRun(99, run); avg != 0 {
-			t.Errorf("%v: handle allocs per three datagrams = %v, want 0", g.family, avg)
+			t.Errorf("%v: ingest allocs per batch of three datagrams = %v, want 0", g.family, avg)
 		}
 		want := Stats{PacketsIngested: uint64(fed) + 2, PacketsDuplicate: uint64(fed), PacketsLate: uint64(fed), ObjectsStarted: 3, ObjectsDecoded: 1}
 		st := d.Stats()

@@ -37,3 +37,30 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeLike checks DecodeLike against DecodeTo on two datagrams per
+// input, against the header of a fixed object: the fuzzer's bytes as
+// they are, and the object's header restamped with the fuzzer's packet
+// ID, its bytes XORed with the fuzzer's mask (reaching every single-field
+// mismatch, checksum updated or not) and the fuzzer's bytes as payload.
+func FuzzDecodeLike(f *testing.F) {
+	good, _ := sample().Encode()
+	f.Add(good, uint32(3), []byte{})
+	f.Add([]byte{}, uint32(1<<31), []byte{0, 0, 0, 0, 0, 1})
+	f.Add(good[:HeaderLen-1], uint32(4999), bytes.Repeat([]byte{0}, 39))
+	f.Add([]byte{1, 2, 3, 4, 5}, uint32(5000), []byte{})
+
+	tmpl := good[:HeaderLen]
+	f.Fuzz(func(t *testing.T, data []byte, id uint32, mask []byte) {
+		like := append(append([]byte(nil), tmpl...), data...)
+		SetPacketID(like, id)
+		for i, m := range mask[:min(len(mask), HeaderLen)] {
+			like[i] ^= m
+		}
+		for _, d := range [][]byte{data, like} {
+			if agree, _ := decodeLikeAgrees(d, tmpl); !agree {
+				t.Fatalf("DecodeLike disagrees with DecodeTo on %x", d)
+			}
+		}
+	})
+}

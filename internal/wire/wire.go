@@ -19,7 +19,8 @@
 //	24      8     code construction seed (LDGM) or zero
 //	32      4     payload length in bytes
 //	36      4     header checksum (IEEE CRC-32 of bytes 0..35) — detects
-//	              corrupted/foreign datagrams; SetPacketID updates it
+//	              corrupted/foreign datagrams; SetPacketID updates it,
+//	              and DecodeLike checks it against an object's header,
 //	              from four table lookups when only the packet ID changes
 package wire
 
@@ -211,6 +212,40 @@ func DecodeTo(p *Packet, data []byte) error {
 	if binary.BigEndian.Uint32(h[36:]) != checksum(h[:36]) {
 		return ErrBadChecksum
 	}
+	return parse(p, data)
+}
+
+// DecodeLike is DecodeTo for a datagram that probably shares its header
+// with tmpl, the first HeaderLen bytes of a datagram DecodeTo accepted:
+// the header of the object it belongs to. It returns exactly what
+// DecodeTo(p, data) returns. When the header equals tmpl in every byte
+// but the packet ID (12–15) and the checksum (36–39), the checksum it
+// must carry is tmpl's updated for the packet ID as SetPacketID does —
+// CRC-32 is affine in its input — so it is checked with four table
+// lookups instead of a CRC over 36 bytes. Any other datagram takes
+// DecodeTo.
+func DecodeLike(p *Packet, data, tmpl []byte) error {
+	if len(data) < HeaderLen {
+		return ErrTooShort
+	}
+	h, t := data[:HeaderLen], tmpl[:HeaderLen]
+	be := binary.BigEndian
+	if be.Uint64(h) != be.Uint64(t) || be.Uint32(h[8:]) != be.Uint32(t[8:]) ||
+		be.Uint64(h[16:]) != be.Uint64(t[16:]) || be.Uint64(h[24:]) != be.Uint64(t[24:]) ||
+		be.Uint32(h[32:]) != be.Uint32(t[32:]) {
+		return DecodeTo(p, data)
+	}
+	d := be.Uint32(h[12:]) ^ be.Uint32(t[12:])
+	if be.Uint32(h[36:]) != be.Uint32(t[36:])^idCRC[0][d>>24]^idCRC[1][byte(d>>16)]^idCRC[2][byte(d>>8)]^idCRC[3][byte(d)] {
+		return ErrBadChecksum
+	}
+	return parse(p, data)
+}
+
+// parse fills p from a datagram whose header checked out: every field,
+// the payload as a view of data, and the semantic checks.
+func parse(p *Packet, data []byte) error {
+	h := data[:HeaderLen]
 	*p = Packet{
 		Family:   CodeFamily(h[5]),
 		ObjectID: binary.BigEndian.Uint32(h[8:]),

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -269,4 +270,116 @@ func TestSetPacketIDMatchesCRC(t *testing.T) {
 			t.Fatalf("header %x, id %#x: checksum %#08x, CRC says %#08x", h[:36], id, got, want)
 		}
 	}
+}
+
+// decodeLikeAgrees reports whether DecodeLike(data, tmpl) returns what
+// DecodeTo(data) does: the same error and, on success, every field
+// equal, the payload viewing the same bytes.
+func decodeLikeAgrees(data, tmpl []byte) (agree, accepted bool) {
+	var got, want Packet
+	errGot, errWant := DecodeLike(&got, data, tmpl), DecodeTo(&want, data)
+	if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
+		return false, false
+	}
+	if errWant != nil {
+		return true, false
+	}
+	return got.Family == want.Family && got.ObjectID == want.ObjectID && got.PacketID == want.PacketID &&
+		got.K == want.K && got.N == want.N && got.Seed == want.Seed &&
+		len(got.Payload) == len(want.Payload) && (len(got.Payload) == 0 || &got.Payload[0] == &want.Payload[0]), true
+}
+
+// TestDecodeLikeMatchesDecodeTo checks DecodeLike against DecodeTo over
+// 10⁶ datagrams, each against the header of a random valid object:
+// random headers, random valid headers of other objects, the template
+// restamped with another packet ID (with and without the checksum
+// update), each of those with one bit flipped at every offset 0–39, a
+// mismatch in each field (with and without a recomputed checksum), and
+// short and truncated datagrams.
+func TestDecodeLikeMatchesDecodeTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	families := []CodeFamily{CodeRSE, CodeLDGM, CodeLDGMStaircase, CodeLDGMTriangle, CodeRSE16, CodeNoFEC}
+	randomPacket := func() *Packet {
+		k := 1 + rng.Uint32()%5000
+		n := k + rng.Uint32()%5000
+		if rng.Intn(8) == 0 {
+			n = 1<<32 - 1
+		}
+		return &Packet{
+			Family:   families[rng.Intn(len(families))],
+			ObjectID: rng.Uint32(),
+			PacketID: rng.Uint32() % n,
+			K:        k,
+			N:        n,
+			Seed:     rng.Int63() - rng.Int63(),
+			Payload:  make([]byte, rng.Intn(48)),
+		}
+	}
+	encode := func(p *Packet) []byte {
+		d, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	resum := func(d []byte) []byte {
+		binary.BigEndian.PutUint32(d[36:], checksum(d[:36]))
+		return d
+	}
+	var checked, accepted int
+	check := func(what string, data, tmpl []byte) {
+		t.Helper()
+		agree, ok := decodeLikeAgrees(data, tmpl)
+		if !agree {
+			t.Fatalf("%s: DecodeLike disagrees with DecodeTo on %x (template %x)", what, data, tmpl[:HeaderLen])
+		}
+		checked++
+		if ok {
+			accepted++
+		}
+	}
+	for checked < 1_000_000 {
+		tp := randomPacket()
+		tmpl := encode(tp)
+		// Another packet of the same object, restamped by SetPacketID.
+		like := append([]byte(nil), tmpl...)
+		SetPacketID(like, rng.Uint32()%tp.N)
+		check("restamped", like, tmpl)
+		stale := append([]byte(nil), tmpl...)
+		binary.BigEndian.PutUint32(stale[12:], rng.Uint32()%tp.N)
+		check("new ID, old checksum", stale, tmpl)
+		outside := append([]byte(nil), tmpl...)
+		SetPacketID(outside, tp.N+rng.Uint32()%(1<<32-1-tp.N+1))
+		check("ID past n", outside, tmpl)
+		for off := 0; off < HeaderLen; off++ {
+			flip := append([]byte(nil), like...)
+			flip[off] ^= 1 << rng.Intn(8)
+			check(fmt.Sprintf("bit flip at %d", off), flip, tmpl)
+		}
+		// A mismatch in each field, the checksum recomputed and not.
+		for _, f := range []struct {
+			off, len int
+		}{{0, 4}, {4, 1}, {5, 1}, {6, 2}, {8, 4}, {16, 4}, {20, 4}, {24, 8}, {32, 4}} {
+			mis := append([]byte(nil), like...)
+			for i := f.off; i < f.off+f.len; i++ {
+				mis[i] = byte(rng.Intn(256))
+			}
+			check(fmt.Sprintf("field at %d, old checksum", f.off), mis, tmpl)
+			check(fmt.Sprintf("field at %d, recomputed checksum", f.off), resum(mis), tmpl)
+		}
+		other := encode(randomPacket())
+		check("another object", other, tmpl)
+		junk := make([]byte, HeaderLen+rng.Intn(16))
+		rng.Read(junk)
+		check("random bytes", junk, tmpl)
+		check("short", like[:rng.Intn(HeaderLen)], tmpl)
+		if len(tp.Payload) > 0 {
+			check("truncated", like[:HeaderLen+rng.Intn(len(tp.Payload))], tmpl)
+		}
+		check("longer than announced", append(append([]byte(nil), like...), 0xAA), tmpl)
+	}
+	if accepted == 0 || accepted == checked {
+		t.Fatalf("%d of %d accepted: the cases missed a branch", accepted, checked)
+	}
+	t.Logf("%d datagrams, %d accepted", checked, accepted)
 }
