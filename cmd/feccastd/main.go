@@ -17,12 +17,19 @@
 // port:
 //
 //	GET    /casts               list casts and their live counters
-//	POST   /casts               add a cast (spec line or {"spec": ...})
+//	POST   /casts               add a cast ({"spec": ...})
 //	GET    /casts/{name}        one cast's status
 //	DELETE /casts/{name}        remove a cast immediately
 //	POST   /casts/{name}/reload respec a cast (mutable keys only;
 //	                            applied at the next round boundary)
 //	POST   /drain               graceful shutdown, whole rounds only
+//
+// Bodies are application/json. The control plane refuses a request whose
+// Host is not the -control address or whose Origin is not its own, so a
+// web page open in a browser on the host cannot drive it:
+//
+//	curl -s -X POST localhost:9890/casts -H 'Content-Type: application/json' \
+//	    -d '{"spec": "name=beta,addr=239.1.2.5:9900,file=b.bin"}'
 //
 // SIGHUP re-reads the -casts file and converges the running set on it:
 // new lines are added, vanished lines removed, changed lines reloaded

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"fecperf/internal/symbol"
 )
@@ -43,9 +44,11 @@ type BlockDecoder struct {
 	src      symbol.Slab // the k source slots by global ID, received or rebuilt in place
 	par      symbol.Slab // buffered parity: one slot per arrival, made on the first
 	parUsed  int
-	pending  int // blocks not yet decoded
-	srcRec   int // source symbols received or rebuilt
-	buffered int // distinct symbols held by undecoded blocks
+	pending  int        // blocks not yet decoded
+	srcRec   int        // source symbols received or rebuilt
+	buffered int        // distinct symbols held by undecoded blocks
+	home     *sync.Pool // the layout's pool, where Close hands a payload decoder back
+	closed   bool       // Close ran: the decoder is in home
 }
 
 // blockTables recycles the blocks' view tables.
@@ -69,8 +72,19 @@ func (b *blockState) decoded() bool { return b.count == b.kb }
 // nil for a code without parity. Packet IDs map to blocks by the layout's
 // table and to in-block indexes by offset, so the layout must list its
 // blocks in ID order, each block's sources and parities a contiguous
-// ascending run; anything else is a bug in the code family and panics.
+// ascending run; anything else is a bug in the code family and panics. A
+// payload decoder of a layout indexed by IndexBlocks is one that a
+// previous Close gave back, reset, where there is one: only its source
+// slab's table is new.
 func NewBlockDecoder(l Layout, symLen int, solver BlockSolver) *BlockDecoder {
+	if symLen > 0 && l.decoders != nil {
+		if d, _ := l.decoders.Get().(*BlockDecoder); d != nil {
+			d.symLen, d.solver, d.closed = symLen, solver, false
+			d.reset()
+			d.src = symbol.NewSlab(l.K, symLen)
+			return d
+		}
+	}
 	d := &BlockDecoder{
 		k:       l.K,
 		symLen:  symLen,
@@ -102,6 +116,7 @@ func NewBlockDecoder(l Layout, symLen int, solver BlockSolver) *BlockDecoder {
 	d.blockIdx = l.BlockIndex()
 	if symLen > 0 {
 		d.src = symbol.NewSlab(l.K, symLen)
+		d.home = l.decoders
 	}
 	return d
 }
@@ -265,11 +280,15 @@ func (d *BlockDecoder) Reset() {
 	if d.symLen != 0 {
 		panic("core: Reset on a payload decoder")
 	}
+	d.reset()
+}
+
+func (d *BlockDecoder) reset() {
 	clear(d.got)
 	for i := range d.blocks {
 		d.blocks[i].count, d.blocks[i].srcGot = 0, 0
 	}
-	d.pending, d.srcRec, d.buffered = len(d.blocks), 0, 0
+	d.pending, d.srcRec, d.buffered, d.parUsed = len(d.blocks), 0, 0, 0
 }
 
 // Done implements Receiver and PayloadDecoder.
@@ -307,15 +326,23 @@ func (d *BlockDecoder) TakeSources() symbol.Slab {
 
 // Close implements PayloadDecoder: the slabs the decoder still owns —
 // the sources unless taken, and the buffered parity — go back to the
-// symbol pool, and the view tables of blocks that never decoded to
-// theirs. It is idempotent and a no-op for structural decoders.
+// symbol pool, the view tables of blocks that never decoded to theirs,
+// and the decoder itself to its layout's code, whose next payload decoder
+// it becomes. The caller must drop its pointer: the decoder, and any
+// slice Source returned, must not be used after Close. A second Close
+// before the code hands the decoder out again is a no-op; Close is a
+// no-op for structural decoders.
 func (d *BlockDecoder) Close() {
-	if d.symLen == 0 {
+	if d.symLen == 0 || d.closed {
 		return
 	}
 	d.src.Release()
 	d.par.Release()
 	for i := range d.blocks {
 		d.blocks[i].releaseTab()
+	}
+	d.closed = true
+	if d.home != nil {
+		d.home.Put(d)
 	}
 }

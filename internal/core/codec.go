@@ -78,9 +78,12 @@ type PayloadDecoder interface {
 	// Releases it when the bytes have been consumed; Close no longer
 	// does, and Source returns nil from here on. It panics before Done.
 	TakeSources() symbol.Slab
-	// Close returns the slabs the decoder still owns to the symbol pool.
-	// The decoder must not be used afterwards (Source slices die with
-	// it). Close is idempotent.
+	// Close returns the slabs the decoder still owns to the symbol pool
+	// and the decoder to the code that built it, whose next decoder of
+	// the same kind it may become. The caller must drop its pointer: the
+	// decoder must not be used afterwards (Source slices die with it). A
+	// second Close before the code hands the decoder out again is a
+	// no-op.
 	Close()
 }
 

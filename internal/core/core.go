@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // Layout describes the packet-level structure of an FEC-encoded object:
@@ -30,11 +31,21 @@ type Layout struct {
 	N       int     // total number of packets (source + parity)
 	Blocks  []Block // at least one; blocks partition [0,N)
 	blockOf []int32 // id→block table, built once per code by IndexBlocks
+
+	// decoders holds the code's closed payload BlockDecoders, for its next
+	// NewBlockDecoder to reset; made by IndexBlocks, so it lives and dies
+	// with the code.
+	decoders *sync.Pool
 }
 
-// IndexBlocks builds the id→block table BlockIndex returns. A block family
-// calls it once per code, so the code's receivers and fleets share it.
-func (l *Layout) IndexBlocks() { l.blockOf = l.BlockIndex() }
+// IndexBlocks builds the id→block table BlockIndex returns, and the pool
+// the layout's payload decoders go back to on Close. A block family calls
+// it once per code, so the code's receivers and fleets share the table
+// and each closed decoder becomes the code's next one.
+func (l *Layout) IndexBlocks() {
+	l.blockOf = l.BlockIndex()
+	l.decoders = new(sync.Pool)
+}
 
 // BlockIndex returns the block of every packet ID, by ID: IndexBlocks'
 // shared table (do not modify it), or a new one for a layout without it.

@@ -32,8 +32,9 @@
 // stride of four equations (overflow runs for the few variables in more),
 // eight bytes of peeling state per equation, one bit per variable. The
 // peeler's solve queue is a stack of m+2 entries, pushed without a branch
-// and taken once per decoder (recycled when a payload decoder closes);
-// the variables it makes known are logged at its far end. The same
+// and taken once per decoder; the variables it makes known are logged at
+// its far end. A payload decoder goes back to its code when it closes,
+// tables and all, and the code's next one is that decoder, reset. The same
 // Decoder type runs the simulations (structural: IDs only, reset between
 // trials, fed a batch of arrivals per call) and the cast datapath
 // (payload mode); in payload mode it adds a slab of k source slots, a
@@ -122,6 +123,10 @@ type Code struct {
 	varEq []int32
 	// eqInit is a fresh decoder's equation table: every variable unknown.
 	eqInit []equation
+	// decoders holds the payload decoders Close gave back, with every
+	// table sized for this code — known bitset, equation table, solve
+	// stack and log — for the next object's NewDecoder to reset.
+	decoders sync.Pool // of *Decoder
 }
 
 // eqSlots is the variable index's stride: a source under the default
@@ -154,36 +159,97 @@ func New(p Params) (*Code, error) {
 		p.LeftDegree = m
 	}
 	c := &Code{params: p, k: p.K, n: p.N, m: m}
-	rng := rand.New(rand.NewSource(p.Seed))
-	rows := c.buildLeft(rng)
-	c.buildRight(rng, rows)
-	c.buildIndex(rows)
+	c.build(rand.New(rand.NewSource(p.Seed)))
+	c.buildIndex()
 	c.layout = singleBlockLayout(p.K, p.N)
 	return c, nil
 }
 
-// buildLeft fills the H1 part: LeftDegree entries per source column, with
-// check-row weights kept exactly balanced (every row receives either
-// floor(deg*k/m) or ceil(deg*k/m) source entries). The balance matters
-// beyond aesthetics: with ratio 2.5 each row carries exactly two source
-// symbols, so no equation can be solved before at least one source packet
-// arrives — the paper's observation that LDGM-* codes are not usable as
-// purely non-systematic codes (Section 4.5) depends on it.
-func (c *Code) buildLeft(rng *rand.Rand) [][]int32 {
-	rows := make([][]int32, c.m)
-	deg := c.params.LeftDegree
+// build lays H out in its row CSR in two passes. The first makes every
+// random draw, in the construction's order — the left side's rows column
+// by column (pickLeft), a patch for each row left without a source, then
+// the Triangle's extra parity entries row by row — and counts each row's
+// entries. The second writes the rows straight into rowIdx: sources in
+// column order, the patch, then the parity side, diagonal last.
+func (c *Code) build(rng *rand.Rand) {
+	k, m := c.k, c.m
+	picks := c.pickLeft(rng)
+	c.rowOff = make([]int32, m+1)
+	size := c.rowOff[1:] // row i's entries, until the prefix sum below
+	for _, r := range picks {
+		size[r]++
+	}
+	// When m > deg*k some rows legitimately receive no source symbol; such
+	// an equation would relate parity symbols only and contribute nothing
+	// to recovery, so patch it with one extra entry. The row is empty, so
+	// any column is new to it.
+	var patches []int32
+	for i := range size {
+		if size[i] == 0 {
+			if patches == nil {
+				patches = make([]int32, 0, m-i)
+			}
+			patches = append(patches, int32(rng.Intn(k)))
+			size[i] = 1
+		}
+	}
+	extras := c.drawTriangle(rng, size)
+	for i := range m {
+		switch {
+		case c.params.Variant == Plain, i == 0:
+			size[i]++ // the diagonal
+		default:
+			size[i] += 2 // the sub-diagonal and the diagonal
+		}
+		c.rowOff[i+1] += c.rowOff[i]
+	}
 
+	c.rowIdx = make([]int32, c.rowOff[m])
+	next := slices.Clone(c.rowOff[:m]) // where row i's next source goes
+	for t, r := range picks {
+		c.rowIdx[next[r]] = int32(t / c.params.LeftDegree)
+		next[r]++
+	}
+	for i, at := range next {
+		if at == c.rowOff[i] {
+			c.rowIdx[at] = patches[0]
+			patches = patches[1:]
+			at++
+		}
+		end := c.rowOff[i+1] - 1
+		if c.params.Variant != Plain && i > 0 {
+			c.rowIdx[at] = int32(k + i - 1)
+			at++
+		}
+		extras = extras[copy(c.rowIdx[at:end], extras):]
+		c.rowIdx[end] = int32(k + i)
+	}
+}
+
+// pickLeft deals the H1 part: LeftDegree distinct rows per source column,
+// the t-th row of column col at picks[col·deg+t], with check-row weights
+// kept exactly balanced (every row receives either floor(deg*k/m) or
+// ceil(deg*k/m) source entries). The balance matters beyond aesthetics:
+// with ratio 2.5 each row carries exactly two source symbols, so no
+// equation can be solved before at least one source packet arrives — the
+// paper's observation that LDGM-* codes are not usable as purely
+// non-systematic codes (Section 4.5) depends on it.
+func (c *Code) pickLeft(rng *rand.Rand) []int32 {
+	deg := c.params.LeftDegree
 	// Deal row slots: row r appears ceil or floor of deg*k/m times.
 	slots := make([]int32, c.k*deg)
-	for t := range slots {
-		slots[t] = int32(t % c.m)
+	for t, r := 0, int32(0); t < len(slots); t++ { // slots[t] = t mod m
+		slots[t] = r
+		if r++; int(r) == c.m {
+			r = 0
+		}
 	}
 	rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
 
-	chosen := make([]int32, 0, deg) // the rows of the current column
+	picks := make([]int32, c.k*deg)
 	pos := 0
 	for col := 0; col < c.k; col++ {
-		chosen = chosen[:0]
+		chosen := picks[col*deg : col*deg] // the rows of the current column
 		for t := 0; t < deg; t++ {
 			// Take the next slot whose row is not already used by this
 			// column, swapping it to the front so overall balance holds.
@@ -206,73 +272,53 @@ func (c *Code) buildLeft(rng *rand.Rand) [][]int32 {
 				}
 			}
 			chosen = append(chosen, row)
-			rows[row] = append(rows[row], int32(col))
 		}
 	}
-	// When m > deg*k some rows legitimately receive no source symbol; such
-	// an equation would relate parity symbols only and contribute nothing
-	// to recovery, so patch it with one extra entry. The row is empty, so
-	// any column is new to it.
-	for i := range rows {
-		if len(rows[i]) == 0 {
-			rows[i] = append(rows[i], int32(rng.Intn(c.k)))
-		}
-	}
-	return rows
+	return picks
 }
 
-// buildRight appends the parity-side entries for the selected variant.
-func (c *Code) buildRight(rng *rand.Rand, rows [][]int32) {
-	for i := 0; i < c.m; i++ {
-		switch c.params.Variant {
-		case Plain:
-			rows[i] = append(rows[i], int32(c.k+i))
-		case Staircase:
-			if i > 0 {
-				rows[i] = append(rows[i], int32(c.k+i-1))
-			}
-			rows[i] = append(rows[i], int32(c.k+i))
-		case Triangle:
-			if i > 0 {
-				rows[i] = append(rows[i], int32(c.k+i-1))
-			}
-			// Fill the triangle below the staircase: each check row i>=2
-			// additionally references TriangleDensity (in expectation)
-			// uniformly chosen earlier parity columns, creating the paper's
-			// "progressive dependency between check nodes" while keeping
-			// rows sparse. One extra entry per row (the default) reproduces
-			// the paper's observed behaviour: Triangle beats Staircase at
-			// medium/high loss and under fully random scheduling, while
-			// Staircase stays ahead at very low loss. Denser fillings
-			// degrade iterative decoding quickly (see the ablation bench).
-			if i >= 2 {
-				cnt := int(c.params.TriangleDensity)
-				if frac := c.params.TriangleDensity - float64(cnt); frac > 0 && rng.Float64() < frac {
-					cnt++
-				}
-				if max := i - 1; cnt > max {
-					cnt = max
-				}
-				tail := len(rows[i]) // a repeated draw adds nothing
-				for e := 0; e < cnt; e++ {
-					if j := int32(c.k + rng.Intn(i-1)); !slices.Contains(rows[i][tail:], j) {
-						rows[i] = append(rows[i], j)
-					}
-				}
-			}
-			rows[i] = append(rows[i], int32(c.k+i))
-		}
+// drawTriangle draws the Triangle variant's extra parity entries, row by
+// row, and adds each row's count to size; it returns them in row order
+// (nil for the other variants). Each check row i>=2 references
+// TriangleDensity (in expectation) uniformly chosen earlier parity
+// columns besides its staircase, creating the paper's "progressive
+// dependency between check nodes" while keeping rows sparse. One extra
+// entry per row (the default) reproduces the paper's observed behaviour:
+// Triangle beats Staircase at medium/high loss and under fully random
+// scheduling, while Staircase stays ahead at very low loss. Denser
+// fillings degrade iterative decoding quickly (see the ablation bench).
+func (c *Code) drawTriangle(rng *rand.Rand, size []int32) []int32 {
+	if c.params.Variant != Triangle {
+		return nil
 	}
+	dens := c.params.TriangleDensity
+	extras := make([]int32, 0, c.m)
+	for i := 2; i < c.m; i++ {
+		cnt := int(dens)
+		if frac := dens - float64(cnt); frac > 0 && rng.Float64() < frac {
+			cnt++
+		}
+		if max := i - 1; cnt > max {
+			cnt = max
+		}
+		row := len(extras) // a repeated draw adds nothing
+		for e := 0; e < cnt; e++ {
+			if j := int32(c.k + rng.Intn(i-1)); !slices.Contains(extras[row:], j) {
+				extras = append(extras, j)
+			}
+		}
+		size[i] += int32(len(extras) - row)
+	}
+	return extras
 }
 
-// buildIndex flattens the construction's per-equation lists into the row
-// CSR, the fixed-stride variable index and the initial equation table.
-func (c *Code) buildIndex(rows [][]int32) {
-	c.rowOff = make([]int32, c.m+1)
+// buildIndex derives the fixed-stride variable index and the initial
+// equation table from the row CSR.
+func (c *Code) buildIndex() {
 	c.eqInit = make([]equation, c.m)
 	deg := make([]int32, c.n)
-	for i, row := range rows {
-		c.rowOff[i+1] = c.rowOff[i] + int32(len(row))
+	for i := range c.eqInit {
+		row := c.EquationVars(i)
 		e := &c.eqInit[i]
 		e.unknown = int32(len(row))
 		for _, v := range row {
@@ -280,14 +326,10 @@ func (c *Code) buildIndex(rows [][]int32) {
 			e.xorID ^= v
 		}
 	}
-	c.rowIdx = make([]int32, 0, c.rowOff[c.m])
-	for _, row := range rows {
-		c.rowIdx = append(c.rowIdx, row...)
-	}
 
 	// next[v] is where variable v's next equation goes: its slots, or
-	// its overflow run.
-	next := make([]int32, c.n)
+	// its overflow run past the n·eqSlots slots.
+	next := deg
 	size := int32(eqSlots * c.n)
 	for v, dv := range deg {
 		next[v] = int32(eqSlots * v)
@@ -297,13 +339,13 @@ func (c *Code) buildIndex(rows [][]int32) {
 		}
 	}
 	c.varEq = slices.Repeat([]int32{-1}, int(size))
-	for v, dv := range deg {
-		if dv > eqSlots {
-			c.varEq[eqSlots*v+eqSlots-1] = -2 - next[v]
+	for v, at := range next {
+		if at >= eqSlots*int32(c.n) {
+			c.varEq[eqSlots*v+eqSlots-1] = -2 - at
 		}
 	}
-	for i, row := range rows {
-		for _, v := range row {
+	for i := range c.eqInit {
+		for _, v := range c.EquationVars(i) {
 			c.varEq[next[v]] = int32(i)
 			next[v]++
 		}
@@ -438,7 +480,7 @@ type Decoder struct {
 	eqs        []equation
 	srcKnown   int
 	knownCount int
-	stack      *[]solve  // the solve queue and log: m+2 entries, taken on first use
+	stack      []solve   // the solve queue and log: m+2 entries, made on first use
 	pay        *payloads // nil in structural mode
 }
 
@@ -463,19 +505,29 @@ type equation struct {
 // however many equations it appears in.
 type payloads struct {
 	src, par symbol.Slab
-	log      *[]solve // solved variables in solve order: m entries, taken on first solve
-	solved   int      // (*log)[:solved] are in their slots
+	log      []solve // solved variables in solve order: up to m entries
+	solved   int     // log[:solved] are in their slots
+	closed   bool    // Close ran: the decoder is in its code's pool
 }
 
+// newDecoder returns a structural decoder (symLen 0) or a payload decoder:
+// one Close gave back, reset, where the code has one, so only its slab
+// tables are new.
 func (c *Code) newDecoder(symLen int) *Decoder {
-	d := &Decoder{
-		code:   c,
-		symLen: symLen,
-		known:  make([]uint64, (c.n+63)/64),
-		eqs:    slices.Clone(c.eqInit),
-	}
+	var d *Decoder
 	if symLen > 0 {
-		d.pay = &payloads{src: symbol.NewSlab(c.k, symLen), par: symbol.NewSlab(c.m, symLen)}
+		d, _ = c.decoders.Get().(*Decoder)
+	}
+	if d == nil {
+		d = &Decoder{code: c, known: make([]uint64, (c.n+63)/64), eqs: make([]equation, c.m)}
+	}
+	d.symLen = symLen
+	d.reset()
+	if symLen > 0 {
+		if d.pay == nil {
+			d.pay = new(payloads)
+		}
+		*d.pay = payloads{src: symbol.NewSlab(c.k, symLen), par: symbol.NewSlab(c.m, symLen), log: d.pay.log[:0]}
 	}
 	return d
 }
@@ -490,6 +542,10 @@ func (d *Decoder) Reset() {
 	if d.pay != nil {
 		panic("ldpc: Reset on a payload decoder")
 	}
+	d.reset()
+}
+
+func (d *Decoder) reset() {
 	clear(d.known)
 	copy(d.eqs, d.code.eqInit)
 	d.srcKnown, d.knownCount = 0, 0 // the stack is empty: propagate drains it
@@ -586,9 +642,9 @@ func (d *Decoder) receive(ids []int32, arrived uint64, val []byte) (n int, done 
 func (d *Decoder) propagate(id int32, val []byte) {
 	c := d.code
 	if d.stack == nil {
-		d.stack = solveStack(c.m + 2)
+		d.stack = make([]solve, c.m+2)
 	}
-	varEq, eqs, known, stack := c.varEq, d.eqs, d.known, *d.stack
+	varEq, eqs, known, stack := c.varEq, d.eqs, d.known, d.stack
 	stack[0] = solve{id, -1}
 	logged := len(stack)
 	for sp := 1; sp > 0; {
@@ -629,25 +685,6 @@ func (d *Decoder) propagate(id int32, val []byte) {
 // was the last unknown of (-1 for the variable that arrived).
 type solve struct{ id, eq int32 }
 
-// solveStacks recycles the solve stacks and solve logs of payload
-// decoders, which the wire builds one per LDGM object and closes when it
-// is done: at eight bytes an equation, each would otherwise be the
-// largest allocation of an object's receive path. A structural decoder keeps its stack for
-// life: the engine resets one per worker, and a receiver built per trial
-// (the ML one) pays 8·(m+2) bytes a trial, next to its elimination's
-// megabytes.
-var solveStacks sync.Pool // of *[]solve
-
-// solveStack returns a stack of n entries, recycled where one is free.
-func solveStack(n int) *[]solve {
-	if s, _ := solveStacks.Get().(*[]solve); s != nil && cap(*s) >= n {
-		*s = (*s)[:n]
-		return s
-	}
-	s := make([]solve, n)
-	return &s
-}
-
 // oneIf is 1 if b, else 0, computed without a branch.
 func oneIf(b bool) int {
 	var i int
@@ -664,14 +701,11 @@ func oneIf(b bool) int {
 // writes them.
 func (p *payloads) record(c *Code, made []solve, val []byte, done bool) {
 	copy(p.draw(c, made[len(made)-1].id), val)
-	if len(made) > 1 {
-		if p.log == nil {
-			p.log = solveStack(c.m)
-			*p.log = (*p.log)[:0]
-		}
-		for i := len(made) - 2; i >= 0; i-- {
-			*p.log = append(*p.log, made[i])
-		}
+	if len(made) > 1 && p.log == nil {
+		p.log = make([]solve, 0, c.m)
+	}
+	for i := len(made) - 2; i >= 0; i-- {
+		p.log = append(p.log, made[i])
 	}
 	if done {
 		p.solve(c)
@@ -682,12 +716,8 @@ func (p *payloads) record(c *Code, made []solve, val []byte, done bool) {
 // order, as the XOR sum of the other members of the equation that solved
 // it: each of those arrived, or was solved earlier in the log.
 func (p *payloads) solve(c *Code) {
-	if p.log == nil {
-		return
-	}
-	log := *p.log
 	var buf [termsOnStack][]byte
-	for _, s := range log[p.solved:] {
+	for _, s := range p.log[p.solved:] {
 		terms := buf[:0]
 		for _, v := range c.EquationVars(int(s.eq)) {
 			if v != s.id {
@@ -696,7 +726,7 @@ func (p *payloads) solve(c *Code) {
 		}
 		gf256.XorSum(p.draw(c, s.id), terms)
 	}
-	p.solved = len(log)
+	p.solved = len(p.log)
 }
 
 // slot returns the bytes of known variable v, arrived or solved.
@@ -764,22 +794,17 @@ func (d *Decoder) TakeSources() symbol.Slab {
 func (d *Decoder) Known(id int) bool { return has(d.known, int32(id)) }
 
 // Close implements core.PayloadDecoder: it returns the slabs the decoder
-// still owns to the symbol pool, and its solve stack and log for the
-// next decoder. The decoder, and any slice Source returned, must not be
-// used after Close. Close is idempotent and a no-op for structural
-// decoders.
+// still owns to the symbol pool, and hands the decoder itself back to its
+// code, whose next payload decoder it becomes. The caller must drop its
+// pointer: the decoder, and any slice Source returned, must not be used
+// after Close. A second Close before the code hands the decoder out again
+// is a no-op; Close is a no-op for structural decoders.
 func (d *Decoder) Close() {
-	if d.pay == nil {
+	if d.pay == nil || d.pay.closed {
 		return
 	}
 	d.pay.src.Release()
 	d.pay.par.Release()
-	if d.stack != nil {
-		solveStacks.Put(d.stack)
-		d.stack = nil
-	}
-	if d.pay.log != nil {
-		solveStacks.Put(d.pay.log)
-		d.pay.log = nil
-	}
+	d.pay.closed = true
+	d.code.decoders.Put(d)
 }

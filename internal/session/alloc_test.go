@@ -12,7 +12,8 @@ import (
 // the benchmark's geometries: Reed-Solomon with 1 KiB symbols and LDGM
 // Staircase with k=2048 symbols of 128 B. Encode makes the Object and its
 // slab's buffer table and nothing else (the payload view table is
-// recycled); a receive+decode cycle pays the decoder's fixed tables;
+// recycled); a receive+decode cycle pays its slabs' buffer tables and
+// the Decoded, for the decoder and the object state are recycled;
 // steady-state datagram ingest — scratch header, one copy into a slab
 // slot — allocates nothing at all. Payload memory comes from the symbol
 // pool a slab buffer (up to 64 KiB) at a time, so the pool sees a few
@@ -131,11 +132,12 @@ func TestSessionDecodeAllocCeiling(t *testing.T) {
 			t.Fatalf("%s: object did not decode", g.name)
 		}
 		run() // warm the pools and the codec cache
-		// The decoder's tables, the object state and its bitmap and the
-		// Decoded — not counting the packet this test's own mustDecode
-		// allocates per datagram.
-		if avg := testing.AllocsPerRun(20, run) - float64(used); avg > 16 {
-			t.Errorf("%s: receive+decode allocs/op = %.1f, want <= 16", g.name, avg)
+		// The slabs' buffer tables and the Decoded: the decoder, the
+		// object state and its bitmap are the last object's — not
+		// counting the packet this test's own mustDecode allocates per
+		// datagram.
+		if avg := testing.AllocsPerRun(20, run) - float64(used); avg > 4 {
+			t.Errorf("%s: receive+decode allocs/op = %.1f, want <= 4", g.name, avg)
 		}
 		// Source slab + the decoder's second slab (LDGM: one slot per
 		// parity symbol; RS: at most as many parity symbols) + the three

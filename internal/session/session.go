@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -452,29 +453,50 @@ func (r *Receiver) PacketsIngested(id uint32) int {
 	return 0
 }
 
+// reassemblies holds closed Reassemblies, each with its seen bitset, for
+// the next OpenReassembly.
+var reassemblies sync.Pool // of *Reassembly
+
 // OpenReassembly opens the state of the object p belongs to from p's OTI:
 // the (cached) code it names and a payload decoder for p's symbol length.
-// p itself is not consumed — pass it to Ingest next.
+// p itself is not consumed — pass it to Ingest next. The Reassembly and
+// the decoder in it are ones an earlier object closed, where there are
+// any, so opening an object allocates only its slabs' buffer tables.
 func OpenReassembly(p *wire.Packet) (*Reassembly, error) {
-	a := &Reassembly{}
 	if len(p.Payload) == 0 {
 		return nil, fmt.Errorf("session: zero-length symbol")
 	}
-	if err := p.PutHeader(a.hdr[:]); err != nil {
+	a, _ := reassemblies.Get().(*Reassembly)
+	if a == nil {
+		a = new(Reassembly)
+	}
+	if err := a.open(p); err != nil {
+		reassemblies.Put(a)
 		return nil, fmt.Errorf("session: %w", err)
+	}
+	return a, nil
+}
+
+// open readies a, new or recycled, for p's object.
+func (a *Reassembly) open(p *wire.Packet) error {
+	if err := p.PutHeader(a.hdr[:]); err != nil {
+		return err
 	}
 	code, err := codes.CachedForWire(p.Family, int(p.K), int(p.N), p.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("session: %w", err)
+		return err
 	}
-	dec, err := code.NewDecoder(len(p.Payload))
-	if err != nil {
-		return nil, fmt.Errorf("session: %w", err)
+	if a.dec, err = code.NewDecoder(len(p.Payload)); err != nil {
+		return err
 	}
-	a.dec = dec
-	a.seen = make([]uint64, (p.N+63)/64)
-	a.start = time.Now()
-	return a, nil
+	words := (int(p.N) + 63) / 64
+	if cap(a.seen) < words {
+		a.seen = make([]uint64, words)
+	}
+	a.seen = a.seen[:words]
+	clear(a.seen)
+	a.packets, a.start = 0, time.Now()
+	return nil
 }
 
 // Header returns the header of the datagram that opened the object (its
@@ -495,7 +517,7 @@ func (a *Reassembly) symLen() int { return int(binary.BigEndian.Uint32(a.hdr[32:
 // repeated packet ID is flagged Duplicate and dropped before the decoder.
 // The packet that completes the object returns it, still in the decoder's
 // source slab and owned by the caller — or ErrCorrupt. Either way the
-// Reassembly has closed itself and must not be used again.
+// Reassembly has closed itself, as Close does: the caller must drop it.
 func (a *Reassembly) Ingest(p *wire.Packet) (IngestResult, *Decoded, error) {
 	k, n := a.k(), a.n()
 	res := IngestResult{ObjectID: p.ObjectID, K: k, Packets: a.packets}
@@ -515,30 +537,41 @@ func (a *Reassembly) Ingest(p *wire.Packet) (IngestResult, *Decoded, error) {
 	if finished := a.dec.ReceivePayload(int(p.PacketID), p.Payload); !finished {
 		return res, nil, nil
 	}
+	decodeNS := time.Since(a.start).Nanoseconds()
 	obj, err := a.finish()
 	if err != nil {
 		return res, nil, err
 	}
 	res.Complete = true
-	res.DecodeNS = time.Since(a.start).Nanoseconds()
+	res.DecodeNS = decodeNS
 	if in := instr.Load(); in != nil {
 		in.decodeNS.Observe(res.DecodeNS)
 	}
 	return res, obj, nil
 }
 
-// Close abandons the object, returning the decoder's slabs to the symbol
-// pool. It is idempotent, and a no-op once Ingest closed the Reassembly.
-func (a *Reassembly) Close() { a.dec.Close() }
+// Close abandons the object: the decoder's slabs go back to the symbol
+// pool, the decoder to its code and the Reassembly to the next
+// OpenReassembly. The caller must drop its pointer, for the next object
+// may be handed this Reassembly. A second Close before that is a no-op,
+// and so is Close once Ingest closed the Reassembly.
+func (a *Reassembly) Close() {
+	if a.dec == nil {
+		return
+	}
+	a.dec.Close()
+	a.dec = nil
+	reassemblies.Put(a)
+}
 
 // finish turns a done decoder into the decoded object: it takes the
 // source slab — which already holds the symbols back to back in ID order
-// — reads and checks the length prefix, and closes the decoder. The
+// — reads and checks the length prefix, and closes the Reassembly. The
 // object is the slab's bytes behind the prefix; nothing is moved.
 func (a *Reassembly) finish() (*Decoded, error) {
 	slab := a.dec.TakeSources()
-	a.dec.Close()
 	total := a.k() * a.symLen()
+	a.Close()
 	if total < lengthPrefix {
 		slab.Release()
 		return nil, fmt.Errorf("%w: %d bytes of symbols cannot hold the length prefix", ErrCorrupt, total)

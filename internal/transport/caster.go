@@ -248,9 +248,19 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 	sent := make(chan struct{})      // closed when the sending stage has exited
 	go func() {
 		defer close(sent)
+		// One sender carousels every group in turn.
+		s := NewSender(c.conn, SenderConfig{
+			Pacer:     pacer,
+			BatchSize: c.cfg.BatchSize,
+			Rounds:    c.cfg.Rounds,
+			Scheduler: c.cfg.Scheduler,
+			// No Metrics: its stats fold into the caster's registered
+			// aggregates group by group.
+			Tracer: c.cfg.Tracer,
+		})
 		rate := 0.0 // datagrams per second, smoothed over groups
 		for g := range air {
-			n, took, err := c.send(ctx, pacer, g, rate)
+			n, took, err := c.send(ctx, s, g, rate)
 			if err != nil {
 				fail(err)
 				return
@@ -374,26 +384,18 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 	}
 }
 
-// send is the sending stage's work on one group: a throwaway Sender
-// carousels it, its counters fold into the cast's, and its frame slabs go
-// back to the pool the moment it is off the air. It returns how many
-// datagrams went out after the start signal and how long they took: the
-// send rate while the reading stage is running too, which is the rate the
-// next signal has to be timed by.
-func (c *Caster) send(ctx context.Context, pacer *PacerShare, g castGroup, rate float64) (int, time.Duration, error) {
-	s := NewSender(c.conn, SenderConfig{
-		Pacer:     pacer,
-		BatchSize: c.cfg.BatchSize,
-		Rounds:    c.cfg.Rounds,
-		Scheduler: c.cfg.Scheduler,
-		// Every group draws fresh schedules: the sender reseeds per
-		// (round, object), so distinct group seeds keep rounds from
-		// repeating the same erasure-aligned order.
-		Seed: core.DeriveSeed(c.cfg.Seed, 0xCA57, uint64(g.index)),
-		// No Metrics: the group senders are throwaway; their stats
-		// fold into the caster's registered aggregates below.
-		Tracer: c.cfg.Tracer,
-	})
+// send is the sending stage's work on one group: the cast's sender
+// carousels it, what the group adds to the sender's counters folds into
+// the cast's, and its frame slabs go back to the pool the moment it is
+// off the air. It returns how many datagrams went out after the start
+// signal and how long they took: the send rate while the reading stage
+// is running too, which is the rate the next signal has to be timed by.
+func (c *Caster) send(ctx context.Context, s *Sender, g castGroup, rate float64) (int, time.Duration, error) {
+	// Every group draws fresh schedules: the sender reseeds per (round,
+	// object), so distinct group seeds keep rounds from repeating the same
+	// erasure-aligned order.
+	s.regroup(core.DeriveSeed(c.cfg.Seed, 0xCA57, uint64(g.index)))
+	before := s.Stats()
 	for _, o := range g.objs {
 		if err := s.Add(o); err != nil {
 			return 0, 0, err
@@ -401,21 +403,22 @@ func (c *Caster) send(ctx context.Context, pacer *PacerShare, g castGroup, rate 
 	}
 	if g.start != nil {
 		if after := startAfter(g.encode, rate, s.planned()); after > 0 {
-			s.notify, s.notifyAt = g.start, uint64(after)
+			s.notify, s.notifyAt = g.start, before.PacketsSent+uint64(after)
 		} else {
 			close(g.start)
 		}
 	}
-	s.notifiedAt = time.Now() // the signal, unless a flush gives it later
+	// The signal, unless a flush gives it later.
+	s.notifiedAt, s.notifiedSent = time.Now(), before.PacketsSent
 	err := s.Run(ctx)
 	took := time.Since(s.notifiedAt)
 	if s.notify != nil {
 		close(s.notify) // the carousel stopped short of notifyAt
 	}
 	st := s.Stats()
-	c.packets.Add(st.PacketsSent)
-	c.bytes.Add(st.BytesSent)
-	c.pacerWait.Add(st.PacerWaitNS)
+	c.packets.Add(st.PacketsSent - before.PacketsSent)
+	c.bytes.Add(st.BytesSent - before.BytesSent)
+	c.pacerWait.Add(st.PacerWaitNS - before.PacerWaitNS)
 	for _, o := range g.objs {
 		o.Close()
 	}

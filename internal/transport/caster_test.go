@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -537,5 +538,67 @@ func TestCasterProgressInOrder(t *testing.T) {
 	}
 	if last := calls[len(calls)-1]; last.BytesRead != int64(len(data)) {
 		t.Errorf("final BytesRead = %d, want %d", last.BytesRead, len(data))
+	}
+}
+
+// slowCountConn discards datagrams, taking a moment per write as a paced
+// link does, and counts them where another goroutine can read the count.
+type slowCountConn struct {
+	discardConn
+	sent atomic.Int64
+}
+
+func (c *slowCountConn) WriteBatch(batch []wire.Datagram) (int, error) {
+	time.Sleep(500 * time.Microsecond)
+	c.sent.Add(int64(len(batch)))
+	return c.discardConn.WriteBatch(batch)
+}
+
+// windowStartReader is the cast's source; it notes how many datagrams the
+// conn had taken when the reading stage began each window.
+type windowStartReader struct {
+	src         io.Reader
+	conn        *slowCountConn
+	window, per int // chunks per window, source bytes per chunk
+	read        int
+	starts      []int64
+}
+
+func (r *windowStartReader) Read(p []byte) (int, error) {
+	if r.read%(r.window*r.per) == 0 {
+		r.starts = append(r.starts, r.conn.sent.Load())
+	}
+	n, err := r.src.Read(p[:min(len(p), r.per-r.read%r.per)])
+	r.read += n
+	return n, err
+}
+
+// TestCasterStartsEveryWindowLate: the cast's one sender carousels group
+// after group, and each group's start signal still counts from that
+// group's own first datagram. With encoding far faster than the link,
+// the reading stage must not begin window g+1 before group g is most of
+// the way out: not at a quarter of it, where a signal counted from the
+// start of the cast would already have fired.
+func TestCasterStartsEveryWindowLate(t *testing.T) {
+	const k, payload, window, rounds = 16, 256, 3, 2
+	per := session.ChunkDataSize(k, payload)
+	conn := &slowCountConn{}
+	src := &windowStartReader{src: bytes.NewReader(testFile(t, 5*window*per, 31)), conn: conn, window: window, per: per}
+	c, err := NewCaster(conn, src,
+		CasterConfig{Delivery: Delivery{Codec: codes.Spec{K: k, Ratio: 1.5}, PayloadSize: payload, Window: window, Rounds: rounds, Seed: 5, BatchSize: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	group := int64(window * 24 * rounds) // datagrams of a full group: n = 24
+	if len(src.starts) < 4 {
+		t.Fatalf("windows started at %v datagrams: want at least 4 windows", src.starts)
+	}
+	for g, sent := range src.starts[1:] { // window g+1 starts while group g is on the air
+		if into := sent - int64(g)*group; into < group/4 || into > group {
+			t.Errorf("window %d started %d datagrams into group %d of %d: want it late in the group", g+1, into, g, group)
+		}
 	}
 }

@@ -355,7 +355,8 @@ func (d *ReceiverDaemon) ingest(batch []wire.Datagram) {
 		switch {
 		case errors.Is(err, session.ErrCorrupt):
 			// Every symbol is in and they hold no object: the reassembly
-			// is over, and nothing of it may keep an in-flight slot.
+			// closed itself, and nothing of it may keep an in-flight slot.
+			e.asm = nil
 			d.dropLocked(e)
 			d.discards[discardBad].Add(1)
 			continue
@@ -449,10 +450,13 @@ func (d *ReceiverDaemon) retain(id uint32, obj *session.Decoded) {
 	}
 }
 
-// dropLocked forgets an in-flight object and returns its slabs to the
-// symbol pool; it starts over if its datagrams keep arriving.
+// dropLocked forgets an in-flight object and closes its reassembly, if
+// still open; it starts over if its datagrams keep arriving.
 func (d *ReceiverDaemon) dropLocked(e *entry) {
-	e.asm.Close()
+	if e.asm != nil {
+		e.asm.Close()
+		e.asm = nil
+	}
 	d.inFlight.remove(e)
 	delete(d.objects, e.id)
 }

@@ -109,7 +109,7 @@ type SenderStats struct {
 type Sender struct {
 	conn Conn
 	cfg  SenderConfig
-	objs []*senderObject
+	objs []senderObject
 
 	// runMu is held by Run for its whole duration; Close takes it, so
 	// releasing the objects' slabs synchronizes with the round loop that
@@ -198,7 +198,7 @@ func (s *Sender) Add(obj *session.Object) error {
 	if _, err := obj.Frame(0); err != nil {
 		return fmt.Errorf("transport: adding object %d: %w", obj.ObjectID(), err)
 	}
-	s.objs = append(s.objs, &senderObject{
+	s.objs = append(s.objs, senderObject{
 		obj:       obj,
 		layout:    obj.Layout(),
 		scheduler: obj.Scheduler(),
@@ -218,6 +218,15 @@ func (s *Sender) Close() {
 	for _, o := range s.objs {
 		o.obj.Close()
 	}
+}
+
+// regroup readies the sender for another carousel of other objects under
+// seed, keeping its buffers and its counters: how a Caster reuses one
+// sender for every window group. Call it between Runs, then Add.
+func (s *Sender) regroup(seed int64) {
+	clear(s.objs)
+	s.objs = s.objs[:0]
+	s.cfg.Seed = seed
 }
 
 // Run drives the carousel until the configured rounds complete or ctx is
@@ -245,14 +254,17 @@ func (s *Sender) Run(ctx context.Context) error {
 	if batchSize > maxSendBatch {
 		batchSize = maxSendBatch
 	}
-	s.views = make([]wire.Datagram, 0, batchSize)
+	if cap(s.views) < batchSize {
+		s.views = make([]wire.Datagram, 0, batchSize)
+	}
 
 	for round := startRound; s.cfg.Rounds <= 0 || round < s.cfg.Rounds; round++ {
 		s.drawRound(round)
 		if round == startRound && s.cfg.StartPos > 0 {
 			// Resume mid-round: random access is O(1), so seeking every
 			// object's cursor costs nothing.
-			for _, o := range s.objs {
+			for i := range s.objs {
+				o := &s.objs[i]
 				pos := s.cfg.StartPos
 				if pos > o.sched.Len() {
 					pos = o.sched.Len()
@@ -265,7 +277,8 @@ func (s *Sender) Run(ctx context.Context) error {
 		// object's cursor walks its schedule in batched draws.
 		for remaining := len(s.objs); remaining > 0; {
 			remaining = 0
-			for _, o := range s.objs {
+			for i := range s.objs {
+				o := &s.objs[i]
 				id, ok := o.cur.Next()
 				if !ok {
 					continue
@@ -314,7 +327,8 @@ func (s *Sender) Run(ctx context.Context) error {
 // drawRound draws every object's schedule for a round and returns how
 // many datagrams the round will send.
 func (s *Sender) drawRound(round int) (n int) {
-	for i, o := range s.objs {
+	for i := range s.objs {
+		o := &s.objs[i]
 		sc := o.scheduler
 		if sc == nil {
 			sc = s.cfg.Scheduler

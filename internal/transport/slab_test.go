@@ -465,6 +465,44 @@ func TestReceiverDaemonCorruptObjectLeavesNoEntry(t *testing.T) {
 	}
 }
 
+// TestReceiverDaemonCorruptObjectHandedOutOnce: the Reassembly of an
+// object found corrupt has closed itself by the time Ingest returns, and
+// the daemon must close nothing of it again, so it goes back for reuse
+// once: the next two objects to open get distinct Reassemblies.
+func TestReceiverDaemonCorruptObjectHandedOutOnce(t *testing.T) {
+	start := symbol.PoolStats().Live
+	hub := NewLoopback()
+	defer hub.Close()
+	d := NewReceiverDaemon(hub.Receiver(nil, 16), ReceiverConfig{})
+	first := func(id uint32) []byte {
+		obj := encodeTestObject(t, testFile(t, 4<<10, int64(id)), id, wire.CodeRSE, 1.5, 1024)
+		defer obj.Close()
+		f, err := obj.Datagram(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	corrupt := encodeTestObject(t, testFile(t, 1<<10-8, 5), 9, wire.CodeNoFEC, 1, 1024) // one symbol
+	f, err := corrupt.Datagram(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt.Close()
+	f[wire.HeaderLen] = 0xFF // the length prefix now announces 2^63 bytes and more
+	d.ingest([]wire.Datagram{f, first(10), first(11)})
+	if st := d.Stats(); st.PacketsBad != 1 || st.PacketsIngested != 2 {
+		t.Fatalf("stats %+v, want one bad datagram and two ingested", st)
+	}
+	if a, b := d.objects[10], d.objects[11]; a == nil || b == nil || a.asm == b.asm {
+		t.Fatal("the corrupt object's Reassembly was handed to two objects")
+	}
+	d.forgetInFlight()
+	if live := symbol.PoolStats().Live - start; live != 0 {
+		t.Errorf("%d pool buffers still checked out", live)
+	}
+}
+
 // TestReceiverDaemonIngestAllocsNothing pins the steady state of the
 // object table at zero allocations per datagram, whichever entry the
 // datagram finds: an in-flight object's next symbol (the header parses
