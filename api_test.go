@@ -3,10 +3,9 @@ package fecperf
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
-
-	"fecperf/internal/ldpc"
 )
 
 func TestNewCodeAllFamilies(t *testing.T) {
@@ -19,20 +18,38 @@ func TestNewCodeAllFamilies(t *testing.T) {
 			t.Fatalf("%s: wrong k", name)
 		}
 	}
+	// Every codec family builds, the same code the codec spec names.
+	for _, name := range CodecNames {
+		ratio := 2.5
+		if name == "no-fec" {
+			ratio = 1
+		}
+		c, err := NewCode(name, 100, ratio, 1)
+		if err != nil {
+			t.Fatalf("NewCode(%q, ratio %g): %v", name, ratio, err)
+		}
+		want, err := CodecSpec{Family: name, K: 100, Ratio: ratio, Seed: 1}.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Name() != name || c.Layout().K != 100 || c.Layout().N != want.Layout().N {
+			t.Fatalf("NewCode(%q) = %s k=%d n=%d, want %s n=%d", name, c.Name(), c.Layout().K, c.Layout().N, want.Name(), want.Layout().N)
+		}
+	}
 	if _, err := NewCode("bogus", 100, 2.5, 1); err == nil {
 		t.Fatal("NewCode accepted bogus family")
 	}
 }
 
 func TestNewRSEAndLDGMDirect(t *testing.T) {
-	r, err := NewRSE(300, 1.5)
+	r, err := NewCode("rse", 300, 1.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumBlocks() < 2 {
+	if len(r.Layout().Blocks) < 2 {
 		t.Fatal("expected segmentation at k=300")
 	}
-	l, err := NewLDGM(ldpc.Params{K: 100, N: 250, Variant: LDGMTriangle, Seed: 1})
+	l, err := CodecByName("ldgm-triangle(k=100,ratio=2.5,seed=1)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +281,7 @@ func TestNewGilbertChannelValidation(t *testing.T) {
 
 func TestRunTrialFacade(t *testing.T) {
 	c, _ := NewCode("ldgm-staircase", 50, 2.5, 1)
-	sched := TxModel1().Schedule(c.Layout(), newRand(1))
+	sched := TxModel1().Schedule(c.Layout(), rand.New(rand.NewSource(1)))
 	ch, _ := NewGilbertChannel(0, 1, 1)
 	res := RunTrial(sched, ch, c.NewReceiver(), 0)
 	if !res.Decoded || res.NNecessary != 50 {

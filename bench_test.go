@@ -107,7 +107,7 @@ const (
 )
 
 func BenchmarkEncodeRSE(b *testing.B) {
-	c, err := NewRSE(speedK, 1.5)
+	c, err := CodecSpec{Family: "rse", K: speedK, Ratio: 1.5}.New()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func BenchmarkEncodeLDGMStaircase(b *testing.B) { benchmarkEncodeLDGM(b, ldpc.St
 func BenchmarkEncodeLDGMTriangle(b *testing.B)  { benchmarkEncodeLDGM(b, ldpc.Triangle) }
 
 func BenchmarkDecodeRSE(b *testing.B) {
-	c, err := NewRSE(speedK, 1.5)
+	c, err := CodecSpec{Family: "rse", K: speedK, Ratio: 1.5}.New()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func BenchmarkEncodeRSE16(b *testing.B) {
 // premium under random reception while the single-block GF(2^16) codec is
 // perfectly MDS (inefficiency exactly 1.0).
 func BenchmarkAblationGF8vsGF16Inefficiency(b *testing.B) {
-	c8, err := NewRSE(2000, 2.5)
+	c8, err := NewCode("rse", 2000, 2.5, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

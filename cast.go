@@ -6,8 +6,8 @@ package fecperf
 // chunks); Collector reassembles completed chunks in order into an
 // io.Writer, closing the train on its trailing manifest with an
 // end-to-end length and CRC check. Single in-memory objects use
-// NewObject / NewDeliveryReceiver; the round-robin carousel over
-// whole objects is NewBroadcaster / NewReceiverDaemon.
+// NewObject; the round-robin carousel over whole objects is
+// NewBroadcaster / NewReceiverDaemon.
 
 import (
 	"io"
@@ -97,8 +97,6 @@ type (
 	DeliveryConfig = session.SenderConfig
 	// DeliveryObject is an encoded object ready for transmission.
 	DeliveryObject = session.Object
-	// DeliveryReceiver reconstructs objects from datagrams.
-	DeliveryReceiver = session.Receiver
 	// WirePacket is the parsed datagram format.
 	WirePacket = wire.Packet
 	// WireCodeFamily identifies the FEC code on the wire.
@@ -134,10 +132,6 @@ func NewObject(data []byte, opts ...Option) (*DeliveryObject, error) {
 	}
 	return session.EncodeObject(data, oc)
 }
-
-// NewDeliveryReceiver returns a receiver that reconstructs objects from
-// datagrams in any order.
-func NewDeliveryReceiver() *DeliveryReceiver { return session.NewReceiver() }
 
 // DecodeWirePacket parses one datagram without feeding a receiver (useful
 // for inspection and filtering).
@@ -183,19 +177,19 @@ func NewReceiverDaemon(conn TransportConn, cfg ReceiverDaemonConfig) *ReceiverDa
 
 // NewImpairment builds a live loss process for Loopback.Receiver from a
 // channel spec and seed — the bridge from the paper's simulated loss to
-// live transport impairment.
+// live transport impairment: ChannelSpec.New(seed), the chain the
+// engine and the fleet step.
 func NewImpairment(channelSpec string, seed int64) (Channel, error) {
 	s, err := ChannelByName(channelSpec)
 	if err != nil {
 		return nil, err
 	}
-	return s.New(newRand(seed)), nil
+	return s.New(uint64(seed)), nil
 }
 
-// NewBatchImpairment builds the batched stepper form of a channel spec
-// for Loopback.ReceiverStepper — the loss process that steps in 64-wide
-// masks under one lock when senders write batches. ok is false when the
-// channel kind cannot be batch-stepped (markov); the error is reserved
+// NewBatchImpairment builds the batched stepper form of a channel spec,
+// for harnesses that own their chain state. ok is false when the channel
+// kind cannot be batch-stepped (markov, trace); the error is reserved
 // for unparseable specs.
 func NewBatchImpairment(channelSpec string) (st ChannelStepper, ok bool, err error) {
 	s, err := ChannelByName(channelSpec)

@@ -24,9 +24,11 @@
 //	                            applied at the next round boundary)
 //	POST   /drain               graceful shutdown, whole rounds only
 //
-// Bodies are application/json. The control plane refuses a request whose
-// Host is not the -control address or whose Origin is not its own, so a
-// web page open in a browser on the host cannot drive it:
+// Bodies are application/json. Every route on the -control listener —
+// the casts, /metrics, /metrics.json, /debug/vars and /debug/pprof/ —
+// refuses a request whose Host is not the -control address or whose
+// Origin is not its own, so a web page open in a browser on the host can
+// neither drive the daemon nor read its metrics and profiles:
 //
 //	curl -s -X POST localhost:9890/casts -H 'Content-Type: application/json' \
 //	    -d '{"spec": "name=beta,addr=239.1.2.5:9900,file=b.bin"}'

@@ -178,6 +178,70 @@ func TestFeccastdEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFeccastdControlListenerRefusesOtherSites: every route on the
+// -control listener — the control plane, the metrics, expvar and pprof —
+// refuses a request whose Host is not the listener's address (a
+// DNS-rebound name) or whose Origin is another site's, and serves the
+// listener's own address.
+func TestFeccastdControlListenerRefusesOtherSites(t *testing.T) {
+	control := freeAddr(t, "tcp")
+	runCtx, stopRun := context.WithCancel(context.Background())
+	defer stopRun()
+	runDone := make(chan error, 1)
+	go func() {
+		runDone <- run(runCtx, make(chan os.Signal), []string{"-control", control, "-pprof"}, io.Discard, io.Discard)
+	}()
+	base := "http://" + control
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if code, _ := httpGet(t, base+"/casts"); code == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("control listener never answered")
+		}
+	}
+	port := control[strings.LastIndex(control, ":")+1:]
+	get := func(path, host, origin string) int {
+		t.Helper()
+		req, err := http.NewRequest("GET", base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if host != "" {
+			req.Host = host
+		}
+		if origin != "" {
+			req.Header.Set("Origin", origin)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, path := range []string{"/casts", "/metrics", "/metrics.json", "/debug/vars", "/debug/pprof/"} {
+		if code := get(path, "evil.example:"+port, ""); code != http.StatusForbidden {
+			t.Errorf("GET %s with a rebound Host = %d, want 403", path, code)
+		}
+		if code := get(path, "", "https://evil.example"); code != http.StatusForbidden {
+			t.Errorf("GET %s with a foreign Origin = %d, want 403", path, code)
+		}
+		if code := get(path, "", base); code != http.StatusOK {
+			t.Errorf("GET %s from the listener's own address = %d, want 200", path, code)
+		}
+	}
+	stopRun()
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatalf("drain on cancel: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never stopped after cancel")
+	}
+}
+
 // TestFeccastdSIGTERMDrains exercises the exact signal wiring main
 // installs: a real SIGTERM to this process must cancel the context and
 // drain the daemon, same as SIGINT.

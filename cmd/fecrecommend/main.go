@@ -94,7 +94,7 @@ func main() {
 // code the sender would build — which for segmented Reed-Solomon is not
 // int(ratio·k): every block rounds its own parity count.
 func sizeNSent(best recommend.Result, cfg recommend.Config, pGlobal float64, margin int) (nsent, n int, err error) {
-	code, err := codes.Make(best.Tuple.Code, cfg.K, best.Tuple.Ratio, cfg.Seed)
+	code, err := codes.Spec{Family: best.Tuple.Code, K: cfg.K, Ratio: best.Tuple.Ratio, Seed: cfg.Seed}.New()
 	if err != nil {
 		return 0, 0, err
 	}

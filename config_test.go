@@ -8,6 +8,7 @@ import (
 
 	"fecperf/internal/channel"
 	"fecperf/internal/engine"
+	"fecperf/internal/session"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -291,7 +292,7 @@ func TestNewObjectSpec(t *testing.T) {
 	if obj.ObjectID() != 9 {
 		t.Errorf("ObjectID = %d, want 9", obj.ObjectID())
 	}
-	rx := NewDeliveryReceiver()
+	rx := session.NewReceiver()
 	var got []byte
 	for id := 0; id < obj.N(); id++ {
 		d, err := obj.Datagram(id)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"fecperf/internal/channel"
 )
 
 // TestBroadcastDaemonFacade drives the daemon through the public
@@ -16,7 +14,7 @@ import (
 // graceful drain.
 func TestBroadcastDaemonFacade(t *testing.T) {
 	hub := NewLoopback()
-	rd := NewReceiverDaemon(hub.Receiver(channel.NoLoss{}, 1<<15), ReceiverDaemonConfig{})
+	rd := NewReceiverDaemon(hub.Receiver(nil, 1<<15), ReceiverDaemonConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	go rd.Run(ctx)
@@ -70,7 +68,7 @@ func TestBroadcastDaemonFacade(t *testing.T) {
 // WithPacer/Config.Pacer path through the public constructors.
 func TestWithPacerSharesOneBudget(t *testing.T) {
 	hub := NewLoopback()
-	sink := hub.Receiver(channel.NoLoss{}, 1<<15)
+	sink := hub.Receiver(nil, 1<<15)
 	go func() {
 		buf := make([]byte, 2048)
 		for {

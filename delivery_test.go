@@ -2,7 +2,10 @@ package fecperf
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
+
+	"fecperf/internal/session"
 )
 
 func TestDeliveryFacadeRoundTrip(t *testing.T) {
@@ -11,9 +14,9 @@ func TestDeliveryFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx := NewDeliveryReceiver()
+	rx := session.NewReceiver()
 	var got []byte
-	err = enc.Send(newRand(1), func(d []byte) error {
+	err = enc.Send(rand.New(rand.NewSource(1)), func(d []byte) error {
 		p, err := DecodeWirePacket(d)
 		if err != nil {
 			return err

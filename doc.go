@@ -39,9 +39,12 @@
 //
 // Parts (README "Architecture", "Streaming schedules"): CodecByName,
 // SchedulerByName and ChannelByName resolve the grammar's names one at a
-// time, and every resolved value renders back. CodecByName returns a
-// Codec, whose PayloadDecoder states the buffer-ownership contract of the
-// symbol pool. A Scheduler draws a streaming, O(1)-memory Schedule.
+// time, and every resolved value renders back. A code is built one way,
+// CodecSpec.New (NewCode, CodecByName), and a loss process one way,
+// ChannelSpec.New (NewImpairment, NewGilbertChannel): the chain the
+// engine steps. A Codec's PayloadDecoder states the buffer-ownership
+// contract of the symbol pool. A Scheduler draws a streaming, O(1)-memory
+// Schedule.
 //
 // Observability (README "Observability"): NewMetricsRegistry,
 // ServeMetrics and WithMetrics expose the fecperf_ metric catalog;

@@ -22,7 +22,7 @@ func main() {
 		p, q = 0.01, 0.10
 	)
 
-	rseCode, err := fecperf.NewRSE(k, ratio)
+	rseCode, err := fecperf.NewCode("rse", k, ratio, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("channel: gilbert p=%g q=%g → %.1f%% loss in ~%.0f-packet bursts\n",
 		p, q, 100*fecperf.GlobalLoss(p, q), 1/q)
 	fmt.Printf("object: k=%d packets, ratio %.1f (RSE segmented into %d blocks)\n\n",
-		k, ratio, rseCode.NumBlocks())
+		k, ratio, len(rseCode.Layout().Blocks))
 
 	type entry struct {
 		label string

@@ -27,10 +27,8 @@ import (
 	"fecperf/internal/core"
 	"fecperf/internal/engine"
 	"fecperf/internal/experiments"
-	"fecperf/internal/ldpc"
 	"fecperf/internal/obs"
 	"fecperf/internal/recommend"
-	"fecperf/internal/rse"
 	"fecperf/internal/sched"
 	"fecperf/internal/spec"
 	"fecperf/internal/symbol"
@@ -71,10 +69,10 @@ type (
 	Schedule = core.Schedule
 	// Channel decides, per transmission, whether a packet is erased.
 	Channel = core.Channel
-	// ChannelStepper is the batched loss-process stepper consumed by
-	// Loopback.ReceiverStepper: it advances a Gilbert chain up to 64
-	// transmissions per call on raw splitmix64 state, bit-identical to
-	// the scalar chain. Build one with NewBatchImpairment.
+	// ChannelStepper advances a Gilbert chain up to 64 transmissions per
+	// call on splitmix64 state and an in-loss bit its caller owns, exactly
+	// as the Channel NewImpairment builds from that state. See
+	// NewBatchImpairment.
 	ChannelStepper = channel.Stepper
 	// Layout describes the packet-ID structure of an encoded object.
 	Layout = core.Layout
@@ -340,15 +338,16 @@ func (c Config) Spec() string {
 
 // --- Codecs and codes ---
 
-// CodeNames lists the identifiers accepted by NewCode: "rse", "ldgm",
-// "ldgm-staircase", "ldgm-triangle".
-var CodeNames = experiments.CodeNames
+// CodeNames lists the four code families the paper studies: "rse",
+// "ldgm", "ldgm-staircase", "ldgm-triangle".
+var CodeNames = codes.Names
 
-// NewCode builds an FEC code by family name for k source packets and the
-// given FEC expansion ratio n/k. The seed fixes the pseudo-random LDGM
-// construction (it is ignored by RSE).
+// NewCode builds CodecSpec{Family: name, K: k, Ratio: ratio, Seed:
+// seed}.New(): any of CodecNames (no-fec at ratio 1) for k source
+// packets. The seed fixes the pseudo-random LDGM construction (it is
+// ignored by the other families).
 func NewCode(name string, k int, ratio float64, seed int64) (Code, error) {
-	return experiments.MakeCode(name, k, ratio, seed)
+	return codes.Spec{Family: name, K: k, Ratio: ratio, Seed: seed}.New()
 }
 
 // CodecNames lists the codec families of the codec spec grammar that
@@ -373,25 +372,6 @@ func ParseCodecSpec(codecSpec string) (CodecSpec, error) { return codes.ParseSpe
 // the symbol pool. The buffer must not be used afterwards, nor released
 // twice.
 func ReleaseSymbol(b []byte) { symbol.Put(b) }
-
-// NewRSE builds the Reed-Solomon erasure code with FLUTE-style blocking.
-func NewRSE(k int, ratio float64) (*rse.Code, error) {
-	n, err := rse.N(k, ratio, 0)
-	if err != nil {
-		return nil, err
-	}
-	return rse.New(rse.Params{K: k, N: n})
-}
-
-// NewLDGM builds one of the large-block codes with full parameter control.
-func NewLDGM(p ldpc.Params) (*ldpc.Code, error) { return ldpc.New(p) }
-
-// LDGM variants, re-exported for NewLDGM.
-const (
-	LDGMPlain     = ldpc.Plain
-	LDGMStaircase = ldpc.Staircase
-	LDGMTriangle  = ldpc.Triangle
-)
 
 // --- Schedulers ---
 

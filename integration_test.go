@@ -6,6 +6,7 @@ package fecperf
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"fecperf/internal/channel"
@@ -185,7 +186,7 @@ func TestMemoryMetricOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxBuf := func(c Code) int {
-		sched := TxModel4().Schedule(c.Layout(), newRand(3))
+		sched := TxModel4().Schedule(c.Layout(), rand.New(rand.NewSource(3)))
 		ch, _ := NewGilbertChannel(0.05, 0.5, 4)
 		res := RunTrial(sched, ch, c.NewReceiver(), 0)
 		if !res.Decoded {

@@ -81,9 +81,8 @@ type Stepper struct {
 	// pT and qT are the integer comparison thresholds equivalent to
 	// "Float64() < P" (entering loss) and "Float64() < Q" (leaving it).
 	pT, qT uint64
-	// active distinguishes a real chain from the lossless stepper: the
-	// scalar NoLoss channel consumes no randomness, so its stepper must
-	// not advance the state either.
+	// active distinguishes a real chain from the lossless stepper, which
+	// consumes no randomness: its state never advances.
 	active bool
 }
 
@@ -196,7 +195,7 @@ type Chain struct {
 }
 
 // Chain starts a chain in the no-loss state from splitmix64 state: the
-// chain New builds over a core.SplitMixSource holding state.
+// chain NewGilbert builds over a core.SplitMixSource holding state.
 func (st Stepper) Chain(state uint64) Chain { return Chain{st: st, state: state} }
 
 // Lost implements core.Channel.

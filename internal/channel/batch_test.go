@@ -8,12 +8,32 @@ import (
 	"fecperf/internal/core"
 )
 
-// scalarLosses runs the reference chain — the exact construction the
-// trial engine uses — for n transmissions.
+// reference builds the scalar chain Spec.New must reproduce over rng:
+// the Gilbert chain of Section 3.2 — bernoulli is q = 1-p, noloss is
+// p = 0 — and NewMarkov for markov.
+func reference(f Spec, rng *rand.Rand) core.Channel {
+	switch f.Kind {
+	case "gilbert":
+		return NewGilbert(f.P, f.Q, rng)
+	case "bernoulli":
+		return NewGilbert(f.P, 1-f.P, rng)
+	case "noloss":
+		return NewGilbert(0, 1, rng)
+	default:
+		m, err := NewMarkov(f.markov(), rng)
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
+}
+
+// scalarLosses runs the reference chain over a SplitMixSource seeded
+// with seed for n transmissions.
 func scalarLosses(f Spec, seed int64, n int) []bool {
 	rng := rand.New(&core.SplitMixSource{})
 	rng.Seed(seed)
-	ch := f.New(rng)
+	ch := reference(f, rng)
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = ch.Lost()
@@ -82,6 +102,48 @@ func TestStepMaskMatchesScalarChain(t *testing.T) {
 	}
 }
 
+// TestSpecNewMatchesScalarReference is the differential test of the one
+// loss process: for every kind, Spec.New(seed) — the Chain for gilbert,
+// bernoulli and noloss, stepped 64 at a time and singly; Markov for
+// markov — loses exactly what the scalar reference loses over a
+// SplitMixSource seeded with seed, p and q at 0 and 1 included.
+func TestSpecNewMatchesScalarReference(t *testing.T) {
+	var specs []Spec
+	for _, p := range []float64{0, 0.01, 0.3, 1} {
+		for _, q := range []float64{0, 0.5, 1} {
+			specs = append(specs, GilbertChannel(p, q), Spec{Kind: "markov", P: p, Q: q})
+		}
+		specs = append(specs, BernoulliChannel(p))
+	}
+	specs = append(specs, BernoulliChannel(0.5), NoLossChannel(), MarkovChannel(GilbertSpec(0.05, 0.4)))
+	const steps = 100_000
+	for _, f := range specs {
+		for _, seed := range []uint64{0, 1, 42, 1 << 63, math.MaxUint64} {
+			src := &core.SplitMixSource{}
+			src.Seed(int64(seed))
+			want := reference(f, rand.New(src))
+			got := f.New(seed)
+			for i := 0; i < steps; {
+				n := 64
+				if i/64%5 == 4 {
+					n = 1 + i%7 // short and single-step batches between the words
+				}
+				n = min(n, steps-i)
+				var ref uint64
+				for j := range n {
+					if want.Lost() {
+						ref |= 1 << j
+					}
+				}
+				if mask := core.LossMask(got, n); mask != ref {
+					t.Fatalf("%s seed=%d: transmissions %d..%d lost %#x, reference %#x", f, seed, i, i+n-1, mask, ref)
+				}
+				i += n
+			}
+		}
+	}
+}
+
 // TestChainMatchesScalarChain: a Chain started from a SplitMixSource's
 // state mid-stream — after a scheduler's draws, as a trial starts it —
 // answers Lost and LossMask calls of any width, interleaved, exactly as
@@ -95,7 +157,7 @@ func TestChainMatchesScalarChain(t *testing.T) {
 			rng.Seed(seed)
 			rng.Perm(int(seed)) // the scheduler's draws
 			c := st.Chain(src.State())
-			scalar := f.New(rng)
+			scalar := reference(f, rng)
 			for i, width := range []int{1, 64, 5, 1, 63, 64, 2} {
 				var got uint64
 				if width == 1 && i%2 == 0 {
@@ -186,8 +248,8 @@ func TestYThreshold(t *testing.T) {
 	}
 }
 
-// TestStepMaskLossless: the zero stepper advances nothing, like the
-// scalar NoLoss channel, which consumes no randomness.
+// TestStepMaskLossless: the zero stepper — noloss — advances nothing: a
+// perfect channel consumes no randomness.
 func TestStepMaskLossless(t *testing.T) {
 	var st Stepper
 	if !st.Lossless() {

@@ -18,6 +18,8 @@ import (
 // probability of moving from no-loss to loss, Q the probability of moving
 // back. The chain starts in the no-loss state, matching the usual
 // convention (and making p=0 a perfect channel regardless of q).
+// It is the scalar reference Spec.New's Chain is pinned against; the
+// simulations and live loss run that Chain.
 type Gilbert struct {
 	P, Q float64
 	rng  *rand.Rand
@@ -77,18 +79,6 @@ func MeanBurstLength(q float64) float64 {
 	}
 	return 1 / q
 }
-
-// Bernoulli returns a memoryless (IID) channel with loss rate p, which is
-// the Gilbert model with q = 1-p as noted in Section 3.2.
-func Bernoulli(p float64, rng *rand.Rand) *Gilbert {
-	return NewGilbert(p, 1-p, rng)
-}
-
-// NoLoss is the perfect channel (p = 0).
-type NoLoss struct{}
-
-// Lost implements core.Channel; it always returns false.
-func (NoLoss) Lost() bool { return false }
 
 // Trace replays a recorded loss pattern (true = lost). Past the end of the
 // trace it wraps around, which keeps long simulations well-defined; set

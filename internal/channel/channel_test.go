@@ -113,7 +113,7 @@ func TestBernoulliIsMemoryless(t *testing.T) {
 	// For an IID channel the loss probability conditioned on the previous
 	// outcome must equal the unconditional one.
 	p := 0.3
-	g := Bernoulli(p, rand.New(rand.NewSource(9)))
+	g := BernoulliChannel(p).New(9)
 	const n = 300000
 	var lossAfterLoss, afterLoss, lossAfterOK, afterOK int
 	prev := g.Lost()
@@ -143,7 +143,7 @@ func TestBernoulliIsMemoryless(t *testing.T) {
 }
 
 func TestNoLoss(t *testing.T) {
-	var ch NoLoss
+	ch := NoLossChannel().New(1)
 	for i := 0; i < 100; i++ {
 		if ch.Lost() {
 			t.Fatal("NoLoss lost a packet")
@@ -293,12 +293,11 @@ func TestFeasibleFractionOrdering(t *testing.T) {
 }
 
 func TestFactories(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	gf := GilbertChannel(0.1, 0.9)
 	if gf.String() != "gilbert(p=0.1,q=0.9)" {
 		t.Fatalf("String = %q", gf)
 	}
-	ch := gf.New(rng)
+	ch := gf.New(1)
 	lost := 0
 	for i := 0; i < 10000; i++ {
 		if ch.Lost() {
@@ -312,7 +311,7 @@ func TestFactories(t *testing.T) {
 	if nf.String() != "noloss" {
 		t.Fatalf("String = %q, want the parseable noloss", nf)
 	}
-	if nf.New(rng).Lost() {
+	if nf.New(1).Lost() {
 		t.Fatal("noloss channel lost a packet")
 	}
 }

@@ -104,9 +104,13 @@ func (m *Markov) Lost() bool {
 // State returns the current state index (useful in tests).
 func (m *Markov) State() int { return m.state }
 
-// Reset puts the chain back in its start state, so one chain — model
-// resolved and validated once — serves trial after trial on the same rng.
-func (m *Markov) Reset() { m.state = m.spec.Start }
+// Reset puts the chain back in its start state and reseeds its rng
+// (over a core.SplitMixSource: to state seed), so one chain — model
+// resolved and validated once — serves trial after trial.
+func (m *Markov) Reset(seed uint64) {
+	m.state = m.spec.Start
+	m.rng.Seed(int64(seed))
+}
 
 // GilbertSpec returns the MarkovSpec equivalent to Gilbert(p, q): two
 // states, deterministic loss per state, started in the no-loss state.

@@ -139,8 +139,7 @@ func TestMarkovResetIsFresh(t *testing.T) {
 		for range 200 {
 			want = append(want, fresh.Lost())
 		}
-		rng.Seed(seed)
-		reused.Reset()
+		reused.Reset(uint64(seed))
 		for i, w := range want {
 			if got := reused.Lost(); got != w {
 				t.Fatalf("seed %d step %d: reset chain lost=%v, fresh %v", seed, i, got, w)
@@ -154,7 +153,7 @@ func TestMarkovFactory(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ch := f.New(rand.New(rand.NewSource(1)))
+	ch := f.New(1)
 	lost := 0
 	for i := 0; i < 50000; i++ {
 		if ch.Lost() {

@@ -139,19 +139,21 @@ func (s Spec) markov() MarkovSpec {
 	return ThreeStateSpec(s.P, s.Q)
 }
 
-// New builds a fresh scalar chain drawing randomness from rng (noloss
-// and trace chains draw none). The spec must be valid: like NewGilbert,
-// New panics on parameters Validate rejects.
-func (s Spec) New(rng *rand.Rand) core.Channel {
+// New builds a fresh chain over the splitmix64 stream seeded with seed:
+// for gilbert, bernoulli and noloss (Section 3.2's one two-state chain)
+// the *Chain the fleet steps, for markov NewMarkov over a SplitMixSource
+// at seed. A trace replays from the start. Like NewGilbert, New panics
+// on a spec Validate rejects.
+func (s Spec) New(seed uint64) core.Channel {
+	if st, ok := s.Stepper(); ok {
+		ch := st.Chain(seed)
+		return &ch
+	}
 	switch s.Kind {
-	case "gilbert":
-		return NewGilbert(s.P, s.Q, rng)
-	case "bernoulli":
-		return Bernoulli(s.P, rng)
-	case "noloss":
-		return NoLoss{}
 	case "markov":
-		m, err := NewMarkov(s.markov(), rng)
+		src := new(core.SplitMixSource)
+		src.Seed(int64(seed))
+		m, err := NewMarkov(s.markov(), rand.New(src))
 		if err != nil {
 			panic(err)
 		}
@@ -163,10 +165,10 @@ func (s Spec) New(rng *rand.Rand) core.Channel {
 	}
 }
 
-// Stepper returns the batched stepper golden-equivalent to the chain
-// New builds over a core.SplitMixSource. ok is false for the kinds that
-// cannot be batch-stepped (markov, trace). The lossless stepper never
-// advances the chain state, matching the scalar NoLoss channel, which
+// Stepper returns the batched stepper of the kinds New builds a Chain
+// for, golden-equivalent to NewGilbert over a core.SplitMixSource. ok is
+// false for the kinds that cannot be batch-stepped (markov, trace). The
+// lossless stepper never advances the chain state: a perfect channel
 // consumes no randomness.
 func (s Spec) Stepper() (st Stepper, ok bool) {
 	switch s.Kind {

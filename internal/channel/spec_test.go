@@ -2,7 +2,6 @@ package channel
 
 import (
 	"encoding/json"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -83,7 +82,7 @@ func TestByNameResolvesAllFamilies(t *testing.T) {
 		if back, err := Parse(s.String()); err != nil || back.Kind != kind {
 			t.Fatalf("%s: Parse(%q) = %+v, %v", kind, s, back, err)
 		}
-		ch := s.New(rand.New(rand.NewSource(1)))
+		ch := s.New(1)
 		for i := 0; i < 100; i++ {
 			ch.Lost() // must not panic
 		}
@@ -103,15 +102,14 @@ func TestByNameUnknown(t *testing.T) {
 }
 
 func TestByNameSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ch := Spec{Kind: "noloss", P: 0.9, Q: 0.9}.New(rng) // both ignored
+	ch := Spec{Kind: "noloss", P: 0.9, Q: 0.9}.New(2) // both ignored
 	for i := 0; i < 50; i++ {
 		if ch.Lost() {
 			t.Fatal("noloss lost a packet")
 		}
 	}
 	lost := 0
-	ch = Spec{Kind: "bernoulli", P: 0.3, Q: 0}.New(rng) // q ignored
+	ch = Spec{Kind: "bernoulli", P: 0.3, Q: 0}.New(2) // q ignored
 	for i := 0; i < 10000; i++ {
 		if ch.Lost() {
 			lost++
@@ -144,7 +142,7 @@ func TestThreeStateSpecValidForGridCorners(t *testing.T) {
 func TestTraceFactoryRestartsPerTrial(t *testing.T) {
 	f := TraceChannel([]bool{true, false}, false)
 	for trial := 0; trial < 3; trial++ {
-		ch := f.New(nil)
+		ch := f.New(0)
 		if !ch.Lost() || ch.Lost() {
 			t.Fatalf("trial %d did not replay the trace from the start", trial)
 		}
@@ -212,7 +210,7 @@ func FuzzChannelParse(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(back, s) {
 			t.Fatalf("Parse(%q) = %+v renders %q, which parses to %+v, %v", text, s, s, back, err)
 		}
-		ch := s.New(rand.New(rand.NewSource(1)))
+		ch := s.New(1)
 		for i := 0; i < 8; i++ {
 			ch.Lost()
 		}

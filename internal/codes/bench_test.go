@@ -27,7 +27,7 @@ func benchRatio(name string) float64 {
 
 func benchCodec(b *testing.B, name string) (core.Codec, [][]byte) {
 	b.Helper()
-	c, err := MakeCodec(name, benchK, benchRatio(name), 17)
+	c, err := Spec{Family: name, K: benchK, Ratio: benchRatio(name), Seed: 17}.New()
 	if err != nil {
 		b.Fatal(err)
 	}

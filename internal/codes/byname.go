@@ -24,7 +24,7 @@ import (
 )
 
 // Spec is a serializable codec configuration: the family name plus the
-// parameters MakeCodec needs.
+// parameters New needs.
 type Spec struct {
 	// Family is one of CodecNames ("rse", "rse16", "ldgm",
 	// "ldgm-staircase", "ldgm-triangle", "no-fec").
@@ -110,22 +110,31 @@ func (s Spec) WireFamily() (wire.CodeFamily, error) {
 	return wire.FamilyByName(s.Family)
 }
 
-// New builds the codec the spec describes. K must be set (ByName specs
+// New builds the codec the spec describes: N turns the ratio into n,
+// and ForWire builds (family, k, n, seed). K must be set (ByName specs
 // embed it; callers deriving k from an object size set it first), and
 // so must Ratio for every parity-bearing family — defaulting it
 // silently would make "rse(k=32)" a zero-parity code.
 func (s Spec) New() (core.Codec, error) {
+	f, err := s.WireFamily()
+	if err != nil {
+		return nil, fmt.Errorf("codes: unknown codec %q (have %v)", s.Family, CodecNames)
+	}
 	if s.K <= 0 {
 		return nil, fmt.Errorf("codes: spec %q needs k (source symbol count)", s.Name())
 	}
-	if s.Ratio == 0 && s.Family != "no-fec" {
+	if s.Ratio == 0 && f != wire.CodeNoFEC {
 		return nil, fmt.Errorf("codes: spec %q needs ratio (FEC expansion n/k)", s.Name())
 	}
 	ratio := s.Ratio
 	if ratio == 0 {
 		ratio = 1 // no-fec: n == k
 	}
-	return MakeCodec(s.Family, s.K, ratio, s.Seed)
+	n, err := N(f, s.K, ratio)
+	if err != nil {
+		return nil, err
+	}
+	return ForWire(f, s.K, n, s.Seed)
 }
 
 // ByName resolves a fully parameterized codec spec — e.g.

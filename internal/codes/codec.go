@@ -1,12 +1,11 @@
 package codes
 
-// Codec resolution: the payload-carrying registry next to the ID-level
-// Make. Every per-family decision in the repository funnels through this
-// file — the session layer, transport and examples build codecs from
-// names or on-the-wire OTI and never switch on a family themselves. A
-// code's identity is the integers on the wire, (family, k, n, seed):
-// ForWire is the one constructor, and a configured ratio is turned into n
-// (N) before it is called.
+// Codec resolution. Every per-family decision in the repository funnels
+// through this file — the session layer, transport and examples build
+// codecs from specs or on-the-wire OTI and never switch on a family
+// themselves. A code's identity is the integers on the wire, (family, k,
+// n, seed): ForWire is the one constructor, and Spec.New turns a
+// configured ratio into n (N) before it calls it.
 
 import (
 	"fmt"
@@ -20,24 +19,9 @@ import (
 	"fecperf/internal/wire"
 )
 
-// CodecNames are the identifiers accepted by MakeCodec: every family
-// usable through the core.Codec payload interface.
+// CodecNames are the families a Spec names: every family usable through
+// the core.Codec payload interface.
 var CodecNames = []string{"rse", "rse16", "ldgm", "ldgm-staircase", "ldgm-triangle", "no-fec"}
-
-// MakeCodec builds a payload codec by family name for k source symbols
-// and FEC expansion ratio n/k. The seed fixes the pseudo-random LDGM
-// construction (ignored by the other families).
-func MakeCodec(name string, k int, ratio float64, seed int64) (core.Codec, error) {
-	f, err := wire.FamilyByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("codes: unknown codec %q (have %v)", name, CodecNames)
-	}
-	n, err := N(f, k, ratio)
-	if err != nil {
-		return nil, err
-	}
-	return ForWire(f, k, n, seed)
-}
 
 // N is where a configured expansion ratio becomes the symbol count n a
 // sender announces. The ratio is sender-side configuration and goes no

@@ -50,8 +50,8 @@ func ratioFor(name string, ratio float64) float64 {
 }
 
 func TestMakeCodecUnknownName(t *testing.T) {
-	if _, err := MakeCodec("nope", 10, 1.5, 1); err == nil {
-		t.Fatal("MakeCodec accepted junk name")
+	if _, err := (Spec{Family: "nope", K: 10, Ratio: 1.5, Seed: 1}).New(); err == nil {
+		t.Fatal("Spec.New accepted junk family")
 	}
 }
 
@@ -61,7 +61,7 @@ func TestCodecRoundTripAllFamilies(t *testing.T) {
 		for _, k := range []int{1, 2, 13, 100} {
 			for _, symLen := range []int{2, 63, 64, 256} {
 				symLen := evenFor(name, symLen)
-				c, err := MakeCodec(name, k, ratioFor(name, 1.5), 11)
+				c, err := Spec{Family: name, K: k, Ratio: ratioFor(name, 1.5), Seed: 11}.New()
 				if err != nil {
 					t.Fatalf("%s k=%d: %v", name, k, err)
 				}
@@ -133,7 +133,7 @@ func TestStructuralMatchesPayloadAllFamilies(t *testing.T) {
 	const symLen = 16
 	for _, name := range CodecNames {
 		for _, g := range geoms[name] {
-			c, err := MakeCodec(name, g.k, g.ratio, 5)
+			c, err := Spec{Family: name, K: g.k, Ratio: g.ratio, Seed: 5}.New()
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, g, err)
 			}
@@ -198,7 +198,7 @@ func TestCodecDecodesUnderLoss(t *testing.T) {
 			continue // no parity: any loss is fatal by design
 		}
 		k, symLen := 50, evenFor(name, 128)
-		c, err := MakeCodec(name, k, 2.5, 3)
+		c, err := Spec{Family: name, K: k, Ratio: 2.5, Seed: 3}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestDecoderBorrowsPayload(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, name := range CodecNames {
 		k, symLen := 20, evenFor(name, 64)
-		c, err := MakeCodec(name, k, ratioFor(name, 2.0), 5)
+		c, err := Spec{Family: name, K: k, Ratio: ratioFor(name, 2.0), Seed: 5}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestDecoderBorrowsPayload(t *testing.T) {
 
 func TestNewDecoderRejectsBadSymbolLengths(t *testing.T) {
 	for _, name := range CodecNames {
-		c, err := MakeCodec(name, 10, ratioFor(name, 1.5), 1)
+		c, err := Spec{Family: name, K: 10, Ratio: ratioFor(name, 1.5), Seed: 1}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestNewDecoderRejectsBadSymbolLengths(t *testing.T) {
 			t.Errorf("%s: NewDecoder(-4) accepted", name)
 		}
 	}
-	c, err := MakeCodec("rse16", 10, 1.5, 1)
+	c, err := Spec{Family: "rse16", K: 10, Ratio: 1.5, Seed: 1}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestForWireGeometry(t *testing.T) {
 	// ForWire must reproduce exactly the geometry the sender announced.
 	for _, name := range CodecNames {
 		for _, k := range []int{1, 7, 100, 300} {
-			enc, err := MakeCodec(name, k, ratioFor(name, 1.5), 9)
+			enc, err := Spec{Family: name, K: k, Ratio: ratioFor(name, 1.5), Seed: 9}.New()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,8 +409,8 @@ func TestRatioBeyondTheHeaderIsAnError(t *testing.T) {
 		if n, err := N(f, c.k, c.ratio); err == nil {
 			t.Errorf("N(%s, k=%d, ratio=%g) = %d, want an error", c.family, c.k, c.ratio, n)
 		}
-		if codec, err := MakeCodec(c.family, c.k, c.ratio, 1); err == nil || codec != nil {
-			t.Errorf("MakeCodec(%s, k=%d, ratio=%g) = %v, %v; want nil and an error", c.family, c.k, c.ratio, codec, err)
+		if codec, err := (Spec{Family: c.family, K: c.k, Ratio: c.ratio, Seed: 1}).New(); err == nil || codec != nil {
+			t.Errorf("Spec{%s, k=%d, ratio=%g}.New() = %v, %v; want nil and an error", c.family, c.k, c.ratio, codec, err)
 		}
 	}
 	// Finite, but past the header: an error before any construction.
@@ -502,7 +502,7 @@ func TestSenderAndWireCodecsAgree(t *testing.T) {
 
 func TestEncodeValidatesInput(t *testing.T) {
 	for _, name := range CodecNames {
-		c, err := MakeCodec(name, 5, ratioFor(name, 1.5), 1)
+		c, err := Spec{Family: name, K: 5, Ratio: ratioFor(name, 1.5), Seed: 1}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +546,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		symLen := 1 + int(lenB)%200 // odd and unaligned lengths included
 		symLen = evenFor(name, symLen)
 
-		c, err := MakeCodec(name, k, ratio, seed)
+		c, err := Spec{Family: name, K: k, Ratio: ratio, Seed: seed}.New()
 		if err != nil {
 			t.Skip() // unsatisfiable geometry (e.g. ldgm needs n > k)
 		}

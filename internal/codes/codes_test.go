@@ -4,9 +4,9 @@ import "testing"
 
 func TestMakeAllNames(t *testing.T) {
 	for _, name := range Names {
-		c, err := Make(name, 100, 1.5, 1)
+		c, err := Spec{Family: name, K: 100, Ratio: 1.5, Seed: 1}.New()
 		if err != nil {
-			t.Fatalf("Make(%q): %v", name, err)
+			t.Fatalf("Spec{%q}.New(): %v", name, err)
 		}
 		l := c.Layout()
 		if l.K != 100 || l.N < 149 || l.N > 151 {
@@ -19,17 +19,17 @@ func TestMakeAllNames(t *testing.T) {
 }
 
 func TestMakeUnknown(t *testing.T) {
-	if _, err := Make("turbo", 100, 1.5, 1); err == nil {
+	if _, err := (Spec{Family: "turbo", K: 100, Ratio: 1.5, Seed: 1}).New(); err == nil {
 		t.Fatal("accepted unknown code family")
 	}
 }
 
 func TestMakeReproducibleConstruction(t *testing.T) {
-	a, err := Make("ldgm-staircase", 200, 2.5, 7)
+	a, err := Spec{Family: "ldgm-staircase", K: 200, Ratio: 2.5, Seed: 7}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Make("ldgm-staircase", 200, 2.5, 7)
+	b, _ := Spec{Family: "ldgm-staircase", K: 200, Ratio: 2.5, Seed: 7}.New()
 	// Same seed: identical pseudo-random construction, so a no-loss
 	// sequential reception decodes after the same packet count.
 	ra, rb := a.NewReceiver(), b.NewReceiver()

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/transport"
 )
@@ -30,7 +29,7 @@ const benchWindow = 250 * time.Millisecond
 // drainHub attaches a discarding receiver so the loopback never backs
 // up.
 func drainHub(hub *transport.Loopback) {
-	rx := hub.Receiver(channel.NoLoss{}, 1<<16)
+	rx := hub.Receiver(nil, 1<<16)
 	go func() {
 		buf := make([]byte, 2048)
 		for {

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"mime"
-	"net"
 	"net/http"
-	"net/netip"
 	"strings"
 )
 
@@ -55,48 +53,6 @@ func readSpec(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return req.Spec, true
 }
 
-// sameOrigin refuses, with 403, a request that a browser sent on another
-// site's behalf: one whose Host is not the address it reached the
-// listener on (a DNS-rebound name), or whose Origin is not the listener's
-// own (a cross-site page). A request with no Origin — curl, a Go client —
-// is not from a page. A handler served without a listener (called
-// directly) has no address to match, and checks the Origin only.
-func sameOrigin(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if local, ok := r.Context().Value(http.LocalAddrContextKey).(net.Addr); ok && !hostIs(r.Host, local) {
-			writeError(w, http.StatusForbidden, fmt.Errorf("daemon: host %q is not this listener's address %s", r.Host, local))
-			return
-		}
-		if o := r.Header.Get("Origin"); o != "" && !strings.EqualFold(o, "http://"+r.Host) {
-			writeError(w, http.StatusForbidden, fmt.Errorf("daemon: cross-origin request from %q refused", o))
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// hostIs reports whether a Host header names the local address: its IP
-// and port, or localhost and the port where the address is a loopback
-// one. A Host without a port means port 80.
-func hostIs(host string, local net.Addr) bool {
-	want, err := netip.ParseAddrPort(local.String())
-	if err != nil {
-		return false
-	}
-	name, port, err := net.SplitHostPort(host)
-	if err != nil {
-		name, port = strings.Trim(host, "[]"), "80"
-	}
-	if port != fmt.Sprint(want.Port()) {
-		return false
-	}
-	if strings.EqualFold(name, "localhost") {
-		return want.Addr().IsLoopback()
-	}
-	ip, err := netip.ParseAddr(name)
-	return err == nil && ip.Unmap() == want.Addr().Unmap()
-}
-
 // ControlHandler returns the daemon's HTTP/JSON control plane:
 //
 //	GET    /casts                list every cast
@@ -106,11 +62,11 @@ func hostIs(host string, local net.Addr) bool {
 //	POST   /casts/{name}/reload  hot-reload mutable keys (body: {"spec": "..."})
 //	POST   /drain                begin a graceful drain (202; poll GET /casts)
 //
-// Bodies are application/json, and every route refuses a request whose
-// Host or Origin is not the listener's own (see sameOrigin), so a web page
-// a browser visits cannot drive the daemon. Mount it on the obs
-// exposition server via ServeConfig.Extra so the control plane and
-// /metrics share one listener.
+// Bodies are application/json. Mount it on the obs exposition server via
+// ServeConfig.Extra, so the control plane and /metrics share one
+// listener: that server refuses, on every route, a request whose Host
+// or Origin is not the listener's own, so a web page a browser visits
+// cannot drive the daemon or read its metrics and profiles.
 func (d *Daemon) ControlHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /casts", func(w http.ResponseWriter, r *http.Request) {
@@ -170,5 +126,5 @@ func (d *Daemon) ControlHandler() http.Handler {
 		go d.Drain(context.Background()) //nolint:errcheck // status is observable via GET /casts
 		writeJSON(w, http.StatusAccepted, map[string]any{"draining": true})
 	})
-	return sameOrigin(mux)
+	return mux
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"fecperf/internal/channel"
 	"fecperf/internal/obs"
 	"fecperf/internal/transport"
 )
@@ -25,7 +24,7 @@ func TestControlPlane(t *testing.T) {
 	hubs := newTestHubs()
 	defer hubs.close()
 	// A receiver keeps the loopback draining.
-	rx := hubs.hub(addr).Receiver(channel.NoLoss{}, 1<<14)
+	rx := hubs.hub(addr).Receiver(nil, 1<<14)
 	go func() {
 		buf := make([]byte, 2048)
 		for {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/obs"
 	"fecperf/internal/session"
@@ -100,10 +99,10 @@ func TestDaemonE2E(t *testing.T) {
 	// Receivers attach before the casts start so round one is observed
 	// whole (late join works too, but the drain-integrity assertion
 	// wants exact counts).
-	rxA := transport.NewReceiverDaemon(hubs.hub(addrA).Receiver(channel.NoLoss{}, 1<<16), transport.ReceiverConfig{})
-	rxB := transport.NewReceiverDaemon(hubs.hub(addrB).Receiver(channel.NoLoss{}, 1<<16), transport.ReceiverConfig{})
+	rxA := transport.NewReceiverDaemon(hubs.hub(addrA).Receiver(nil, 1<<16), transport.ReceiverConfig{})
+	rxB := transport.NewReceiverDaemon(hubs.hub(addrB).Receiver(nil, 1<<16), transport.ReceiverConfig{})
 	var streamOut bytes.Buffer
-	collector := transport.NewCollector(hubs.hub(addrC).Receiver(channel.NoLoss{}, 1<<16), &streamOut,
+	collector := transport.NewCollector(hubs.hub(addrC).Receiver(nil, 1<<16), &streamOut,
 		transport.CollectorConfig{BaseObjectID: 100})
 
 	rxCtx, rxCancel := context.WithCancel(context.Background())
@@ -261,7 +260,7 @@ func TestDaemonObjectLifecycle(t *testing.T) {
 	const addr = "239.0.0.9:9000"
 	hubs := newTestHubs()
 	defer hubs.close()
-	rx := transport.NewReceiverDaemon(hubs.hub(addr).Receiver(channel.NoLoss{}, 1<<16), transport.ReceiverConfig{})
+	rx := transport.NewReceiverDaemon(hubs.hub(addr).Receiver(nil, 1<<16), transport.ReceiverConfig{})
 	rxCtx, rxCancel := context.WithCancel(context.Background())
 	defer rxCancel()
 	go rx.Run(rxCtx) //nolint:errcheck
@@ -527,7 +526,7 @@ func TestDaemonCarouselObjectAcrossRSBlocks(t *testing.T) {
 			hubs := newTestHubs()
 			defer hubs.close()
 			reg := obs.NewRegistry("fecperf")
-			rx := transport.NewReceiverDaemon(hubs.hub(cs.Addr).Receiver(channel.NoLoss{}, 1<<16), transport.ReceiverConfig{Metrics: reg})
+			rx := transport.NewReceiverDaemon(hubs.hub(cs.Addr).Receiver(nil, 1<<16), transport.ReceiverConfig{Metrics: reg})
 			rxCtx, rxCancel := context.WithCancel(context.Background())
 			defer rxCancel()
 			go rx.Run(rxCtx) //nolint:errcheck

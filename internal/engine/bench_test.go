@@ -19,7 +19,7 @@ var benchCode core.Code
 func benchSpec(b *testing.B) PointSpec {
 	b.Helper()
 	if benchCode == nil {
-		c, err := codes.Make("ldgm-staircase", 1000, 2.5, 1)
+		c, err := codes.Spec{Family: "ldgm-staircase", K: 1000, Ratio: 2.5, Seed: 1}.New()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkSimGridPlan(b *testing.B) {
 
 // BenchmarkSweep4x4 measures a small (p, q) grid sweep end to end.
 func BenchmarkSweep4x4(b *testing.B) {
-	code, err := codes.Make("ldgm-triangle", 500, 2.5, 1)
+	code, err := codes.Spec{Family: "ldgm-triangle", K: 500, Ratio: 2.5, Seed: 1}.New()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func (w *worker) runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggr
 	layout := spec.Code.Layout()
 	k := float64(layout.K)
 	var agg Aggregate
-	nextChannel := trialChannels(spec.Channel, &w.src, w.rng)
+	nextChannel := trialChannels(spec.Channel, &w.src)
 	for t := lo; t < hi; t++ {
 		select {
 		case <-ctx.Done():
@@ -211,14 +211,12 @@ func (w *worker) runShard(ctx context.Context, spec PointSpec, lo, hi int) (Aggr
 }
 
 // trialChannels returns a shard's channel maker: called right after a
-// trial's schedule draw, it returns the channel spec.New(rng) would build
-// at that point, invalidating the previous one. The kind is resolved
-// here, once per shard. A batch-steppable kind reuses one Chain continued
-// from src's state — the same stream the scalar chain would draw, since
-// the scheduler has drawn all of its randomness by then; markov reuses
-// one chain, its model resolved and validated once; a trace gets a fresh
-// replay per trial.
-func trialChannels(cs channel.Spec, src *core.SplitMixSource, rng *rand.Rand) func() core.Channel {
+// trial's schedule draw, it returns the chain cs.New(src.State()) would
+// build — src's stream goes on there, the scheduler having drawn all of
+// its randomness — invalidating the previous one. The kind is resolved
+// once per shard: a batch-steppable kind restarts one Chain, markov
+// resets and reseeds one chain, a trace gets a fresh replay per trial.
+func trialChannels(cs channel.Spec, src *core.SplitMixSource) func() core.Channel {
 	if st, ok := cs.Stepper(); ok {
 		chain := new(channel.Chain)
 		return func() core.Channel {
@@ -226,13 +224,13 @@ func trialChannels(cs channel.Spec, src *core.SplitMixSource, rng *rand.Rand) fu
 			return chain
 		}
 	}
-	if m, ok := cs.New(rng).(*channel.Markov); ok {
+	if m, ok := cs.New(0).(*channel.Markov); ok {
 		return func() core.Channel {
-			m.Reset()
+			m.Reset(src.State())
 			return m
 		}
 	}
-	return func() core.Channel { return cs.New(rng) }
+	return func() core.Channel { return cs.New(0) }
 }
 
 // RunPointSpecs executes every spec with trial-level parallelism and
@@ -465,7 +463,8 @@ func materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
 	code, ok := codeCache[codeKey]
 	if !ok {
 		var err error
-		if code, err = codes.MakeCodec(pt.Code, pt.K, pt.Ratio, pt.CodeSeed); err != nil {
+		cs := codes.Spec{Family: pt.Code, K: pt.K, Ratio: pt.Ratio, Seed: pt.CodeSeed}
+		if code, err = cs.New(); err != nil {
 			return PointSpec{}, err
 		}
 		codeCache[codeKey] = code

@@ -63,7 +63,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunPointDeterministicAcrossWorkerCounts(t *testing.T) {
-	code, err := codes.Make("ldgm-staircase", 120, 2.5, 7)
+	code, err := codes.Spec{Family: "ldgm-staircase", K: 120, Ratio: 2.5, Seed: 7}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 }
 
 func TestRunPointZeroTrialsDefaultsTo100(t *testing.T) {
-	code, err := codes.Make("ldgm-staircase", 40, 2.5, 1)
+	code, err := codes.Spec{Family: "ldgm-staircase", K: 40, Ratio: 2.5, Seed: 1}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestCheckpointParentFormatRestores(t *testing.T) {
 // PointSpec path (inefficiency 1.0, no error). Every live entry point
 // must refuse it, and the unset channel with it.
 func TestInvalidChannelIsAnErrorBeforeTheFirstTrial(t *testing.T) {
-	code, err := codes.Make("rse", 40, 1.5, 1)
+	code, err := codes.Spec{Family: "rse", K: 40, Ratio: 1.5, Seed: 1}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // quantities end to end (events_per_s, engine.fleet.state_bytes_per_receiver).
 func BenchmarkFleet(b *testing.B) {
 	const receivers = 100_000
-	code, err := codes.Make("rse", 256, 1.5, 7)
+	code, err := codes.Spec{Family: "rse", K: 256, Ratio: 1.5, Seed: 7}.New()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func testFleetSpec() FleetSpec {
 
 func testFleetRunSpec(t *testing.T, schedName string) PointSpec {
 	t.Helper()
-	code, err := codes.Make("rse", 64, 2.0, 7)
+	code, err := codes.Spec{Family: "rse", K: 64, Ratio: 2.0, Seed: 7}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +56,12 @@ func fleetSchedule(spec PointSpec) core.Schedule {
 }
 
 // scalarReceiver replays one fleet receiver through the scalar pieces:
-// the code's real incremental decoder and the spec's scalar channel
-// chain over the receiver's derived seed. Returns the 1-based schedule
+// the code's real incremental decoder and the spec's chain (Spec.New)
+// over the receiver's derived seed, stepped one transmission at a time. Returns the 1-based schedule
 // position of completion (0 if never) and the receptions up to it (all
 // nsent positions' receptions if never).
 func scalarReceiver(spec PointSpec, schedule core.Schedule, fac channel.Spec, r, nsent int) (completedAt, received int) {
-	rng := rand.New(&core.SplitMixSource{})
-	rng.Seed(core.DeriveSeed(spec.Seed, fleetRxStream, uint64(r)))
-	ch := fac.New(rng)
+	ch := fac.New(uint64(core.DeriveSeed(spec.Seed, fleetRxStream, uint64(r))))
 	rx := spec.Code.NewReceiver()
 	cur := schedule.Cursor()
 	for i := 0; i < nsent; i++ {
@@ -154,7 +152,7 @@ func TestFleetCountdownEdgeCases(t *testing.T) {
 		{name: "rse carousel n<64", code: "rse", k: 24, ratio: 1.25, sched: "carousel(inner=tx2,rounds=8)", fleet: mixed},
 	}
 	for _, c := range cases {
-		code, err := codes.MakeCodec(c.code, c.k, c.ratio, 7)
+		code, err := codes.Spec{Family: c.code, K: c.k, Ratio: c.ratio, Seed: 7}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +291,7 @@ func TestFleetPlanBuildsEveryCodecFamily(t *testing.T) {
 			t.Fatalf("%s plan: %v", tc.code, err)
 		}
 		pt := res[0].Point
-		code, err := codes.MakeCodec(tc.code, pt.K, pt.Ratio, pt.CodeSeed)
+		code, err := codes.Spec{Family: tc.code, K: pt.K, Ratio: pt.Ratio, Seed: pt.CodeSeed}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +489,7 @@ func TestFleetCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("1e6-receiver fleet skipped under the race detector")
 	}
-	code, err := codes.Make("rse", 256, 1.5, 7)
+	code, err := codes.Spec{Family: "rse", K: 256, Ratio: 1.5, Seed: 7}.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +541,7 @@ func TestFleetCeiling(t *testing.T) {
 // is cheap enough to run under the race detector, checked for the
 // byte-per-receiver budget and worker-count determinism.
 func TestFleetSmoke10kReceivers(t *testing.T) {
-	code, err := codes.Make("rse", 64, 1.5, 7)
+	code, err := codes.Spec{Family: "rse", K: 64, Ratio: 1.5, Seed: 7}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

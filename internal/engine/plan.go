@@ -16,7 +16,7 @@ import (
 // defaults noted on each field; Codes, Schedulers and Channels must be
 // non-empty.
 type Plan struct {
-	// Codes are codec family names accepted by codes.MakeCodec
+	// Codes are codec family names accepted by codes.Spec
 	// ("rse", "rse16", "ldgm", "ldgm-staircase", "ldgm-triangle",
 	// "no-fec"; no-fec needs ratio 1).
 	Codes []string `json:"codes"`

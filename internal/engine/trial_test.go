@@ -65,11 +65,33 @@ func newTrialRunner(cs channel.Spec, scalar bool) *trialRunner {
 	src := &core.SplitMixSource{}
 	r := &trialRunner{rng: rand.New(src)}
 	if scalar {
-		r.next = func() core.Channel { return cs.New(r.rng) }
+		r.next = func() core.Channel { return scalarChannel(cs, r.rng) }
 	} else {
-		r.next = trialChannels(cs, src, r.rng)
+		r.next = trialChannels(cs, src)
 	}
 	return r
+}
+
+// scalarChannel builds the scalar reference of cs's chain on rng: the
+// Gilbert chain (bernoulli is q = 1-p, noloss is p = 0), NewMarkov for
+// markov, and the trace's fresh replay.
+func scalarChannel(cs channel.Spec, rng *rand.Rand) core.Channel {
+	switch cs.Kind {
+	case "gilbert":
+		return channel.NewGilbert(cs.P, cs.Q, rng)
+	case "bernoulli":
+		return channel.NewGilbert(cs.P, 1-cs.P, rng)
+	case "noloss":
+		return channel.NewGilbert(0, 1, rng)
+	case "markov":
+		m, err := channel.NewMarkov(channel.ThreeStateSpec(cs.P, cs.Q), rng)
+		if err != nil {
+			panic(err)
+		}
+		return m
+	default:
+		return cs.New(0)
+	}
 }
 
 func (r *trialRunner) schedule(s core.Scheduler, l core.Layout, seed int64) core.Schedule {
@@ -106,7 +128,7 @@ func trialGrid(t *testing.T, setup func(code core.Code, s core.Scheduler, cs cha
 			if family == "no-fec" {
 				ratio = 1
 			}
-			code, err := codes.MakeCodec(family, k, ratio, 1)
+			code, err := codes.Spec{Family: family, K: k, Ratio: ratio, Seed: 1}.New()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +287,7 @@ func TestRunShardAllocsPerTrial(t *testing.T) {
 		if family == "no-fec" {
 			ratio = 1
 		}
-		code, err := codes.MakeCodec(family, 500, ratio, 1)
+		code, err := codes.Spec{Family: family, K: 500, Ratio: ratio, Seed: 1}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +352,7 @@ func TestResetReceiverIsFreshReceiver(t *testing.T) {
 			if family == "no-fec" {
 				ratio = 1
 			}
-			code, err := codes.MakeCodec(family, k, ratio, 1)
+			code, err := codes.Spec{Family: family, K: k, Ratio: ratio, Seed: 1}.New()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,7 +432,7 @@ func TestRunSpecsSwitchingCodesDeterministic(t *testing.T) {
 		family string
 		ratio  float64
 	}{{"ldgm-staircase", 2.5}, {"rse", 1.5}, {"ldgm-triangle", 1.5}, {"no-fec", 1}, {"ldgm-staircase", 1.5}} {
-		code, err := codes.MakeCodec(c.family, 120, c.ratio, 1)
+		code, err := codes.Spec{Family: c.family, K: 120, Ratio: c.ratio, Seed: 1}.New()
 		if err != nil {
 			t.Fatal(err)
 		}

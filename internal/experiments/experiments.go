@@ -13,9 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"fecperf/internal/codes"
-	"fecperf/internal/core"
 )
 
 // Options scales an experiment. The zero value is replaced by defaults
@@ -169,17 +166,6 @@ func List() []Experiment {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// CodeNames are the identifiers accepted by MakeCode.
-var CodeNames = codes.Names
-
-// MakeCode builds a code by family name for a given object size and FEC
-// expansion ratio. LDGM construction seeds derive from the sweep seed so
-// repeated runs are reproducible. It delegates to the codes package,
-// which the engine shares.
-func MakeCode(name string, k int, ratio float64, seed int64) (core.Code, error) {
-	return codes.Make(name, k, ratio, seed)
 }
 
 func percentLabels(vals []float64) []string {

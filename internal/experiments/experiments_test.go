@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/codes"
 	"fecperf/internal/engine"
 	"fecperf/internal/ldpc"
 	"fecperf/internal/sched"
@@ -59,10 +60,10 @@ func TestListSorted(t *testing.T) {
 }
 
 func TestMakeCode(t *testing.T) {
-	for _, name := range CodeNames {
-		c, err := MakeCode(name, 100, 2.5, 1)
+	for _, name := range codes.Names {
+		c, err := codes.Spec{Family: name, K: 100, Ratio: 2.5, Seed: 1}.New()
 		if err != nil {
-			t.Fatalf("MakeCode(%q): %v", name, err)
+			t.Fatalf("Spec{%q}.New(): %v", name, err)
 		}
 		l := c.Layout()
 		if l.K != 100 {
@@ -72,8 +73,8 @@ func TestMakeCode(t *testing.T) {
 			t.Fatalf("%s: ratio %g", name, r)
 		}
 	}
-	if _, err := MakeCode("bogus", 100, 2.5, 1); err == nil {
-		t.Fatal("MakeCode accepted bogus name")
+	if _, err := (codes.Spec{Family: "bogus", K: 100, Ratio: 2.5, Seed: 1}).New(); err == nil {
+		t.Fatal("Spec.New accepted bogus name")
 	}
 }
 

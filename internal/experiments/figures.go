@@ -11,6 +11,7 @@ import (
 	"slices"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/codes"
 	"fecperf/internal/core"
 	"fecperf/internal/engine"
 	"fecperf/internal/repetition"
@@ -236,7 +237,7 @@ func init() {
 
 func runFig14(o Options) (*Report, error) {
 	o = o.withDefaults()
-	c, err := MakeCode("ldgm-staircase", o.K, 2.5, o.Seed)
+	c, err := codes.Spec{Family: "ldgm-staircase", K: o.K, Ratio: 2.5, Seed: o.Seed}.New()
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +301,7 @@ func runFig15(o Options) (*Report, error) {
 		}
 		built := make([]core.Code, len(codeNames))
 		for ci, name := range codeNames {
-			c, err := MakeCode(name, o.K, ratio, o.Seed)
+			c, err := codes.Spec{Family: name, K: o.K, Ratio: ratio, Seed: o.Seed}.New()
 			if err != nil {
 				return nil, err
 			}

@@ -146,3 +146,45 @@ func TestServe(t *testing.T) {
 		t.Fatal("Serve with nil registry succeeded")
 	}
 }
+
+// TestServeExpvarForgetsClosedServers: /debug/vars carries the registries
+// of the servers that are serving, not of one closed before them, so a
+// closed server's registry (and what its CounterFunc closures hold) can
+// be collected.
+func TestServeExpvarForgetsClosedServers(t *testing.T) {
+	r1 := NewRegistry("fecperf")
+	r1.Counter("one_dead_total", "A closed server's series.", nil).Inc()
+	s1, err := Serve("127.0.0.1:0", r1, ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	r2 := NewRegistry("fecperf")
+	r2.Counter("two_live_total", "A live server's series.", nil).Inc()
+	s2, err := Serve("127.0.0.1:0", r2, ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	// A metrics-only server is open to a scraper that names it by DNS.
+	req, err := http.NewRequest("GET", "http://"+s2.Addr()+"/debug/vars", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Host = "metrics.example:80"
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "fecperf_two_live_total") {
+		t.Fatalf("/debug/vars = %d without the live server's series: %s", resp.StatusCode, body)
+	}
+	if strings.Contains(string(body), "fecperf_one_dead_total") {
+		t.Fatalf("/debug/vars still reports the closed server's registry: %s", body)
+	}
+}

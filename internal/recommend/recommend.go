@@ -95,7 +95,7 @@ func (c Config) withDefaults() Config {
 // channel points as a single engine batch; seed gives each point's trial
 // seed. It returns the code's n alongside the per-point aggregates.
 func measure(t Tuple, points []PQ, seed func(PQ) int64, cfg Config) (n int, aggs []engine.Aggregate, err error) {
-	code, err := codes.Make(t.Code, cfg.K, t.Ratio, cfg.Seed)
+	code, err := codes.Spec{Family: t.Code, K: cfg.K, Ratio: t.Ratio, Seed: cfg.Seed}.New()
 	if err != nil {
 		return 0, nil, err
 	}

@@ -48,7 +48,7 @@ func TestEvaluatePopulationOneGraphPerTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, err := codes.Make(tuple.Code, cfg.K, tuple.Ratio, cfg.Seed)
+	code, err := codes.Spec{Family: tuple.Code, K: cfg.K, Ratio: tuple.Ratio, Seed: cfg.Seed}.New()
 	if err != nil {
 		t.Fatal(err)
 	}

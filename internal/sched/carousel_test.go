@@ -74,7 +74,7 @@ func TestCarouselBeatsSinglePassUnderHeavyLoss(t *testing.T) {
 	}
 	l := code.Layout()
 	mkChannel := func(seed int64) core.Channel {
-		return channel.Bernoulli(0.6, rand.New(rand.NewSource(seed)))
+		return channel.BernoulliChannel(0.6).New(uint64(seed))
 	}
 
 	singleOK, carouselOK := 0, 0

@@ -72,7 +72,7 @@ func BenchmarkSessionEncodeRawCodec(b *testing.B) {
 	data := benchData(64 << 10)
 	const payload = 1024
 	k := (lengthPrefix + len(data) + payload - 1) / payload
-	code, err := codes.MakeCodec("rse", k, 1.5, 0)
+	code, err := codes.Spec{Family: "rse", K: k, Ratio: 1.5, Seed: 0}.New()
 	if err != nil {
 		b.Fatal(err)
 	}

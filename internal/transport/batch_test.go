@@ -71,9 +71,10 @@ func TestUDPWriteBatchICMPSwallowed(t *testing.T) {
 // --- loopback: delivery depends on the datagram order, not the grouping ---
 
 // TestLoopbackBatchScalarEquivalence drives the same datagram sequence
-// through a loopback receiver four ways — Send, one-element WriteBatch,
-// WriteBatch in ragged chunks (all behind the batched stepper), and Send
-// behind the equivalent scalar Gilbert chain — and requires identical
+// through a loopback receiver several ways — Send, WriteBatch of 1, 7
+// and 64 datagrams and in ragged chunks (all behind the chain
+// channel.Spec.New builds, which Receiver steps in 64-wide masks), and
+// Send behind the equivalent scalar Gilbert chain — and requires identical
 // delivery: the same datagrams erased, the same ones dropped by the
 // (deliberately short) queue, the same order through it.
 func TestLoopbackBatchScalarEquivalence(t *testing.T) {
@@ -84,11 +85,13 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 		queue = 300 // below the ~2/3 of total that survive: the tail overflows
 	)
 	payload := func(i int) []byte { return []byte{byte(i >> 8), byte(i), 0xEE} }
-	stepper, ok := channel.GilbertChannel(p, q).Stepper()
-	if !ok {
-		t.Fatal("a gilbert channel should support batched stepping")
+	stepperRx := func(hub *Loopback) Conn {
+		chain := channel.GilbertChannel(p, q).New(seed)
+		if _, ok := chain.(*channel.Chain); !ok {
+			t.Fatalf("a gilbert channel is a %T, not the batch-stepped chain", chain)
+		}
+		return hub.Receiver(chain, queue)
 	}
-	stepperRx := func(hub *Loopback) Conn { return hub.ReceiverStepper(stepper, seed, queue) }
 	// The scalar Gilbert chain over the same splitmix64 stream — the
 	// golden reference the stepper is documented to reproduce bit for bit.
 	chainRx := func(hub *Loopback) Conn {
@@ -155,6 +158,8 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 		write  func(Conn, int) int
 	}{
 		{"one-element WriteBatch", stepperRx, writeSizes(1)},
+		{"7-datagram WriteBatch", stepperRx, writeSizes(7)},
+		{"64-datagram WriteBatch", stepperRx, writeSizes(64)},
 		// Never a multiple of 64, so StepMask widths vary across and
 		// within calls.
 		{"ragged WriteBatch", stepperRx, writeSizes(7, 64, 13, 1, 100)},

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fecperf/internal/channel"
 	"fecperf/internal/core"
 	"fecperf/internal/wire"
 )
@@ -44,24 +43,15 @@ func (l *Loopback) Sender() Conn {
 // Receiver attaches a receiving endpoint behind the given loss process
 // (nil = lossless). queue <= 0 selects DefaultLoopbackQueue. The channel
 // is owned by the endpoint afterwards; do not share one core.Channel
-// between receivers — the models are stateful.
+// between receivers — the models are stateful. A WriteBatch fan-out
+// steps a core.LossMasker — the chain channel.Spec.New builds for
+// gilbert, bernoulli and noloss — in 64-wide masks, one lock acquisition
+// and one interface dispatch per 64 datagrams, and the loss sequence is
+// the same at every batch size.
 func (l *Loopback) Receiver(ch core.Channel, queue int) Conn {
 	c := newLoopConn(l, queue)
 	c.ch = ch
 	return l.attach(c)
-}
-
-// ReceiverStepper attaches a receiving endpoint whose loss process is
-// the batched stepper st over a splitmix64 stream seeded with seed. It
-// is the batch-native sibling of Receiver: a WriteBatch fan-out steps
-// the chain in 64-wide StepMask calls — one lock acquisition and one
-// interface dispatch per 64 datagrams — and the loss sequence is
-// bit-identical at every batch size (and identical to the scalar chain
-// the stepper's factory builds over a core.SplitMixSource with the same
-// seed). queue <= 0 selects DefaultLoopbackQueue.
-func (l *Loopback) ReceiverStepper(st channel.Stepper, seed int64, queue int) Conn {
-	chain := st.Chain(uint64(seed))
-	return l.Receiver(&chain, queue)
 }
 
 func newLoopConn(l *Loopback, queue int) *loopConn {
@@ -171,8 +161,7 @@ func (s *loopSender) Close() error {
 
 func (s *loopSender) LocalAddr() string { return "loopback(sender)" }
 
-// loopConn is a receiving endpoint: a bounded queue behind a loss model
-// — a core.Channel, for ReceiverStepper endpoints a channel.Chain.
+// loopConn is a receiving endpoint: a bounded queue behind a loss model.
 type loopConn struct {
 	hub   *Loopback
 	queue chan []byte
@@ -192,7 +181,7 @@ type loopConn struct {
 // acquisition, stepped in up to 64-wide masks, and enqueues the
 // surviving (shared, read-only) datagrams, dropping those that find the
 // queue full (UDP socket-buffer semantics). The caller guarantees the
-// slices are never mutated after broadcast. A stepper endpoint draws the
+// slices are never mutated after broadcast. A chain endpoint draws the
 // same splitmix64 sequence however the datagrams are grouped into
 // batches — StepMask's chunking does not change the stream — so the
 // loss pattern depends on the datagram order alone.

@@ -165,12 +165,13 @@ func RunTrial(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult
 	return core.RunTrial(schedule, ch, rx, nsent)
 }
 
-// NewGilbertChannel returns a stateful Gilbert channel seeded by seed.
+// NewGilbertChannel returns a stateful Gilbert channel seeded by seed:
+// the chain the engine steps, GilbertChannelSpec(p, q).New(seed).
 func NewGilbertChannel(p, q float64, seed int64) (Channel, error) {
 	if err := channel.ValidateGilbert(p, q); err != nil {
 		return nil, err
 	}
-	return channel.GilbertChannel(p, q).New(newRand(seed)), nil
+	return channel.GilbertChannel(p, q).New(uint64(seed)), nil
 }
 
 // PaperGrid is the 14-value (p, q) axis used by the paper's sweeps.

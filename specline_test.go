@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -95,7 +96,7 @@ func castThroughDaemon(t *testing.T, src []byte, line string) [][]byte {
 // packets.
 func TestSpecLineSameTrainEverywhere(t *testing.T) {
 	src := make([]byte, 200<<10)
-	newRand(5).Read(src)
+	rand.New(rand.NewSource(5)).Read(src)
 	const rest = ",sched=tx4,payload=256,rounds=2,window=2,object=7,seed=3"
 	lines := []string{
 		"codec=rse(k=32,ratio=1.5)" + rest,
@@ -167,7 +168,7 @@ func TestSpecLineSameTrainEverywhere(t *testing.T) {
 // in what order, is not the pipeline's to change.
 func TestCastFrameStreamPinned(t *testing.T) {
 	src := make([]byte, 9<<18+1000)
-	newRand(11).Read(src)
+	rand.New(rand.NewSource(11)).Read(src)
 	for line, want := range map[string]string{
 		"codec=rse(k=256,ratio=1.5),sched=tx4,payload=1024,rounds=1,window=4":                     "d9206dadda398a61 (3461 datagrams)",
 		"codec=rse(k=256,ratio=1.5),sched=tx1,payload=1024,rounds=1,window=4":                     "fcc857e5a1e0982d (3461 datagrams)",

@@ -70,7 +70,7 @@ func TestStreamLargerThanMemoryBudget(t *testing.T) {
 	}
 	hub := NewLoopback()
 	defer hub.Close()
-	impairment := cfg.Channel.New(newRand(33))
+	impairment := cfg.Channel.New(33)
 	rxConn := hub.Receiver(impairment, 1<<17)
 
 	var (
