@@ -8,6 +8,8 @@ import (
 	"mime"
 	"net/http"
 	"strings"
+
+	"fecperf/internal/obs"
 )
 
 // controlRequest is the JSON body of spec-carrying control calls, sent as
@@ -62,11 +64,11 @@ func readSpec(w http.ResponseWriter, r *http.Request) (string, bool) {
 //	POST   /casts/{name}/reload  hot-reload mutable keys (body: {"spec": "..."})
 //	POST   /drain                begin a graceful drain (202; poll GET /casts)
 //
-// Bodies are application/json. Mount it on the obs exposition server via
-// ServeConfig.Extra, so the control plane and /metrics share one
-// listener: that server refuses, on every route, a request whose Host
-// or Origin is not the listener's own, so a web page a browser visits
-// cannot drive the daemon or read its metrics and profiles.
+// Bodies are application/json, and every route refuses a request whose
+// Host or Origin is not the listener's own (obs.SameOrigin), wherever the
+// handler is mounted. Mount it on the obs exposition server via
+// ServeConfig.Extra so the control plane and /metrics share one listener,
+// which puts /metrics and the profiles behind the same gate.
 func (d *Daemon) ControlHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /casts", func(w http.ResponseWriter, r *http.Request) {
@@ -126,5 +128,5 @@ func (d *Daemon) ControlHandler() http.Handler {
 		go d.Drain(context.Background()) //nolint:errcheck // status is observable via GET /casts
 		writeJSON(w, http.StatusAccepted, map[string]any{"draining": true})
 	})
-	return mux
+	return obs.SameOrigin(mux)
 }

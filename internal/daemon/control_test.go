@@ -260,3 +260,54 @@ func TestControlPlaneRefusesBrowsers(t *testing.T) {
 		t.Errorf("GET /casts/x as localhost = %d", resp.StatusCode)
 	}
 }
+
+// TestControlHandlerGatedAlone: ControlHandler carries the Host/Origin
+// gate itself, so an embedder that serves it on a server of their own
+// still refuses a cross-site drain and a DNS-rebound Host, and serves
+// the listener's own address.
+func TestControlHandlerGatedAlone(t *testing.T) {
+	d := New(Config{Rate: 100_000})
+	defer d.Close()
+	srv := httptest.NewServer(d.ControlHandler())
+	defer srv.Close()
+	port := srv.URL[strings.LastIndex(srv.URL, ":")+1:]
+	do := func(method, path, origin, host string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "text/plain")
+		if origin != "" {
+			req.Header.Set("Origin", origin)
+		}
+		if host != "" {
+			req.Host = host
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	for _, c := range []struct{ name, method, path, origin, host string }{
+		{"cross-origin drain", "POST", "/drain", "https://evil.example", ""},
+		{"rebound-host drain", "POST", "/drain", "", "evil.example:" + port},
+		{"rebound-host list", "GET", "/casts", "", "evil.example:" + port},
+	} {
+		resp := do(c.method, c.path, c.origin, c.host)
+		if resp.StatusCode != http.StatusForbidden {
+			t.Errorf("%s: status %d, want 403", c.name, resp.StatusCode)
+		}
+	}
+	if d.Draining() {
+		t.Fatal("a refused POST /drain drained the daemon")
+	}
+	if resp := do("GET", "/casts", srv.URL, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /casts from the listener's own origin = %d, want 200", resp.StatusCode)
+	}
+	if resp := do("GET", "/casts", "", "localhost:"+port); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /casts as localhost = %d, want 200", resp.StatusCode)
+	}
+}

@@ -3,8 +3,8 @@ package engine
 // The oracle for the masked trial loop: core.RunTrial steps a channel 64
 // transmissions at a time and stops drawing ids once the object decodes;
 // every result must still be the one the scalar loop — one Lost per
-// transmission over the scalar chains, every survivor to the receiver
-// until it decodes — produces from the same splitmix64 state. The plan
+// transmission over a fresh chain per trial, every survivor to the
+// receiver until it decodes — produces from the same splitmix64 state. The plan
 // golden pins gilbert and bernoulli at full schedules only; this covers
 // noloss, markov, traces and truncation, for every family.
 
@@ -56,6 +56,9 @@ func (l lostOnly) Lost() bool { return l.ch.Lost() }
 
 // trialRunner runs trials the way runShard does: one rng per run,
 // reseeded per trial, the channel made right after the schedule draw.
+// The scalar runner builds a fresh cs.New(src.State()) per trial, seen
+// through Lost only; TestSpecNewMatchesScalarReference (internal/channel)
+// pins that chain to the scalar Gilbert and Markov chains.
 type trialRunner struct {
 	rng  *rand.Rand
 	next func() core.Channel
@@ -65,33 +68,11 @@ func newTrialRunner(cs channel.Spec, scalar bool) *trialRunner {
 	src := &core.SplitMixSource{}
 	r := &trialRunner{rng: rand.New(src)}
 	if scalar {
-		r.next = func() core.Channel { return scalarChannel(cs, r.rng) }
+		r.next = func() core.Channel { return lostOnly{cs.New(src.State())} }
 	} else {
 		r.next = trialChannels(cs, src)
 	}
 	return r
-}
-
-// scalarChannel builds the scalar reference of cs's chain on rng: the
-// Gilbert chain (bernoulli is q = 1-p, noloss is p = 0), NewMarkov for
-// markov, and the trace's fresh replay.
-func scalarChannel(cs channel.Spec, rng *rand.Rand) core.Channel {
-	switch cs.Kind {
-	case "gilbert":
-		return channel.NewGilbert(cs.P, cs.Q, rng)
-	case "bernoulli":
-		return channel.NewGilbert(cs.P, 1-cs.P, rng)
-	case "noloss":
-		return channel.NewGilbert(0, 1, rng)
-	case "markov":
-		m, err := channel.NewMarkov(channel.ThreeStateSpec(cs.P, cs.Q), rng)
-		if err != nil {
-			panic(err)
-		}
-		return m
-	default:
-		return cs.New(0)
-	}
 }
 
 func (r *trialRunner) schedule(s core.Scheduler, l core.Layout, seed int64) core.Schedule {

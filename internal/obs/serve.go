@@ -22,7 +22,7 @@ type ServeConfig struct {
 	// included). The daemon control plane rides the same listener as
 	// /metrics this way. Extra patterns must not collide with the
 	// built-in ones. A server with Extra handlers is a control plane:
-	// every route on it, the built-in ones included, passes sameOrigin.
+	// every route on it, the built-in ones included, passes SameOrigin.
 	Extra map[string]http.Handler
 }
 
@@ -113,7 +113,7 @@ func (r *Registry) Handler() http.Handler {
 // It returns once the listener is bound, serving in a background
 // goroutine; Close the server to stop. addr ":0" picks a free port —
 // read it back with Addr. With ServeConfig.Extra handlers every route
-// refuses a request from another site (sameOrigin); a metrics-only
+// refuses a request from another site (SameOrigin); a metrics-only
 // server stays open to scrapers that reach it by a DNS name.
 func Serve(addr string, r *Registry, cfg ServeConfig) (*Server, error) {
 	if r == nil {
@@ -141,19 +141,20 @@ func Serve(addr string, r *Registry, cfg ServeConfig) (*Server, error) {
 	}
 	var handler http.Handler = mux
 	if len(cfg.Extra) > 0 {
-		handler = sameOrigin(mux)
+		handler = SameOrigin(mux)
 	}
 	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln) //nolint:errcheck // Close shuts it down; the error is ErrServerClosed
 	return &Server{ln: ln, srv: srv, reg: r}, nil
 }
 
-// sameOrigin refuses, with 403, a request that a browser sent on another
+// SameOrigin refuses, with 403, a request that a browser sent on another
 // site's behalf: one whose Host is not the address it reached the
 // listener on (a DNS-rebound name), or whose Origin is not the listener's
 // own (a cross-site page). A request with no Origin — curl, a Go client —
-// is not from a page.
-func sameOrigin(next http.Handler) http.Handler {
+// is not from a page. Serve gates a server with Extra handlers with it;
+// the daemon's ControlHandler carries it wherever it is mounted.
+func SameOrigin(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		local, ok := r.Context().Value(http.LocalAddrContextKey).(net.Addr)
 		if o := r.Header.Get("Origin"); (ok && !hostIs(r.Host, local)) || (o != "" && !strings.EqualFold(o, "http://"+r.Host)) {

@@ -83,7 +83,8 @@ func NewMetricsRegistry() *MetricsRegistry {
 //
 // It returns once the listener is bound, serving in the background;
 // Close the server to stop. addr ":0" picks a free port — read it back
-// with Addr.
+// with Addr. With Extra handlers, every route answers 403 to a Host or
+// Origin not the listener's own, a scraper's DNS name included.
 func ServeMetrics(addr string, r *MetricsRegistry, cfg MetricsServeConfig) (*MetricsServer, error) {
 	return obs.Serve(addr, r, cfg)
 }
