@@ -194,19 +194,28 @@ func TestSchedulerByNameAndConstructors(t *testing.T) {
 	}
 }
 
+// TestSweepGridSmoke: a (p, q) grid is a plan's channel axis; RunPlan
+// measures it cell by cell, in axis order, and refuses an axis value
+// outside [0, 1].
 func TestSweepGridSmoke(t *testing.T) {
-	c, _ := NewCode("ldgm-triangle", 100, 2.5, 1)
-	g, err := SweepGrid(c, TxModel4(), []float64{0, 0.1}, []float64{0.5, 1}, 3, 5)
+	plan := Plan{Codes: []string{"ldgm-triangle"}, Ks: []int{100}, Schedulers: []string{"tx4"}, Trials: 3, Seed: 5}
+	for _, p := range []float64{0, 0.1} {
+		for _, q := range []float64{0.5, 1} {
+			plan.Channels = append(plan.Channels, GilbertChannelSpec(p, q))
+		}
+	}
+	res, err := RunPlan(context.Background(), plan, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Cells) != 2 || len(g.Cells[0]) != 2 {
-		t.Fatal("wrong grid shape")
+	if len(res) != 4 {
+		t.Fatalf("a 2x2 grid ran %d points", len(res))
 	}
-	if g.At(0, 0).Failed() {
-		t.Fatal("p=0 cell failed")
+	if res[0].Point.Channel.Key() != GilbertChannelSpec(0, 0.5).Key() || res[0].Aggregate.Failed() {
+		t.Fatalf("p=0 cell: %s, %s", res[0].Point.Channel.Key(), res[0].Aggregate)
 	}
-	if _, err := SweepGrid(c, TxModel4(), []float64{2}, nil, 3, 5); err == nil {
+	plan.Channels = []ChannelSpec{GilbertChannelSpec(2, 0.5)}
+	if _, err := RunPlan(context.Background(), plan, PlanOptions{}); err == nil {
 		t.Fatal("accepted the axis value p=2")
 	}
 }

@@ -216,7 +216,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if fleetMode {
 		res, err = engine.Run(ctx, plan, opts)
 	} else {
-		g, err = engine.SweepPlan(ctx, plan, *chName, grid, opts)
+		g, err = engine.SweepPlan(ctx, plan, *chName, grid, grid, opts)
 	}
 	if err != nil {
 		if *resume != "" && ctx.Err() != nil {

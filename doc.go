@@ -20,8 +20,8 @@
 //	fmt.Printf("mean inefficiency: %.3f\n", agg.MeanIneff())
 //
 // Simulation (README "Architecture", "Fleet simulation"): Simulate
-// measures one point and SweepGrid a (p, q) grid; RunPlan expands a
-// declarative Plan over code × k × ratio × schedule × channel × n_sent
+// measures one point; RunPlan expands a declarative Plan over code × k ×
+// ratio × schedule × channel × n_sent — a (p, q) grid is its channel axis —
 // into checkpointed, resumable points whose results are identical at any
 // worker count; RunFleet measures one shared transmission watched by up
 // to 10⁶ receivers. BestTuple, UniversalTuples and OptimalNSent are the

@@ -1,9 +1,11 @@
 // Plansweep: drive the parallel experiment engine from the public facade.
 // One declarative plan crosses two FEC codes with two transmission models
 // over four different channel families — Gilbert burst loss, IID loss, a
-// recorded loss trace and a perfect channel — and streams results as grid
-// points complete, checkpointing them so an interrupted sweep resumes for
-// free.
+// recorded loss trace and a perfect channel — and streams results to
+// stderr as grid points complete, checkpointing them so an interrupted
+// sweep resumes for free. Points complete in whatever order the workers
+// finish them; the table on stdout is in plan order, the same bytes on
+// every run.
 package main
 
 import (
@@ -44,7 +46,7 @@ func main() {
 	results, err := fecperf.RunPlan(context.Background(), plan, fecperf.PlanOptions{
 		CheckpointPath: ckpt,
 		Progress: func(ev fecperf.PlanProgress) {
-			fmt.Printf("  [%2d/%d] %-14s × %s × %-22s → %s\n",
+			fmt.Fprintf(os.Stderr, "  [%2d/%d] %-14s × %s × %-22s → %s\n",
 				ev.Done, ev.Total, ev.Point.Code, ev.Point.Scheduler,
 				ev.Point.Channel.Key(), ev.Aggregate.String())
 		},
@@ -53,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\ncode × scheduler × channel, mean inefficiency (\"-\" = a trial failed):")
+	fmt.Println("code × scheduler × channel, mean inefficiency (\"-\" = a trial failed):")
 	for _, r := range results {
 		fmt.Printf("%-14s  %s  %-22s  %s\n",
 			r.Point.Code, r.Point.Scheduler, r.Point.Channel.Key(), r.Aggregate.String())

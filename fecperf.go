@@ -80,8 +80,6 @@ type (
 	TrialResult = core.TrialResult
 	// Aggregate summarises the repeated trials of one measurement point.
 	Aggregate = engine.Aggregate
-	// Grid is a (p, q) sweep result.
-	Grid = engine.Grid
 	// Report is a rendered experiment outcome.
 	Report = experiments.Report
 	// ExperimentOptions scales an experiment run.

@@ -151,24 +151,24 @@ func TestPaperClaimFig14SweetSpot(t *testing.T) {
 }
 
 func TestEndToEndDeterminism(t *testing.T) {
-	run := func() *Grid {
-		code, err := NewCode("ldgm-triangle", 200, 2.5, 10)
+	plan := Plan{Codes: []string{"ldgm-triangle"}, Ks: []int{200}, Schedulers: []string{"tx4"}, Trials: 5, Seed: 77}
+	for _, p := range []float64{0, 0.1, 0.4} {
+		for _, q := range []float64{0.3, 0.9} {
+			plan.Channels = append(plan.Channels, GilbertChannelSpec(p, q))
+		}
+	}
+	run := func() []PointResult {
+		res, err := RunPlan(context.Background(), plan, PlanOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := SweepGrid(code, TxModel4(), []float64{0, 0.1, 0.4}, []float64{0.3, 0.9}, 5, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
+		return res
 	}
 	a, b := run(), run()
-	for i := range a.Cells {
-		for j := range a.Cells[i] {
-			if a.At(i, j).String() != b.At(i, j).String() {
-				t.Fatalf("cell (%d,%d) not deterministic: %s vs %s",
-					i, j, a.At(i, j).String(), b.At(i, j).String())
-			}
+	for i := range a {
+		if a[i].Aggregate.String() != b[i].Aggregate.String() {
+			t.Fatalf("cell %s not deterministic: %s vs %s",
+				a[i].Point.Channel.Key(), a[i].Aggregate.String(), b[i].Aggregate.String())
 		}
 	}
 }

@@ -55,9 +55,7 @@ func TestRecycledDecodersMatchFresh(t *testing.T) {
 				}
 				payloads := encodeRandom(t, recycled, k, n, symLen, seed)
 				want, got := newDecoder(t, fresh, symLen), newDecoder(t, recycled, symLen)
-				if !raceEnabled && got != last {
-					// The race detector's sync.Pool drops a share of what is
-					// put back, so only the plain build can insist.
+				if got != last {
 					t.Fatalf("seed %d: the codec built a decoder instead of reusing the one closed last", seed)
 				}
 				for i, id := range order {
@@ -101,6 +99,50 @@ func TestRecycledDecodersMatchFresh(t *testing.T) {
 	}
 	if end := symbol.PoolStats().Live; end != live {
 		t.Errorf("symbol pool: %d live buffers at the start, %d at the end", live, end)
+	}
+}
+
+// TestRecycledDecodersBounded closes FreeListCap+3 decoders of one code
+// and opens as many again: a code keeps at most FreeListCap closed
+// decoders, so the rest of the second batch are new ones.
+func TestRecycledDecodersBounded(t *testing.T) {
+	const k, symLen, extra = 40, 16, 3
+	for _, f := range []wire.CodeFamily{wire.CodeLDGMStaircase, wire.CodeLDGMTriangle, wire.CodeRSE, wire.CodeRSE16, wire.CodeNoFEC} {
+		ratio := 1.5
+		if f == wire.CodeNoFEC {
+			ratio = 1
+		}
+		n, err := N(f, k, ratio)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := ForWire(f, k, n, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := map[core.PayloadDecoder]bool{}
+		batch := make([]core.PayloadDecoder, symbol.FreeListCap+extra)
+		for i := range batch {
+			batch[i] = newDecoder(t, c, symLen)
+		}
+		for _, d := range batch {
+			d.Close()
+			closed[d] = true
+		}
+		reused := 0
+		for i := range batch {
+			batch[i] = newDecoder(t, c, symLen)
+			if closed[batch[i]] {
+				reused++
+			}
+		}
+		for _, d := range batch {
+			d.Close()
+		}
+		if reused != symbol.FreeListCap {
+			t.Errorf("%s: %d of %d closed decoders handed out again, want the free list's cap %d",
+				f, reused, len(batch), symbol.FreeListCap)
+		}
 	}
 }
 

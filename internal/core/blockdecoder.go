@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"fecperf/internal/symbol"
 )
@@ -44,11 +43,12 @@ type BlockDecoder struct {
 	src      symbol.Slab // the k source slots by global ID, received or rebuilt in place
 	par      symbol.Slab // buffered parity: one slot per arrival, made on the first
 	parUsed  int
-	pending  int        // blocks not yet decoded
-	srcRec   int        // source symbols received or rebuilt
-	buffered int        // distinct symbols held by undecoded blocks
-	home     *sync.Pool // the layout's pool, where Close hands a payload decoder back
-	closed   bool       // Close ran: the decoder is in home
+	pending  int // blocks not yet decoded
+	srcRec   int // source symbols received or rebuilt
+	buffered int // distinct symbols held by undecoded blocks
+
+	home   *symbol.FreeList[BlockDecoder] // the layout's, where Close hands a payload decoder back
+	closed bool                           // Close ran: the decoder went back to home
 }
 
 // blockTables recycles the blocks' view tables.
@@ -78,7 +78,7 @@ func (b *blockState) decoded() bool { return b.count == b.kb }
 // slab's table is new.
 func NewBlockDecoder(l Layout, symLen int, solver BlockSolver) *BlockDecoder {
 	if symLen > 0 && l.decoders != nil {
-		if d, _ := l.decoders.Get().(*BlockDecoder); d != nil {
+		if d := l.decoders.Get(); d != nil {
 			d.symLen, d.solver, d.closed = symLen, solver, false
 			d.reset()
 			d.src = symbol.NewSlab(l.K, symLen)

@@ -15,7 +15,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sync"
+
+	"fecperf/internal/symbol"
 )
 
 // Layout describes the packet-level structure of an FEC-encoded object:
@@ -35,16 +36,16 @@ type Layout struct {
 	// decoders holds the code's closed payload BlockDecoders, for its next
 	// NewBlockDecoder to reset; made by IndexBlocks, so it lives and dies
 	// with the code.
-	decoders *sync.Pool
+	decoders *symbol.FreeList[BlockDecoder]
 }
 
-// IndexBlocks builds the id→block table BlockIndex returns, and the pool
-// the layout's payload decoders go back to on Close. A block family calls
-// it once per code, so the code's receivers and fleets share the table
-// and each closed decoder becomes the code's next one.
+// IndexBlocks builds the id→block table BlockIndex returns, and the free
+// list the layout's payload decoders go back to on Close. A block family
+// calls it once per code, so the code's receivers and fleets share the
+// table and each closed decoder becomes the code's next one.
 func (l *Layout) IndexBlocks() {
 	l.blockOf = l.BlockIndex()
-	l.decoders = new(sync.Pool)
+	l.decoders = new(symbol.FreeList[BlockDecoder])
 }
 
 // BlockIndex returns the block of every packet ID, by ID: IndexBlocks'

@@ -118,7 +118,7 @@ func BenchmarkSimGridPlan(b *testing.B) {
 			specs := make([]PointSpec, len(points))
 			cache := map[string]core.Code{}
 			for i, pt := range points {
-				if specs[i], err = materialize(pt, cache); err != nil {
+				if specs[i], err = Materialize(pt, cache); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -136,14 +136,13 @@ func BenchmarkSimGridPlan(b *testing.B) {
 
 // BenchmarkSweep4x4 measures a small (p, q) grid sweep end to end.
 func BenchmarkSweep4x4(b *testing.B) {
-	code, err := codes.Spec{Family: "ldgm-triangle", K: 500, Ratio: 2.5, Seed: 1}.New()
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := Plan{Codes: []string{"ldgm-triangle"}, Ks: []int{500}, Ratios: []float64{2.5}, Schedulers: []string{"tx4"}, Trials: 5, Seed: 1}
 	axis := []float64{0, 0.05, 0.2, 0.5}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sweep(SweepConfig{Code: code, Scheduler: sched.TxModel4{}, P: axis, Q: axis, Trials: 5, Seed: 1})
+		if _, err := SweepPlan(context.Background(), plan, "gilbert", axis, axis, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

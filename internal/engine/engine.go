@@ -9,9 +9,12 @@
 //
 //	plan (axes) → points (serializable) → shards (trials) → workers → merge
 //
-// Per-trial randomness derives from splitmix64 hashing
-// (core.DeriveSeed), not arithmetic seed offsets, so no two trials or
-// grid cells share correlated rand streams.
+// A (p, q) grid is a plan too: SweepPlan fills the plan's channel axis
+// with the grid and folds the results back into a Grid. Every point's
+// seed derives from the plan seed and the point's configuration key,
+// and per-trial randomness from splitmix64 hashing (core.DeriveSeed),
+// not arithmetic seed offsets, so no two trials or grid cells share
+// correlated rand streams.
 package engine
 
 import (
@@ -37,8 +40,8 @@ const shardSize = 8
 // than declarative names, plus either the channel every trial builds a
 // fresh chain from or the fleet that watches one shared transmission.
 // One-point callers (Simulate, RunFleet, the figure and recommender
-// loops, Sweep) build these directly; plans materialise Points into
-// them.
+// loops) build these directly; plans materialise Points into them
+// (Materialize).
 type PointSpec struct {
 	Code      core.Code
 	Scheduler core.Scheduler
@@ -438,7 +441,7 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 				continue
 			}
 		}
-		spec, err := materialize(pt, codeCache)
+		spec, err := Materialize(pt, codeCache)
 		if err != nil {
 			return nil, err
 		}
@@ -455,10 +458,10 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 	return results, retErr
 }
 
-// materialize builds the live, validated work unit for a point, sharing
+// Materialize builds the live, validated work unit for a point, sharing
 // code constructions (the expensive part: LDGM matrix building) across
-// points with the same code spec.
-func materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
+// points with the same code spec through codeCache.
+func Materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
 	codeKey := pt.codeKey()
 	code, ok := codeCache[codeKey]
 	if !ok {

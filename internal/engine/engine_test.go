@@ -360,9 +360,10 @@ func TestInvalidChannelIsAnErrorBeforeTheFirstTrial(t *testing.T) {
 		if _, err := RunPointSpecs(context.Background(), []PointSpec{spec}, 2); err == nil {
 			t.Errorf("%s: RunPointSpecs accepted it", name)
 		}
-		if g, err := Sweep(SweepConfig{Code: code, Scheduler: sched.TxModel4{}, P: []float64{0}, Q: []float64{1},
-			Factory: func(p, q float64) channel.Spec { return ch }, Trials: 4}); err == nil {
-			t.Errorf("%s: Sweep returned a grid (%v) and no error", name, g.At(0, 0))
+		plan := Plan{Codes: []string{"rse"}, Ks: []int{40}, Ratios: []float64{1.5}, Schedulers: []string{"tx4"},
+			Channels: []channel.Spec{ch}, Trials: 4, Seed: 1}
+		if res, err := Run(context.Background(), plan, Options{}); err == nil {
+			t.Errorf("%s: Run returned %v and no error", name, res)
 		}
 	}
 }
@@ -374,7 +375,7 @@ func TestSweepPlanDedupsAndFolds(t *testing.T) {
 	plan := Plan{Codes: []string{"rse"}, Ks: []int{40}, Ratios: []float64{1.5}, Schedulers: []string{"tx4"}, Trials: 6, Seed: 2}
 	axis := []float64{0, 0.1, 0.3}
 	points := 0
-	g, err := SweepPlan(context.Background(), plan, "bernoulli", axis, Options{Progress: func(Progress) { points++ }})
+	g, err := SweepPlan(context.Background(), plan, "bernoulli", axis, axis, Options{Progress: func(Progress) { points++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,11 +395,11 @@ func TestSweepPlanDedupsAndFolds(t *testing.T) {
 		}
 	}
 	plan.Ks = []int{40, 80}
-	if _, err := SweepPlan(context.Background(), plan, "gilbert", axis, Options{}); err == nil {
+	if _, err := SweepPlan(context.Background(), plan, "gilbert", axis, axis, Options{}); err == nil {
 		t.Fatal("a two-k plan folded into one grid")
 	}
 	plan.Ks = []int{40}
-	if _, err := SweepPlan(context.Background(), plan, "smoke-signals", axis, Options{}); err == nil {
+	if _, err := SweepPlan(context.Background(), plan, "smoke-signals", axis, axis, Options{}); err == nil {
 		t.Fatal("accepted an unknown channel kind")
 	}
 }

@@ -312,6 +312,44 @@ func TestExtMLDecodingExperiment(t *testing.T) {
 	}
 }
 
+// TestExtMLDecodingPaired: ext-ml-decoding runs peeling and ML on the
+// same seeds, so every trial puts the same schedule through the same
+// loss realisation for both, and the ML decoder, knowing at least every
+// symbol the peeling decoder knows, decodes no later. In every cell both
+// therefore receive the same symbols, ML fails no more often, and where
+// neither failed its mean inefficiency is no higher. On independent
+// seeds the last two hold only on average, and the first not at all.
+func TestExtMLDecodingPaired(t *testing.T) {
+	peel, ml, err := mlGrids(Options{K: 100, Trials: 12, Seed: 3, Grid: []float64{0, 0.05, 0.2, 0.5}, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1e-12
+	better := 0 // cells where ML failed less often or decoded earlier
+	for i, p := range peel.P {
+		for j, q := range peel.Q {
+			a, b := peel.At(i, j), ml.At(i, j)
+			if b.Trials != a.Trials || b.Failures > a.Failures {
+				t.Errorf("(p=%g, q=%g): ML failed %d of %d trials, peeling %d of %d", p, q, b.Failures, b.Trials, a.Failures, a.Trials)
+			}
+			if b.ReceivedOverK != a.ReceivedOverK {
+				t.Errorf("(p=%g, q=%g): ML received %.4f k on average, peeling %.4f k: not the same losses",
+					p, q, b.ReceivedOverK.Mean(), a.ReceivedOverK.Mean())
+			}
+			bothDecoded := !a.Failed() && !b.Failed()
+			if bothDecoded && b.MeanIneff() > a.MeanIneff()+eps {
+				t.Errorf("(p=%g, q=%g): ML mean inefficiency %.4f above peeling's %.4f", p, q, b.MeanIneff(), a.MeanIneff())
+			}
+			if b.Failures < a.Failures || bothDecoded && b.MeanIneff() < a.MeanIneff()-eps {
+				better++
+			}
+		}
+	}
+	if better == 0 {
+		t.Error("ML never beat peeling: the grid does not exercise the fallback")
+	}
+}
+
 func TestExtCarouselExperiment(t *testing.T) {
 	e, _ := ByID("ext-carousel")
 	rep, err := e.Run(Options{K: 150, Trials: 4, Seed: 1})

@@ -34,35 +34,17 @@ func init() {
 			if o.K > 2000 {
 				o.K = 2000
 			}
-			c, err := ldpc.New(ldpc.Params{K: o.K, N: o.K * 5 / 2, Variant: ldpc.Staircase, Seed: o.Seed})
+			peeling, ml, err := mlGrids(o)
 			if err != nil {
 				return nil, err
 			}
-			grid := o.Grid
-			if grid == nil {
-				grid = []float64{0, 0.05, 0.20, 0.50}
-			}
-			rep := &Report{ID: "ext-ml-decoding",
+			return &Report{ID: "ext-ml-decoding",
 				Title: "Peeling vs ML decoding",
-				Notes: []string{fmt.Sprintf("k=%d, trials=%d", o.K, o.Trials)}}
-			for _, spec := range []struct {
-				name string
-				code core.Code
-			}{
-				{"peeling decoder", c},
-				{"peeling + Gaussian fallback (ML)", mlCode{c}},
-			} {
-				g, err := engine.Sweep(engine.SweepConfig{
-					Code: spec.code, Scheduler: sched.TxModel4{},
-					P: grid, Q: grid,
-					Trials: o.Trials, Seed: o.Seed, Workers: o.Workers,
-				})
-				if err != nil {
-					return nil, err
-				}
-				rep.Tables = append(rep.Tables, gridTable(spec.name, g, engine.Aggregate.String))
-			}
-			return rep, nil
+				Notes: []string{fmt.Sprintf("k=%d, trials=%d", o.K, o.Trials)},
+				Tables: []Table{
+					gridTable("peeling decoder", peeling, engine.Aggregate.String),
+					gridTable("peeling + Gaussian fallback (ML)", ml, engine.Aggregate.String),
+				}}, nil
 		},
 	})
 
@@ -113,4 +95,41 @@ func init() {
 				Tables: []Table{t}}, nil
 		},
 	})
+}
+
+// mlGrids measures ext-ml-decoding's (p, q) grid plan twice, with the
+// registry's LDGM Staircase code and with mlCode wrapping it. Both run
+// every point on the point's own seed, so the grids are paired trial by
+// trial (common random numbers) and their difference is the decoders'
+// alone.
+func mlGrids(o Options) (peeling, ml *engine.Grid, err error) {
+	grid := o.Grid
+	if grid == nil {
+		grid = []float64{0, 0.05, 0.20, 0.50}
+	}
+	plan := engine.Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{o.K}, Ratios: []float64{2.5},
+		Schedulers: []string{"tx4"}, Trials: o.Trials, Seed: o.Seed}
+	gp, err := engine.NewGridPlan(plan, "gilbert", grid, grid)
+	if err != nil {
+		return nil, nil, err
+	}
+	points, err := gp.Plan.Points()
+	if err != nil {
+		return nil, nil, err
+	}
+	specs := make([]engine.PointSpec, 2*len(points))
+	codeCache := map[string]core.Code{}
+	for i, pt := range points {
+		if specs[i], err = engine.Materialize(pt, codeCache); err != nil {
+			return nil, nil, err
+		}
+		specs[len(points)+i] = specs[i]
+		specs[len(points)+i].Code = mlCode{specs[i].Code.(*ldpc.Code)}
+	}
+	aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	ml = gp.Fold(func(i int) engine.Aggregate { return aggs[len(points)+i] })
+	return gp.Fold(func(i int) engine.Aggregate { return aggs[i] }), ml, nil
 }

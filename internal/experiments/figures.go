@@ -14,7 +14,6 @@ import (
 	"fecperf/internal/codes"
 	"fecperf/internal/core"
 	"fecperf/internal/engine"
-	"fecperf/internal/repetition"
 	"fecperf/internal/sched"
 )
 
@@ -42,17 +41,11 @@ func receivedOverK(a engine.Aggregate) string { return fmt.Sprintf("%.3f", a.Rec
 
 // sweepCode runs one (code, scheduler) sweep with the experiment options
 // as a declarative engine plan whose channel axis is the Gilbert (p, q)
-// grid.
-func sweepCode(o Options, codeName string, ratio float64, s core.Scheduler) (*engine.Grid, error) {
-	plan := engine.Plan{
-		Codes:      []string{codeName},
-		Ks:         []int{o.K},
-		Ratios:     []float64{ratio},
-		Schedulers: []string{s.Name()},
-		Trials:     o.Trials,
-		Seed:       o.Seed,
-	}
-	return engine.SweepPlan(context.Background(), plan, "gilbert", o.Grid, engine.Options{Workers: o.Workers})
+// grid ps × o.Grid.
+func sweepCode(o Options, codeName string, ratio float64, s core.Scheduler, ps []float64) (*engine.Grid, error) {
+	plan := engine.Plan{Codes: []string{codeName}, Ks: []int{o.K}, Ratios: []float64{ratio},
+		Schedulers: []string{s.Name()}, Trials: o.Trials, Seed: o.Seed}
+	return engine.SweepPlan(context.Background(), plan, "gilbert", ps, o.Grid, engine.Options{Workers: o.Workers})
 }
 
 // txFigure builds the standard figure report: the given codes × ratios
@@ -67,7 +60,7 @@ func txFigure(id, ref, title string, s core.Scheduler, combos []comboSpec, withR
 			rep := &Report{ID: id, Title: title,
 				Notes: []string{fmt.Sprintf("k=%d, trials=%d, scheduler=%s", o.K, o.Trials, s.Name())}}
 			for _, cb := range combos {
-				g, err := sweepCode(o, cb.code, cb.ratio, s)
+				g, err := sweepCode(o, cb.code, cb.ratio, s, o.Grid)
 				if err != nil {
 					return nil, err
 				}
@@ -157,23 +150,12 @@ func init() {
 		Title:    "No FEC, x2 repetitions in random order",
 		Run: func(o Options) (*Report, error) {
 			o = o.withDefaults()
-			c, err := repetition.New(o.K)
-			if err != nil {
-				return nil, err
-			}
 			// The paper plots p in [0,5]%: beyond that everything fails.
 			ps := o.Grid
 			if ps == nil {
 				ps = []float64{0, 0.01, 0.02, 0.03, 0.04, 0.05}
 			}
-			qs := o.Grid
-			if qs == nil {
-				qs = engine.PaperGrid
-			}
-			g, err := engine.Sweep(engine.SweepConfig{
-				Code: c, Scheduler: sched.Repeat{}, P: ps, Q: qs,
-				Trials: o.Trials, Seed: o.Seed, Workers: o.Workers,
-			})
+			g, err := sweepCode(o, "no-fec", 1, sched.Repeat{}, ps)
 			if err != nil {
 				return nil, err
 			}

@@ -2,7 +2,7 @@ package experiments
 
 // The paper's reproduced tables and figures, pinned: every registered
 // experiment rendered at a small fixed scale and committed to
-// testdata/reports_golden.txt. The runs go through Sweep, SweepPlan and
+// testdata/reports_golden.txt. The runs go through SweepPlan and
 // RunPointSpecs, so this pins the engine's seed derivation, shard merge
 // order and aggregation as the reports see them, at one worker and at
 // two. Regenerate intentionally with

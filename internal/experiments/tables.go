@@ -40,7 +40,7 @@ func init() {
 			Title:    fmt.Sprintf("%s: %s, %s, FEC expansion ratio %.1f", s.ref, s.scheduler.Name(), s.code, s.ratio),
 			Run: func(o Options) (*Report, error) {
 				o = o.withDefaults()
-				g, err := sweepCode(o, s.code, s.ratio, s.scheduler)
+				g, err := sweepCode(o, s.code, s.ratio, s.scheduler, o.Grid)
 				if err != nil {
 					return nil, err
 				}

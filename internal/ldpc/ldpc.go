@@ -49,7 +49,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"fecperf/internal/core"
 	"fecperf/internal/gf256"
@@ -126,7 +125,7 @@ type Code struct {
 	// decoders holds the payload decoders Close gave back, with every
 	// table sized for this code — known bitset, equation table, solve
 	// stack and log — for the next object's NewDecoder to reset.
-	decoders sync.Pool // of *Decoder
+	decoders symbol.FreeList[Decoder]
 }
 
 // eqSlots is the variable index's stride: a source under the default
@@ -507,7 +506,7 @@ type payloads struct {
 	src, par symbol.Slab
 	log      []solve // solved variables in solve order: up to m entries
 	solved   int     // log[:solved] are in their slots
-	closed   bool    // Close ran: the decoder is in its code's pool
+	closed   bool    // Close ran: the decoder went back to its code
 }
 
 // newDecoder returns a structural decoder (symLen 0) or a payload decoder:
@@ -516,7 +515,7 @@ type payloads struct {
 func (c *Code) newDecoder(symLen int) *Decoder {
 	var d *Decoder
 	if symLen > 0 {
-		d, _ = c.decoders.Get().(*Decoder)
+		d = c.decoders.Get()
 	}
 	if d == nil {
 		d = &Decoder{code: c, known: make([]uint64, (c.n+63)/64), eqs: make([]equation, c.m)}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -455,7 +454,7 @@ func (r *Receiver) PacketsIngested(id uint32) int {
 
 // reassemblies holds closed Reassemblies, each with its seen bitset, for
 // the next OpenReassembly.
-var reassemblies sync.Pool // of *Reassembly
+var reassemblies symbol.FreeList[Reassembly]
 
 // OpenReassembly opens the state of the object p belongs to from p's OTI:
 // the (cached) code it names and a payload decoder for p's symbol length.
@@ -466,7 +465,7 @@ func OpenReassembly(p *wire.Packet) (*Reassembly, error) {
 	if len(p.Payload) == 0 {
 		return nil, fmt.Errorf("session: zero-length symbol")
 	}
-	a, _ := reassemblies.Get().(*Reassembly)
+	a := reassemblies.Get()
 	if a == nil {
 		a = new(Reassembly)
 	}

@@ -1,5 +1,5 @@
 // Package sim holds no code: the one-point and (p, q)-sweep harness it
-// used to adapt lives in internal/engine (RunPoint, Sweep, Grid,
+// used to adapt lives in internal/engine (RunPoint, SweepPlan, Grid,
 // PaperGrid). These are that harness's behaviour checks, values unedited,
 // kept at their old import path so the tier-1 test names a driver pins do
 // not move; fold the file into internal/engine when they may.
@@ -30,14 +30,24 @@ func staircase(t *testing.T, k int, ratio float64) core.Code {
 // run executes one point sequentially; runOn on the given worker count.
 func run(spec engine.PointSpec) engine.Aggregate { return runOn(spec, 1) }
 
-// sweep runs a grid sweep whose channels are all valid.
-func sweep(t *testing.T, cfg engine.SweepConfig) *engine.Grid {
+// sweep runs a Gilbert grid sweep of the one-code plan over ps × qs.
+func sweep(t *testing.T, plan engine.Plan, ps, qs []float64, workers int) *engine.Grid {
 	t.Helper()
-	g, err := engine.Sweep(cfg)
+	g, err := engine.SweepPlan(context.Background(), plan, "gilbert", ps, qs, engine.Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// runPlan runs a plan whose points are all valid.
+func runPlan(t *testing.T, plan engine.Plan) []engine.PointResult {
+	t.Helper()
+	res, err := engine.Run(context.Background(), plan, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func runOn(spec engine.PointSpec, workers int) engine.Aggregate {
@@ -120,18 +130,10 @@ func TestAggregateStringFormatsRatio(t *testing.T) {
 }
 
 func TestSweepShapeAndDeterminism(t *testing.T) {
-	c := staircase(t, 80, 2.5)
-	cfg := engine.SweepConfig{
-		Code:      c,
-		Scheduler: sched.TxModel4{},
-		P:         []float64{0, 0.2},
-		Q:         []float64{0.5, 1},
-		Trials:    10,
-		Seed:      7,
-		Workers:   3,
-	}
-	g1 := sweep(t, cfg)
-	g2 := sweep(t, cfg)
+	plan := engine.Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{80}, Ratios: []float64{2.5}, Schedulers: []string{"tx4"}, Trials: 10, Seed: 7}
+	ps, qs := []float64{0, 0.2}, []float64{0.5, 1}
+	g1 := sweep(t, plan, ps, qs, 3)
+	g2 := sweep(t, plan, ps, qs, 3)
 	if len(g1.Cells) != 2 || len(g1.Cells[0]) != 2 {
 		t.Fatalf("grid shape %dx%d, want 2x2", len(g1.Cells), len(g1.Cells[0]))
 	}
@@ -151,10 +153,15 @@ func TestSweepShapeAndDeterminism(t *testing.T) {
 }
 
 func TestSweepDefaultsToPaperGrid(t *testing.T) {
-	c := staircase(t, 30, 2.5)
-	g := sweep(t, engine.SweepConfig{Code: c, Scheduler: sched.TxModel2{}, Trials: 1, Seed: 8})
+	plan := engine.Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{30}, Ratios: []float64{2.5}, Schedulers: []string{"tx2"}, Trials: 1, Seed: 8}
+	g := sweep(t, plan, nil, nil, 0)
 	if len(g.P) != 14 || len(g.Q) != 14 {
 		t.Fatalf("default grid %dx%d, want 14x14", len(g.P), len(g.Q))
+	}
+	// One axis given, the other the paper's: fig7's shape.
+	g = sweep(t, plan, []float64{0, 0.01}, nil, 0)
+	if len(g.Cells) != 2 || len(g.Cells[1]) != 14 || g.Q[13] != 1 {
+		t.Fatalf("grid %dx%d over q=%v, want 2x14 over the paper's axis", len(g.Cells), len(g.Cells[1]), g.Q)
 	}
 }
 
@@ -214,35 +221,24 @@ func TestRunIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestSweepCustomFactory(t *testing.T) {
-	// The sweep must accept any channel family; an explicit Markov model
-	// on the degenerate two-state spec behaves like the Gilbert chain it
-	// encodes.
-	c := staircase(t, 80, 2.5)
-	cfg := engine.SweepConfig{
-		Code:      c,
-		Scheduler: sched.TxModel2{},
-		P:         []float64{0, 0.1},
-		Q:         []float64{0.5, 1},
-		Factory: func(p, q float64) channel.Spec {
-			return channel.MarkovChannel(channel.GilbertSpec(p, q))
-		},
-		Trials: 5,
-		Seed:   9,
+	// A plan's channel axis takes any channel family; an explicit Markov
+	// model on the degenerate two-state spec behaves like the Gilbert
+	// chain it encodes.
+	plan := engine.Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{80}, Ratios: []float64{2.5}, Schedulers: []string{"tx2"}, Trials: 5, Seed: 9}
+	for _, p := range []float64{0, 0.1} {
+		for _, q := range []float64{0.5, 1} {
+			plan.Channels = append(plan.Channels, channel.MarkovChannel(channel.GilbertSpec(p, q)))
+		}
 	}
-	g := sweep(t, cfg)
-	if g.At(0, 0).Failed() || g.At(0, 1).Failed() {
+	res := runPlan(t, plan)
+	if res[0].Aggregate.Failed() || res[1].Aggregate.Failed() {
 		t.Fatal("p=0 row failed under the markov model")
 	}
 	// And a trace-driven sweep: a lossless trace decodes everywhere.
-	cfg.Factory = func(p, q float64) channel.Spec {
-		return channel.TraceChannel(make([]bool, 16), false)
-	}
-	g = sweep(t, cfg)
-	for i := range g.P {
-		for j := range g.Q {
-			if g.At(i, j).Failed() {
-				t.Fatalf("lossless trace failed at (%d,%d)", i, j)
-			}
+	plan.Channels = []channel.Spec{channel.TraceChannel(make([]bool, 16), false)}
+	for _, r := range runPlan(t, plan) {
+		if r.Aggregate.Failed() {
+			t.Fatalf("lossless trace failed at %s", r.Point.Channel.Key())
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package fecperf
 
 // Simulation and experiment surface: one-point measurements (Simulate),
-// grid sweeps (SweepGrid), declarative plans on the parallel engine
-// (RunPlan), the paper's figures and tables (RunExperiment) and the
+// declarative plans on the parallel engine (RunPlan), (p, q) grids
+// among them, the paper's figures and tables (RunExperiment) and the
 // Section-6 recommender. Simulate takes the same unified Config as the
 // delivery constructors, so one spec line describes a scenario both as
 // a simulation and as a live cast.
@@ -98,14 +98,6 @@ func NoLossChannelSpec() ChannelSpec { return channel.NoLossChannel() }
 // TraceChannelSpec declares replay of a recorded loss pattern.
 func TraceChannelSpec(pattern []bool, noWrap bool) ChannelSpec {
 	return channel.TraceChannel(pattern, noWrap)
-}
-
-// SweepGrid sweeps a (code, scheduler) pair over a (p, q) grid; nil axes
-// mean the paper's 14-value axis, zero trials the paper's 100; cells run
-// on GOMAXPROCS workers and are deterministic in seed. Axis values
-// outside [0, 1] are an error.
-func SweepGrid(code Code, s Scheduler, p, q []float64, trials int, seed int64) (*Grid, error) {
-	return engine.Sweep(engine.SweepConfig{Code: code, Scheduler: s, P: p, Q: q, Trials: trials, Seed: seed})
 }
 
 // RunExperiment executes one of the paper's figures or tables by ID
