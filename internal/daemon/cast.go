@@ -12,6 +12,7 @@ import (
 	"fecperf/internal/core"
 	"fecperf/internal/obs"
 	"fecperf/internal/session"
+	"fecperf/internal/symbol"
 	"fecperf/internal/transport"
 )
 
@@ -235,24 +236,25 @@ func (c *Cast) runCarousel(ctx context.Context) error {
 	}
 }
 
-// cancelReader makes a blocking stream source interruptible: each Read
-// runs on its own goroutine, so a hard-cancelled cast exits even while
-// the source hangs (a stuck pipe, a stalled network file). The caster
-// reads sequentially, so at most one inner read is in flight; a read
-// abandoned by cancellation parks until the source finally returns (or
-// process exit) — bounded at one goroutine per killed stream cast.
+// cancelReader makes a blocking stream source interruptible: the reads
+// run on the reader's own goroutine, so a hard-cancelled cast exits even
+// while the source hangs (a stuck pipe, a stalled network file). The
+// caster reads sequentially, so at most one inner read is in flight; a
+// read abandoned by cancellation parks until the source finally returns
+// (or process exit) — bounded at one goroutine per killed stream cast.
 //
 // The inner read never touches the caller's p (the caller may reuse p the
-// moment Read returns on cancellation); it fills the reader's one private
-// buffer, which is free again as soon as its result has been copied out —
-// so a whole cast reads through a single allocation. An abandoned read
-// still owns the buffer, and the reader is dead from then on: every later
-// Read fails on the cancelled context before reaching it.
+// moment Read returns on cancellation); it fills the reader's one pooled
+// 64 KiB buffer — the most the caster asks for at a time — which release
+// returns. An abandoned read owns the buffer and Puts it when the source
+// returns; every later Read fails on the cancelled context.
 type cancelReader struct {
-	ctx context.Context
-	r   io.Reader
-	res chan cancelReadResult
-	buf []byte // the inner reads' buffer, grown to the largest p seen
+	ctx  context.Context
+	r    io.Reader
+	req  chan []byte // the buffer to fill, to the reading goroutine
+	res  chan cancelReadResult
+	busy atomic.Bool // a read is in flight; who clears it owns the buffer
+	buf  []byte      // nil once abandoned
 }
 
 type cancelReadResult struct {
@@ -261,27 +263,44 @@ type cancelReadResult struct {
 }
 
 func newCancelReader(ctx context.Context, r io.Reader) *cancelReader {
-	return &cancelReader{ctx: ctx, r: r, res: make(chan cancelReadResult, 1)}
+	c := &cancelReader{ctx: ctx, r: r, req: make(chan []byte), res: make(chan cancelReadResult, 1),
+		buf: symbol.GetDirty(symbol.MaxPooled)}
+	go c.serve()
+	return c
+}
+
+func (c *cancelReader) serve() {
+	for buf := range c.req {
+		n, err := c.r.Read(buf)
+		if !c.busy.CompareAndSwap(true, false) {
+			symbol.Put(buf) // abandoned: the buffer is this read's
+			return
+		}
+		c.res <- cancelReadResult{n, err}
+	}
 }
 
 func (c *cancelReader) Read(p []byte) (int, error) {
 	if err := c.ctx.Err(); err != nil {
 		return 0, err
 	}
-	if cap(c.buf) < len(p) {
-		c.buf = make([]byte, len(p))
-	}
-	buf := c.buf[:len(p)]
-	go func() {
-		n, err := c.r.Read(buf)
-		c.res <- cancelReadResult{n, err}
-	}()
+	c.busy.Store(true)
+	c.req <- c.buf[:min(len(p), len(c.buf))]
 	select {
 	case r := <-c.res:
-		return copy(p, buf[:r.n]), r.err
+		return copy(p, c.buf[:r.n]), r.err
 	case <-c.ctx.Done():
+		if c.busy.CompareAndSwap(true, false) {
+			c.buf = nil // abandoned: serve Puts it when the source returns
+		}
 		return 0, c.ctx.Err()
 	}
+}
+
+// release stops the reading goroutine and returns the buffer to the pool.
+func (c *cancelReader) release() {
+	close(c.req)
+	symbol.Put(c.buf)
 }
 
 // runStream drives a transport.Caster over the cast's source. Stream
@@ -301,7 +320,8 @@ func (c *Cast) runStream(ctx context.Context) error {
 		defer f.Close()
 		src = f
 	}
-	src = newCancelReader(ctx, src)
+	cr := newCancelReader(ctx, src)
+	defer cr.release()
 	// fold accumulates the caster's counter deltas into the cast's
 	// lifetime counters on every progress step — OnProgress fires on the
 	// caster's sending goroutine, one call at a time and none after Run
@@ -317,7 +337,7 @@ func (c *Cast) runStream(ctx context.Context) error {
 		c.rounds.Add(st.ChunksCast - folded.ChunksCast)
 		folded = st
 	}
-	caster, err := transport.NewCaster(c.gc.conn, src, transport.CasterConfig{
+	caster, err := transport.NewCaster(c.gc.conn, cr, transport.CasterConfig{
 		Delivery: c.delivery(cs),
 		Pacer:    c.share,
 		Tracer:   c.d.cfg.Tracer,

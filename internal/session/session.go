@@ -94,10 +94,20 @@ type Object struct {
 // into the parity frames; the frames live in one pooled slab, so call
 // Close when the object will not be transmitted again.
 func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
+	return EncodeSegments([][]byte{data}, cfg)
+}
+
+// EncodeSegments is EncodeObject of the object segs holds back to back
+// (some may be empty), for a caller that read it into several buffers.
+func EncodeSegments(segs [][]byte, cfg SenderConfig) (*Object, error) {
 	if cfg.PayloadSize <= 0 {
 		return nil, fmt.Errorf("session: payload size must be positive, got %d", cfg.PayloadSize)
 	}
-	if len(data) == 0 {
+	size := 0
+	for _, seg := range segs {
+		size += len(seg)
+	}
+	if size == 0 {
 		return nil, fmt.Errorf("session: empty object")
 	}
 	in := instr.Load()
@@ -108,7 +118,7 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 	// Geometries repeat across objects, so this is a cache hit on every
 	// object but the first — and the instance OpenReassembly gets for
 	// the same header.
-	k := (lengthPrefix + len(data) + cfg.PayloadSize - 1) / cfg.PayloadSize
+	k := (lengthPrefix + size + cfg.PayloadSize - 1) / cfg.PayloadSize
 	n, err := codes.N(cfg.Family, k, cfg.Ratio)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
@@ -141,22 +151,19 @@ func EncodeObject(data []byte, cfg SenderConfig) (*Object, error) {
 		payloads[id] = f[wire.HeaderLen:]
 	}
 
-	// Scatter the virtual stream (length prefix ++ data) into the source
+	// Scatter the virtual stream (length prefix ++ segs) into the source
 	// payloads — no contiguous staging copy. Slab memory is not zeroed,
 	// so the final symbol's padding is cleared here.
 	var pre [lengthPrefix]byte
-	binary.BigEndian.PutUint64(pre[:], uint64(len(data)))
-	off := 0
+	binary.BigEndian.PutUint64(pre[:], uint64(size))
+	seg := pre[:]
 	for _, s := range payloads[:k] {
-		if off < lengthPrefix {
-			c := copy(s, pre[off:])
-			off += c
-			s = s[c:]
-		}
-		if off >= lengthPrefix {
-			c := copy(s, data[off-lengthPrefix:])
-			off += c
-			s = s[c:]
+		for len(s) > 0 && len(seg)+len(segs) > 0 {
+			if len(seg) == 0 {
+				seg, segs = segs[0], segs[1:]
+			}
+			c := copy(s, seg)
+			s, seg = s[c:], seg[c:]
 		}
 		clear(s)
 	}

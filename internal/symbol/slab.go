@@ -106,3 +106,7 @@ func (s *Slab) Release() {
 	PutAll(s.bufs)
 	*s = Slab{}
 }
+
+// Reset is Release that keeps the slots and the buffer table, for a slab
+// reused object after object: every slot must be drawn again.
+func (s *Slab) Reset() { PutAll(s.bufs) }

@@ -22,12 +22,15 @@
 // The unit of ownership on the cast datapath is the object's slab, not
 // the symbol. Concretely, in this repository:
 //
-//   - session.EncodeObject owns one slab of n ready-to-send frames
-//     (header ++ payload) per object. Source bytes are copied into it
-//     once, Codec.EncodeInto writes parity into it in place, and
-//     transport.Sender hands views of its slots to the conn — conns never
-//     retain what they are handed. Object.Close releases the slab, which
-//     is why the sender's Close waits for its Run to return.
+//   - session.EncodeObject (and EncodeSegments) owns one slab of n
+//     ready-to-send frames (header ++ payload) per object. Source bytes
+//     are copied into it once, Codec.EncodeInto writes parity into it in
+//     place, and transport.Sender hands views of its slots to the conn —
+//     conns never retain what they are handed. Object.Close releases the
+//     slab, which is why the sender's Close waits for its Run to return.
+//   - transport.Caster reads each chunk of its source into a staging slab
+//     of MaxPooled pieces, which it Resets once EncodeSegments has copied
+//     them into the chunk's frames.
 //   - core.PayloadDecoder implementations own a slab of k source slots
 //     plus one of working symbols: Reed-Solomon's buffered parity and
 //     solve vectors, the LDGM codes' m accumulators (one per check
@@ -56,6 +59,7 @@
 //     slab goes back to the pool at that call.
 //   - Codec.Encode (the convenience form of EncodeInto) returns parity in
 //     per-symbol pooled buffers owned by the caller;
+//   - the daemon's stream-cast reader owns one pooled buffer per cast;
 //   - transport read buffers are plain reused slices — packets decoded
 //     from them alias the buffer, which is why decoders copy exactly once
 //     at the ownership boundary.

@@ -11,6 +11,7 @@ import (
 	"fecperf/internal/core"
 	"fecperf/internal/obs"
 	"fecperf/internal/session"
+	"fecperf/internal/symbol"
 	"fecperf/internal/wire"
 )
 
@@ -99,7 +100,9 @@ type CasterStats struct {
 // stream CRC) seals the train. Peak memory is the window, not the
 // stream: at most two windows of encoded chunks (plus the manifest) are
 // resident at any moment — one on the air, the next being read and
-// encoded — so objects far larger than RAM cast in O(1) space.
+// encoded — so objects far larger than RAM cast in O(1) space. A chunk is
+// read into pooled 64 KiB pieces, back in the pool once it is encoded: a
+// cast allocates no chunk-sized buffer, and holds one chunk more at most.
 //
 // The receiving side is Collector, which reassembles completed chunks
 // in order into an io.Writer. Chunk object IDs are sequential
@@ -292,7 +295,9 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 	}()
 
 	chunkData := session.ChunkDataSize(c.cfg.Codec.K, c.chunk.PayloadSize)
-	buf := make([]byte, chunkData)
+	stage := symbol.NewSlab((chunkData+symbol.MaxPooled-1)/symbol.MaxPooled, min(chunkData, symbol.MaxPooled))
+	defer stage.Release()
+	pieces := make([][]byte, 0, stage.Slots()) // the stage pieces a chunk filled
 	crc := crc32.NewIEEE()
 	var total uint64
 	var encode time.Duration // the time a full window takes to read and encode, smoothed
@@ -308,14 +313,16 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 			if err := ctx.Err(); err != nil {
 				return fail(err)
 			}
-			n, err := io.ReadFull(c.src, buf)
+			segs, n, err := readChunk(c.src, &stage, chunkData, pieces[:0])
 			if n > 0 {
-				crc.Write(buf[:n])
+				for _, seg := range segs {
+					crc.Write(seg)
+				}
 				total += uint64(n)
 				c.read.Add(uint64(n))
 				chunk := c.chunk
 				chunk.ObjectID = session.TrainChunkID(c.cfg.BaseObjectID, idx)
-				obj, encErr := session.EncodeObject(buf[:n], chunk)
+				obj, encErr := session.EncodeSegments(segs, chunk)
 				if encErr != nil {
 					return fail(fmt.Errorf("transport: encoding chunk %d: %w", idx, encErr))
 				}
@@ -333,6 +340,7 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 					})
 				}
 			}
+			stage.Reset() // the chunk is in its frames
 			switch err {
 			case nil:
 			case io.EOF, io.ErrUnexpectedEOF:
@@ -382,6 +390,22 @@ func (c *Caster) Run(ctx context.Context) (err error) {
 			return fail(ctx.Err())
 		}
 	}
+}
+
+// readChunk reads up to size bytes from src into the stage's pieces and
+// appends the filled ones to segs. n and err are what io.ReadFull of the
+// whole chunk returns, io.ErrUnexpectedEOF also on a piece boundary.
+func readChunk(src io.Reader, stage *symbol.Slab, size int, segs [][]byte) (_ [][]byte, n int, err error) {
+	for i := 0; n < size && err == nil; i++ {
+		piece := stage.Draw(i)
+		var m int
+		m, err = io.ReadFull(src, piece[:min(len(piece), size-n)])
+		segs, n = append(segs, piece[:m]), n+m
+	}
+	if err == io.EOF && n > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return segs, n, err
 }
 
 // send is the sending stage's work on one group: the cast's sender

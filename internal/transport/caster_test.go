@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"fecperf/internal/channel"
@@ -600,5 +601,115 @@ func TestCasterStartsEveryWindowLate(t *testing.T) {
 		if into := sent - int64(g)*group; into < group/4 || into > group {
 			t.Errorf("window %d started %d datagrams into group %d of %d: want it late in the group", g+1, into, g, group)
 		}
+	}
+}
+
+// TestCastStreamsEndingOnAPieceBoundary: a chunk is read in 64 KiB stage
+// pieces, so a stream can end exactly where a piece does — inside a
+// chunk, or where the chunk does. Either way the train carries exactly
+// the bytes read: the manifest counts them, the collector's stream CRC
+// check passes and the bytes round-trip, also through a source that
+// returns short reads.
+func TestCastStreamsEndingOnAPieceBoundary(t *testing.T) {
+	const k, payload = 200, 1024 // a chunk is three full pieces and a short one
+	chunk := session.ChunkDataSize(k, payload)
+	for _, size := range []int{symbol.MaxPooled, 2 * symbol.MaxPooled, chunk, chunk + symbol.MaxPooled, 2*symbol.MaxPooled + 1} {
+		data := testFile(t, size, int64(size))
+		for _, short := range []bool{false, true} {
+			var src io.Reader = bytes.NewReader(data)
+			if short {
+				src = iotest.HalfReader(src)
+			}
+			hub := NewLoopback()
+			var out bytes.Buffer
+			col := NewCollector(hub.Receiver(nil, 1<<14), &out, CollectorConfig{BaseObjectID: 1})
+			done := make(chan error, 1)
+			go func() { done <- col.Run(context.Background()) }()
+			c, err := NewCaster(hub.Sender(), src, CasterConfig{Delivery: Delivery{BaseObjectID: 1, Codec: codes.Spec{K: k, Ratio: 1.5}, PayloadSize: payload, Window: 2, Rounds: 1, Seed: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(context.Background()); err != nil {
+				t.Fatalf("%d bytes (short reads %v): %v", size, short, err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("%d bytes (short reads %v): collector: %v", size, short, err)
+			}
+			hub.Close()
+			m, _ := c.Manifest()
+			if want := (size + chunk - 1) / chunk; m.TotalSize != uint64(size) || int(m.ChunkCount) != want || c.Stats().BytesRead != uint64(size) {
+				t.Errorf("%d bytes (short reads %v): manifest %+v, %d bytes read; want %d chunks", size, short, m, c.Stats().BytesRead, want)
+			}
+			if !bytes.Equal(out.Bytes(), data) {
+				t.Errorf("%d bytes (short reads %v): the stream did not round-trip", size, short)
+			}
+		}
+	}
+}
+
+// TestReadChunkMatchesReadFull: reading a chunk piece by piece gives what
+// io.ReadFull of the whole chunk gives — the same bytes, the same count
+// and the same error, io.ErrUnexpectedEOF also where the source ends on a
+// piece boundary — chunk after chunk, with full and with short reads.
+func TestReadChunkMatchesReadFull(t *testing.T) {
+	const piece, chunk = symbol.MaxPooled, 3*symbol.MaxPooled - 8 // the last piece is short
+	for _, size := range []int{0, piece - 1, piece, 2 * piece, chunk, chunk + 1, chunk + piece, 2 * chunk} {
+		for _, short := range []bool{false, true} {
+			data := testFile(t, size, int64(size))
+			var src io.Reader = bytes.NewReader(data)
+			if short {
+				src = iotest.HalfReader(src)
+			}
+			ref := bytes.NewReader(data)
+			stage := symbol.NewSlab(3, piece)
+			want := make([]byte, chunk)
+			for c := 0; ; c++ {
+				segs, n, err := readChunk(src, &stage, len(want), nil)
+				m, wantErr := io.ReadFull(ref, want)
+				if n != m || err != wantErr || !bytes.Equal(bytes.Join(segs, nil), want[:m]) {
+					t.Fatalf("size %d (short reads %v), chunk %d: read %d, %v; io.ReadFull read %d, %v",
+						size, short, c, n, err, m, wantErr)
+				}
+				stage.Reset()
+				if err != nil {
+					break
+				}
+			}
+			stage.Release()
+		}
+	}
+}
+
+// TestCasterSecondRunAllocsUnderAChunk: with the pools warm, a cast reads
+// its source through pooled stage pieces and encodes into pooled frame
+// slabs, so a second Run at the same geometry allocates less than a
+// quarter of one chunk — a chunk-sized staging buffer per Run would be a
+// whole one. A Run whose two pipeline stages happen to overlap more than
+// any before it draws a frame buffer fresh, so the least of three Runs
+// counts.
+func TestCasterSecondRunAllocsUnderAChunk(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const k, payload = 256, 1024
+	chunk := session.ChunkDataSize(k, payload)
+	data := testFile(t, 4*chunk, 37)
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := NewCaster(&discardConn{}, bytes.NewReader(data),
+			CasterConfig{Delivery: Delivery{Codec: codes.Spec{K: k, Ratio: 1.5}, PayloadSize: payload, Window: 2, Rounds: 1, Seed: 9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // fills the pools and the codec cache
+	if grown := min(run(), run(), run()); grown >= uint64(chunk/4) {
+		t.Fatalf("a second Run allocated %d bytes, want under a quarter of one %d-byte chunk", grown, chunk)
 	}
 }

@@ -17,7 +17,10 @@ func runDaemon(t *testing.T, d *ReceiverDaemon) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- d.Run(ctx) }()
-	return func() {
+	// Idempotent, so a test may stop the daemon before its deferred stop:
+	// a batch is counted seen before its datagrams are classified, so
+	// Stats is only settled once Run has returned.
+	return sync.OnceFunc(func() {
 		cancel()
 		select {
 		case err := <-done:
@@ -27,7 +30,7 @@ func runDaemon(t *testing.T, d *ReceiverDaemon) (stop func()) {
 		case <-time.After(5 * time.Second):
 			t.Error("daemon did not stop on cancel")
 		}
-	}
+	})
 }
 
 func TestReceiverDaemonDecodesLosslessBroadcast(t *testing.T) {
@@ -373,6 +376,7 @@ func TestReceiverDaemonRejectsForgedHugeOTI(t *testing.T) {
 	for d.Stats().PacketsSeen < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	stop()
 	st := d.Stats()
 	if st.PacketsBad != 1 || st.ObjectsStarted != 0 {
 		t.Fatalf("forged OTI not rejected: %+v", st)
@@ -417,6 +421,7 @@ func TestReceiverDaemonUnopenablePacketsDoNotEvict(t *testing.T) {
 	for d.Stats().PacketsSeen < 52 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	stop()
 	st := d.Stats()
 	if st.ObjectsEvicted != 0 {
 		t.Fatalf("unopenable packets evicted live objects: %+v", st)
@@ -448,6 +453,7 @@ func TestReceiverDaemonCountsTruncation(t *testing.T) {
 	for d.Stats().PacketsSeen < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	stop()
 	st := d.Stats()
 	if st.PacketsTruncated != 1 || st.PacketsBad != 0 {
 		t.Fatalf("oversized datagram not classified as truncated: %+v", st)

@@ -467,6 +467,7 @@ func TestReceiverDaemonCountsTruncatedTrain(t *testing.T) {
 		for d.Stats().PacketsSeen < 32 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
+		stop()
 		st := d.Stats()
 		if st.PacketsSeen != 32 || st.PacketsTruncated != 32 || st.PacketsBad != 0 {
 			t.Fatalf("seen %d, truncated %d, bad %d; want 32, 32, 0", st.PacketsSeen, st.PacketsTruncated, st.PacketsBad)
