@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"fecperf/internal/sched"
 )
 
 func TestNewCodeAllFamilies(t *testing.T) {
@@ -59,6 +61,10 @@ func TestNewRSEAndLDGMDirect(t *testing.T) {
 }
 
 func TestRunPlanFacade(t *testing.T) {
+	noloss, err := ChannelByName("noloss")
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan := Plan{
 		Codes:      []string{"ldgm-staircase", "rse"},
 		Ks:         []int{60},
@@ -67,7 +73,7 @@ func TestRunPlanFacade(t *testing.T) {
 		Channels: []ChannelSpec{
 			GilbertChannelSpec(0, 1),
 			BernoulliChannelSpec(0.05),
-			NoLossChannelSpec(),
+			noloss,
 			TraceChannelSpec(make([]bool, 32), false),
 		},
 		Trials: 4,
@@ -181,16 +187,28 @@ func TestMeasurePerfectChannel(t *testing.T) {
 }
 
 func TestSchedulerByNameAndConstructors(t *testing.T) {
-	names := []string{"tx1", "tx2", "tx3", "tx4", "tx5", "tx6"}
-	ctors := []Scheduler{TxModel1(), TxModel2(), TxModel3(), TxModel4(), TxModel5(), TxModel6()}
-	for i, n := range names {
-		s, err := SchedulerByName(n)
+	for _, tc := range []struct {
+		name string
+		want Scheduler
+	}{
+		{"tx1", sched.TxModel1{}},
+		{"tx2", sched.TxModel2{}},
+		{"tx3", sched.TxModel3{}},
+		{"tx4", sched.TxModel4{}},
+		{"tx5", sched.TxModel5{}},
+		{"tx6", sched.TxModel6{}},
+		{"tx6(frac=0.3)", sched.TxModel6{SourceFraction: 0.3}},
+	} {
+		s, err := SchedulerByName(tc.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Name() != ctors[i].Name() {
-			t.Fatalf("constructor/name mismatch for %s", n)
+		if s != tc.want || s.Name() != tc.name {
+			t.Fatalf("SchedulerByName(%q) = %#v named %q, want %#v", tc.name, s, s.Name(), tc.want)
 		}
+	}
+	if TxModel2() != (sched.TxModel2{}) || TxModel4() != (sched.TxModel4{}) {
+		t.Fatal("TxModel2/TxModel4 differ from SchedulerByName's tx2/tx4")
 	}
 }
 
@@ -290,9 +308,13 @@ func TestNewGilbertChannelValidation(t *testing.T) {
 
 func TestRunTrialFacade(t *testing.T) {
 	c, _ := NewCode("ldgm-staircase", 50, 2.5, 1)
-	sched := TxModel1().Schedule(c.Layout(), rand.New(rand.NewSource(1)))
+	tx1, err := SchedulerByName("tx1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule := tx1.Schedule(c.Layout(), rand.New(rand.NewSource(1)))
 	ch, _ := NewGilbertChannel(0, 1, 1)
-	res := RunTrial(sched, ch, c.NewReceiver(), 0)
+	res := RunTrial(schedule, ch, c.NewReceiver(), 0)
 	if !res.Decoded || res.NNecessary != 50 {
 		t.Fatalf("RunTrial result %+v", res)
 	}
@@ -351,8 +373,5 @@ func TestNewCodecFacade(t *testing.T) {
 			}
 		}
 		dec.Close()
-		for _, p := range parity {
-			ReleaseSymbol(p)
-		}
 	}
 }

@@ -92,9 +92,6 @@ func NewCollector(conn TransportConn, dst io.Writer, opts ...Option) (*Collector
 
 // Delivery-session types, re-exported.
 type (
-	// DeliveryConfig is the session-level sender configuration behind
-	// NewObject (the facade assembles it from a Config).
-	DeliveryConfig = session.SenderConfig
 	// DeliveryObject is an encoded object ready for transmission.
 	DeliveryObject = session.Object
 	// WirePacket is the parsed datagram format.
@@ -175,20 +172,8 @@ func NewReceiverDaemon(conn TransportConn, cfg ReceiverDaemonConfig) *ReceiverDa
 	return transport.NewReceiverDaemon(conn, cfg)
 }
 
-// NewImpairment builds a live loss process for Loopback.Receiver from a
-// channel spec and seed — the bridge from the paper's simulated loss to
-// live transport impairment: ChannelSpec.New(seed), the chain the
-// engine and the fleet step.
-func NewImpairment(channelSpec string, seed int64) (Channel, error) {
-	s, err := ChannelByName(channelSpec)
-	if err != nil {
-		return nil, err
-	}
-	return s.New(uint64(seed)), nil
-}
-
-// NewBatchImpairment builds the batched stepper form of a channel spec,
-// for harnesses that own their chain state. ok is false when the channel
+// NewBatchImpairment is ChannelByName(channelSpec) then Stepper, for
+// harnesses that own their chain state. ok is false when the channel
 // kind cannot be batch-stepped (markov, trace); the error is reserved
 // for unparseable specs.
 func NewBatchImpairment(channelSpec string) (st ChannelStepper, ok bool, err error) {

@@ -72,7 +72,6 @@ func (c *captureConn) WriteBatch(batch [][]byte) (int, error) {
 	}
 	return len(batch), nil
 }
-func (c *captureConn) Send(d []byte) error             { _, err := c.WriteBatch([][]byte{d}); return err }
 func (c *captureConn) ReadBatch([][]byte) (int, error) { return 0, fecperf.ErrTransportClosed }
 func (c *captureConn) Recv([]byte) (int, error)        { return 0, fecperf.ErrTransportClosed }
 func (c *captureConn) SetReadDeadline(time.Time) error { return nil }

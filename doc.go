@@ -37,14 +37,12 @@
 // one weighted pacer with an HTTP control plane (README "Running the
 // daemon"); cmd/feccast and cmd/feccastd are the same code as binaries.
 //
-// Parts (README "Architecture", "Streaming schedules"): CodecByName,
-// SchedulerByName and ChannelByName resolve the grammar's names one at a
-// time, and every resolved value renders back. A code is built one way,
-// CodecSpec.New (NewCode, CodecByName), and a loss process one way,
-// ChannelSpec.New (NewImpairment, NewGilbertChannel): the chain the
-// engine steps. A Codec's PayloadDecoder states the buffer-ownership
-// contract of the symbol pool. A Scheduler draws a streaming, O(1)-memory
-// Schedule.
+// Parts (README "Architecture", "Streaming schedules"): each enters by
+// its spec string, CodecByName, SchedulerByName and ChannelByName, and
+// renders back. A ChannelSpec's New is the loss process the engine
+// steps; TraceChannelSpec is the one channel no string names. A Codec's
+// PayloadDecoder states the symbol pool's buffer-ownership contract, and
+// a Scheduler draws a streaming, O(1)-memory Schedule.
 //
 // Observability (README "Observability"): NewMetricsRegistry,
 // ServeMetrics and WithMetrics expose the fecperf_ metric catalog;

@@ -18,8 +18,8 @@ func ExampleNewCaster() {
 
 	hub := fecperf.NewLoopback()
 	defer hub.Close()
-	impairment, _ := fecperf.NewImpairment("gilbert(p=0.01,q=0.5)", 7)
-	rxConn := hub.Receiver(impairment, 4096)
+	ch, _ := fecperf.ChannelByName("gilbert(p=0.01,q=0.5)")
+	rxConn := hub.Receiver(ch.New(7), 4096)
 
 	var got bytes.Buffer
 	collector, err := fecperf.NewCollector(rxConn, &got, fecperf.WithSpec(spec))

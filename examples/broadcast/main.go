@@ -31,7 +31,7 @@ func main() {
 		ratio = 2.5
 	)
 
-	code, err := fecperf.NewCode("ldgm-triangle", k, ratio, 42)
+	code, err := fecperf.CodecByName(fmt.Sprintf("ldgm-triangle(k=%d,ratio=%g,seed=42)", k, ratio))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +39,11 @@ func main() {
 
 	// The paper's universal recommendation for unknown channels:
 	// LDGM Triangle with a fully random schedule.
-	schedule := fecperf.TxModel4().Schedule(layout, rand.New(rand.NewSource(1)))
+	tx4, err := fecperf.SchedulerByName("tx4")
+	if err != nil {
+		log.Fatal(err)
+	}
+	schedule := tx4.Schedule(layout, rand.New(rand.NewSource(1)))
 
 	// Receivers with wildly different channels, all fed the same stream.
 	specs := []struct {
@@ -53,10 +57,7 @@ func main() {
 	}
 	var receivers []*receiverState
 	for i, s := range specs {
-		ch, err := fecperf.NewGilbertChannel(s.p, s.q, int64(100+i))
-		if err != nil {
-			log.Fatal(err)
-		}
+		ch := fecperf.ChannelSpec{Kind: "gilbert", P: s.p, Q: s.q}.New(uint64(100 + i))
 		receivers = append(receivers, &receiverState{
 			name: s.name, ch: ch, rx: code.NewReceiver(),
 		})

@@ -20,10 +20,7 @@ import (
 func main() {
 	// --- 1. the "measured" channel: Amherst→Los Angeles from the paper ---
 	const hiddenP, hiddenQ = 0.0109, 0.7915
-	probe, err := fecperf.NewGilbertChannel(hiddenP, hiddenQ, 2024)
-	if err != nil {
-		log.Fatal(err)
-	}
+	probe := fecperf.ChannelSpec{Kind: "gilbert", P: hiddenP, Q: hiddenQ}.New(2024)
 	trace := make([]bool, 500_000)
 	for i := range trace {
 		trace[i] = probe.Lost()

@@ -49,13 +49,13 @@ func main() {
 		out  *bytes.Buffer
 		err  error
 	}
-	newSide := func(name, channelSpec string, seed int64) *rxSide {
-		impairment, err := fecperf.NewImpairment(channelSpec, seed)
+	newSide := func(name, channelSpec string, seed uint64) *rxSide {
+		ch, err := fecperf.ChannelByName(channelSpec)
 		if err != nil {
 			log.Fatal(err)
 		}
 		side := &rxSide{name: name, out: &bytes.Buffer{}}
-		side.col, err = fecperf.NewCollector(hub.Receiver(impairment, 1<<16), side.out,
+		side.col, err = fecperf.NewCollector(hub.Receiver(ch.New(seed), 1<<16), side.out,
 			fecperf.WithSpec(spec))
 		if err != nil {
 			log.Fatal(err)

@@ -22,7 +22,8 @@ func main() {
 		p, q = 0.01, 0.10
 	)
 
-	rseCode, err := fecperf.NewCode("rse", k, ratio, 0)
+	rseSpec := fmt.Sprintf("rse(k=%d,ratio=%g)", k, ratio)
+	rseCode, err := fecperf.CodecByName(rseSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,8 +39,8 @@ func main() {
 		sched string
 	}
 	entries := []entry{
-		{"RSE, sequential (tx1)", fmt.Sprintf("rse(k=%d,ratio=%g)", k, ratio), "tx1"},
-		{"RSE, interleaved (tx5)", fmt.Sprintf("rse(k=%d,ratio=%g)", k, ratio), "tx5"},
+		{"RSE, sequential (tx1)", rseSpec, "tx1"},
+		{"RSE, interleaved (tx5)", rseSpec, "tx5"},
 		{"LDGM Triangle, random (tx4)", fmt.Sprintf("ldgm-triangle(k=%d,ratio=%g,seed=42)", k, ratio), "tx4"},
 	}
 

@@ -33,10 +33,10 @@ func main() {
 		Ratios:     []float64{2.5},
 		Schedulers: []string{"tx2", "tx4"},
 		Channels: []fecperf.ChannelSpec{
-			fecperf.GilbertChannelSpec(0.05, 0.5), // bursty: mean burst 2 packets
-			fecperf.BernoulliChannelSpec(0.09),    // same loss rate, no memory
+			{Kind: "gilbert", P: 0.05, Q: 0.5}, // bursty: mean burst 2 packets
+			{Kind: "bernoulli", P: 0.09},       // same loss rate, no memory
 			fecperf.TraceChannelSpec(trace, false),
-			fecperf.NoLossChannelSpec(),
+			{Kind: "noloss"},
 		},
 		Trials: 20,
 		Seed:   1,

@@ -44,14 +44,15 @@ func main() {
 
 	// 3. Schedule the transmission: everything in random order (Tx_model_4),
 	//    the paper's recommendation when the channel is unknown.
-	schedule := fecperf.TxModel4().Schedule(code.Layout(), rng)
-
-	// 4. Walk the schedule through a bursty Gilbert channel and feed the
-	//    survivors to the incremental decoder.
-	ch, err := fecperf.NewGilbertChannel(lossP, lossQ, 99)
+	tx4, err := fecperf.SchedulerByName("tx4")
 	if err != nil {
 		log.Fatal(err)
 	}
+	schedule := tx4.Schedule(code.Layout(), rng)
+
+	// 4. Walk the schedule through a bursty Gilbert channel and feed the
+	//    survivors to the incremental decoder.
+	ch := fecperf.ChannelSpec{Kind: "gilbert", P: lossP, Q: lossQ}.New(99)
 	// The schedule is streaming: O(1) memory however large the object,
 	// each position evaluated only as it is sent.
 	dec, err := code.NewDecoder(payload)

@@ -31,7 +31,6 @@ import (
 	"fecperf/internal/recommend"
 	"fecperf/internal/sched"
 	"fecperf/internal/spec"
-	"fecperf/internal/symbol"
 	"fecperf/internal/transport"
 )
 
@@ -71,8 +70,8 @@ type (
 	Channel = core.Channel
 	// ChannelStepper advances a Gilbert chain up to 64 transmissions per
 	// call on splitmix64 state and an in-loss bit its caller owns, exactly
-	// as the Channel NewImpairment builds from that state. See
-	// NewBatchImpairment.
+	// as the Channel ChannelSpec.New builds from that state. ChannelSpec's
+	// Stepper returns it.
 	ChannelStepper = channel.Stepper
 	// Layout describes the packet-ID structure of an encoded object.
 	Layout = core.Layout
@@ -356,48 +355,28 @@ var CodecNames = codes.CodecNames
 // CodecByName resolves a fully parameterized codec spec, e.g.
 // "rse(k=64,ratio=1.5,seed=7)", into a payload-carrying codec: the
 // encode / incremental-decode surface the delivery session and
-// transport run on. Parity buffers returned by Encode are pooled; hand
-// them back with ReleaseSymbol when done, or let the garbage collector
-// take them. It is the codec-side twin of SchedulerByName and
-// ChannelByName.
+// transport run on. Parity buffers returned by Encode are the
+// caller's; the garbage collector takes them. It is the codec-side twin
+// of SchedulerByName and ChannelByName.
 func CodecByName(codecSpec string) (Codec, error) { return codes.ByName(codecSpec) }
 
 // ParseCodecSpec parses a codec spec string into its structured form
 // without building the codec; CodecSpec.Name renders it back.
 func ParseCodecSpec(codecSpec string) (CodecSpec, error) { return codes.ParseSpec(codecSpec) }
 
-// ReleaseSymbol returns a pooled symbol buffer (from Codec.Encode) to
-// the symbol pool. The buffer must not be used afterwards, nor released
-// twice.
-func ReleaseSymbol(b []byte) { symbol.Put(b) }
-
 // --- Schedulers ---
 
-// The six transmission models of the paper, plus the reception model.
+// SchedulerByName resolves a transmission-model name: the paper's six
+// models "tx1".."tx6", optionally parameterized — "tx6(frac=0.3)",
+// "rx1(src=12)", "repeat(x=3)", "carousel(inner=tx2,rounds=4)".
+// Scheduler names round-trip: ByName(s.Name()) reproduces s.
+func SchedulerByName(name string) (Scheduler, error) { return sched.ByName(name) }
 
-// TxModel1 sends source sequentially, then parity sequentially.
-func TxModel1() Scheduler { return sched.TxModel1{} }
-
-// TxModel2 sends source sequentially, then parity randomly.
+// TxModel2 is SchedulerByName("tx2").
 func TxModel2() Scheduler { return sched.TxModel2{} }
 
-// TxModel3 sends parity sequentially, then source randomly.
-func TxModel3() Scheduler { return sched.TxModel3{} }
-
-// TxModel4 sends everything in a fully random order.
+// TxModel4 is SchedulerByName("tx4").
 func TxModel4() Scheduler { return sched.TxModel4{} }
-
-// TxModel5 interleaves blocks (RSE) or source/parity streams (LDGM).
-func TxModel5() Scheduler { return sched.TxModel5{} }
-
-// TxModel6 sends a random 20% of source packets plus all parity, shuffled.
-func TxModel6() Scheduler { return sched.TxModel6{} }
-
-// SchedulerByName resolves a transmission-model name: "tx1".."tx6",
-// optionally parameterized — "tx6(frac=0.3)", "rx1(src=12)",
-// "repeat(x=3)", "carousel(inner=tx2,rounds=4)". Scheduler names
-// round-trip: ByName(s.Name()) reproduces s.
-func SchedulerByName(name string) (Scheduler, error) { return sched.ByName(name) }
 
 // ChannelByName parses a channel spec: "gilbert(p=0.01,q=0.5)",
 // "bernoulli(p=0.05)", "markov(p=0.01,q=0.5)", "noloss". The result's

@@ -60,9 +60,10 @@
 //   - Codec.Encode (the convenience form of EncodeInto) returns parity in
 //     per-symbol pooled buffers owned by the caller;
 //   - the daemon's stream-cast reader owns one pooled buffer per cast;
-//   - transport read buffers are plain reused slices — packets decoded
-//     from them alias the buffer, which is why decoders copy exactly once
-//     at the ownership boundary.
+//   - transport.ReceiverDaemon.Run reads into one pooled buffer, reused
+//     for every read and Put when Run returns — packets decoded from it
+//     alias the buffer, which is why decoders copy exactly once at the
+//     ownership boundary.
 package symbol
 
 import (

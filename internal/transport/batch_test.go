@@ -41,7 +41,7 @@ func udpPair(t *testing.T) (rx, tx Conn) {
 
 // TestUDPWriteBatchICMPSwallowed writes batches at a port nothing
 // listens on: the kernel's async ICMP feedback (connection refused)
-// must be swallowed exactly as the scalar Send swallows it — a
+// must be swallowed exactly as the one-datagram write swallows it — a
 // broadcast is feedback-free.
 func TestUDPWriteBatchICMPSwallowed(t *testing.T) {
 	probe, err := ListenUDP("127.0.0.1:0")
@@ -71,12 +71,12 @@ func TestUDPWriteBatchICMPSwallowed(t *testing.T) {
 // --- loopback: delivery depends on the datagram order, not the grouping ---
 
 // TestLoopbackBatchScalarEquivalence drives the same datagram sequence
-// through a loopback receiver several ways — Send, WriteBatch of 1, 7
-// and 64 datagrams and in ragged chunks (all behind the chain
-// channel.Spec.New builds, which Receiver steps in 64-wide masks), and
-// Send behind the equivalent scalar Gilbert chain — and requires identical
-// delivery: the same datagrams erased, the same ones dropped by the
-// (deliberately short) queue, the same order through it.
+// through a loopback receiver several ways — WriteBatch of 1, 7 and 64
+// datagrams and in ragged chunks (all behind the chain channel.Spec.New
+// builds, which Receiver steps in 64-wide masks), and of 1 behind the
+// equivalent scalar Gilbert chain — and requires identical delivery: the
+// same datagrams erased, the same ones dropped by the (deliberately
+// short) queue, the same order through it.
 func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 	const (
 		seed  = 421
@@ -98,12 +98,6 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 		src := &core.SplitMixSource{}
 		src.Seed(seed)
 		return hub.Receiver(channel.NewGilbert(p, q, rand.New(src)), queue)
-	}
-	send := func(tx Conn, i int) int {
-		if err := tx.Send(payload(i)); err != nil {
-			t.Fatal(err)
-		}
-		return 1
 	}
 	// writeSizes returns a writer flushing batches of the cycling sizes.
 	writeSizes := func(sizes ...int) func(Conn, int) int {
@@ -148,7 +142,7 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 		}
 	}
 
-	want := run(stepperRx, send)
+	want := run(stepperRx, writeSizes(1))
 	if want.erased == 0 || want.dropped == 0 {
 		t.Fatalf("%d erasures, %d queue drops across %d sends — test is vacuous", want.erased, want.dropped, total)
 	}
@@ -157,20 +151,19 @@ func TestLoopbackBatchScalarEquivalence(t *testing.T) {
 		attach func(*Loopback) Conn
 		write  func(Conn, int) int
 	}{
-		{"one-element WriteBatch", stepperRx, writeSizes(1)},
 		{"7-datagram WriteBatch", stepperRx, writeSizes(7)},
 		{"64-datagram WriteBatch", stepperRx, writeSizes(64)},
 		// Never a multiple of 64, so StepMask widths vary across and
 		// within calls.
 		{"ragged WriteBatch", stepperRx, writeSizes(7, 64, 13, 1, 100)},
-		{"scalar chain", chainRx, send},
+		{"scalar chain", chainRx, writeSizes(1)},
 	} {
 		got := run(tc.attach, tc.write)
 		if got.erased != want.erased || got.dropped != want.dropped {
-			t.Fatalf("%s: %d erased, %d dropped; Send %d, %d", tc.name, got.erased, got.dropped, want.erased, want.dropped)
+			t.Fatalf("%s: %d erased, %d dropped; one per batch %d, %d", tc.name, got.erased, got.dropped, want.erased, want.dropped)
 		}
 		if len(got.got) != len(want.got) {
-			t.Fatalf("%s delivered %d datagrams, Send %d", tc.name, len(got.got), len(want.got))
+			t.Fatalf("%s delivered %d datagrams, one per batch %d", tc.name, len(got.got), len(want.got))
 		}
 		for i := range got.got {
 			if got.got[i] != want.got[i] {
@@ -389,17 +382,10 @@ func TestSenderBatchedRoundAllocCeiling(t *testing.T) {
 
 // gilbertLossConn wraps a real Conn and erases datagrams with a Gilbert
 // chain before they reach the socket — live loss injection for the e2e
-// test, applied identically to Send and WriteBatch.
+// test, applied per datagram of each WriteBatch.
 type gilbertLossConn struct {
 	Conn
 	ch core.Channel
-}
-
-func (c *gilbertLossConn) Send(d []byte) error {
-	if c.ch.Lost() {
-		return nil
-	}
-	return c.Conn.Send(d)
 }
 
 func (c *gilbertLossConn) WriteBatch(batch []wire.Datagram) (int, error) {

@@ -100,7 +100,6 @@ func (c *discardConn) WriteBatch(batch []wire.Datagram) (int, error) {
 	c.batches++
 	return len(batch), nil
 }
-func (c *discardConn) Send([]byte) error                      { c.packets++; return nil }
 func (c *discardConn) ReadBatch([]wire.Datagram) (int, error) { return 0, ErrClosed }
 func (c *discardConn) Recv([]byte) (int, error)               { return 0, ErrClosed }
 func (c *discardConn) SetReadDeadline(time.Time) error        { return nil }
@@ -196,13 +195,13 @@ const benchDgramSize = 1024
 func BenchmarkUDPWriteScalar(b *testing.B) {
 	tx, done := benchUDPPair(b)
 	defer done()
-	d := make([]byte, benchDgramSize)
+	one := []wire.Datagram{make([]byte, benchDgramSize)}
 	b.SetBytes(benchDgramSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if err := tx.Send(d); err != nil {
+		if _, err := tx.WriteBatch(one); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,19 +258,19 @@ func benchLoopbackDrained(b *testing.B) (tx Conn, done func()) {
 	}
 }
 
-// BenchmarkLoopbackWriteScalar is the in-process one-datagram row: one
-// Send per datagram through the loopback hub's per-receiver channel step
-// + copy.
+// BenchmarkLoopbackWriteScalar is the in-process one-datagram row: a
+// WriteBatch of one datagram through the loopback hub's per-receiver
+// channel step + copy.
 func BenchmarkLoopbackWriteScalar(b *testing.B) {
 	tx, done := benchLoopbackDrained(b)
 	defer done()
-	d := make([]byte, benchDgramSize)
+	one := []wire.Datagram{make([]byte, benchDgramSize)}
 	b.SetBytes(benchDgramSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if err := tx.Send(d); err != nil {
+		if _, err := tx.WriteBatch(one); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -68,8 +68,6 @@ type Conn interface {
 	// the next call, which then returns it before it blocks or consults
 	// the deadline. A caller sees none of this.
 	ReadBatch(bufs []wire.Datagram) (int, error)
-	// Send is the one-datagram convenience over WriteBatch.
-	Send(datagram []byte) error
 	// Recv is the one-datagram convenience over ReadBatch: it copies the
 	// next datagram into buf and returns its length.
 	Recv(buf []byte) (int, error)

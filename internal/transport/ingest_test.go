@@ -47,7 +47,6 @@ func (c *replayConn) Recv(b []byte) (int, error) {
 }
 
 func (c *replayConn) WriteBatch(batch []wire.Datagram) (int, error) { return len(batch), nil }
-func (c *replayConn) Send([]byte) error                             { return nil }
 func (c *replayConn) SetReadDeadline(time.Time) error               { c.stopped.Store(true); return nil }
 func (c *replayConn) Close() error                                  { return nil }
 func (c *replayConn) LocalAddr() string                             { return "replay" }

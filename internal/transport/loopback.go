@@ -129,11 +129,6 @@ type loopSender struct {
 	closed atomic.Bool
 }
 
-func (s *loopSender) Send(datagram []byte) error {
-	_, err := s.WriteBatch([]wire.Datagram{datagram})
-	return err
-}
-
 // WriteBatch implements Conn: the whole batch crosses the hub with one
 // lock round trip and one backing copy per receiver set, and each
 // receiver steps its loss model over the batch in 64-wide masks.
@@ -214,10 +209,6 @@ func (c *loopConn) deliverBatch(datagrams [][]byte) {
 			}
 		}
 	}
-}
-
-func (c *loopConn) Send([]byte) error {
-	return fmt.Errorf("transport: loopback receiver cannot send")
 }
 
 func (c *loopConn) WriteBatch([]wire.Datagram) (int, error) {

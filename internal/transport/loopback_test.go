@@ -25,8 +25,8 @@ func TestLoopbackDelivers(t *testing.T) {
 	tx := hub.Sender()
 
 	want := []byte("hello broadcast")
-	if err := tx.Send(want); err != nil {
-		t.Fatalf("Send: %v", err)
+	if err := sendOne(tx, want); err != nil {
+		t.Fatalf("send: %v", err)
 	}
 	buf := make([]byte, 64)
 	n, err := rx.Recv(buf)
@@ -47,8 +47,8 @@ func TestLoopbackFanOutAndImpairment(t *testing.T) {
 
 	const sent = 10
 	for i := 0; i < sent; i++ {
-		if err := tx.Send([]byte{byte(i)}); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
+		if err := sendOne(tx, []byte{byte(i)}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
 		}
 	}
 	count := func(c Conn) int {
@@ -79,8 +79,8 @@ func TestLoopbackQueueOverflowDrops(t *testing.T) {
 	rx := hub.Receiver(nil, 2)
 	tx := hub.Sender()
 	for i := 0; i < 5; i++ {
-		if err := tx.Send([]byte{byte(i)}); err != nil {
-			t.Fatalf("Send: %v", err)
+		if err := sendOne(tx, []byte{byte(i)}); err != nil {
+			t.Fatalf("send: %v", err)
 		}
 	}
 	if d := rx.(*loopConn).Dropped(); d != 3 {
@@ -99,7 +99,7 @@ func TestLoopbackGilbertMatchesStationaryLoss(t *testing.T) {
 	tx := hub.Sender()
 	const sent = 20000
 	for i := 0; i < sent; i++ {
-		tx.Send([]byte{1}) //nolint:errcheck
+		sendOne(tx, []byte{1}) //nolint:errcheck
 	}
 	erased := float64(rx.(*loopConn).Erased())
 	got := erased / sent
@@ -146,7 +146,7 @@ func TestLoopbackReadDeadline(t *testing.T) {
 	rx.SetReadDeadline(time.Time{}) //nolint:errcheck
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		hub.Sender().Send([]byte("late")) //nolint:errcheck
+		sendOne(hub.Sender(), []byte("late")) //nolint:errcheck
 	}()
 	n, err := rx.Recv(make([]byte, 16))
 	if err != nil || n != 4 {

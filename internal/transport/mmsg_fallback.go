@@ -29,7 +29,7 @@ func (u *udpConn) GROEnabled() bool { return false }
 // Recv implements Conn with one socket read.
 func (u *udpConn) Recv(buf []byte) (int, error) { return u.recvScalar(buf) }
 
-// WriteBatch implements Conn with one Send per datagram.
+// WriteBatch implements Conn with one write(2) per datagram.
 func (u *udpConn) WriteBatch(batch []wire.Datagram) (int, error) {
 	return u.writeBatchScalar(batch)
 }

@@ -7,7 +7,7 @@
 // mmsg calls, so the struct mmsghdr and the syscall numbers
 // (mmsg_sysnum_*.go) live here.
 //
-// The shape of the win: Send pays one write(2) per datagram
+// The shape of the win: writeOne pays one write(2) per datagram
 // (~1-2µs of mode switches and UDP stack entry each). sendmmsg moves up
 // to 64 headers per crossing, and GSO collapses a run of equal-size
 // datagrams into ONE header the kernel segments after the socket-layer
@@ -182,7 +182,7 @@ func (u *udpConn) GROEnabled() bool { return u.batch.gro }
 
 // WriteBatch implements Conn via sendmmsg, coalescing runs of
 // equal-size datagrams into single GSO headers when the socket supports
-// it. Async ICMP errors are swallowed per datagram run, matching Send.
+// it. Async ICMP errors are swallowed per datagram run, matching writeOne.
 func (u *udpConn) WriteBatch(batch []wire.Datagram) (int, error) {
 	if len(batch) == 0 {
 		return 0, nil
@@ -208,7 +208,7 @@ func (u *udpConn) WriteBatch(batch []wire.Datagram) (int, error) {
 
 // writeSome builds one sendmmsg crossing from the front of batch and
 // returns how many datagrams it disposed of (sent or, for swallowed
-// ICMP feedback, dropped — Send's semantics). A zero count with a nil
+// ICMP feedback, dropped — writeOne's semantics). A zero count with a nil
 // error means "retry" (the GSO path was just disabled).
 func (u *udpConn) writeSome(batch []wire.Datagram) (int, error) {
 	b := &u.batch
@@ -284,7 +284,7 @@ func (u *udpConn) writeSome(batch []wire.Datagram) (int, error) {
 			// Async ICMP feedback on a connected socket: the kernel
 			// reports a receiver's absence and drops the head message.
 			// A broadcast is feedback-free — swallow it and move on,
-			// exactly as Send does.
+			// exactly as writeOne does.
 			done += b.wsegs[hdr]
 			hdr++
 		case syscall.EINVAL, syscall.EIO, syscall.EOPNOTSUPP, syscall.EMSGSIZE:

@@ -9,6 +9,7 @@ import (
 
 	"fecperf/internal/obs"
 	"fecperf/internal/session"
+	"fecperf/internal/symbol"
 	"fecperf/internal/wire"
 )
 
@@ -266,10 +267,12 @@ func (d *ReceiverDaemon) Run(ctx context.Context) error {
 	// otherwise silent), which would fail the CRC and masquerade as
 	// corruption instead of pointing at the MTU mismatch. The ingest
 	// loop asks for ReadBatch datagrams per call, each into its own
-	// slot of one backing allocation; the slots are re-armed to full
-	// width before every call (ReadBatch re-slices what it fills).
+	// slot of one backing buffer from the symbol pool, which goes back
+	// when Run returns; the slots are re-armed to full width before
+	// every call (ReadBatch re-slices what it fills).
 	slot := d.cfg.MTU + 1
-	backing := make([]byte, d.cfg.ReadBatch*slot)
+	backing := symbol.GetDirty(d.cfg.ReadBatch * slot)
+	defer symbol.Put(backing)
 	bufs := make([]wire.Datagram, d.cfg.ReadBatch)
 	for {
 		for i := range bufs {

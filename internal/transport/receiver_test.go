@@ -3,10 +3,12 @@ package transport
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"fecperf/internal/symbol"
 	"fecperf/internal/wire"
 )
 
@@ -91,8 +93,8 @@ func TestReceiverDaemonMultiObjectAndStats(t *testing.T) {
 	// Inject garbage and a truncated datagram mid-stream; both must be
 	// counted and ignored.
 	tx := hub.Sender()
-	tx.Send([]byte("not a fec packet, definitely too long to be short")) //nolint:errcheck
-	tx.Send([]byte{0xFE})                                                //nolint:errcheck
+	sendOne(tx, []byte("not a fec packet, definitely too long to be short")) //nolint:errcheck
+	sendOne(tx, []byte{0xFE})                                                //nolint:errcheck
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestReceiverDaemonLRUEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Send(dgram); err != nil {
+		if err := sendOne(tx, dgram); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,7 +371,7 @@ func TestReceiverDaemonRejectsForgedHugeOTI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.Sender().Send(forged); err != nil {
+	if err := sendOne(hub.Sender(), forged); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -401,7 +403,7 @@ func TestReceiverDaemonUnopenablePacketsDoNotEvict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Send(dgram); err != nil {
+		if err := sendOne(tx, dgram); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,7 +415,7 @@ func TestReceiverDaemonUnopenablePacketsDoNotEvict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Send(bad); err != nil {
+		if err := sendOne(tx, bad); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -446,7 +448,7 @@ func TestReceiverDaemonCountsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.Sender().Send(dgram); err != nil {
+	if err := sendOne(hub.Sender(), dgram); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -457,5 +459,39 @@ func TestReceiverDaemonCountsTruncation(t *testing.T) {
 	st := d.Stats()
 	if st.PacketsTruncated != 1 || st.PacketsBad != 0 {
 		t.Fatalf("oversized datagram not classified as truncated: %+v", st)
+	}
+}
+
+// TestReceiverDaemonRunReadsIntoAPooledBuffer: Run reads into one buffer
+// from the symbol pool and puts it back when it returns, so a daemon
+// started per cast — a Collector's — does not allocate its read batch
+// again at the same geometry.
+func TestReceiverDaemonRunReadsIntoAPooledBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const mtu, batch = 1100, 32
+	hub := NewLoopback()
+	defer hub.Close()
+	run := func() uint64 {
+		conn := hub.Receiver(nil, 1)
+		conn.Close() // Run's first read returns ErrClosed
+		d := NewReceiverDaemon(conn, ReceiverConfig{MTU: mtu, ReadBatch: batch})
+		live := symbol.PoolStats().Live
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := d.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if now := symbol.PoolStats().Live; now != live {
+			t.Fatalf("%d pool buffers out after Run returned, want %d", now, live)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // fills the pool
+	backing := batch * (mtu + 1)
+	if grown := min(run(), run(), run()); grown >= uint64(backing/4) {
+		t.Fatalf("a second Run allocated %d bytes, want under a quarter of its %d-byte read batch", grown, backing)
 	}
 }

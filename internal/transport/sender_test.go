@@ -169,10 +169,6 @@ func (c *captureConn) WriteBatch(batch []wire.Datagram) (int, error) {
 	}
 	return len(batch), nil
 }
-func (c *captureConn) Send(d []byte) error {
-	_, err := c.WriteBatch([]wire.Datagram{d})
-	return err
-}
 func (c *captureConn) ReadBatch([]wire.Datagram) (int, error) { return 0, ErrClosed }
 func (c *captureConn) Recv([]byte) (int, error)               { return 0, ErrClosed }
 func (c *captureConn) SetReadDeadline(time.Time) error        { return nil }

@@ -121,7 +121,7 @@ func TestCollectorCancelMidChunkReturnsEverySlab(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Send(frame); err != nil {
+		if err := sendOne(tx, frame); err != nil {
 			t.Fatal(err)
 		}
 		sent++

@@ -19,6 +19,12 @@ func testFile(t testing.TB, size int, seed int64) []byte {
 	return data
 }
 
+// sendOne writes one datagram through c's WriteBatch.
+func sendOne(c Conn, d []byte) error {
+	_, err := c.WriteBatch([]wire.Datagram{d})
+	return err
+}
+
 // encodeTestObject FEC-encodes data with sensible broadcast defaults.
 func encodeTestObject(t testing.TB, data []byte, id uint32, family wire.CodeFamily, ratio float64, payload int) *session.Object {
 	t.Helper()

@@ -73,7 +73,8 @@ func listenUDP(addr string, gro bool) (Conn, error) {
 	return u, nil
 }
 
-func (u *udpConn) Send(datagram []byte) error {
+// writeOne writes one datagram with one write(2).
+func (u *udpConn) writeOne(datagram []byte) error {
 	_, err := u.c.Write(datagram)
 	// A broadcast is feedback-free: receivers join and leave at will.
 	// On a connected unicast socket the kernel surfaces their absence
@@ -95,10 +96,11 @@ func (u *udpConn) recvScalar(buf []byte) (int, error) {
 	return n, err
 }
 
-// writeBatchScalar is WriteBatch without sendmmsg: one Send per datagram.
+// writeBatchScalar is WriteBatch without sendmmsg: one writeOne per
+// datagram.
 func (u *udpConn) writeBatchScalar(batch []wire.Datagram) (int, error) {
 	for i, d := range batch {
-		if err := u.Send(d); err != nil {
+		if err := u.writeOne(d); err != nil {
 			return i, err
 		}
 	}

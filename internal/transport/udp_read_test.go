@@ -156,7 +156,7 @@ func TestUDPBatchEqualSizeGSO(t *testing.T) {
 // arrive alone or as the segments of a train.
 func TestUDPReadBatchTruncation(t *testing.T) {
 	readPaths(t, func(t *testing.T, rx, tx Conn, _ bool) {
-		if err := tx.Send(bytes.Repeat([]byte{7}, 1000)); err != nil {
+		if err := sendOne(tx, bytes.Repeat([]byte{7}, 1000)); err != nil {
 			t.Fatal(err)
 		}
 		bufs := []wire.Datagram{make([]byte, 100)}
@@ -183,7 +183,7 @@ func TestUDPReadBatchTruncation(t *testing.T) {
 			got += m
 		}
 		buf := make([]byte, 100)
-		if err := tx.Send(bytes.Repeat([]byte{9}, 1000)); err != nil {
+		if err := sendOne(tx, bytes.Repeat([]byte{9}, 1000)); err != nil {
 			t.Fatal(err)
 		}
 		if n, err := rx.Recv(buf); n != 100 || err != nil {
@@ -266,7 +266,7 @@ func TestUDPReadZeroLengthDatagram(t *testing.T) {
 		if want := []int{0, 1, 0, 2}; !slices.Equal(lens, want) {
 			t.Fatalf("datagram lengths %v, want %v", lens, want)
 		}
-		if err := tx.Send(nil); err != nil {
+		if err := sendOne(tx, nil); err != nil {
 			t.Fatal(err)
 		}
 		if n, err := rx.Recv(make([]byte, 8)); n != 0 || err != nil {
@@ -312,7 +312,7 @@ func TestUDPReadBatchUncoalesced(t *testing.T) {
 		most := 0
 		for round := 0; round < 4; round++ {
 			for _, d := range numbered(round*count, count, size) {
-				if err := tx.Send(d); err != nil {
+				if err := sendOne(tx, d); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"fecperf/internal/engine"
 	"fecperf/internal/experiments"
 	"fecperf/internal/recommend"
+	"fecperf/internal/sched"
 )
 
 // Simulate runs repeated reception trials of one configuration — codec
@@ -46,7 +47,7 @@ func Simulate(opts ...Option) (Aggregate, error) {
 	}
 	scheduler := c.Scheduler
 	if scheduler == nil {
-		scheduler = TxModel4()
+		scheduler = sched.TxModel4{}
 	}
 	ch := c.Channel
 	if ch.Kind == "" {
@@ -84,18 +85,17 @@ func RunFleet(ctx context.Context, spec FleetRunSpec, workers int) (*FleetSummar
 	return agg.Fleet, err
 }
 
-// Channel spec constructors for Plan.Channels.
+// Plan.Channels takes ChannelSpec values: ChannelByName's, or literals
+// such as ChannelSpec{Kind: "gilbert", P: 0.05, Q: 0.5}.
 
-// GilbertChannelSpec declares a two-state Gilbert channel.
+// GilbertChannelSpec is ChannelSpec{Kind: "gilbert", P: p, Q: q}.
 func GilbertChannelSpec(p, q float64) ChannelSpec { return channel.GilbertChannel(p, q) }
 
-// BernoulliChannelSpec declares IID loss at rate p.
+// BernoulliChannelSpec is ChannelSpec{Kind: "bernoulli", P: p}.
 func BernoulliChannelSpec(p float64) ChannelSpec { return channel.BernoulliChannel(p) }
 
-// NoLossChannelSpec declares the perfect channel.
-func NoLossChannelSpec() ChannelSpec { return channel.NoLossChannel() }
-
-// TraceChannelSpec declares replay of a recorded loss pattern.
+// TraceChannelSpec declares replay of a recorded loss pattern, the one
+// channel the spec grammar cannot name.
 func TraceChannelSpec(pattern []bool, noWrap bool) ChannelSpec {
 	return channel.TraceChannel(pattern, noWrap)
 }
@@ -157,8 +157,8 @@ func RunTrial(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult
 	return core.RunTrial(schedule, ch, rx, nsent)
 }
 
-// NewGilbertChannel returns a stateful Gilbert channel seeded by seed:
-// the chain the engine steps, GilbertChannelSpec(p, q).New(seed).
+// NewGilbertChannel is ChannelSpec{Kind: "gilbert", P: p, Q: q}.New(seed)
+// after validating (p, q): the chain the engine steps.
 func NewGilbertChannel(p, q float64, seed int64) (Channel, error) {
 	if err := channel.ValidateGilbert(p, q); err != nil {
 		return nil, err
