@@ -20,6 +20,7 @@ import (
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/recommend"
+	"fecperf/internal/wire"
 )
 
 func main() {
@@ -90,15 +91,18 @@ func main() {
 	}
 }
 
-// sizeNSent applies Equation 3 to the best tuple, capped at the n of the
-// code the sender would build — which for segmented Reed-Solomon is not
-// int(ratio·k): every block rounds its own parity count.
+// sizeNSent applies Equation 3 to the best tuple, capped at the n the
+// sender would announce — which for segmented Reed-Solomon is not
+// int(ratio·k): every block rounds its own parity count. codes.N is the
+// integer the code would be built with, so no code is built here.
 func sizeNSent(best recommend.Result, cfg recommend.Config, pGlobal float64, margin int) (nsent, n int, err error) {
-	code, err := codes.Spec{Family: best.Tuple.Code, K: cfg.K, Ratio: best.Tuple.Ratio, Seed: cfg.Seed}.New()
+	f, err := wire.FamilyByName(best.Tuple.Code)
 	if err != nil {
 		return 0, 0, err
 	}
-	n = code.Layout().N
+	if n, err = codes.N(f, cfg.K, best.Tuple.Ratio); err != nil {
+		return 0, 0, err
+	}
 	nsent, err = recommend.OptimalNSent(cfg.K, best.Ineff, pGlobal, margin, n)
 	return nsent, n, err
 }

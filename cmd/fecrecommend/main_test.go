@@ -10,15 +10,24 @@ import (
 
 // TestSizeNSentCapsAtTheCodesN: segmented RSE rounds parity per block, so
 // its n is not int(ratio·k); the cap must be what the sender can send.
+// LDGM's n is int(ratio·k + 0.5), here above Equation 3's ⌈1.4·1000/0.8⌉ + 100.
 func TestSizeNSentCapsAtTheCodesN(t *testing.T) {
-	for _, tc := range []struct{ k, n int }{{1000, 1502}, {20000, 30030}} {
-		best := recommend.Result{Tuple: recommend.Tuple{Code: "rse", TxModel: "tx5", Ratio: 1.5}, Ineff: 1.4}
+	for _, tc := range []struct {
+		code        string
+		ratio       float64
+		k, n, nsent int
+	}{
+		{"rse", 1.5, 1000, 1502, 1502},
+		{"rse", 1.5, 20000, 30030, 30030},
+		{"ldgm-staircase", 2.5, 1000, 2500, 1850},
+	} {
+		best := recommend.Result{Tuple: recommend.Tuple{Code: tc.code, TxModel: "tx5", Ratio: tc.ratio}, Ineff: 1.4}
 		nsent, n, err := sizeNSent(best, recommend.Config{K: tc.k, Seed: 1}, 0.2, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != tc.n || nsent != tc.n {
-			t.Errorf("k=%d: n_sent %d of %d, want the cap %d of %d", tc.k, nsent, n, tc.n, tc.n)
+		if n != tc.n || nsent != tc.nsent {
+			t.Errorf("%s k=%d: n_sent %d of %d, want %d of %d", tc.code, tc.k, nsent, n, tc.nsent, tc.n)
 		}
 	}
 }

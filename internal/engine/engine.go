@@ -39,9 +39,10 @@ const shardSize = 8
 // PointSpec is a materialised work unit: live code and scheduler rather
 // than declarative names, plus either the channel every trial builds a
 // fresh chain from or the fleet that watches one shared transmission.
-// One-point callers (Simulate, RunFleet, the figure and recommender
-// loops) build these directly; plans materialise Points into them
-// (Materialize).
+// Plans materialise Points into them (Materialize); the one-point
+// callers (the facade's Simulate and RunFleet, which take the user's
+// seed) and ext-ml-decoding's paired ML copy of a plan's points are the
+// only ones that build them otherwise.
 type PointSpec struct {
 	Code      core.Code
 	Scheduler core.Scheduler

@@ -24,7 +24,9 @@ type Plan struct {
 	Ks []int `json:"ks,omitempty"`
 	// Ratios are FEC expansion ratios n/k (default {2.5}).
 	Ratios []float64 `json:"ratios,omitempty"`
-	// Schedulers are transmission model names ("tx1".."tx6").
+	// Schedulers are transmission model names in sched.ByName's grammar:
+	// "tx1".."tx6" and the parameterized models, e.g. "rx1(src=N)",
+	// "repeat(x=R)" and "carousel(inner=MODEL,rounds=R)".
 	Schedulers []string `json:"schedulers"`
 	// Channels are the loss models to sweep. Mutually exclusive with
 	// Fleets: a plan measures either independent trials or fleets.

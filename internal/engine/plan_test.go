@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
 
 	"fecperf/internal/channel"
+	"fecperf/internal/core"
 )
 
 func testPlan() Plan {
@@ -50,6 +52,41 @@ func TestPlanExpansion(t *testing.T) {
 	}
 	if points[0].Code != "ldgm-staircase" || points[len(points)-1].Code != "rse" {
 		t.Fatal("code axis not slowest")
+	}
+}
+
+// TestPlanTakesTheSchedulerGrammar: the scheduler axis is sched.ByName's
+// whole grammar, parameterized models included, and each name
+// materialises to the scheduler it names.
+func TestPlanTakesTheSchedulerGrammar(t *testing.T) {
+	names := []string{"rx1(src=5)", "repeat(x=3)", "carousel(inner=tx2,rounds=3)"}
+	plan := Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{20}, Ratios: []float64{1.5},
+		Schedulers: names, Channels: []channel.Spec{channel.NoLossChannel()}, Trials: 2, Seed: 5}
+	points, err := plan.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != len(names) {
+		t.Fatalf("expanded %d points, want %d", len(points), len(names))
+	}
+	cache := map[string]core.Code{}
+	for i, pt := range points {
+		spec, err := Materialize(pt, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt.Scheduler != names[i] || spec.Scheduler.Name() != names[i] {
+			t.Errorf("point %d: scheduler %q materialised as %q, want %q", i, pt.Scheduler, spec.Scheduler.Name(), names[i])
+		}
+	}
+	res, err := RunPoints(context.Background(), points, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if r.Aggregate.Trials != 2 {
+			t.Errorf("%s ran %d trials, want 2", r.Point.Scheduler, r.Aggregate.Trials)
+		}
 	}
 }
 

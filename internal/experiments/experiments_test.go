@@ -10,6 +10,7 @@ import (
 	"fecperf/internal/codes"
 	"fecperf/internal/engine"
 	"fecperf/internal/ldpc"
+	"fecperf/internal/recommend"
 	"fecperf/internal/sched"
 )
 
@@ -249,6 +250,51 @@ func TestFig15Runs(t *testing.T) {
 		if strings.Contains(tbl.Name, "2.5") && !hasTx6 {
 			t.Fatal("fig15: tx6 missing at ratio 2.5")
 		}
+	}
+}
+
+// TestFig15CellsAreRanksMeasurements: Figure 15 tabulates the candidates
+// the recommender ranks at the Section 6.2.1 channel, so every cell must
+// render the aggregate recommend.Rank measures for its tuple at the same
+// k, trials and seed.
+func TestFig15CellsAreRanksMeasurements(t *testing.T) {
+	o := Options{K: 200, Trials: 5, Seed: 3}
+	e, _ := ByID("fig15-example")
+	rep, err := e.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked, err := recommend.Rank(0.0109, 0.7915, recommend.Config{K: o.K, Trials: o.Trials, Seed: o.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[recommend.Tuple]string{}
+	for _, r := range ranked {
+		want[r.Tuple] = "-"
+		if !r.Failed {
+			want[r.Tuple] = fmt.Sprintf("%.3f", r.Ineff)
+		}
+	}
+	cells, distinct := 0, map[string]bool{}
+	for ti, ratio := range []float64{1.5, 2.5} {
+		tbl := rep.Tables[ti]
+		for ri, model := range tbl.RowLabels {
+			for ci, code := range tbl.ColLabels {
+				tuple := recommend.Tuple{Code: code, TxModel: model, Ratio: ratio}
+				got := tbl.Cells[ri][ci]
+				if got != want[tuple] {
+					t.Errorf("%s: fig15 renders %s, Rank measured %s", tuple, got, want[tuple])
+				}
+				cells++
+				distinct[got] = true
+			}
+		}
+	}
+	if cells != len(ranked) {
+		t.Fatalf("fig15 has %d cells, Rank ranks %d tuples", cells, len(ranked))
+	}
+	if len(distinct) < 10 {
+		t.Fatalf("only %d distinct cells: the scale does not tell measurements apart", len(distinct))
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fecperf/internal/core"
 	"fecperf/internal/engine"
 	"fecperf/internal/ldpc"
-	"fecperf/internal/sched"
 )
 
 // mlCode adapts an ldpc.Code so NewReceiver returns the ML receiver.
@@ -54,10 +53,6 @@ func init() {
 		Title:    "Carousel rounds vs single pass beyond the feasibility limit",
 		Run: func(o Options) (*Report, error) {
 			o = o.withDefaults()
-			c, err := ldpc.New(ldpc.Params{K: o.K, N: o.K * 3 / 2, Variant: ldpc.Triangle, Seed: o.Seed})
-			if err != nil {
-				return nil, err
-			}
 			// A 50% IID loss channel: infeasible for ratio 1.5 in one
 			// pass (1.5 × 0.5 < 1); the carousel restores delivery.
 			t := Table{
@@ -66,21 +61,17 @@ func init() {
 				ColLabels: []string{"decoded", "mean inefficiency"},
 			}
 			rounds := []int{1, 2, 3, 4}
-			specs := make([]engine.PointSpec, len(rounds))
-			for i, r := range rounds {
-				specs[i] = engine.PointSpec{
-					Code:      c,
-					Scheduler: sched.Carousel{Rounds: r},
-					Channel:   channel.GilbertChannel(0.5, 0.5),
-					Trials:    o.Trials,
-					Seed:      o.Seed,
-				}
+			plan := engine.Plan{Codes: []string{"ldgm-triangle"}, Ks: []int{o.K}, Ratios: []float64{1.5},
+				Channels: []channel.Spec{channel.GilbertChannel(0.5, 0.5)}, Trials: o.Trials, Seed: o.Seed}
+			for _, r := range rounds {
+				plan.Schedulers = append(plan.Schedulers, fmt.Sprintf("carousel(rounds=%d)", r))
 			}
-			aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)
+			res, err := engine.Run(context.Background(), plan, engine.Options{Workers: o.Workers})
 			if err != nil {
 				return nil, err
 			}
-			for i, agg := range aggs {
+			for i, r := range res {
+				agg := r.Aggregate
 				t.RowLabels = append(t.RowLabels, fmt.Sprintf("%d", rounds[i]))
 				ineff := "-"
 				if !agg.Failed() {

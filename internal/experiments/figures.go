@@ -11,7 +11,6 @@ import (
 	"slices"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/codes"
 	"fecperf/internal/core"
 	"fecperf/internal/engine"
 	"fecperf/internal/sched"
@@ -219,10 +218,6 @@ func init() {
 
 func runFig14(o Options) (*Report, error) {
 	o = o.withDefaults()
-	c, err := codes.Spec{Family: "ldgm-staircase", K: o.K, Ratio: 2.5, Seed: o.Seed}.New()
-	if err != nil {
-		return nil, err
-	}
 	// Log-spaced source counts from 1 to k, mimicking the paper's log axis.
 	var counts []int
 	for _, base := range []int{1, 2, 5} {
@@ -236,17 +231,12 @@ func runFig14(o Options) (*Report, error) {
 	slices.Sort(counts)
 	counts = slices.Compact(counts)
 
-	specs := make([]engine.PointSpec, len(counts))
-	for i, sc := range counts {
-		specs[i] = engine.PointSpec{
-			Code:      c,
-			Scheduler: sched.RxModel1{SourceCount: sc},
-			Channel:   channel.NoLossChannel(),
-			Trials:    o.Trials,
-			Seed:      core.DeriveSeed(o.Seed, uint64(sc)),
-		}
+	plan := engine.Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{o.K}, Ratios: []float64{2.5},
+		Channels: []channel.Spec{channel.NoLossChannel()}, Trials: o.Trials, Seed: o.Seed}
+	for _, sc := range counts {
+		plan.Schedulers = append(plan.Schedulers, fmt.Sprintf("rx1(src=%d)", sc))
 	}
-	aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)
+	res, err := engine.Run(context.Background(), plan, engine.Options{Workers: o.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -255,10 +245,10 @@ func runFig14(o Options) (*Report, error) {
 		XLabel: "nb of received source packets",
 		YLabel: "aver. inefficiency ratio",
 	}
-	for i, agg := range aggs {
+	for i, r := range res {
 		s.X = append(s.X, float64(counts[i]))
-		s.Y = append(s.Y, agg.MeanIneff())
-		s.Failed = append(s.Failed, agg.Failed())
+		s.Y = append(s.Y, r.Aggregate.MeanIneff())
+		s.Failed = append(s.Failed, r.Aggregate.Failed())
 	}
 	return &Report{ID: "fig14-rx1", Title: "Reception model 1",
 		Notes:  []string{fmt.Sprintf("k=%d, trials=%d", o.K, o.Trials)},
@@ -271,53 +261,36 @@ func runFig15(o Options) (*Report, error) {
 	rep := &Report{ID: "fig15-example", Title: "Section 6.2.1 worked channel",
 		Notes: []string{fmt.Sprintf("gilbert p=%g q=%g (p_global=%.4f), k=%d, trials=%d",
 			p, q, channel.GlobalLoss(p, q), o.K, o.Trials)}}
-	codeNames := []string{"rse", "ldgm-staircase", "ldgm-triangle"}
-	// Every cell of both tables is one batch: a row per model, a column
-	// per code, each (code, ratio) built once.
-	var specs []engine.PointSpec
-	for _, ratio := range []float64{1.5, 2.5} {
-		t := Table{
-			Name:      fmt.Sprintf("FEC expansion ratio = %.1f", ratio),
-			RowHeader: "model",
-			ColLabels: codeNames,
-		}
-		built := make([]core.Code, len(codeNames))
-		for ci, name := range codeNames {
-			c, err := codes.Spec{Family: name, K: o.K, Ratio: ratio, Seed: o.Seed}.New()
-			if err != nil {
-				return nil, err
-			}
-			built[ci] = c
-		}
-		for _, m := range sched.All() {
-			if m.Name() == "tx6" && ratio < 2 {
-				continue // the paper omits tx6 at ratio 1.5 (too few packets)
-			}
-			t.RowLabels = append(t.RowLabels, m.Name())
-			for _, c := range built {
-				specs = append(specs, engine.PointSpec{
-					Code: c, Scheduler: m,
-					Channel: channel.GilbertChannel(p, q),
-					Trials:  o.Trials, Seed: o.Seed,
-				})
-			}
-		}
-		rep.Tables = append(rep.Tables, t)
-	}
-	aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)
+	// One plan over the recommender's axes at this channel, so every cell
+	// is the measurement recommend.Rank makes of its tuple.
+	plan := engine.Plan{Codes: []string{"rse", "ldgm-staircase", "ldgm-triangle"}, Ks: []int{o.K},
+		Ratios: []float64{1.5, 2.5}, Schedulers: []string{"tx1", "tx2", "tx3", "tx4", "tx5", "tx6"},
+		Channels: []channel.Spec{channel.GilbertChannel(p, q)}, Trials: o.Trials, Seed: o.Seed}
+	points, err := plan.Points()
 	if err != nil {
 		return nil, err
 	}
-	for ti := range rep.Tables {
-		t := &rep.Tables[ti]
-		for range t.RowLabels {
-			row := make([]string, len(codeNames))
-			for ci := range row {
-				row[ci] = aggs[ci].String()
-			}
-			aggs = aggs[len(row):]
-			t.Cells = append(t.Cells, row)
+	// The paper omits tx6 at ratio 1.5 (too few packets).
+	points = slices.DeleteFunc(points, func(pt engine.Point) bool { return pt.Scheduler == "tx6" && pt.Ratio < 2 })
+	res, err := engine.RunPoints(context.Background(), points, engine.Options{Workers: o.Workers})
+	if err != nil {
+		return nil, err
+	}
+	// A table per ratio, a row per model, a column per code; the first
+	// code's points bring the rows in model order.
+	for _, ratio := range plan.Ratios {
+		rep.Tables = append(rep.Tables, Table{Name: fmt.Sprintf("FEC expansion ratio = %.1f", ratio),
+			RowHeader: "model", ColLabels: plan.Codes})
+	}
+	for _, r := range res {
+		t := &rep.Tables[slices.Index(plan.Ratios, r.Point.Ratio)]
+		row := slices.Index(t.RowLabels, r.Point.Scheduler)
+		if row < 0 {
+			row = len(t.RowLabels)
+			t.RowLabels = append(t.RowLabels, r.Point.Scheduler)
+			t.Cells = append(t.Cells, make([]string, len(plan.Codes)))
 		}
+		t.Cells[row][slices.Index(plan.Codes, r.Point.Code)] = r.Aggregate.String()
 	}
 	return rep, nil
 }

@@ -12,9 +12,7 @@ import (
 	"sort"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/codes"
 	"fecperf/internal/engine"
-	"fecperf/internal/sched"
 )
 
 // Tuple is one candidate configuration.
@@ -50,12 +48,14 @@ var (
 // a high expansion ratio (Section 4.8), so it is only paired with 2.5.
 func admissible(tx string, ratio float64) bool { return tx != "tx6" || ratio >= 2 }
 
-// Candidates returns the admissible tuples of the search space.
+// Candidates returns the admissible tuples of the search space in the
+// order an engine plan over its axes expands them (code, ratio, model),
+// which is the order Rank breaks ties in.
 func Candidates() []Tuple {
 	var out []Tuple
 	for _, code := range candidateCodes {
-		for _, tx := range candidateModels {
-			for _, ratio := range candidateRatios {
+		for _, ratio := range candidateRatios {
+			for _, tx := range candidateModels {
 				if admissible(tx, ratio) {
 					out = append(out, Tuple{Code: code, TxModel: tx, Ratio: ratio})
 				}
@@ -73,7 +73,7 @@ type Config struct {
 	Trials int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds the parallelism of Rank/Best (0 = GOMAXPROCS).
+	// Workers bounds the parallelism of every measurement (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -90,31 +90,47 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// measure builds the tuple's code once — a sender has one code, so the
-// construction seed is cfg.Seed whatever the channel point — and runs its
-// channel points as a single engine batch; seed gives each point's trial
-// seed. It returns the code's n alongside the per-point aggregates.
-func measure(t Tuple, points []PQ, seed func(PQ) int64, cfg Config) (n int, aggs []engine.Aggregate, err error) {
-	code, err := codes.Spec{Family: t.Code, K: cfg.K, Ratio: t.Ratio, Seed: cfg.Seed}.New()
-	if err != nil {
-		return 0, nil, err
-	}
-	s, err := sched.ByName(t.TxModel)
-	if err != nil {
-		return 0, nil, err
-	}
-	specs := make([]engine.PointSpec, len(points))
+// plan is the tuple's engine plan over the Gilbert points. Every
+// measurement in this package is one of its points, so a (tuple, channel)
+// pair gets the same seed — DeriveSeed(cfg.Seed, hash(point key)) — and
+// the same code, built from cfg.Seed (a sender has one code whatever the
+// channel), whichever function asks and whatever points it is measured
+// with: sizing part of a population agrees with sizing the whole of it.
+func (t Tuple) plan(points []PQ, cfg Config) engine.Plan {
+	chans := make([]channel.Spec, len(points))
 	for i, pt := range points {
-		specs[i] = engine.PointSpec{
-			Code:      code,
-			Scheduler: s,
-			Channel:   channel.GilbertChannel(pt.P, pt.Q),
-			Trials:    cfg.Trials,
-			Seed:      seed(pt),
+		chans[i] = channel.GilbertChannel(pt.P, pt.Q)
+	}
+	return engine.Plan{Codes: []string{t.Code}, Ks: []int{cfg.K}, Ratios: []float64{t.Ratio},
+		Schedulers: []string{t.TxModel}, Channels: chans, Trials: cfg.Trials, Seed: cfg.Seed}
+}
+
+// measure runs every tuple's plan over the points in one engine batch and
+// returns aggs[i][j], tuple i at point j.
+func measure(tuples []Tuple, points []PQ, cfg Config) ([][]engine.Aggregate, error) {
+	cfg = cfg.withDefaults()
+	if len(points) == 0 {
+		return nil, fmt.Errorf("recommend: no channel points")
+	}
+	var all []engine.Point
+	for _, t := range tuples {
+		pts, err := t.plan(points, cfg).Points()
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, pts...)
+	}
+	res, err := engine.RunPoints(context.Background(), all, engine.Options{Workers: cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
+	aggs := make([][]engine.Aggregate, len(tuples))
+	for i := range aggs {
+		for _, r := range res[i*len(points) : (i+1)*len(points)] {
+			aggs[i] = append(aggs[i], r.Aggregate)
 		}
 	}
-	aggs, err = engine.RunPointSpecs(context.Background(), specs, cfg.Workers)
-	return code.Layout().N, aggs, err
+	return aggs, nil
 }
 
 func resultOf(t Tuple, agg engine.Aggregate) Result {
@@ -129,46 +145,26 @@ func resultOf(t Tuple, agg engine.Aggregate) Result {
 
 // Evaluate measures one tuple at the Gilbert point (p, q).
 func Evaluate(t Tuple, p, q float64, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	_, aggs, err := measure(t, []PQ{{P: p, Q: q}}, func(PQ) int64 { return cfg.Seed }, cfg)
+	aggs, err := measure([]Tuple{t}, []PQ{{P: p, Q: q}}, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return resultOf(t, aggs[0]), nil
+	return resultOf(t, aggs[0][0]), nil
 }
 
 // Rank evaluates every candidate tuple at (p, q) and sorts them: reliable
 // tuples first (no failed trial), then by mean inefficiency. This is the
 // "known channel" procedure of Section 6.2.1. The candidates run as one
-// engine plan, so evaluation parallelises across tuples and trials.
+// engine batch, so evaluation parallelises across tuples and trials.
 func Rank(p, q float64, cfg Config) ([]Result, error) {
-	cfg = cfg.withDefaults()
-	plan := engine.Plan{
-		Codes:      candidateCodes,
-		Ks:         []int{cfg.K},
-		Ratios:     candidateRatios,
-		Schedulers: candidateModels,
-		Channels:   []channel.Spec{channel.GilbertChannel(p, q)},
-		Trials:     cfg.Trials,
-		Seed:       cfg.Seed,
-	}
-	points, err := plan.Points()
+	cands := Candidates()
+	aggs, err := measure(cands, []PQ{{P: p, Q: q}}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	kept := points[:0]
-	for _, pt := range points {
-		if admissible(pt.Scheduler, pt.Ratio) {
-			kept = append(kept, pt)
-		}
-	}
-	res, err := engine.RunPoints(context.Background(), kept, engine.Options{Workers: cfg.Workers})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, 0, len(res))
-	for _, r := range res {
-		out = append(out, resultOf(Tuple{Code: r.Point.Code, TxModel: r.Point.Scheduler, Ratio: r.Point.Ratio}, r.Aggregate))
+	out := make([]Result, len(cands))
+	for i, t := range cands {
+		out[i] = resultOf(t, aggs[i][0])
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -2,6 +2,8 @@ package recommend
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -160,5 +162,51 @@ func TestWorkedExampleMatchesPaper(t *testing.T) {
 	}
 	if ex.NSentOpt >= ex.NTotal {
 		t.Fatal("optimisation saved nothing")
+	}
+}
+
+// TestOneConfigurationOneMeasurement: a (tuple, channel) pair is one
+// plan point with one seed, so Evaluate, the tuple's Rank entry and the
+// point's share of EvaluatePopulation measure the same trials.
+func TestOneConfigurationOneMeasurement(t *testing.T) {
+	cfg := Config{K: 200, Trials: 5, Seed: 3}
+	tuples := []Tuple{
+		{Code: "rse", TxModel: "tx4", Ratio: 1.5},
+		{Code: "ldgm-staircase", TxModel: "tx2", Ratio: 2.5},
+		{Code: "ldgm-triangle", TxModel: "tx5", Ratio: 1.5},
+	}
+	points := []PQ{{P: 0.05, Q: 0.5}, {P: 0.01, Q: 0.8}}
+	for _, tuple := range tuples {
+		var want PopulationResult
+		want.Tuple = tuple
+		for _, pt := range points {
+			ev, err := Evaluate(tuple, pt.P, pt.Q, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranked, err := Rank(pt.P, pt.Q, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := slices.IndexFunc(ranked, func(r Result) bool { return r.Tuple == tuple })
+			if i < 0 {
+				t.Fatalf("%s missing from Rank", tuple)
+			}
+			if ranked[i] != ev {
+				t.Errorf("%s at %+v: Rank measured %+v, Evaluate %+v", tuple, pt, ranked[i], ev)
+			}
+			if ev.Failed {
+				want.FailedPoints = append(want.FailedPoints, pt)
+			} else {
+				want.Ineff.Add(ev.Ineff)
+			}
+		}
+		got, err := EvaluatePopulation(tuple, points, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: EvaluatePopulation measured %+v, Evaluate per point %+v", tuple, got, want)
+		}
 	}
 }

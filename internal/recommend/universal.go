@@ -8,24 +8,17 @@ package recommend
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/core"
+	"fecperf/internal/codes"
+	"fecperf/internal/engine"
 	"fecperf/internal/stats"
+	"fecperf/internal/wire"
 )
 
 // PQ is one Gilbert channel operating point.
 type PQ struct{ P, Q float64 }
-
-// pointSeed derives the per-point seed from the point's coordinates, not
-// its position in the population, so the same (p, q) point always sees
-// the same trial stream — sizing a subset of a population is then
-// guaranteed to agree with sizing the whole of it.
-func (c Config) pointSeed(pt PQ) int64 {
-	return core.DeriveSeed(c.Seed, math.Float64bits(pt.P), math.Float64bits(pt.Q))
-}
 
 // PopulationResult describes how one tuple serves a set of receivers.
 type PopulationResult struct {
@@ -43,14 +36,15 @@ func (r PopulationResult) Reliable() bool { return len(r.FailedPoints) == 0 }
 
 // EvaluatePopulation measures one tuple at every channel point.
 func EvaluatePopulation(t Tuple, points []PQ, cfg Config) (PopulationResult, error) {
-	cfg = cfg.withDefaults()
-	if len(points) == 0 {
-		return PopulationResult{}, fmt.Errorf("recommend: no channel points")
-	}
-	_, aggs, err := measure(t, points, cfg.pointSeed, cfg)
+	aggs, err := measure([]Tuple{t}, points, cfg)
 	if err != nil {
 		return PopulationResult{}, err
 	}
+	return population(t, points, aggs[0]), nil
+}
+
+// population folds a tuple's per-point aggregates into its result.
+func population(t Tuple, points []PQ, aggs []engine.Aggregate) PopulationResult {
 	out := PopulationResult{Tuple: t}
 	for i, agg := range aggs {
 		if agg.Failed() {
@@ -59,7 +53,7 @@ func EvaluatePopulation(t Tuple, points []PQ, cfg Config) (PopulationResult, err
 		}
 		out.Ineff.Add(agg.MeanIneff())
 	}
-	return out, nil
+	return out
 }
 
 // RankForPopulation orders candidate tuples for a receiver population:
@@ -67,13 +61,14 @@ func EvaluatePopulation(t Tuple, points []PQ, cfg Config) (PopulationResult, err
 // otherwise), ties broken by worst-case inefficiency — the universal-
 // scheme criterion of Section 6.2.2.
 func RankForPopulation(points []PQ, cfg Config) ([]PopulationResult, error) {
-	var out []PopulationResult
-	for _, t := range Candidates() {
-		r, err := EvaluatePopulation(t, points, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+	cands := Candidates()
+	aggs, err := measure(cands, points, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PopulationResult, len(cands))
+	for i, t := range cands {
+		out[i] = population(t, points, aggs[i])
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -95,12 +90,21 @@ func RankForPopulation(points []PQ, cfg Config) ([]PopulationResult, error) {
 // impossible and are returned as an error.
 func NSentForPopulation(t Tuple, points []PQ, margin int, cfg Config) (int, error) {
 	cfg = cfg.withDefaults()
-	n, aggs, err := measure(t, points, cfg.pointSeed, cfg)
+	aggs, err := measure([]Tuple{t}, points, cfg)
+	if err != nil {
+		return 0, err
+	}
+	// The cap is the n the sender announces, the integer Spec.New builds.
+	f, err := wire.FamilyByName(t.Code)
+	if err != nil {
+		return 0, err
+	}
+	n, err := codes.N(f, cfg.K, t.Ratio)
 	if err != nil {
 		return 0, err
 	}
 	best := 0
-	for i, agg := range aggs {
+	for i, agg := range aggs[0] {
 		pt := points[i]
 		if agg.Failed() {
 			return 0, fmt.Errorf("recommend: tuple %s fails at (p=%g, q=%g); cannot size n_sent", t, pt.P, pt.Q)

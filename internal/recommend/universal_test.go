@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/engine"
 	"fecperf/internal/sched"
@@ -39,8 +38,8 @@ func TestEvaluatePopulationReliable(t *testing.T) {
 
 // TestEvaluatePopulationOneGraphPerTuple: a sender has one code, so an
 // LDGM tuple is measured on the graph built from cfg.Seed at every channel
-// point — the graph NSentForPopulation sizes — and only the trial streams
-// differ per point.
+// point — the graph NSentForPopulation sizes — and only the trial streams,
+// the seeds of the tuple plan's points, differ per point.
 func TestEvaluatePopulationOneGraphPerTuple(t *testing.T) {
 	tuple := Tuple{Code: "ldgm-staircase", TxModel: "tx2", Ratio: 2.5}
 	cfg := fastCfg()
@@ -56,11 +55,15 @@ func TestEvaluatePopulationOneGraphPerTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	points, err := tuple.plan(mildPopulation(), cfg).Points()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want stats.Accumulator
-	for _, pt := range mildPopulation() {
+	for _, pt := range points {
 		agg, err := engine.RunPoint(context.Background(), engine.PointSpec{
-			Code: code, Scheduler: s, Channel: channel.GilbertChannel(pt.P, pt.Q),
-			Trials: cfg.Trials, Seed: cfg.pointSeed(pt),
+			Code: code, Scheduler: s, Channel: pt.Channel,
+			Trials: cfg.Trials, Seed: pt.Seed,
 		}, 1)
 		if err != nil {
 			t.Fatal(err)
