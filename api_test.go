@@ -100,6 +100,29 @@ func TestRunPlanFacade(t *testing.T) {
 	}
 }
 
+// TestRunFleetWithoutFleetIsAnError: a spec with no fleet is refused, not
+// run as a scalar point whose summary is nil.
+func TestRunFleetWithoutFleetIsAnError(t *testing.T) {
+	code, err := CodecByName("rse(k=64,ratio=1.5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := SchedulerByName("tx4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := ChannelByName("gilbert(p=0.1,q=0.5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trials := range []int{5, -5} {
+		spec := FleetRunSpec{Code: code, Scheduler: s, Channel: ch, Trials: trials, Seed: 1}
+		if sum, err := RunFleet(context.Background(), spec, 2); err == nil {
+			t.Errorf("Trials %d: RunFleet = %+v, nil; want an error", trials, sum)
+		}
+	}
+}
+
 func TestRunFleetFacade(t *testing.T) {
 	code, err := NewCode("rse", 64, 1.5, 7)
 	if err != nil {

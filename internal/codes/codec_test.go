@@ -165,14 +165,14 @@ func TestStructuralMatchesPayloadAllFamilies(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %+v: NewDecoder: %v", name, g, err)
 				}
-				rxMem, decMem := rx.(core.MemoryReporter), dec.(core.MemoryReporter)
+				decRx := dec.(core.Receiver) // a payload decoder is its family's receiver type
 				for i, id := range ids {
 					a, b := rx.Receive(id), dec.ReceivePayload(id, all[id])
 					if a != b || rx.Done() != dec.Done() || rx.SourceRecovered() != dec.SourceRecovered() ||
-						rxMem.BufferedSymbols() != decMem.BufferedSymbols() {
+						rx.BufferedSymbols() != decRx.BufferedSymbols() {
 						t.Fatalf("%s %+v order %d, arrival %d (id %d): structural done=%v/%v recovered=%d buffered=%d, payload done=%v/%v recovered=%d buffered=%d",
-							name, g, order, i, id, a, rx.Done(), rx.SourceRecovered(), rxMem.BufferedSymbols(),
-							b, dec.Done(), dec.SourceRecovered(), decMem.BufferedSymbols())
+							name, g, order, i, id, a, rx.Done(), rx.SourceRecovered(), rx.BufferedSymbols(),
+							b, dec.Done(), dec.SourceRecovered(), decRx.BufferedSymbols())
 					}
 				}
 				if !dec.Done() {

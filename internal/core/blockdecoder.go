@@ -146,8 +146,8 @@ func (d *BlockDecoder) Receive(id int) bool {
 	return done
 }
 
-// ReceiveBatch implements BatchReceiver (structural mode). It panics on
-// a payload decoder.
+// ReceiveBatch implements Receiver (structural mode). It panics on a
+// payload decoder.
 func (d *BlockDecoder) ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int) {
 	if d.symLen != 0 {
 		panic("core: ReceiveBatch on a payload decoder")
@@ -274,7 +274,7 @@ func (b *blockState) releaseTab() {
 
 func (d *BlockDecoder) has(id int) bool { return d.got[id>>6]&(1<<(id&63)) != 0 }
 
-// Reset implements Resetter, between simulated trials. It panics on a
+// Reset implements Receiver, between simulated trials. It panics on a
 // payload decoder, whose slabs and view tables have owners.
 func (d *BlockDecoder) Reset() {
 	if d.symLen != 0 {
@@ -297,7 +297,7 @@ func (d *BlockDecoder) Done() bool { return d.pending == 0 }
 // SourceRecovered implements Receiver and PayloadDecoder.
 func (d *BlockDecoder) SourceRecovered() int { return d.srcRec }
 
-// BufferedSymbols implements MemoryReporter: symbols of undecoded blocks
+// BufferedSymbols implements Receiver: symbols of undecoded blocks
 // must be held; a decoded block's sources stream out to the application
 // and its parity is dropped.
 func (d *BlockDecoder) BufferedSymbols() int { return d.buffered }

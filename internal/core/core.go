@@ -134,18 +134,51 @@ type Code interface {
 	NewReceiver() Receiver
 }
 
-// Receiver is the receiving half of a code: packets are delivered one at a
-// time in arrival order, exactly as the paper's receivers experience them.
+// Receiver is the receiving half of a code: packets are delivered in
+// arrival order, exactly as the paper's receivers experience them — one at
+// a time, or a batch of transmissions at a time as RunTrial delivers them.
+// A simulation reuses one receiver across its trials through Reset.
 type Receiver interface {
 	// Receive processes the arrival of packet id and returns true once the
 	// full object is decoded (all k source packets recovered). Delivering
 	// duplicates or packets after completion is allowed and must be a no-op.
 	Receive(id int) bool
+	// ReceiveBatch delivers ids[j] for every set bit j of arrived, in
+	// increasing j, exactly as that many Receive calls would, and stops
+	// after the arrival that completes the object. It returns the
+	// arrivals consumed, whether the object is decoded, and the largest
+	// BufferedSymbols after any arrival this call consumed (0 when it
+	// consumes none). len(ids) must cover arrived's highest bit. A
+	// receiver that gains nothing from a batch implements it with
+	// ReceiveEach.
+	ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int)
+	// Reset returns the receiver to its NewReceiver state, between
+	// simulated trials. Payload decoders panic on it.
+	Reset()
 	// Done reports whether the object has been fully decoded.
 	Done() bool
 	// SourceRecovered returns how many of the k source packets are
 	// currently known (received or rebuilt).
 	SourceRecovered() int
+	// BufferedSymbols is the metric the paper's conclusion defers to
+	// future work, the memory a receiver needs: how many symbols the
+	// decoder currently has to hold (received but not yet released as
+	// decoded output). RunTrial tracks its running maximum.
+	BufferedSymbols() int
+}
+
+// ReceiveEach is ReceiveBatch for a receiver that decodes one arrival at a
+// time: one Receive per arrival, BufferedSymbols after each.
+func ReceiveEach(rx Receiver, ids []int32, arrived uint64) (n int, decoded bool, peak int) {
+	for ; arrived != 0; arrived &= arrived - 1 {
+		n++
+		decoded = rx.Receive(int(ids[bits.TrailingZeros64(arrived)]))
+		peak = max(peak, rx.BufferedSymbols())
+		if decoded {
+			break
+		}
+	}
+	return n, decoded, peak
 }
 
 // BlockMDS is an optional Code capability marking codes whose decoding
@@ -160,21 +193,6 @@ type BlockMDS interface {
 	// BlockMDS reports whether this instance decodes every block at
 	// exactly its distinct-symbol threshold.
 	BlockMDS() bool
-}
-
-// MemoryReporter is an optional Receiver capability implementing the
-// metric the paper's conclusion defers to future work: the maximum memory
-// a receiver needs. BufferedSymbols reports how many symbols the decoder
-// currently has to hold (received but not yet released as decoded
-// output); RunTrial tracks the running maximum when available.
-type MemoryReporter interface {
-	BufferedSymbols() int
-}
-
-// Resetter is an optional Receiver capability: Reset returns a structural
-// receiver to its NewReceiver state. Payload decoders panic on it.
-type Resetter interface {
-	Reset()
 }
 
 // Channel decides, transmission by transmission, whether a packet is lost.
@@ -237,7 +255,7 @@ type TrialResult struct {
 	// NSent is the number of packets actually transmitted.
 	NSent int
 	// MaxBuffered is the peak number of symbols the receiver had to hold
-	// at once. Zero when the receiver does not implement MemoryReporter.
+	// at once: the largest BufferedSymbols after any arrival it consumed.
 	MaxBuffered int
 }
 
@@ -246,48 +264,11 @@ func (r TrialResult) Inefficiency(k int) float64 {
 	return float64(r.NNecessary) / float64(k)
 }
 
-// BatchReceiver is an optional Receiver capability: the arrivals of one
-// batch of transmissions in one call, so the receiver keeps its state in
-// locals across them. RunTrial hands a batch to it when a receiver has it
-// and to Receive, arrival by arrival, otherwise.
-type BatchReceiver interface {
-	// ReceiveBatch delivers ids[j] for every set bit j of arrived, in
-	// increasing j, exactly as that many Receive calls would, and stops
-	// after the arrival that completes the object. It returns the
-	// arrivals consumed, whether the object is decoded, and the largest
-	// BufferedSymbols after any arrival this call consumed (0 when it
-	// consumes none, or for a receiver that is not a MemoryReporter).
-	// len(ids) must cover arrived's highest bit.
-	ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int)
-}
-
-// perArrival is BatchReceiver for a receiver without it: one Receive per
-// arrival, BufferedSymbols after each.
-type perArrival struct {
-	rx  Receiver
-	mem MemoryReporter
-}
-
-func (p *perArrival) ReceiveBatch(ids []int32, arrived uint64) (n int, decoded bool, peak int) {
-	for ; arrived != 0; arrived &= arrived - 1 {
-		n++
-		decoded = p.rx.Receive(int(ids[bits.TrailingZeros64(arrived)]))
-		if p.mem != nil {
-			peak = max(peak, p.mem.BufferedSymbols())
-		}
-		if decoded {
-			break
-		}
-	}
-	return n, decoded, peak
-}
-
-// Trial is the reusable scratch of RunTrial: a batch's ids and the
-// per-arrival adapter. A caller running many trials keeps one, so a
-// trial allocates nothing; a Trial serves one goroutine at a time.
+// Trial is the reusable scratch of RunTrial: a batch's ids. A caller
+// running many trials keeps one, so a trial allocates nothing; a Trial
+// serves one goroutine at a time.
 type Trial struct {
-	ids  [64]int32
-	each perArrival
+	ids [64]int32
 }
 
 // RunTrial simulates one reception with a Trial of its own; see
@@ -307,22 +288,16 @@ func RunTrial(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult
 // Transmissions go in batches of up to 64: the channel's losses as one
 // mask (LossMasker, or that many Lost calls), so it runs up to 64
 // transmissions ahead of the receiver; the batch's ids in one schedule
-// draw; and the survivors to the receiver in one ReceiveBatch call
-// (BatchReceiver, or Receive per arrival). Once the object decodes, no
-// further ids are drawn and the receiver is not called again: the rest
-// of the schedule only counts towards NReceived. A result depends on
-// which ids arrived and in what order, never on the batching.
+// draw; and the survivors to the receiver in one ReceiveBatch call. Once
+// the object decodes, no further ids are drawn and the receiver is not
+// called again: the rest of the schedule only counts towards NReceived.
+// A result depends on which ids arrived and in what order, never on the
+// batching.
 func (t *Trial) Run(schedule Schedule, ch Channel, rx Receiver, nsent int) TrialResult {
 	if nsent <= 0 || nsent > schedule.Len() {
 		nsent = schedule.Len()
 	}
 	res := TrialResult{NSent: nsent}
-	br, ok := rx.(BatchReceiver)
-	if !ok {
-		mem, _ := rx.(MemoryReporter)
-		t.each = perArrival{rx, mem}
-		br = &t.each
-	}
 	// A batch's ids arrive in one draw, which for permutation-backed
 	// schedules amortises the Feistel walk across interleaved lanes
 	// instead of paying its serial latency per packet.
@@ -334,7 +309,7 @@ func (t *Trial) Run(schedule Schedule, ch Channel, rx Receiver, nsent int) Trial
 			continue
 		}
 		schedule.batchAt(pos, t.ids[:n])
-		used, decoded, peak := br.ReceiveBatch(t.ids[:n], got)
+		used, decoded, peak := rx.ReceiveBatch(t.ids[:n], got)
 		res.NReceived += used
 		res.MaxBuffered = max(res.MaxBuffered, peak)
 		if decoded {

@@ -74,7 +74,8 @@ func TestExpansionRatio(t *testing.T) {
 }
 
 // countingReceiver decodes after `need` distinct packets (an idealised MDS
-// code over the whole object), used to test RunTrial bookkeeping.
+// code over the whole object), used to test RunTrial bookkeeping. It
+// holds every packet it got until it decodes.
 type countingReceiver struct {
 	need int
 	seen map[int]bool
@@ -88,7 +89,17 @@ func (c *countingReceiver) Receive(id int) bool {
 	c.seen[id] = true
 	return c.Done()
 }
+func (c *countingReceiver) ReceiveBatch(ids []int32, arrived uint64) (int, bool, int) {
+	return ReceiveEach(c, ids, arrived)
+}
+func (c *countingReceiver) Reset()     { clear(c.seen) }
 func (c *countingReceiver) Done() bool { return len(c.seen) >= c.need }
+func (c *countingReceiver) BufferedSymbols() int {
+	if c.Done() {
+		return 0
+	}
+	return len(c.seen)
+}
 func (c *countingReceiver) SourceRecovered() int {
 	if c.Done() {
 		return c.k
@@ -212,32 +223,12 @@ func TestSchedulerInterfaceUsable(t *testing.T) {
 	}
 }
 
-// memReceiver implements MemoryReporter on top of countingReceiver.
-type memReceiver struct {
-	countingReceiver
-}
-
-func (m *memReceiver) BufferedSymbols() int {
-	if m.Done() {
-		return 0
-	}
-	return len(m.seen)
-}
-
 func TestRunTrialTracksMaxBuffered(t *testing.T) {
 	sched := SliceSchedule([]int{0, 1, 2, 3, 4, 5})
-	rx := &memReceiver{countingReceiver{need: 4, k: 4}}
+	rx := &countingReceiver{need: 4, k: 4}
 	res := RunTrial(sched, &lossPattern{}, rx, 0)
 	// Peak just before decoding completed: 3 buffered symbols.
 	if res.MaxBuffered != 3 {
 		t.Fatalf("MaxBuffered = %d, want 3", res.MaxBuffered)
-	}
-}
-
-func TestRunTrialNoMemoryReporter(t *testing.T) {
-	rx := &countingReceiver{need: 2, k: 2}
-	res := RunTrial(SliceSchedule([]int{0, 1}), &lossPattern{}, rx, 0)
-	if res.MaxBuffered != 0 {
-		t.Fatalf("MaxBuffered = %d without MemoryReporter", res.MaxBuffered)
 	}
 }

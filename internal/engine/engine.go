@@ -64,9 +64,13 @@ type PointSpec struct {
 
 func (s PointSpec) isFleet() bool { return s.Fleet.Receivers != 0 || len(s.Fleet.Mix) > 0 }
 
-// validate reports what would otherwise fail inside a worker: an invalid
-// or unset channel, or a fleet the fleet engine cannot run.
+// validate reports what would otherwise fail inside a worker or run as
+// an empty aggregate: a negative trial count, an invalid or unset
+// channel, or a fleet the fleet engine cannot run.
 func (s PointSpec) validate() error {
+	if s.Trials < 0 {
+		return fmt.Errorf("engine: negative trial count %d", s.Trials)
+	}
 	if !s.isFleet() {
 		return s.Channel.Validate()
 	}
@@ -169,19 +173,15 @@ func newWorker() *worker {
 }
 
 // receiver returns a receiver of code in its NewReceiver state: the
-// worker's own, reset, when it is code's and code's receivers are
-// core.Resetters, and a new one otherwise (the ML receiver is built per
-// trial).
+// worker's own, reset, when it is code's, and a new one, kept for the
+// worker's next trial, otherwise.
 func (w *worker) receiver(code core.Code) core.Receiver {
-	if w.rx != nil && w.code == code {
-		w.rx.(core.Resetter).Reset()
-		return w.rx
+	if w.code == code {
+		w.rx.Reset()
+	} else {
+		w.code, w.rx = code, code.NewReceiver()
 	}
-	rx := code.NewReceiver()
-	if _, ok := rx.(core.Resetter); ok {
-		w.code, w.rx = code, rx
-	}
-	return rx
+	return w.rx
 }
 
 // runShard executes trials [lo, hi) of a point and returns their partial

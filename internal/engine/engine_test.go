@@ -290,6 +290,20 @@ func TestRunPointZeroTrialsDefaultsTo100(t *testing.T) {
 	}
 }
 
+// TestRunPointNegativeTrialsIsAnError: a negative trial count is refused
+// before the first trial, as Plan.Validate refuses it, not run as an
+// empty aggregate.
+func TestRunPointNegativeTrialsIsAnError(t *testing.T) {
+	code, err := codes.Spec{Family: "rse", K: 64, Ratio: 1.5, Seed: 1}.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := PointSpec{Code: code, Scheduler: sched.TxModel4{}, Channel: channel.GilbertChannel(0.1, 0.5), Trials: -5, Seed: 1}
+	if agg, err := RunPoint(context.Background(), spec, 2); err == nil || agg.Trials != 0 {
+		t.Fatalf("RunPoint = %d trials, %v; want an error and no trials", agg.Trials, err)
+	}
+}
+
 // TestCheckpointParentFormatRestores feeds the engine checkpoint lines
 // exactly as the pre-channel.Spec binary wrote them (fecsim -resume):
 // the configuration key and the derived seed must still match, so the

@@ -11,12 +11,14 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/core"
+	"fecperf/internal/ldpc"
 	"fecperf/internal/sched"
 )
 
@@ -28,7 +30,6 @@ func scalarTrial(schedule core.Schedule, ch core.Channel, rx core.Receiver, nsen
 		nsent = schedule.Len()
 	}
 	res := core.TrialResult{NSent: nsent}
-	mem, _ := rx.(core.MemoryReporter)
 	for i := 0; i < nsent; i++ {
 		id := schedule.At(i)
 		if ch.Lost() {
@@ -39,11 +40,7 @@ func scalarTrial(schedule core.Schedule, ch core.Channel, rx core.Receiver, nsen
 			res.Decoded = true
 			res.NNecessary = res.NReceived
 		}
-		if mem != nil {
-			if b := mem.BufferedSymbols(); b > res.MaxBuffered {
-				res.MaxBuffered = b
-			}
-		}
+		res.MaxBuffered = max(res.MaxBuffered, rx.BufferedSymbols())
 	}
 	return res
 }
@@ -80,10 +77,39 @@ func (r *trialRunner) schedule(s core.Scheduler, l core.Layout, seed int64) core
 	return s.Schedule(l, r.rng)
 }
 
-// trialGrid runs the oracles' grid: each codec family (k = 100, ratio
-// 2.5, or 1 for no-fec) under every scheduler and channel below, the
-// schedule sent whole and cut after 1, 63, 64, 65 and N-1 transmissions,
-// three seeds each. setup is called once per code, scheduler and channel,
+// mlCode is an LDGM code whose receivers are ldpc.MLReceivers: the
+// peeler with its Gaussian fallback.
+type mlCode struct{ *ldpc.Code }
+
+func (c mlCode) Name() string               { return c.Code.Name() + "+gauss" }
+func (c mlCode) NewReceiver() core.Receiver { return c.NewMLReceiver() }
+
+// gridCodes returns every codec family's code at k and ratio 2.5 (1 for
+// no-fec), then mlCode over the ldgm-staircase one. Each is named after
+// its family, the last "ldgm-staircase+gauss".
+func gridCodes(t *testing.T, k int) []core.Code {
+	var cs []core.Code
+	var ml core.Code
+	for _, family := range codes.CodecNames {
+		ratio := 2.5
+		if family == "no-fec" {
+			ratio = 1
+		}
+		code, err := codes.Spec{Family: family, K: k, Ratio: ratio, Seed: 1}.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, code)
+		if family == "ldgm-staircase" {
+			ml = mlCode{code.(*ldpc.Code)}
+		}
+	}
+	return append(cs, ml)
+}
+
+// trialGrid runs the oracles' grid: each code of gridCodes (k = 100)
+// under every scheduler and channel below, the schedule sent whole and
+// cut after 1, 63, 64, 65 and N-1 transmissions, three seeds each. setup is called once per code, scheduler and channel,
 // and the check it returns runs every trial of that cell, so runners it
 // builds carry their chains from trial to trial as runShard's do. A
 // check returns what went wrong.
@@ -103,16 +129,8 @@ func trialGrid(t *testing.T, setup func(code core.Code, s core.Scheduler, cs cha
 		channel.TraceChannel(pattern, false),
 	}
 	schedulers := []string{"tx1", "tx2", "tx4", "tx5", "tx6(frac=0.5)", "rx1(src=10)", "carousel(rounds=2)"}
-	for _, family := range codes.CodecNames {
-		t.Run(family, func(t *testing.T) {
-			ratio := 2.5
-			if family == "no-fec" {
-				ratio = 1
-			}
-			code, err := codes.Spec{Family: family, K: k, Ratio: ratio, Seed: 1}.New()
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, code := range gridCodes(t, k) {
+		t.Run(code.Name(), func(t *testing.T) {
 			for _, name := range schedulers {
 				s, err := sched.ByName(name)
 				if err != nil {
@@ -192,29 +210,30 @@ func TestRunTrialMasksMatchScalar(t *testing.T) {
 	}
 }
 
-// perID hides a receiver's BatchReceiver, so RunTrial feeds it one
-// Receive per arrival; BufferedSymbols stays visible.
-type perID struct{ rx core.Receiver }
+// perID is the reference ReceiveBatch: one Receive per arrival,
+// BufferedSymbols after each, up to the arrival that decodes.
+type perID struct{ core.Receiver }
 
-func (p perID) Receive(id int) bool  { return p.rx.Receive(id) }
-func (p perID) Done() bool           { return p.rx.Done() }
-func (p perID) SourceRecovered() int { return p.rx.SourceRecovered() }
-func (p perID) BufferedSymbols() int { return p.rx.(core.MemoryReporter).BufferedSymbols() }
+func (p perID) ReceiveBatch(ids []int32, arrived uint64) (n int, decoded bool, peak int) {
+	for ; arrived != 0 && !decoded; arrived &= arrived - 1 {
+		n++
+		decoded = p.Receive(int(ids[bits.TrailingZeros64(arrived)]))
+		peak = max(peak, p.BufferedSymbols())
+	}
+	return n, decoded, peak
+}
 
-// TestRunTrialBatchMatchesReceive: every family's receiver, fed a batch
-// per call, gives the TrialResult it gives fed through Receive arrival by
-// arrival, on the whole oracle grid, through one reused core.Trial.
+// TestRunTrialBatchMatchesReceive: every receiver of gridCodes, the ML
+// receiver's too, fed a batch per call gives the TrialResult it gives fed
+// through Receive arrival by arrival, on the whole oracle grid, through
+// one reused core.Trial.
 func TestRunTrialBatchMatchesReceive(t *testing.T) {
 	var trial core.Trial
 	trialGrid(t, func(code core.Code, s core.Scheduler, cs channel.Spec) func(int, int64) string {
 		layout := code.Layout()
 		batched, single := newTrialRunner(cs, false), newTrialRunner(cs, false)
 		return func(nsent int, seed int64) string {
-			rx := code.NewReceiver()
-			if _, ok := rx.(core.BatchReceiver); !ok {
-				return code.Name() + " receivers take no batches"
-			}
-			got := trial.Run(batched.schedule(s, layout, seed), batched.next(), rx, nsent)
+			got := trial.Run(batched.schedule(s, layout, seed), batched.next(), code.NewReceiver(), nsent)
 			want := trial.Run(single.schedule(s, layout, seed), single.next(), perID{code.NewReceiver()}, nsent)
 			if got != want {
 				return fmt.Sprintf("batches %+v, Receive per arrival %+v", got, want)
@@ -249,6 +268,10 @@ func (r *holdingReceiver) Receive(id int) bool {
 	r.seen[id] = true
 	return r.Done()
 }
+func (r *holdingReceiver) ReceiveBatch(ids []int32, arrived uint64) (int, bool, int) {
+	return core.ReceiveEach(r, ids, arrived)
+}
+func (r *holdingReceiver) Reset()               { clear(r.seen) }
 func (r *holdingReceiver) Done() bool           { return len(r.seen) >= r.need }
 func (r *holdingReceiver) SourceRecovered() int { return len(r.seen) }
 func (r *holdingReceiver) BufferedSymbols() int { return len(r.seen) }
@@ -304,10 +327,7 @@ type rxState struct {
 }
 
 func stateOf(rx core.Receiver, n int) rxState {
-	st := rxState{done: rx.Done(), recovered: rx.SourceRecovered()}
-	if m, ok := rx.(core.MemoryReporter); ok {
-		st.buffered = m.BufferedSymbols()
-	}
+	st := rxState{done: rx.Done(), recovered: rx.SourceRecovered(), buffered: rx.BufferedSymbols()}
 	if d, ok := rx.(interface{ Known(int) bool }); ok {
 		known := make([]byte, n)
 		for id := range known {
@@ -350,7 +370,7 @@ func TestResetReceiverIsFreshReceiver(t *testing.T) {
 					for _, nsent := range []int{0, k / 2} {
 						viaReset, viaNew := newTrialRunner(cs, false), newTrialRunner(cs, false)
 						for tr := range trials {
-							reused.(core.Resetter).Reset()
+							reused.Reset()
 							if got := stateOf(reused, layout.N); got != fresh {
 								t.Fatalf("%s %s nsent=%d: reset before trial %d reads %+v, a new receiver %+v", name, cs, nsent, tr, got, fresh)
 							}
@@ -391,22 +411,16 @@ func TestResetReceiverIsFreshReceiver(t *testing.T) {
 						t.Error("Reset on a payload decoder did not panic")
 					}
 				}()
-				dec.(core.Resetter).Reset()
+				dec.(core.Receiver).Reset()
 			}()
 		})
 	}
 }
 
-// unresettable hides its receivers' Reset, as the ML receiver has none:
-// workers build one per trial.
-type unresettable struct{ core.Code }
-
-func (u unresettable) NewReceiver() core.Receiver { return perID{u.Code.NewReceiver()} }
-
 // TestRunSpecsSwitchingCodesDeterministic: workers keep the receiver of
 // their last code across shards. A queue whose points alternate codes,
-// with uneven last shards, gives the aggregates of one fresh worker per
-// shard, at 1, 2 and 8 workers.
+// the ML receiver's among them, with uneven last shards, gives the
+// aggregates of one fresh worker per shard, at 1, 2 and 8 workers.
 func TestRunSpecsSwitchingCodesDeterministic(t *testing.T) {
 	var cs []core.Code
 	for _, c := range []struct {
@@ -419,7 +433,7 @@ func TestRunSpecsSwitchingCodesDeterministic(t *testing.T) {
 		}
 		cs = append(cs, code)
 	}
-	cs = append(cs, unresettable{cs[0]})
+	cs = append(cs, mlCode{cs[0].(*ldpc.Code)})
 	var specs []PointSpec
 	for i, trials := range []int{13, 5, 21, 9, 8, 1, 17, 12, 3, 30, 7, 11} {
 		specs = append(specs, PointSpec{

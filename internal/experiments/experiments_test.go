@@ -421,8 +421,6 @@ func TestMLReceiverBeatsPeelingOnAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rngSchedule := sched.TxModel4{}
-	_ = rngSchedule
 	agg := runPoint(engine.PointSpec{
 		Code: c, Scheduler: sched.TxModel4{},
 		Channel: channel.GilbertChannel(0.1, 0.5),

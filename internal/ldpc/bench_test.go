@@ -56,7 +56,7 @@ func benchmarkStructuralDecode(b *testing.B, v Variant) {
 		rng.Seed(int64(i))
 		schedule := sched.TxModel4{}.Schedule(c.Layout(), rng)
 		chain = st.Chain(src.State())
-		rx.(core.Resetter).Reset()
+		rx.Reset()
 		if !trial.Run(schedule, &chain, rx, 0).Decoded {
 			b.Fatal("decode failed")
 		}

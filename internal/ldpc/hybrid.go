@@ -10,6 +10,7 @@ package ldpc
 // maximum-likelihood decoding.
 
 import (
+	"fecperf/internal/core"
 	"fecperf/internal/gf256"
 	"fecperf/internal/symbol"
 )
@@ -149,7 +150,7 @@ func (d *Decoder) SolveGauss() bool {
 // sane it only attempts elimination once at least k packets have arrived,
 // and then at every arrival (each attempt either finishes decoding or
 // solves nothing, and the residual system shrinks as peeling consumes the
-// newly delivered packets).
+// newly delivered packets), so it takes a batch one arrival at a time.
 type MLReceiver struct {
 	dec      *Decoder
 	received int
@@ -175,8 +176,22 @@ func (m *MLReceiver) Receive(id int) bool {
 	return false
 }
 
+// ReceiveBatch implements core.Receiver: one Receive per arrival.
+func (m *MLReceiver) ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int) {
+	return core.ReceiveEach(m, ids, arrived)
+}
+
+// Reset implements core.Receiver.
+func (m *MLReceiver) Reset() {
+	m.dec.Reset()
+	m.received = 0
+}
+
 // Done implements core.Receiver.
 func (m *MLReceiver) Done() bool { return m.dec.Done() }
 
 // SourceRecovered implements core.Receiver.
 func (m *MLReceiver) SourceRecovered() int { return m.dec.SourceRecovered() }
+
+// BufferedSymbols implements core.Receiver: the peeling decoder's.
+func (m *MLReceiver) BufferedSymbols() int { return m.dec.BufferedSymbols() }

@@ -3,6 +3,8 @@ package ldpc
 import (
 	"math/rand"
 	"testing"
+
+	"fecperf/internal/core"
 )
 
 // findStalledPattern searches for a reception pattern on which peeling
@@ -145,6 +147,52 @@ func TestSolveGaussMatchesGaussDecodablePrediction(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: SolveGauss=%v but GaussDecodable=%v", trial, got, want)
 		}
+	}
+}
+
+// lossless passes every transmission.
+type lossless struct{}
+
+func (lossless) Lost() bool { return false }
+
+// TestMLReceiverResetIsFresh: an MLReceiver reset between trials, as a
+// plan worker reuses one, reads as new and gives the TrialResult a new
+// one gives, after a trial it decoded and after one it did not decode
+// with k or more packets, its Gaussian fallback tried.
+func TestMLReceiverResetIsFresh(t *testing.T) {
+	const k, n = 60, 150
+	c := mustNew(t, Params{K: k, N: n, Variant: Staircase, Seed: 2})
+	rng := rand.New(rand.NewSource(4))
+	reused := c.NewMLReceiver()
+	var trial core.Trial
+	var afterDecoded, afterStalled int
+	prev := "none"
+	for tr := range 60 {
+		reused.Reset()
+		if reused.Done() || reused.SourceRecovered() != 0 || reused.BufferedSymbols() != 0 || reused.received != 0 {
+			t.Fatalf("trial %d: reset after a %s trial reads done=%v recovered=%d buffered=%d received=%d",
+				tr, prev, reused.Done(), reused.SourceRecovered(), reused.BufferedSymbols(), reused.received)
+		}
+		schedule := core.SliceSchedule(rng.Perm(n)[:k-2+rng.Intn(12)])
+		got := trial.Run(schedule, lossless{}, reused, 0)
+		if want := core.RunTrial(schedule, lossless{}, c.NewMLReceiver(), 0); got != want {
+			t.Fatalf("trial %d, after a %s trial: reset receiver %+v, new receiver %+v", tr, prev, got, want)
+		}
+		switch {
+		case prev == "decoded":
+			afterDecoded++
+		case prev == "stalled":
+			afterStalled++
+		}
+		prev = "short"
+		if got.Decoded {
+			prev = "decoded"
+		} else if got.NReceived >= k {
+			prev = "stalled"
+		}
+	}
+	if afterDecoded == 0 || afterStalled == 0 {
+		t.Fatalf("%d trials after a decoded one, %d after a stalled one: want some of each", afterDecoded, afterStalled)
 	}
 }
 

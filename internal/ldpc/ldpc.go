@@ -535,7 +535,7 @@ func has(set []uint64, i int32) bool { return set[i>>6]&(1<<(i&63)) != 0 }
 
 func add(set []uint64, i int32) { set[i>>6] |= 1 << (i & 63) }
 
-// Reset implements core.Resetter: every variable unknown, every equation
+// Reset implements core.Receiver: every variable unknown, every equation
 // whole. It panics on a payload decoder, whose slabs have owners.
 func (d *Decoder) Reset() {
 	if d.pay != nil {
@@ -564,8 +564,8 @@ func (d *Decoder) Receive(id int) bool {
 	return done
 }
 
-// ReceiveBatch implements core.BatchReceiver (structural mode). It
-// panics on a payload decoder.
+// ReceiveBatch implements core.Receiver (structural mode). It panics on
+// a payload decoder.
 func (d *Decoder) ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int) {
 	if d.pay != nil {
 		panic("ldpc: ReceiveBatch on a payload decoder")
@@ -747,7 +747,7 @@ func (p *payloads) draw(c *Code, v int32) []byte {
 // Done implements core.Receiver.
 func (d *Decoder) Done() bool { return d.srcKnown == d.code.k }
 
-// BufferedSymbols implements core.MemoryReporter. A large-block iterative
+// BufferedSymbols implements core.Receiver. A large-block iterative
 // decoder must keep every known symbol until the object completes (any of
 // them may be a term of a lost symbol's equation); afterwards only the k
 // source symbols remain and they stream out, so the requirement drops to

@@ -136,7 +136,7 @@ func TestBlockOfRoundTrip(t *testing.T) {
 					rx.Receive(ids[len(b.Source)-1])
 				}
 			}
-			if buf := rx.(core.MemoryReporter).BufferedSymbols(); rx.SourceRecovered() != len(b.Source) || buf != 0 {
+			if buf := rx.BufferedSymbols(); rx.SourceRecovered() != len(b.Source) || buf != 0 {
 				t.Fatalf("block %d with packet %d: %d sources recovered, %d symbols still buffered",
 					bi, id, rx.SourceRecovered(), buf)
 			}
@@ -472,8 +472,7 @@ func blockIndex(l core.Layout, id int) int {
 func TestBufferedSymbols(t *testing.T) {
 	c := mustNew(t, 10, 2.0, 10)
 	rx := c.NewReceiver()
-	mem := rx.(core.MemoryReporter)
-	if mem.BufferedSymbols() != 0 {
+	if rx.BufferedSymbols() != 0 {
 		t.Fatal("fresh receiver buffers symbols")
 	}
 	l := c.Layout()
@@ -481,12 +480,12 @@ func TestBufferedSymbols(t *testing.T) {
 	for _, id := range l.Blocks[0].Source[:4] {
 		rx.Receive(id)
 	}
-	if got := mem.BufferedSymbols(); got != 4 {
+	if got := rx.BufferedSymbols(); got != 4 {
 		t.Fatalf("BufferedSymbols = %d, want 4", got)
 	}
 	// Complete block 0: its symbols stream out.
 	rx.Receive(l.Blocks[0].Source[4])
-	if got := mem.BufferedSymbols(); got != 0 {
+	if got := rx.BufferedSymbols(); got != 0 {
 		t.Fatalf("BufferedSymbols = %d after block decode, want 0", got)
 	}
 
@@ -495,7 +494,6 @@ func TestBufferedSymbols(t *testing.T) {
 	c = mustNew(t, 40, 1.5, 12)
 	l = c.Layout()
 	rx = c.NewReceiver()
-	mem = rx.(core.MemoryReporter)
 	rng := rand.New(rand.NewSource(11))
 	seen := make(map[int]bool)
 	for i := 0; i < 3*l.N; i++ {
@@ -514,7 +512,7 @@ func TestBufferedSymbols(t *testing.T) {
 				want += n
 			}
 		}
-		if got := mem.BufferedSymbols(); got != want {
+		if got := rx.BufferedSymbols(); got != want {
 			t.Fatalf("after %d packets: BufferedSymbols = %d, recount %d", i+1, got, want)
 		}
 	}

@@ -81,6 +81,9 @@ func RunPlan(ctx context.Context, plan Plan, opts PlanOptions) ([]PointResult, e
 // byte-identical for every worker count. Fleet points also run inside
 // plans via Plan.Fleets.
 func RunFleet(ctx context.Context, spec FleetRunSpec, workers int) (*FleetSummary, error) {
+	if spec.Fleet.Receivers == 0 && len(spec.Fleet.Mix) == 0 {
+		return nil, fmt.Errorf("fecperf: RunFleet needs a fleet; the spec's Fleet is empty")
+	}
 	agg, err := engine.RunPoint(ctx, spec, workers)
 	return agg.Fleet, err
 }
