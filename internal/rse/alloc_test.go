@@ -11,9 +11,9 @@ import (
 // nothing at all (Encode adds the parity slice header); decode's scratch
 // (the received generator rows, the e×e system and its inverse) is pooled
 // and its vectors live in the block's view table, so what remains is the
-// decoder's own fixed setup — the struct, the received-bitmap, the block
-// table and two slab buffer tables — plus one view table per block that
-// buffers any parity. Payload memory is slabs: a few pool round-trips per
+// decoder's own fixed setup — the struct, the received-bitmap and the
+// block table; its two slab buffer tables and the view tables of blocks
+// that buffer parity are recycled by the symbol pool. Payload memory is slabs: a few pool round-trips per
 // object, none per symbol.
 
 func TestCodecEncodeIntoAllocCeiling(t *testing.T) {
@@ -109,8 +109,8 @@ func TestCodecDecodeAllocCeiling(t *testing.T) {
 			dec.Close()
 		}
 		run() // warm the pools
-		// The decoder, its bitmap and block records, and the two slabs'
-		// buffer tables; nothing per block — view tables are recycled.
+		// The decoder, its bitmap and block records; nothing per block and
+		// no slab table — view and slab tables are recycled.
 		if avg := testing.AllocsPerRun(50, run); avg > 5 {
 			t.Errorf("k=%d: decode allocs/op = %.1f, want <= 5", k, avg)
 		}

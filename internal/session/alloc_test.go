@@ -10,10 +10,10 @@ import (
 
 // Alloc ceilings for the session hot paths, asserting the slab design on
 // the benchmark's geometries: Reed-Solomon with 1 KiB symbols and LDGM
-// Staircase with k=2048 symbols of 128 B. Encode makes the Object and its
-// slab's buffer table and nothing else (the payload view table is
-// recycled); a receive+decode cycle pays its slabs' buffer tables and
-// the Decoded, for the decoder and the object state are recycled;
+// Staircase with k=2048 symbols of 128 B. Encode makes the Object and
+// nothing else (its slab's buffer table and the payload view table are
+// recycled); a receive+decode cycle pays the Decoded, for the decoder,
+// the object state and the slabs' buffer tables are recycled;
 // steady-state datagram ingest — scratch header, one copy into a slab
 // slot — allocates nothing at all. Payload memory comes from the symbol
 // pool a slab buffer (up to 64 KiB) at a time, so the pool sees a few
@@ -132,8 +132,8 @@ func TestSessionDecodeAllocCeiling(t *testing.T) {
 			t.Fatalf("%s: object did not decode", g.name)
 		}
 		run() // warm the pools and the codec cache
-		// The slabs' buffer tables and the Decoded: the decoder, the
-		// object state and its bitmap are the last object's — not
+		// The Decoded: the decoder, the object state, its bitmap and the
+		// slabs' buffer tables are the last object's — not
 		// counting the packet this test's own mustDecode allocates per
 		// datagram.
 		if avg := testing.AllocsPerRun(20, run) - float64(used); avg > 4 {

@@ -319,10 +319,17 @@ func (d *Decoded) Len() int { return d.n }
 // (one per slab buffer). The runs are views: read-only, dead after
 // Release.
 func (d *Decoded) Segments() iter.Seq[[]byte] {
-	if d.flat != nil {
-		return func(yield func([]byte) bool) { yield(d.flat) }
+	return func(yield func([]byte) bool) {
+		if d.flat != nil {
+			yield(d.flat)
+			return
+		}
+		for seg := range d.slab.Segments(d.off, d.n) {
+			if !yield(seg) {
+				return
+			}
+		}
 	}
-	return d.slab.Segments(d.off, d.n)
 }
 
 // Bytes returns the object as one slice the caller may keep forever: the
@@ -467,7 +474,8 @@ var reassemblies symbol.FreeList[Reassembly]
 // the (cached) code it names and a payload decoder for p's symbol length.
 // p itself is not consumed — pass it to Ingest next. The Reassembly and
 // the decoder in it are ones an earlier object closed, where there are
-// any, so opening an object allocates only its slabs' buffer tables.
+// any, and its slabs' buffer tables come from the symbol pool, so opening
+// an object allocates nothing.
 func OpenReassembly(p *wire.Packet) (*Reassembly, error) {
 	if len(p.Payload) == 0 {
 		return nil, fmt.Errorf("session: zero-length symbol")

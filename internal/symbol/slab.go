@@ -1,6 +1,9 @@
 package symbol
 
-import "iter"
+import (
+	"iter"
+	"math/bits"
+)
 
 // Slab is an object's worth of equal-size slots — the unit of buffer
 // ownership on the cast datapath. A sender's slab holds one ready-to-send
@@ -13,7 +16,9 @@ import "iter"
 //
 // Buffers are drawn as their first slot is asked for (Draw), so a slab's
 // memory follows what was actually written: a header announcing a huge object
-// costs the buffer table and one buffer, never slots·stride bytes. They
+// costs the buffer table and one buffer, never slots·stride bytes. The
+// table itself comes from a free list of its own size class, travels with
+// the slab through Take and Reset, and goes back in Release. Buffers
 // come from the pool unzeroed — a slot holds stale bytes until its owner
 // writes it, and owners write every byte they later read or send.
 //
@@ -28,8 +33,8 @@ type Slab struct {
 	bufs               [][]byte // nil until a slot of the buffer is first used
 }
 
-// NewSlab returns a slab of slots slots of stride bytes each. Only the
-// buffer table is allocated.
+// NewSlab returns a slab of slots slots of stride bytes each. It draws no
+// buffer, only the buffer table, which is recycled.
 func NewSlab(slots, stride int) Slab {
 	if slots < 0 || stride <= 0 {
 		panic("symbol: slab needs slots >= 0 and stride > 0")
@@ -43,7 +48,7 @@ func NewSlab(slots, stride int) Slab {
 	}
 	s := Slab{slots: slots, stride: stride, per: per}
 	if slots > 0 {
-		s.bufs = make([][]byte, (slots+per-1)/per)
+		s.bufs = getTable((slots + per - 1) / per)
 	}
 	return s
 }
@@ -100,13 +105,49 @@ func (s *Slab) Take() Slab {
 	return t
 }
 
-// Release returns the slab's buffers to the pool. The slab has no slots
-// afterwards (Slot panics); Release is idempotent.
+// Release returns the slab's buffers and its table to the pool. The slab
+// has no slots afterwards (Slot panics); Release is idempotent.
 func (s *Slab) Release() {
 	PutAll(s.bufs)
+	putTable(s.bufs)
 	*s = Slab{}
 }
 
 // Reset is Release that keeps the slots and the buffer table, for a slab
 // reused object after object: every slot must be drawn again.
 func (s *Slab) Reset() { PutAll(s.bufs) }
+
+// Slab tables come in power-of-two classes of 1 to 1<<maxTableBits views;
+// a larger table (an object of more than 4096 buffers, 256 MiB of slots)
+// is made and left to the GC.
+const maxTableBits = 12
+
+// viewBytes is what one view of a table occupies: a slice header.
+const viewBytes = 3 * bits.UintSize / 8
+
+var tables [maxTableBits + 1]lifo[[][]byte]
+
+// getTable returns a table of n nil views, n > 0.
+func getTable(n int) [][]byte {
+	t := bits.Len(uint(n - 1))
+	if t > maxTableBits {
+		return make([][]byte, n)
+	}
+	if v, ok := tables[t].pop(); ok {
+		unretain(viewBytes << t)
+		return v[:n]
+	}
+	return make([][]byte, n, 1<<t)
+}
+
+// putTable takes back a table from getTable, every view already nil. A
+// run with PoisonReleased drops it instead, so that a stale copy of a
+// released Slab keeps its nil views and panics at its next Slot rather
+// than reading whichever slab draws the table next.
+func putTable(v [][]byte) {
+	c := cap(v)
+	if c == 0 || c&(c-1) != 0 || c > 1<<maxTableBits || poison.Load() {
+		return
+	}
+	tables[bits.Len(uint(c-1))].push(v[:0], classCap, int64(viewBytes*c))
+}

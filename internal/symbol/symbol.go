@@ -2,10 +2,11 @@
 // the cast datapath allocate from. Every encode, decode and transport
 // step in the repository moves fixed-size symbol payloads around;
 // allocating each one with make() puts the garbage collector on the
-// packet path. This package replaces that with a size-classed free list
-// built on sync.Pool, and with Slab, which carves one object's symbols
-// out of a few top-class buffers so the datapath pays the pool once per
-// 64 KiB rather than once per symbol.
+// packet path. This package replaces that with size-classed free lists
+// — bounded LIFOs the GC cannot empty, so what a cast allocates depends
+// on the code and not on when the collector last ran — and with Slab,
+// which carves one object's symbols out of a few top-class buffers so the
+// datapath pays the pool once per 64 KiB rather than once per symbol.
 //
 // # Ownership contract
 //
@@ -66,10 +67,7 @@
 //     ownership boundary.
 package symbol
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Size classes are powers of two from 64 bytes to 64 KiB — below the
 // smallest class Get rounds up (a few wasted bytes beat a dedicated
@@ -84,12 +82,40 @@ const (
 // MaxPooled is the largest buffer capacity the pool recycles.
 const MaxPooled = 1 << maxClassBits
 
-var classes [numClasses]sync.Pool
+// What the free lists may retain. Every list of bytes — each byte size
+// class, each slab-table class, each ViewPool — keeps at most classCap
+// items, and a Put is admitted only while all of them together hold at
+// most maxRetained bytes; a Put past either cap drops its buffer for the
+// GC. So, whatever the GC does,
+//
+//	Stats.Retained ≤ min(maxRetained, classCap·Σ_lists item bytes)
+//	               = maxRetained = classCap·MaxPooled = 64 MiB,
+//
+// where a byte class holds buffers of one power of two from 64 B to
+// 64 KiB, a table class tables of one power of two from 1 to 4096 views
+// (24 B a view), and a ViewPool tables of its callers' sizes. The lists'
+// own index slices add at most 24 B a slot, 24 KiB a list. The FreeLists of closed decoders and
+// reassemblies are bounded by count (FreeListCap) instead; their slabs
+// are released before they are put.
+//
+// The caps are sized so that a steady cast never misses. A Caster keeps
+// 2·window+1 frame slabs alive (window chunks on the air, window encoded
+// ahead, one being built): at the default window of 4 and 1536 frames of
+// 1 KiB payload that is 9 slabs of 25 top-class buffers, 225 buffers a
+// cast. A receiver holds at most ReceiverConfig.MaxInFlight (default 64)
+// objects in flight, two slabs each, though a cast keeps about a window
+// of them open. Two such casts and their collectors in one process peak
+// at 420 top-class buffers (26 MiB) and a few 16 KiB ones. classCap gives
+// the top class 2.4× that, and maxRetained lets that class alone fill
+// the global cap. A process that holds more at once — 64 in-flight
+// objects of the largest geometry — takes the excess from make and gives
+// it back to the GC.
+const (
+	classCap    = 1024
+	maxRetained = classCap * MaxPooled
+)
 
-// headers recycles the *[]byte boxes sync.Pool forces on us, so the
-// steady state of Get/Put allocates nothing at all: the box freed by a
-// Get is the box the next Put fills.
-var headers = sync.Pool{New: func() any { return new([]byte) }}
+var classes [numClasses]lifo[[]byte]
 
 // classFor returns the index of the smallest class holding n bytes, or
 // -1 when n exceeds MaxPooled.
@@ -153,14 +179,13 @@ func getRaw(n int) []byte {
 	}
 	gets.Inc()
 	live.Add(1)
-	if hp, _ := classes[c].Get().(*[]byte); hp != nil {
-		b := (*hp)[:n]
-		*hp = nil
-		headers.Put(hp)
-		return b
+	size := 1 << (minClassBits + c)
+	if b, ok := classes[c].pop(); ok {
+		unretain(int64(size))
+		return b[:n]
 	}
 	misses.Inc()
-	return make([]byte, n, 1<<(minClassBits+c))
+	return make([]byte, n, size)
 }
 
 // poison makes Put overwrite a buffer before pooling it: see
@@ -174,9 +199,10 @@ var poison atomic.Bool
 // every time. For tests of who owns a slab when; off by default.
 func PoisonReleased(on bool) { poison.Store(on) }
 
-// Put returns b to its size class for reuse. Buffers whose capacity is
-// not an exact class size (not allocated by this pool, or jumbo) are
-// ignored. Put(nil) is a no-op.
+// Put returns b to its size class for reuse, or drops it for the GC when
+// the class or the lists as a whole are at their cap. Buffers whose
+// capacity is not an exact class size (not allocated by this pool, or
+// jumbo) are ignored. Put(nil) is a no-op.
 func Put(b []byte) {
 	c := classOf(cap(b))
 	if c < 0 {
@@ -190,9 +216,7 @@ func Put(b []byte) {
 			b[i] = 0xDB
 		}
 	}
-	hp := headers.Get().(*[]byte)
-	*hp = b
-	classes[c].Put(hp)
+	classes[c].push(b, classCap, int64(cap(b)))
 }
 
 // PutAll returns every non-nil buffer in bs to the pool and nils the

@@ -91,7 +91,7 @@ func TestGetNegativePanics(t *testing.T) {
 }
 
 // BenchmarkGetPut demonstrates the zero-allocation steady state: the
-// buffer and its sync.Pool box both recycle.
+// buffer recycles through its class's free list.
 func BenchmarkGetPut(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

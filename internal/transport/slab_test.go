@@ -567,3 +567,56 @@ func TestReceiverDaemonIngestAllocsNothing(t *testing.T) {
 		d.forgetInFlight()
 	}
 }
+
+// TestCollectorWriteChunkAllocsNothing: writing a decoded chunk out of
+// its slab — every segment to the destination and into the stream CRC —
+// allocates nothing, however many slab buffers the chunk spans.
+func TestCollectorWriteChunkAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	start := symbol.PoolStats().Live
+	data := testFile(t, 200<<10, 6) // four slab buffers of 1 KiB symbols
+	obj := encodeTestObject(t, data, 5, wire.CodeRSE, 1.5, 1024)
+	var chunk *session.Decoded
+	var a *session.Reassembly
+	for id := 0; id < obj.N() && chunk == nil; id++ {
+		d, err := obj.Datagram(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p wire.Packet
+		if err := wire.DecodeTo(&p, d); err != nil {
+			t.Fatal(err)
+		}
+		if a == nil {
+			if a, err = session.OpenReassembly(&p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, chunk, err = a.Ingest(&p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obj.Close()
+	if chunk == nil {
+		t.Fatal("object did not decode")
+	}
+	defer chunk.Release()
+	var sink bytes.Buffer
+	c := NewCollector(nil, &sink, CollectorConfig{})
+	if err := c.writeChunkLocked(chunk); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sink.Bytes(), data) {
+		t.Fatal("the chunk written differs from the object sent")
+	}
+	c.dst = io.Discard
+	if avg := testing.AllocsPerRun(100, func() { c.writeChunkLocked(chunk) }); avg != 0 { //nolint:errcheck
+		t.Errorf("writing a chunk: %v allocs, want 0", avg)
+	}
+	chunk.Release()
+	if live := symbol.PoolStats().Live - start; live != 0 {
+		t.Errorf("%d pool buffers live at the end", live)
+	}
+}
