@@ -80,6 +80,21 @@ func TestRunRejectsBadUsage(t *testing.T) {
 	}
 }
 
+// TestRunRefusesSimulatedDecoder: decoder=gauss selects a simulated
+// receiver; receivers on the wire build their codec from the header and
+// peel, so a cast spec carrying it is an error before anything is sent.
+func TestRunRefusesSimulatedDecoder(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "src.bin")
+	writeFile(t, src, "a few bytes to cast")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	line := "name=g,addr=" + freeAddr(t, "udp") + ",file=" + src + ",codec=ldgm-staircase(decoder=gauss)"
+	err := run(ctx, make(chan os.Signal), []string{"-cast", line}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "always peel") {
+		t.Fatalf("run(-cast %q) = %v, want the decoder refused", line, err)
+	}
+}
+
 // TestFeccastdEndToEnd runs the real daemon over localhost UDP: two
 // carousels from a spec file, a receiver decoding both, the control
 // plane answering on the shared listener, a SIGHUP converging the

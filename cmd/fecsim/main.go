@@ -24,7 +24,10 @@
 //
 // Codes are built from the run seed, so a codec seed that differs from
 // it is an error, as are the live-delivery keys a sweep cannot apply
-// (payload, batch, window, rounds, object, rate, burst, pending).
+// (payload, batch, window, rounds, object, rate, burst, pending). The
+// LDGM families' decoder key carries over, so
+// codec=ldgm-staircase(decoder=gauss) — or -code with the same value —
+// sweeps the peeling decoder with its Gaussian fallback.
 //
 // -fleet switches from the (p, q) sweep to fleet mode: one shared
 // transmission order fanned out to N receivers whose loss channels are
@@ -86,7 +89,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("fecsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		codeName = fs.String("code", "ldgm-staircase", "FEC code: "+strings.Join(fecperf.CodecNames, ", "))
+		codeName = fs.String("code", "ldgm-staircase", "FEC code: "+strings.Join(fecperf.CodecNames, ", ")+"; the ldgm families take decoder=gauss, e.g. ldgm-staircase(decoder=gauss)")
 		txName   = fs.String("tx", "tx2", "transmission model: tx1..tx6, parameterized forms tx6(frac=0.3), rx1(src=12), repeat(x=3), carousel(inner=tx4,rounds=3)")
 		ratio    = fs.Float64("ratio", 2.5, "FEC expansion ratio n/k")
 		k        = fs.Int("k", 1000, "object size in source packets (paper: 20000)")
@@ -121,7 +124,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("spec keys %v configure a live delivery, not a sweep (a sweep applies %v)", bad, sweepKeys)
 		}
 		if cfg.Codec.Family != "" {
-			*codeName = cfg.Codec.Family
+			// The plan's Codes axis takes the family and its decoder
+			// key; k and ratio are axes of their own.
+			*codeName = fecperf.CodecSpec{Family: cfg.Codec.Family, Decoder: cfg.Codec.Decoder}.Name()
 			if cfg.Codec.K != 0 {
 				*k = cfg.Codec.K
 			}

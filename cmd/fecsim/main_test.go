@@ -129,6 +129,29 @@ func TestRunSpecOverridesFlags(t *testing.T) {
 	}
 }
 
+// TestRunSpecKeepsTheDecoder: -spec's codec decoder key reaches the
+// plan. A k=100, 4-trial sweep with decoder=gauss names it in the header
+// and measures other cells than the peeling sweep of the same line.
+func TestRunSpecKeepsTheDecoder(t *testing.T) {
+	sweep := func(codec string) string {
+		var out, errs bytes.Buffer
+		args := fastArgs("-spec", "codec="+codec+",sched=tx4,trials=4,seed=2", "-k", "100", "-grid", "0,0.05,0.2")
+		if err := run(context.Background(), args, &out, &errs); err != nil {
+			t.Fatalf("-spec codec=%s: %v (stderr: %s)", codec, err, errs.String())
+		}
+		return out.String()
+	}
+	peel, gauss := sweep("ldgm-staircase"), sweep("ldgm-staircase(decoder=gauss)")
+	if !strings.HasPrefix(gauss, "# ldgm-staircase(decoder=gauss), tx4,") || !strings.Contains(gauss, "k=100, trials=4") {
+		t.Fatalf("gauss sweep header:\n%s", gauss)
+	}
+	_, peelCells, _ := strings.Cut(peel, "\n")
+	_, gaussCells, _ := strings.Cut(gauss, "\n")
+	if peelCells == gaussCells {
+		t.Fatalf("decoder=gauss measured what peeling did:\n%s", gauss)
+	}
+}
+
 // TestRunSpecRejectsDroppedSettings: a -spec setting fecsim cannot
 // apply is an error, not silently dropped. Codes are built from the run
 // seed, so a differing codec seed is refused; delivery-only keys are too.

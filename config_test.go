@@ -222,6 +222,33 @@ func TestSimulateSpecMatchesSimRun(t *testing.T) {
 	}
 }
 
+// TestDecoderKeySimulatesButDoesNotCast: decoder=gauss is a simulated
+// receiver. Simulate runs it — on the peeler's seed, so the two see the
+// same losses and the hybrid decodes no later — while every cast
+// constructor refuses it: receivers on the wire always peel.
+func TestDecoderKeySimulatesButDoesNotCast(t *testing.T) {
+	const code, rest = "codec=ldgm-staircase(k=300,ratio=2.5,seed=4", "),sched=tx4,channel=gilbert(p=0.1,q=0.5),trials=10,seed=3"
+	peel, err := Simulate(WithSpec(code + rest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauss, err := Simulate(WithSpec(code + ",decoder=gauss" + rest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gauss.ReceivedOverK != peel.ReceivedOverK || gauss.Failures > peel.Failures ||
+		!(gauss.MeanIneff() < peel.MeanIneff()) {
+		t.Errorf("decoder=gauss %+v, peeling %+v: want the same receptions and an earlier decode", gauss, peel)
+	}
+	spec := WithSpec("codec=ldgm-staircase(ratio=2.5,decoder=gauss)")
+	if _, err := NewCaster(&captureConn{}, strings.NewReader("x"), spec); err == nil || !strings.Contains(err.Error(), "always peel") {
+		t.Errorf("NewCaster with decoder=gauss: err = %v", err)
+	}
+	if _, err := NewObject([]byte("x"), spec); err == nil || !strings.Contains(err.Error(), "always peel") {
+		t.Errorf("NewObject with decoder=gauss: err = %v", err)
+	}
+}
+
 func TestSimulateDefaults(t *testing.T) {
 	// No scheduler, no channel: tx4 over the perfect channel. Every
 	// trial then needs exactly the ideal packet count.

@@ -7,6 +7,7 @@ package codes
 //	rse(k=32,ratio=1.5)
 //	rse16(k=70000,ratio=1.25)
 //	ldgm-staircase(k=20000,ratio=2.5,seed=7)
+//	ldgm-staircase(k=1000,ratio=2.5,decoder=gauss)
 //	no-fec(k=8)
 //
 // A Spec is the serializable form of one codec configuration; its Name
@@ -16,9 +17,12 @@ package codes
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 
 	"fecperf/internal/core"
+	"fecperf/internal/ldpc"
 	"fecperf/internal/spec"
 	"fecperf/internal/wire"
 )
@@ -34,33 +38,53 @@ type Spec struct {
 	// Ratio is the FEC expansion ratio n/k. Zero means 1 (no parity),
 	// which only the no-fec family accepts.
 	Ratio float64
-	// Seed fixes the pseudo-random LDGM construction (ignored, and
-	// omitted from Name, for the other families).
+	// Seed fixes the pseudo-random LDGM construction (the other
+	// families ignore it). Name renders any non-zero seed.
 	Seed int64
+	// Decoder selects the LDGM families' simulated receiver (key
+	// "decoder"): "" is peeling, the default, which ParseSpec reads
+	// decoder=peel as and Name omits; "gauss" adds the Gaussian
+	// fallback (ldpc.Params.Gauss). Payload decoders, and so every
+	// receiver on the wire, always peel.
+	Decoder string
 }
+
+// gaussDecoder is the one Decoder value besides the default.
+const gaussDecoder = "gauss"
+
+// ldgmFamily reports whether a family name is one of the LDGM
+// variants, the families with a decoder key.
+func ldgmFamily(name string) bool { return strings.HasPrefix(name, "ldgm") }
 
 // ParseSpec parses a codec spec string. The family name is required;
 // k defaults to 0 (callers that know the object size fill it in),
-// ratio to 1 for no-fec and is otherwise required, seed to 0.
+// ratio to 1 for no-fec and is otherwise required, seed to 0, and the
+// LDGM families' decoder to peel.
 func ParseSpec(s string) (Spec, error) {
 	base, params, err := spec.Split(s)
 	if err != nil {
 		return Spec{}, fmt.Errorf("codes: spec %q: %w", s, err)
 	}
-	known := false
-	for _, n := range CodecNames {
-		if base == n {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(CodecNames, base) {
 		return Spec{}, fmt.Errorf("codes: unknown codec %q (have %v)", base, CodecNames)
 	}
-	if bad := params.Unknown("k", "ratio", "seed"); bad != nil {
-		return Spec{}, fmt.Errorf("codes: %s has no parameters %v (want k, ratio, seed)", base, bad)
+	keys := []string{"k", "ratio", "seed"}
+	if ldgmFamily(base) {
+		keys = append(keys, "decoder")
+	}
+	if bad := params.Unknown(keys...); bad != nil {
+		return Spec{}, fmt.Errorf("codes: %s has no parameters %v (want %s)", base, bad, strings.Join(keys, ", "))
 	}
 	out := Spec{Family: base}
+	if d, ok := params["decoder"]; ok {
+		switch d {
+		case "peel":
+		case gaussDecoder:
+			out.Decoder = d
+		default:
+			return Spec{}, fmt.Errorf("codes: spec %q: unknown decoder %q (want peel or gauss)", s, d)
+		}
+	}
 	k, ok, err := params.Int("k")
 	if err != nil {
 		return Spec{}, fmt.Errorf("codes: spec %q: %w", s, err)
@@ -102,6 +126,9 @@ func (s Spec) Name() string {
 	if s.Seed != 0 {
 		fields = append(fields, spec.Field{Key: "seed", Value: strconv.FormatInt(s.Seed, 10)})
 	}
+	if s.Decoder != "" {
+		fields = append(fields, spec.Field{Key: "decoder", Value: s.Decoder})
+	}
 	return spec.Format(s.Family, fields...)
 }
 
@@ -111,10 +138,11 @@ func (s Spec) WireFamily() (wire.CodeFamily, error) {
 }
 
 // New builds the codec the spec describes: N turns the ratio into n,
-// and ForWire builds (family, k, n, seed). K must be set (ByName specs
-// embed it; callers deriving k from an object size set it first), and
-// so must Ratio for every parity-bearing family — defaulting it
-// silently would make "rse(k=32)" a zero-parity code.
+// and ForWire builds (family, k, n, seed) — or, under decoder=gauss, the
+// same LDGM graph whose NewReceiver is the hybrid receiver. K must be
+// set (ByName specs embed it; callers deriving k from an object size set
+// it first), and so must Ratio for every parity-bearing family —
+// defaulting it silently would make "rse(k=32)" a zero-parity code.
 func (s Spec) New() (core.Codec, error) {
 	f, err := s.WireFamily()
 	if err != nil {
@@ -134,7 +162,17 @@ func (s Spec) New() (core.Codec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ForWire(f, s.K, n, s.Seed)
+	switch {
+	case s.Decoder == "":
+		return ForWire(f, s.K, n, s.Seed)
+	case s.Decoder != gaussDecoder || !ldgmFamily(s.Family):
+		return nil, fmt.Errorf("codes: spec %q: %s has no decoder %q", s.Name(), s.Family, s.Decoder)
+	}
+	c, err := ldpc.New(ldpc.Params{K: s.K, N: n, Variant: ldgmVariant(f), Seed: s.Seed, Gauss: true})
+	if err != nil {
+		return nil, err // not a nil *ldpc.Code in a non-nil interface
+	}
+	return c, nil
 }
 
 // ByName resolves a fully parameterized codec spec — e.g.

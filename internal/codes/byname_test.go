@@ -1,8 +1,12 @@
 package codes
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"fecperf/internal/ldpc"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
@@ -14,6 +18,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		{Family: "ldgm-triangle", K: 1000, Ratio: 2.5, Seed: -3},
 		{Family: "no-fec", K: 8},
 		{Family: "ldgm"},
+		{Family: "ldgm-staircase", K: 1000, Ratio: 2.5, Seed: 42, Decoder: "gauss"},
+		{Family: "ldgm", Decoder: "gauss"},
 	} {
 		back, err := ParseSpec(s.Name())
 		if err != nil {
@@ -58,21 +64,81 @@ func TestByName(t *testing.T) {
 func TestByNameErrors(t *testing.T) {
 	for _, in := range []string{
 		"",
-		"reed-solomon(k=3)",   // unknown family
-		"rse(k=0,ratio=1.5)",  // k must be positive
-		"rse(k=-4,ratio=1.5)", // negative k
-		"rse(k=32,ratio=0.5)", // ratio below 1
-		"rse(k=32,ratio=x)",   // malformed ratio
-		"rse(k=32,rato=1.5)",  // typo parameter
-		"rse(k=32",            // unbalanced
-		"no-fec(k=8,ratio=2)", // no-fec cannot expand
-		"rse(k=32)",           // parity family without ratio
-		"rse(seed=zz)",        // malformed seed
+		"reed-solomon(k=3)",                  // unknown family
+		"rse(k=0,ratio=1.5)",                 // k must be positive
+		"rse(k=-4,ratio=1.5)",                // negative k
+		"rse(k=32,ratio=0.5)",                // ratio below 1
+		"rse(k=32,ratio=x)",                  // malformed ratio
+		"rse(k=32,rato=1.5)",                 // typo parameter
+		"rse(k=32",                           // unbalanced
+		"no-fec(k=8,ratio=2)",                // no-fec cannot expand
+		"rse(k=32)",                          // parity family without ratio
+		"rse(seed=zz)",                       // malformed seed
+		"rse(k=32,ratio=1.5,decoder=gauss)",  // no decoder key on rse,
+		"rse16(k=32,ratio=1.5,decoder=peel)", // rse16
+		"no-fec(k=8,decoder=peel)",           // or no-fec
+		"ldgm-staircase(k=32,ratio=2.5,decoder=bp)",    // unknown decoder
+		"ldgm-staircase(k=32,ratio=2.5,decoder=)",      // empty decoder
+		"ldgm-staircase(k=32,ratio=2.5,decoder=Gauss)", // values are case-sensitive
 	} {
 		if _, err := ByName(in); err == nil {
 			t.Errorf("ByName(%q) succeeded, want error", in)
 		}
 	}
+}
+
+// TestDecoderKey: decoder=peel is the default and Name omits it;
+// decoder=gauss builds the peeling code's graph, named with "+gauss",
+// whose simulated receiver is not the peeler; a literal Spec is held to
+// what ParseSpec accepts.
+func TestDecoderKey(t *testing.T) {
+	peel, err := ParseSpec("ldgm-triangle(k=50,ratio=2,decoder=peel)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peel.Decoder != "" || peel.Name() != "ldgm-triangle(k=50,ratio=2)" {
+		t.Fatalf("decoder=peel parsed to %+v, named %q", peel, peel.Name())
+	}
+	gauss := peel
+	gauss.Decoder = "gauss"
+	if gauss.Name() != "ldgm-triangle(k=50,ratio=2,decoder=gauss)" {
+		t.Fatalf("gauss spec named %q", gauss.Name())
+	}
+	p, err := peel.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gauss.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Name() != "ldgm-triangle+gauss" || g.Layout().N != p.Layout().N {
+		t.Fatalf("gauss code %s n=%d, peeling code %s n=%d", g.Name(), g.Layout().N, p.Name(), p.Layout().N)
+	}
+	if pe, ge := p.(*ldpc.Code), g.(*ldpc.Code); !slices.Equal(edges(pe), edges(ge)) {
+		t.Fatal("decoder=gauss built another graph")
+	}
+	if fmt.Sprintf("%T", g.NewReceiver()) == fmt.Sprintf("%T", p.NewReceiver()) {
+		t.Fatalf("decoder=gauss receiver is the peeler's %T", p.NewReceiver())
+	}
+	for _, bad := range []Spec{
+		{Family: "rse", K: 32, Ratio: 1.5, Decoder: "gauss"},
+		{Family: "ldgm", K: 32, Ratio: 2, Decoder: "peel"},
+		{Family: "ldgm", K: 32, Ratio: 2, Decoder: "bp"},
+	} {
+		if c, err := bad.New(); err == nil || c != nil {
+			t.Errorf("%+v: New = %v, %v; want a nil codec and an error", bad, c, err)
+		}
+	}
+}
+
+// edges lists an LDGM code's equations, variable by variable.
+func edges(c *ldpc.Code) []int32 {
+	var out []int32
+	for i := range c.NumEquations() {
+		out = append(append(out, c.EquationVars(i)...), -1)
+	}
+	return out
 }
 
 func FuzzParseSpec(f *testing.F) {
@@ -81,6 +147,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("no-fec(k=8)")
 	f.Add("rse(k=,ratio=)")
 	f.Add("rse((((")
+	f.Add("ldgm-staircase(k=100,ratio=2.5,decoder=gauss)")
 	f.Fuzz(func(t *testing.T, in string) {
 		s, err := ParseSpec(in)
 		if err != nil {

@@ -5,7 +5,9 @@ package codes
 // codecs from specs or on-the-wire OTI and never switch on a family
 // themselves. A code's identity is the integers on the wire, (family, k,
 // n, seed): ForWire is the one constructor, and Spec.New turns a
-// configured ratio into n (N) before it calls it.
+// configured ratio into n (N) before it calls it. The one key that is not
+// on the wire, an LDGM spec's decoder=gauss, picks a simulated receiver
+// (Spec.New) and never reaches ForWire.
 
 import (
 	"fmt"

@@ -103,6 +103,10 @@ func TestControlPlane(t *testing.T) {
 	if code, body = do("POST", "/casts", specBody("name=only")); code != http.StatusBadRequest {
 		t.Errorf("POST bad spec = %d %s", code, body)
 	}
+	gauss := specBody("name=g,addr=" + addr + ",file=x,codec=ldgm-staircase(decoder=gauss)")
+	if code, body = do("POST", "/casts", gauss); code != http.StatusBadRequest || !strings.Contains(body, "decoder=gauss") {
+		t.Errorf("POST cast with a simulated decoder = %d %s", code, body)
+	}
 	if code, body = do("POST", "/casts", `{"spec": "name=nofile,addr=`+addr+`"}`); code != http.StatusConflict ||
 		!strings.Contains(body, "needs file=") {
 		t.Errorf("POST sourceless cast = %d %s", code, body)

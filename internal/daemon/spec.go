@@ -139,7 +139,7 @@ func (cs *CastSpec) normalize() error {
 	if cs.Weight == 0 {
 		cs.Weight = 1
 	}
-	if err := cs.Validate(); err != nil {
+	if _, err := cs.ObjectConfig(0); err != nil { // the delivery's own gate
 		return fmt.Errorf("daemon: cast %s: %w", cs.Name, err)
 	}
 	resolved := cs.ResolvedCodec()

@@ -117,15 +117,16 @@ func TestParseCastSpecBareLine(t *testing.T) {
 
 func TestParseCastSpecErrors(t *testing.T) {
 	cases := map[string]string{
-		"addr=1:2":                                "needs name",
-		"name=x":                                  "needs addr",
-		"name=x,addr=1:2,mode=parcel":             "unknown mode",
-		"name=x,addr=1:2,weight=-1":               "weight must be positive",
-		"name=x,addr=1:2,codec=rot13":             "unknown codec",
-		"name=x,addr=1:2,sched=tx99":              "tx99",
-		"name=x,addr=1:2,frobnicate=1":            "no parameters",
-		"name=x,addr=1:2,batch=-4":                "must not be negative",
-		"name=x,addr=1:2,codec=no-fec,seed=horse": "not an integer",
+		"addr=1:2":                                  "needs name",
+		"name=x":                                    "needs addr",
+		"name=x,addr=1:2,mode=parcel":               "unknown mode",
+		"name=x,addr=1:2,weight=-1":                 "weight must be positive",
+		"name=x,addr=1:2,codec=rot13":               "unknown codec",
+		"name=x,addr=1:2,sched=tx99":                "tx99",
+		"name=x,addr=1:2,frobnicate=1":              "no parameters",
+		"name=x,addr=1:2,batch=-4":                  "must not be negative",
+		"name=x,addr=1:2,codec=no-fec,seed=horse":   "not an integer",
+		"name=x,addr=1:2,codec=ldgm(decoder=gauss)": "receivers on the wire always peel",
 	}
 	for line, want := range cases {
 		if _, err := ParseCastSpec(line); err == nil || !strings.Contains(err.Error(), want) {

@@ -118,14 +118,15 @@ func BenchmarkSimGridPlan(b *testing.B) {
 			specs := make([]PointSpec, len(points))
 			cache := map[string]core.Code{}
 			for i, pt := range points {
-				if specs[i], err = Materialize(pt, cache); err != nil {
+				if specs[i], err = materialize(pt, cache); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunPointSpecs(context.Background(), specs, 1); err != nil {
+				// RunPoints' pool without its per-run code construction.
+				if err := runSpecs(context.Background(), specs, 1, engineMetrics{}, func(int, Aggregate) {}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/codes"
 	"fecperf/internal/core"
 	"fecperf/internal/obs"
 	"fecperf/internal/sched"
@@ -39,10 +38,9 @@ const shardSize = 8
 // PointSpec is a materialised work unit: live code and scheduler rather
 // than declarative names, plus either the channel every trial builds a
 // fresh chain from or the fleet that watches one shared transmission.
-// Plans materialise Points into them (Materialize); the one-point
-// callers (the facade's Simulate and RunFleet, which take the user's
-// seed) and ext-ml-decoding's paired ML copy of a plan's points are the
-// only ones that build them otherwise.
+// RunPoints materialises Points into them; RunPoint runs one built by
+// hand, which only the one-point callers do (the facade's Simulate and
+// RunFleet, which take the user's seed).
 type PointSpec struct {
 	Code      core.Code
 	Scheduler core.Scheduler
@@ -237,39 +235,25 @@ func trialChannels(cs channel.Spec, src *core.SplitMixSource) func() core.Channe
 	return func() core.Channel { return cs.New(0) }
 }
 
-// RunPointSpecs executes every spec with trial-level parallelism and
-// returns aggregates aligned with the input. All shards of all scalar
-// points feed one worker pool, so a single expensive point still
-// saturates every worker; fleet points run first, one at a time, each
-// parallel across its receiver shards. Results are deterministic in the
-// specs' seeds whatever the worker count: shard boundaries are fixed and
-// partial aggregates merge in shard order. On cancellation the returned
-// error is ctx.Err() and unfinished points hold zero-valued aggregates.
-// An invalid or unset channel, or an invalid fleet, is an error before
-// the first trial, with every aggregate zero-valued. A spec without a
-// code or scheduler is a caller bug and panics here, on the caller's
-// goroutine, rather than inside a worker.
-func RunPointSpecs(ctx context.Context, specs []PointSpec, workers int) ([]Aggregate, error) {
-	out := make([]Aggregate, len(specs))
-	for _, s := range specs {
-		if s.Code == nil || s.Scheduler == nil {
-			panic("engine: PointSpec requires Code and Scheduler")
-		}
-		if err := s.validate(); err != nil {
-			return out, err
-		}
-	}
-	err := runSpecs(ctx, specs, workers, engineMetrics{}, func(i int, agg Aggregate) {
-		out[i] = agg
-	})
-	return out, err
-}
-
-// RunPoint executes one materialised point. Workers ≤ 0 means
-// GOMAXPROCS; the aggregate is identical for every worker count.
+// RunPoint executes one materialised point with trial-level parallelism
+// (a fleet point across its receiver shards). Workers ≤ 0 means
+// GOMAXPROCS; the aggregate is identical for every worker count, since
+// shard boundaries are fixed and partial aggregates merge in shard
+// order. On cancellation the error is ctx.Err() and the aggregate is
+// zero-valued. An invalid or unset channel, or an invalid fleet, is an
+// error before the first trial. A spec without a code or scheduler is a
+// caller bug and panics here, on the caller's goroutine, rather than
+// inside a worker.
 func RunPoint(ctx context.Context, spec PointSpec, workers int) (Aggregate, error) {
-	aggs, err := RunPointSpecs(ctx, []PointSpec{spec}, workers)
-	return aggs[0], err
+	if spec.Code == nil || spec.Scheduler == nil {
+		panic("engine: PointSpec requires Code and Scheduler")
+	}
+	if err := spec.validate(); err != nil {
+		return Aggregate{}, err
+	}
+	var agg Aggregate
+	err := runSpecs(ctx, []PointSpec{spec}, workers, engineMetrics{}, func(_ int, a Aggregate) { agg = a })
+	return agg, err
 }
 
 // runSpecs runs validated specs through drainShards. Fleet points go
@@ -378,12 +362,15 @@ func Run(ctx context.Context, plan Plan, opts Options) ([]PointResult, error) {
 }
 
 // RunPoints executes an explicit point list (normally a plan expansion,
-// possibly filtered). Results are returned aligned with the input, and
-// also reported through opts.Progress in completion order. With a
-// checkpoint path configured, previously completed points are restored
-// instead of recomputed and new completions are appended; on
-// cancellation (err == ctx.Err()) the checkpoint holds every point
-// finished so far, so the same call resumes the run later.
+// possibly filtered). All shards of all scalar points feed one worker
+// pool, so a single expensive point still saturates every worker; fleet
+// points run first, one at a time (runSpecs). Results are returned
+// aligned with the input, and also reported through opts.Progress in
+// completion order. With a checkpoint path configured, previously
+// completed points are restored instead of recomputed and new
+// completions are appended; on cancellation (err == ctx.Err()) the
+// checkpoint holds every point finished so far, so the same call resumes
+// the run later.
 func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointResult, retErr error) {
 	results := make([]PointResult, len(points))
 	for i, pt := range points {
@@ -442,7 +429,7 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 				continue
 			}
 		}
-		spec, err := Materialize(pt, codeCache)
+		spec, err := materialize(pt, codeCache)
 		if err != nil {
 			return nil, err
 		}
@@ -459,15 +446,18 @@ func RunPoints(ctx context.Context, points []Point, opts Options) (res []PointRe
 	return results, retErr
 }
 
-// Materialize builds the live, validated work unit for a point, sharing
+// materialize builds the live, validated work unit for a point, sharing
 // code constructions (the expensive part: LDGM matrix building) across
 // points with the same code spec through codeCache.
-func Materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
+func materialize(pt Point, codeCache map[string]core.Code) (PointSpec, error) {
 	codeKey := pt.codeKey()
 	code, ok := codeCache[codeKey]
 	if !ok {
-		var err error
-		cs := codes.Spec{Family: pt.Code, K: pt.K, Ratio: pt.Ratio, Seed: pt.CodeSeed}
+		cs, err := planCode(pt.Code)
+		if err != nil {
+			return PointSpec{}, err
+		}
+		cs.K, cs.Ratio, cs.Seed = pt.K, pt.Ratio, pt.CodeSeed
 		if code, err = cs.New(); err != nil {
 			return PointSpec{}, err
 		}

@@ -218,6 +218,46 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsEachDecodersAggregate: the peel and gauss points
+// of one coordinate share their seed, so only Key tells their checkpoint
+// records apart. A run resumed from a full checkpoint restores every
+// point, each with the aggregate its own decoder measured.
+func TestCheckpointKeepsEachDecodersAggregate(t *testing.T) {
+	plan := decoderPlan()
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	fresh, err := Run(context.Background(), plan, Options{Workers: 2, CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(fresh) / 2
+	differ := 0
+	for i := range n {
+		if fresh[i].Aggregate != fresh[n+i].Aggregate {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("peeling and gauss measured the same at every point: the plan cannot tell their records apart")
+	}
+	restored := 0
+	res, err := Run(context.Background(), plan, Options{Workers: 2, CheckpointPath: path, Progress: func(ev Progress) {
+		if ev.FromCheckpoint {
+			restored++
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != len(fresh) {
+		t.Fatalf("restored %d of %d points", restored, len(fresh))
+	}
+	for i := range res {
+		if res[i].Aggregate != fresh[i].Aggregate {
+			t.Fatalf("point %d (%s): restored %+v, measured %+v", i, res[i].Point.Code, res[i].Aggregate, fresh[i].Aggregate)
+		}
+	}
+}
+
 func TestCheckpointIgnoresDifferentSeed(t *testing.T) {
 	plan := smallPlan()
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
@@ -371,8 +411,9 @@ func TestInvalidChannelIsAnErrorBeforeTheFirstTrial(t *testing.T) {
 		if err == nil || agg.Trials != 0 {
 			t.Errorf("%s: RunPoint = %+v, %v; want an error and no trials", name, agg, err)
 		}
-		if _, err := RunPointSpecs(context.Background(), []PointSpec{spec}, 2); err == nil {
-			t.Errorf("%s: RunPointSpecs accepted it", name)
+		pt := Point{Code: "rse", K: 40, Ratio: 1.5, Scheduler: "tx4", Channel: ch, Trials: 4, Seed: 1, CodeSeed: 1}
+		if res, err := RunPoints(context.Background(), []Point{pt}, Options{Workers: 2}); err == nil {
+			t.Errorf("%s: RunPoints returned %v and no error", name, res)
 		}
 		plan := Plan{Codes: []string{"rse"}, Ks: []int{40}, Ratios: []float64{1.5}, Schedulers: []string{"tx4"},
 			Channels: []channel.Spec{ch}, Trials: 4, Seed: 1}

@@ -197,34 +197,42 @@ func TestFleetWorkerCountIndependence(t *testing.T) {
 	}
 }
 
-// TestRunPointSpecsMixesFleetAndScalarPoints: fleet and scalar specs are
-// one work unit, so one batch may hold both, and each point's aggregate
-// equals running it alone.
-func TestRunPointSpecsMixesFleetAndScalarPoints(t *testing.T) {
+// TestRunPointsMixesFleetAndScalarPoints: fleet and scalar points are
+// one work unit, so one point list may hold both, and each point's
+// aggregate equals running it alone.
+func TestRunPointsMixesFleetAndScalarPoints(t *testing.T) {
 	fleet := testFleetRunSpec(t, "tx2")
-	scalar := PointSpec{Code: fleet.Code, Scheduler: fleet.Scheduler,
-		Channel: channel.GilbertChannel(0.1, 0.5), Trials: 12, Seed: 9}
-	aggs, err := RunPointSpecs(context.Background(), []PointSpec{scalar, fleet, scalar}, 3)
+	fs := testFleetSpec()
+	scalarPt := Point{Code: "rse", K: 64, Ratio: 2.0, Scheduler: "tx2",
+		Channel: channel.GilbertChannel(0.1, 0.5), Trials: 12, Seed: 9, CodeSeed: 7}
+	fleetPt := Point{Code: "rse", K: 64, Ratio: 2.0, Scheduler: "tx2", Fleet: &fs, Seed: fleet.Seed, CodeSeed: 7}
+	res, err := RunPoints(context.Background(), []Point{scalarPt, fleetPt, scalarPt}, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	aggs := make([]Aggregate, len(res))
+	for i, r := range res {
+		aggs[i] = r.Aggregate
 	}
 	alone, err := fleetSummary(context.Background(), fleet, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if aggs[1].Fleet == nil || marshalAny(t, aggs[1].Fleet) != marshalAny(t, alone) {
-		t.Fatal("fleet point in a mixed batch differs from the point run alone")
+		t.Fatal("fleet point in a mixed list differs from the point run alone")
 	}
 	if aggs[1].Trials != fleet.Fleet.Receivers {
 		t.Fatalf("fleet aggregate counts %d trials, want its %d receivers", aggs[1].Trials, fleet.Fleet.Receivers)
 	}
+	scalar := PointSpec{Code: fleet.Code, Scheduler: fleet.Scheduler,
+		Channel: scalarPt.Channel, Trials: scalarPt.Trials, Seed: scalarPt.Seed}
 	want, err := RunPoint(context.Background(), scalar, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 2} {
 		if aggs[i].Fleet != nil || marshalAny(t, aggs[i]) != marshalAny(t, want) {
-			t.Fatalf("scalar point %d in a mixed batch differs from RunPoint alone", i)
+			t.Fatalf("scalar point %d in a mixed list differs from RunPoint alone", i)
 		}
 	}
 

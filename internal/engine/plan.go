@@ -3,12 +3,12 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/core"
 	"fecperf/internal/sched"
+	"fecperf/internal/spec"
 )
 
 // Plan declares a cartesian scenario space: every combination of the
@@ -16,9 +16,11 @@ import (
 // defaults noted on each field; Codes, Schedulers and Channels must be
 // non-empty.
 type Plan struct {
-	// Codes are codec family names accepted by codes.Spec
-	// ("rse", "rse16", "ldgm", "ldgm-staircase", "ldgm-triangle",
-	// "no-fec"; no-fec needs ratio 1).
+	// Codes are codec families in codes.ParseSpec's grammar ("rse",
+	// "rse16", "ldgm", "ldgm-staircase", "ldgm-triangle", "no-fec";
+	// no-fec needs ratio 1), each with at most the LDGM families'
+	// decoder key, e.g. "ldgm-staircase(decoder=gauss)". k, ratio and
+	// the construction seed are the plan's own axes, not codec keys.
 	Codes []string `json:"codes"`
 	// Ks are object sizes in source packets (default {1000}).
 	Ks []int `json:"ks,omitempty"`
@@ -77,8 +79,8 @@ func (p Plan) Validate() error {
 		}
 	}
 	for _, c := range p.Codes {
-		if !slices.Contains(codes.CodecNames, c) {
-			return fmt.Errorf("engine: unknown code %q (have %v)", c, codes.CodecNames)
+		if _, err := planCode(c); err != nil {
+			return err
 		}
 	}
 	for _, s := range p.Schedulers {
@@ -108,6 +110,19 @@ func (p Plan) Validate() error {
 	return nil
 }
 
+// planCode parses a Codes entry (or a Point's Code): a codec family and
+// at most its decoder key, since k, ratio and seed are the plan's axes.
+func planCode(c string) (codes.Spec, error) {
+	cs, err := codes.ParseSpec(c)
+	if err != nil {
+		return codes.Spec{}, fmt.Errorf("engine: %w", err)
+	}
+	if _, params, _ := spec.Split(c); params.Unknown("decoder") != nil {
+		return codes.Spec{}, fmt.Errorf("engine: code %q: k, ratio and seed are the plan's axes, not codec keys", c)
+	}
+	return cs, nil
+}
+
 // NumPoints returns the size of the expanded scenario space.
 func (p Plan) NumPoints() int {
 	p = p.withDefaults()
@@ -121,7 +136,9 @@ func (p Plan) NumPoints() int {
 type Point struct {
 	// Index is the position in the plan's expansion order (codes, then
 	// ks, ratios, schedulers, channels, nsents — last axis fastest).
-	Index     int     `json:"index"`
+	Index int `json:"index"`
+	// Code is the Codes entry in its canonical form (codes.Spec.Name):
+	// decoder=peel, the default, is omitted.
 	Code      string  `json:"code"`
 	K         int     `json:"k"`
 	Ratio     float64 `json:"ratio"`
@@ -146,37 +163,50 @@ type Point struct {
 // determines its result except the derived seed. Checkpoint records are
 // matched on (Key, Seed), so resuming with a different plan seed never
 // reuses stale results.
-func (pt Point) Key() string {
+func (pt Point) Key() string { return pt.key(pt.Code) }
+
+// key is Key with code in place of pt.Code. A point's seed hashes it with
+// the bare codec family: a decoder draws no randomness, so points that
+// differ only in their decoder share their seed — their trials see the
+// same schedules and losses — while their Keys, and so their checkpoint
+// records, stay apart.
+func (pt Point) key(code string) string {
 	ch := pt.Channel.Key()
 	if pt.Fleet != nil {
 		ch = pt.Fleet.Key()
 	}
 	return fmt.Sprintf("code=%s|k=%d|ratio=%g|sched=%s|ch=%s|trials=%d|nsent=%d|cseed=%d",
-		pt.Code, pt.K, pt.Ratio, pt.Scheduler, ch, pt.Trials, pt.NSent, pt.CodeSeed)
+		code, pt.K, pt.Ratio, pt.Scheduler, ch, pt.Trials, pt.NSent, pt.CodeSeed)
 }
 
 // Points expands the plan into its cartesian scenario space. The
 // expansion order is deterministic: codes, ks, ratios, schedulers,
 // channels, nsents, with the last axis varying fastest. Each point's
-// seed is derived by hashing its configuration key with the plan seed,
-// so a point keeps its seed (and therefore its exact result) when the
-// plan is extended with new axis values.
+// seed is derived by hashing its configuration key (its codec family
+// without the decoder) with the plan seed, so a point keeps its seed
+// (and therefore its exact result) when the plan is extended with new
+// axis values.
 func (p Plan) Points() ([]Point, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	p = p.withDefaults()
+	names, families := make([]string, len(p.Codes)), make([]string, len(p.Codes))
+	for i, c := range p.Codes {
+		cs, _ := planCode(c) // Validate has parsed it
+		names[i], families[i] = cs.Name(), cs.Family
+	}
 	out := make([]Point, 0, p.NumPoints())
 	// The channel axis: one entry per channel, or one (unset) per fleet.
 	chans, trials := p.Channels, p.Trials
 	if len(p.Fleets) > 0 {
 		chans, trials = make([]channel.Spec, len(p.Fleets)), 0
 	}
-	for _, code := range p.Codes {
+	for ci, code := range names {
 		for _, k := range p.Ks {
 			for _, ratio := range p.Ratios {
 				for _, s := range p.Schedulers {
-					for ci, ch := range chans {
+					for fi, ch := range chans {
 						for _, nsent := range p.NSents {
 							pt := Point{
 								Index:     len(out),
@@ -190,10 +220,10 @@ func (p Plan) Points() ([]Point, error) {
 								CodeSeed:  p.Seed,
 							}
 							if len(p.Fleets) > 0 {
-								f := p.Fleets[ci]
+								f := p.Fleets[fi]
 								pt.Fleet = &f
 							}
-							pt.Seed = core.DeriveSeed(p.Seed, hashString(pt.Key()))
+							pt.Seed = core.DeriveSeed(p.Seed, hashString(pt.key(families[ci])))
 							out = append(out, pt)
 						}
 					}

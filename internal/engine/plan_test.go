@@ -71,7 +71,7 @@ func TestPlanTakesTheSchedulerGrammar(t *testing.T) {
 	}
 	cache := map[string]core.Code{}
 	for i, pt := range points {
-		spec, err := Materialize(pt, cache)
+		spec, err := materialize(pt, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,17 +128,64 @@ func TestPlanSeedChangesEverySeed(t *testing.T) {
 	}
 }
 
+// decoderPlan measures one LDGM family with both decoders, the peeler
+// spelt out.
+func decoderPlan() Plan {
+	plan := testPlan()
+	plan.Codes = []string{"ldgm-staircase(decoder=peel)", "ldgm-staircase(decoder=gauss)"}
+	plan.Ks = []int{100}
+	return plan
+}
+
+// TestPlanDecoderSharesSeedNotKey: a decoder draws no randomness, so the
+// peel and gauss points at one coordinate share their seed — the seed a
+// plan of the bare family gives — and differ in Key, the checkpoint
+// identity. Points carry the canonical code name.
+func TestPlanDecoderSharesSeedNotKey(t *testing.T) {
+	plan := decoderPlan()
+	points, err := plan.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Codes = []string{"ldgm-staircase"}
+	bare, err := plan.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(bare)
+	if len(points) != 2*n {
+		t.Fatalf("%d points, want %d", len(points), 2*n)
+	}
+	for i, pt := range bare {
+		peel, gauss := points[i], points[n+i]
+		if peel.Code != "ldgm-staircase" || gauss.Code != "ldgm-staircase(decoder=gauss)" {
+			t.Fatalf("point codes %q and %q, want the canonical names", peel.Code, gauss.Code)
+		}
+		if peel.Seed != pt.Seed || gauss.Seed != pt.Seed {
+			t.Fatalf("point %d: seeds peel %d, gauss %d, bare family %d; want one seed", i, peel.Seed, gauss.Seed, pt.Seed)
+		}
+		if peel.Key() != pt.Key() || gauss.Key() == peel.Key() {
+			t.Fatalf("point %d: keys peel %q, gauss %q, bare family %q", i, peel.Key(), gauss.Key(), pt.Key())
+		}
+	}
+}
+
 func TestPlanValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Plan){
-		"no codes":       func(p *Plan) { p.Codes = nil },
-		"bad code":       func(p *Plan) { p.Codes = []string{"zzz"} },
-		"bad scheduler":  func(p *Plan) { p.Schedulers = []string{"tx9"} },
-		"bad channel":    func(p *Plan) { p.Channels = []channel.Spec{{Kind: "warp"}} },
-		"bad gilbert":    func(p *Plan) { p.Channels = []channel.Spec{channel.GilbertChannel(2, 0)} },
-		"bad k":          func(p *Plan) { p.Ks = []int{-5} },
-		"bad ratio":      func(p *Plan) { p.Ratios = []float64{0.5} },
-		"NaN ratio":      func(p *Plan) { p.Ratios = []float64{math.NaN()} },
-		"infinite ratio": func(p *Plan) { p.Ratios = []float64{math.Inf(1)} },
+		"no codes":        func(p *Plan) { p.Codes = nil },
+		"bad code":        func(p *Plan) { p.Codes = []string{"zzz"} },
+		"bad scheduler":   func(p *Plan) { p.Schedulers = []string{"tx9"} },
+		"bad channel":     func(p *Plan) { p.Channels = []channel.Spec{{Kind: "warp"}} },
+		"bad gilbert":     func(p *Plan) { p.Channels = []channel.Spec{channel.GilbertChannel(2, 0)} },
+		"bad k":           func(p *Plan) { p.Ks = []int{-5} },
+		"bad ratio":       func(p *Plan) { p.Ratios = []float64{0.5} },
+		"NaN ratio":       func(p *Plan) { p.Ratios = []float64{math.NaN()} },
+		"infinite ratio":  func(p *Plan) { p.Ratios = []float64{math.Inf(1)} },
+		"code with k":     func(p *Plan) { p.Codes = []string{"rse(k=60)"} },
+		"code with ratio": func(p *Plan) { p.Codes = []string{"ldgm(ratio=2)"} },
+		"code with seed":  func(p *Plan) { p.Codes = []string{"ldgm-staircase(seed=0,decoder=gauss)"} },
+		"rse decoder":     func(p *Plan) { p.Codes = []string{"rse(decoder=peel)"} },
+		"unknown decoder": func(p *Plan) { p.Codes = []string{"ldgm-triangle(decoder=bp)"} },
 	} {
 		plan := testPlan()
 		mutate(&plan)

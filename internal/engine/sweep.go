@@ -23,8 +23,8 @@ type Grid struct {
 func (g *Grid) At(i, j int) Aggregate { return g.Cells[i][j] }
 
 // GridPlan is a plan whose channel axis is the (p, q) grid P × Q of one
-// channel kind. Its points run through Run (SweepPlan) or, materialised,
-// through RunPointSpecs; Fold maps their aggregates back onto the grid.
+// channel kind, measured per Codes entry. Its points run through Run;
+// Fold maps one code's aggregates back onto the grid.
 type GridPlan struct {
 	Plan Plan
 	P, Q []float64
@@ -34,8 +34,9 @@ type GridPlan struct {
 // NewGridPlan fills plan.Channels with the grid ps × qs of one channel
 // kind (a nil axis means PaperGrid), each distinct channel Key once, so
 // kinds that ignore a coordinate (bernoulli ignores q, noloss both)
-// measure each channel once. The plan's other axes must hold one value
-// each: its points are then its channels, in order.
+// measure each channel once. The plan's other axes but Codes must hold
+// one value each: its points are then its channels, in order, once per
+// code — code c's are points c·len(Plan.Channels) onwards.
 func NewGridPlan(plan Plan, kind string, ps, qs []float64) (*GridPlan, error) {
 	if ps == nil {
 		ps = PaperGrid
@@ -56,16 +57,16 @@ func NewGridPlan(plan Plan, kind string, ps, qs []float64) (*GridPlan, error) {
 			g.cell = append(g.cell, at)
 		}
 	}
-	if n := plan.NumPoints(); n != len(plan.Channels) {
-		return nil, fmt.Errorf("engine: a grid sweep takes one code, k, ratio, scheduler and nsent; the plan expands to %d points for %d channels",
-			n, len(plan.Channels))
+	if n := plan.NumPoints(); n != len(plan.Codes)*len(plan.Channels) {
+		return nil, fmt.Errorf("engine: a grid sweep takes one k, ratio, scheduler and nsent; the plan expands to %d points for %d codes × %d channels",
+			n, len(plan.Codes), len(plan.Channels))
 	}
 	g.Plan = plan
 	return g, nil
 }
 
-// Fold returns the grid whose cells are the aggregates of the plan's
-// points, point i's being agg(i).
+// Fold returns the grid whose cells are the aggregates of one code's
+// points, the point at position i of Plan.Channels having agg(i).
 func (g *GridPlan) Fold(agg func(i int) Aggregate) *Grid {
 	out := &Grid{P: g.P, Q: g.Q, Cells: make([][]Aggregate, len(g.P))}
 	for i := range out.Cells {
@@ -83,6 +84,9 @@ func (g *GridPlan) Fold(agg func(i int) Aggregate) *Grid {
 // point's seed, and a cell where any trial fails reports Failed() (the
 // paper plots no point there).
 func SweepPlan(ctx context.Context, plan Plan, kind string, ps, qs []float64, opts Options) (*Grid, error) {
+	if len(plan.Codes) > 1 {
+		return nil, fmt.Errorf("engine: a grid sweep folds one code, not %d", len(plan.Codes))
+	}
 	g, err := NewGridPlan(plan, kind, ps, qs)
 	if err != nil {
 		return nil, err

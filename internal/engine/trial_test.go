@@ -18,7 +18,6 @@ import (
 	"fecperf/internal/channel"
 	"fecperf/internal/codes"
 	"fecperf/internal/core"
-	"fecperf/internal/ldpc"
 	"fecperf/internal/sched"
 )
 
@@ -77,34 +76,29 @@ func (r *trialRunner) schedule(s core.Scheduler, l core.Layout, seed int64) core
 	return s.Schedule(l, r.rng)
 }
 
-// mlCode is an LDGM code whose receivers are ldpc.MLReceivers: the
-// peeler with its Gaussian fallback.
-type mlCode struct{ *ldpc.Code }
-
-func (c mlCode) Name() string               { return c.Code.Name() + "+gauss" }
-func (c mlCode) NewReceiver() core.Receiver { return c.NewMLReceiver() }
-
 // gridCodes returns every codec family's code at k and ratio 2.5 (1 for
-// no-fec), then mlCode over the ldgm-staircase one. Each is named after
-// its family, the last "ldgm-staircase+gauss".
+// no-fec), then the ldgm-staircase one with decoder=gauss: the peeler
+// with its Gaussian fallback. Each is named after its family, the last
+// "ldgm-staircase+gauss".
 func gridCodes(t *testing.T, k int) []core.Code {
-	var cs []core.Code
-	var ml core.Code
+	var specs []codes.Spec
 	for _, family := range codes.CodecNames {
 		ratio := 2.5
 		if family == "no-fec" {
 			ratio = 1
 		}
-		code, err := codes.Spec{Family: family, K: k, Ratio: ratio, Seed: 1}.New()
+		specs = append(specs, codes.Spec{Family: family, K: k, Ratio: ratio, Seed: 1})
+	}
+	specs = append(specs, codes.Spec{Family: "ldgm-staircase", K: k, Ratio: 2.5, Seed: 1, Decoder: "gauss"})
+	var cs []core.Code
+	for _, s := range specs {
+		code, err := s.New()
 		if err != nil {
 			t.Fatal(err)
 		}
 		cs = append(cs, code)
-		if family == "ldgm-staircase" {
-			ml = mlCode{code.(*ldpc.Code)}
-		}
 	}
-	return append(cs, ml)
+	return cs
 }
 
 // trialGrid runs the oracles' grid: each code of gridCodes (k = 100)
@@ -419,46 +413,49 @@ func TestResetReceiverIsFreshReceiver(t *testing.T) {
 
 // TestRunSpecsSwitchingCodesDeterministic: workers keep the receiver of
 // their last code across shards. A queue whose points alternate codes,
-// the ML receiver's among them, with uneven last shards, gives the
-// aggregates of one fresh worker per shard, at 1, 2 and 8 workers.
+// the decoder=gauss receiver's among them, with uneven last shards, gives
+// the aggregates of one fresh worker per shard, at 1, 2 and 8 workers.
 func TestRunSpecsSwitchingCodesDeterministic(t *testing.T) {
-	var cs []core.Code
-	for _, c := range []struct {
-		family string
-		ratio  float64
-	}{{"ldgm-staircase", 2.5}, {"rse", 1.5}, {"ldgm-triangle", 1.5}, {"no-fec", 1}, {"ldgm-staircase", 1.5}} {
-		code, err := codes.Spec{Family: c.family, K: 120, Ratio: c.ratio, Seed: 1}.New()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs = append(cs, code)
-	}
-	cs = append(cs, mlCode{cs[0].(*ldpc.Code)})
-	var specs []PointSpec
+	codeAxis := []struct {
+		code  string
+		ratio float64
+	}{{"ldgm-staircase", 2.5}, {"rse", 1.5}, {"ldgm-triangle", 1.5}, {"no-fec", 1}, {"ldgm-staircase", 1.5},
+		{"ldgm-staircase(decoder=gauss)", 2.5}}
+	var points []Point
 	for i, trials := range []int{13, 5, 21, 9, 8, 1, 17, 12, 3, 30, 7, 11} {
-		specs = append(specs, PointSpec{
-			Code:      cs[i%len(cs)],
-			Scheduler: sched.TxModel4{},
+		c := codeAxis[i%len(codeAxis)]
+		points = append(points, Point{
+			Index:     i,
+			Code:      c.code,
+			K:         120,
+			Ratio:     c.ratio,
+			Scheduler: "tx4",
 			Channel:   channel.GilbertChannel(0.1, 0.4),
 			Trials:    trials,
 			Seed:      int64(i),
+			CodeSeed:  1,
 		})
 	}
-	want := make([]Aggregate, len(specs))
-	for i, spec := range specs {
+	want := make([]Aggregate, len(points))
+	cache := map[string]core.Code{}
+	for i, pt := range points {
+		spec, err := materialize(pt, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for lo := 0; lo < spec.Trials; lo += shardSize {
 			part, _ := newWorker().runShard(context.Background(), spec, lo, min(lo+shardSize, spec.Trials))
 			want[i].Merge(part)
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, err := RunPointSpecs(context.Background(), specs, workers)
+		got, err := RunPoints(context.Background(), points, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
-			if a, b := marshal(t, got[i]), marshal(t, want[i]); a != b {
-				t.Fatalf("workers=%d point %d (%s): %s, fresh workers %s", workers, i, specs[i].Code.Name(), a, b)
+			if a, b := marshal(t, got[i].Aggregate), marshal(t, want[i]); a != b {
+				t.Fatalf("workers=%d point %d (%s): %s, fresh workers %s", workers, i, points[i].Code, a, b)
 			}
 		}
 	}

@@ -421,13 +421,17 @@ func TestMLReceiverBeatsPeelingOnAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gauss, err := codes.ByName("ldgm-staircase(k=300,ratio=2.5,seed=4,decoder=gauss)")
+	if err != nil {
+		t.Fatal(err)
+	}
 	agg := runPoint(engine.PointSpec{
 		Code: c, Scheduler: sched.TxModel4{},
 		Channel: channel.GilbertChannel(0.1, 0.5),
 		Trials:  5, Seed: 3,
 	})
 	ml := runPoint(engine.PointSpec{
-		Code: mlCode{c}, Scheduler: sched.TxModel4{},
+		Code: gauss, Scheduler: sched.TxModel4{},
 		Channel: channel.GilbertChannel(0.1, 0.5),
 		Trials:  5, Seed: 3,
 	})

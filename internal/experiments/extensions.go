@@ -10,16 +10,8 @@ import (
 	"fmt"
 
 	"fecperf/internal/channel"
-	"fecperf/internal/core"
 	"fecperf/internal/engine"
-	"fecperf/internal/ldpc"
 )
-
-// mlCode adapts an ldpc.Code so NewReceiver returns the ML receiver.
-type mlCode struct{ *ldpc.Code }
-
-func (m mlCode) Name() string               { return m.Code.Name() + "+gauss" }
-func (m mlCode) NewReceiver() core.Receiver { return m.Code.NewMLReceiver() }
 
 func init() {
 	register(Experiment{
@@ -88,39 +80,27 @@ func init() {
 	})
 }
 
-// mlGrids measures ext-ml-decoding's (p, q) grid plan twice, with the
-// registry's LDGM Staircase code and with mlCode wrapping it. Both run
-// every point on the point's own seed, so the grids are paired trial by
-// trial (common random numbers) and their difference is the decoders'
-// alone.
+// mlGrids measures ext-ml-decoding's (p, q) grid plan once per decoder:
+// the registry's LDGM Staircase code, and the same code with
+// decoder=gauss. A decoder is not part of a point's seed, so both run
+// every cell on the same seed: the grids are paired trial by trial
+// (common random numbers) and their difference is the decoders' alone.
 func mlGrids(o Options) (peeling, ml *engine.Grid, err error) {
 	grid := o.Grid
 	if grid == nil {
 		grid = []float64{0, 0.05, 0.20, 0.50}
 	}
-	plan := engine.Plan{Codes: []string{"ldgm-staircase"}, Ks: []int{o.K}, Ratios: []float64{2.5},
-		Schedulers: []string{"tx4"}, Trials: o.Trials, Seed: o.Seed}
+	plan := engine.Plan{Codes: []string{"ldgm-staircase", "ldgm-staircase(decoder=gauss)"}, Ks: []int{o.K},
+		Ratios: []float64{2.5}, Schedulers: []string{"tx4"}, Trials: o.Trials, Seed: o.Seed}
 	gp, err := engine.NewGridPlan(plan, "gilbert", grid, grid)
 	if err != nil {
 		return nil, nil, err
 	}
-	points, err := gp.Plan.Points()
+	res, err := engine.Run(context.Background(), gp.Plan, engine.Options{Workers: o.Workers})
 	if err != nil {
 		return nil, nil, err
 	}
-	specs := make([]engine.PointSpec, 2*len(points))
-	codeCache := map[string]core.Code{}
-	for i, pt := range points {
-		if specs[i], err = engine.Materialize(pt, codeCache); err != nil {
-			return nil, nil, err
-		}
-		specs[len(points)+i] = specs[i]
-		specs[len(points)+i].Code = mlCode{specs[i].Code.(*ldpc.Code)}
-	}
-	aggs, err := engine.RunPointSpecs(context.Background(), specs, o.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	ml = gp.Fold(func(i int) engine.Aggregate { return aggs[len(points)+i] })
-	return gp.Fold(func(i int) engine.Aggregate { return aggs[i] }), ml, nil
+	n := len(gp.Plan.Channels)
+	peeling = gp.Fold(func(i int) engine.Aggregate { return res[i].Aggregate })
+	return peeling, gp.Fold(func(i int) engine.Aggregate { return res[n+i].Aggregate }), nil
 }

@@ -3,9 +3,9 @@ package experiments
 // The paper's reproduced tables and figures, pinned: every registered
 // experiment rendered at a small fixed scale and committed to
 // testdata/reports_golden.txt. Every measured report is an engine plan
-// (ext-ml-decoding runs its plan's points twice, once on the ML copy of
-// the code), so this pins the engine's seed derivation, shard merge order
-// and aggregation as the reports see them, at one worker and at two.
+// (ext-ml-decoding's measures each cell twice, once with decoder=gauss),
+// so this pins the engine's seed derivation, shard merge order and
+// aggregation as the reports see them, at one worker and at two.
 // Regenerate intentionally with
 //
 //	go test ./internal/experiments -run TestReportsGolden -update-golden

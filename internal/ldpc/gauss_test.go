@@ -1,15 +1,10 @@
 package ldpc
 
-// This file implements a maximum-likelihood reference decoder: Gaussian
-// elimination over GF(2) on the full parity-check system. The paper's codes
-// use iterative (peeling) decoding only; Gaussian elimination recovers
-// strictly more erasure patterns, so it serves two purposes here:
-//
-//   - in tests, it cross-checks the peeling decoder (peeling success must
-//     imply Gaussian success, never the reverse);
-//   - it implements the "more elaborate decoders" direction the paper's
-//     future-work section mentions, and quantifying the gap between the two
-//     is an ablation bench target.
+// The tests' maximum-likelihood oracle: Gaussian elimination over GF(2)
+// on the full parity-check system, from scratch for one erasure pattern.
+// Peeling success must imply its success, never the reverse, and the
+// hybrid receiver of a Params.Gauss code (peeling, then SolveGauss on
+// the residual system) must decode exactly the patterns it accepts.
 
 // GaussDecodable reports whether the erasure pattern given by `received`
 // (indexed by packet ID, length n) is decodable by full Gaussian

@@ -144,54 +144,42 @@ func (d *Decoder) SolveGauss() bool {
 	return d.Done()
 }
 
-// MLReceiver wraps the peeling decoder with the Gaussian fallback so it
-// can stand in as a core.Receiver in simulations: it decodes exactly the
-// patterns maximum-likelihood decoding can. To keep the per-packet cost
-// sane it only attempts elimination once at least k packets have arrived,
-// and then at every arrival (each attempt either finishes decoding or
-// solves nothing, and the residual system shrinks as peeling consumes the
-// newly delivered packets), so it takes a batch one arrival at a time.
-type MLReceiver struct {
-	dec      *Decoder
+// mlReceiver is a Params.Gauss code's NewReceiver: the peeling decoder
+// with the Gaussian fallback, as a core.Receiver for simulations. It
+// decodes exactly the patterns maximum-likelihood decoding can. To keep
+// the per-packet cost sane it only attempts elimination once at least k
+// packets have arrived, and then at every arrival (each attempt either
+// finishes decoding or solves nothing, and the residual system shrinks as
+// peeling consumes the newly delivered packets), so it takes a batch one
+// arrival at a time. Done, SourceRecovered and BufferedSymbols are the
+// peeling decoder's.
+type mlReceiver struct {
+	*Decoder
 	received int
 }
 
-// NewMLReceiver returns a structural maximum-likelihood receiver.
-func (c *Code) NewMLReceiver() *MLReceiver {
-	return &MLReceiver{dec: c.newDecoder(0)}
-}
-
 // Receive implements core.Receiver.
-func (m *MLReceiver) Receive(id int) bool {
-	if m.dec.Done() {
+func (m *mlReceiver) Receive(id int) bool {
+	if m.Done() {
 		return true
 	}
 	m.received++
-	if m.dec.Receive(id) {
+	if m.Decoder.Receive(id) {
 		return true
 	}
-	if m.received >= m.dec.code.k {
-		return m.dec.SolveGauss()
+	if m.received >= m.code.k {
+		return m.SolveGauss()
 	}
 	return false
 }
 
 // ReceiveBatch implements core.Receiver: one Receive per arrival.
-func (m *MLReceiver) ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int) {
+func (m *mlReceiver) ReceiveBatch(ids []int32, arrived uint64) (consumed int, decoded bool, peak int) {
 	return core.ReceiveEach(m, ids, arrived)
 }
 
 // Reset implements core.Receiver.
-func (m *MLReceiver) Reset() {
-	m.dec.Reset()
+func (m *mlReceiver) Reset() {
+	m.Decoder.Reset()
 	m.received = 0
 }
-
-// Done implements core.Receiver.
-func (m *MLReceiver) Done() bool { return m.dec.Done() }
-
-// SourceRecovered implements core.Receiver.
-func (m *MLReceiver) SourceRecovered() int { return m.dec.SourceRecovered() }
-
-// BufferedSymbols implements core.Receiver: the peeling decoder's.
-func (m *MLReceiver) BufferedSymbols() int { return m.dec.BufferedSymbols() }

@@ -155,15 +155,15 @@ type lossless struct{}
 
 func (lossless) Lost() bool { return false }
 
-// TestMLReceiverResetIsFresh: an MLReceiver reset between trials, as a
-// plan worker reuses one, reads as new and gives the TrialResult a new
-// one gives, after a trial it decoded and after one it did not decode
-// with k or more packets, its Gaussian fallback tried.
+// TestMLReceiverResetIsFresh: a Gauss code's receiver reset between
+// trials, as a plan worker reuses one, reads as new and gives the
+// TrialResult a new one gives, after a trial it decoded and after one it
+// did not decode with k or more packets, its Gaussian fallback tried.
 func TestMLReceiverResetIsFresh(t *testing.T) {
 	const k, n = 60, 150
-	c := mustNew(t, Params{K: k, N: n, Variant: Staircase, Seed: 2})
+	c := mustNew(t, Params{K: k, N: n, Variant: Staircase, Seed: 2, Gauss: true})
 	rng := rand.New(rand.NewSource(4))
-	reused := c.NewMLReceiver()
+	reused := c.NewReceiver().(*mlReceiver)
 	var trial core.Trial
 	var afterDecoded, afterStalled int
 	prev := "none"
@@ -175,7 +175,7 @@ func TestMLReceiverResetIsFresh(t *testing.T) {
 		}
 		schedule := core.SliceSchedule(rng.Perm(n)[:k-2+rng.Intn(12)])
 		got := trial.Run(schedule, lossless{}, reused, 0)
-		if want := core.RunTrial(schedule, lossless{}, c.NewMLReceiver(), 0); got != want {
+		if want := core.RunTrial(schedule, lossless{}, c.NewReceiver(), 0); got != want {
 			t.Fatalf("trial %d, after a %s trial: reset receiver %+v, new receiver %+v", tr, prev, got, want)
 		}
 		switch {

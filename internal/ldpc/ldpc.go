@@ -98,6 +98,11 @@ type Params struct {
 	// per check row for the Triangle variant. The default (0 means 1.0)
 	// adds one entry per row; other values exist for ablation studies.
 	TriangleDensity float64
+	// Gauss makes NewReceiver the hybrid receiver: peeling with a
+	// Gaussian-elimination fallback, which decodes every erasure pattern
+	// maximum-likelihood decoding does. It leaves the graph as it is, and
+	// payload decoders always peel.
+	Gauss bool
 }
 
 // Code is an immutable LDGM code instance: the parity-check matrix
@@ -375,7 +380,12 @@ func singleBlockLayout(k, n int) core.Layout {
 }
 
 // Name implements core.Code.
-func (c *Code) Name() string { return c.params.Variant.String() }
+func (c *Code) Name() string {
+	if c.params.Gauss {
+		return c.params.Variant.String() + "+gauss"
+	}
+	return c.params.Variant.String()
+}
 
 // Layout implements core.Code.
 func (c *Code) Layout() core.Layout { return c.layout }
@@ -443,8 +453,14 @@ const termsOnStack = 16
 func (c *Code) Encode(src [][]byte) ([][]byte, error) { return core.EncodePooled(c, src) }
 
 // NewReceiver implements core.Code: a structural peeling decoder (no
-// payloads), the state the grid simulations use.
-func (c *Code) NewReceiver() core.Receiver { return c.newDecoder(0) }
+// payloads), the state the grid simulations use, or the hybrid receiver
+// when Params.Gauss is set.
+func (c *Code) NewReceiver() core.Receiver {
+	if c.params.Gauss {
+		return &mlReceiver{Decoder: c.newDecoder(0)}
+	}
+	return c.newDecoder(0)
+}
 
 // NewPayloadDecoder returns a peeling decoder that also reconstructs symbol
 // payloads of the given length. Feed it with ReceivePayload.

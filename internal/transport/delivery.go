@@ -188,12 +188,18 @@ func (d Delivery) ResolvedCodec() codes.Spec {
 // ObjectConfig is the session configuration of one object of the
 // delivery: the resolved code (its seed the construction seed) and
 // payload size under the given object ID, with the delivery's scheduler
-// and n_sent.
+// and n_sent. Every cast path passes here, so it refuses a codec
+// decoder: receivers build their codec from the integers on the wire and
+// always peel, and the key only selects a simulated receiver.
 func (d Delivery) ObjectConfig(id uint32) (session.SenderConfig, error) {
 	if err := d.Validate(); err != nil {
 		return session.SenderConfig{}, err
 	}
 	c := d.ResolvedCodec()
+	if c.Decoder != "" {
+		return session.SenderConfig{}, fmt.Errorf("transport: codec %s: decoder=%s selects a simulated receiver; receivers on the wire always peel",
+			c.Name(), c.Decoder)
+	}
 	family, err := wire.FamilyByName(c.Family)
 	if err != nil {
 		return session.SenderConfig{}, err
